@@ -1,6 +1,7 @@
 package kvload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -55,5 +56,89 @@ func TestHotPathAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(2000, func() { p.RandN(1000) }); n > 0 {
 		t.Errorf("RandN: %.3f allocs/op, want 0", n)
+	}
+}
+
+// TestBatchPathAllocationFree is the same property over the sharded,
+// batched store: on an 8-shard HashMod store, under every lock seam
+// (direct mutex, reader-writer, combining executor, read-combining
+// executor) and every memory mode, a 16-key batch call and a
+// single-key call allocate nothing at steady state — routing runs in
+// per-proc scratch, and every critical section is a per-proc record
+// rather than a closure that escapes through the executor interface.
+func TestBatchPathAllocationFree(t *testing.T) {
+	const batch = 16
+	topo := numa.New(2, 4)
+	p := topo.Proc(0)
+	sizes := []int{64, 512, 200, 96, 448}
+	keys := make([]uint64, batch)
+	vals := make([][]byte, batch)
+	dsts := make([][]byte, batch)
+	for i := range keys {
+		keys[i] = uint64(i) * 0x9E3779B97F4A7C15
+		vals[i] = make([]byte, 512)
+		dsts[i] = make([]byte, 512)
+	}
+	lens := make([]int, batch)
+	found := make([]bool, batch)
+	sized := make([][]byte, batch)
+
+	for _, lock := range []string{"c-bo-mcs", "rw-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"} {
+		for _, vm := range []kvstore.ValueMemory{kvstore.ValueHeap, kvstore.ValueArena} {
+			for _, im := range []kvstore.IndexMemory{kvstore.IndexPointer, kvstore.IndexCompact} {
+				src, err := kvstore.FromRegistry(topo, lock)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := kvstore.New(kvstore.Config{
+					Topo: topo, Locking: src, Shards: 8, Placement: kvstore.HashMod,
+					Buckets: 1 << 12, Capacity: 1 << 13,
+					ValueMemory: vm, IndexMemory: im, ArenaBytes: 1 << 20,
+					TouchEvery: 2, // the deferred LRU touch runs in every MGet
+				})
+				// Warm up: every item (and every recycled item the
+				// deletes below leave on the free lists) has held a
+				// maximum-size value, so value buffers never grow again.
+				s.MSet(p, keys, vals)
+				round := 0
+				check := func(op string, f func()) {
+					t.Helper()
+					if n := testing.AllocsPerRun(200, f); n > 0 {
+						t.Errorf("%s/%s/%s %s: %.3f allocs/call at steady state, want 0", lock, vm, im, op, n)
+					}
+				}
+				check("MSet", func() {
+					for i := range sized {
+						sized[i] = vals[i][:sizes[(round+i)%len(sizes)]]
+					}
+					round++
+					s.MSet(p, keys, sized)
+				})
+				check("MGet", func() { s.MGet(p, keys, dsts, lens, found) })
+				for i, ok := range found {
+					if !ok {
+						t.Fatalf("%s/%s/%s: key %d missing after MSet", lock, vm, im, i)
+					}
+				}
+				check("MGet probe", func() { s.MGet(p, keys, nil, lens, found) })
+				check("MDelete+MSet", func() {
+					if n := s.MDelete(p, keys); n != batch {
+						panic(fmt.Sprintf("MDelete removed %d of %d keys", n, batch))
+					}
+					s.MSet(p, keys, vals)
+				})
+				check("MDeleteEach+MSet", func() {
+					s.MDeleteEach(p, keys, found)
+					s.MSet(p, keys, vals)
+				})
+				check("Get", func() { s.Get(p, keys[round%batch], dsts[0]); round++ })
+				check("Set", func() { s.Set(p, keys[round%batch], vals[0][:sizes[round%len(sizes)]]); round++ })
+				check("Delete+Set", func() {
+					s.Delete(p, keys[round%batch])
+					s.Set(p, keys[round%batch], vals[0])
+					round++
+				})
+			}
+		}
 	}
 }

@@ -38,13 +38,14 @@
 // N same-shard operations cost ceil(N/MaxBatch) acquisitions instead
 // of N. Orthogonally, Config.NewExec replaces each shard's direct
 // locking with a delegated-execution seam (locks.Executor): every
-// critical section is posted as a closure to a combining executor,
-// whose combiner runs same-cluster batches — across requesting procs
-// — under a single acquisition of the underlying lock. That is the
-// flat-combining amortization the paper credits FC-MCS with (§4.1.3),
-// applied to the store's own critical sections rather than to queue
-// hand-offs. Configurations without NewExec keep the direct locking
-// paths untouched, so Table 1 numbers are unaffected.
+// critical section is posted (as a per-proc record, see csRecord) to
+// a combining executor, whose combiner runs same-cluster batches —
+// across requesting procs — under a single acquisition of the
+// underlying lock. That is the flat-combining amortization the paper
+// credits FC-MCS with (§4.1.3), applied to the store's own critical
+// sections rather than to queue hand-offs. Configurations without
+// NewExec keep the direct locking paths untouched, so Table 1 numbers
+// are unaffected.
 //
 // The cache lock itself is reader-writer shaped (locks.RWMutex): Sets
 // and Deletes take exclusive mode, and when the configured lock's
@@ -66,19 +67,18 @@
 // executor behind the delegated-execution seam is a locks.RWExecutor
 // whose shared mode is genuine (a comb-rw-* registry entry, or
 // locks.NewRWCombining over a native RW lock), the shard posts each
-// Get and each MGet chunk as a read closure through ExecShared. A
+// Get and each MGet chunk as a read section through ExecShared. A
 // per-cluster reader-combiner then folds concurrent same-cluster
 // chunks into ONE shared acquisition of the underlying lock, dropping
 // the read path below the ceil(N/MaxBatch)-RLocks floor whenever
 // same-cluster readers overlap — and an idle-path bypass runs a lone
-// closure under its own RLock so uncontended reads pay exactly what
+// section under its own RLock so uncontended reads pay exactly what
 // the direct shared-chunk path pays. Deferred LRU touches ride the
 // exclusive combiner as before.
 package kvstore
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
@@ -251,7 +251,7 @@ type Config struct {
 	// NewExec builds one combining executor per shard (registry comb-*
 	// entries provide such factories via Entry.ExecFactory). Highest
 	// precedence of all lock fields: every shard operation — Gets
-	// included — then runs as a closure delegated to the executor,
+	// included — then runs as a section delegated to the executor,
 	// whose combiner executes same-cluster batches under a single
 	// acquisition of its underlying lock. Configurations without
 	// NewExec keep the direct locking paths untouched.
@@ -392,11 +392,23 @@ type Store struct {
 	shards    []*Shard
 	homes     []int   // shard index -> home cluster
 	groups    [][]int // cluster -> indices of shards homed there
-	// identity caches 0..n-1 for single-shard batch routing, so the
-	// steady-state batched pipeline allocates nothing per call. The
-	// published slice is immutable (contents are fixed by position);
-	// racing growers just waste one allocation.
-	identity atomic.Pointer[[]int]
+	// routes holds each proc's batch-routing scratch, indexed by
+	// p.ID(). A proc is used by one goroutine at a time (the numa.Proc
+	// contract the shards' per-proc slots already rest on), so a batch
+	// call owns its proc's entry for the duration of the call; the
+	// buffers grow to the largest batch seen and are then reused, so
+	// steady-state routing allocates nothing.
+	routes []routeScratch
+}
+
+// routeScratch is one proc's routing workspace: the batch's key
+// indices stably sorted by target shard. It holds indices only, never
+// caller memory.
+type routeScratch struct {
+	order []int   // key indices; shard si's are order[start[si]:start[si+1]]
+	start []int   // len(shards)+1 group boundaries into order
+	shard []int32 // shard[i] = target shard of keys[i]
+	_     numa.Pad
 }
 
 // New builds a store; it panics on invalid configuration (programmer
@@ -441,6 +453,10 @@ func New(cfg Config) *Store {
 		shards:    make([]*Shard, cfg.Shards),
 		homes:     make([]int, cfg.Shards),
 		groups:    make([][]int, cfg.Topo.Clusters()),
+		routes:    make([]routeScratch, cfg.Topo.MaxProcs()),
+	}
+	for i := range s.routes {
+		s.routes[i].start = make([]int, cfg.Shards+1)
 	}
 	for i := range s.shards {
 		sc := shardConfig{
@@ -517,33 +533,38 @@ func (s *Store) Delete(p *numa.Proc, key uint64) bool {
 	return s.shardFor(p, key).Delete(p, key)
 }
 
-// identityIdx returns a shared read-only index slice [0,1,...,n-1].
-func (s *Store) identityIdx(n int) []int {
-	if p := s.identity.Load(); p != nil && len(*p) >= n {
-		return (*p)[:n]
+// route partitions the indices of keys by target shard under the
+// store's placement: a stable counting sort into p's routing scratch.
+// Shard si's indices are order[start[si]:start[si+1]], in caller order
+// — the order duplicate keys rely on to resolve last-wins — and every
+// index lands in exactly one group, the routing-completeness the batch
+// APIs rely on. A single-shard store gets the identity order. Both
+// slices alias p's scratch and are valid until p's next batch call.
+func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
+	rs := &s.routes[p.ID()]
+	if cap(rs.order) < len(keys) {
+		rs.order = make([]int, len(keys))
+		rs.shard = make([]int32, len(keys))
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	s.identity.Store(&idx)
-	return idx
-}
-
-// groupByShard partitions the indices of keys by target shard under
-// the store's placement, preserving caller order within each group.
-// Every index lands in exactly one group — the routing-completeness
-// the batch APIs rely on. Single-shard stores route through the
-// cached identity index (no per-call allocation); the multi-shard
-// grouping allocates per call, a cost paid equally by every lock
-// configuration.
-func (s *Store) groupByShard(p *numa.Proc, keys []uint64) [][]int {
-	groups := make([][]int, len(s.shards))
+	order, shard, start := rs.order[:len(keys)], rs.shard[:len(keys)], rs.start
+	clear(start)
 	for i, k := range keys {
 		si := s.shardIndex(p, k)
-		groups[si] = append(groups[si], i)
+		shard[i] = int32(si)
+		start[si]++
 	}
-	return groups
+	// Counts become group ends; each group then fills from its end
+	// backwards while the keys are walked in reverse, which keeps caller
+	// order and leaves every start[si] on its group's first slot.
+	for si := 1; si < len(start); si++ {
+		start[si] += start[si-1]
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		si := shard[i]
+		start[si]--
+		order[start[si]] = i
+	}
+	return order, start
 }
 
 // MGet looks up every key, copying values into the matching dsts
@@ -551,7 +572,7 @@ func (s *Store) groupByShard(p *numa.Proc, keys []uint64) [][]int {
 // per-key copy lengths and presence in lens and found. Keys are
 // grouped by shard and each shard's group runs in critical sections
 // of at most Config.MaxBatch lookups — one lock acquisition (or one
-// combined closure, under a comb-* executor) answers a whole chunk,
+// combined section, under a comb-* executor) answers a whole chunk,
 // instead of one per key as repeated Get calls would pay. Results are
 // written at the same index as the key; every key is answered exactly
 // once. Per-key semantics match Get under the same lock: on an
@@ -568,13 +589,10 @@ func (s *Store) MGet(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 	if len(lens) != len(keys) || len(found) != len(keys) {
 		panic(fmt.Sprintf("kvstore: MGet with %d lens / %d found for %d keys", len(lens), len(found), len(keys)))
 	}
-	if len(s.shards) == 1 {
-		s.shards[0].mget(p, keys, dsts, lens, found, s.identityIdx(len(keys)))
-		return
-	}
-	for si, idx := range s.groupByShard(p, keys) {
-		if len(idx) > 0 {
-			s.shards[si].mget(p, keys, dsts, lens, found, idx)
+	order, start := s.route(p, keys)
+	for si, sh := range s.shards {
+		if idx := order[start[si]:start[si+1]]; len(idx) > 0 {
+			sh.mget(p, keys, dsts, lens, found, idx)
 		}
 	}
 }
@@ -591,13 +609,10 @@ func (s *Store) MSet(p *numa.Proc, keys []uint64, vals [][]byte) {
 	if len(vals) != len(keys) {
 		panic(fmt.Sprintf("kvstore: MSet with %d vals for %d keys", len(vals), len(keys)))
 	}
-	if len(s.shards) == 1 {
-		s.shards[0].mset(p, keys, vals, s.identityIdx(len(keys)))
-		return
-	}
-	for si, idx := range s.groupByShard(p, keys) {
-		if len(idx) > 0 {
-			s.shards[si].mset(p, keys, vals, idx)
+	order, start := s.route(p, keys)
+	for si, sh := range s.shards {
+		if idx := order[start[si]:start[si+1]]; len(idx) > 0 {
+			sh.mset(p, keys, vals, idx)
 		}
 	}
 }
@@ -620,13 +635,11 @@ func (s *Store) MDeleteEach(p *numa.Proc, keys []uint64, found []bool) int {
 }
 
 func (s *Store) mdelete(p *numa.Proc, keys []uint64, found []bool) int {
-	if len(s.shards) == 1 {
-		return s.shards[0].mdelete(p, keys, s.identityIdx(len(keys)), found)
-	}
+	order, start := s.route(p, keys)
 	n := 0
-	for si, idx := range s.groupByShard(p, keys) {
-		if len(idx) > 0 {
-			n += s.shards[si].mdelete(p, keys, idx, found)
+	for si, sh := range s.shards {
+		if idx := order[start[si]:start[si+1]]; len(idx) > 0 {
+			n += sh.mdelete(p, keys, idx, found)
 		}
 	}
 	return n

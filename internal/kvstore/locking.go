@@ -59,7 +59,7 @@ func FromRW(f func() locks.RWMutex) LockSource {
 
 // FromExec sources each shard's exclusion from a factory of combining
 // executors (registry Entry.ExecFactory shape): every critical
-// section is posted as a closure and same-cluster batches run under
+// section is posted to the executor and same-cluster batches run under
 // one underlying acquisition — the behavior of the deprecated
 // Config.NewExec field.
 func FromExec(f func() locks.Executor) LockSource {

@@ -39,7 +39,7 @@ type item struct {
 	value []byte
 }
 
-// opSlot is per-proc statistics; each proc writes only its own slot.
+// opSlot is per-proc state; each proc writes only its own slot.
 // Shared-mode Gets rely on exactly this layout: every counter is
 // written only by its owning proc, outside the lock, so concurrent
 // readers never contend on statistics.
@@ -55,7 +55,164 @@ type opSlot struct {
 	// spills counts sets this proc spilled to the GC heap because the
 	// shard's arena was exhausted (ValueArena only).
 	spills uint64
-	_      numa.Pad
+	// touch collects the keys this proc's shared reads sampled for a
+	// deferred LRU refresh; reused across calls, it holds keys only.
+	touch []uint64
+	// cs is this proc's critical-section record (see csRecord).
+	cs csRecord
+	_  numa.Pad
+}
+
+// csKind names the critical section a csRecord runs.
+type csKind uint8
+
+const (
+	csGet        csKind = iota // key, buf -> n, ok; exclusive (touch + LRU bump)
+	csRead                     // key, buf -> n, ok; shared (reads only)
+	csSet                      // key, buf
+	csDelete                   // key -> ok
+	csMGet                     // chunk of keys/bufs -> lens, found; exclusive
+	csMRead                    // chunk of keys/bufs -> lens, found; shared
+	csMSet                     // chunk of keys/bufs
+	csMDelete                  // chunk of keys -> n += present, found (optional)
+	csTouch                    // keys: deferred LRU refresh of sampled hits
+	csFlushFrees               // drain the deferred arena free list
+	csLen                      // -> n
+)
+
+// csRecord is one proc's critical section, spelled out as data: the
+// operation kind, its arguments and its results. A shard operation
+// arms its proc's record and hands it to the shard's exclusion seam:
+// posted as fn to the executor, where a combiner on another goroutine
+// runs it, or — batch chunks on a direct lock — run in place between
+// Lock and Unlock (RLock and RUnlock). Single-key operations on a
+// direct lock need no record and bracket their apply* call inline. fn
+// is the record's run method, bound once at shard construction, so
+// posting allocates nothing (a closure literal per call would escape
+// through the locks.Executor interface and cost an allocation per
+// critical section).
+//
+// Ownership: the record lives in its proc's opSlot, and a proc is used
+// by one goroutine at a time (the numa.Proc contract), so at most one
+// critical section per record is ever in flight. The owner writes the
+// arguments before posting and reads the results after Exec returns;
+// the executor's publication protocol (posted/done atomics) orders
+// both against the combiner's accesses. done clears every reference
+// to caller memory, so an idle shard pins nobody's buffers.
+type csRecord struct {
+	fn    func()
+	s     *Shard
+	p     *numa.Proc
+	kind  csKind
+	key   uint64
+	buf   []byte   // csGet/csRead: destination; csSet: value
+	keys  []uint64 // batch kinds: the call's keys; csTouch: sampled keys
+	bufs  [][]byte // csMGet/csMRead: destinations (nil = probe); csMSet: values
+	lens  []int
+	found []bool
+	chunk []int // batch kinds: the indices into keys this section covers
+	n     int
+	ok    bool
+}
+
+// run executes the armed critical section. The caller — the owning
+// proc under a direct lock, or an executor's combiner — holds the
+// shard's exclusion in the mode the kind requires.
+func (r *csRecord) run() {
+	s, p := r.s, r.p
+	switch r.kind {
+	case csGet:
+		r.n, r.ok = s.applyGet(p, r.key, r.buf)
+	case csRead:
+		r.n, r.ok = s.readValue(r.key, r.buf)
+	case csSet:
+		s.applySet(p, r.key, r.buf)
+	case csDelete:
+		r.ok = s.applyDelete(p, r.key)
+	case csMGet:
+		for _, i := range r.chunk {
+			r.lens[i], r.found[i] = s.applyGet(p, r.keys[i], r.dst(i))
+		}
+	case csMRead:
+		for _, i := range r.chunk {
+			r.lens[i], r.found[i] = s.readValue(r.keys[i], r.dst(i))
+		}
+	case csMSet:
+		for _, i := range r.chunk {
+			s.applySet(p, r.keys[i], r.bufs[i])
+		}
+	case csMDelete:
+		for _, i := range r.chunk {
+			ok := s.applyDelete(p, r.keys[i])
+			if ok {
+				r.n++
+			}
+			if r.found != nil {
+				r.found[i] = ok
+			}
+		}
+	case csTouch:
+		// Re-find under exclusive mode: an item may have been evicted
+		// or deleted between the shared read and this upgrade.
+		for _, k := range r.keys {
+			s.touchKey(p, k)
+		}
+	case csFlushFrees:
+		if len(s.pendingFree) > 0 {
+			s.flushFrees(p)
+		}
+	case csLen:
+		r.n = s.count
+	}
+}
+
+// dst is key i's destination buffer; nil when the call only probes.
+func (r *csRecord) dst(i int) []byte {
+	if r.bufs == nil {
+		return nil
+	}
+	return r.bufs[i]
+}
+
+// done drops the record's references to caller memory.
+func (r *csRecord) done() {
+	r.buf, r.keys, r.bufs, r.lens, r.found, r.chunk = nil, nil, nil, nil, nil, nil
+}
+
+// arm returns p's record, reset for a critical section of kind k.
+func (s *Shard) arm(p *numa.Proc, k csKind) *csRecord {
+	r := &s.slots[p.ID()].cs
+	r.p, r.kind, r.n, r.ok = p, k, 0, false
+	return r
+}
+
+// exclusive runs r as one exclusive critical section: one acquisition
+// of the shard lock, or one record posted to the executor seam (which
+// batches it with other same-cluster sections under one acquisition of
+// its underlying lock).
+func (s *Shard) exclusive(p *numa.Proc, r *csRecord) {
+	if s.exec != nil {
+		s.exec.Exec(p, r.fn)
+		return
+	}
+	s.lock.Lock(p)
+	r.run()
+	s.lock.Unlock(p)
+}
+
+// shared runs r under the shard's read seam (sharedReads shards only):
+// one RLock, or one record posted through ExecShared, where concurrent
+// same-cluster readers' records fold into ONE RLock of the underlying
+// lock. Shared kinds only read item state; writers hold exclusive
+// mode, so nothing mutates under them.
+func (s *Shard) shared(p *numa.Proc, r *csRecord) {
+	if s.rwexec != nil {
+		s.rwexec.ExecShared(p, r.fn)
+		return
+	}
+	s.lock.RLock(p)
+	r.run()
+	s.lock.RUnlock(p)
 }
 
 // shardConfig carries the per-shard slice of a Store's Config, already
@@ -88,16 +245,16 @@ type shardConfig struct {
 type Shard struct {
 	lock locks.RWMutex
 	// exec, when non-nil, is the shard's delegated-execution seam:
-	// every critical section runs as a closure posted to a combining
-	// executor (which batches same-cluster sections under one
-	// acquisition of its underlying lock) instead of bracketing the
+	// every critical section is posted (as its proc's csRecord) to a
+	// combining executor, which batches same-cluster sections under one
+	// acquisition of its underlying lock, instead of bracketing the
 	// shard lock directly. lock is nil on this path — the executor owns
 	// the exclusion domain.
 	exec locks.Executor
 	// rwexec, when non-nil, is exec's shared mode: the executor is a
 	// read-combining RWExecutor (locks.RWCombining or its adaptive
-	// twin) whose shared closures genuinely coexist, so the shared read
-	// paths post per-chunk read closures through ExecShared — concurrent
+	// twin) whose shared sections genuinely coexist, so the shared read
+	// paths post per-chunk read records through ExecShared — concurrent
 	// same-cluster readers fold into ONE RLock of the underlying lock —
 	// instead of bracketing RLock directly. Always the same value as
 	// exec, pre-asserted to the RW interface; nil when exec is nil or
@@ -108,7 +265,7 @@ type Shard struct {
 	maxBatch int
 	// sharedReads is true when the shard's reads genuinely admit
 	// concurrency — lock's shared mode does (rwexec nil), or the
-	// executor's shared closures do (rwexec set); Get then runs the
+	// executor's shared sections do (rwexec set); Get then runs the
 	// shared read path. False for exclusive locks adapted via
 	// locks.RWFromMutex and for exclusive-only executors, whose Gets
 	// keep the pre-RW exclusive path byte for byte.
@@ -172,6 +329,10 @@ func newShard(cfg shardConfig) *Shard {
 		slots:       make([]opSlot, cfg.topo.MaxProcs()),
 		itemLocal:   cfg.itemLocal,
 		itemRemote:  cfg.itemRemote,
+	}
+	for i := range s.slots {
+		r := &s.slots[i].cs
+		r.s, r.fn = s, r.run
 	}
 	if cfg.compactIndex {
 		s.compact = newCompactShard(cfg.buckets)
@@ -297,7 +458,22 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 		return s.getExclusive(p, key, dst)
 	}
 	slot := &s.slots[p.ID()]
-	n, hit := s.getSharedCS(p, key, dst)
+	// The shared section only walks the hash bucket and copies the
+	// value; writers (Set/Delete and the deferred LRU bump below) hold
+	// exclusive mode, so no mutation can overlap it.
+	var n int
+	var hit bool
+	if s.rwexec != nil {
+		r := s.arm(p, csRead)
+		r.key, r.buf = key, dst
+		s.rwexec.ExecShared(p, r.fn)
+		n, hit = r.n, r.ok
+		r.done()
+	} else {
+		s.lock.RLock(p)
+		n, hit = s.readValue(key, dst)
+		s.lock.RUnlock(p)
+	}
 	slot.gets++
 	if !hit {
 		slot.misses++
@@ -307,36 +483,21 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	slot.sinceTouch++
 	if slot.sinceTouch >= s.touchEvery {
 		slot.sinceTouch = 0
-		// Re-find under exclusive mode: the item may have been evicted
-		// or deleted between the shared read and this upgrade.
-		if s.rwexec != nil {
-			s.exec.Exec(p, func() { s.touchKey(p, key) })
-		} else {
-			s.lock.Lock(p)
-			s.touchKey(p, key)
-			s.lock.Unlock(p)
-		}
+		slot.touch = append(slot.touch[:0], key)
+		s.touchSampled(p, slot)
 	}
 	return n, true
 }
 
-// getSharedCS runs one get's shared-mode section under the shard's
-// read seam. The hash-bucket walk and value copy only read item state;
-// writers (Set/Delete and Get's deferred LRU bump) hold exclusive
-// mode, so no mutation can overlap shared mode. Like getExclusiveCS,
-// the closure-posting branch keeps its captured results local so the
-// plain-lock path stays allocation-free.
-func (s *Shard) getSharedCS(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	if s.rwexec != nil {
-		var n int
-		var hit bool
-		s.rwexec.ExecShared(p, func() { n, hit = s.readValue(key, dst) })
-		return n, hit
-	}
-	s.lock.RLock(p)
-	n, hit := s.readValue(key, dst)
-	s.lock.RUnlock(p)
-	return n, hit
+// touchSampled refreshes the recency of the keys slot.touch collected,
+// in one exclusive section — the deferred bump of the shared read
+// paths.
+func (s *Shard) touchSampled(p *numa.Proc, slot *opSlot) {
+	r := s.arm(p, csTouch)
+	r.keys = slot.touch
+	s.exclusive(p, r)
+	r.done()
+	slot.touch = slot.touch[:0]
 }
 
 // readValue looks up key and copies its value into dst — the layout
@@ -380,36 +541,29 @@ func (s *Shard) touchKey(p *numa.Proc, key uint64) {
 // inside the exclusive critical section, so single-shard exclusive
 // configurations reproduce the paper's Table 1 behavior unchanged. On
 // the executor seam the same critical section runs as a posted
-// closure — batched with other same-cluster operations by the
+// record — batched with other same-cluster operations by the
 // combiner — instead of bracketing the lock directly.
 func (s *Shard) getExclusive(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	slot := &s.slots[p.ID()]
-	n, hit := s.getExclusiveCS(p, key, dst)
+	var n int
+	var hit bool
+	if s.exec != nil {
+		r := s.arm(p, csGet)
+		r.key, r.buf = key, dst
+		s.exec.Exec(p, r.fn)
+		n, hit = r.n, r.ok
+		r.done()
+	} else {
+		s.lock.Lock(p)
+		n, hit = s.applyGet(p, key, dst)
+		s.lock.Unlock(p)
+	}
 	slot.gets++
 	if hit {
 		slot.hits++
 	} else {
 		slot.misses++
 	}
-	return n, hit
-}
-
-// getExclusiveCS runs one get's critical section under the shard's
-// exclusion seam. The closure-posting exec branch declares its result
-// variables inside the branch: hoisted to the top of the function they
-// would be captured by an escaping closure and heap-allocated on every
-// call, putting two Go allocations on the plain-lock read path that
-// the allocs/op columns would misattribute to value memory.
-func (s *Shard) getExclusiveCS(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	if s.exec != nil {
-		var n int
-		var hit bool
-		s.exec.Exec(p, func() { n, hit = s.applyGet(p, key, dst) })
-		return n, hit
-	}
-	s.lock.Lock(p)
-	n, hit := s.applyGet(p, key, dst)
-	s.lock.Unlock(p)
 	return n, hit
 }
 
@@ -439,15 +593,17 @@ func (s *Shard) applyGet(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 // Set inserts or updates key with a copy of val, evicting the LRU
 // victim if the shard is over capacity.
 func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
-	slot := &s.slots[p.ID()]
 	if s.exec != nil {
-		s.exec.Exec(p, func() { s.applySet(p, key, val) })
+		r := s.arm(p, csSet)
+		r.key, r.buf = key, val
+		s.exec.Exec(p, r.fn)
+		r.done()
 	} else {
 		s.lock.Lock(p)
 		s.applySet(p, key, val)
 		s.lock.Unlock(p)
 	}
-	slot.sets++
+	s.slots[p.ID()].sets++
 }
 
 // applySet is a set's critical section; callers hold the shard's
@@ -505,12 +661,11 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 
 // Delete removes key, returning whether it was present.
 func (s *Shard) Delete(p *numa.Proc, key uint64) bool {
-	// Like getExclusiveCS, the exec branch keeps its captured result
-	// local so the plain-lock path stays allocation-free.
 	if s.exec != nil {
-		var ok bool
-		s.exec.Exec(p, func() { ok = s.applyDelete(p, key) })
-		return ok
+		r := s.arm(p, csDelete)
+		r.key = key
+		s.exec.Exec(p, r.fn)
+		return r.ok
 	}
 	s.lock.Lock(p)
 	ok := s.applyDelete(p, key)
@@ -653,17 +808,12 @@ func (s *Shard) flushFrees(p *numa.Proc) {
 }
 
 // flushArena drains the deferred free list as one critical section of
-// its own — the combined-closure flush the batch pipeline uses between
-// groups. A no-op for heap shards or an empty queue.
+// its own. A no-op for heap shards or an empty queue.
 func (s *Shard) flushArena(p *numa.Proc) {
 	if s.arena == nil {
 		return
 	}
-	s.runBatch(p, func() {
-		if len(s.pendingFree) > 0 {
-			s.flushFrees(p)
-		}
-	})
+	s.exclusive(p, s.arm(p, csFlushFrees))
 }
 
 // arenaCheck flushes deferred frees, then verifies the arena's heap
@@ -697,26 +847,13 @@ func (s *Shard) arenaCheck(p *numa.Proc) error {
 	return nil
 }
 
-// runBatch runs fn as one exclusive critical section: one posted
-// closure under the executor seam, or one acquisition of the shard
-// lock. The batch APIs feed it chunks of up to maxBatch operations.
-func (s *Shard) runBatch(p *numa.Proc, fn func()) {
-	if s.exec != nil {
-		s.exec.Exec(p, fn)
-		return
-	}
-	s.lock.Lock(p)
-	fn()
-	s.lock.Unlock(p)
-}
-
 // mget answers the group's lookups (idx indexes keys) in critical
 // sections of at most maxBatch operations each. dsts may be nil to
 // probe without copying; lens and found are written at the same
 // indices as keys. Shards whose reads genuinely share — a reader-
 // writer shard lock, or a read-combining executor seam — route
 // through mgetShared, whole chunks answered under one shared
-// acquisition (or one posted shared closure); exclusive-lock and
+// acquisition (or one posted shared record); exclusive-lock and
 // exclusive-executor shards keep this exclusive path unchanged.
 func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
 	if s.sharedReads {
@@ -724,18 +861,12 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 		return
 	}
 	slot := &s.slots[p.ID()]
+	r := s.arm(p, csMGet)
+	r.keys, r.bufs, r.lens, r.found = keys, dsts, lens, found
 	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		s.runBatch(p, func() {
-			for _, i := range chunk {
-				var dst []byte
-				if dsts != nil {
-					dst = dsts[i]
-				}
-				lens[i], found[i] = s.applyGet(p, keys[i], dst)
-			}
-		})
-		for _, i := range chunk {
+		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
+		s.exclusive(p, r)
+		for _, i := range r.chunk {
 			slot.gets++
 			if found[i] {
 				slot.hits++
@@ -744,6 +875,7 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 			}
 		}
 	}
+	r.done()
 }
 
 // mgetShared is the shared-mode group read path, composing the RW read
@@ -751,7 +883,7 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 // runs under ONE shared acquisition — concurrent readers' chunks on
 // different clusters proceed together, and a group of N lookups costs
 // ceil(N/maxBatch) RLock acquisitions. On the read-combining executor
-// seam each chunk is instead a posted shared closure: concurrent
+// seam each chunk is instead a posted shared record: concurrent
 // same-cluster readers' chunks are harvested by one reader-combiner
 // and run under a single RLock, pushing shared acquisitions per read
 // op below even the ceil(N/maxBatch) floor. Per-key semantics match
@@ -766,60 +898,28 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 // them.
 func (s *Shard) mgetShared(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
 	slot := &s.slots[p.ID()]
-	var touch []uint64 // keys sampled for a deferred LRU refresh
+	r := s.arm(p, csMRead)
+	r.keys, r.bufs, r.lens, r.found = keys, dsts, lens, found
 	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		if s.rwexec != nil {
-			s.rwexec.ExecShared(p, func() {
-				for _, i := range chunk {
-					var dst []byte
-					if dsts != nil {
-						dst = dsts[i]
-					}
-					lens[i], found[i] = s.readValue(keys[i], dst)
-				}
-			})
-		} else {
-			s.lock.RLock(p)
-			for _, i := range chunk {
-				var dst []byte
-				if dsts != nil {
-					dst = dsts[i]
-				}
-				lens[i], found[i] = s.readValue(keys[i], dst)
-			}
-			s.lock.RUnlock(p)
-		}
-		for _, i := range chunk {
+		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
+		s.shared(p, r)
+		for _, i := range r.chunk {
 			slot.gets++
 			if found[i] {
 				slot.hits++
 				slot.sinceTouch++
 				if slot.sinceTouch >= s.touchEvery {
 					slot.sinceTouch = 0
-					touch = append(touch, keys[i])
+					slot.touch = append(slot.touch, keys[i])
 				}
 			} else {
 				slot.misses++
 			}
 		}
 	}
-	if len(touch) > 0 {
-		// Re-find under exclusive mode: an item may have been evicted
-		// or deleted between the shared chunk and this upgrade.
-		if s.rwexec != nil {
-			s.exec.Exec(p, func() {
-				for _, k := range touch {
-					s.touchKey(p, k)
-				}
-			})
-		} else {
-			s.lock.Lock(p)
-			for _, k := range touch {
-				s.touchKey(p, k)
-			}
-			s.lock.Unlock(p)
-		}
+	r.done()
+	if len(slot.touch) > 0 {
+		s.touchSampled(p, slot)
 	}
 }
 
@@ -828,16 +928,14 @@ func (s *Shard) mgetShared(p *numa.Proc, keys []uint64, dsts [][]byte, lens []in
 // caller's order within the group — duplicate keys resolve last-wins,
 // exactly as the sequential calls would.
 func (s *Shard) mset(p *numa.Proc, keys []uint64, vals [][]byte, idx []int) {
-	slot := &s.slots[p.ID()]
+	r := s.arm(p, csMSet)
+	r.keys, r.bufs = keys, vals
 	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		s.runBatch(p, func() {
-			for _, i := range chunk {
-				s.applySet(p, keys[i], vals[i])
-			}
-		})
-		slot.sets += uint64(len(chunk))
+		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
+		s.exclusive(p, r)
 	}
+	r.done()
+	s.slots[p.ID()].sets += uint64(len(idx))
 }
 
 // mdelete removes the group's keys in critical sections of at most
@@ -846,29 +944,21 @@ func (s *Shard) mset(p *numa.Proc, keys []uint64, vals [][]byte, idx []int) {
 // the key (the per-op answer a wire protocol's DELETED/NOT_FOUND
 // responses need).
 func (s *Shard) mdelete(p *numa.Proc, keys []uint64, idx []int, found []bool) int {
-	n := 0
+	r := s.arm(p, csMDelete)
+	r.keys, r.found = keys, found
 	for start := 0; start < len(idx); start += s.maxBatch {
-		chunk := idx[start:min(start+s.maxBatch, len(idx))]
-		s.runBatch(p, func() {
-			for _, i := range chunk {
-				ok := s.applyDelete(p, keys[i])
-				if ok {
-					n++
-				}
-				if found != nil {
-					found[i] = ok
-				}
-			}
-		})
+		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
+		s.exclusive(p, r)
 	}
-	return n
+	r.done()
+	return r.n
 }
 
 // Len reports the current item count (one critical section).
 func (s *Shard) Len(p *numa.Proc) int {
-	var n int
-	s.runBatch(p, func() { n = s.count })
-	return n
+	r := s.arm(p, csLen)
+	s.exclusive(p, r)
+	return r.n
 }
 
 // Capacity reports the shard's item capacity.

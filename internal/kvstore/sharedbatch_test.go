@@ -118,9 +118,9 @@ func TestSharedMGetPerShardGroups(t *testing.T) {
 
 	// Compute the exact expectation from the store's own routing.
 	want := uint64(0)
-	groups := s.groupByShard(p, keys)
-	for _, g := range groups {
-		want += uint64((len(g) + batch - 1) / batch)
+	_, start := s.route(p, keys)
+	for si := 0; si < shards; si++ {
+		want += uint64((start[si+1] - start[si] + batch - 1) / batch)
 	}
 	if got != want {
 		t.Errorf("sharded shared MGet took %d RLock acquisitions, want %d (sum of per-group ceilings)", got, want)

@@ -67,13 +67,13 @@ const maxKeyBytes = 250
 // gives up and cuts the connection instead.
 const maxSwallowBytes = 8 << 20
 
-// Request is one parsed client request. Keys and Value alias the
-// parser's internal buffers and are valid only until the next
-// ParseRequest call on the same Parser; the connection layer copies
-// what it accumulates.
+// Request is one parsed client request. Keys and Value alias buffers
+// the parser owns (never the bufio reader's window) and are valid only
+// until the next ParseRequest call on the same Parser; the connection
+// layer hashes keys at once and copies what it must keep.
 type Request struct {
 	Kind    Kind
-	Keys    []string // get/gets: 1..n keys; set/delete: exactly one
+	Keys    [][]byte // get/gets: 1..n keys; set/delete: exactly one
 	CAS     bool     // gets: responses carry a cas unique value
 	Flags   uint32   // set: opaque client flags, round-tripped
 	NoReply bool     // set/delete: suppress the response
@@ -99,15 +99,18 @@ var (
 	errNotImpl     = &ProtoError{Line: "SERVER_ERROR command not implemented"}
 )
 
-// Parser decodes requests from a buffered stream, reusing its field
-// and body buffers across calls so a steady pipelined decode loop
-// allocates only the key strings it hands upward.
+// Parser decodes requests from a buffered stream, reusing its line,
+// field and body buffers across calls so a steady pipelined decode
+// loop allocates nothing. The command line is copied out of the bufio
+// window before anything else is read: reading a storage command's
+// data block may refill that window, and a key still aliasing it would
+// silently become whatever bytes arrived next.
 type Parser struct {
 	r      *bufio.Reader
 	lim    Limits
-	keys   []string
+	line   []byte // the current command line, parser-owned
 	body   []byte
-	fields [][]byte
+	fields [][]byte // the line's fields, aliasing line
 }
 
 // NewParser wraps r. The bufio buffer bounds the accepted line length
@@ -133,7 +136,8 @@ func (p *Parser) ParseRequest(req *Request) error {
 		return err
 	}
 	*req = Request{}
-	p.splitFields(line)
+	p.line = append(p.line[:0], line...)
+	p.splitFields(p.line)
 	if len(p.fields) == 0 {
 		return errUnknownCmd
 	}
@@ -144,15 +148,13 @@ func (p *Parser) ParseRequest(req *Request) error {
 		if len(args) == 0 {
 			return errBadFormat
 		}
-		p.keys = p.keys[:0]
 		for _, f := range args {
 			if !validKey(f) {
 				return errBadFormat
 			}
-			p.keys = append(p.keys, string(f))
 		}
 		req.Kind = KindGet
-		req.Keys = p.keys
+		req.Keys = args
 		req.CAS = cmd == "gets"
 		return nil
 	case "set":
@@ -187,9 +189,8 @@ func (p *Parser) ParseRequest(req *Request) error {
 			}
 			req.NoReply = true
 		}
-		p.keys = append(p.keys[:0], string(args[0]))
 		req.Kind = KindDelete
-		req.Keys = p.keys
+		req.Keys = args[:1]
 		return nil
 	case "version":
 		req.Kind = KindVersion
@@ -287,9 +288,8 @@ func (p *Parser) parseStorage(req *Request, args [][]byte, keep bool) error {
 		return errBadChunk
 	}
 	if keep {
-		p.keys = append(p.keys[:0], string(args[0]))
 		req.Kind = KindSet
-		req.Keys = p.keys
+		req.Keys = args[:1]
 		req.Flags = uint32(flags)
 		req.Value = body[:size]
 	}
@@ -383,11 +383,12 @@ func parseUint(b []byte, max uint64) (uint64, bool) {
 	return v, true
 }
 
-// HashKey maps a wire key to the store's uint64 keyspace (FNV-1a).
+// HashKey maps a wire key — as the string a client holds or the bytes
+// the parser hands up — to the store's uint64 keyspace (FNV-1a).
 // Distinct keys colliding in 64 bits would alias — acceptable for a
 // cache (a collision reads as a different value having been set), and
 // vanishingly unlikely below ~2^32 keys.
-func HashKey(key string) uint64 {
+func HashKey[K ~string | ~[]byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -405,18 +406,7 @@ func HashKey(key string) uint64 {
 // does, which is the monotonicity "gets" consumers rely on for
 // read-your-writes checks; the cas storage verb itself is not
 // implemented.
-func PseudoCAS(value []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range value {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
+func PseudoCAS(value []byte) uint64 { return HashKey(value) }
 
 // encodeValue prepends the 4-byte big-endian flags header under which
 // values are stored, writing into dst (grown as needed) and returning

@@ -35,14 +35,14 @@ func TestParseWellFormed(t *testing.T) {
 			t.Fatalf("%s: parsed %+v", step, r)
 		}
 	}
-	expect("get", func() bool { return r.Kind == KindGet && !r.CAS && len(r.Keys) == 1 && r.Keys[0] == "foo" })
-	expect("gets", func() bool { return r.Kind == KindGet && r.CAS && len(r.Keys) == 3 && r.Keys[2] == "c" })
+	expect("get", func() bool { return r.Kind == KindGet && !r.CAS && len(r.Keys) == 1 && string(r.Keys[0]) == "foo" })
+	expect("gets", func() bool { return r.Kind == KindGet && r.CAS && len(r.Keys) == 3 && string(r.Keys[2]) == "c" })
 	expect("set", func() bool {
-		return r.Kind == KindSet && r.Flags == 7 && !r.NoReply && string(r.Value) == "hello" && r.Keys[0] == "k"
+		return r.Kind == KindSet && r.Flags == 7 && !r.NoReply && string(r.Value) == "hello" && string(r.Keys[0]) == "k"
 	})
 	expect("set noreply", func() bool { return r.Kind == KindSet && r.NoReply })
 	expect("set empty", func() bool { return r.Kind == KindSet && len(r.Value) == 0 })
-	expect("delete", func() bool { return r.Kind == KindDelete && !r.NoReply && r.Keys[0] == "k" })
+	expect("delete", func() bool { return r.Kind == KindDelete && !r.NoReply && string(r.Keys[0]) == "k" })
 	expect("delete noreply", func() bool { return r.Kind == KindDelete && r.NoReply })
 	expect("delete historical", func() bool { return r.Kind == KindDelete && r.NoReply })
 	expect("version", func() bool { return r.Kind == KindVersion })

@@ -561,8 +561,11 @@ type conn struct {
 	kind    Kind
 	pending int
 
-	getKeys    []uint64
-	getNames   []string
+	getKeys []uint64
+	// getNames holds the pending get run's key bytes back to back (VALUE
+	// lines echo them); key i is getNames[getEnds[i-1]:getEnds[i]].
+	getNames   []byte
+	getEnds    []int
 	getReqs    []getReq
 	setKeys    []uint64
 	setVals    [][]byte
@@ -606,7 +609,7 @@ func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
 		w:          bufio.NewWriterSize(nc, writerBufBytes),
 		sizer:      kvload.NewBatchSizerAt(mb, mb),
 		getKeys:    make([]uint64, 0, mb),
-		getNames:   make([]string, 0, mb),
+		getEnds:    make([]int, 0, mb),
 		getReqs:    make([]getReq, 0, mb),
 		setKeys:    make([]uint64, 0, mb),
 		setVals:    make([][]byte, 0, mb),
@@ -695,7 +698,8 @@ func (c *conn) loop() {
 			c.accumulate(KindGet)
 			for _, k := range req.Keys {
 				c.getKeys = append(c.getKeys, HashKey(k))
-				c.getNames = append(c.getNames, k)
+				c.getNames = append(c.getNames, k...)
+				c.getEnds = append(c.getEnds, len(c.getNames))
 			}
 			c.getReqs = append(c.getReqs, getReq{n: len(req.Keys), cas: req.CAS})
 			c.pending += len(req.Keys)
@@ -867,9 +871,7 @@ func (c *conn) shedOps() {
 			c.writeLine("SERVER_ERROR busy")
 		}
 		c.shedded += uint64(len(c.getKeys))
-		c.getKeys = c.getKeys[:0]
-		c.getNames = c.getNames[:0]
-		c.getReqs = c.getReqs[:0]
+		c.clearGets()
 	case KindSet:
 		for _, noreply := range c.setNoReply {
 			if !noreply {
@@ -937,6 +939,7 @@ func (c *conn) flushGets() {
 	if len(c.getReqs) > 0 {
 		left = c.getReqs[0].n
 	}
+	nameAt := 0 // start of the next key's bytes in getNames
 	for start := 0; start < len(c.getKeys); start += mb {
 		end := min(start+mb, len(c.getKeys))
 		n := end - start
@@ -957,11 +960,13 @@ func (c *conn) flushGets() {
 				reqIdx++
 				left = c.getReqs[reqIdx].n
 			}
+			nameEnd := c.getEnds[start+i]
 			if found[i] {
 				c.hits++
 				flags, val := decodeValue(dsts[i][:lens[i]])
-				c.writeValue(c.getNames[start+i], flags, val, c.getReqs[reqIdx].cas)
+				c.writeValue(c.getNames[nameAt:nameEnd], flags, val, c.getReqs[reqIdx].cas)
 			}
+			nameAt = nameEnd
 			left--
 		}
 	}
@@ -978,16 +983,22 @@ func (c *conn) flushGets() {
 		}
 		left = 0
 	}
+	c.clearGets()
+}
+
+// clearGets empties the pending get run.
+func (c *conn) clearGets() {
 	c.getKeys = c.getKeys[:0]
 	c.getNames = c.getNames[:0]
+	c.getEnds = c.getEnds[:0]
 	c.getReqs = c.getReqs[:0]
 }
 
 // writeValue emits one VALUE response block:
 // "VALUE <key> <flags> <bytes>[ <cas>]\r\n<data>\r\n".
-func (c *conn) writeValue(key string, flags uint32, val []byte, cas bool) {
+func (c *conn) writeValue(key []byte, flags uint32, val []byte, cas bool) {
 	c.w.WriteString("VALUE ")
-	c.w.WriteString(key)
+	c.w.Write(key)
 	c.w.WriteByte(' ')
 	c.writeUint(uint64(flags))
 	c.w.WriteByte(' ')

@@ -263,8 +263,18 @@ func TestGracefulShutdown(t *testing.T) {
 		}(w)
 	}
 
-	// Let the writers get going, then drain mid-flight.
-	for srv.Snapshot().Sets < 10 {
+	// Let every writer get going (a fixed count of sets can be reached
+	// by the first writers alone before the last has connected), then
+	// drain mid-flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for w := 0; w < writers; {
+		if lastAcked[w].Load() > 0 {
+			w++
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("writer %d got no ack within 10s", w)
+		}
 		time.Sleep(time.Millisecond)
 	}
 	if err := srv.Shutdown(5 * time.Second); err != nil {

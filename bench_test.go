@@ -141,7 +141,7 @@ func benchTable1(b *testing.B, getPct int) {
 			const keyspace = 20_000
 			var sum float64
 			for i := 0; i < b.N; i++ {
-				store := kvstore.New(kvstore.Config{Topo: topo, Lock: e.NewMutex(topo)})
+				store := kvstore.New(kvstore.Config{Topo: topo, Locking: kvstore.FromLock(e.NewMutex(topo))})
 				kvload.Populate(store, topo.Proc(0), keyspace, 128)
 				cfg := kvload.DefaultConfig(topo, threads, getPct)
 				cfg.Duration = trialWindow
@@ -181,7 +181,7 @@ func BenchmarkShardScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{
 					Topo:      topo,
-					NewLock:   e.MutexFactory(topo),
+					Locking:   kvstore.FromMutex(e.MutexFactory(topo)),
 					Shards:    shards,
 					Placement: kvstore.ClusterAffine,
 					Capacity:  keyspace * topo.Clusters() * 2,
@@ -224,7 +224,7 @@ func BenchmarkShardPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{
 					Topo:      topo,
-					NewLock:   e.MutexFactory(topo),
+					Locking:   kvstore.FromMutex(e.MutexFactory(topo)),
 					Shards:    16,
 					Placement: c.placement,
 					Capacity:  keyspace * topo.Clusters() * 2,
@@ -262,7 +262,7 @@ func BenchmarkValueMemory(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{
 					Topo:        topo,
-					NewLock:     e.MutexFactory(topo),
+					Locking:     kvstore.FromMutex(e.MutexFactory(topo)),
 					Shards:      4,
 					Placement:   kvstore.ClusterAffine,
 					Capacity:    keyspace * topo.Clusters() * 2,
@@ -421,14 +421,14 @@ func BenchmarkSharedBatchedReads(b *testing.B) {
 					switch mode {
 					case "comb-rw":
 						newRW := e.RWFactory(topo)
-						cfg.NewExec = func() locks.Executor {
+						cfg.Locking = kvstore.FromExec(func() locks.Executor {
 							return locks.NewRWCombining(topo, newRW())
-						}
+						})
 					case "shared":
-						cfg.NewRWLock = e.RWFactory(topo)
+						cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
 					default:
 						newRW := e.RWFactory(topo)
-						cfg.NewRWLock = func() locks.RWMutex { return locks.RWFromMutex(newRW()) }
+						cfg.Locking = kvstore.FromRW(func() locks.RWMutex { return locks.RWFromMutex(newRW()) })
 					}
 					store := kvstore.New(cfg)
 					kvload.PopulateClusters(store, topo, keyspace, 128)
@@ -480,11 +480,11 @@ func BenchmarkBatchedStore(b *testing.B) {
 					Capacity: keyspace * 2,
 				}
 				if c.comb {
-					cfg.NewExec = func() locks.Executor {
+					cfg.Locking = kvstore.FromExec(func() locks.Executor {
 						return locks.NewCombining(topo, e.NewMutex(topo))
-					}
+					})
 				} else {
-					cfg.NewLock = e.MutexFactory(topo)
+					cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
 				}
 				store := kvstore.New(cfg)
 				kvload.PopulateClusters(store, topo, keyspace, 128)
@@ -675,7 +675,7 @@ func BenchmarkKVReadPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{
 					Topo:      topo,
-					NewRWLock: newRW,
+					Locking:   kvstore.FromRW(newRW),
 					Shards:    4,
 					Placement: kvstore.ClusterAffine,
 					Capacity:  keyspace * topo.Clusters() * 2,

@@ -75,20 +75,12 @@
 // the overwrite churn that makes heap mode allocate on most sets —
 // with four tables: speedup, Go heap allocs per operation, total GC
 // pause, and GC mark-assist CPU time. JSON records carry
-// allocs_per_op, gc_pause_ms, gc_assist_ms and arena_spills, and
-// -compare gates on allocs_per_op or gc_pause_ms rising just as it
-// gates on ops_per_sec dropping.
+// allocs_per_op, gc_pause_ms, gc_assist_ms and arena_spills.
 //
 // -shardstats prints a per-shard counter table after each standard or
 // churn cell: gets, sets, evictions, arena spills, and the maximum
 // combining-executor occupancy estimate sampled while the load ran
-// (comb-a-* columns only; other locks have no estimator and show "-").
-//
-// -compare old.json new.json leaves measurement entirely: it diffs two
-// kvbench JSON envelopes (the -json output, CI's uploaded artifact)
-// cell by cell through internal/benchfmt and exits nonzero when any
-// matching cell's throughput regressed by more than
-// -regress-threshold — the perf-trajectory gate.
+// (comb-* columns only; other locks have no estimator and show "-").
 package main
 
 import (
@@ -236,8 +228,6 @@ func main() {
 		valuememFlag  = flag.String("valuemem", "heap", "value backend for the store: heap or arena")
 		indexmemFlag  = flag.String("indexmem", "", "shard-metadata backend: pointer or compact (default pointer; -churn left unset measures both)")
 		shardsatFlag  = flag.Bool("shardstats", false, "print per-shard counters (gets/sets/evictions/spills and sampled max combiner occupancy) after each standard or churn cell")
-		compareFlag   = flag.Bool("compare", false, "compare two kvbench JSON envelopes (args: old.json new.json) and exit nonzero on throughput regressions")
-		regressFlag   = flag.Float64("regress-threshold", benchfmt.DefaultRegressionThreshold, "fractional ops/s drop -compare flags as a regression")
 		clustersFlag  = flag.Int("clusters", 4, "NUMA clusters to simulate")
 		durationFlag  = flag.Duration("duration", 300*time.Millisecond, "measurement window per cell")
 		keysFlag      = flag.Uint64("keys", 50_000, "distinct keys (pre-populated)")
@@ -247,14 +237,6 @@ func main() {
 		jsonFlag      = flag.Bool("json", false, "emit every measured cell as JSON records instead of tables")
 	)
 	flag.Parse()
-
-	if *compareFlag {
-		if flag.NArg() != 2 {
-			fmt.Fprintf(os.Stderr, "kvbench: -compare takes exactly two arguments: old.json new.json\n")
-			os.Exit(2)
-		}
-		os.Exit(compareEnvelopes(flag.Arg(0), flag.Arg(1), *regressFlag))
-	}
 
 	const tool = "kvbench"
 	opt := options{
@@ -502,7 +484,7 @@ func sizeShards(cfg *kvstore.Config, opt options, topo *numa.Topology, shards in
 func newStore(opt options, topo *numa.Topology, e registry.Entry, shards int) *kvstore.Store {
 	cfg := kvstore.Config{Topo: topo, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
 	if e.NewExec != nil {
-		cfg.NewExec = e.ExecFactory(topo)
+		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
 		if shards > 1 {
 			sizeShards(&cfg, opt, topo, shards)
 		}
@@ -510,11 +492,11 @@ func newStore(opt options, topo *numa.Topology, e registry.Entry, shards int) *k
 		return kvstore.New(cfg)
 	}
 	if shards <= 1 {
-		cfg.Lock = e.NewMutex(topo)
+		cfg.Locking = kvstore.FromLock(e.NewMutex(topo))
 		applyCapacity(&cfg, opt)
 		return kvstore.New(cfg)
 	}
-	cfg.NewLock = e.MutexFactory(topo)
+	cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
 	sizeShards(&cfg, opt, topo, shards)
 	applyCapacity(&cfg, opt)
 	return kvstore.New(cfg)
@@ -536,9 +518,9 @@ func newStoreRW(opt options, topo *numa.Topology, e registry.Entry, shards int, 
 	// actually ran; plain -reads runs keep the store default.
 	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
 	if shards <= 1 {
-		cfg.RWLock = f()
+		cfg.Locking = kvstore.FromRWLock(f())
 	} else {
-		cfg.NewRWLock = f
+		cfg.Locking = kvstore.FromRW(f)
 		sizeShards(&cfg, opt, topo, shards)
 	}
 	applyCapacity(&cfg, opt)
@@ -571,19 +553,19 @@ func measureBatch(opt options, topo *numa.Topology, e registry.Entry, threads, g
 		// counter on the base lock.
 		base := registry.MustLookup(e.Base)
 		newMutex := base.MutexFactory(topo)
-		cfg.NewExec = func() locks.Executor {
+		cfg.Locking = kvstore.FromExec(func() locks.Executor {
 			return e.WrapExec(topo, locks.CountAcquisitions(newMutex(), &acquisitions))
-		}
+		})
 	case e.NewRW != nil:
 		newRW := e.NewRW
-		cfg.NewRWLock = func() locks.RWMutex {
+		cfg.Locking = kvstore.FromRW(func() locks.RWMutex {
 			return locks.CountRWAcquisitions(newRW(topo), &acquisitions, &acquisitions)
-		}
+		})
 	case e.NewMutex != nil:
 		newMutex := e.MutexFactory(topo)
-		cfg.NewLock = func() locks.Mutex {
+		cfg.Locking = kvstore.FromMutex(func() locks.Mutex {
 			return locks.CountAcquisitions(newMutex(), &acquisitions)
-		}
+		})
 	default:
 		return 0, 0, 0, fmt.Errorf("lock %q cannot guard the store", e.Name)
 	}
@@ -679,37 +661,6 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 		}
 	}
 	return records, nil
-}
-
-// compareEnvelopes is the -compare mode: diff two kvbench JSON
-// envelopes through benchfmt and report regressions. Returns the
-// process exit code: 0 clean, 1 regressions flagged, 2 operational
-// error.
-func compareEnvelopes(oldPath, newPath string, threshold float64) int {
-	oldJSON, err := os.ReadFile(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kvbench: %v\n", err)
-		return 2
-	}
-	newJSON, err := os.ReadFile(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kvbench: %v\n", err)
-		return 2
-	}
-	regs, compared, err := benchfmt.Diff(oldJSON, newJSON, threshold)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "kvbench: %v\n", err)
-		return 2
-	}
-	fmt.Printf("kvbench compare: %d matching cells, threshold %.0f%%: %d regression(s)\n",
-		compared, threshold*100, len(regs))
-	for _, r := range regs {
-		fmt.Println("  " + r.String())
-	}
-	if len(regs) > 0 {
-		return 1
-	}
-	return 0
 }
 
 // runAdaptive emits the adaptive-hot-path exhibit: per shard count,
@@ -939,7 +890,7 @@ func runLoad(opt options, store *kvstore.Store, cfg kvload.Config, label string)
 // sampleOccupancy polls every shard's combining-executor occupancy
 // estimate (locks.EstimateOccupancy behind Store.ShardOccupancy) until
 // stop closes, keeping the per-shard maximum. Shards whose lock has no
-// estimator — everything but the comb-a-* columns — stay at -1.
+// estimator — everything but the comb-* columns — stay at -1.
 func sampleOccupancy(store *kvstore.Store, stop <-chan struct{}, done chan<- []int) {
 	max := make([]int, store.NumShards())
 	for i := range max {
@@ -1176,11 +1127,11 @@ func measureRWComb(opt options, topo *numa.Topology, e registry.Entry, threads, 
 	newRW := base.NewRW
 	var execs []locks.RWExecutor
 	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
-	cfg.NewExec = func() locks.Executor {
+	cfg.Locking = kvstore.FromExec(func() locks.Executor {
 		x := e.WrapRWExec(topo, locks.CountRWAcquisitions(newRW(topo), &excl, &shared))
 		execs = append(execs, x)
 		return x
-	}
+	})
 	if shards > 1 {
 		sizeShards(&cfg, opt, topo, shards)
 	}

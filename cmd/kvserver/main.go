@@ -8,9 +8,9 @@
 // the same names as kvbench, combining comb-* executors included),
 // cluster-affine shard placement, arena or heap value memory, pointer
 // or compact (slab-index) shard metadata, and the batched
-// MGet/MSet/MDelete APIs. Under an adaptive-combining lock
-// (comb-a-*) a background sampler tracks peak per-shard combiner
-// occupancy, reported in the final stats line. One accept loop runs per simulated
+// MGet/MSet/MDelete APIs. Under a combining lock (comb-*) a
+// background sampler tracks peak per-shard combiner occupancy,
+// reported in the final stats line. One accept loop runs per simulated
 // NUMA cluster; every admitted connection owns one of that cluster's
 // proc handles for its lifetime, so a connection's pipelined requests
 // flush into the store as batches costing ceil(N/MaxBatch) shard
@@ -68,7 +68,7 @@ func main() {
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")
 		writeTOFlag  = flag.Duration("write-timeout", 0, "per-flush write deadline (default 30s)")
 		drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound before force-closing connections")
-		adaptiveFlag = flag.Bool("adaptive-admission", false, "track the per-cluster admission cap against sampled combining occupancy, shedding ops under acute overload (needs a comb-a-* -lock)")
+		adaptiveFlag = flag.Bool("adaptive-admission", false, "track the per-cluster admission cap against sampled combining occupancy, shedding ops under acute overload (needs a comb-* -lock)")
 		busyFlag     = flag.Int("busy-threshold", 0, "sampled per-shard occupancy counted as overload (default: half the proc count, minimum 2)")
 	)
 	flag.Parse()
@@ -126,7 +126,7 @@ func main() {
 		cli.Die(tool, err)
 	}
 	if *adaptiveFlag && !srv.OccupancyTracked() {
-		fmt.Fprintf(os.Stderr, "kvserver: warning: -adaptive-admission is inert under -lock %s — no occupancy estimator; use an adaptive combining lock (comb-a-*)\n", *lockFlag)
+		fmt.Fprintf(os.Stderr, "kvserver: warning: -adaptive-admission is inert under -lock %s — no occupancy estimator; use a combining lock (comb-*)\n", *lockFlag)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -286,10 +286,13 @@ type Executor = locks.Executor
 // combiner runs whole same-cluster batches under a single acquisition
 // of the underlying lock — flat-combining-style delegated execution,
 // the technique FC-MCS derives from, over any lock in the family.
+// Ops/Batches report the amortization, Occupancy/OccupancyEstimate the
+// posted requests in flight.
 type CombiningLock = locks.Combining
 
 // NewCombining builds a combining executor over a fresh underlying
-// lock (the executor owns it; do not Lock/Unlock it directly).
+// lock (the executor owns it; do not Lock/Unlock it directly), with a
+// fixed election patience window and harvest pass count.
 func NewCombining(topo *Topology, underlying Lock) *CombiningLock {
 	return locks.NewCombining(topo, underlying)
 }
@@ -299,18 +302,11 @@ func NewCombining(topo *Topology, underlying Lock) *CombiningLock {
 // degrades gracefully to the whole lock family.
 func ExecFromLock(m Lock) Executor { return locks.ExecFromMutex(m) }
 
-// AdaptiveCombiningLock is CombiningLock with the election patience
-// window and harvest pass count driven by a per-cluster occupancy
-// estimate (posted requests in flight) instead of fixed constants:
-// idle collapses to an eager one-pass bypass, contention grows both
-// knobs for longer locality-preserving batches. The estimate is
-// exposed through Occupancy / OccupancyEstimate.
-type AdaptiveCombiningLock = locks.CombiningAdaptive
-
-// NewCombiningAdaptive builds a load-adaptive combining executor over
-// a fresh underlying lock (the executor owns it; do not Lock/Unlock it
-// directly).
-func NewCombiningAdaptive(topo *Topology, underlying Lock) *AdaptiveCombiningLock {
+// NewCombiningAdaptive is NewCombining with the patience window and
+// pass count driven by the per-cluster occupancy estimate instead of
+// fixed constants: idle collapses to an eager one-pass bypass,
+// contention grows both for longer locality-preserving batches.
+func NewCombiningAdaptive(topo *Topology, underlying Lock) *CombiningLock {
 	return locks.NewCombiningAdaptive(topo, underlying)
 }
 
@@ -344,17 +340,9 @@ func NewRWCombining(topo *Topology, underlying RWLock) *RWCombiningLock {
 	return locks.NewRWCombining(topo, underlying)
 }
 
-// AdaptiveRWCombiningLock is RWCombiningLock with the occupancy-
-// adaptive election policy of AdaptiveCombiningLock on both modes:
-// patience and harvest depth track per-cluster posted-closure
-// occupancy, and the estimate (exclusive + shared) is exposed through
-// Occupancy / OccupancyEstimate.
-type AdaptiveRWCombiningLock = locks.RWCombiningAdaptive
-
-// NewRWCombiningAdaptive builds a load-adaptive read-side combining
-// executor over a fresh reader-writer lock (the executor owns it; do
-// not lock it directly).
-func NewRWCombiningAdaptive(topo *Topology, underlying RWLock) *AdaptiveRWCombiningLock {
+// NewRWCombiningAdaptive is NewRWCombining with the occupancy-adaptive
+// policy of NewCombiningAdaptive on both modes.
+func NewRWCombiningAdaptive(topo *Topology, underlying RWLock) *RWCombiningLock {
 	return locks.NewRWCombiningAdaptive(topo, underlying)
 }
 
@@ -380,7 +368,5 @@ var (
 	_ RWLock     = (*RWCohortLock)(nil)
 	_ RWLock     = (*RWPerClusterLock)(nil)
 	_ Executor   = (*CombiningLock)(nil)
-	_ Executor   = (*AdaptiveCombiningLock)(nil)
 	_ RWExecutor = (*RWCombiningLock)(nil)
-	_ RWExecutor = (*AdaptiveRWCombiningLock)(nil)
 )

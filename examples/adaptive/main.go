@@ -71,13 +71,13 @@ func main() {
 			MaxBatch: 16,
 			Capacity: keyspace * 2,
 		}
-		cfg.NewExec = func() locks.Executor {
+		cfg.Locking = kvstore.FromExec(func() locks.Executor {
 			counted := locks.CountAcquisitions(newMutex(), &acquisitions)
 			if c.adaptive {
 				return locks.NewCombiningAdaptive(topo, counted)
 			}
 			return locks.NewCombining(topo, counted)
-		}
+		})
 		store := kvstore.New(cfg)
 		kvload.PopulateClusters(store, topo, keyspace, 128)
 		before := acquisitions.Load()
@@ -122,13 +122,13 @@ func main() {
 			MaxBatch: 16,
 			Capacity: keyspace * 2,
 		}
-		cfg.NewRWLock = func() locks.RWMutex {
+		cfg.Locking = kvstore.FromRW(func() locks.RWMutex {
 			l := f()
 			if !c.shared {
 				l = locks.RWFromMutex(l)
 			}
 			return locks.CountRWAcquisitions(l, &excl, &shared)
-		}
+		})
 		store := kvstore.New(cfg)
 		kvload.PopulateClusters(store, topo, keyspace, 128)
 		e0, s0 := excl.Load(), shared.Load()
@@ -144,11 +144,11 @@ func main() {
 	fmt.Printf("\n%-30s %12s %12s\n", "client batching (ceiling 16)", "ops/sec", "avg batch")
 	for _, adaptive := range []bool{false, true} {
 		store := kvstore.New(kvstore.Config{
-			Topo:      topo,
-			NewRWLock: rw.RWFactory(topo),
-			Shards:    4,
-			MaxBatch:  16,
-			Capacity:  keyspace * 2,
+			Topo:     topo,
+			Locking:  kvstore.FromRW(rw.RWFactory(topo)),
+			Shards:   4,
+			MaxBatch: 16,
+			Capacity: keyspace * 2,
 		})
 		kvload.PopulateClusters(store, topo, keyspace, 128)
 		lcfg := kvload.DefaultConfig(topo, workers, 90)

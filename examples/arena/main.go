@@ -36,7 +36,7 @@ func main() {
 	for _, mem := range []kvstore.ValueMemory{kvstore.ValueHeap, kvstore.ValueArena} {
 		store := kvstore.New(kvstore.Config{
 			Topo:        topo,
-			NewLock:     e.MutexFactory(topo),
+			Locking:     kvstore.FromMutex(e.MutexFactory(topo)),
 			Shards:      4,
 			Placement:   kvstore.ClusterAffine,
 			Capacity:    keyspace * topo.Clusters() * 2,

@@ -62,13 +62,13 @@ func main() {
 		}
 		newMutex := entry.MutexFactory(topo)
 		if s.comb {
-			cfg.NewExec = func() locks.Executor {
+			cfg.Locking = kvstore.FromExec(func() locks.Executor {
 				return locks.NewCombining(topo, locks.CountAcquisitions(newMutex(), &acquisitions))
-			}
+			})
 		} else {
-			cfg.NewLock = func() locks.Mutex {
+			cfg.Locking = kvstore.FromMutex(func() locks.Mutex {
 				return locks.CountAcquisitions(newMutex(), &acquisitions)
-			}
+			})
 		}
 		store := kvstore.New(cfg)
 		kvload.PopulateClusters(store, topo, keyspace, 128)

@@ -38,7 +38,7 @@ func main() {
 	for _, im := range []kvstore.IndexMemory{kvstore.IndexPointer, kvstore.IndexCompact} {
 		store := kvstore.New(kvstore.Config{
 			Topo:        topo,
-			NewLock:     e.MutexFactory(topo),
+			Locking:     kvstore.FromMutex(e.MutexFactory(topo)),
 			Shards:      4,
 			Placement:   kvstore.ClusterAffine,
 			Capacity:    keyspace * 2,

@@ -37,7 +37,7 @@ func main() {
 		{"MCS (NUMA-oblivious)", locks.NewMCS(topo)},
 		{"C-BO-MCS (cohort)", core.NewCBOMCS(topo)},
 	} {
-		store := kvstore.New(kvstore.Config{Topo: topo, Lock: c.lock})
+		store := kvstore.New(kvstore.Config{Topo: topo, Locking: kvstore.FromLock(c.lock)})
 		kvload.Populate(store, topo.Proc(0), 50_000, 128)
 
 		cfg := kvload.DefaultConfig(topo, workers, 10) // 10% gets: write-heavy

@@ -114,16 +114,16 @@ func main() {
 		}
 		if combined {
 			newRW := rw.RWFactory(ltopo)
-			cfg.NewExec = func() locks.Executor {
+			cfg.Locking = kvstore.FromExec(func() locks.Executor {
 				c := locks.NewRWCombining(ltopo, locks.CountRWAcquisitions(newRW(), &excl, &shard))
 				execs = append(execs, c)
 				return c
-			}
+			})
 		} else {
 			newRW := rw.RWFactory(ltopo)
-			cfg.NewRWLock = func() locks.RWMutex {
+			cfg.Locking = kvstore.FromRW(func() locks.RWMutex {
 				return locks.CountRWAcquisitions(newRW(), &excl, &shard)
-			}
+			})
 		}
 		store := kvstore.New(cfg)
 		kvload.PopulateClusters(store, ltopo, keyspace, 128)

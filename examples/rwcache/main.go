@@ -46,7 +46,7 @@ func main() {
 		{"RW-C-BO-MCS, exclusive Gets", locks.RWFromMutex(e.NewRW(topo))},
 		{"RW-C-BO-MCS, shared Gets", e.NewRW(topo)},
 	} {
-		store := kvstore.New(kvstore.Config{Topo: topo, RWLock: s.lock})
+		store := kvstore.New(kvstore.Config{Topo: topo, Locking: kvstore.FromRWLock(s.lock)})
 		kvload.Populate(store, topo.Proc(0), keyspace, 128)
 
 		cfg := kvload.DefaultConfig(topo, workers, 99)

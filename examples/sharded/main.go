@@ -43,7 +43,7 @@ func main() {
 	} {
 		store := kvstore.New(kvstore.Config{
 			Topo:      topo,
-			NewLock:   entry.MutexFactory(topo),
+			Locking:   kvstore.FromMutex(entry.MutexFactory(topo)),
 			Shards:    s.shards,
 			Placement: s.placement,
 			Capacity:  keyspace * topo.Clusters() * 2,

@@ -26,10 +26,10 @@ func TestHotPathAllocationFree(t *testing.T) {
 
 	stores := map[string]*kvstore.Store{
 		"heap": kvstore.New(kvstore.Config{
-			Topo: topo, Lock: locks.NewPthread(), Buckets: 1 << 12, Capacity: 1 << 13,
+			Topo: topo, Locking: kvstore.FromLock(locks.NewPthread()), Buckets: 1 << 12, Capacity: 1 << 13,
 		}),
 		"arena": kvstore.New(kvstore.Config{
-			Topo: topo, Lock: locks.NewPthread(), Buckets: 1 << 12, Capacity: 1 << 13,
+			Topo: topo, Locking: kvstore.FromLock(locks.NewPthread()), Buckets: 1 << 12, Capacity: 1 << 13,
 			ValueMemory: kvstore.ValueArena, ArenaBytes: 16 << 20,
 		}),
 	}

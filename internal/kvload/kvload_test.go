@@ -12,7 +12,7 @@ import (
 
 func fastStore(topo *numa.Topology) *kvstore.Store {
 	return kvstore.New(kvstore.Config{
-		Topo: topo, Lock: locks.NewPthread(),
+		Topo: topo, Locking: kvstore.FromLock(locks.NewPthread()),
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -119,7 +119,7 @@ func TestRunWithCohortLock(t *testing.T) {
 	// Integration: KV store under a cohort lock, multi-cluster load.
 	topo := numa.New(4, 16)
 	s := kvstore.New(kvstore.Config{
-		Topo: topo, Lock: lockFromRegistry(topo),
+		Topo: topo, Locking: kvstore.FromLock(lockFromRegistry(topo)),
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -142,7 +142,7 @@ func lockFromRegistry(topo *numa.Topology) locks.Mutex {
 func shardedStore(topo *numa.Topology, shards int, placement kvstore.Placement) *kvstore.Store {
 	return kvstore.New(kvstore.Config{
 		Topo:      topo,
-		NewLock:   func() locks.Mutex { return locks.NewPthread() },
+		Locking:   kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Shards:    shards,
 		Placement: placement,
 		Buckets:   1 << 10, Capacity: 1 << 15,
@@ -181,7 +181,7 @@ func TestReadFractionValidationAndMix(t *testing.T) {
 	// path and the load generator compose end-to-end.
 	rw := kvstore.New(kvstore.Config{
 		Topo:    topo,
-		RWLock:  locks.NewRWPerCluster(topo, locks.NewMCS(topo)),
+		Locking: kvstore.FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -276,7 +276,7 @@ func TestRunShardedAffine(t *testing.T) {
 	topo := numa.New(4, 16)
 	s := kvstore.New(kvstore.Config{
 		Topo:      topo,
-		NewLock:   func() locks.Mutex { return lockFromRegistry(topo) },
+		Locking:   kvstore.FromMutex(func() locks.Mutex { return lockFromRegistry(topo) }),
 		Shards:    8,
 		Placement: kvstore.ClusterAffine,
 		Buckets:   1 << 10, Capacity: 1 << 15,
@@ -319,7 +319,7 @@ func TestRunBatched(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		store := kvstore.New(kvstore.Config{
 			Topo:    topo,
-			NewLock: func() locks.Mutex { return locks.NewPthread() },
+			Locking: kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 			Shards:  shards, MaxBatch: 8,
 			Buckets: 1 << 10, Capacity: 1 << 14,
 			Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
@@ -407,7 +407,7 @@ func TestRunBatchAdaptive(t *testing.T) {
 	topo := numa.New(4, 8)
 	store := kvstore.New(kvstore.Config{
 		Topo:    topo,
-		NewLock: func() locks.Mutex { return locks.NewPthread() },
+		Locking: kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Shards:  2, MaxBatch: 8,
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
@@ -450,9 +450,9 @@ func TestRunBatchedThroughCombiningExecutor(t *testing.T) {
 	topo := numa.New(4, 8)
 	store := kvstore.New(kvstore.Config{
 		Topo: topo,
-		NewExec: func() locks.Executor {
+		Locking: kvstore.FromExec(func() locks.Executor {
 			return locks.NewCombining(topo, locks.NewMCS(topo))
-		},
+		}),
 		Shards: 2, MaxBatch: 8,
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},

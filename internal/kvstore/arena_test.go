@@ -25,9 +25,9 @@ func newArenaStore(topo *numa.Topology, shards, capacity, arenaBytes int) *Store
 		ArenaBytes:  arenaBytes,
 	}
 	if shards > 1 {
-		cfg.NewLock = func() locks.Mutex { return locks.NewPthread() }
+		cfg.Locking = FromMutex(func() locks.Mutex { return locks.NewPthread() })
 	} else {
-		cfg.Lock = locks.NewPthread()
+		cfg.Locking = FromLock(locks.NewPthread())
 	}
 	return New(cfg)
 }
@@ -232,7 +232,7 @@ func TestArenaRace(t *testing.T) {
 	build := map[string]func() *Store{
 		"lock": func() *Store {
 			return New(Config{
-				Topo: topo, NewLock: func() locks.Mutex { return locks.NewPthread() },
+				Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 				Shards: 2, Buckets: 128, Capacity: 300,
 				Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 				ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -241,7 +241,7 @@ func TestArenaRace(t *testing.T) {
 		},
 		"rw": func() *Store {
 			return New(Config{
-				Topo: topo, NewRWLock: func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) },
+				Topo: topo, Locking: FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) }),
 				Shards: 2, Buckets: 128, Capacity: 300,
 				Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 				ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -250,7 +250,7 @@ func TestArenaRace(t *testing.T) {
 		},
 		"exec": func() *Store {
 			return New(Config{
-				Topo: topo, NewExec: func() locks.Executor { return locks.NewCombining(topo, locks.NewPthread()) },
+				Topo: topo, Locking: FromExec(func() locks.Executor { return locks.NewCombining(topo, locks.NewPthread()) }),
 				Shards: 2, Buckets: 128, Capacity: 300,
 				Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 				ItemLocalNs: 1, ItemRemoteNs: 1,

@@ -23,7 +23,7 @@ func TestMSetAcquisitionAmortization(t *testing.T) {
 	const n, batch = 16, 4
 	var acq atomic.Uint64
 	lock := locks.CountAcquisitions(locks.NewPthread(), &acq)
-	s := New(Config{Topo: topo, Lock: lock, MaxBatch: batch, Buckets: 64, Capacity: 64})
+	s := New(Config{Topo: topo, Locking: FromLock(lock), MaxBatch: batch, Buckets: 64, Capacity: 64})
 
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
@@ -77,7 +77,7 @@ func TestMSetAcquisitionAmortization(t *testing.T) {
 func newBatchStore(topo *numa.Topology, shards, maxBatch int) *Store {
 	return New(Config{
 		Topo:      topo,
-		NewLock:   func() locks.Mutex { return locks.NewPthread() },
+		Locking:   FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Shards:    shards,
 		MaxBatch:  maxBatch,
 		Placement: HashMod,
@@ -228,7 +228,7 @@ func TestExecStoreMatchesDirect(t *testing.T) {
 	p := topo.Proc(0)
 	exec := New(Config{
 		Topo:     topo,
-		NewExec:  func() locks.Executor { return locks.NewCombining(topo, locks.NewMCS(topo)) },
+		Locking:  FromExec(func() locks.Executor { return locks.NewCombining(topo, locks.NewMCS(topo)) }),
 		Shards:   2,
 		Buckets:  256,
 		Capacity: 1024,
@@ -268,7 +268,7 @@ func TestExecStoreConcurrent(t *testing.T) {
 	topo := numa.New(2, 8)
 	s := New(Config{
 		Topo:     topo,
-		NewExec:  func() locks.Executor { return locks.NewCombining(topo, locks.NewMCS(topo)) },
+		Locking:  FromExec(func() locks.Executor { return locks.NewCombining(topo, locks.NewMCS(topo)) }),
 		Shards:   2,
 		MaxBatch: 8,
 		Buckets:  256,

@@ -29,9 +29,9 @@ func newIndexStore(topo *numa.Topology, shards, capacity int, vm ValueMemory, im
 		cfg.ArenaBytes = (256 << 10) * shards
 	}
 	if shards > 1 {
-		cfg.NewLock = func() locks.Mutex { return locks.NewPthread() }
+		cfg.Locking = FromMutex(func() locks.Mutex { return locks.NewPthread() })
 	} else {
-		cfg.Lock = locks.NewPthread()
+		cfg.Locking = FromLock(locks.NewPthread())
 	}
 	return New(cfg)
 }
@@ -138,9 +138,9 @@ func TestCompactSharedReadEquivalence(t *testing.T) {
 	topo := numa.New(4, 16)
 	mk := func(im IndexMemory) *Store {
 		return New(Config{
-			Topo:      topo,
-			NewRWLock: func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) },
-			Shards:    1, Buckets: 64, Capacity: 150,
+			Topo:    topo,
+			Locking: FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) }),
+			Shards:  1, Buckets: 64, Capacity: 150,
 			Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 			ItemLocalNs: 1, ItemRemoteNs: 1,
 			IndexMemory: im,
@@ -347,22 +347,22 @@ func TestCompactRace(t *testing.T) {
 	build := map[string]func() *Store{
 		"lock": func() *Store {
 			cfg := base(ValueHeap)
-			cfg.NewLock = func() locks.Mutex { return locks.NewPthread() }
+			cfg.Locking = FromMutex(func() locks.Mutex { return locks.NewPthread() })
 			return New(cfg)
 		},
 		"rw": func() *Store {
 			cfg := base(ValueHeap)
-			cfg.NewRWLock = func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) }
+			cfg.Locking = FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) })
 			return New(cfg)
 		},
 		"exec": func() *Store {
 			cfg := base(ValueArena)
-			cfg.NewExec = func() locks.Executor { return locks.NewCombining(topo, locks.NewPthread()) }
+			cfg.Locking = FromExec(func() locks.Executor { return locks.NewCombining(topo, locks.NewPthread()) })
 			return New(cfg)
 		},
 		"rw-arena": func() *Store {
 			cfg := base(ValueArena)
-			cfg.NewRWLock = func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) }
+			cfg.Locking = FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewPthread()) })
 			return New(cfg)
 		},
 	}

@@ -36,16 +36,16 @@
 // MGet/MSet/MDelete APIs group keys by shard and run each shard's
 // group in critical sections of up to Config.MaxBatch operations, so
 // N same-shard operations cost ceil(N/MaxBatch) acquisitions instead
-// of N. Orthogonally, Config.NewExec replaces each shard's direct
-// locking with a delegated-execution seam (locks.Executor): every
-// critical section is posted (as a per-proc record, see csRecord) to
-// a combining executor, whose combiner runs same-cluster batches —
-// across requesting procs — under a single acquisition of the
-// underlying lock. That is the flat-combining amortization the paper
-// credits FC-MCS with (§4.1.3), applied to the store's own critical
-// sections rather than to queue hand-offs. Configurations without
-// NewExec keep the direct locking paths untouched, so Table 1 numbers
-// are unaffected.
+// of N. Orthogonally, an executor LockSource (FromExec) replaces each
+// shard's direct locking with a delegated-execution seam
+// (locks.Executor): every critical section is posted (as a per-proc
+// record, see csRecord) to a combining executor, whose combiner runs
+// same-cluster batches — across requesting procs — under a single
+// acquisition of the underlying lock. That is the flat-combining
+// amortization the paper credits FC-MCS with (§4.1.3), applied to the
+// store's own critical sections rather than to queue hand-offs. Every
+// other LockSource keeps the direct locking paths untouched, so Table
+// 1 numbers are unaffected.
 //
 // The cache lock itself is reader-writer shaped (locks.RWMutex): Sets
 // and Deletes take exclusive mode, and when the configured lock's
@@ -214,50 +214,8 @@ type Config struct {
 	Topo *numa.Topology
 	// Locking is the single seam supplying each shard's exclusion
 	// domain; build one with FromMutex, FromRW, FromExec, FromLock,
-	// FromRWLock or FromRegistry. When set it supersedes the five
-	// deprecated fields below, which remain as aliases: each maps to
-	// the From* constructor of the same shape, resolved in the
-	// historical precedence order NewExec > NewRWLock > NewLock >
-	// RWLock > Lock.
+	// FromRWLock or FromRegistry. Required.
 	Locking LockSource
-	// Lock is the cache lock guarding a single-shard store (the
-	// paper's interposition point). Multi-shard stores need one lock
-	// per shard and must use NewLock instead. Exclusive locks are
-	// adapted to the store's reader-writer interface via
-	// locks.RWFromMutex, which keeps the pre-RW Get path byte for byte.
-	//
-	// Deprecated: set Locking to FromLock(m) instead.
-	Lock locks.Mutex
-	// NewLock builds one lock instance per shard; registry entries
-	// provide such factories via Entry.MutexFactory. When set it takes
-	// precedence over Lock.
-	//
-	// Deprecated: set Locking to FromMutex(f) instead.
-	NewLock func() locks.Mutex
-	// RWLock is a reader-writer cache lock for a single-shard store.
-	// When its shared mode genuinely admits concurrent readers
-	// (locks.SharesReads), Gets run in shared mode with the bounded
-	// LRU-touch policy (see TouchEvery); Sets and Deletes always take
-	// exclusive mode. Takes precedence over Lock.
-	//
-	// Deprecated: set Locking to FromRWLock(l) instead.
-	RWLock locks.RWMutex
-	// NewRWLock builds one reader-writer lock per shard; registry
-	// entries provide such factories via Entry.RWFactory. Takes
-	// precedence over NewLock, RWLock and Lock.
-	//
-	// Deprecated: set Locking to FromRW(f) instead.
-	NewRWLock func() locks.RWMutex
-	// NewExec builds one combining executor per shard (registry comb-*
-	// entries provide such factories via Entry.ExecFactory). Highest
-	// precedence of all lock fields: every shard operation — Gets
-	// included — then runs as a section delegated to the executor,
-	// whose combiner executes same-cluster batches under a single
-	// acquisition of its underlying lock. Configurations without
-	// NewExec keep the direct locking paths untouched.
-	//
-	// Deprecated: set Locking to FromExec(f) instead.
-	NewExec func() locks.Executor
 	// MaxBatch bounds how many operations of a batch API call
 	// (MGet/MSet/MDelete) run inside one critical section, capping
 	// lock hold times: a shard group of N operations takes
@@ -306,17 +264,11 @@ func (c *Config) setDefaults() error {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.Locking != nil {
-		if c.Shards > 1 && !c.Locking.multiShard() {
-			return fmt.Errorf("kvstore: %d shards need a factory-backed LockSource, not %s (a single pre-built lock)", c.Shards, c.Locking.describe())
-		}
-	} else if c.NewExec == nil && c.NewRWLock == nil && c.NewLock == nil {
-		if c.RWLock == nil && c.Lock == nil {
-			return fmt.Errorf("kvstore: nil lock")
-		}
-		if c.Shards > 1 {
-			return fmt.Errorf("kvstore: %d shards need a NewLock/NewRWLock/NewExec factory, not a single pre-built lock", c.Shards)
-		}
+	if c.Locking == nil {
+		return fmt.Errorf("kvstore: nil Locking")
+	}
+	if c.Shards > 1 && !c.Locking.multiShard() {
+		return fmt.Errorf("kvstore: %d shards need a factory-backed LockSource, not %s (a single pre-built lock)", c.Shards, c.Locking.describe())
 	}
 	if c.TouchEvery <= 0 {
 		c.TouchEvery = DefaultTouchEvery
@@ -417,18 +369,11 @@ func New(cfg Config) *Store {
 	if err := cfg.setDefaults(); err != nil {
 		panic(err)
 	}
-	// Resolve the locking seam into one per-shard factory. An explicit
-	// Config.Locking wins; otherwise the deprecated five-field ladder
-	// folds into the equivalent LockSource (legacyLocking preserves the
-	// historical precedence). An executor source supersedes direct
-	// locking (the executor owns the shard's exclusion domain);
-	// exclusive lock sources pass through RWFromMutex so their shards
-	// keep the exclusive read path.
-	src := cfg.Locking
-	if src == nil {
-		src = legacyLocking(&cfg)
-	}
-	newExec, newLock := src.builders()
+	// Resolve the locking seam into one per-shard factory. An executor
+	// source supersedes direct locking (the executor owns the shard's
+	// exclusion domain); exclusive lock sources pass through
+	// RWFromMutex so their shards keep the exclusive read path.
+	newExec, newLock := cfg.Locking.builders()
 	perBuckets := ceilDiv(cfg.Buckets, cfg.Shards)
 	// Round up to a power of two for mask indexing.
 	n := 1
@@ -684,10 +629,9 @@ func (s *Store) IndexMemory() IndexMemory { return s.indexMem }
 
 // ShardOccupancy reports shard i's executor in-flight request estimate
 // and whether the shard tracks one at all — true only for shards
-// guarded by an adaptive combining executor (comb-a-*), whose
-// occupancy counters (locks.EstimateOccupancy) are safe to sample
-// concurrently with a running load. Harnesses poll it mid-run to see
-// which shards are hot.
+// guarded by a combining executor (comb-*), whose occupancy counters
+// (locks.EstimateOccupancy) are safe to sample concurrently with a
+// running load. Harnesses poll it mid-run to see which shards are hot.
 func (s *Store) ShardOccupancy(i int) (int, bool) {
 	if x := s.shards[i].exec; x != nil {
 		return locks.EstimateOccupancy(x)

@@ -9,12 +9,10 @@ import (
 )
 
 // LockSource is the single seam through which a Store receives its
-// shards' exclusion domains. It collapses the historical five-field
-// precedence ladder (Lock, NewLock, RWLock, NewRWLock, NewExec) into
-// one value: a source either supplies a per-shard executor factory
-// (the delegated-execution seam) or a per-shard reader-writer lock
-// factory (direct locking; exclusive locks are adapted through
-// locks.RWFromMutex exactly as the old fields were).
+// shards' exclusion domains: a source either supplies a per-shard
+// executor factory (the delegated-execution seam) or a per-shard
+// reader-writer lock factory (direct locking; exclusive locks are
+// adapted through locks.RWFromMutex).
 //
 // Build one with FromMutex, FromRW, FromExec, FromLock, FromRWLock or
 // FromRegistry and set it as Config.Locking. The interface is sealed:
@@ -36,8 +34,7 @@ type LockSource interface {
 // FromMutex sources each shard's lock from a factory of exclusive
 // locks (registry Entry.MutexFactory shape). Shards keep the
 // exclusive read path: the factory's locks are adapted through
-// locks.RWFromMutex, byte for byte the behavior of the deprecated
-// Config.NewLock field.
+// locks.RWFromMutex, which keeps the pre-RW Get path byte for byte.
 func FromMutex(f func() locks.Mutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromMutex(nil)")
@@ -47,9 +44,9 @@ func FromMutex(f func() locks.Mutex) LockSource {
 
 // FromRW sources each shard's lock from a factory of reader-writer
 // locks (registry Entry.RWFactory shape). When the factory's locks
-// genuinely share reads, Gets run in shared mode with the TouchEvery
-// LRU sampling policy — the behavior of the deprecated
-// Config.NewRWLock field.
+// genuinely share reads (locks.SharesReads), Gets run in shared mode
+// with the TouchEvery LRU sampling policy; Sets and Deletes always
+// take exclusive mode.
 func FromRW(f func() locks.RWMutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromRW(nil)")
@@ -58,10 +55,9 @@ func FromRW(f func() locks.RWMutex) LockSource {
 }
 
 // FromExec sources each shard's exclusion from a factory of combining
-// executors (registry Entry.ExecFactory shape): every critical
-// section is posted to the executor and same-cluster batches run under
-// one underlying acquisition — the behavior of the deprecated
-// Config.NewExec field.
+// executors (registry Entry.ExecFactory shape): every shard operation
+// — Gets included — is posted to the executor, whose combiner runs
+// same-cluster batches under one acquisition of its underlying lock.
 func FromExec(f func() locks.Executor) LockSource {
 	if f == nil {
 		panic("kvstore: FromExec(nil)")
@@ -70,9 +66,8 @@ func FromExec(f func() locks.Executor) LockSource {
 }
 
 // FromLock sources a single-shard store's lock from one pre-built
-// exclusive instance — the paper's interposition point and the
-// behavior of the deprecated Config.Lock field. Multi-shard stores
-// need a factory-backed source.
+// exclusive instance — the paper's interposition point. Multi-shard
+// stores need a factory-backed source.
 func FromLock(m locks.Mutex) LockSource {
 	if m == nil {
 		panic("kvstore: FromLock(nil)")
@@ -81,8 +76,7 @@ func FromLock(m locks.Mutex) LockSource {
 }
 
 // FromRWLock sources a single-shard store's lock from one pre-built
-// reader-writer instance — the behavior of the deprecated
-// Config.RWLock field.
+// reader-writer instance.
 func FromRWLock(l locks.RWMutex) LockSource {
 	if l == nil {
 		panic("kvstore: FromRWLock(nil)")
@@ -148,22 +142,3 @@ func (s singleSource) builders() (func() locks.Executor, func() locks.RWMutex) {
 }
 func (s singleSource) multiShard() bool { return false }
 func (s singleSource) describe() string { return s.name }
-
-// legacyLocking folds the deprecated five-field ladder into a
-// LockSource, preserving the historical precedence exactly:
-// NewExec > NewRWLock > NewLock > RWLock > Lock. setDefaults has
-// already verified at least one field is set.
-func legacyLocking(cfg *Config) LockSource {
-	switch {
-	case cfg.NewExec != nil:
-		return FromExec(cfg.NewExec)
-	case cfg.NewRWLock != nil:
-		return FromRW(cfg.NewRWLock)
-	case cfg.NewLock != nil:
-		return FromMutex(cfg.NewLock)
-	case cfg.RWLock != nil:
-		return FromRWLock(cfg.RWLock)
-	default:
-		return FromLock(cfg.Lock)
-	}
-}

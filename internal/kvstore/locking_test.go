@@ -59,83 +59,49 @@ func driveOps(t *testing.T, topo *numa.Topology, s *Store) string {
 	return out
 }
 
-// TestLockingEquivalence proves the Config.Locking seam reproduces
-// every deprecated configuration shape exactly: for each of the five
-// legacy fields, a store built through the old field and one built
-// through the matching From* constructor observe identical results,
-// statistics and lock acquisition counts on an identical op sequence.
+// TestLockingEquivalence proves the five LockSource shapes are one
+// seam: a store built from a pre-built lock, a lock factory, a
+// pre-built or factory-made reader-writer lock, or an executor factory
+// observes identical results and statistics on an identical op
+// sequence, and every one of them really runs its critical sections
+// through the lock it was handed. Subtests are named for what the
+// source wraps.
 func TestLockingEquivalence(t *testing.T) {
-	type variant struct {
-		name   string
-		legacy func(topo *numa.Topology, count *acqCounter) Config
-		seam   func(topo *numa.Topology, count *acqCounter) Config
+	variants := []struct {
+		name string
+		cfg  func(topo *numa.Topology, c *acqCounter) Config
+	}{
+		{"Lock", func(topo *numa.Topology, c *acqCounter) Config {
+			return Config{Topo: topo, Locking: FromLock(c.mutex(locks.NewPthread()))}
+		}},
+		{"NewLock", func(topo *numa.Topology, c *acqCounter) Config {
+			return Config{Topo: topo, Shards: 4, Locking: FromMutex(func() locks.Mutex { return c.mutex(locks.NewMCS(topo)) })}
+		}},
+		{"RWLock", func(topo *numa.Topology, c *acqCounter) Config {
+			return Config{Topo: topo, Locking: FromRWLock(c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))))}
+		}},
+		{"NewRWLock", func(topo *numa.Topology, c *acqCounter) Config {
+			return Config{Topo: topo, Shards: 4, Locking: FromRW(func() locks.RWMutex { return c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))) })}
+		}},
+		{"NewExec", func(topo *numa.Topology, c *acqCounter) Config {
+			return Config{Topo: topo, Shards: 4, Locking: FromExec(func() locks.Executor {
+				return locks.NewCombining(topo, c.mutex(locks.NewMCS(topo)))
+			})}
+		}},
 	}
-	variants := []variant{
-		{
-			name: "Lock",
-			legacy: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Lock: c.mutex(locks.NewPthread())}
-			},
-			seam: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Locking: FromLock(c.mutex(locks.NewPthread()))}
-			},
-		},
-		{
-			name: "NewLock",
-			legacy: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Shards: 4, NewLock: func() locks.Mutex { return c.mutex(locks.NewMCS(topo)) }}
-			},
-			seam: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Shards: 4, Locking: FromMutex(func() locks.Mutex { return c.mutex(locks.NewMCS(topo)) })}
-			},
-		},
-		{
-			name: "RWLock",
-			legacy: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, RWLock: c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo)))}
-			},
-			seam: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Locking: FromRWLock(c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))))}
-			},
-		},
-		{
-			name: "NewRWLock",
-			legacy: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Shards: 4, NewRWLock: func() locks.RWMutex { return c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))) }}
-			},
-			seam: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Shards: 4, Locking: FromRW(func() locks.RWMutex { return c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))) })}
-			},
-		},
-		{
-			name: "NewExec",
-			legacy: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Shards: 4, NewExec: func() locks.Executor {
-					return locks.NewCombining(topo, c.mutex(locks.NewMCS(topo)))
-				}}
-			},
-			seam: func(topo *numa.Topology, c *acqCounter) Config {
-				return Config{Topo: topo, Shards: 4, Locking: FromExec(func() locks.Executor {
-					return locks.NewCombining(topo, c.mutex(locks.NewMCS(topo)))
-				})}
-			},
-		},
-	}
+	want := ""
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			topo := numa.New(2, 4)
-			var cLegacy, cSeam acqCounter
-			legacy := New(v.legacy(topo, &cLegacy))
-			seam := New(v.seam(topo, &cSeam))
-			gotLegacy := driveOps(t, topo, legacy)
-			gotSeam := driveOps(t, topo, seam)
-			if gotLegacy != gotSeam {
-				t.Fatalf("behavior diverged:\nlegacy: %s\nseam:   %s", gotLegacy, gotSeam)
+			var count acqCounter
+			got := driveOps(t, topo, New(v.cfg(topo, &count)))
+			if want == "" {
+				want = got
 			}
-			if a, b := cLegacy.total(), cSeam.total(); a != b {
-				t.Fatalf("acquisition counts diverged: legacy %d, seam %d", a, b)
+			if got != want {
+				t.Fatalf("behavior diverged from the %s source:\nwant: %s\ngot:  %s", variants[0].name, want, got)
 			}
-			if a := cLegacy.total(); a == 0 {
+			if count.total() == 0 {
 				t.Fatalf("acquisition counter never fired — interposition broken")
 			}
 		})
@@ -159,26 +125,6 @@ func (c *acqCounter) rw(l locks.RWMutex) locks.RWMutex {
 
 func (c *acqCounter) total() uint64 {
 	return c.excl.Load() + c.shared.Load()
-}
-
-// TestLockingPrecedence pins the documented resolution order: an
-// explicit Locking supersedes every deprecated field.
-func TestLockingPrecedence(t *testing.T) {
-	topo := numa.New(2, 4)
-	var viaSeam, viaLegacy atomic.Uint64
-	s := New(Config{
-		Topo:    topo,
-		Locking: FromMutex(func() locks.Mutex { return locks.CountAcquisitions(locks.NewPthread(), &viaSeam) }),
-		NewLock: func() locks.Mutex { return locks.CountAcquisitions(locks.NewPthread(), &viaLegacy) },
-	})
-	p := topo.Proc(0)
-	s.Set(p, 1, []byte("x"))
-	if viaSeam.Load() == 0 {
-		t.Fatalf("Locking source not used")
-	}
-	if viaLegacy.Load() != 0 {
-		t.Fatalf("deprecated NewLock used despite explicit Locking")
-	}
 }
 
 // TestLockingSingleInstanceGuard pins the multi-shard validation: a

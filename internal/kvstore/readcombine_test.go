@@ -21,7 +21,7 @@ func rwCombStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *at
 	x := locks.NewRWCombining(topo, locks.CountRWAcquisitions(inner, excl, shared))
 	s := New(Config{
 		Topo:       topo,
-		NewExec:    func() locks.Executor { return x },
+		Locking:    FromExec(func() locks.Executor { return x }),
 		MaxBatch:   maxBatch,
 		TouchEvery: touchEvery,
 		Buckets:    512,
@@ -57,9 +57,9 @@ func TestReadCombiningShardDetection(t *testing.T) {
 	}
 	over := New(Config{
 		Topo: topo,
-		NewExec: func() locks.Executor {
+		Locking: FromExec(func() locks.Executor {
 			return locks.NewRWCombining(topo, locks.RWFromMutex(locks.NewMCS(topo)))
-		},
+		}),
 		Buckets: 64, Capacity: 128,
 	})
 	if over.shards[0].rwexec != nil || over.shards[0].sharedReads {
@@ -201,13 +201,13 @@ func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
 			Capacity:   32, // small: the script drives evictions
 		}
 		if combined {
-			cfg.NewExec = func() locks.Executor {
+			cfg.Locking = FromExec(func() locks.Executor {
 				return locks.NewRWCombining(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)))
-			}
+			})
 		} else {
-			cfg.NewRWLock = func() locks.RWMutex {
+			cfg.Locking = FromRW(func() locks.RWMutex {
 				return locks.NewRWPerCluster(topo, locks.NewMCS(topo))
-			}
+			})
 		}
 		return New(cfg)
 	}
@@ -304,9 +304,9 @@ func TestReadCombinedConcurrentWithWriters(t *testing.T) {
 	topo := numa.New(4, 12)
 	s := New(Config{
 		Topo: topo,
-		NewExec: func() locks.Executor {
+		Locking: FromExec(func() locks.Executor {
 			return locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)))
-		},
+		}),
 		Shards:     2,
 		MaxBatch:   4,
 		TouchEvery: 4,

@@ -15,7 +15,7 @@ import (
 func rwStore(topo *numa.Topology, touchEvery int) *Store {
 	return New(Config{
 		Topo:       topo,
-		RWLock:     locks.NewRWPerCluster(topo, locks.NewMCS(topo)),
+		Locking:    FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
 		TouchEvery: touchEvery,
 		Buckets:    1 << 10,
 		Capacity:   1 << 12,
@@ -29,22 +29,22 @@ func TestRWSharedReadsDetection(t *testing.T) {
 	if s := rwStore(topo, 0); !s.shards[0].sharedReads {
 		t.Fatal("RWLock store did not select the shared read path")
 	}
-	excl := New(Config{Topo: topo, Lock: locks.NewMCS(topo)})
+	excl := New(Config{Topo: topo, Locking: FromLock(locks.NewMCS(topo))})
 	if excl.shards[0].sharedReads {
 		t.Fatal("exclusive-lock store selected the shared read path")
 	}
-	adapted := New(Config{Topo: topo, RWLock: locks.RWFromMutex(locks.NewMCS(topo))})
+	adapted := New(Config{Topo: topo, Locking: FromRWLock(locks.RWFromMutex(locks.NewMCS(topo)))})
 	if adapted.shards[0].sharedReads {
 		t.Fatal("RWFromMutex-adapted store selected the shared read path")
 	}
 	sharded := New(Config{
-		Topo:      topo,
-		NewRWLock: func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) },
-		Shards:    4,
+		Topo:    topo,
+		Locking: FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
+		Shards:  4,
 	})
 	for i, sh := range sharded.shards {
 		if !sh.sharedReads {
-			t.Fatalf("shard %d of NewRWLock store is not on the shared read path", i)
+			t.Fatalf("shard %d of FromRW store is not on the shared read path", i)
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestRWTouchPolicy(t *testing.T) {
 	build := func(touchEvery int) *Store {
 		return New(Config{
 			Topo:       topo,
-			RWLock:     locks.NewRWPerCluster(topo, locks.NewMCS(topo)),
+			Locking:    FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
 			TouchEvery: touchEvery,
 			Buckets:    64,
 			Capacity:   2,

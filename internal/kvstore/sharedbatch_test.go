@@ -15,8 +15,8 @@ import (
 func countedRWStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *atomic.Uint64) *Store {
 	return New(Config{
 		Topo: topo,
-		RWLock: locks.CountRWAcquisitions(
-			locks.NewRWPerCluster(topo, locks.NewMCS(topo)), excl, shared),
+		Locking: FromRWLock(locks.CountRWAcquisitions(
+			locks.NewRWPerCluster(topo, locks.NewMCS(topo)), excl, shared)),
 		MaxBatch:   maxBatch,
 		TouchEvery: touchEvery,
 		Buckets:    512,
@@ -90,10 +90,10 @@ func TestSharedMGetPerShardGroups(t *testing.T) {
 	var excl, shared atomic.Uint64
 	s := New(Config{
 		Topo: topo,
-		NewRWLock: func() locks.RWMutex {
+		Locking: FromRW(func() locks.RWMutex {
 			return locks.CountRWAcquisitions(
 				locks.NewRWPerCluster(topo, locks.NewMCS(topo)), &excl, &shared)
-		},
+		}),
 		Shards:     shards,
 		MaxBatch:   batch,
 		TouchEvery: 1 << 20,
@@ -199,7 +199,7 @@ func TestSharedMGetTouchPolicy(t *testing.T) {
 	build := func(touchEvery int) *Store {
 		return New(Config{
 			Topo:       topo,
-			RWLock:     locks.NewRWPerCluster(topo, locks.NewMCS(topo)),
+			Locking:    FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
 			MaxBatch:   8,
 			TouchEvery: touchEvery,
 			Buckets:    64,
@@ -247,8 +247,8 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	var excl, shared atomic.Uint64
 	s := New(Config{
 		Topo: topo,
-		RWLock: locks.CountRWAcquisitions(
-			locks.RWFromMutex(locks.NewMCS(topo)), &excl, &shared),
+		Locking: FromRWLock(locks.CountRWAcquisitions(
+			locks.RWFromMutex(locks.NewMCS(topo)), &excl, &shared)),
 		MaxBatch: batch,
 		Buckets:  256,
 		Capacity: 1024,
@@ -282,7 +282,7 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	// An eviction-order probe: the exclusive path bumps on every hit.
 	tiny := New(Config{
 		Topo:     topo,
-		Lock:     locks.NewMCS(topo),
+		Locking:  FromLock(locks.NewMCS(topo)),
 		MaxBatch: 8,
 		Buckets:  64,
 		Capacity: 2,
@@ -304,7 +304,7 @@ func TestSharedMGetConcurrentWithWriters(t *testing.T) {
 	topo := numa.New(4, 12)
 	s := New(Config{
 		Topo:       topo,
-		NewRWLock:  func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) },
+		Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
 		Shards:     2,
 		MaxBatch:   4,
 		TouchEvery: 4,

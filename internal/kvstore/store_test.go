@@ -13,7 +13,7 @@ import (
 func newShardedStore(topo *numa.Topology, shards, capacity int, placement Placement) *Store {
 	return New(Config{
 		Topo:        topo,
-		NewLock:     func() locks.Mutex { return locks.NewPthread() },
+		Locking:     FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Shards:      shards,
 		Placement:   placement,
 		Buckets:     256,
@@ -222,7 +222,7 @@ func TestShardedConcurrentOps(t *testing.T) {
 	for _, placement := range []Placement{HashMod, ClusterAffine} {
 		s := New(Config{
 			Topo:      topo,
-			NewLock:   func() locks.Mutex { return locks.NewMCS(topo) },
+			Locking:   FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
 			Shards:    8,
 			Placement: placement,
 			Buckets:   512, Capacity: 1024,
@@ -270,13 +270,13 @@ func TestShardedConfigValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("multi-shard store without NewLock accepted")
+				t.Error("multi-shard store over a single pre-built lock accepted")
 			}
 		}()
-		New(Config{Topo: topo, Lock: locks.NewPthread(), Shards: 4})
+		New(Config{Topo: topo, Locking: FromLock(locks.NewPthread()), Shards: 4})
 	}()
-	// NewLock alone suffices, even for one shard.
-	s := New(Config{Topo: topo, NewLock: func() locks.Mutex { return locks.NewPthread() }})
+	// A lock factory suffices, even for one shard.
+	s := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() })})
 	if s.NumShards() != 1 {
 		t.Fatalf("default shards = %d, want 1", s.NumShards())
 	}

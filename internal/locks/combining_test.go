@@ -1,0 +1,493 @@
+package locks_test
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/locks"
+	"repro/internal/locktest"
+	"repro/internal/numa"
+)
+
+// introspected is what every combining executor reports about itself.
+type introspected interface {
+	locks.Executor
+	Ops() uint64
+	Batches() uint64
+	Occupancy(cluster int) int
+	OccupancyEstimate() int
+}
+
+// combinerCase is one of the four constructors, seen through its
+// exclusive face: the reader-writer constructors are handed the inner
+// lock behind RWFromMutex, so Exec runs over exactly the lock the
+// test holds or counts.
+type combinerCase struct {
+	name string
+	new  func(topo *numa.Topology, inner locks.Mutex) introspected
+}
+
+var (
+	fixedCombiners = []combinerCase{
+		{"comb", func(t *numa.Topology, m locks.Mutex) introspected { return locks.NewCombining(t, m) }},
+		{"comb-rw", func(t *numa.Topology, m locks.Mutex) introspected {
+			return locks.NewRWCombining(t, locks.RWFromMutex(m))
+		}},
+	}
+	adaptiveCombiners = []combinerCase{
+		{"comb-a", func(t *numa.Topology, m locks.Mutex) introspected { return locks.NewCombiningAdaptive(t, m) }},
+		{"comb-a-rw", func(t *numa.Topology, m locks.Mutex) introspected {
+			return locks.NewRWCombiningAdaptive(t, locks.RWFromMutex(m))
+		}},
+	}
+	allCombiners = append(append([]combinerCase{}, fixedCombiners...), adaptiveCombiners...)
+)
+
+// rwCombinerCase is one of the two reader-writer constructors.
+type rwCombinerCase struct {
+	name string
+	new  func(topo *numa.Topology, l locks.RWMutex) *locks.RWCombining
+}
+
+var rwCombiners = []rwCombinerCase{
+	{"comb-rw", locks.NewRWCombining},
+	{"comb-a-rw", locks.NewRWCombiningAdaptive},
+}
+
+func eachCombiner(t *testing.T, cases []combinerCase, body func(t *testing.T, c combinerCase)) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { body(t, c) })
+	}
+}
+
+func eachRWCombiner(t *testing.T, cases []rwCombinerCase, body func(t *testing.T, c rwCombinerCase)) {
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { body(t, c) })
+	}
+}
+
+func rwPerCluster(topo *numa.Topology) locks.RWMutex {
+	return locks.NewRWPerCluster(topo, locks.NewMCS(topo))
+}
+
+// checkExecOver runs the executor harness over the inner lock build
+// returns.
+func checkExecOver(build func(*numa.Topology) locks.Mutex, procs, iters int) func(*testing.T, combinerCase) {
+	return func(t *testing.T, c combinerCase) {
+		topo := testTopo()
+		locktest.CheckExec(t, topo, c.new(topo, build(topo)), procs, iters)
+	}
+}
+
+func newMCS(topo *numa.Topology) locks.Mutex { return locks.NewMCS(topo) }
+
+// newFCMCS is a lock that itself batches hand-offs by cluster: the two
+// batching layers must compose without losing wakeups.
+func newFCMCS(topo *numa.Topology) locks.Mutex { return locks.NewFCMCS(topo) }
+
+func TestCombiningOverMCS(t *testing.T) {
+	eachCombiner(t, fixedCombiners, checkExecOver(newMCS, 16, 300))
+}
+func TestAdaptiveOverMCS(t *testing.T) {
+	eachCombiner(t, adaptiveCombiners, checkExecOver(newMCS, 16, 300))
+}
+
+func TestCombiningOverFCMCS(t *testing.T) {
+	eachCombiner(t, fixedCombiners, checkExecOver(newFCMCS, 12, 200))
+}
+
+func TestAdaptiveOverCohort(t *testing.T) {
+	eachCombiner(t, adaptiveCombiners, checkExecOver(newFCMCS, 12, 200))
+}
+
+func TestCombiningOverPthread(t *testing.T) {
+	eachCombiner(t, allCombiners, checkExecOver(func(*numa.Topology) locks.Mutex { return locks.NewPthread() }, 16, 300))
+}
+
+func TestExecFromMutex(t *testing.T) {
+	topo := numa.New(2, 8)
+	x := locks.ExecFromMutex(locks.NewMCS(topo))
+	locktest.CheckExec(t, topo, x, 8, 300)
+}
+
+func TestCombinesIntrospection(t *testing.T) {
+	topo := numa.New(2, 4)
+	if x := locks.ExecFromMutex(locks.NewMCS(topo)); locks.Combines(x) {
+		t.Error("ExecFromMutex adapter claims to combine")
+	}
+	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
+		if !locks.Combines(c.new(topo, locks.NewMCS(topo))) {
+			t.Error("combining executor does not claim to combine")
+		}
+	})
+}
+
+// checkSingleProc is the idle end of the load curve: a lone poster
+// must elect eagerly and pay exactly one acquisition per closure — no
+// patience spin — observable as Batches() == Ops().
+func checkSingleProc(t *testing.T, c combinerCase) {
+	topo := numa.New(2, 4)
+	x := c.new(topo, locks.NewMCS(topo))
+	p := topo.Proc(0)
+	n := 0
+	for i := 0; i < 100; i++ {
+		x.Exec(p, func() { n++ })
+	}
+	if n != 100 {
+		t.Fatalf("ran %d closures, want 100", n)
+	}
+	if ops, batches := x.Ops(), x.Batches(); ops != 100 || batches != 100 {
+		t.Fatalf("idle executor: %d ops over %d batches, want 100 over 100 (eager election, batch of one)", ops, batches)
+	}
+	if occ := x.OccupancyEstimate(); occ != 0 {
+		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
+	}
+}
+
+func TestCombiningSingleProc(t *testing.T) { eachCombiner(t, fixedCombiners, checkSingleProc) }
+func TestAdaptiveSingleProcEagerPath(t *testing.T) {
+	eachCombiner(t, adaptiveCombiners, checkSingleProc)
+}
+
+func TestCombiningAmortizesAcquisitions(t *testing.T) {
+	// The construction's whole point: under contention, closures must
+	// outnumber underlying-lock acquisitions. Count acquisitions with a
+	// wrapper and drive enough concurrent posters that batches form.
+	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
+		topo := numa.New(2, 16)
+		var acquisitions atomic.Uint64
+		x := c.new(topo, locks.CountAcquisitions(locks.NewMCS(topo), &acquisitions))
+
+		const procs, iters = 16, 400
+		var wg sync.WaitGroup
+		var total [procs]int
+		for i := 0; i < procs; i++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				p := topo.Proc(id)
+				for k := 0; k < iters; k++ {
+					x.Exec(p, func() { total[id]++ })
+				}
+			}(i)
+		}
+		wg.Wait()
+		for id := range total {
+			if total[id] != iters {
+				t.Fatalf("proc %d ran %d closures, want %d", id, total[id], iters)
+			}
+		}
+		ops, batches := x.Ops(), x.Batches()
+		if ops != procs*iters {
+			t.Fatalf("Ops() = %d, want %d", ops, procs*iters)
+		}
+		if batches != acquisitions.Load() {
+			t.Fatalf("Batches() = %d but inner lock saw %d acquisitions", batches, acquisitions.Load())
+		}
+		if batches > ops {
+			t.Fatalf("more acquisitions (%d) than ops (%d)", batches, ops)
+		}
+		// Batch formation needs genuine parallelism (a single-CPU run
+		// serializes posters, so every op is its own batch); the
+		// guaranteed amortization property is asserted by checkPileUp.
+		t.Logf("amortization: %d ops over %d acquisitions (%.1f ops/acq)",
+			ops, batches, float64(ops)/float64(batches))
+	})
+}
+
+// pileUp holds the lock an executor runs over (hold/release, from
+// outside the executor), starts workers same-cluster posters through
+// post, lets them all publish — the first to elect itself blocks
+// inside its one acquisition, the rest spin on their slots — and
+// releases. It reports how often each worker's closure ran.
+func pileUp(topo *numa.Topology, workers int, hold, release func(*numa.Proc), post func(p *numa.Proc, fn func())) []int {
+	holder := topo.Proc(topo.MaxProcs() - 1)
+	hold(holder)
+	ran := make([]int, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p := topo.Proc(topo.Clusters() * w) // all on cluster 0
+			post(p, func() { ran[w]++ })
+		}(i)
+	}
+	time.Sleep(50 * time.Millisecond)
+	release(holder)
+	wg.Wait()
+	return ran
+}
+
+// checkPileUp is deterministic amortization, independent of CPU count:
+// releasing the held lock must let a single acquisition execute the
+// whole pile.
+func checkPileUp(t *testing.T, c combinerCase) {
+	topo := numa.New(2, 16)
+	inner := locks.NewMCS(topo)
+	x := c.new(topo, inner)
+	const workers = 8
+	for w, n := range pileUp(topo, workers, inner.Lock, inner.Unlock, x.Exec) {
+		if n != 1 {
+			t.Fatalf("worker %d ran %d times, want 1", w, n)
+		}
+	}
+	if ops := x.Ops(); ops != workers {
+		t.Fatalf("Ops() = %d, want %d", ops, workers)
+	}
+	// The pile drains in far fewer acquisitions than ops; typically one,
+	// but a straggler that published after the combiner's last harvest
+	// pass legitimately elects itself.
+	if b := x.Batches(); b >= workers/2 {
+		t.Fatalf("no amortization: %d acquisitions for %d piled-up ops", b, workers)
+	}
+}
+
+func TestCombiningBatchesPileUp(t *testing.T) { eachCombiner(t, fixedCombiners, checkPileUp) }
+func TestAdaptiveBatchesPileUp(t *testing.T)  { eachCombiner(t, adaptiveCombiners, checkPileUp) }
+
+func TestAdaptiveOccupancyIntrospection(t *testing.T) {
+	topo := numa.New(2, 16)
+	if _, ok := locks.EstimateOccupancy(locks.ExecFromMutex(locks.NewMCS(topo))); ok {
+		t.Fatal("ExecFromMutex adapter claims an occupancy estimate")
+	}
+	// The counter is maintained under both policies.
+	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
+		inner := locks.NewMCS(topo)
+		x := c.new(topo, inner)
+		if occ, ok := locks.EstimateOccupancy(x); !ok || occ != 0 {
+			t.Fatalf("EstimateOccupancy = (%d,%v), want (0,true)", occ, ok)
+		}
+
+		// Pile up posters behind a held inner lock: the estimate must
+		// see them, cluster by cluster.
+		holder := topo.Proc(15)
+		inner.Lock(holder)
+		const workers = 6
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				p := topo.Proc(2 * w) // all on cluster 0
+				x.Exec(p, func() {})
+			}(i)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for x.Occupancy(0) < workers {
+			if time.Now().After(deadline) {
+				inner.Unlock(holder)
+				t.Fatalf("occupancy estimate stuck at %d, want %d", x.Occupancy(0), workers)
+			}
+			runtime.Gosched()
+		}
+		if got := x.Occupancy(1); got != 0 {
+			t.Errorf("cluster 1 occupancy = %d, want 0 (no cluster-1 posters)", got)
+		}
+		inner.Unlock(holder)
+		wg.Wait()
+		if occ := x.OccupancyEstimate(); occ != 0 {
+			t.Fatalf("post-drain occupancy estimate = %d, want 0", occ)
+		}
+	})
+}
+
+// measureOpsPerAcq drives procs concurrent posters through x and
+// reports the measured ops-per-acquisition amortization.
+func measureOpsPerAcq(t *testing.T, topo *numa.Topology, x introspected, procs, iters int) float64 {
+	t.Helper()
+	var wg sync.WaitGroup
+	var total atomic.Int64
+	for i := 0; i < procs; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			p := topo.Proc(id)
+			for k := 0; k < iters; k++ {
+				x.Exec(p, func() { total.Add(1) })
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := total.Load(); got != int64(procs*iters) {
+		t.Fatalf("ran %d closures, want %d", got, procs*iters)
+	}
+	return float64(x.Ops()) / float64(x.Batches())
+}
+
+func TestAdaptiveOpsPerAcqAtLeastFixed(t *testing.T) {
+	// The acceptance criterion behind the adaptive policy: under high
+	// contention the occupancy-scaled patience window and pass count
+	// must amortize at least as many ops per acquisition as the fixed
+	// constants. Scheduling makes any single trial noisy, so the
+	// property is asserted over the best of a few attempts
+	// (BenchmarkCombining carries the steady-state comparison).
+	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("batch formation needs two truly concurrent processors")
+	}
+	topo := numa.New(2, 16)
+	const procs, iters, attempts = 16, 300, 5
+	for a := 0; a < attempts; a++ {
+		fixed := measureOpsPerAcq(t, topo,
+			locks.NewCombining(topo, locks.NewMCS(topo)), procs, iters)
+		adaptive := measureOpsPerAcq(t, topo,
+			locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), procs, iters)
+		t.Logf("attempt %d: fixed %.1f ops/acq, adaptive %.1f ops/acq", a, fixed, adaptive)
+		if adaptive >= fixed {
+			return
+		}
+	}
+	t.Fatalf("adaptive combining never reached the fixed combiner's amortization in %d attempts", attempts)
+}
+
+func checkRWExecOverRWPerCluster(t *testing.T, c rwCombinerCase) {
+	topo := numa.New(2, 16)
+	locktest.CheckRWExec(t, topo, c.new(topo, rwPerCluster(topo)), 8, 4, 200)
+}
+
+func TestRWCombiningOverRWPerCluster(t *testing.T) {
+	eachRWCombiner(t, rwCombiners[:1], checkRWExecOverRWPerCluster)
+}
+
+func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
+	eachRWCombiner(t, rwCombiners[1:], checkRWExecOverRWPerCluster)
+}
+
+func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
+	// Over an RWFromMutex-adapted exclusive lock the harvested "shared"
+	// batches serialize; the construction must still be a correct
+	// RWExecutor (the harness skips the coexistence phase) and must
+	// pass the adapter's non-sharing property through.
+	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+		topo := numa.New(2, 16)
+		x := c.new(topo, locks.RWFromMutex(locks.NewMCS(topo)))
+		if locks.SharesExecReads(x) {
+			t.Fatal("RWCombining over RWFromMutex claims shared reads")
+		}
+		locktest.CheckRWExec(t, topo, x, 8, 4, 200)
+	})
+}
+
+func TestRWCombiningIntrospection(t *testing.T) {
+	topo := numa.New(2, 4)
+	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+		if x := c.new(topo, rwPerCluster(topo)); !locks.Combines(x) || !locks.SharesExecReads(x) {
+			t.Error("RWCombining over a genuine RW lock drops an introspection property")
+		}
+	})
+	if x := locks.ExecFromRWMutex(rwPerCluster(topo)); locks.Combines(x) {
+		t.Error("ExecFromRWMutex adapter claims to combine")
+	}
+}
+
+func TestRWCombiningSingleProcBypass(t *testing.T) {
+	// The uncontended fast path: with no same-cluster peer in flight,
+	// every shared closure takes the single-closure bypass — exactly
+	// one RLock per op, so the two shared counters stay in lockstep and
+	// the exclusive side never fires.
+	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+		topo := numa.New(2, 4)
+		var excl, shared atomic.Uint64
+		x := c.new(topo, locks.CountRWAcquisitions(rwPerCluster(topo), &excl, &shared))
+		p := topo.Proc(0)
+		n := 0
+		for i := 0; i < 100; i++ {
+			x.ExecShared(p, func() { n++ })
+		}
+		if n != 100 {
+			t.Fatalf("ran %d closures, want 100", n)
+		}
+		if ops, b := x.SharedOps(), x.SharedBatches(); ops != 100 || b != 100 {
+			t.Fatalf("SharedOps() = %d, SharedBatches() = %d, want 100 and 100 (bypass every op)", ops, b)
+		}
+		if got := shared.Load(); got != 100 {
+			t.Fatalf("inner lock saw %d RLock acquisitions, want 100", got)
+		}
+		if got := excl.Load(); got != 0 {
+			t.Fatalf("inner lock saw %d exclusive acquisitions, want 0", got)
+		}
+	})
+}
+
+func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
+	// One construction serves both modes: exclusive closures go through
+	// the exclusive core and advance Ops/Batches only, shared closures
+	// advance SharedOps/SharedBatches only.
+	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+		topo := numa.New(2, 4)
+		x := c.new(topo, rwPerCluster(topo))
+		p := topo.Proc(0)
+		n := 0
+		for i := 0; i < 50; i++ {
+			x.Exec(p, func() { n++ })
+			x.ExecShared(p, func() { n++ })
+		}
+		if n != 100 {
+			t.Fatalf("ran %d closures, want 100", n)
+		}
+		if ops := x.Ops(); ops != 50 {
+			t.Fatalf("Ops() = %d, want 50 (exclusive closures only)", ops)
+		}
+		if ops := x.SharedOps(); ops != 50 {
+			t.Fatalf("SharedOps() = %d, want 50 (shared closures only)", ops)
+		}
+	})
+}
+
+// checkSharedPileUp is the read-side pileUp: the inner lock is held
+// exclusively, so the first shared poster bypasses into a blocked
+// RLock and one elected reader-combiner blocks inside its single
+// shared acquisition while every other same-cluster poster publishes.
+// Releasing the writer must drain the whole pile in far fewer shared
+// acquisitions than ops.
+func checkSharedPileUp(t *testing.T, c rwCombinerCase) {
+	topo := numa.New(2, 16)
+	inner := rwPerCluster(topo)
+	var excl, shared atomic.Uint64
+	x := c.new(topo, locks.CountRWAcquisitions(inner, &excl, &shared))
+	const workers = 8
+	for w, n := range pileUp(topo, workers, inner.Lock, inner.Unlock, x.ExecShared) {
+		if n != 1 {
+			t.Fatalf("worker %d ran %d times, want 1", w, n)
+		}
+	}
+	if sb := shared.Load(); sb >= workers/2 {
+		t.Fatalf("no read-side amortization: %d shared acquisitions for %d piled-up read ops", sb, workers)
+	}
+	if e := excl.Load(); e != 0 {
+		t.Fatalf("read pile-up took %d exclusive acquisitions, want 0", e)
+	}
+}
+
+func TestRWCombiningSharedBatchesPileUp(t *testing.T) {
+	eachRWCombiner(t, rwCombiners[:1], checkSharedPileUp)
+}
+
+func TestRWCombiningAdaptiveSharedBatchesPileUp(t *testing.T) {
+	eachRWCombiner(t, rwCombiners[1:], checkSharedPileUp)
+}
+
+func TestRWCombiningAdaptiveOccupancyCountsReads(t *testing.T) {
+	// The occupancy estimate must include in-flight shared requests,
+	// under either policy: a closure that reads the estimate from
+	// inside the executor sees at least itself.
+	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+		topo := numa.New(2, 4)
+		x := c.new(topo, rwPerCluster(topo))
+		p := topo.Proc(0)
+		seen := 0
+		x.ExecShared(p, func() { seen = x.OccupancyEstimate() })
+		if seen < 1 {
+			t.Fatalf("OccupancyEstimate() = %d from inside a shared closure, want >= 1", seen)
+		}
+		if got := x.OccupancyEstimate(); got != 0 {
+			t.Fatalf("OccupancyEstimate() = %d after drain, want 0", got)
+		}
+		if got := x.Occupancy(0); got != 0 {
+			t.Fatalf("Occupancy(0) = %d after drain, want 0", got)
+		}
+	})
+}

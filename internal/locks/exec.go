@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/numa"
-	"repro/internal/spin"
 )
 
 // Executor is delegated mutual exclusion: Exec runs fn inside the
@@ -87,194 +86,57 @@ func CountAcquisitions(m Mutex, n *atomic.Uint64) Mutex {
 	return &countingMutex{inner: m, n: n}
 }
 
-// Publication-slot states for the combining executor.
-const (
-	combIdle   int32 = 0 // no outstanding request
-	combPosted int32 = 1 // closure published, waiting to run
-	combDone   int32 = 2 // closure has run; poster may return
-)
-
-// combSlot is one proc's publication record: the posted closure and
-// its state, padded so posters on different procs never share a line.
-// fn is written by the owning proc before the posted store and read
-// by the cluster's combiner after observing posted, so the atomic
-// state carries all the ordering.
-type combSlot struct {
-	state  atomic.Int32
-	fn     func()
-	parker spin.Parker
-	_      numa.Pad
-}
-
-// Combining turns any Mutex into a combining lock: procs publish
-// closures in per-proc slots, one proc per cluster elects itself
-// combiner through the cluster's gate (the FC-MCS election machinery,
-// same patience window), and the combiner runs its cluster's whole
-// batch of posted closures under a single acquisition of the
-// underlying lock. Same-cluster critical sections therefore execute
-// back to back on one thread — the strongest possible locality, since
-// the data the sections touch never leaves the combiner's cache — and
-// the underlying lock is acquired once per batch instead of once per
-// operation.
-//
+// Combining turns any Mutex into a combining lock: one combiner core
+// whose bracket is Lock/Unlock of the underlying lock, so same-cluster
+// closures run back to back on one thread under a single acquisition.
 // The underlying lock must be fresh (not shared with direct Lock/
-// Unlock users): the executor owns its exclusion domain.
+// Unlock users): the executor owns its exclusion domain. Amortization
+// is reported by Ops/Batches, load by Occupancy/OccupancyEstimate.
 type Combining struct {
-	m Mutex
-	// active counts running combiners; posters elect eagerly while it
-	// is zero (no batch anywhere to ride) and otherwise linger the
-	// patience window to be harvested instead of competing.
-	active  atomic.Int32
-	ops     atomic.Uint64 // closures executed
-	batches atomic.Uint64 // acquisitions of the underlying lock
-	_       numa.Pad
-	gates   []combinerGate
-	slots   []combSlot
-	// members lists the proc ids of each cluster, the combiner's scan
-	// order.
-	members [][]int
-	// passes is how many harvest sweeps a combiner makes over its
-	// cluster's slots per acquisition.
-	passes int
+	combiner
 }
 
-// NewCombining returns a combining executor over m for the topology,
-// with the default harvest pass count.
+// NewCombining returns a combining executor over m for the topology
+// with the fixed policy: one patience window, DefaultFCPasses harvest
+// sweeps per acquisition.
 func NewCombining(topo *numa.Topology, m Mutex) *Combining {
-	return NewCombiningPasses(topo, m, DefaultFCPasses)
+	c := &Combining{}
+	c.init(topo, m, false, fixedPolicy)
+	return c
 }
 
-// NewCombiningPasses is NewCombining with an explicit combiner pass
-// count: more passes form longer batches (arrivals during the batch
-// join it) at the cost of longer lock hold times.
-func NewCombiningPasses(topo *numa.Topology, m Mutex, passes int) *Combining {
-	if passes < 1 {
-		passes = 1
-	}
-	c := &Combining{
-		m:       m,
-		gates:   make([]combinerGate, topo.Clusters()),
-		slots:   make([]combSlot, topo.MaxProcs()),
-		members: make([][]int, topo.Clusters()),
-		passes:  passes,
-	}
-	for i := range c.slots {
-		c.slots[i].parker = spin.MakeParker()
-	}
-	for id := 0; id < topo.MaxProcs(); id++ {
-		cl := topo.ClusterOf(id)
-		c.members[cl] = append(c.members[cl], id)
-	}
+// NewCombiningAdaptive is NewCombining with the load-adaptive policy:
+// patience and harvest passes follow the cluster's occupancy estimate.
+func NewCombiningAdaptive(topo *numa.Topology, m Mutex) *Combining {
+	c := &Combining{}
+	c.init(topo, m, false, adaptivePolicy)
 	return c
 }
 
 // CombinesExec reports true: ops amortize over lock acquisitions.
 func (c *Combining) CombinesExec() bool { return true }
 
-// Exec publishes fn and waits until a combiner (possibly this proc)
-// has run it.
-func (c *Combining) Exec(p *numa.Proc, fn func()) {
-	slot := &c.slots[p.ID()]
-	slot.fn = fn
-	slot.state.Store(combPosted)
-
-	gate := &c.gates[p.Cluster()]
-	for i := 0; slot.state.Load() == combPosted; i++ {
-		// Bypass the patience window when no combiner is running
-		// anywhere: there is no batch to ride, so elect immediately
-		// (the low-contention fast path costs one gate CAS).
-		eager := c.active.Load() == 0
-		if (eager || i >= electAfter) && gate.held.Load() == 0 && gate.held.CompareAndSwap(0, 1) {
-			if slot.state.Load() == combPosted {
-				c.combine(p)
-			}
-			gate.held.Store(0)
-			break // combine always runs the combiner's own closure
-		}
-		spin.Poll(i)
-	}
-	slot.parker.Wait(func() bool { return slot.state.Load() == combDone })
-	slot.state.Store(combIdle)
+// OccupancyEstimator is the optional introspection interface combining
+// executors use to report their load estimate: the number of requests
+// currently in flight, summed over clusters. Adapters omit it.
+type OccupancyEstimator interface {
+	OccupancyEstimate() int
 }
 
-// combine runs the cluster's posted closures — the combiner's own
-// among them — under one acquisition of the underlying lock. Called
-// with the cluster gate held.
-func (c *Combining) combine(p *numa.Proc) {
-	c.active.Add(1)
-	c.m.Lock(p)
-	ran := uint64(0)
-	for pass := 0; pass < c.passes; pass++ {
-		if pass > 0 {
-			// Let in-flight requests publish, so batches form even at
-			// moderate per-cluster occupancy (same rationale as the
-			// FC-MCS harvest pause).
-			spin.Pause(combinePassPause)
-		}
-		for _, id := range c.members[p.Cluster()] {
-			s := &c.slots[id]
-			if s.state.Load() != combPosted {
-				continue
-			}
-			fn := s.fn
-			s.fn = nil
-			fn()
-			s.state.Store(combDone)
-			s.parker.Wake()
-			ran++
-		}
+// EstimateOccupancy reports x's current in-flight request estimate and
+// whether x tracks one at all.
+func EstimateOccupancy(x Executor) (int, bool) {
+	if e, ok := x.(OccupancyEstimator); ok {
+		return e.OccupancyEstimate(), true
 	}
-	// Rescue sweep: serve posters on clusters that have no combiner of
-	// their own. Cluster-local batching is a locality preference, not a
-	// correctness boundary — every harvest runs under m, so scanning a
-	// remote cluster's slots is exactly as safe as scanning ours. The
-	// sweep matters for liveness when spinning workers outnumber
-	// GOMAXPROCS: a cluster whose members are all starved of processor
-	// time may never win an election, and without it their posted
-	// closures would wait unboundedly while other clusters' combiners
-	// cycle the lock. Clusters with an elected combiner are skipped —
-	// that combiner is already queued on m and will serve them with
-	// full locality next.
-	for rc := range c.members {
-		if rc == p.Cluster() || c.gates[rc].held.Load() != 0 {
-			continue
-		}
-		for _, id := range c.members[rc] {
-			s := &c.slots[id]
-			if s.state.Load() != combPosted {
-				continue
-			}
-			fn := s.fn
-			s.fn = nil
-			fn()
-			s.state.Store(combDone)
-			s.parker.Wake()
-			ran++
-		}
-	}
-	c.m.Unlock(p)
-	c.batches.Add(1)
-	c.ops.Add(ran)
-	c.active.Add(-1)
-	// A combiner never blocks — it serves a batch and immediately cycles
-	// into its next request — so on an oversubscribed machine it must
-	// hand the processor around at batch boundaries or the posters it
-	// just woke wait a full preemption quantum to consume their results.
-	spin.Yield()
+	return 0, false
 }
-
-// Ops reports the number of closures executed so far; read it while
-// posters are quiescent.
-func (c *Combining) Ops() uint64 { return c.ops.Load() }
-
-// Batches reports the number of underlying-lock acquisitions so far;
-// Ops/Batches is the amortization factor the construction buys.
-func (c *Combining) Batches() uint64 { return c.batches.Load() }
 
 // Interface conformance checks.
 var (
-	_ Executor     = execMutex{}
-	_ Executor     = (*Combining)(nil)
-	_ ExecCombiner = execMutex{}
-	_ ExecCombiner = (*Combining)(nil)
+	_ Executor           = execMutex{}
+	_ Executor           = (*Combining)(nil)
+	_ ExecCombiner       = execMutex{}
+	_ ExecCombiner       = (*Combining)(nil)
+	_ OccupancyEstimator = (*Combining)(nil)
 )

@@ -27,6 +27,17 @@ type combinerGate struct {
 	_    numa.Pad
 }
 
+// clusterMembers lists the proc ids of each cluster in id order, a
+// combiner's scan order.
+func clusterMembers(topo *numa.Topology) [][]int {
+	members := make([][]int, topo.Clusters())
+	for id := 0; id < topo.MaxProcs(); id++ {
+		cl := topo.ClusterOf(id)
+		members[cl] = append(members[cl], id)
+	}
+	return members
+}
+
 // FCMCS is the flat-combining MCS lock of Dice, Marathe and Shavit
 // (SPAA 2011), the strongest prior NUMA-aware lock in the paper's
 // comparison. Threads publish acquisition requests in a per-cluster
@@ -49,37 +60,23 @@ type FCMCS struct {
 	// members lists the proc ids of each cluster, the combiner's scan
 	// order.
 	members [][]int
-	// passes is how many harvest sweeps a combiner makes over its
-	// cluster's slots.
-	passes int
 }
 
-// DefaultFCPasses is the default number of combiner harvest passes.
+// DefaultFCPasses is how many harvest sweeps a combiner makes over its
+// cluster's slots per election: more passes form longer batches
+// (arrivals during the batch join it) at the cost of a later splice.
 const DefaultFCPasses = 2
 
 // NewFCMCS returns an FC-MCS lock for the given topology.
 func NewFCMCS(topo *numa.Topology) *FCMCS {
-	return NewFCMCSPasses(topo, DefaultFCPasses)
-}
-
-// NewFCMCSPasses is NewFCMCS with an explicit combiner pass count.
-func NewFCMCSPasses(topo *numa.Topology, passes int) *FCMCS {
-	if passes < 1 {
-		passes = 1
-	}
 	l := &FCMCS{
 		gates:   make([]combinerGate, topo.Clusters()),
 		slots:   make([]fcSlot, topo.MaxProcs()),
 		nodes:   make([]qNode, topo.MaxProcs()),
-		members: make([][]int, topo.Clusters()),
-		passes:  passes,
+		members: clusterMembers(topo),
 	}
 	for i := range l.nodes {
 		l.nodes[i].parker = spin.MakeParker()
-	}
-	for id := 0; id < topo.MaxProcs(); id++ {
-		c := topo.ClusterOf(id)
-		l.members[c] = append(l.members[c], id)
 	}
 	return l
 }
@@ -126,7 +123,7 @@ const combinePassPause = 512
 // splices it into the global queue. Called with the cluster gate held.
 func (l *FCMCS) combine(cluster int) {
 	var head, tail *qNode
-	for pass := 0; pass < l.passes; pass++ {
+	for pass := 0; pass < DefaultFCPasses; pass++ {
 		if pass > 0 {
 			spin.Pause(combinePassPause)
 		}

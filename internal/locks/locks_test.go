@@ -231,12 +231,6 @@ func TestHCLHWindowValidation(t *testing.T) {
 	locktest.CheckMutex(t, topo, l, 8, 50)
 }
 
-func TestFCMCSPassesValidation(t *testing.T) {
-	topo := testTopo()
-	l := locks.NewFCMCSPasses(topo, 0) // clamps to 1
-	locktest.CheckMutex(t, topo, l, 8, 50)
-}
-
 func TestFCMCSSingleClusterBatches(t *testing.T) {
 	// All threads on one cluster: a single combiner should service
 	// everyone; checks the publication-list path thoroughly.

@@ -1,303 +1,86 @@
 package locks
 
-import (
-	"sync/atomic"
+import "repro/internal/numa"
 
-	"repro/internal/numa"
-	"repro/internal/spin"
-)
-
-// readCombiner is the shared-mode half of the combining RWExecutor:
-// the Combining publication/election machinery pointed at RLock
-// instead of Lock. Readers post closures in padded per-proc slots, one
-// reader per cluster elects itself combiner through the cluster gate,
-// and the combiner runs its cluster's whole harvested batch under a
-// SINGLE shared acquisition — harvested reads execute serially on the
-// combiner thread, but the batch coexists with every other cluster's
-// reader-combiner (and with single-closure bypassers), because they
-// all hold the underlying lock in shared mode.
-//
-// The per-cluster occupancy counter doubles as the single-closure
-// bypass condition: a reader that increments it to exactly 1 has no
-// same-cluster peer with a shared request in flight, so there is no
-// batch to form and it brackets its closure with RLock/RUnlock
-// directly — the idle path costs the same as ExecFromRWMutex and
-// keeps batches == ops while uncontended.
-type readCombiner struct {
+// sharedFace presents a reader-writer lock's shared mode as a Mutex,
+// so the combining core brackets read batches with RLock/RUnlock
+// through the same two calls it brackets write batches with.
+type sharedFace struct {
 	l RWMutex
-	// active counts running reader-combiners; posters elect eagerly
-	// while it is zero (no batch anywhere to ride) and otherwise
-	// linger the patience window to be harvested instead of competing.
-	active  atomic.Int32
-	ops     atomic.Uint64 // shared closures executed
-	batches atomic.Uint64 // shared acquisitions of the underlying lock
-	_       numa.Pad
-	occ     []occSlot
-	gates   []combinerGate
-	slots   []combSlot
-	// members lists the proc ids of each cluster, the combiner's scan
-	// order.
-	members [][]int
-	// adaptive selects the occupancy-scaled patience window and pass
-	// count (the CombiningAdaptive policy) over the fixed constants.
-	adaptive bool
-	// passes is the fixed harvest sweep count; maxPasses caps the
-	// occupancy-scaled count when adaptive.
-	passes    int
-	maxPasses int
 }
 
-func (r *readCombiner) init(topo *numa.Topology, l RWMutex, adaptive bool) {
-	r.l = l
-	r.adaptive = adaptive
-	r.occ = make([]occSlot, topo.Clusters())
-	r.gates = make([]combinerGate, topo.Clusters())
-	r.slots = make([]combSlot, topo.MaxProcs())
-	r.members = make([][]int, topo.Clusters())
-	r.passes = DefaultFCPasses
-	r.maxPasses = DefaultAdaptiveMaxPasses
-	for i := range r.slots {
-		r.slots[i].parker = spin.MakeParker()
-	}
-	for id := 0; id < topo.MaxProcs(); id++ {
-		cl := topo.ClusterOf(id)
-		r.members[cl] = append(r.members[cl], id)
-	}
-}
-
-// execShared publishes fn and waits until a reader-combiner (possibly
-// this proc) has run it, or runs it directly on the bypass path.
-func (r *readCombiner) execShared(p *numa.Proc, fn func()) {
-	oc := &r.occ[p.Cluster()]
-	if oc.n.Add(1) == 1 {
-		// Single-closure bypass: no same-cluster peer has a shared
-		// request in flight (peers decrement only after their slot is
-		// idle again), so no batch can form around this closure.
-		r.l.RLock(p)
-		fn()
-		r.l.RUnlock(p)
-		r.batches.Add(1)
-		r.ops.Add(1)
-		oc.n.Add(-1)
-		return
-	}
-	slot := &r.slots[p.ID()]
-	slot.fn = fn
-	slot.state.Store(combPosted)
-
-	gate := &r.gates[p.Cluster()]
-	for i := 0; slot.state.Load() == combPosted; i++ {
-		// Bypass the patience window when no reader-combiner is
-		// running anywhere: there is no batch to ride, so elect
-		// immediately (the low-contention path costs one gate CAS).
-		eager := r.active.Load() == 0
-		if (eager || i >= r.patienceFor(oc)) && gate.held.Load() == 0 && gate.held.CompareAndSwap(0, 1) {
-			if slot.state.Load() == combPosted {
-				r.combine(p)
-			}
-			gate.held.Store(0)
-			break // combine always runs the combiner's own closure
-		}
-		spin.Poll(i)
-	}
-	slot.parker.Wait(func() bool { return slot.state.Load() == combDone })
-	slot.state.Store(combIdle)
-	oc.n.Add(-1)
-}
-
-// patienceFor is the election patience window: the fixed FC-MCS base
-// window, or occupancy-scaled under the adaptive policy.
-func (r *readCombiner) patienceFor(oc *occSlot) int {
-	if r.adaptive {
-		return patience(oc.n.Load())
-	}
-	return electAfter
-}
-
-// combine runs the cluster's posted shared closures — the combiner's
-// own among them — under one shared acquisition of the underlying
-// lock. Called with the cluster gate held.
-func (r *readCombiner) combine(p *numa.Proc) {
-	cl := p.Cluster()
-	r.active.Add(1)
-	r.l.RLock(p)
-	passes := r.passes
-	if r.adaptive {
-		// Sample occupancy once per acquisition, as CombiningAdaptive
-		// does: drift mid-batch only mis-sizes this batch's tail.
-		passes = passesFor(r.occ[cl].n.Load(), r.maxPasses)
-	}
-	ran := uint64(0)
-	for pass := 0; pass < passes; pass++ {
-		if pass > 0 {
-			// Let in-flight requests publish, so batches form even at
-			// moderate per-cluster occupancy (same rationale as the
-			// FC-MCS harvest pause).
-			spin.Pause(combinePassPause)
-		}
-		for _, id := range r.members[cl] {
-			s := &r.slots[id]
-			if s.state.Load() != combPosted {
-				continue
-			}
-			fn := s.fn
-			s.fn = nil
-			fn()
-			s.state.Store(combDone)
-			s.parker.Wake()
-			ran++
-		}
-	}
-	// Rescue sweep for clusters with no elected reader-combiner — the
-	// shared-mode analogue of the exclusive combiners' sweep, keeping
-	// orphaned clusters live when spinning workers outnumber
-	// GOMAXPROCS. Unlike the exclusive side, reader-combiners run
-	// CONCURRENTLY (each under its own shared acquisition), so the
-	// cluster gate is what serializes a cluster's slot harvest: a
-	// remote cluster may only be swept after winning its gate. The
-	// try-lock never blocks, so two sweepers cannot deadlock, and a
-	// cluster whose own combiner holds the gate is skipped — it is
-	// already being served with full locality.
-	for rc := range r.members {
-		if rc == cl {
-			continue
-		}
-		g := &r.gates[rc]
-		if g.held.Load() != 0 || !g.held.CompareAndSwap(0, 1) {
-			continue
-		}
-		for _, id := range r.members[rc] {
-			s := &r.slots[id]
-			if s.state.Load() != combPosted {
-				continue
-			}
-			fn := s.fn
-			s.fn = nil
-			fn()
-			s.state.Store(combDone)
-			s.parker.Wake()
-			ran++
-		}
-		g.held.Store(0)
-	}
-	r.l.RUnlock(p)
-	r.batches.Add(1)
-	r.ops.Add(ran)
-	r.active.Add(-1)
-	// Hand the processor around at batch boundaries when oversubscribed,
-	// as Combining.combine does.
-	spin.Yield()
-}
+func (s sharedFace) Lock(p *numa.Proc)   { s.l.RLock(p) }
+func (s sharedFace) Unlock(p *numa.Proc) { s.l.RUnlock(p) }
 
 // RWCombining turns any RWMutex into a combining reader-writer
-// executor: exclusive closures go through the standard Combining
-// machinery over the lock's exclusive face (one Lock per same-cluster
-// batch), and shared closures go through the read-side twin — a
-// per-cluster reader-combiner takes ONE RLock and runs the whole
-// harvested batch under it, so N concurrent same-cluster readers cost
-// one shared acquisition instead of N. Harvested reads run serially on
-// the combiner thread, but reader-combiners on different clusters (and
-// single-closure bypassers) still coexist: they all hold shared mode.
+// executor: a Combining over the lock's exclusive face plus a second
+// combiner core over its shared face — a per-cluster reader-combiner
+// takes ONE RLock and runs the whole harvested batch under it, so N
+// concurrent same-cluster readers cost one shared acquisition instead
+// of N. Harvested reads run serially on the combiner thread, but
+// reader-combiners on different clusters (and lone readers, who take
+// the core's bypass) still coexist: they all hold shared mode.
 //
-// The underlying lock must be fresh (not shared with direct users):
-// the executor owns its exclusion domain. Exclusive-side amortization
-// is reported by Ops/Batches, shared-side by SharedOps/SharedBatches;
-// while uncontended every shared closure takes the bypass and the two
-// shared counters advance in lockstep.
+// The underlying lock must be fresh (not shared with direct users).
+// Exclusive-side amortization is reported by Ops/Batches, shared-side
+// by SharedOps/SharedBatches; while uncontended every shared closure
+// takes the bypass and the two shared counters advance in lockstep.
 type RWCombining struct {
-	*Combining
-	reads readCombiner
+	Combining
+	reads combiner
+	l     RWMutex
 }
 
-// NewRWCombining returns a combining reader-writer executor over l for
-// the topology, with the default harvest pass count on both sides.
-func NewRWCombining(topo *numa.Topology, l RWMutex) *RWCombining {
-	c := &RWCombining{Combining: NewCombining(topo, l)}
-	c.reads.init(topo, l, false)
+func newRWCombining(topo *numa.Topology, l RWMutex, pol policy) *RWCombining {
+	c := &RWCombining{l: l}
+	c.init(topo, l, false, pol)
+	c.reads.init(topo, sharedFace{l}, true, pol)
 	return c
 }
 
-// ExecShared publishes fn in shared mode and waits until it has run.
-func (c *RWCombining) ExecShared(p *numa.Proc, fn func()) {
-	c.reads.execShared(p, fn)
+// NewRWCombining returns a combining reader-writer executor over l for
+// the topology, with the fixed policy on both modes.
+func NewRWCombining(topo *numa.Topology, l RWMutex) *RWCombining {
+	return newRWCombining(topo, l, fixedPolicy)
 }
+
+// NewRWCombiningAdaptive is NewRWCombining with the load-adaptive
+// policy on both modes.
+func NewRWCombiningAdaptive(topo *numa.Topology, l RWMutex) *RWCombining {
+	return newRWCombining(topo, l, adaptivePolicy)
+}
+
+// ExecShared publishes fn in shared mode and waits until it has run.
+func (c *RWCombining) ExecShared(p *numa.Proc, fn func()) { c.reads.Exec(p, fn) }
 
 // SharedOps reports the number of shared closures executed so far;
 // read it while posters are quiescent.
-func (c *RWCombining) SharedOps() uint64 { return c.reads.ops.Load() }
+func (c *RWCombining) SharedOps() uint64 { return c.reads.Ops() }
 
 // SharedBatches reports the number of shared acquisitions of the
 // underlying lock so far; SharedOps/SharedBatches is the read-side
 // amortization factor.
-func (c *RWCombining) SharedBatches() uint64 { return c.reads.batches.Load() }
+func (c *RWCombining) SharedBatches() uint64 { return c.reads.Batches() }
 
 // SharedReads passes the underlying lock's sharing property through:
 // over an RWFromMutex-adapted exclusive lock the harvested "shared"
 // batches still serialize, and consumers should know.
-func (c *RWCombining) SharedReads() bool { return SharesReads(c.reads.l) }
+func (c *RWCombining) SharedReads() bool { return SharesReads(c.l) }
 
-// RWCombiningAdaptive is NewRWCombining with both sides running the
-// occupancy-adaptive policy: exclusive closures through
-// CombiningAdaptive, shared closures through a read-combiner whose
-// patience window and harvest pass count scale with the cluster's
-// in-flight shared-request count.
-type RWCombiningAdaptive struct {
-	*CombiningAdaptive
-	reads readCombiner
+// Occupancy is the core's estimate summed over both modes.
+func (c *RWCombining) Occupancy(cluster int) int {
+	return c.Combining.Occupancy(cluster) + c.reads.Occupancy(cluster)
 }
 
-// NewRWCombiningAdaptive returns a load-adaptive combining
-// reader-writer executor over l for the topology. The underlying lock
-// must be fresh (not shared with direct users).
-func NewRWCombiningAdaptive(topo *numa.Topology, l RWMutex) *RWCombiningAdaptive {
-	c := &RWCombiningAdaptive{CombiningAdaptive: NewCombiningAdaptive(topo, l)}
-	c.reads.init(topo, l, true)
-	return c
-}
-
-// ExecShared publishes fn in shared mode and waits until it has run.
-func (c *RWCombiningAdaptive) ExecShared(p *numa.Proc, fn func()) {
-	c.reads.execShared(p, fn)
-}
-
-// SharedOps reports the number of shared closures executed so far;
-// read it while posters are quiescent.
-func (c *RWCombiningAdaptive) SharedOps() uint64 { return c.reads.ops.Load() }
-
-// SharedBatches reports the number of shared acquisitions of the
-// underlying lock so far; SharedOps/SharedBatches is the read-side
-// amortization factor.
-func (c *RWCombiningAdaptive) SharedBatches() uint64 { return c.reads.batches.Load() }
-
-// SharedReads passes the underlying lock's sharing property through,
-// exactly as RWCombining does.
-func (c *RWCombiningAdaptive) SharedReads() bool { return SharesReads(c.reads.l) }
-
-// Occupancy reports cluster's current in-flight request estimate,
-// exclusive and shared requests summed (racy; diagnostics, tools and
-// tests only).
-func (c *RWCombiningAdaptive) Occupancy(cluster int) int {
-	return c.CombiningAdaptive.Occupancy(cluster) + int(c.reads.occ[cluster].n.Load())
-}
-
-// OccupancyEstimate reports the in-flight request estimate summed over
-// clusters and over both modes (racy; diagnostics, tools and tests
-// only).
-func (c *RWCombiningAdaptive) OccupancyEstimate() int {
-	n := c.CombiningAdaptive.OccupancyEstimate()
-	for i := range c.reads.occ {
-		n += int(c.reads.occ[i].n.Load())
-	}
-	return n
+// OccupancyEstimate is the core's estimate summed over both modes.
+func (c *RWCombining) OccupancyEstimate() int {
+	return c.Combining.OccupancyEstimate() + c.reads.OccupancyEstimate()
 }
 
 // Interface conformance checks.
 var (
 	_ RWExecutor         = (*RWCombining)(nil)
-	_ RWExecutor         = (*RWCombiningAdaptive)(nil)
 	_ ExecCombiner       = (*RWCombining)(nil)
-	_ ExecCombiner       = (*RWCombiningAdaptive)(nil)
 	_ ReadSharer         = (*RWCombining)(nil)
-	_ ReadSharer         = (*RWCombiningAdaptive)(nil)
-	_ OccupancyEstimator = (*RWCombiningAdaptive)(nil)
+	_ OccupancyEstimator = (*RWCombining)(nil)
 )

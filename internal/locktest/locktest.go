@@ -28,18 +28,31 @@ type TB interface {
 	Fatalf(format string, args ...any)
 }
 
-// shared is the critical-section state a harness protects. count is a
-// pair of deliberately non-atomic counters: any mutual-exclusion
-// violation shows up both as a torn invariant and as a data race under
-// the race detector.
+// shared is the critical-section state a harness protects. a and b
+// are deliberately non-atomic counters: any mutual-exclusion violation
+// shows up both as a torn invariant and as a data race under the race
+// detector.
 type shared struct {
 	inCS       atomic.Int32
 	violations atomic.Int64
+	torn       atomic.Int64 // half-done updates seen from shared mode
 	a, b       int64
 }
 
-// enter performs one guarded critical section.
-func (s *shared) enter() {
+// Every lingerEvery-th critical section of a worker stays open, its
+// update half done, for up to lingerFor. Two entrants overlap inside a
+// plain section only if they hit the same few nanoseconds, so on two
+// CPUs a lock that excludes nobody can run a whole quota unobserved;
+// with sections held open, whatever the lock wrongly lets in arrives
+// while someone is inside. A correct lock just holds each sampled
+// section for the full window, which is what bounds the sample rate.
+const (
+	lingerEvery = 1024
+	lingerFor   = 200 * time.Microsecond
+)
+
+// enter performs a worker's k-th guarded critical section.
+func (s *shared) enter(k int) {
 	if s.inCS.Add(1) != 1 {
 		s.violations.Add(1)
 	}
@@ -47,8 +60,25 @@ func (s *shared) enter() {
 	if s.a != s.b+1 {
 		s.violations.Add(1)
 	}
+	if k%lingerEvery == 0 {
+		// Leave as soon as an intruder has been recorded — by itself on
+		// entry, or by observe — or once the window has proved that
+		// nothing else gets in.
+		deadline := time.Now().Add(lingerFor)
+		for i := 0; s.inCS.Load() == 1 && s.torn.Load() == 0 && time.Now().Before(deadline); i++ {
+			spin.Poll(i)
+		}
+	}
 	s.b++
 	s.inCS.Add(-1)
+}
+
+// observe is one shared-mode read of the state: the two counters must
+// be equal — an exclusive section's update is never visible half done.
+func (s *shared) observe() {
+	if s.a != s.b {
+		s.torn.Add(1)
+	}
 }
 
 // harnessDeadline bounds every quota-based harness run: a lock that
@@ -90,7 +120,7 @@ func CheckMutex(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
 			p := topo.Proc(id)
 			for k := 0; k < iters; k++ {
 				m.Lock(p)
-				s.enter()
+				s.enter(k)
 				m.Unlock(p)
 			}
 		}(i)
@@ -127,7 +157,7 @@ func CheckTryMutex(t TB, topo *numa.Topology, m locks.TryMutex, procs, iters int
 			p := topo.Proc(id)
 			for k := 0; k < iters; k++ {
 				if m.TryLockFor(p, patience) {
-					s.enter()
+					s.enter(k)
 					m.Unlock(p)
 					okCount.Add(1)
 				} else {
@@ -180,7 +210,7 @@ func CheckFairness(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
 			p := topo.Proc(id)
 			for k := 0; k < quota; k++ {
 				m.Lock(p)
-				s.enter()
+				s.enter(k)
 				m.Unlock(p)
 			}
 		}(i, quota)
@@ -261,7 +291,6 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 	// Writers mutate the counter pair under exclusive mode; readers
 	// under shared mode must always see it consistent.
 	var s shared
-	var torn atomic.Int64
 	var writersDone atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
@@ -272,7 +301,7 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 			p := topo.Proc(readers + id)
 			for k := 0; k < iters; k++ {
 				l.Lock(p)
-				s.enter()
+				s.enter(k)
 				l.Unlock(p)
 			}
 		}(i)
@@ -287,9 +316,7 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 			// writers finish first.
 			for k := 0; k < iters || writersDone.Load() < int32(writers); k++ {
 				l.RLock(p)
-				if s.a != s.b {
-					torn.Add(1)
-				}
+				s.observe()
 				l.RUnlock(p)
 			}
 		}(i)
@@ -298,7 +325,7 @@ func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters
 	if v := s.violations.Load(); v != 0 {
 		t.Fatalf("writer exclusion violated %d times", v)
 	}
-	if v := torn.Load(); v != 0 {
+	if v := s.torn.Load(); v != 0 {
 		t.Fatalf("readers observed %d torn snapshots", v)
 	}
 	want := int64(writers * iters)
@@ -341,7 +368,7 @@ func CheckExec(t TB, topo *numa.Topology, x locks.Executor, procs, iters int) {
 				runs := 0
 				x.Exec(p, func() {
 					runs++
-					s.enter()
+					s.enter(k)
 				})
 				switch {
 				case runs == 0:
@@ -437,7 +464,7 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 	// Phase 2: exclusive exclusion, snapshot consistency and
 	// exactly-once execution under churn.
 	var s shared
-	var torn, lost, doubled atomic.Int64
+	var lost, doubled atomic.Int64
 	var writersDone atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
@@ -450,7 +477,7 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 				runs := 0
 				x.Exec(p, func() {
 					runs++
-					s.enter()
+					s.enter(k)
 				})
 				switch {
 				case runs == 0:
@@ -473,9 +500,7 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 				runs := 0
 				x.ExecShared(p, func() {
 					runs++
-					if s.a != s.b {
-						torn.Add(1)
-					}
+					s.observe()
 				})
 				switch {
 				case runs == 0:
@@ -496,7 +521,7 @@ func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers
 	if v := s.violations.Load(); v != 0 {
 		t.Fatalf("exclusive-closure exclusion violated %d times", v)
 	}
-	if v := torn.Load(); v != 0 {
+	if v := s.torn.Load(); v != 0 {
 		t.Fatalf("shared closures observed %d torn snapshots", v)
 	}
 	want := int64(writers * iters)
@@ -518,7 +543,7 @@ func CheckHandoff(t TB, topo *numa.Topology, m locks.Mutex, iters int) {
 			p := topo.Proc(id)
 			for k := 0; k < iters; k++ {
 				m.Lock(p)
-				s.enter()
+				s.enter(k)
 				m.Unlock(p)
 			}
 			done <- struct{}{}

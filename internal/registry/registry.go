@@ -193,61 +193,48 @@ var entries = []Entry{
 // the caller's exclusive lock — so acquisition-counting tools keep one
 // interposition seam across the whole comb-* family.
 func init() {
+	policies := []struct {
+		prefix, exec, rw string
+		wrap             func(*numa.Topology, locks.Mutex) *locks.Combining
+		wrapRW           func(*numa.Topology, locks.RWMutex) *locks.RWCombining
+	}{
+		{
+			prefix: "comb-",
+			exec:   "combining executor over %s: delegated same-cluster batches, one acquisition per batch",
+			rw:     "combining reader-writer executor over %s: batched exclusive closures, same-cluster reads harvested under one RLock",
+			wrap:   locks.NewCombining, wrapRW: locks.NewRWCombining,
+		},
+		{
+			prefix: "comb-a-",
+			exec:   "adaptive combining executor over %s: occupancy-scaled patience and harvest passes",
+			rw:     "adaptive combining reader-writer executor over %s: occupancy-scaled patience and passes on both modes",
+			wrap:   locks.NewCombiningAdaptive, wrapRW: locks.NewRWCombiningAdaptive,
+		},
+	}
 	base := make([]Entry, len(entries))
 	copy(base, entries)
 	for _, e := range base {
 		if e.NewMutex == nil {
 			continue
 		}
-		newMutex := e.NewMutex
-		comb := Entry{
-			Name:      "comb-" + e.Name,
-			Desc:      "combining executor over " + e.Name + ": delegated same-cluster batches, one acquisition per batch",
-			Base:      e.Name,
-			Extension: true,
-			WrapExec: func(t *numa.Topology, m locks.Mutex) locks.Executor {
-				return locks.NewCombining(t, m)
-			},
-			NewExec: func(t *numa.Topology) locks.Executor {
-				return locks.NewCombining(t, newMutex(t))
-			},
+		for _, pol := range policies {
+			newMutex, newRW, wrap, wrapRW := e.NewMutex, e.NewRW, pol.wrap, pol.wrapRW
+			d := Entry{
+				Name:      pol.prefix + e.Name,
+				Desc:      fmt.Sprintf(pol.exec, e.Name),
+				Base:      e.Name,
+				Extension: true,
+				WrapExec:  func(t *numa.Topology, m locks.Mutex) locks.Executor { return wrap(t, m) },
+				NewExec:   func(t *numa.Topology) locks.Executor { return wrap(t, newMutex(t)) },
+			}
+			if newRW != nil {
+				d.Desc = fmt.Sprintf(pol.rw, e.Name)
+				d.WrapRWExec = func(t *numa.Topology, l locks.RWMutex) locks.RWExecutor { return wrapRW(t, l) }
+				d.NewRWExec = func(t *numa.Topology) locks.RWExecutor { return wrapRW(t, newRW(t)) }
+				d.NewExec = func(t *numa.Topology) locks.Executor { return wrapRW(t, newRW(t)) }
+			}
+			entries = append(entries, d)
 		}
-		combA := Entry{
-			Name:      "comb-a-" + e.Name,
-			Desc:      "adaptive combining executor over " + e.Name + ": occupancy-scaled patience and harvest passes",
-			Base:      e.Name,
-			Extension: true,
-			WrapExec: func(t *numa.Topology, m locks.Mutex) locks.Executor {
-				return locks.NewCombiningAdaptive(t, m)
-			},
-			NewExec: func(t *numa.Topology) locks.Executor {
-				return locks.NewCombiningAdaptive(t, newMutex(t))
-			},
-		}
-		if e.NewRW != nil {
-			newRW := e.NewRW
-			comb.Desc = "combining reader-writer executor over " + e.Name + ": batched exclusive closures, same-cluster reads harvested under one RLock"
-			comb.NewRWExec = func(t *numa.Topology) locks.RWExecutor {
-				return locks.NewRWCombining(t, newRW(t))
-			}
-			comb.WrapRWExec = func(t *numa.Topology, l locks.RWMutex) locks.RWExecutor {
-				return locks.NewRWCombining(t, l)
-			}
-			comb.NewExec = func(t *numa.Topology) locks.Executor {
-				return locks.NewRWCombining(t, newRW(t))
-			}
-			combA.Desc = "adaptive combining reader-writer executor over " + e.Name + ": occupancy-scaled patience and passes on both modes"
-			combA.NewRWExec = func(t *numa.Topology) locks.RWExecutor {
-				return locks.NewRWCombiningAdaptive(t, newRW(t))
-			}
-			combA.WrapRWExec = func(t *numa.Topology, l locks.RWMutex) locks.RWExecutor {
-				return locks.NewRWCombiningAdaptive(t, l)
-			}
-			combA.NewExec = func(t *numa.Topology) locks.Executor {
-				return locks.NewRWCombiningAdaptive(t, newRW(t))
-			}
-		}
-		entries = append(entries, comb, combA)
 	}
 }
 

@@ -60,9 +60,9 @@ type Config struct {
 	// wait in the listen backlog), sustained clearance restores it one
 	// step at a time, and acute overload past shedMultiplier×
 	// BusyThreshold sheds flushes with "SERVER_ERROR busy" (see
-	// admission.go and DESIGN.md §8). Requires a lock family with an
-	// occupancy estimator (comb-a-*); inert otherwise — check
-	// OccupancyTracked.
+	// admission.go and DESIGN.md §8). Requires a combining lock
+	// (comb-*), the family with an occupancy estimator; inert otherwise
+	// — check OccupancyTracked.
 	AdaptiveAdmission bool
 	// BusyThreshold is the sampled per-shard occupancy at which the
 	// server counts a tick as overloaded. Default: half the topology's
@@ -188,7 +188,7 @@ type Stats struct {
 	// shard's combiner at the worst moment — under AdaptiveAdmission
 	// this is the signal the admission cap and the shed valve react
 	// to. -1 when no shard's lock exposes an estimator (everything but
-	// the adaptive-combining comb-a-* family).
+	// the combining comb-* family).
 	MaxOccupancy int
 	// SheddedOps counts operations refused with "SERVER_ERROR busy"
 	// while the shed valve was engaged (never acknowledged, never

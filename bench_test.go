@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/kvload"
 	"repro/internal/kvstore"
@@ -501,6 +502,72 @@ func BenchmarkBatchedStore(b *testing.B) {
 			b.ReportMetric(sum/float64(b.N), "ops/s")
 		})
 	}
+	b.Run("coldindex/batch1", func(b *testing.B) { benchColdIndex(b, 1) })
+	b.Run("coldindex/batch16", func(b *testing.B) { benchColdIndex(b, 16) })
+}
+
+// benchColdIndex is BenchmarkBatchedStore's cold-index case: one proc
+// reads uniformly random keys out of 200 000 resident 128 B values on 8
+// shards (about 45 MB of items, values and bucket words, far past a
+// core's private caches), simulated charges at their minimum, so each lookup
+// is the two dependent index misses — bucket word, then item line — and
+// the value's. batch 1 issues single Gets: the misses queue one behind
+// the other under the shard lock. batch 16 issues MGets: Store.route's
+// warm pass loads every key's bucket head and head-item key word before
+// the first shard lock is taken, so the sixteen chains overlap. The
+// ns/key gap between the two cases is that overlap plus the saved
+// acquisitions (`go test -bench BatchedStore/coldindex`).
+//
+// The warm pass discards what it loads, so it only works if the loads
+// survive compilation. They do: sync/atomic loads are intrinsics with a
+// memory effect, which dead-code elimination keeps. `go tool objdump -s
+// 'kvstore.\(\*Store\).route$'` on a go1.24 amd64 test binary shows
+// warmBucket, warmItem and cwarmItem inlined into route as plain MOVs —
+// pointer index: `MOVQ 0(DX), DX` (bucket head, type.go:54) in the
+// first loop, then `MOVQ 0(R9), R9`, `TESTQ R9, R9`, `MOVQ 0(R9), R9`
+// (head again, then its key, type.go:169) in the second; compact index:
+// `MOVL 0(DX), DX` (bucket word), the chunk-table entry, `MOVQ 0(DX),
+// DX` (key).
+func benchColdIndex(b *testing.B, batch int) {
+	const (
+		resident = 200_000
+		valueLen = 128
+	)
+	topo := numa.New(2, 2)
+	store := kvstore.New(kvstore.Config{
+		Topo:        topo,
+		Locking:     kvstore.FromMutex(registry.MustLookup("pthread").MutexFactory(topo)),
+		Shards:      8,
+		MaxBatch:    16,
+		Buckets:     2 * resident,
+		Capacity:    2 * resident,
+		Cache:       cachesim.Config{LocalNs: 0, RemoteNs: 1},
+		ItemLocalNs: 0, ItemRemoteNs: 1,
+	})
+	p := topo.Proc(0)
+	val := make([]byte, valueLen)
+	for k := uint64(0); k < resident; k++ {
+		store.Set(p, k, val)
+	}
+	keys := make([]uint64, batch)
+	dsts := make([][]byte, batch)
+	for i := range dsts {
+		dsts[i] = make([]byte, valueLen)
+	}
+	lens := make([]int, batch)
+	found := make([]bool, batch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = uint64(p.RandN(resident))
+		}
+		if batch == 1 {
+			store.Get(p, keys[0], dsts[0])
+		} else {
+			store.MGet(p, keys, dsts, lens, found)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
 }
 
 // BenchmarkTable2Malloc reproduces Table 2: mmicro malloc-free pairs

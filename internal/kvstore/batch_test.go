@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,64 +160,167 @@ func TestBatchStatsCountedOncePerOp(t *testing.T) {
 	}
 }
 
+// lruOrder lists every shard's keys from MRU to LRU victim.
+func lruOrder(s *Store) [][]uint64 {
+	out := make([][]uint64, len(s.shards))
+	for i, sh := range s.shards {
+		if cs := sh.compact; cs != nil {
+			for j := cs.head; j != nilIdx; j = cs.at(j).next {
+				out[i] = append(out[i], cs.at(j).key.Load())
+			}
+			continue
+		}
+		for it := sh.head; it != nil; it = it.next {
+			out[i] = append(out[i], it.key.Load())
+		}
+	}
+	return out
+}
+
+// TestBatchedStoreMatchesSequential: a batched run must be
+// indistinguishable from the same operations issued one at a time —
+// same answers, same contents, same LRU order, same statistics down to
+// the cachesim migration count. Single-key calls never run route's warm
+// pass and batch calls always do, so this is also the proof that the
+// warm pass is not observable: on an empty store (nil bucket heads), on
+// absent and duplicate keys, across shards, on one shard, and for a
+// ClusterAffine requester whose cluster owns no shard.
 func TestBatchedStoreMatchesSequential(t *testing.T) {
-	// A single-shard batched run must be indistinguishable from the
-	// sequential calls: same contents, same LRU order, same statistics.
-	topo := numa.New(2, 4)
-	p := topo.Proc(0)
-	batched := newBatchStore(topo, 1, 4)
-	sequential := newBatchStore(topo, 1, 4)
+	stores := []struct {
+		name             string
+		clusters, shards int
+		place            Placement
+		im               IndexMemory
+	}{
+		{"one-shard", 2, 1, HashMod, IndexPointer},
+		{"one-shard-compact", 2, 1, HashMod, IndexCompact},
+		{"hashmod-4", 2, 4, HashMod, IndexPointer},
+		{"hashmod-4-compact", 2, 4, HashMod, IndexCompact},
+		{"affine-shardless-cluster", 3, 2, ClusterAffine, IndexPointer},
+		{"affine-shardless-cluster-compact", 3, 2, ClusterAffine, IndexCompact},
+	}
+	for _, sc := range stores {
+		t.Run(sc.name, func(t *testing.T) {
+			topo := numa.New(sc.clusters, 2*sc.clusters)
+			mk := func() *Store {
+				return New(Config{
+					Topo:        topo,
+					Locking:     FromMutex(func() locks.Mutex { return locks.NewPthread() }),
+					Shards:      sc.shards,
+					MaxBatch:    4,
+					Placement:   sc.place,
+					Buckets:     64,
+					Capacity:    48, // the 60-key range below evicts
+					IndexMemory: sc.im,
+				})
+			}
+			batched, sequential := mk(), mk()
+			same := func(step string) {
+				t.Helper()
+				if bs, ss := batched.Snapshot(), sequential.Snapshot(); bs != ss {
+					t.Fatalf("%s: stats diverge: batched %+v, sequential %+v", step, bs, ss)
+				}
+				if bo, so := lruOrder(batched), lruOrder(sequential); !reflect.DeepEqual(bo, so) {
+					t.Fatalf("%s: LRU order diverges:\nbatched    %v\nsequential %v", step, bo, so)
+				}
+				if err := batched.checkLRU(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+				if err := batched.CompactCheck(); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+			}
+			mget := func(step string, p *numa.Proc, keys []uint64) {
+				t.Helper()
+				dsts := make([][]byte, len(keys))
+				for i := range dsts {
+					dsts[i] = make([]byte, 32)
+				}
+				lens, found := make([]int, len(keys)), make([]bool, len(keys))
+				batched.MGet(p, keys, dsts, lens, found)
+				dst := make([]byte, 32)
+				for i, k := range keys {
+					n, ok := sequential.Get(p, k, dst)
+					if ok != found[i] || n != lens[i] || !bytes.Equal(dst[:n], dsts[i][:lens[i]]) {
+						t.Fatalf("%s: key %d: batched (%q,%v) vs sequential (%q,%v)", step, k, dsts[i][:lens[i]], found[i], dst[:n], ok)
+					}
+				}
+				same(step)
+			}
+			mset := func(step string, p *numa.Proc, keys []uint64, base int) {
+				t.Helper()
+				vals := make([][]byte, len(keys))
+				for i := range vals {
+					vals[i] = val(base + i)
+				}
+				batched.MSet(p, keys, vals)
+				for i, k := range keys {
+					sequential.Set(p, k, vals[i])
+				}
+				same(step)
+			}
+			mdelete := func(step string, p *numa.Proc, keys []uint64) {
+				t.Helper()
+				found := make([]bool, len(keys))
+				n := batched.MDeleteEach(p, keys, found)
+				want := 0
+				for i, k := range keys {
+					ok := sequential.Delete(p, k)
+					if ok {
+						want++
+					}
+					if ok != found[i] {
+						t.Fatalf("%s: key %d: batched deleted %v, sequential %v", step, k, found[i], ok)
+					}
+				}
+				if n != want {
+					t.Fatalf("%s: batched removed %d keys, sequential %d", step, n, want)
+				}
+				same(step)
+			}
+			// One requester per cluster; the last cluster of the affine
+			// stores owns no shard.
+			procs := make([]*numa.Proc, sc.clusters)
+			for c := range procs {
+				procs[c] = topo.Proc(c)
+			}
+			seq := func(n, mod, off int) []uint64 {
+				keys := make([]uint64, n)
+				for i := range keys {
+					keys[i] = uint64(off + i%mod)
+				}
+				return keys
+			}
 
-	const n = 50
-	keys := make([]uint64, n)
-	vals := make([][]byte, n)
-	for i := range keys {
-		keys[i] = uint64(i % 40) // include duplicate keys: last write wins
-		vals[i] = val(i)
-	}
-	batched.MSet(p, keys, vals)
-	for i := range keys {
-		sequential.Set(p, keys[i], vals[i])
-	}
-
-	if got, want := batched.Len(p), sequential.Len(p); got != want {
-		t.Fatalf("Len: batched %d, sequential %d", got, want)
-	}
-	dst := make([]byte, 32)
-	dst2 := make([]byte, 32)
-	for k := uint64(0); k < 40; k++ {
-		n1, ok1 := batched.Get(p, k, dst)
-		n2, ok2 := sequential.Get(p, k, dst2)
-		if ok1 != ok2 || n1 != n2 || !bytes.Equal(dst[:n1], dst2[:n2]) {
-			t.Fatalf("key %d: batched (%q,%v) vs sequential (%q,%v)", k, dst[:n1], ok1, dst2[:n2], ok2)
-		}
-	}
-	bs, ss := batched.Snapshot(), sequential.Snapshot()
-	if bs != ss {
-		t.Fatalf("stats diverge: batched %+v, sequential %+v", bs, ss)
-	}
-	if err := batched.checkLRU(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Deletes: remove every even key through the batch API on one
-	// store, sequentially on the other.
-	var evens []uint64
-	for k := uint64(0); k < 40; k += 2 {
-		evens = append(evens, k)
-	}
-	deleted := batched.MDelete(p, evens)
-	want := 0
-	for _, k := range evens {
-		if sequential.Delete(p, k) {
-			want++
-		}
-	}
-	if deleted != want {
-		t.Fatalf("MDelete removed %d keys, sequential removed %d", deleted, want)
-	}
-	if got, wantLen := batched.Len(p), sequential.Len(p); got != wantLen {
-		t.Fatalf("Len after delete: batched %d, sequential %d", got, wantLen)
+			for _, p := range procs {
+				mget("empty store", p, seq(10, 7, 0)) // absent, with duplicates
+				mdelete("empty store", p, seq(10, 7, 0))
+			}
+			for c, p := range procs {
+				// Duplicates resolve last-wins; successive requesters sit
+				// on different clusters, so metadata lines migrate.
+				mset("first sets", p, seq(50, 40, 0), 100*c)
+			}
+			for _, p := range procs {
+				mget("hits, misses, duplicates", p, seq(30, 25, 30)) // 40..54 absent
+			}
+			for c, p := range procs {
+				mset("evicting sets", p, seq(40, 40, 20), 1000+100*c)
+			}
+			for c, p := range procs {
+				mdelete("deletes", p, seq(24, 16, 16*c)) // duplicates and already-evicted keys
+				mget("after deletes", p, seq(60, 60, 0))
+			}
+			if st := batched.Snapshot(); st.Evictions == 0 || st.MetaMisses == 0 || st.Hits == 0 || st.Misses == 0 {
+				t.Fatalf("script left a path unexercised: %+v", st)
+			}
+			for k := uint64(0); k < 60; k++ {
+				mget("contents", procs[0], []uint64{k})
+			}
+			if got, want := batched.Len(procs[0]), sequential.Len(procs[0]); got != want {
+				t.Fatalf("Len: batched %d, sequential %d", got, want)
+			}
+		})
 	}
 }
 

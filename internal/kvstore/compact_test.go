@@ -308,7 +308,13 @@ func TestCompactSlabGrowth(t *testing.T) {
 	if got := s.Len(p); got != n {
 		t.Fatalf("Len = %d want %d", got, n)
 	}
-	if chunks := len(s.shards[0].compact.chunks); chunks != 3 {
+	chunks := 0
+	for i := range s.shards[0].compact.chunks {
+		if s.shards[0].compact.chunks[i].Load() != nil {
+			chunks++
+		}
+	}
+	if chunks != 3 {
 		t.Fatalf("slab has %d chunks, want 3 for %d items", chunks, n)
 	}
 	dst := make([]byte, 8)
@@ -316,6 +322,25 @@ func TestCompactSlabGrowth(t *testing.T) {
 		if m, ok := s.Get(p, k, dst); !ok || m != len(val) || dst[0] != byte(k) {
 			t.Fatalf("key %d lost after growth: %d,%v,%x", k, m, ok, dst[0])
 		}
+	}
+	if err := s.CompactCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactChunkTableBound fills a shard whose capacity ends one slot
+// short of a chunk boundary: the insert that trips the first eviction
+// holds capacity+1 items and takes the first slot of the next chunk, the
+// highest index the fixed-length chunk table must cover.
+func TestCompactChunkTableBound(t *testing.T) {
+	topo := numa.New(2, 2)
+	s := newIndexStore(topo, 1, slabChunkSize-1, ValueHeap, IndexCompact)
+	p := topo.Proc(0)
+	for k := uint64(0); k < slabChunkSize+50; k++ {
+		s.Set(p, k, []byte{byte(k)})
+	}
+	if got := s.Len(p); got != slabChunkSize-1 {
+		t.Fatalf("Len = %d want %d", got, slabChunkSize-1)
 	}
 	if err := s.CompactCheck(); err != nil {
 		t.Fatal(err)

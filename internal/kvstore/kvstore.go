@@ -348,8 +348,8 @@ type Store struct {
 	// p.ID(). A proc is used by one goroutine at a time (the numa.Proc
 	// contract the shards' per-proc slots already rest on), so a batch
 	// call owns its proc's entry for the duration of the call; the
-	// buffers grow to the largest batch seen and are then reused, so
-	// steady-state routing allocates nothing.
+	// buffers grow by doubling to cover the largest batch seen and are
+	// then reused, so steady-state routing allocates nothing.
 	routes []routeScratch
 }
 
@@ -485,11 +485,17 @@ func (s *Store) Delete(p *numa.Proc, key uint64) bool {
 // index lands in exactly one group, the routing-completeness the batch
 // APIs rely on. A single-shard store gets the identity order. Both
 // slices alias p's scratch and are valid until p's next batch call.
+//
+// Every batch call passes through here before it takes a shard lock,
+// so this is also where the batch's index lines are warmed (see
+// Shard.warmBucket).
 func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 	rs := &s.routes[p.ID()]
 	if cap(rs.order) < len(keys) {
-		rs.order = make([]int, len(keys))
-		rs.shard = make([]int32, len(keys))
+		// Doubling, so batches that creep upward reallocate O(log n) times.
+		n := max(len(keys), 2*cap(rs.order))
+		rs.order = make([]int, n)
+		rs.shard = make([]int32, n)
 	}
 	order, shard, start := rs.order[:len(keys)], rs.shard[:len(keys)], rs.start
 	clear(start)
@@ -497,6 +503,9 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 		si := s.shardIndex(p, k)
 		shard[i] = int32(si)
 		start[si]++
+		// Start this key's index misses now, while no lock is held: the
+		// batch's load chains are independent, so they overlap.
+		s.shards[si].warmBucket(k)
 	}
 	// Counts become group ends; each group then fills from its end
 	// backwards while the keys are walked in reverse, which keeps caller
@@ -508,6 +517,19 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 		si := shard[i]
 		start[si]--
 		order[start[si]] = i
+	}
+	// Second warm step, with every key's bucket load already in flight.
+	// Every shard of a store shares one index layout, and choosing it
+	// here rather than per key keeps both bodies small enough to inline
+	// (a call per key gave back a third of the pass's gain).
+	if s.indexMem == IndexCompact {
+		for i, k := range keys {
+			s.shards[shard[i]].cwarmItem(k)
+		}
+	} else {
+		for i, k := range keys {
+			s.shards[shard[i]].warmItem(k)
+		}
 	}
 	return order, start
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -20,16 +21,38 @@ import (
 // wrong operation, or a result read before the combiner's done store
 // therefore shows as a wrong byte here — and as a data race under
 // -race, which CI runs this package with.
+//
+// The evicting half of the matrix is the warm pass's hammer: a key
+// range ten times the capacity, so nearly every MSet inserts, evicts
+// and recycles an item through the free list while the other procs'
+// batch calls are in Store.route loading bucket heads and head-item
+// keys with no lock held — over every memory mode and every exclusion
+// seam. A bucket head or an item key stored plainly instead of
+// atomically is a data race there. A miss is always legal under
+// eviction, so those cases check what was found: an own key that is
+// found must carry exactly the reference's bytes.
 func TestRecordReuseHammer(t *testing.T) {
 	const (
 		procs    = 4
-		keyspace = 96 // keys k with k%procs == id belong to proc id
 		batch    = 12
 		valueLen = 48
 	)
-	rounds := 3000
-	if testing.Short() {
-		rounds = 500
+	type hammerCase struct {
+		lock     string
+		vm       ValueMemory
+		im       IndexMemory
+		evicting bool
+	}
+	cases := []hammerCase{
+		{"comb-a-mcs", ValueHeap, IndexPointer, false},
+		{"comb-a-rw-mcs", ValueHeap, IndexPointer, false},
+	}
+	for _, vm := range []ValueMemory{ValueHeap, ValueArena} {
+		for _, im := range []IndexMemory{IndexPointer, IndexCompact} {
+			for _, lock := range []string{"pthread", "rw-mcs", "comb-a-mcs", "comb-a-rw-mcs"} {
+				cases = append(cases, hammerCase{lock, vm, im, true})
+			}
+		}
 	}
 	// A value names its key and version and is filled with a byte
 	// derived from both, so bytes from another key, another version or
@@ -52,16 +75,27 @@ func TestRecordReuseHammer(t *testing.T) {
 		return bytes.Equal(got, want)
 	}
 
-	for _, lock := range []string{"comb-a-mcs", "comb-a-rw-mcs"} {
-		t.Run(lock, func(t *testing.T) {
+	for _, hc := range cases {
+		// keys k with k%procs == id belong to proc id
+		keyspace, capacity, rounds := int64(96), 4*96, 3000
+		name, evicting := hc.lock, hc.evicting
+		if evicting {
+			keyspace, capacity, rounds = 640, 64, 800
+			name = fmt.Sprintf("evicting/%s-%s/%s", hc.vm, hc.im, hc.lock)
+		}
+		if testing.Short() {
+			rounds /= 6
+		}
+		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, procs)
-			src, err := FromRegistry(topo, lock)
+			src, err := FromRegistry(topo, hc.lock)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := New(Config{
 				Topo: topo, Locking: src, Shards: 2, MaxBatch: 5,
-				TouchEvery: 3, Buckets: 256, Capacity: 4 * keyspace,
+				TouchEvery: 3, Buckets: 256, Capacity: capacity,
+				ValueMemory: hc.vm, IndexMemory: hc.im, ArenaBytes: 1 << 20,
 			})
 			var refMu sync.Mutex
 			ref := make(map[uint64][]byte) // absent = deleted
@@ -92,6 +126,9 @@ func TestRecordReuseHammer(t *testing.T) {
 						refMu.Lock()
 						want, present := ref[key]
 						refMu.Unlock()
+						if !ok && evicting {
+							return
+						}
 						if ok != present || (ok && !bytes.Equal(got, want)) {
 							t.Errorf("proc %d %s(%d): got (%x, %v), reference (%x, %v)", id, op, key, got, ok, want, present)
 						}
@@ -119,7 +156,7 @@ func TestRecordReuseHammer(t *testing.T) {
 							for i := 0; i < n; i++ {
 								// A duplicate later in the batch finds the
 								// key already gone.
-								if _, present := ref[keys[i]]; present != found[i] {
+								if _, present := ref[keys[i]]; present != found[i] && (found[i] || !evicting) {
 									t.Errorf("proc %d MDeleteEach(%d): found %v, reference present %v", id, keys[i], found[i], present)
 								}
 								delete(ref, keys[i])
@@ -146,17 +183,29 @@ func TestRecordReuseHammer(t *testing.T) {
 			// Quiescent: the store holds exactly the reference.
 			p := topo.Proc(0)
 			dst := make([]byte, valueLen)
-			for key := uint64(0); key < keyspace; key++ {
+			for key := uint64(0); key < uint64(keyspace); key++ {
 				n, ok := s.Get(p, key, dst)
 				want, present := ref[key]
+				if !ok && evicting {
+					continue
+				}
 				if ok != present || (ok && !bytes.Equal(dst[:n], want)) {
 					t.Errorf("final Get(%d): got (%x, %v), reference (%x, %v)", key, dst[:n], ok, want, present)
 				}
 			}
-			if got, want := s.Len(p), len(ref); got != want {
-				t.Errorf("store holds %d items, reference %d", got, want)
+			if got, want := s.Len(p), len(ref); got != want && !(evicting && got <= min(want, s.Capacity())) {
+				t.Errorf("store holds %d items, reference %d, capacity %d", got, want, s.Capacity())
+			}
+			if evicting && s.Snapshot().Evictions == 0 {
+				t.Error("evicting case never evicted")
 			}
 			if err := s.checkLRU(); err != nil {
+				t.Error(err)
+			}
+			if err := s.CompactCheck(); err != nil {
+				t.Error(err)
+			}
+			if err := s.ArenaCheck(p); err != nil {
 				t.Error(err)
 			}
 			for _, sh := range s.shards {

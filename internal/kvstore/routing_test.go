@@ -90,3 +90,27 @@ func TestRouteIsStablePartition(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteScratchGrowsGeometrically: a caller whose batches creep
+// upward one key at a time must not reallocate its routing scratch on
+// every new high-water mark.
+func TestRouteScratchGrowsGeometrically(t *testing.T) {
+	topo := numa.New(2, 2)
+	s := New(Config{
+		Topo:    topo,
+		Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
+		Shards:  4,
+	})
+	p := topo.Proc(0)
+	keys := make([]uint64, 1024)
+	grows, last := 0, 0
+	for n := 1; n <= len(keys); n++ {
+		s.route(p, keys[:n])
+		if c := cap(s.routes[p.ID()].order); c != last {
+			grows, last = grows+1, c
+		}
+	}
+	if grows > 11 { // 1, 2, 4, ... 1024
+		t.Fatalf("scratch reallocated %d times over batches of 1..%d keys", grows, len(keys))
+	}
+}

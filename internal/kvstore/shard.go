@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/cachesim"
@@ -30,7 +31,7 @@ const (
 // exhausted. Arena offsets are always >= the 8-byte block header, so
 // 0 is never a valid block and needs no separate flag.
 type item struct {
-	key   uint64
+	key   atomic.Uint64 // written once per insert; see Shard.warmItem
 	hnext *item
 	prev  *item
 	next  *item
@@ -272,9 +273,9 @@ type Shard struct {
 	sharedReads bool
 	touchEvery  uint64
 	mask        uint64
-	buckets     []*item
-	head        *item // MRU
-	tail        *item // LRU victim
+	buckets     []atomic.Pointer[item] // chain heads; atomic for the lock-free warm pass (see warmBucket)
+	head        *item                  // MRU
+	tail        *item                  // LRU victim
 	count       int
 	capacity    int
 	free        *item // recycled items (chained via hnext)
@@ -335,9 +336,9 @@ func newShard(cfg shardConfig) *Shard {
 		r.s, r.fn = s, r.run
 	}
 	if cfg.compactIndex {
-		s.compact = newCompactShard(cfg.buckets)
+		s.compact = newCompactShard(cfg.buckets, cfg.capacity)
 	} else {
-		s.buckets = make([]*item, cfg.buckets)
+		s.buckets = make([]atomic.Pointer[item], cfg.buckets)
 	}
 	if cfg.arenaBytes > 0 {
 		a, err := alloc.New(alloc.Config{
@@ -363,12 +364,43 @@ func (s *Shard) hash(key uint64) uint64 {
 }
 
 func (s *Shard) find(key uint64) *item {
-	for it := s.buckets[s.hash(key)]; it != nil; it = it.hnext {
-		if it.key == key {
+	for it := s.buckets[s.hash(key)].Load(); it != nil; it = it.hnext {
+		if it.key.Load() == key {
 			return it
 		}
 	}
 	return nil
+}
+
+// warmBucket and warmItem are the two steps of the batch warm pass:
+// Store.route runs them for every key of a batch call before any shard
+// lock is taken, and both discard what they load. warmBucket loads the
+// key's bucket head word; warmItem, run once every key's bucket load is
+// in flight, loads the key word of that head item. Those are the two
+// dependent lines a lookup misses on, and with no lock (no barrier)
+// between them a batch's misses overlap one another instead of queueing
+// one by one inside the critical sections that follow, which then find
+// their index lines in cache.
+//
+// Running unlocked is legal only because of the publication rule
+// (DESIGN.md §4): bucket heads and item keys are atomics, stored inside
+// exclusive sections, and the warm pass loads nothing else — never
+// hnext, the LRU links, owner, value bytes, statistics or cachesim
+// state. A head that is unlinked, recycled or re-keyed between the two
+// loads is harmless: the item's memory stays valid, the result is
+// thrown away, and the locked lookup re-reads everything.
+func (s *Shard) warmBucket(key uint64) {
+	if cs := s.compact; cs != nil {
+		cs.buckets[s.hash(key)].Load()
+		return
+	}
+	s.buckets[s.hash(key)].Load()
+}
+
+func (s *Shard) warmItem(key uint64) {
+	if it := s.buckets[s.hash(key)].Load(); it != nil {
+		it.key.Load()
+	}
 }
 
 // touchItem charges the item-locality latency and migrates ownership,
@@ -413,11 +445,11 @@ func (s *Shard) lruFront(it *item) {
 // unlink removes it from both the hash chain and the LRU list. Must
 // hold the shard lock.
 func (s *Shard) unlink(it *item) {
-	b := s.hash(it.key)
-	if s.buckets[b] == it {
-		s.buckets[b] = it.hnext
+	b := &s.buckets[s.hash(it.key.Load())]
+	if head := b.Load(); head == it {
+		b.Store(it.hnext)
 	} else {
-		for cur := s.buckets[b]; cur != nil; cur = cur.hnext {
+		for cur := head; cur != nil; cur = cur.hnext {
 			if cur.hnext == it {
 				cur.hnext = it.hnext
 				break
@@ -627,10 +659,10 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 		} else {
 			it = &item{}
 		}
-		it.key = key
-		b := s.hash(key)
-		it.hnext = s.buckets[b]
-		s.buckets[b] = it
+		it.key.Store(key)
+		b := &s.buckets[s.hash(key)]
+		it.hnext = b.Load()
+		b.Store(it)
 		s.count++
 	} else {
 		s.touchItem(p, it)
@@ -990,7 +1022,7 @@ func (s *Shard) checkLRU() error {
 	var prev *item
 	for it := s.head; it != nil; it = it.next {
 		if it.prev != prev {
-			return fmt.Errorf("kvstore: broken prev link at %d", it.key)
+			return fmt.Errorf("kvstore: broken prev link at %d", it.key.Load())
 		}
 		prev = it
 		seen++

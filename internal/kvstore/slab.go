@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/numa"
 	"repro/internal/spin"
@@ -30,17 +31,24 @@ import (
 //     value block (the 8-byte header precedes every payload). No
 //     separate validity flag is needed on any link.
 //   - Slab indices are stable for the life of the shard: growth
-//     appends a fixed-size chunk and never moves existing chunks, so
-//     links never need rewriting. (A flat append-grown []citem would
-//     invalidate interior pointers held across an append and copy the
-//     whole table under the shard lock at each doubling; chunking
-//     bounds the growth step to one chunk allocation.)
+//     publishes one more fixed-size chunk and never moves existing
+//     chunks, so links never need rewriting. (A flat append-grown
+//     []citem would invalidate interior pointers held across an append
+//     and copy the whole table under the shard lock at each doubling;
+//     chunking bounds the growth step to one chunk allocation.)
+//   - The chunk table itself never grows: a shard holds at most
+//     capacity+1 items (the insert that trips eviction), so its length
+//     is fixed at construction and each entry is written once, nil to
+//     chunk, by an atomic store. That makes the table an immutable
+//     snapshot any goroutine may index — the unlocked warm pass walks
+//     bucket word -> chunk entry -> item key through the same at() the
+//     critical sections use.
 //   - Free slots are chained through hnext (the hash link, dead while
 //     an item is free), head of list in compactShard.free — the same
 //     recycling discipline as the pointer layout's free list, so the
 //     two modes pop recycled slots in identical order.
 type citem struct {
-	key   uint64
+	key   atomic.Uint64
 	hnext uint32 // hash chain link; free-list link while recycled
 	prev  uint32 // LRU toward MRU
 	next  uint32 // LRU toward LRU victim
@@ -68,12 +76,15 @@ const nilIdx uint32 = 0
 // buckets []uint32 instead of []*item, uint32 list heads instead of
 // *item, and the items themselves in chunked slabs.
 type compactShard struct {
-	buckets []uint32
+	// buckets and chunks are atomically published, like the pointer
+	// layout's bucket heads and item keys: written only inside exclusive
+	// sections, loaded there and by the lock-free warm pass.
+	buckets []atomic.Uint32
 	head    uint32 // MRU
 	tail    uint32 // LRU victim
 	free    uint32 // recycled slots (chained via hnext)
 	next    uint32 // allocation cursor: first never-used slot (starts at 1)
-	chunks  [][]citem
+	chunks  []atomic.Pointer[[slabChunkSize]citem]
 	// heapVals is the heap-value side table, parallel to chunks:
 	// heapVals[c][i] is the GC-heap buffer of slab index c<<shift|i, the
 	// compact twin of the pointer item's value field for values that
@@ -84,10 +95,15 @@ type compactShard struct {
 	heapVals [][][]byte
 }
 
-func newCompactShard(buckets int) *compactShard {
+func newCompactShard(buckets, capacity int) *compactShard {
+	// Slot 0 is reserved and an insert may briefly hold capacity+1
+	// items, so the highest index ever handed out is capacity+1.
+	nchunks := (capacity+1)>>slabChunkShift + 1
 	return &compactShard{
-		buckets: make([]uint32, buckets),
-		next:    1,
+		buckets:  make([]atomic.Uint32, buckets),
+		next:     1,
+		chunks:   make([]atomic.Pointer[[slabChunkSize]citem], nchunks),
+		heapVals: make([][][]byte, nchunks),
 	}
 }
 
@@ -96,7 +112,17 @@ func newCompactShard(buckets int) *compactShard {
 // mutation of the slot, which only the shard's critical sections
 // perform.
 func (cs *compactShard) at(i uint32) *citem {
-	return &cs.chunks[i>>slabChunkShift][i&slabChunkMask]
+	return &cs.chunks[i>>slabChunkShift].Load()[i&slabChunkMask]
+}
+
+// cwarmItem is warmItem on the compact layout. A bucket word always
+// names a slot whose chunk was published before the word was, so at()
+// is safe here with no lock held.
+func (s *Shard) cwarmItem(key uint64) {
+	cs := s.compact
+	if i := cs.buckets[s.hash(key)].Load(); i != nilIdx {
+		cs.at(i).key.Load()
+	}
 }
 
 // alloc returns a free slab index, popping the free list or advancing
@@ -112,9 +138,8 @@ func (cs *compactShard) alloc() uint32 {
 		return i
 	}
 	i := cs.next
-	if int(i>>slabChunkShift) == len(cs.chunks) {
-		cs.chunks = append(cs.chunks, make([]citem, slabChunkSize))
-		cs.heapVals = append(cs.heapVals, nil)
+	if c := &cs.chunks[i>>slabChunkShift]; c.Load() == nil {
+		c.Store(new([slabChunkSize]citem))
 	}
 	cs.next++
 	return i
@@ -150,8 +175,8 @@ func (cs *compactShard) clearHeapVal(i uint32) {
 // cfind is find on the compact layout: walk the bucket's index chain.
 func (s *Shard) cfind(key uint64) uint32 {
 	cs := s.compact
-	for i := cs.buckets[s.hash(key)]; i != nilIdx; i = cs.at(i).hnext {
-		if cs.at(i).key == key {
+	for i := cs.buckets[s.hash(key)].Load(); i != nilIdx; i = cs.at(i).hnext {
+		if cs.at(i).key.Load() == key {
 			return i
 		}
 	}
@@ -205,11 +230,11 @@ func (s *Shard) clruFront(i uint32) {
 func (s *Shard) cunlink(i uint32) {
 	cs := s.compact
 	it := cs.at(i)
-	b := s.hash(it.key)
-	if cs.buckets[b] == i {
-		cs.buckets[b] = it.hnext
+	b := &cs.buckets[s.hash(it.key.Load())]
+	if head := b.Load(); head == i {
+		b.Store(it.hnext)
 	} else {
-		for cur := cs.buckets[b]; cur != nilIdx; cur = cs.at(cur).hnext {
+		for cur := head; cur != nilIdx; cur = cs.at(cur).hnext {
 			if cs.at(cur).hnext == i {
 				cs.at(cur).hnext = it.hnext
 				break
@@ -270,10 +295,10 @@ func (s *Shard) capplySet(p *numa.Proc, key uint64, val []byte) {
 		s.domain.Access(p, lineAlloc, 2)
 		i = cs.alloc()
 		it = cs.at(i)
-		it.key = key
-		b := s.hash(key)
-		it.hnext = cs.buckets[b]
-		cs.buckets[b] = i
+		it.key.Store(key)
+		b := &cs.buckets[s.hash(key)]
+		it.hnext = b.Load()
+		b.Store(i)
 		s.count++
 	} else {
 		it = cs.at(i)
@@ -402,7 +427,7 @@ func (s *Shard) ccheckLRU() error {
 	prev := nilIdx
 	for i := cs.head; i != nilIdx; i = cs.at(i).next {
 		if cs.at(i).prev != prev {
-			return fmt.Errorf("kvstore: broken prev link at %d", cs.at(i).key)
+			return fmt.Errorf("kvstore: broken prev link at %d", cs.at(i).key.Load())
 		}
 		prev = i
 		seen++
@@ -448,7 +473,7 @@ func (s *Shard) compactCheck() error {
 	chained := 0
 	for b := range cs.buckets {
 		n := 0
-		for i := cs.buckets[b]; i != nilIdx; i = cs.at(i).hnext {
+		for i := cs.buckets[b].Load(); i != nilIdx; i = cs.at(i).hnext {
 			n++
 			if n > used {
 				return fmt.Errorf("kvstore: hash chain %d longer than slab (%d slots) — cycle", b, used)

@@ -631,14 +631,23 @@ func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
 // granularity, not per-op atomics) and once more on close.
 func (c *conn) fold() {
 	s := c.srv
-	s.gets.Add(c.gets)
-	s.sets.Add(c.sets)
-	s.deletes.Add(c.deletes)
-	s.hits.Add(c.hits)
-	s.flushes.Add(c.flushes)
-	s.badRequests.Add(c.badRequests)
-	s.sheddedOps.Add(c.shedded)
-	c.gets, c.sets, c.deletes, c.hits, c.flushes, c.badRequests, c.shedded = 0, 0, 0, 0, 0, 0, 0
+	drain(&s.gets, &c.gets)
+	drain(&s.sets, &c.sets)
+	drain(&s.deletes, &c.deletes)
+	drain(&s.hits, &c.hits)
+	drain(&s.flushes, &c.flushes)
+	drain(&s.badRequests, &c.badRequests)
+	drain(&s.sheddedOps, &c.shedded)
+}
+
+// drain moves a non-zero local count into its server total. A flush is
+// one verb, so most of a fold's counters are zero, and adding zero is
+// still a locked write to a line every connection shares.
+func drain(total *atomic.Uint64, local *uint64) {
+	if *local != 0 {
+		total.Add(*local)
+		*local = 0
+	}
 }
 
 func (c *conn) loop() {

@@ -317,14 +317,15 @@ func BenchmarkGCR(b *testing.B) {
 	}
 }
 
-// execTrialOpsPerSec runs one fixed-window trial against an executor:
-// threads workers each loop posting a small critical section (bump a
-// shared counter pair) through Exec.
-func execTrialOpsPerSec(topo *numa.Topology, x locks.Executor, threads int) float64 {
+// execTrialOpsPerSec runs one fixed-window trial against a set of
+// independent executors: threads workers each loop posting a small
+// critical section (bump the executor's own counter pair) through
+// Exec, visiting the executors round-robin.
+func execTrialOpsPerSec(topo *numa.Topology, xs []locks.Executor, threads int) float64 {
 	var ops atomic.Uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	var a, b int64 // protected by the executor's exclusion
+	pairs := make([]struct{ a, b int64 }, len(xs)) // each protected by its executor's exclusion
 	for w := 0; w < threads; w++ {
 		wg.Add(1)
 		go func(p *numa.Proc) {
@@ -337,7 +338,8 @@ func execTrialOpsPerSec(topo *numa.Topology, x locks.Executor, threads int) floa
 					return
 				default:
 				}
-				x.Exec(p, func() { a++; b++ })
+				k := int(n % uint64(len(xs)))
+				xs[k].Exec(p, func() { pairs[k].a++; pairs[k].b++ })
 				n++
 			}
 		}(topo.Proc(w))
@@ -345,8 +347,10 @@ func execTrialOpsPerSec(topo *numa.Topology, x locks.Executor, threads int) floa
 	time.Sleep(trialWindow)
 	close(stop)
 	wg.Wait()
-	if a != b {
-		panic("executor exclusion violated in benchmark")
+	for _, pr := range pairs {
+		if pr.a != pr.b {
+			panic("executor exclusion violated in benchmark")
+		}
 	}
 	return float64(ops.Load()) / trialWindow.Seconds()
 }
@@ -359,37 +363,59 @@ func execTrialOpsPerSec(topo *numa.Topology, x locks.Executor, threads int) floa
 // alongside throughput each sub-benchmark reports measured
 // ops-per-acquisition — the amortization the adaptive policy must meet
 // or beat (direct is definitionally 1.0).
+//
+// The procs=2/cross rows are the other end: two procs, one per
+// cluster, over eight independent executors picked round-robin — the
+// shape of a sharded store's write path at two workers, where there is
+// nothing cluster-local to combine and what a combining executor adds
+// over direct is its fixed cost. As with BenchmarkUncontended's exec
+// rows, state -cpu: numa.New sets the spin discipline from GOMAXPROCS.
 func BenchmarkCombining(b *testing.B) {
 	threads := contendedThreads()
 	for _, name := range []string{"mcs", "c-bo-mcs", "cna"} {
 		for _, variant := range []string{"direct", "comb", "comb-a"} {
 			b.Run(name+"/"+variant, func(b *testing.B) {
-				e := registry.MustLookup(name)
 				topo := numa.New(4, threads)
-				var sum, amort float64
-				for i := 0; i < b.N; i++ {
-					var acq atomic.Uint64
-					inner := locks.CountAcquisitions(e.NewMutex(topo), &acq)
-					var x locks.Executor
-					switch variant {
-					case "comb":
-						x = locks.NewCombining(topo, inner)
-					case "comb-a":
-						x = locks.NewCombiningAdaptive(topo, inner)
-					default:
-						x = locks.ExecFromMutex(inner)
-					}
-					rate := execTrialOpsPerSec(topo, x, threads)
-					sum += rate
-					if n := acq.Load(); n > 0 {
-						amort += rate * trialWindow.Seconds() / float64(n)
-					}
-				}
-				b.ReportMetric(sum/float64(b.N), "ops/s")
-				b.ReportMetric(amort/float64(b.N), "ops/acq")
+				benchExecutors(b, topo, name, variant, 1, threads)
 			})
 		}
 	}
+	for _, variant := range []string{"direct", "comb", "comb-a"} {
+		b.Run("procs=2/cross/c-bo-mcs/"+variant, func(b *testing.B) {
+			benchExecutors(b, numa.New(2, 4), "c-bo-mcs", variant, 8, 2)
+		})
+	}
+}
+
+// benchExecutors runs one trial per iteration of threads workers
+// (procs 0..threads-1) over count executors of the given variant, each
+// over its own counted instance of the named lock, and reports ops/s
+// and ops per acquisition.
+func benchExecutors(b *testing.B, topo *numa.Topology, lock, variant string, count, threads int) {
+	e := registry.MustLookup(lock)
+	var sum, amort float64
+	for i := 0; i < b.N; i++ {
+		var acq atomic.Uint64
+		xs := make([]locks.Executor, count)
+		for k := range xs {
+			inner := locks.CountAcquisitions(e.NewMutex(topo), &acq)
+			switch variant {
+			case "comb":
+				xs[k] = locks.NewCombining(topo, inner)
+			case "comb-a":
+				xs[k] = locks.NewCombiningAdaptive(topo, inner)
+			default:
+				xs[k] = locks.ExecFromMutex(inner)
+			}
+		}
+		rate := execTrialOpsPerSec(topo, xs, threads)
+		sum += rate
+		if n := acq.Load(); n > 0 {
+			amort += rate * trialWindow.Seconds() / float64(n)
+		}
+	}
+	b.ReportMetric(sum/float64(b.N), "ops/s")
+	b.ReportMetric(amort/float64(b.N), "ops/acq")
 }
 
 // BenchmarkSharedBatchedReads measures the read-side amortization
@@ -640,7 +666,14 @@ func BenchmarkAblationBatch(b *testing.B) {
 
 // BenchmarkUncontended measures single-thread lock+unlock latency for
 // every blocking lock — the low-contention overhead discussion of
-// §4.1.3 (here ns/op is the metric itself).
+// §4.1.3 (here ns/op is the metric itself) — and, as exec/<name> rows,
+// what one proc pays to run a no-op closure through each executor over
+// c-bo-mcs: the bare bracket, then the combining cores (a reader-writer
+// one through ExecShared), whose distance from it is the combiner's
+// fixed cost when there is nothing to combine. State -cpu (say -cpu 2) when comparing exec rows: numa.New
+// sets the spin discipline from GOMAXPROCS, and a combiner's
+// batch-boundary yield only costs anything under the oversubscribed
+// one.
 func BenchmarkUncontended(b *testing.B) {
 	for _, e := range registry.Blocking() {
 		b.Run(e.Name, func(b *testing.B) {
@@ -651,6 +684,26 @@ func BenchmarkUncontended(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				l.Lock(p)
 				l.Unlock(p)
+			}
+		})
+	}
+	for _, name := range []string{"c-bo-mcs", "comb-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"} {
+		b.Run("exec/"+name, func(b *testing.B) {
+			topo := numa.New(2, 4)
+			var exec func(*numa.Proc, func())
+			switch e := registry.MustLookup(name); {
+			case e.NewRWExec != nil:
+				exec = e.NewRWExec(topo).ExecShared
+			case e.NewExec != nil:
+				exec = e.NewExec(topo).Exec
+			default:
+				exec = locks.ExecFromMutex(e.NewMutex(topo)).Exec
+			}
+			p := topo.Proc(0)
+			fn := func() {}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exec(p, fn)
 			}
 		})
 	}

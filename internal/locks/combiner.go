@@ -33,10 +33,24 @@ type combSlot struct {
 // the closure completes, so it over-approximates the posted-slot count
 // by at most the requests in their brief post/return windows — the
 // cheap, slightly-stale estimate an admission policy wants — and only
-// same-cluster procs touch it, so reading it never crosses sockets.
+// same-cluster procs write it.
+//
+// Invariant: a slot is posted only while its cluster's occupancy is
+// >= 1; the decrement follows the slot's return to idle (and the
+// release of a gate the request held). Two things lean on it. An
+// increment that observes the count rising from zero proves the
+// cluster has no poster and no elected combiner, so the caller may act
+// alone; and a count of zero proves the cluster has no posted slot, so
+// another cluster's rescue sweep may skip it after one load.
+//
+// ops and batches are this cluster's share of the executor's counters
+// (closures run and brackets taken by its procs), kept here because
+// every request already owns this line for its increment.
 type occSlot struct {
-	n atomic.Int32
-	_ numa.Pad
+	n       atomic.Int32
+	ops     atomic.Uint64
+	batches atomic.Uint64
+	_       numa.Pad
 }
 
 // policy is how a combiner scales with its cluster's occupancy: a
@@ -99,24 +113,24 @@ func (pol policy) passes(occ int32) int {
 //
 // The bracket is a value: an exclusive combiner is handed the lock
 // itself, a shared one the lock's read face (sharedFace).
+//
+// Every field of the struct itself is written once, by init: what
+// requests write lives on per-cluster (occ, gates) and per-proc (slots)
+// lines, so no line is written by two clusters except a gate or slot
+// through the election and harvest protocols.
 type combiner struct {
 	m Mutex
 	// shares records that the bracket admits concurrent holders, and
-	// turns on the lone-poster bypass, nothing else: a proc with no
-	// same-cluster peer in flight has no batch to form, so it takes a
-	// shareable bracket directly and the idle read path costs what
-	// ExecFromRWMutex does. Under an exclusive bracket it elects
-	// eagerly instead, so peers arriving while it waits for the lock
-	// find a combiner to ride.
-	shares bool
-	pol    policy
-	// active counts running combiners; posters elect eagerly while it
-	// is zero (no batch anywhere to ride) and otherwise linger the
-	// patience window to be harvested instead of competing.
-	active  atomic.Int32
-	ops     atomic.Uint64 // closures executed
-	batches atomic.Uint64 // brackets taken
-	_       numa.Pad
+	// selects what a proc with no same-cluster peer in flight — no
+	// batch to form — does, nothing else. It takes a shareable bracket
+	// directly, gate and slots untouched, so the idle read path costs
+	// what ExecFromRWMutex does. Under an exclusive bracket it takes
+	// the solo path: it wins the cluster gate and combines with its
+	// closure in hand, never published, so the idle path costs one gate
+	// CAS over the bare bracket and peers arriving while it waits for
+	// the lock still find a combiner to ride.
+	shares  bool
+	pol     policy
 	occ     []occSlot
 	gates   []combinerGate
 	slots   []combSlot
@@ -134,35 +148,45 @@ func (c *combiner) init(topo *numa.Topology, m Mutex, shares bool, pol policy) {
 	}
 }
 
-// Exec publishes fn and waits until a combiner (possibly this proc)
-// has run it, or runs it directly on the bypass path.
+// Exec runs fn inside the bracket: directly on the bypass path, in
+// hand on the solo path, or by publishing it and waiting until a
+// combiner (possibly this proc) has run it.
 func (c *combiner) Exec(p *numa.Proc, fn func()) {
 	oc := &c.occ[p.Cluster()]
-	if oc.n.Add(1) == 1 && c.shares {
+	gate := &c.gates[p.Cluster()]
+	if oc.n.Add(1) == 1 {
 		// No same-cluster peer has a request in flight (peers decrement
-		// only after their slot is idle again), so no batch can form
-		// around this closure.
-		c.m.Lock(p)
-		fn()
-		c.m.Unlock(p)
-		c.batches.Add(1)
-		c.ops.Add(1)
-		oc.n.Add(-1)
-		return
+		// only after their slot is idle and their gate free), so no
+		// batch has formed around this closure.
+		if c.shares {
+			c.m.Lock(p)
+			fn()
+			c.m.Unlock(p)
+			oc.batches.Add(1)
+			oc.ops.Add(1)
+			oc.n.Add(-1)
+			return
+		}
+		// Only another cluster's rescue sweep can hold the gate now;
+		// it finds nothing of ours to serve, so post like anyone else.
+		if gate.held.CompareAndSwap(0, 1) {
+			c.combine(p, fn)
+			gate.held.Store(0)
+			oc.n.Add(-1)
+			return
+		}
 	}
 	slot := &c.slots[p.ID()]
 	slot.fn = fn
 	slot.state.Store(combPosted)
 
-	gate := &c.gates[p.Cluster()]
 	for i := 0; slot.state.Load() == combPosted; i++ {
 		// Bypass the patience window when no combiner is running
-		// anywhere: there is no batch to ride, so elect immediately
-		// (the low-contention fast path costs one gate CAS).
-		eager := c.active.Load() == 0
-		if (eager || i >= c.pol.patience(oc.n.Load())) && gate.held.Load() == 0 && gate.held.CompareAndSwap(0, 1) {
+		// anywhere: there is no batch to ride, so elect immediately.
+		// Otherwise linger to be harvested instead of competing.
+		if gate.held.Load() == 0 && (i >= c.pol.patience(oc.n.Load()) || c.quiet()) && gate.held.CompareAndSwap(0, 1) {
 			if slot.state.Load() == combPosted {
-				c.combine(p)
+				c.combine(p, nil)
 			}
 			gate.held.Store(0)
 			break // combine always runs the combiner's own closure
@@ -174,24 +198,44 @@ func (c *combiner) Exec(p *numa.Proc, fn func()) {
 	oc.n.Add(-1)
 }
 
-// combine runs the cluster's posted closures — the combiner's own
-// among them — inside one bracket. Called with the cluster gate held.
-func (c *combiner) combine(p *numa.Proc) {
-	cl := p.Cluster()
-	c.active.Add(1)
-	c.m.Lock(p)
-	// Sample occupancy once per bracket: the estimate drifting
-	// mid-batch only mis-sizes this batch's tail, never correctness.
-	passes := c.pol.passes(c.occ[cl].n.Load())
-	ran := uint64(0)
-	for pass := 0; pass < passes; pass++ {
-		if pass > 0 {
-			// Let in-flight requests publish, so batches form even at
-			// moderate per-cluster occupancy (same rationale as the
-			// FC-MCS harvest pause).
-			spin.Pause(combinePassPause)
+// quiet reports whether no cluster has an elected combiner (or a
+// sweeper standing in for one): every gate reads free.
+func (c *combiner) quiet() bool {
+	for i := range c.gates {
+		if c.gates[i].held.Load() != 0 {
+			return false
 		}
-		ran += c.harvest(cl)
+	}
+	return true
+}
+
+// combine runs the cluster's posted closures inside one bracket.
+// Called with the cluster gate held. The combiner's own closure is
+// among the posted ones (own == nil), or is handed over unpublished by
+// a solo caller and runs first.
+func (c *combiner) combine(p *numa.Proc, own func()) {
+	cl := p.Cluster()
+	oc := &c.occ[cl]
+	c.m.Lock(p)
+	ran := uint64(0)
+	if own != nil {
+		own()
+		ran = 1
+	}
+	// Sample occupancy once per bracket: the estimate drifting
+	// mid-batch only mis-sizes this batch's tail, never correctness. A
+	// solo caller still alone after its closure has nobody to harvest.
+	if occ := oc.n.Load(); own == nil || occ > 1 {
+		passes := c.pol.passes(occ)
+		for pass := 0; pass < passes; pass++ {
+			if pass > 0 {
+				// Let in-flight requests publish, so batches form even
+				// at moderate per-cluster occupancy (same rationale as
+				// the FC-MCS harvest pause).
+				spin.Pause(combinePassPause)
+			}
+			ran += c.harvest(cl)
+		}
 	}
 	// Rescue sweep: serve posters on clusters that have no combiner of
 	// their own. Cluster-local batching is a locality preference, not a
@@ -199,16 +243,18 @@ func (c *combiner) combine(p *numa.Proc) {
 	// spinning workers outnumber GOMAXPROCS: a cluster whose members
 	// are all starved of processor time may never win an election, and
 	// its posted closures would wait unboundedly while other clusters'
-	// combiners cycle the lock. Combiners under a shared bracket run
-	// concurrently, so what serializes a cluster's slot harvest is its
-	// gate, and a remote cluster is swept only after winning it. The
-	// try never blocks, so two sweepers cannot deadlock; a poster that
-	// finds its gate taken by a sweeper keeps polling and is harvested
-	// or wins the gate once the sweeper leaves; a cluster whose own
-	// combiner holds the gate is skipped — that combiner is already
-	// waiting on m and will serve it with locality.
+	// combiners cycle the lock. A cluster whose occupancy reads zero
+	// has no posted slot (occSlot's invariant) and costs that one load.
+	// Combiners under a shared bracket run concurrently, so what
+	// serializes a cluster's slot harvest is its gate, and a remote
+	// cluster is swept only after winning it. The try never blocks, so
+	// two sweepers cannot deadlock; a poster that finds its gate taken
+	// by a sweeper keeps polling and is harvested or wins the gate once
+	// the sweeper leaves; a cluster whose own combiner holds the gate
+	// is skipped — that combiner is already waiting on m and will
+	// serve it with locality.
 	for rc := range c.members {
-		if rc == cl {
+		if rc == cl || c.occ[rc].n.Load() == 0 {
 			continue
 		}
 		if g := &c.gates[rc]; g.held.Load() == 0 && g.held.CompareAndSwap(0, 1) {
@@ -217,14 +263,16 @@ func (c *combiner) combine(p *numa.Proc) {
 		}
 	}
 	c.m.Unlock(p)
-	c.batches.Add(1)
-	c.ops.Add(ran)
-	c.active.Add(-1)
+	oc.batches.Add(1)
+	oc.ops.Add(ran)
 	// A combiner never blocks — it serves a batch and immediately cycles
 	// into its next request — so on an oversubscribed machine it must
 	// hand the processor around at batch boundaries or the posters it
 	// just woke wait a full preemption quantum to consume their results.
-	spin.Yield()
+	// After a batch of one there is nobody to hand it to.
+	if ran > 1 {
+		spin.Yield()
+	}
 }
 
 // harvest runs every closure cluster's procs have posted and reports
@@ -247,11 +295,21 @@ func (c *combiner) harvest(cluster int) (ran uint64) {
 
 // Ops reports the number of closures executed so far; read it while
 // posters are quiescent.
-func (c *combiner) Ops() uint64 { return c.ops.Load() }
+func (c *combiner) Ops() (n uint64) {
+	for i := range c.occ {
+		n += c.occ[i].ops.Load()
+	}
+	return n
+}
 
 // Batches reports the number of acquisitions of the underlying lock so
 // far; Ops/Batches is the amortization factor the construction buys.
-func (c *combiner) Batches() uint64 { return c.batches.Load() }
+func (c *combiner) Batches() (n uint64) {
+	for i := range c.occ {
+		n += c.occ[i].batches.Load()
+	}
+	return n
+}
 
 // Occupancy reports cluster's current in-flight request estimate
 // (racy; diagnostics, tools and tests only).

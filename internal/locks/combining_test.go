@@ -125,25 +125,30 @@ func TestCombinesIntrospection(t *testing.T) {
 	})
 }
 
-// checkSingleProc is the idle end of the load curve: a lone poster
-// must elect eagerly and pay exactly one acquisition per closure — no
-// patience spin — observable as Batches() == Ops().
+// checkSingleProc is the idle end of the load curve: a lone caller
+// must act at once and pay exactly one acquisition per closure — no
+// patience spin, no second bracket — observable as Batches() == Ops()
+// == acquisitions of the inner lock, with the caller's own request the
+// only one the occupancy estimate ever sees.
 func checkSingleProc(t *testing.T, c combinerCase) {
 	topo := numa.New(2, 4)
-	x := c.new(topo, locks.NewMCS(topo))
+	var acquisitions atomic.Uint64
+	x := c.new(topo, locks.CountAcquisitions(locks.NewMCS(topo), &acquisitions))
 	p := topo.Proc(0)
+	const iters = 100
 	n := 0
-	for i := 0; i < 100; i++ {
-		x.Exec(p, func() { n++ })
+	for i := 0; i < iters; i++ {
+		inside := 0
+		x.Exec(p, func() { n++; inside = x.Occupancy(p.Cluster()) })
+		if after := x.OccupancyEstimate(); inside != 1 || after != 0 {
+			t.Fatalf("op %d: occupancy %d inside the closure and %d after, want 1 and 0", i, inside, after)
+		}
 	}
-	if n != 100 {
-		t.Fatalf("ran %d closures, want 100", n)
+	if n != iters {
+		t.Fatalf("ran %d closures, want %d", n, iters)
 	}
-	if ops, batches := x.Ops(), x.Batches(); ops != 100 || batches != 100 {
-		t.Fatalf("idle executor: %d ops over %d batches, want 100 over 100 (eager election, batch of one)", ops, batches)
-	}
-	if occ := x.OccupancyEstimate(); occ != 0 {
-		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
+	if ops, batches, acq := x.Ops(), x.Batches(), acquisitions.Load(); ops != iters || batches != iters || acq != iters {
+		t.Fatalf("idle executor: %d ops over %d batches and %d acquisitions, want %d of each (batch of one)", ops, batches, acq, iters)
 	}
 }
 
@@ -228,7 +233,8 @@ func pileUp(topo *numa.Topology, workers int, hold, release func(*numa.Proc), po
 func checkPileUp(t *testing.T, c combinerCase) {
 	topo := numa.New(2, 16)
 	inner := locks.NewMCS(topo)
-	x := c.new(topo, inner)
+	var acquisitions atomic.Uint64 // the executor's, not the holder's
+	x := c.new(topo, locks.CountAcquisitions(inner, &acquisitions))
 	const workers = 8
 	for w, n := range pileUp(topo, workers, inner.Lock, inner.Unlock, x.Exec) {
 		if n != 1 {
@@ -237,6 +243,9 @@ func checkPileUp(t *testing.T, c combinerCase) {
 	}
 	if ops := x.Ops(); ops != workers {
 		t.Fatalf("Ops() = %d, want %d", ops, workers)
+	}
+	if b, acq := x.Batches(), acquisitions.Load(); b != acq {
+		t.Fatalf("Batches() = %d but inner lock saw %d acquisitions", b, acq)
 	}
 	// The pile drains in far fewer acquisitions than ops; typically one,
 	// but a straggler that published after the combiner's last harvest

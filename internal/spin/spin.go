@@ -67,13 +67,16 @@ func AutoOversubscribe(workers int) bool {
 }
 
 // Yield deschedules the caller when workers may outnumber GOMAXPROCS,
-// and is free otherwise. Combiner-style hot paths call it at batch
-// boundaries: a goroutine that serves others' requests and immediately
-// starts its next cycle never blocks, so on an oversubscribed machine
-// it would monopolize its processor and the posters it just served
-// (and those still waiting to post) could starve behind it. One yield
-// per batch hands the processor around at batch frequency instead of
-// the runtime's coarse preemption interval.
+// and is free otherwise. Its caller is a combiner that has just served
+// someone else: a goroutine that serves others' requests and
+// immediately starts its next cycle never blocks, so on an
+// oversubscribed machine it would monopolize its processor and the
+// posters it just served (and those still waiting to post) could
+// starve behind it. One yield per such batch hands the processor
+// around at batch frequency instead of the runtime's coarse preemption
+// interval. A caller that served only itself has nobody to hand the
+// processor to and should not call it: oversubscription is the
+// default discipline, so the call is a trip through the scheduler.
 func Yield() {
 	if oversubscribed.Load() {
 		runtime.Gosched()

@@ -246,51 +246,6 @@ func BenchmarkShardPlacement(b *testing.B) {
 	}
 }
 
-// BenchmarkValueMemory races the two value backends on the overwrite
-// churn workload (write-heavy mix, value sizes varying 64..512B): heap
-// mode allocates a fresh backing array whenever a value outgrows its
-// buffer, arena mode recycles explicit-free blocks inside each shard's
-// cluster-homed arena. Reports both throughput and Go heap allocs/op —
-// the GC-pressure column the arena exists to flatten.
-func BenchmarkValueMemory(b *testing.B) {
-	threads := contendedThreads()
-	e := registry.MustLookup("c-bo-mcs")
-	const keyspace = 20_000
-	for _, mem := range []kvstore.ValueMemory{kvstore.ValueHeap, kvstore.ValueArena} {
-		b.Run(mem.String(), func(b *testing.B) {
-			topo := numa.New(4, threads)
-			var tp, allocs float64
-			for i := 0; i < b.N; i++ {
-				store := kvstore.New(kvstore.Config{
-					Topo:        topo,
-					Locking:     kvstore.FromMutex(e.MutexFactory(topo)),
-					Shards:      4,
-					Placement:   kvstore.ClusterAffine,
-					Capacity:    keyspace * topo.Clusters() * 2,
-					ValueMemory: mem,
-				})
-				kvload.PopulateClusters(store, topo, keyspace, 128)
-				runtime.GC()
-				cfg := kvload.DefaultConfig(topo, threads, 10)
-				cfg.Duration = trialWindow
-				cfg.Keyspace = keyspace
-				cfg.ValueSize = 64
-				cfg.MaxValueSize = 512
-				res, err := kvload.Run(cfg, store)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tp += res.Throughput()
-				allocs += res.AllocsPerOp()
-			}
-			b.ReportMetric(tp/float64(b.N), "ops/s")
-			// "allocs/op" is a reserved benchmark unit that only prints
-			// under -benchmem; a distinct unit keeps the column visible.
-			b.ReportMetric(allocs/float64(b.N), "goallocs/op")
-		})
-	}
-}
-
 // BenchmarkCNA measures the compact NUMA-aware extension lock on
 // LBench at the Figure 2 high-contention point and the Figure 4
 // low-contention point, so its rows land beside the cohort locks'.
@@ -548,12 +503,10 @@ func BenchmarkBatchedStore(b *testing.B) {
 // survive compilation. They do: sync/atomic loads are intrinsics with a
 // memory effect, which dead-code elimination keeps. `go tool objdump -s
 // 'kvstore.\(\*Store\).route$'` on a go1.24 amd64 test binary shows
-// warmBucket, warmItem and cwarmItem inlined into route as plain MOVs —
-// pointer index: `MOVQ 0(DX), DX` (bucket head, type.go:54) in the
-// first loop, then `MOVQ 0(R9), R9`, `TESTQ R9, R9`, `MOVQ 0(R9), R9`
-// (head again, then its key, type.go:169) in the second; compact index:
-// `MOVL 0(DX), DX` (bucket word), the chunk-table entry, `MOVQ 0(DX),
-// DX` (key).
+// warmBucket and warmItem inlined into route as plain MOVs: `MOVQ
+// 0(DX), DX` (bucket head, type.go:54) in the first loop, then `MOVQ
+// 0(R9), R9`, `TESTQ R9, R9`, `MOVQ 0(R9), R9` (head again, then its
+// key, type.go:169) in the second.
 func benchColdIndex(b *testing.B, batch int) {
 	const (
 		resident = 200_000

@@ -53,34 +53,10 @@
 // left at "all". JSON records carry the new knobs (combiner,
 // batch_mode, avg_batch).
 //
-// -valuemem switches the store's value backend for any table: "heap"
-// (the default: values are GC-managed []byte) or "arena" (values live
-// in per-shard explicit-free arenas homed on the shard's cluster, off
-// the GC heap). Arena cells carry a value_memory knob in their JSON
-// records; heap records are unchanged, so pre-arena envelopes stay
-// comparable.
-//
-// -indexmem switches the store's shard-metadata backend for any
-// table: "pointer" (the default: items are individual GC allocations
-// linked by Go pointers) or "compact" (items live in per-shard
-// pointer-free slabs with uint32 index links, so the hash table and
-// LRU are off the GC scan path). Compact cells carry an index_memory
-// knob in their JSON records; pointer records are unchanged, so
-// pre-compact envelopes stay comparable.
-//
-// -churn emits the memory-backend exhibit directly: per lock, a
-// column per value-memory × index-memory combination (heap/arena ×
-// pointer/compact; an explicit -indexmem restricts to that index
-// mode) on a write-heavy mix with values drawn from [64,512] bytes —
-// the overwrite churn that makes heap mode allocate on most sets —
-// with four tables: speedup, Go heap allocs per operation, total GC
-// pause, and GC mark-assist CPU time. JSON records carry
-// allocs_per_op, gc_pause_ms, gc_assist_ms and arena_spills.
-//
-// -shardstats prints a per-shard counter table after each standard or
-// churn cell: gets, sets, evictions, arena spills, and the maximum
-// combining-executor occupancy estimate sampled while the load ran
-// (comb-* columns only; other locks have no estimator and show "-").
+// -shardstats prints a per-shard counter table after each standard
+// cell: gets, sets, evictions, and the maximum combining-executor
+// occupancy estimate sampled while the load ran (comb-* columns only;
+// other locks have no estimator and show "-").
 package main
 
 import (
@@ -103,53 +79,23 @@ import (
 )
 
 type options struct {
-	mixes      []int
-	threads    []int
-	locks      []string
-	shards     []int
-	clusters   int
-	duration   time.Duration
-	keyspace   uint64
-	affinity   float64
-	reads      float64
-	batch      int
-	adaptive   bool
-	churn      bool
-	capacity   int
-	arenaBytes int
-	valueMem   kvstore.ValueMemory
-	indexMem   kvstore.IndexMemory
-	// indexMemSet records an explicit -indexmem: the churn exhibit
-	// sweeps both index modes when the flag is left unset and restricts
-	// to the requested one otherwise.
-	indexMemSet bool
-	shardStat   bool
-	placement   kvstore.Placement
-	csv         bool
-	jsonOut     bool
+	mixes     []int
+	threads   []int
+	locks     []string
+	shards    []int
+	clusters  int
+	duration  time.Duration
+	keyspace  uint64
+	affinity  float64
+	reads     float64
+	batch     int
+	adaptive  bool
+	capacity  int
+	shardStat bool
+	placement kvstore.Placement
+	csv       bool
+	jsonOut   bool
 }
-
-// vmLabel is the records' value_memory identity field: empty for the
-// default heap mode, so heap envelopes stay byte-identical to the
-// pre-arena format and keep comparing against older artifacts.
-func (o options) vmLabel() string {
-	if o.valueMem == kvstore.ValueHeap {
-		return ""
-	}
-	return o.valueMem.String()
-}
-
-// imLabel is the records' index_memory identity field, same contract
-// as vmLabel: empty for the default pointer mode, so pointer
-// envelopes stay byte-identical to the pre-compact format.
-func imLabel(im kvstore.IndexMemory) string {
-	if im == kvstore.IndexPointer {
-		return ""
-	}
-	return im.String()
-}
-
-func (o options) imLabel() string { return imLabel(o.indexMem) }
 
 // record is one measured cell, emitted under -json.
 type record struct {
@@ -187,30 +133,6 @@ type record struct {
 	// adaptive client actually issued.
 	BatchMode string  `json:"batch_mode,omitempty"`
 	AvgBatch  float64 `json:"avg_batch,omitempty"`
-	// ValueMemory is the value backend knob: "arena" for arena-backed
-	// cells, empty (omitted) for the default heap mode so pre-arena
-	// envelopes keep matching. -churn cells always set it — both
-	// "heap" and "arena" — so the exhibit's heap half never collides
-	// with a standard-table cell of the same lock and mix.
-	ValueMemory string `json:"value_memory,omitempty"`
-	// IndexMemory is the shard-metadata knob: "compact" for slab-index
-	// cells, empty (omitted) for the default pointer mode so
-	// pre-compact envelopes keep matching.
-	IndexMemory string `json:"index_memory,omitempty"`
-	// AllocsPerOp and GCPauseMs are populated by -churn cells:
-	// Go heap allocations per operation and total stop-the-world GC
-	// pause over the window. Pointers, because an arena cell's genuine
-	// 0.00 must still be emitted where omitempty would drop it.
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	GCPauseMs   *float64 `json:"gc_pause_ms,omitempty"`
-	// GCAssistMs is -churn's GC mark-assist CPU time over the window:
-	// concurrent mark work stolen from the worker goroutines, the cost
-	// that scales with pointer-mode metadata even when pauses stay
-	// short.
-	GCAssistMs *float64 `json:"gc_assist_ms,omitempty"`
-	// Spills counts values that fell back to the GC heap because a
-	// shard's arena was exhausted (arena cells only).
-	Spills uint64 `json:"arena_spills,omitempty"`
 }
 
 func main() {
@@ -224,15 +146,11 @@ func main() {
 		readsFlag     = flag.Float64("reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets")
 		batchFlag     = flag.Int("batch", 0, "batch size for the batched-pipeline table (e.g. 16); >0 drives MGet/MSet batches and adds an ops-per-acquisition table")
 		adaptiveFlag  = flag.Bool("adaptive", false, "emit the adaptive-hot-path tables: fixed vs adaptive combining, shared vs exclusive batched MGet, fixed vs adaptive client batch (one mix: -mix, defaulting to 50)")
-		churnFlag     = flag.Bool("churn", false, "emit the value-memory churn tables: heap vs arena columns per lock on varying-size overwrites, with allocs/op and GC-pause tables (one mix: -mix, defaulting to 10)")
-		valuememFlag  = flag.String("valuemem", "heap", "value backend for the store: heap or arena")
-		indexmemFlag  = flag.String("indexmem", "", "shard-metadata backend: pointer or compact (default pointer; -churn left unset measures both)")
-		shardsatFlag  = flag.Bool("shardstats", false, "print per-shard counters (gets/sets/evictions/spills and sampled max combiner occupancy) after each standard or churn cell")
+		shardsatFlag  = flag.Bool("shardstats", false, "print per-shard counters (gets/sets/evictions and sampled max combiner occupancy) after each standard cell")
 		clustersFlag  = flag.Int("clusters", 4, "NUMA clusters to simulate")
 		durationFlag  = flag.Duration("duration", 300*time.Millisecond, "measurement window per cell")
 		keysFlag      = flag.Uint64("keys", 50_000, "distinct keys (pre-populated)")
 		capFlag       = flag.Int("capacity", 0, "store item capacity override (0 = the tables' defaults; size above -keys to keep the whole keyspace resident)")
-		arenaFlag     = flag.Int("arenabytes", 0, "arena value-memory size override in bytes (0 = the store's default; size at keys*maxval to keep large keyspaces spill-free)")
 		csvFlag       = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonFlag      = flag.Bool("json", false, "emit every measured cell as JSON records instead of tables")
 	)
@@ -240,38 +158,23 @@ func main() {
 
 	const tool = "kvbench"
 	opt := options{
-		clusters:   *clustersFlag,
-		duration:   *durationFlag,
-		keyspace:   *keysFlag,
-		capacity:   *capFlag,
-		arenaBytes: *arenaFlag,
-		affinity:   *affinityFlag,
-		reads:      *readsFlag,
-		batch:      *batchFlag,
-		adaptive:   *adaptiveFlag,
-		churn:      *churnFlag,
-		shardStat:  *shardsatFlag,
-		csv:        *csvFlag,
-		jsonOut:    *jsonFlag,
+		clusters:  *clustersFlag,
+		duration:  *durationFlag,
+		keyspace:  *keysFlag,
+		capacity:  *capFlag,
+		affinity:  *affinityFlag,
+		reads:     *readsFlag,
+		batch:     *batchFlag,
+		adaptive:  *adaptiveFlag,
+		shardStat: *shardsatFlag,
+		csv:       *csvFlag,
+		jsonOut:   *jsonFlag,
 	}
 	lockNames, err := cli.Locks(*locksFlag)
 	if err != nil {
 		cli.Die(tool, err)
 	}
 	opt.locks = lockNames
-	vm, err := cli.ValueMemory(*valuememFlag)
-	if err != nil {
-		cli.Die(tool, err)
-	}
-	opt.valueMem = vm
-	if *indexmemFlag != "" {
-		im, err := cli.IndexMemory(*indexmemFlag)
-		if err != nil {
-			cli.Die(tool, err)
-		}
-		opt.indexMem = im
-		opt.indexMemSet = true
-	}
 	switch *mixFlag {
 	case "all":
 		opt.mixes = []int{90, 50, 10}
@@ -309,19 +212,6 @@ func main() {
 	if (opt.batch > 0 || opt.adaptive) && opt.affinity > 0 {
 		cli.Dief(tool, "-affinity is a per-operation knob; unsupported with batched pipelines")
 	}
-	if opt.churn {
-		if opt.batch > 0 || opt.reads > 0 || opt.adaptive {
-			cli.Dief(tool, "-churn selects its own table; it combines with none of -batch, -reads, -adaptive")
-		}
-		if opt.valueMem != kvstore.ValueHeap {
-			cli.Dief(tool, "-churn measures both value-memory modes itself; -valuemem applies to the other tables")
-		}
-		// The churn tables run at a single mix, defaulting to the
-		// write-heavy workload where value turnover actually happens.
-		if *mixFlag == "all" {
-			opt.mixes = []int{10}
-		}
-	}
 	if opt.adaptive {
 		// The adaptive tables pick their own defaults for the knobs the
 		// user left unset: a 16-key pipeline and a 90% read mix. The
@@ -345,11 +235,7 @@ func main() {
 		}
 	}
 	if len(opt.locks) == 0 {
-		if opt.churn {
-			// The churn exhibit doubles every lock into a heap/arena
-			// column pair; a compact headline set keeps the table legible.
-			opt.locks = []string{"mcs", "c-bo-mcs", "cna"}
-		} else if opt.adaptive {
+		if opt.adaptive {
 			// Base locks whose comb-/comb-a- twins the combining tables
 			// race; the shared-read table uses the rw-* family.
 			opt.locks = []string{"mcs", "c-bo-mcs", "cna"}
@@ -396,14 +282,6 @@ func run(opt options) error {
 
 	var records []record
 	switch {
-	case opt.churn:
-		for _, mix := range opt.mixes {
-			recs, err := runChurn(opt, topo, mix)
-			if err != nil {
-				return err
-			}
-			records = append(records, recs...)
-		}
 	case opt.adaptive:
 		recs, err := runAdaptive(opt, topo)
 		if err != nil {
@@ -439,18 +317,15 @@ func run(opt options) error {
 	return nil
 }
 
-// applyCapacity applies the -capacity and -arenabytes overrides after
-// any sizing: an explicit capacity also resizes the bucket arrays
-// (half the item count — ~2-deep chains at full residency), since the
-// tables' default 2^15 buckets would hash a million-key store into
-// 30-long chains and measure chain walks, not locks.
+// applyCapacity applies the -capacity override after any sizing: an
+// explicit capacity also resizes the bucket arrays (half the item
+// count — ~2-deep chains at full residency), since the tables' default
+// 2^15 buckets would hash a million-key store into 30-long chains and
+// measure chain walks, not locks.
 func applyCapacity(cfg *kvstore.Config, opt options) {
 	if opt.capacity > 0 {
 		cfg.Capacity = opt.capacity
 		cfg.Buckets = opt.capacity / 2
-	}
-	if opt.arenaBytes > 0 {
-		cfg.ArenaBytes = opt.arenaBytes
 	}
 }
 
@@ -482,7 +357,7 @@ func sizeShards(cfg *kvstore.Config, opt options, topo *numa.Topology, shards in
 // path, one lock instance per shard from the registry factory
 // otherwise.
 func newStore(opt options, topo *numa.Topology, e registry.Entry, shards int) *kvstore.Store {
-	cfg := kvstore.Config{Topo: topo, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo}
 	if e.NewExec != nil {
 		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
 		if shards > 1 {
@@ -516,7 +391,7 @@ func newStoreRW(opt options, topo *numa.Topology, e registry.Entry, shards int, 
 	// -adaptive shared-read table), so a shard group of a client batch
 	// is one critical section and the "batch=N" caption describes what
 	// actually ran; plain -reads runs keep the store default.
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch}
 	if shards <= 1 {
 		cfg.Locking = kvstore.FromRWLock(f())
 	} else {
@@ -545,7 +420,7 @@ func measureBatch(opt options, topo *numa.Topology, e registry.Entry, threads, g
 	// lock, so combined batches count as the single acquisition they
 	// are.
 	var acquisitions atomic.Uint64
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch}
 	switch {
 	case e.NewExec != nil:
 		// Derived combining entry: rebuild it through WrapExec (the
@@ -643,7 +518,6 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 					Placement: placement,
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 					Batch: opt.batch, OpsPerAcq: opsPerAcq,
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				amortRow = append(amortRow, stats.F(opsPerAcq, 1))
@@ -739,7 +613,6 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 						Placement: placement,
 						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 						Batch: opt.batch, OpsPerAcq: opsPerAcq, Combiner: combiner,
-						ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
 					})
 					row = append(row, stats.F(stats.Speedup(base, tp), 2))
 					amortRow = append(amortRow, stats.F(opsPerAcq, 1))
@@ -780,7 +653,6 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 						Placement: placement,
 						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 						Reads: opt.reads, ReadPath: path, Batch: opt.batch,
-						ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
 					})
 					row = append(row, stats.F(stats.Speedup(base, tp), 2))
 					fmt.Fprintf(os.Stderr, "ran adaptive reads=%g %-14s %-9s threads=%-4d shards=%-3d %.0f ops/s\n",
@@ -814,7 +686,6 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 					Batch: opt.batch, Combiner: "adaptive",
 					BatchMode: mode, AvgBatch: avgBatch,
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				if mode == "adaptive" {
@@ -918,7 +789,7 @@ func sampleOccupancy(store *kvstore.Store, stop <-chan struct{}, done chan<- []i
 // parseable.
 func printShardStats(opt options, store *kvstore.Store, pre []kvstore.Stats, occ []int, label string) {
 	tb := stats.NewTable("Shard stats: "+label,
-		"shard", "home", "gets", "sets", "evictions", "spills", "max occ")
+		"shard", "home", "gets", "sets", "evictions", "max occ")
 	for i := 0; i < store.NumShards(); i++ {
 		st := store.ShardSnapshot(i)
 		occStr := "-"
@@ -927,7 +798,7 @@ func printShardStats(opt options, store *kvstore.Store, pre []kvstore.Stats, occ
 		}
 		tb.AddRow(fmt.Sprint(i), fmt.Sprint(store.ShardHome(i)),
 			fmt.Sprint(st.Gets-pre[i].Gets), fmt.Sprint(st.Sets-pre[i].Sets),
-			fmt.Sprint(st.Evictions-pre[i].Evictions), fmt.Sprint(st.Spills-pre[i].Spills), occStr)
+			fmt.Sprint(st.Evictions-pre[i].Evictions), occStr)
 	}
 	out := os.Stdout
 	if opt.jsonOut {
@@ -935,159 +806,6 @@ func printShardStats(opt options, store *kvstore.Store, pre []kvstore.Stats, occ
 	}
 	fmt.Fprint(out, cli.Emit(tb, opt.csv))
 	fmt.Fprintln(out)
-}
-
-// Churn workload shape: a write-heavy mix whose set sizes are drawn
-// uniformly from [churnValueSize, churnMaxValueSize]. The size spread
-// is what makes the exhibit honest — fixed-size overwrites reuse the
-// existing buffer in both modes and neither allocates.
-const (
-	churnValueSize    = 64
-	churnMaxValueSize = 512
-)
-
-// measureChurn runs one memory-backend cell: the churn workload
-// against a fresh store with the given value and index backends,
-// returning the load result (allocs/op, GC pause, mark assist) and
-// the store's counters (spills).
-func measureChurn(opt options, topo *numa.Topology, e registry.Entry, threads, getPct, shards int, mem kvstore.ValueMemory, im kvstore.IndexMemory) (kvload.Result, kvstore.Stats, error) {
-	o := opt
-	o.valueMem = mem
-	o.indexMem = im
-	store := newStore(o, topo, e, shards)
-	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
-	runtime.GC() // population litters the heap; keep GC out of the window
-	cfg := kvload.DefaultConfig(topo, threads, getPct)
-	cfg.Duration = opt.duration
-	cfg.Keyspace = opt.keyspace
-	cfg.Affinity = opt.affinity
-	cfg.ValueSize = churnValueSize
-	cfg.MaxValueSize = churnMaxValueSize
-	label := fmt.Sprintf("%s/%s/%s mix=%d%% threads=%d shards=%d", e.Name, mem, im, getPct, threads, shards)
-	res, err := runLoad(opt, store, cfg, label)
-	if err != nil {
-		return res, kvstore.Stats{}, fmt.Errorf("%s/%s/%s @%d x%d shards: %w", e.Name, mem, im, threads, shards, err)
-	}
-	return res, store.Snapshot(), nil
-}
-
-// runChurn emits the memory-backend exhibit for one mix: per shard
-// count, a column per lock × value-memory × index-memory combination
-// with four tables — speedup over the heap/pointer pthread@1
-// baseline, Go heap allocations per operation, total GC pause over
-// the window, and GC mark-assist CPU time. An explicit -indexmem
-// restricts the index-mode sweep to that mode; by default both
-// pointer and compact run, which is the pointer-vs-compact GC
-// exhibit the compact layout is judged by.
-func runChurn(opt options, topo *numa.Topology, getPct int) ([]record, error) {
-	baseRes, _, err := measureChurn(opt, topo, registry.MustLookup("pthread"), 1, getPct, 1, kvstore.ValueHeap, kvstore.IndexPointer)
-	if err != nil {
-		return nil, err
-	}
-	base := baseRes.Throughput()
-	fmt.Fprintf(os.Stderr, "churn mix %d%% gets, values %d..%dB: pthread@1 heap/pointer baseline %.0f ops/s, %.2f allocs/op\n",
-		getPct, churnValueSize, churnMaxValueSize, base, baseRes.AllocsPerOp())
-
-	entries := make([]registry.Entry, 0, len(opt.locks))
-	for _, name := range opt.locks {
-		e, err := registry.Find(name)
-		if err != nil {
-			return nil, err
-		}
-		if e.NewMutex == nil && e.NewExec == nil {
-			return nil, fmt.Errorf("lock %q is abortable-only and cannot guard the store", name)
-		}
-		entries = append(entries, e)
-	}
-	modes := []kvstore.ValueMemory{kvstore.ValueHeap, kvstore.ValueArena}
-	imodes := []kvstore.IndexMemory{kvstore.IndexPointer, kvstore.IndexCompact}
-	if opt.indexMemSet {
-		imodes = []kvstore.IndexMemory{opt.indexMem}
-	}
-	// Column label per (value, index) combination: pointer columns keep
-	// the pre-compact "/heap" "/arena" names, compact columns append
-	// "+c" — "mcs/heap+c" — so old and new table layouts line up.
-	colSuffix := func(mem kvstore.ValueMemory, im kvstore.IndexMemory) string {
-		s := "/" + mem.String()
-		if im == kvstore.IndexCompact {
-			s += "+c"
-		}
-		return s
-	}
-
-	var records []record
-	for _, shards := range opt.shards {
-		suffix := ""
-		if shards > 1 {
-			suffix = fmt.Sprintf(" [%d shards, %s placement]", shards, opt.placement)
-		}
-		caption := fmt.Sprintf("(%d%% gets, values %d..%dB)", getPct, churnValueSize, churnMaxValueSize)
-		headers := []string{"threads"}
-		for _, e := range entries {
-			for _, mem := range modes {
-				for _, im := range imodes {
-					headers = append(headers, e.Name+colSuffix(mem, im))
-				}
-			}
-		}
-		tb := stats.NewTable(fmt.Sprintf("Value churn %s: speedup over pthread@1 heap%s", caption, suffix), headers...)
-		ab := stats.NewTable(fmt.Sprintf("Value churn %s: Go heap allocs per op%s", caption, suffix), headers...)
-		gb := stats.NewTable(fmt.Sprintf("Value churn %s: total GC pause ms%s", caption, suffix), headers...)
-		xb := stats.NewTable(fmt.Sprintf("Value churn %s: GC mark-assist CPU ms%s", caption, suffix), headers...)
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			aRow := []string{fmt.Sprint(n)}
-			gRow := []string{fmt.Sprint(n)}
-			xRow := []string{fmt.Sprint(n)}
-			for _, e := range entries {
-				for _, mem := range modes {
-					for _, im := range imodes {
-						res, st, err := measureChurn(opt, topo, e, n, getPct, shards, mem, im)
-						if err != nil {
-							return nil, err
-						}
-						placement := opt.placement.String()
-						if shards <= 1 {
-							placement = "single"
-						}
-						tp := res.Throughput()
-						allocs := res.AllocsPerOp()
-						pause := float64(res.GCPauseNs) / 1e6
-						assist := float64(res.GCAssistNs) / 1e6
-						records = append(records, record{
-							Mix: getPct, Lock: e.Name, Threads: n, Shards: shards,
-							Placement: placement,
-							OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-							ValueMemory: mem.String(), IndexMemory: imLabel(im),
-							AllocsPerOp: &allocs, GCPauseMs: &pause, GCAssistMs: &assist,
-							Spills: st.Spills,
-						})
-						row = append(row, stats.F(stats.Speedup(base, tp), 2))
-						aRow = append(aRow, stats.F(allocs, 2))
-						gRow = append(gRow, stats.F(pause, 2))
-						xRow = append(xRow, stats.F(assist, 2))
-						fmt.Fprintf(os.Stderr, "ran churn mix=%d%% %-10s %-5s %-7s threads=%-4d shards=%-3d %.0f ops/s %.2f allocs/op %.2fms gc %.2fms assist (%d spills)\n",
-							getPct, e.Name, mem, im, n, shards, tp, allocs, pause, assist, st.Spills)
-					}
-				}
-			}
-			tb.AddRow(row...)
-			ab.AddRow(aRow...)
-			gb.AddRow(gRow...)
-			xb.AddRow(xRow...)
-		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(tb, opt.csv))
-			fmt.Println()
-			fmt.Print(cli.Emit(ab, opt.csv))
-			fmt.Println()
-			fmt.Print(cli.Emit(gb, opt.csv))
-			fmt.Println()
-			fmt.Print(cli.Emit(xb, opt.csv))
-			fmt.Println()
-		}
-	}
-	return records, nil
 }
 
 // measureRW runs one RW-table cell: the -reads fraction against a
@@ -1126,7 +844,7 @@ func measureRWComb(opt options, topo *numa.Topology, e registry.Entry, threads, 
 	base := registry.MustLookup(e.Base)
 	newRW := base.NewRW
 	var execs []locks.RWExecutor
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch, ValueMemory: opt.valueMem, IndexMemory: opt.indexMem}
+	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch}
 	cfg.Locking = kvstore.FromExec(func() locks.Executor {
 		x := e.WrapRWExec(topo, locks.CountRWAcquisitions(newRW(topo), &excl, &shared))
 		execs = append(execs, x)
@@ -1271,7 +989,6 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
 					Reads: opt.reads, ReadPath: path,
 					OpsPerAcq: opsPerAcq, ReadCombiner: combiner,
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				if c.comb {
@@ -1336,7 +1053,6 @@ func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 					Mix: getPct, Lock: name, Threads: n, Shards: shards,
 					Placement: placement, Affinity: affinity,
 					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-					ValueMemory: opt.vmLabel(), IndexMemory: opt.imLabel(),
 				})
 				row = append(row, stats.F(stats.Speedup(base, tp), 2))
 				fmt.Fprintf(os.Stderr, "ran mix=%d%% %-10s threads=%-4d shards=%-3d %.0f ops/s\n",

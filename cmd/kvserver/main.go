@@ -6,11 +6,10 @@
 // The engine underneath is the full stack the previous exhibits
 // measured: a sharded store guarded by any registry lock (-lock takes
 // the same names as kvbench, combining comb-* executors included),
-// cluster-affine shard placement, arena or heap value memory, pointer
-// or compact (slab-index) shard metadata, and the batched
-// MGet/MSet/MDelete APIs. Under a combining lock (comb-*) a
-// background sampler tracks peak per-shard combiner occupancy,
-// reported in the final stats line. One accept loop runs per simulated
+// cluster-affine shard placement, and the batched MGet/MSet/MDelete
+// APIs. Under a combining lock (comb-*) a background sampler tracks
+// peak per-shard combiner occupancy, reported in the final stats
+// line. One accept loop runs per simulated
 // NUMA cluster; every admitted connection owns one of that cluster's
 // proc handles for its lifetime, so a connection's pipelined requests
 // flush into the store as batches costing ceil(N/MaxBatch) shard
@@ -63,8 +62,6 @@ func main() {
 		capFlag      = flag.Int("capacity", 1<<20, "store item capacity (LRU evicts beyond it)")
 		maxvalFlag   = flag.Int("maxval", server.DefaultMaxValueBytes, "largest accepted value in bytes")
 		maxbatchFlag = flag.Int("maxbatch", 0, "ops per critical section for pipelined flushes (default: the store's MaxBatch)")
-		valuememFlag = flag.String("valuemem", "heap", "value backend: heap or arena")
-		indexmemFlag = flag.String("indexmem", "pointer", "shard-metadata backend: pointer or compact (slab-resident items off the GC scan path)")
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")
 		writeTOFlag  = flag.Duration("write-timeout", 0, "per-flush write deadline (default 30s)")
 		drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound before force-closing connections")
@@ -87,14 +84,6 @@ func main() {
 	if err != nil {
 		cli.Die(tool, err)
 	}
-	valueMem, err := cli.ValueMemory(*valuememFlag)
-	if err != nil {
-		cli.Die(tool, err)
-	}
-	indexMem, err := cli.IndexMemory(*indexmemFlag)
-	if err != nil {
-		cli.Die(tool, err)
-	}
 
 	topo := numa.New(*clustersFlag, *procsFlag)
 	locking, err := kvstore.FromRegistry(topo, *lockFlag)
@@ -102,14 +91,12 @@ func main() {
 		cli.Die(tool, err)
 	}
 	store := kvstore.New(kvstore.Config{
-		Topo:        topo,
-		Locking:     locking,
-		Shards:      *shardsFlag,
-		Placement:   placement,
-		Capacity:    *capFlag,
-		MaxBatch:    *maxbatchFlag,
-		ValueMemory: valueMem,
-		IndexMemory: indexMem,
+		Topo:      topo,
+		Locking:   locking,
+		Shards:    *shardsFlag,
+		Placement: placement,
+		Capacity:  *capFlag,
+		MaxBatch:  *maxbatchFlag,
 	})
 	srv, err := server.New(server.Config{
 		Topo:              topo,
@@ -142,8 +129,8 @@ func main() {
 	if connsPerCluster <= 0 || connsPerCluster > *procsFlag / *clustersFlag {
 		connsPerCluster = *procsFlag / *clustersFlag
 	}
-	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d placement=%s clusters=%d conns/cluster<=%d valuemem=%s indexmem=%s\n",
-		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, connsPerCluster, valueMem, indexMem)
+	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d placement=%s clusters=%d conns/cluster<=%d\n",
+		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, connsPerCluster)
 	serveErr := srv.ListenAndServe(*addrFlag)
 
 	st := srv.Snapshot()

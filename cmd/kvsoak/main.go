@@ -73,7 +73,6 @@ func main() {
 		chaosFlag    = flag.Bool("chaos", false, "run the load through a fault-injecting proxy: storm phase then recovery, asserting no acked write is lost")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the chaos fault schedule (reproduces a fault placement)")
 		expectShed   = flag.Bool("expect-shed", false, "with -chaos: fail unless the server's shedding engaged and its admission cap shrank and recovered")
-		indexmemFlag = flag.String("indexmem", "", "shard-metadata backend of the server under test (pointer or compact); labels the -json result")
 		jsonFlag     = flag.Bool("json", false, "emit the result as JSON")
 	)
 	flag.Parse()
@@ -108,17 +107,6 @@ func main() {
 	if *expectShed && !*chaosFlag {
 		cli.Dief(tool, "-expect-shed requires -chaos")
 	}
-	indexMem := ""
-	if *indexmemFlag != "" {
-		// The soak never builds a store itself; the flag validates
-		// through the same parser as the server tools and labels the
-		// JSON result with the backend of the server under test.
-		im, err := cli.IndexMemory(*indexmemFlag)
-		if err != nil {
-			cli.Die(tool, err)
-		}
-		indexMem = im.String()
-	}
 
 	var msBefore runtime.MemStats
 	runtime.ReadMemStats(&msBefore)
@@ -130,10 +118,9 @@ func main() {
 	runtime.ReadMemStats(&msAfter)
 
 	out := result{
-		Result:      res,
-		GCPauseMs:   float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
-		GCCycles:    msAfter.NumGC - msBefore.NumGC,
-		IndexMemory: indexMem,
+		Result:    res,
+		GCPauseMs: float64(msAfter.PauseTotalNs-msBefore.PauseTotalNs) / 1e6,
+		GCCycles:  msAfter.NumGC - msBefore.NumGC,
 	}
 	if res.Ops > 0 {
 		out.AllocsPerOp = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(res.Ops)
@@ -164,10 +151,9 @@ func main() {
 }
 
 // result is the -json shape: the soak engine's record plus the
-// client-side MemStats bracket — the same allocs_per_op / gc_pause_ms
-// shape kvload records — so a socket soak exposes the *client's* GC
-// pressure end to end; the server's sits in its own process and is
-// measured by kvbench.
+// client-side MemStats bracket, so a socket soak exposes the
+// *client's* GC pressure end to end; the server's sits in its own
+// process.
 type result struct {
 	soak.Result
 	// AllocsPerOp is Go heap allocations per completed operation over
@@ -176,9 +162,6 @@ type result struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	GCPauseMs   float64 `json:"gc_pause_ms"`
 	GCCycles    uint32  `json:"gc_cycles"`
-	// IndexMemory labels which shard-metadata backend the server under
-	// test ran (-indexmem); empty when unspecified.
-	IndexMemory string `json:"index_memory,omitempty"`
 }
 
 // dial connects with brief retries, so check runs can race a server

@@ -52,16 +52,6 @@ func Placement(s string) (kvstore.Placement, error) {
 	return kvstore.ParsePlacement(s)
 }
 
-// ValueMemory maps a -valuemem flag value.
-func ValueMemory(s string) (kvstore.ValueMemory, error) {
-	return kvstore.ParseValueMemory(s)
-}
-
-// IndexMemory maps an -indexmem flag value.
-func IndexMemory(s string) (kvstore.IndexMemory, error) {
-	return kvstore.ParseIndexMemory(s)
-}
-
 // Fraction validates a [0,1] flag such as -affinity or -reads. The
 // inverted comparison rejects NaN too.
 func Fraction(flagName string, v float64) error {

@@ -9,8 +9,6 @@ package kvload
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,14 +36,6 @@ type Config struct {
 	Keyspace uint64
 	// ValueSize is the value payload in bytes.
 	ValueSize int
-	// MaxValueSize, when greater than ValueSize, makes each set draw
-	// its payload size uniformly from [ValueSize, MaxValueSize] — the
-	// overwrite-churn shape that exercises value memory management:
-	// a growing overwrite forces a reallocation (GC heap) or a block
-	// exchange (arena), where fixed-size overwrites reuse the buffer
-	// in place forever. 0 keeps every value exactly ValueSize bytes,
-	// byte for byte the pre-knob loop.
-	MaxValueSize int
 	// ThinkNs is the per-request non-locked work, busy-waited.
 	ThinkNs int64
 	// Affinity is the probability in [0,1] that a worker biases its
@@ -119,9 +109,6 @@ func (c *Config) validate() error {
 	if c.ValueSize <= 0 {
 		return fmt.Errorf("kvload: non-positive value size")
 	}
-	if c.MaxValueSize != 0 && c.MaxValueSize < c.ValueSize {
-		return fmt.Errorf("kvload: max value size %d below value size %d", c.MaxValueSize, c.ValueSize)
-	}
 	if !(c.Affinity >= 0 && c.Affinity <= 1) { // inverted to reject NaN
 		return fmt.Errorf("kvload: affinity %v outside [0,1]", c.Affinity)
 	}
@@ -154,34 +141,6 @@ type Result struct {
 	// zero on the per-op path. Ops/Rounds is the average issued batch
 	// size — the observable an adaptive-batch run is judged by.
 	Rounds uint64
-	// GoAllocs is the number of Go heap objects allocated during the
-	// measured window, process-wide (runtime.MemStats.Mallocs delta) —
-	// the observable the arena value-memory mode is judged by:
-	// GoAllocs/Ops collapses when value churn stops hitting the GC
-	// heap.
-	GoAllocs uint64
-	// GCPauseNs is the total stop-the-world GC pause time accumulated
-	// during the window (runtime.MemStats.PauseTotalNs delta), and
-	// GCCycles how many collections ran.
-	GCPauseNs uint64
-	GCCycles  uint32
-	// GCAssistNs is the CPU time goroutines spent conscripted into the
-	// collector's mark phase during the window (the delta of
-	// runtime/metrics /cpu/classes/gc/mark/assist:cpu-seconds). Pauses
-	// only count the stop-the-world slices; assist time is the
-	// concurrent mark work stolen from the workers themselves, which is
-	// where a pointer-heavy index actually taxes throughput — the
-	// observable the compact index-memory mode is judged by.
-	GCAssistNs uint64
-}
-
-// AllocsPerOp reports Go heap allocations per operation over the
-// measured window.
-func (r Result) AllocsPerOp() float64 {
-	if r.Ops == 0 {
-		return 0
-	}
-	return float64(r.GoAllocs) / float64(r.Ops)
 }
 
 // AvgBatch reports the average issued batch size of a batched run, or
@@ -337,9 +296,6 @@ func (a *BatchSizer) Observe(ops int, svc time.Duration) {
 func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64, stop *atomic.Bool, start chan struct{}) {
 	b := cfg.BatchSize
 	stride := cfg.ValueSize
-	if cfg.MaxValueSize > stride {
-		stride = cfg.MaxValueSize
-	}
 	getKeys := make([]uint64, 0, b)
 	setKeys := make([]uint64, 0, b)
 	vals := make([][]byte, 0, b)
@@ -375,13 +331,9 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 			if isGet {
 				getKeys = append(getKeys, key)
 			} else {
-				vsize := cfg.ValueSize
-				if cfg.MaxValueSize > cfg.ValueSize {
-					vsize += int(p.RandN(int64(cfg.MaxValueSize - cfg.ValueSize + 1)))
-				}
-				v := valBuf[len(vals)*stride : len(vals)*stride+vsize]
+				v := valBuf[len(vals)*stride : (len(vals)+1)*stride]
 				v[0] = byte(key)
-				v[vsize-1] = sink
+				v[stride-1] = sink
 				setKeys = append(setKeys, key)
 				vals = append(vals, v)
 			}
@@ -454,12 +406,8 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 				runBatchedWorker(&cfg, store, p, sl, getMille, &stop, start)
 				return
 			}
-			stride := cfg.ValueSize
-			if cfg.MaxValueSize > stride {
-				stride = cfg.MaxValueSize
-			}
-			val := make([]byte, stride)
-			dst := make([]byte, stride)
+			val := make([]byte, cfg.ValueSize)
+			dst := make([]byte, cfg.ValueSize)
 			var sink byte
 			// A cluster with no home shard can never satisfy the
 			// bias (skip it rather than resample futilely every op),
@@ -509,13 +457,9 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 					}
 					sl.gets++
 				} else {
-					v := val
-					if cfg.MaxValueSize > cfg.ValueSize {
-						v = val[:cfg.ValueSize+int(p.RandN(int64(cfg.MaxValueSize-cfg.ValueSize+1)))]
-					}
-					v[0] = byte(key)
-					v[len(v)-1] = sink
-					store.Set(p, key, v)
+					val[0] = byte(key)
+					val[len(val)-1] = sink
+					store.Set(p, key, val)
 					sl.sets++
 				}
 				if cfg.ThinkNs > 0 {
@@ -525,25 +469,13 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 			}
 		}(i)
 	}
-	// Bracket the window with memory statistics so every run reports
-	// heap allocations and GC pauses attributable to the measured
-	// operations (population noise is excluded; callers GC beforehand).
-	var msBefore, msAfter runtime.MemStats
-	runtime.ReadMemStats(&msBefore)
-	assistBefore := gcAssistNs()
 	began := time.Now()
 	close(start)
 	time.Sleep(cfg.Duration)
 	stop.Store(true)
 	wg.Wait()
-	runtime.ReadMemStats(&msAfter)
-	assistAfter := gcAssistNs()
 
 	res := Result{PerThread: make([]uint64, cfg.Threads), Elapsed: time.Since(began)}
-	res.GoAllocs = msAfter.Mallocs - msBefore.Mallocs
-	res.GCPauseNs = msAfter.PauseTotalNs - msBefore.PauseTotalNs
-	res.GCCycles = msAfter.NumGC - msBefore.NumGC
-	res.GCAssistNs = assistAfter - assistBefore
 	for i := range slots {
 		res.PerThread[i] = slots[i].ops
 		res.Ops += slots[i].ops
@@ -558,17 +490,4 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 		res.PerShard[i] = store.ShardSnapshot(i)
 	}
 	return res, nil
-}
-
-// gcAssistNs reads the cumulative GC mark-assist CPU time in
-// nanoseconds. The runtime/metrics name is stable since Go 1.17; an
-// unexpected kind (a hypothetical future runtime dropping it) reads as
-// zero rather than failing the run.
-func gcAssistNs() uint64 {
-	sample := []metrics.Sample{{Name: "/cpu/classes/gc/mark/assist:cpu-seconds"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindFloat64 {
-		return 0
-	}
-	return uint64(sample[0].Value.Float64() * 1e9)
 }

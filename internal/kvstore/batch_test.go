@@ -164,12 +164,6 @@ func TestBatchStatsCountedOncePerOp(t *testing.T) {
 func lruOrder(s *Store) [][]uint64 {
 	out := make([][]uint64, len(s.shards))
 	for i, sh := range s.shards {
-		if cs := sh.compact; cs != nil {
-			for j := cs.head; j != nilIdx; j = cs.at(j).next {
-				out[i] = append(out[i], cs.at(j).key.Load())
-			}
-			continue
-		}
 		for it := sh.head; it != nil; it = it.next {
 			out[i] = append(out[i], it.key.Load())
 		}
@@ -190,28 +184,23 @@ func TestBatchedStoreMatchesSequential(t *testing.T) {
 		name             string
 		clusters, shards int
 		place            Placement
-		im               IndexMemory
 	}{
-		{"one-shard", 2, 1, HashMod, IndexPointer},
-		{"one-shard-compact", 2, 1, HashMod, IndexCompact},
-		{"hashmod-4", 2, 4, HashMod, IndexPointer},
-		{"hashmod-4-compact", 2, 4, HashMod, IndexCompact},
-		{"affine-shardless-cluster", 3, 2, ClusterAffine, IndexPointer},
-		{"affine-shardless-cluster-compact", 3, 2, ClusterAffine, IndexCompact},
+		{"one-shard", 2, 1, HashMod},
+		{"hashmod-4", 2, 4, HashMod},
+		{"affine-shardless-cluster", 3, 2, ClusterAffine},
 	}
 	for _, sc := range stores {
 		t.Run(sc.name, func(t *testing.T) {
 			topo := numa.New(sc.clusters, 2*sc.clusters)
 			mk := func() *Store {
 				return New(Config{
-					Topo:        topo,
-					Locking:     FromMutex(func() locks.Mutex { return locks.NewPthread() }),
-					Shards:      sc.shards,
-					MaxBatch:    4,
-					Placement:   sc.place,
-					Buckets:     64,
-					Capacity:    48, // the 60-key range below evicts
-					IndexMemory: sc.im,
+					Topo:      topo,
+					Locking:   FromMutex(func() locks.Mutex { return locks.NewPthread() }),
+					Shards:    sc.shards,
+					MaxBatch:  4,
+					Placement: sc.place,
+					Buckets:   64,
+					Capacity:  48, // the 60-key range below evicts
 				})
 			}
 			batched, sequential := mk(), mk()
@@ -224,9 +213,6 @@ func TestBatchedStoreMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: LRU order diverges:\nbatched    %v\nsequential %v", step, bo, so)
 				}
 				if err := batched.checkLRU(); err != nil {
-					t.Fatalf("%s: %v", step, err)
-				}
-				if err := batched.CompactCheck(); err != nil {
 					t.Fatalf("%s: %v", step, err)
 				}
 			}

@@ -80,7 +80,6 @@ package kvstore
 import (
 	"fmt"
 
-	"repro/internal/alloc"
 	"repro/internal/cachesim"
 	"repro/internal/locks"
 	"repro/internal/numa"
@@ -122,92 +121,6 @@ func ParsePlacement(s string) (Placement, error) {
 	return 0, fmt.Errorf("kvstore: unknown placement %q (want hashmod or affine)", s)
 }
 
-// ValueMemory selects where item value bytes live.
-type ValueMemory int
-
-const (
-	// ValueHeap stores each value as a GC-managed []byte — the
-	// pre-arena behavior, byte for byte. A store of N items is N
-	// individually scanned heap objects, placed wherever the Go
-	// allocator chooses.
-	ValueHeap ValueMemory = iota
-	// ValueArena backs each shard's value bytes with its own unguarded
-	// alloc.Allocator arena: one big GC-opaque block per shard, carved
-	// and recycled under the shard's existing single-writer critical
-	// sections. Under ClusterAffine placement each cluster's home-shard
-	// group — and therefore its arenas and the values they hold — is
-	// only ever touched by that cluster, extending the paper's
-	// block-recycling locality from lock metadata to the data plane.
-	// Overwrite, eviction and delete explicitly free the old block;
-	// frees are deferred and flushed in batches so reclamation is
-	// amortized like LRU touches. An exhausted arena spills gracefully
-	// to the GC heap and counts the spill (Stats.Spills).
-	ValueArena
-)
-
-// String names the value-memory mode for tool output.
-func (v ValueMemory) String() string {
-	if v == ValueArena {
-		return "arena"
-	}
-	return "heap"
-}
-
-// ParseValueMemory maps a flag value to a ValueMemory.
-func ParseValueMemory(s string) (ValueMemory, error) {
-	switch s {
-	case "heap":
-		return ValueHeap, nil
-	case "arena":
-		return ValueArena, nil
-	}
-	return 0, fmt.Errorf("kvstore: unknown value memory %q (want heap or arena)", s)
-}
-
-// IndexMemory selects where shard index metadata — the items
-// themselves and every intra-shard link (hash chains, LRU prev/next,
-// free list) — lives. It is the metadata twin of the ValueMemory seam:
-// ValueMemory moves value bytes off the GC heap; IndexMemory moves the
-// structure that finds them.
-type IndexMemory int
-
-const (
-	// IndexPointer keeps items as individual GC allocations linked by
-	// Go pointers and the hash table as []*item — the original layout,
-	// byte for byte. GC mark work scales with the live item count: a
-	// 10M-key store is 10M scanned objects holding 30M+ pointers.
-	IndexPointer IndexMemory = iota
-	// IndexCompact re-homes each shard's items in chunked pointer-free
-	// slabs ([]citem, 32 bytes each) and turns every link into a uint32
-	// slab index; the hash table becomes []uint32. The element type
-	// contains no pointers, so the runtime allocates the slabs noscan
-	// and the collector skips the whole index: GC scan cost becomes
-	// O(shards + chunks) instead of O(keys). Values follow ValueMemory
-	// as before (arena blocks by offset, or a lazily allocated heap
-	// side table for heap-resident values). Index 0 is the reserved nil
-	// slot, mirroring arena offset 0. See slab.go.
-	IndexCompact
-)
-
-// String names the index-memory mode for tool output.
-func (m IndexMemory) String() string {
-	if m == IndexCompact {
-		return "compact"
-	}
-	return "pointer"
-}
-
-// ParseIndexMemory maps a flag value to an IndexMemory.
-func ParseIndexMemory(s string) (IndexMemory, error) {
-	switch s {
-	case "pointer":
-		return IndexPointer, nil
-	case "compact":
-		return IndexCompact, nil
-	}
-	return 0, fmt.Errorf("kvstore: unknown index memory %q (want pointer or compact)", s)
-}
-
 // Config parameterizes a Store.
 type Config struct {
 	// Topo sizes per-proc statistics and the metadata cache domains.
@@ -245,16 +158,11 @@ type Config struct {
 	// ItemNs are the latencies charged for touching an item whose last
 	// toucher was the same / another cluster. Defaults 25/100 ns.
 	ItemLocalNs, ItemRemoteNs int64
-	// ValueMemory selects where value bytes live: the GC heap
-	// (default) or per-shard arenas (ValueArena).
+	// ValueMemory, IndexMemory and ArenaBytes are accepted and ignored;
+	// see compat.go.
 	ValueMemory ValueMemory
-	// IndexMemory selects where index metadata lives: pointer-linked
-	// GC allocations (default) or pointer-free slabs (IndexCompact).
 	IndexMemory IndexMemory
-	// ArenaBytes is the total arena capacity under ValueArena, split
-	// evenly across shards like Capacity (with a small per-shard
-	// floor). Default 64 MiB. Ignored under ValueHeap.
-	ArenaBytes int
+	ArenaBytes  int
 }
 
 func (c *Config) setDefaults() error {
@@ -289,19 +197,8 @@ func (c *Config) setDefaults() error {
 		def := cachesim.DefaultConfig()
 		c.ItemLocalNs, c.ItemRemoteNs = def.LocalNs, def.RemoteNs
 	}
-	if c.ValueMemory == ValueArena && c.ArenaBytes <= 0 {
-		c.ArenaBytes = DefaultArenaBytes
-	}
 	return nil
 }
-
-// DefaultArenaBytes is the default total arena capacity of a
-// ValueArena store, split across shards.
-const DefaultArenaBytes = 64 << 20
-
-// minArenaBytes is the per-shard arena floor; alloc.New rejects
-// anything smaller.
-const minArenaBytes = 1 << 12
 
 // DefaultTouchEvery is the default LRU sampling stride of the shared
 // read path: one in eight hits per proc refreshes the item's recency.
@@ -317,10 +214,6 @@ type Stats struct {
 	Gets, Sets, Hits, Misses, Evictions uint64
 	// MetaMisses counts simulated coherence misses on store metadata.
 	MetaMisses uint64
-	// Spills counts values that fell back to the GC heap because the
-	// shard's arena was exhausted (ValueArena only; always 0 under
-	// ValueHeap).
-	Spills uint64
 }
 
 // Add accumulates o into s; harnesses use it to aggregate shard and
@@ -332,15 +225,12 @@ func (s *Stats) Add(o Stats) {
 	s.Misses += o.Misses
 	s.Evictions += o.Evictions
 	s.MetaMisses += o.MetaMisses
-	s.Spills += o.Spills
 }
 
 // Store is the sharded memcached-like key-value cache.
 type Store struct {
 	topo      *numa.Topology
 	placement Placement
-	valueMem  ValueMemory
-	indexMem  IndexMemory
 	shards    []*Shard
 	homes     []int   // shard index -> home cluster
 	groups    [][]int // cluster -> indices of shards homed there
@@ -382,19 +272,10 @@ func New(cfg Config) *Store {
 	}
 	perBuckets = n
 	perCapacity := ceilDiv(cfg.Capacity, cfg.Shards)
-	perArena := 0
-	if cfg.ValueMemory == ValueArena {
-		perArena = ceilDiv(cfg.ArenaBytes, cfg.Shards)
-		if perArena < minArenaBytes {
-			perArena = minArenaBytes
-		}
-	}
 
 	s := &Store{
 		topo:      cfg.Topo,
 		placement: cfg.Placement,
-		valueMem:  cfg.ValueMemory,
-		indexMem:  cfg.IndexMemory,
 		shards:    make([]*Shard, cfg.Shards),
 		homes:     make([]int, cfg.Shards),
 		groups:    make([][]int, cfg.Topo.Clusters()),
@@ -405,16 +286,14 @@ func New(cfg Config) *Store {
 	}
 	for i := range s.shards {
 		sc := shardConfig{
-			topo:         cfg.Topo,
-			maxBatch:     cfg.MaxBatch,
-			touchEvery:   uint64(cfg.TouchEvery),
-			buckets:      perBuckets,
-			capacity:     perCapacity,
-			cache:        cfg.Cache,
-			itemLocal:    cfg.ItemLocalNs,
-			itemRemote:   cfg.ItemRemoteNs,
-			arenaBytes:   perArena,
-			compactIndex: cfg.IndexMemory == IndexCompact,
+			topo:       cfg.Topo,
+			maxBatch:   cfg.MaxBatch,
+			touchEvery: uint64(cfg.TouchEvery),
+			buckets:    perBuckets,
+			capacity:   perCapacity,
+			cache:      cfg.Cache,
+			itemLocal:  cfg.ItemLocalNs,
+			itemRemote: cfg.ItemRemoteNs,
 		}
 		if newExec != nil {
 			sc.exec = newExec()
@@ -519,17 +398,8 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 		order[start[si]] = i
 	}
 	// Second warm step, with every key's bucket load already in flight.
-	// Every shard of a store shares one index layout, and choosing it
-	// here rather than per key keeps both bodies small enough to inline
-	// (a call per key gave back a third of the pass's gain).
-	if s.indexMem == IndexCompact {
-		for i, k := range keys {
-			s.shards[shard[i]].cwarmItem(k)
-		}
-	} else {
-		for i, k := range keys {
-			s.shards[shard[i]].warmItem(k)
-		}
+	for i, k := range keys {
+		s.shards[shard[i]].warmItem(k)
 	}
 	return order, start
 }
@@ -643,12 +513,6 @@ func (s *Store) MaxBatch() int { return s.shards[0].maxBatch }
 // Placement reports the routing policy.
 func (s *Store) Placement() Placement { return s.placement }
 
-// ValueMemory reports where value bytes live.
-func (s *Store) ValueMemory() ValueMemory { return s.valueMem }
-
-// IndexMemory reports where index metadata lives.
-func (s *Store) IndexMemory() IndexMemory { return s.indexMem }
-
 // ShardOccupancy reports shard i's executor in-flight request estimate
 // and whether the shard tracks one at all — true only for shards
 // guarded by a combining executor (comb-*), whose occupancy counters
@@ -659,55 +523,6 @@ func (s *Store) ShardOccupancy(i int) (int, bool) {
 		return locks.EstimateOccupancy(x)
 	}
 	return 0, false
-}
-
-// FlushArenas drains every shard's deferred free list, each flush one
-// critical section of its shard. A no-op under ValueHeap. Harnesses
-// call it before snapshotting arena statistics so pending frees do not
-// read as live blocks.
-func (s *Store) FlushArenas(p *numa.Proc) {
-	for _, sh := range s.shards {
-		sh.flushArena(p)
-	}
-}
-
-// ArenaSnapshot aggregates the allocator statistics of every shard
-// arena; ok is false under ValueHeap. Call while workers are
-// quiescent.
-func (s *Store) ArenaSnapshot() (st alloc.Stats, ok bool) {
-	for _, sh := range s.shards {
-		if sh.arena == nil {
-			continue
-		}
-		ok = true
-		a := sh.arena.Snapshot()
-		st.Mallocs += a.Mallocs
-		st.Frees += a.Frees
-		st.BinAllocs += a.BinAllocs
-		st.TreeAllocs += a.TreeAllocs
-		st.Carves += a.Carves
-		st.Splits += a.Splits
-		st.RemoteTouches += a.RemoteTouches
-		st.FreeTreeBlocks += a.FreeTreeBlocks
-		if a.WildernessOffset > st.WildernessOffset {
-			st.WildernessOffset = a.WildernessOffset
-		}
-	}
-	return st, ok
-}
-
-// ArenaCheck flushes every shard's deferred frees, then verifies each
-// arena's heap invariants (alloc.Fsck) and that its live block count
-// matches the shard's arena-backed item count — i.e. no leaked and no
-// double-freed value blocks. A no-op under ValueHeap. Quiescent
-// callers only (tests, end-of-run checks).
-func (s *Store) ArenaCheck(p *numa.Proc) error {
-	for i, sh := range s.shards {
-		if err := sh.arenaCheck(p); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // ShardHome reports the home cluster of shard i.
@@ -750,19 +565,6 @@ func (s *Store) ShardSnapshot(i int) Stats {
 func (s *Store) checkLRU() error {
 	for i, sh := range s.shards {
 		if err := sh.checkLRU(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// CompactCheck validates every compact shard's slab accounting (live
-// items + free slots == slab slots in use, no index cycles); a no-op
-// under IndexPointer. Quiescent callers only (tests, end-of-run
-// checks).
-func (s *Store) CompactCheck() error {
-	for i, sh := range s.shards {
-		if err := sh.compactCheck(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

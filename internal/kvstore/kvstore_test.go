@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cachesim"
 	"repro/internal/locks"
@@ -168,50 +167,6 @@ func TestHashCollisionChains(t *testing.T) {
 		if !ok || n != 1 || dst[0] != byte(k) {
 			t.Fatalf("key %d: got %v %q", k, ok, dst[:n])
 		}
-	}
-}
-
-// Property: the store agrees with a map reference under random
-// single-threaded op sequences, including evictions disabled by a
-// large capacity.
-func TestMatchesMapModel(t *testing.T) {
-	type op struct {
-		Kind uint8
-		Key  uint8
-		Val  uint8
-	}
-	f := func(ops []op) bool {
-		s, topo := newTestStore(1 << 16)
-		p := topo.Proc(0)
-		model := map[uint64][]byte{}
-		dst := make([]byte, 8)
-		for _, o := range ops {
-			key := uint64(o.Key % 32)
-			switch o.Kind % 3 {
-			case 0:
-				v := []byte{o.Val}
-				s.Set(p, key, v)
-				model[key] = v
-			case 1:
-				n, ok := s.Get(p, key, dst)
-				want, wok := model[key]
-				if ok != wok {
-					return false
-				}
-				if ok && !bytes.Equal(dst[:n], want) {
-					return false
-				}
-			case 2:
-				if s.Delete(p, key) != (model[key] != nil) {
-					return false
-				}
-				delete(model, key)
-			}
-		}
-		return s.checkLRU() == nil && s.Len(p) == len(model)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
 	}
 }
 

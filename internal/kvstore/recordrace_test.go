@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -26,8 +25,7 @@ import (
 // range ten times the capacity, so nearly every MSet inserts, evicts
 // and recycles an item through the free list while the other procs'
 // batch calls are in Store.route loading bucket heads and head-item
-// keys with no lock held — over every memory mode and every exclusion
-// seam. A bucket head or an item key stored plainly instead of
+// keys with no lock held — over every exclusion seam. A bucket head or an item key stored plainly instead of
 // atomically is a data race there. A miss is always legal under
 // eviction, so those cases check what was found: an own key that is
 // found must carry exactly the reference's bytes.
@@ -39,20 +37,14 @@ func TestRecordReuseHammer(t *testing.T) {
 	)
 	type hammerCase struct {
 		lock     string
-		vm       ValueMemory
-		im       IndexMemory
 		evicting bool
 	}
 	cases := []hammerCase{
-		{"comb-a-mcs", ValueHeap, IndexPointer, false},
-		{"comb-a-rw-mcs", ValueHeap, IndexPointer, false},
+		{"comb-a-mcs", false},
+		{"comb-a-rw-mcs", false},
 	}
-	for _, vm := range []ValueMemory{ValueHeap, ValueArena} {
-		for _, im := range []IndexMemory{IndexPointer, IndexCompact} {
-			for _, lock := range []string{"pthread", "rw-mcs", "comb-a-mcs", "comb-a-rw-mcs"} {
-				cases = append(cases, hammerCase{lock, vm, im, true})
-			}
-		}
+	for _, lock := range []string{"pthread", "rw-mcs", "comb-a-mcs", "comb-a-rw-mcs"} {
+		cases = append(cases, hammerCase{lock, true})
 	}
 	// A value names its key and version and is filled with a byte
 	// derived from both, so bytes from another key, another version or
@@ -81,7 +73,7 @@ func TestRecordReuseHammer(t *testing.T) {
 		name, evicting := hc.lock, hc.evicting
 		if evicting {
 			keyspace, capacity, rounds = 640, 64, 800
-			name = fmt.Sprintf("evicting/%s-%s/%s", hc.vm, hc.im, hc.lock)
+			name = "evicting/" + hc.lock
 		}
 		if testing.Short() {
 			rounds /= 6
@@ -95,7 +87,6 @@ func TestRecordReuseHammer(t *testing.T) {
 			s := New(Config{
 				Topo: topo, Locking: src, Shards: 2, MaxBatch: 5,
 				TouchEvery: 3, Buckets: 256, Capacity: capacity,
-				ValueMemory: hc.vm, IndexMemory: hc.im, ArenaBytes: 1 << 20,
 			})
 			var refMu sync.Mutex
 			ref := make(map[uint64][]byte) // absent = deleted
@@ -200,12 +191,6 @@ func TestRecordReuseHammer(t *testing.T) {
 				t.Error("evicting case never evicted")
 			}
 			if err := s.checkLRU(); err != nil {
-				t.Error(err)
-			}
-			if err := s.CompactCheck(); err != nil {
-				t.Error(err)
-			}
-			if err := s.ArenaCheck(p); err != nil {
 				t.Error(err)
 			}
 			for _, sh := range s.shards {

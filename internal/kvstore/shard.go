@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/alloc"
 	"repro/internal/cachesim"
 	"repro/internal/locks"
 	"repro/internal/numa"
@@ -21,22 +20,14 @@ const (
 )
 
 // item is one cache entry: hash chain link, intrusive LRU links, the
-// last-touching cluster (for the locality charge), and the value.
-//
-// Under ValueArena, value views an explicitly managed block of the
-// shard's arena (len = the stored value, cap = the block's usable
-// size) and off is that block's payload offset; off == 0 means the
-// value lives on the GC heap — the only state ValueHeap items ever
-// have, and the state arena items spill back to when their arena is
-// exhausted. Arena offsets are always >= the 8-byte block header, so
-// 0 is never a valid block and needs no separate flag.
+// last-touching cluster (for the locality charge), and the value, a
+// GC-managed buffer the item keeps across recycling.
 type item struct {
 	key   atomic.Uint64 // written once per insert; see Shard.warmItem
 	hnext *item
 	prev  *item
 	next  *item
 	owner int32
-	off   uint32
 	value []byte
 }
 
@@ -53,9 +44,6 @@ type opSlot struct {
 	// sinceTouch counts this proc's hits since it last refreshed an
 	// item's LRU position (shared read path only; see Shard.Get).
 	sinceTouch uint64
-	// spills counts sets this proc spilled to the GC heap because the
-	// shard's arena was exhausted (ValueArena only).
-	spills uint64
 	// touch collects the keys this proc's shared reads sampled for a
 	// deferred LRU refresh; reused across calls, it holds keys only.
 	touch []uint64
@@ -68,17 +56,16 @@ type opSlot struct {
 type csKind uint8
 
 const (
-	csGet        csKind = iota // key, buf -> n, ok; exclusive (touch + LRU bump)
-	csRead                     // key, buf -> n, ok; shared (reads only)
-	csSet                      // key, buf
-	csDelete                   // key -> ok
-	csMGet                     // chunk of keys/bufs -> lens, found; exclusive
-	csMRead                    // chunk of keys/bufs -> lens, found; shared
-	csMSet                     // chunk of keys/bufs
-	csMDelete                  // chunk of keys -> n += present, found (optional)
-	csTouch                    // keys: deferred LRU refresh of sampled hits
-	csFlushFrees               // drain the deferred arena free list
-	csLen                      // -> n
+	csGet     csKind = iota // key, buf -> n, ok; exclusive (touch + LRU bump)
+	csRead                  // key, buf -> n, ok; shared (reads only)
+	csSet                   // key, buf
+	csDelete                // key -> ok
+	csMGet                  // chunk of keys/bufs -> lens, found; exclusive
+	csMRead                 // chunk of keys/bufs -> lens, found; shared
+	csMSet                  // chunk of keys/bufs
+	csMDelete               // chunk of keys -> n += present, found (optional)
+	csTouch                 // keys: deferred LRU refresh of sampled hits
+	csLen                   // -> n
 )
 
 // csRecord is one proc's critical section, spelled out as data: the
@@ -158,10 +145,6 @@ func (r *csRecord) run() {
 		for _, k := range r.keys {
 			s.touchKey(p, k)
 		}
-	case csFlushFrees:
-		if len(s.pendingFree) > 0 {
-			s.flushFrees(p)
-		}
 	case csLen:
 		r.n = s.count
 	}
@@ -230,12 +213,6 @@ type shardConfig struct {
 	cache      cachesim.Config
 	itemLocal  int64
 	itemRemote int64
-	// arenaBytes > 0 selects ValueArena: the shard owns an unguarded
-	// arena of this capacity for its value bytes.
-	arenaBytes int
-	// compactIndex selects IndexCompact: items live in pointer-free
-	// slabs and all index links are uint32 slab indices (see slab.go).
-	compactIndex bool
 }
 
 // Shard is one independently locked slice of the store: a chained hash
@@ -279,30 +256,10 @@ type Shard struct {
 	count       int
 	capacity    int
 	free        *item // recycled items (chained via hnext)
-	// compact, when non-nil, replaces the pointer-linked index state
-	// above (buckets/head/tail/free) with slab-resident items linked by
-	// uint32 indices — IndexCompact mode. Every operation's critical
-	// section dispatches on it once; the locking discipline is
-	// unchanged because mutations already run single-writer and shared
-	// readers only follow links.
-	compact               *compactShard
-	domain                *cachesim.Domain
-	slots                 []opSlot
-	itemLocal, itemRemote int64
-	// arena, when non-nil, owns the shard's value bytes: an unguarded
-	// alloc.Allocator whose every operation runs inside the shard's
-	// existing critical sections — the shard lock (or executor) IS the
-	// arena's exclusion domain, so values cost no second lock. Under
-	// ClusterAffine placement the shard, its lock and its arena are all
-	// homed on one cluster: value blocks recycle cluster-locally, the
-	// paper's Table 2 effect applied to the data plane.
-	arena *alloc.Allocator
-	// pendingFree batches explicit frees (overwrite, eviction, delete)
-	// so splay-tree reinsertion is paid once per maxBatch frees instead
-	// of once per mutation — reclamation amortized like LRU touches.
-	// Only touched inside critical sections; capacity is fixed at
-	// maxBatch so the steady state appends without allocating.
-	pendingFree []uint32
+	domain      *cachesim.Domain
+	slots       []opSlot
+	itemLocal   int64
+	itemRemote  int64
 }
 
 func newShard(cfg shardConfig) *Shard {
@@ -325,6 +282,7 @@ func newShard(cfg shardConfig) *Shard {
 		sharedReads: sharedReads,
 		touchEvery:  cfg.touchEvery,
 		mask:        uint64(cfg.buckets - 1),
+		buckets:     make([]atomic.Pointer[item], cfg.buckets),
 		capacity:    cfg.capacity,
 		domain:      cachesim.NewDomain(cfg.topo, numLines, cfg.cache),
 		slots:       make([]opSlot, cfg.topo.MaxProcs()),
@@ -334,26 +292,6 @@ func newShard(cfg shardConfig) *Shard {
 	for i := range s.slots {
 		r := &s.slots[i].cs
 		r.s, r.fn = s, r.run
-	}
-	if cfg.compactIndex {
-		s.compact = newCompactShard(cfg.buckets, cfg.capacity)
-	} else {
-		s.buckets = make([]atomic.Pointer[item], cfg.buckets)
-	}
-	if cfg.arenaBytes > 0 {
-		a, err := alloc.New(alloc.Config{
-			Topo:       cfg.topo,
-			Unguarded:  true,
-			ArenaBytes: cfg.arenaBytes,
-			LocalNs:    cfg.itemLocal,
-			RemoteNs:   cfg.itemRemote,
-			Cache:      cfg.cache,
-		})
-		if err != nil {
-			panic(err) // sizes validated by Config.setDefaults
-		}
-		s.arena = a
-		s.pendingFree = make([]uint32, 0, cfg.maxBatch)
 	}
 	return s
 }
@@ -390,10 +328,6 @@ func (s *Shard) find(key uint64) *item {
 // loads is harmless: the item's memory stays valid, the result is
 // thrown away, and the locked lookup re-reads everything.
 func (s *Shard) warmBucket(key uint64) {
-	if cs := s.compact; cs != nil {
-		cs.buckets[s.hash(key)].Load()
-		return
-	}
 	s.buckets[s.hash(key)].Load()
 }
 
@@ -532,17 +466,10 @@ func (s *Shard) touchSampled(p *numa.Proc, slot *opSlot) {
 	slot.touch = slot.touch[:0]
 }
 
-// readValue looks up key and copies its value into dst — the layout
-// dispatch shared by the shared-mode read paths (Get and mgetShared).
-// Callers hold at least shared mode; nothing here mutates the shard.
+// readValue looks up key and copies its value into dst — the body of
+// the shared-mode read paths (Get and mgetShared). Callers hold at
+// least shared mode; nothing here mutates the shard.
 func (s *Shard) readValue(key uint64, dst []byte) (int, bool) {
-	if s.compact != nil {
-		i := s.cfind(key)
-		if i == nilIdx {
-			return 0, false
-		}
-		return copy(dst, s.cvalue(i, s.compact.at(i))), true
-	}
 	it := s.find(key)
 	if it == nil {
 		return 0, false
@@ -555,13 +482,6 @@ func (s *Shard) readValue(key uint64, dst []byte) (int, bool) {
 // brief exclusive upgrade. A vanished key (evicted or deleted since
 // the shared read) is a no-op. Callers hold exclusive mode.
 func (s *Shard) touchKey(p *numa.Proc, key uint64) {
-	if s.compact != nil {
-		if i := s.cfind(key); i != nilIdx {
-			s.ctouchItem(p, s.compact.at(i))
-			s.clruFront(i)
-		}
-		return
-	}
 	if it := s.find(key); it != nil {
 		s.touchItem(p, it)
 		s.lruFront(it)
@@ -603,9 +523,6 @@ func (s *Shard) getExclusive(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 // bump and value copy. Callers hold the shard's exclusion (the lock,
 // or the executor's combiner); statistics stay outside.
 func (s *Shard) applyGet(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	if s.compact != nil {
-		return s.capplyGet(p, key, dst)
-	}
 	// The hash-bucket walk is read-only: read-shared lines replicate
 	// across caches without coherence misses, so no charge applies.
 	it := s.find(key)
@@ -642,10 +559,6 @@ func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
 // exclusion. The per-proc sets counter stays outside; evictions are
 // charged inside (they are part of the guarded structural change).
 func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
-	if s.compact != nil {
-		s.capplySet(p, key, val)
-		return
-	}
 	slot := &s.slots[p.ID()]
 	it := s.find(key)
 	if it == nil {
@@ -668,7 +581,7 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 		s.touchItem(p, it)
 	}
 	it.owner = int32(p.Cluster())
-	s.setValue(p, it, val)
+	it.setValue(val)
 	s.lruFront(it)
 	s.domain.Access(p, lineLRU, 2)
 	if s.count > s.capacity {
@@ -676,7 +589,7 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 		if victim != nil && victim != it {
 			s.unlink(victim)
 			s.count--
-			s.clearValue(p, victim)
+			victim.clearValue()
 			victim.hnext = s.free
 			s.free = victim
 			s.domain.Access(p, lineHash, 1)
@@ -708,9 +621,6 @@ func (s *Shard) Delete(p *numa.Proc, key uint64) bool {
 // applyDelete is a delete's critical section; callers hold the
 // shard's exclusion.
 func (s *Shard) applyDelete(p *numa.Proc, key uint64) bool {
-	if s.compact != nil {
-		return s.capplyDelete(p, key)
-	}
 	it := s.find(key)
 	if it == nil {
 		return false
@@ -718,65 +628,17 @@ func (s *Shard) applyDelete(p *numa.Proc, key uint64) bool {
 	s.domain.Access(p, lineHash, 1)
 	s.unlink(it)
 	s.count--
-	s.clearValue(p, it)
+	it.clearValue()
 	it.hnext = s.free
 	s.free = it
 	s.domain.Access(p, lineAlloc, 2)
 	return true
 }
 
-// setValue stores a copy of val as it's value. Callers hold the
-// shard's exclusion.
-//
-// Heap mode is the pre-arena logic byte for byte: grow the GC-managed
-// buffer when too small, reslice and copy. Arena mode reuses the
-// item's current block in place when it fits; otherwise the old block
-// is released (deferred — see deferFree) and a new one is carved from
-// the shard's arena. An exhausted arena first flushes the deferred
-// frees and retries — blocks awaiting reclamation are capacity, not
-// garbage — and only then spills the value to the GC heap, counting
-// the spill. Spilled items retry the arena on their next overwrite, so
-// a post-churn arena with room reabsorbs them.
-func (s *Shard) setValue(p *numa.Proc, it *item, val []byte) {
-	if s.arena == nil {
-		if cap(it.value) < len(val) {
-			it.value = make([]byte, len(val))
-		}
-		it.value = it.value[:len(val)]
-		copy(it.value, val)
-		return
-	}
-	if it.off != 0 && cap(it.value) >= len(val) {
-		// In-place overwrite: the block's usable size (the view's cap)
-		// already fits the new value.
-		it.value = it.value[:len(val)]
-		copy(it.value, val)
-		return
-	}
-	if it.off != 0 {
-		s.deferFree(p, it.off)
-		it.off, it.value = 0, nil
-	}
-	if len(val) == 0 {
-		// Zero-length values carry no bytes; an arena block would be
-		// all header. Represent them exactly as heap mode does.
-		if it.value == nil {
-			it.value = []byte{}
-		}
-		it.value = it.value[:0]
-		return
-	}
-	s.domain.Access(p, lineAlloc, 2)
-	if off, ok := s.arenaMalloc(p, len(val)); ok {
-		it.off = off
-		it.value = s.arena.Bytes(off, int(s.arena.UsableSize(off)))[:len(val)]
-		copy(it.value, val)
-		return
-	}
-	// Graceful spill: the arena is exhausted even after reclaiming the
-	// deferred frees, so this value lives on the GC heap until an
-	// overwrite finds arena room again.
-	s.slots[p.ID()].spills++
+// setValue stores a copy of val as it's value: grow the GC-managed
+// buffer when too small, reslice and copy. Callers hold the shard's
+// exclusion.
+func (it *item) setValue(val []byte) {
 	if cap(it.value) < len(val) {
 		it.value = make([]byte, len(val))
 	}
@@ -784,99 +646,10 @@ func (s *Shard) setValue(p *numa.Proc, it *item, val []byte) {
 	copy(it.value, val)
 }
 
-// clearValue drops it's value on eviction or delete. Callers hold the
-// shard's exclusion. Heap mode keeps the buffer for the recycled item
-// to reuse (the pre-arena behavior); arena mode releases the block to
-// the shard's arena, where the splay tree hands it — still cache-warm
-// — to the next fitting allocation.
-func (s *Shard) clearValue(p *numa.Proc, it *item) {
-	if s.arena != nil && it.off != 0 {
-		s.deferFree(p, it.off)
-		it.off, it.value = 0, nil
-		return
-	}
+// clearValue drops it's value on eviction or delete, keeping the buffer
+// for the recycled item to reuse. Callers hold the shard's exclusion.
+func (it *item) clearValue() {
 	it.value = it.value[:0]
-}
-
-// arenaMalloc carves a value block from the shard's arena, flushing
-// the deferred free list and retrying once when the arena looks
-// exhausted. Callers hold the shard's exclusion.
-func (s *Shard) arenaMalloc(p *numa.Proc, n int) (uint32, bool) {
-	off, err := s.arena.MallocUnguarded(p, n)
-	if err == nil {
-		return off, true
-	}
-	if len(s.pendingFree) == 0 {
-		return 0, false
-	}
-	s.flushFrees(p)
-	off, err = s.arena.MallocUnguarded(p, n)
-	return off, err == nil
-}
-
-// deferFree queues an arena block for reclamation and flushes the
-// queue once it reaches maxBatch — one amortized batch of splay-tree
-// reinsertion per maxBatch mutations, inside a critical section the
-// caller already holds, exactly as the batch APIs amortize lock
-// acquisitions.
-func (s *Shard) deferFree(p *numa.Proc, off uint32) {
-	s.pendingFree = append(s.pendingFree, off)
-	if len(s.pendingFree) >= s.maxBatch {
-		s.flushFrees(p)
-	}
-}
-
-// flushFrees returns every deferred block to the arena. Callers hold
-// the shard's exclusion. A free failing here means the store handed
-// the arena a corrupt or double-freed offset — an invariant violation,
-// not an operational error.
-func (s *Shard) flushFrees(p *numa.Proc) {
-	for _, off := range s.pendingFree {
-		if err := s.arena.FreeUnguarded(p, off); err != nil {
-			panic(fmt.Sprintf("kvstore: arena free of deferred block: %v", err))
-		}
-	}
-	s.pendingFree = s.pendingFree[:0]
-}
-
-// flushArena drains the deferred free list as one critical section of
-// its own. A no-op for heap shards or an empty queue.
-func (s *Shard) flushArena(p *numa.Proc) {
-	if s.arena == nil {
-		return
-	}
-	s.exclusive(p, s.arm(p, csFlushFrees))
-}
-
-// arenaCheck flushes deferred frees, then verifies the arena's heap
-// invariants and that live blocks match arena-backed items one for
-// one (no leaks, no double frees). Quiescent callers only.
-func (s *Shard) arenaCheck(p *numa.Proc) error {
-	if s.arena == nil {
-		return nil
-	}
-	s.flushArena(p)
-	if err := s.arena.Fsck(); err != nil {
-		return err
-	}
-	backed := 0
-	if cs := s.compact; cs != nil {
-		for i := cs.head; i != nilIdx; i = cs.at(i).next {
-			if cs.at(i).off != 0 {
-				backed++
-			}
-		}
-	} else {
-		for it := s.head; it != nil; it = it.next {
-			if it.off != 0 {
-				backed++
-			}
-		}
-	}
-	if live := s.arena.LiveBlocks(); live != backed {
-		return fmt.Errorf("kvstore: arena holds %d live blocks, %d items are arena-backed", live, backed)
-	}
-	return nil
 }
 
 // mget answers the group's lookups (idx indexes keys) in critical
@@ -1007,7 +780,6 @@ func (s *Shard) Snapshot() Stats {
 		st.Hits += sl.hits
 		st.Misses += sl.misses
 		st.Evictions += sl.evictions
-		st.Spills += sl.spills
 	}
 	st.MetaMisses = s.domain.Snapshot().Misses
 	return st
@@ -1015,9 +787,6 @@ func (s *Shard) Snapshot() Stats {
 
 // checkLRU validates list integrity; tests use it.
 func (s *Shard) checkLRU() error {
-	if s.compact != nil {
-		return s.ccheckLRU()
-	}
 	seen := 0
 	var prev *item
 	for it := s.head; it != nil; it = it.next {

@@ -23,9 +23,9 @@
 // follow-up: on read-mostly traffic shared mode should pull away from
 // every exclusive column. The default column set also includes the
 // comb-rw-*/comb-a-rw-* read-combining twins: each runs Gets as read
-// closures through the reader-combining executor over its base RW
-// lock, with the underlying lock's shared acquisitions counted
-// (WrapRWExec interposition), so a second table reports shared ops
+// closures through the reader-combining executor over its RW operand,
+// with the operand's shared acquisitions counted (registry.Unwrap and
+// Wrap interpose the counter), so a second table reports shared ops
 // per shared acquisition — the read-side amortization the combiner
 // buys on top of shared mode. Their JSON records carry read_combiner
 // ("fixed" or "adaptive"); plain RW records omit the field, so older
@@ -64,7 +64,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -136,65 +136,43 @@ type record struct {
 }
 
 func main() {
+	var opt options
 	var (
 		mixFlag       = flag.String("mix", "all", "get percentage: 90, 50, 10 or all")
 		threadsFlag   = flag.String("threads", "1,4,8,16,32,64,96,128", "comma-separated thread counts (paper's rows)")
 		locksFlag     = flag.String("locks", "", "override lock list (default: the paper's Table 1 columns)")
 		shardsFlag    = flag.String("shards", "1", "comma-separated shard counts; 1 reproduces the paper's single cache lock")
 		placementFlag = flag.String("placement", "affine", "shard placement: hashmod or affine")
-		affinityFlag  = flag.Float64("affinity", 0, "probability a worker's keys target its own cluster's shards [0,1]")
-		readsFlag     = flag.Float64("reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets")
-		batchFlag     = flag.Int("batch", 0, "batch size for the batched-pipeline table (e.g. 16); >0 drives MGet/MSet batches and adds an ops-per-acquisition table")
-		adaptiveFlag  = flag.Bool("adaptive", false, "emit the adaptive-hot-path tables: fixed vs adaptive combining, shared vs exclusive batched MGet, fixed vs adaptive client batch (one mix: -mix, defaulting to 50)")
-		shardsatFlag  = flag.Bool("shardstats", false, "print per-shard counters (gets/sets/evictions and sampled max combiner occupancy) after each standard cell")
-		clustersFlag  = flag.Int("clusters", 4, "NUMA clusters to simulate")
-		durationFlag  = flag.Duration("duration", 300*time.Millisecond, "measurement window per cell")
-		keysFlag      = flag.Uint64("keys", 50_000, "distinct keys (pre-populated)")
-		capFlag       = flag.Int("capacity", 0, "store item capacity override (0 = the tables' defaults; size above -keys to keep the whole keyspace resident)")
-		csvFlag       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonFlag      = flag.Bool("json", false, "emit every measured cell as JSON records instead of tables")
 	)
+	flag.Float64Var(&opt.affinity, "affinity", 0, "probability a worker's keys target its own cluster's shards [0,1]")
+	flag.Float64Var(&opt.reads, "reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets")
+	flag.IntVar(&opt.batch, "batch", 0, "batch size for the batched-pipeline table (e.g. 16); >0 drives MGet/MSet batches and adds an ops-per-acquisition table")
+	flag.BoolVar(&opt.adaptive, "adaptive", false, "emit the adaptive-hot-path tables: fixed vs adaptive combining, shared vs exclusive batched MGet, fixed vs adaptive client batch (one mix: -mix, defaulting to 50)")
+	flag.BoolVar(&opt.shardStat, "shardstats", false, "print per-shard counters (gets/sets/evictions and sampled max combiner occupancy) after each standard cell")
+	flag.IntVar(&opt.clusters, "clusters", 4, "NUMA clusters to simulate")
+	flag.DurationVar(&opt.duration, "duration", 300*time.Millisecond, "measurement window per cell")
+	flag.Uint64Var(&opt.keyspace, "keys", 50_000, "distinct keys (pre-populated)")
+	flag.IntVar(&opt.capacity, "capacity", 0, "store item capacity override (0 = the tables' defaults; size above -keys to keep the whole keyspace resident)")
+	flag.BoolVar(&opt.csv, "csv", false, "emit CSV instead of aligned text")
+	flag.BoolVar(&opt.jsonOut, "json", false, "emit every measured cell as JSON records instead of tables")
 	flag.Parse()
 
 	const tool = "kvbench"
-	opt := options{
-		clusters:  *clustersFlag,
-		duration:  *durationFlag,
-		keyspace:  *keysFlag,
-		capacity:  *capFlag,
-		affinity:  *affinityFlag,
-		reads:     *readsFlag,
-		batch:     *batchFlag,
-		adaptive:  *adaptiveFlag,
-		shardStat: *shardsatFlag,
-		csv:       *csvFlag,
-		jsonOut:   *jsonFlag,
-	}
-	lockNames, err := cli.Locks(*locksFlag)
-	if err != nil {
+	var err error
+	if opt.locks, err = cli.Locks(*locksFlag); err != nil {
 		cli.Die(tool, err)
 	}
-	opt.locks = lockNames
-	switch *mixFlag {
-	case "all":
-		opt.mixes = []int{90, 50, 10}
-	case "90", "50", "10":
-		opt.mixes = []int{atoi(*mixFlag)}
-	default:
+	opt.mixes = map[string][]int{"all": {90, 50, 10}, "90": {90}, "50": {50}, "10": {10}}[*mixFlag]
+	if opt.mixes == nil {
 		cli.Dief(tool, "-mix must be 90, 50, 10 or all")
 	}
-	threads, err := cli.ParseIntList(*threadsFlag)
-	if err != nil {
+	if opt.threads, err = cli.ParseIntList(*threadsFlag); err != nil {
 		cli.Dief(tool, "bad -threads: %v", err)
 	}
-	opt.threads = threads
-	shards, err := cli.ParseIntList(*shardsFlag)
-	if err != nil {
+	if opt.shards, err = cli.ParseIntList(*shardsFlag); err != nil {
 		cli.Dief(tool, "bad -shards: %v", err)
 	}
-	opt.shards = shards
-	opt.placement, err = cli.Placement(*placementFlag)
-	if err != nil {
+	if opt.placement, err = cli.Placement(*placementFlag); err != nil {
 		cli.Die(tool, err)
 	}
 	if err := cli.Fraction("affinity", opt.affinity); err != nil {
@@ -263,542 +241,253 @@ func main() {
 	}
 }
 
-func atoi(s string) int {
-	n := 0
-	for _, c := range s {
-		n = n*10 + int(c-'0')
-	}
-	return n
-}
-
 func run(opt options) error {
-	maxThreads := 0
-	for _, t := range opt.threads {
-		if t > maxThreads {
-			maxThreads = t
-		}
-	}
-	topo := numa.New(opt.clusters, maxThreads)
+	topo := numa.New(opt.clusters, slices.Max(opt.threads))
 
 	var records []record
+	var err error
 	switch {
 	case opt.adaptive:
-		recs, err := runAdaptive(opt, topo)
-		if err != nil {
-			return err
-		}
-		records = recs
+		records, err = runAdaptive(opt, topo)
 	case opt.reads > 0:
-		recs, err := runRW(opt, topo)
-		if err != nil {
-			return err
-		}
-		records = recs
-	case opt.batch > 0:
-		for _, mix := range opt.mixes {
-			recs, err := runBatchMix(opt, topo, mix)
-			if err != nil {
-				return err
-			}
-			records = append(records, recs...)
-		}
+		records, err = runRW(opt, topo)
 	default:
 		for _, mix := range opt.mixes {
-			recs, err := runMix(opt, topo, mix)
+			var recs []record
+			if opt.batch > 0 {
+				recs, err = runBatchMix(opt, topo, mix)
+			} else {
+				recs, err = runMix(opt, topo, mix)
+			}
 			if err != nil {
-				return err
+				break
 			}
 			records = append(records, recs...)
 		}
 	}
-	if opt.jsonOut {
-		return benchfmt.Write(os.Stdout, records)
+	if err != nil || !opt.jsonOut {
+		return err
 	}
-	return nil
+	return benchfmt.Write(os.Stdout, records)
 }
 
-// applyCapacity applies the -capacity override after any sizing: an
-// explicit capacity also resizes the bucket arrays (half the item
-// count — ~2-deep chains at full residency), since the tables' default
-// 2^15 buckets would hash a million-key store into 30-long chains and
-// measure chain walks, not locks.
-func applyCapacity(cfg *kvstore.Config, opt options) {
+// counting says which acquisitions of the lock underneath a cell's
+// store are counted, and so what its ops-per-acquisition figure means.
+type counting int
+
+const (
+	countNothing counting = iota
+	// countAll reports operations per acquisition, exclusive and shared
+	// alike — how much work each critical section amortizes.
+	countAll
+	// countShared reports reads per shared acquisition: 1.0 means
+	// every read paid its own RLock (the uncontended bypass), higher
+	// means the reader-combiner folded concurrent same-cluster reads
+	// together.
+	countShared
+)
+
+// cell describes one measurement: a lock guarding a store of some
+// shape under some load.
+type cell struct {
+	entry   registry.Entry
+	threads int
+	shards  int
+	// getPct is the mix; reads, when positive, replaces it with an
+	// exact read fraction.
+	getPct int
+	reads  float64
+	// batch, when positive, drives MGet/MSet pipelines of that size and
+	// is the store's MaxBatch, so a shard group of a client batch is one
+	// critical section; adaptiveClient lets kvload's hill-climbing sizer
+	// move within [1, batch] instead.
+	batch          int
+	adaptiveClient bool
+	// sharedReads runs Gets in shared mode where the lock has one;
+	// without it a reader-writer lock is driven through its exclusive
+	// path only, so two columns differ in the read protocol alone.
+	sharedReads bool
+	// count puts counters on the lock itself or, for a comb-* entry,
+	// between the combiner and its operand (registry.Unwrap and Wrap),
+	// where a combined batch counts as the single acquisition it is.
+	count counting
+	// shardStats prints the per-shard counter table after the run.
+	shardStats bool
+}
+
+// outcome is what one cell measured.
+type outcome struct {
+	opsPerSec float64
+	opsPerAcq float64 // per cell.count; 0 when nothing was counted
+	avgBatch  float64 // average issued batch of a batched run
+}
+
+// runCell builds the cell's store, populates it, runs the load and
+// reports throughput plus the counts the cell asked for. Population is
+// excluded: the counts cover only the measured window.
+func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
+	e := c.entry
+	if e.NewMutex == nil && e.NewExec == nil {
+		return outcome{}, fmt.Errorf("lock %q is abortable-only and cannot guard the store", e.Name)
+	}
+	var excl, shared atomic.Uint64
+	if c.count != countNothing {
+		counted := func(x registry.Entry) registry.Entry {
+			if newMutex := x.NewMutex; newMutex != nil {
+				x.NewMutex = func(t *numa.Topology) locks.Mutex { return locks.CountAcquisitions(newMutex(t), &excl) }
+			}
+			if newRW := x.NewRW; newRW != nil {
+				x.NewRW = func(t *numa.Topology) locks.RWMutex { return locks.CountRWAcquisitions(newRW(t), &excl, &shared) }
+			}
+			return x
+		}
+		if wrapper, operand, ok := e.Unwrap(); ok && e.NewExec != nil {
+			var err error
+			if e, err = registry.Wrap(wrapper, counted(operand)); err != nil {
+				return outcome{}, err
+			}
+		} else {
+			e = counted(e)
+		}
+	}
+
+	cfg := kvstore.Config{Topo: topo, MaxBatch: c.batch}
+	switch {
+	case e.NewExec != nil:
+		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
+	case c.sharedReads && e.NewRW != nil:
+		cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
+	default:
+		cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
+	}
+	if c.shards > 1 {
+		// Keep the comparison against the single-shard cell
+		// apples-to-apples: every keyspace view gets at least the
+		// single-shard default capacity and bucket count. Under
+		// ClusterAffine each cluster's view spans only its home-shard
+		// group, so size per shard from the smallest group; views with
+		// more home shards get proportional slack. Parity is exact when
+		// -shards divides evenly by -clusters and is a power of two (the
+		// store rounds per-shard buckets up to a power of two).
+		cfg.Shards = c.shards
+		cfg.Placement = opt.placement
+		cfg.Capacity = 1 << 16
+		cfg.Buckets = 1 << 15
+		if opt.placement == kvstore.ClusterAffine {
+			minGroup := max(1, c.shards/topo.Clusters())
+			cfg.Capacity = c.shards * (1 << 16) / minGroup
+			cfg.Buckets = c.shards * (1 << 15) / minGroup
+		}
+	}
 	if opt.capacity > 0 {
+		// An explicit capacity also resizes the bucket arrays (half the
+		// item count — ~2-deep chains at full residency), since the
+		// tables' default 2^15 buckets would hash a million-key store
+		// into 30-long chains and measure chain walks, not locks.
 		cfg.Capacity = opt.capacity
 		cfg.Buckets = opt.capacity / 2
 	}
-}
-
-// sizeShards configures the multi-shard slice of cfg. It keeps the
-// comparison against the single-shard cell apples-to-apples: every
-// keyspace view gets at least the single-shard default capacity and
-// bucket count. Under ClusterAffine each cluster's view spans only its
-// home-shard group, so size per shard from the smallest group; views
-// with more home shards get proportional slack. Parity is exact when
-// -shards divides evenly by -clusters and is a power of two (the store
-// rounds per-shard buckets up to a power of two).
-func sizeShards(cfg *kvstore.Config, opt options, topo *numa.Topology, shards int) {
-	cfg.Shards = shards
-	cfg.Placement = opt.placement
-	cfg.Capacity = 1 << 16
-	cfg.Buckets = 1 << 15
-	if opt.placement == kvstore.ClusterAffine {
-		minGroup := shards / topo.Clusters()
-		if minGroup < 1 {
-			minGroup = 1
-		}
-		cfg.Capacity = shards * (1 << 16) / minGroup
-		cfg.Buckets = shards * (1 << 15) / minGroup
-	}
-}
-
-// newStore builds one cell's store: a combining executor per shard
-// for comb-* entries, a single pre-built lock on the pre-sharding
-// path, one lock instance per shard from the registry factory
-// otherwise.
-func newStore(opt options, topo *numa.Topology, e registry.Entry, shards int) *kvstore.Store {
-	cfg := kvstore.Config{Topo: topo}
-	if e.NewExec != nil {
-		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
-		if shards > 1 {
-			sizeShards(&cfg, opt, topo, shards)
-		}
-		applyCapacity(&cfg, opt)
-		return kvstore.New(cfg)
-	}
-	if shards <= 1 {
-		cfg.Locking = kvstore.FromLock(e.NewMutex(topo))
-		applyCapacity(&cfg, opt)
-		return kvstore.New(cfg)
-	}
-	cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
-	sizeShards(&cfg, opt, topo, shards)
-	applyCapacity(&cfg, opt)
-	return kvstore.New(cfg)
-}
-
-// newStoreRW builds one RW-table cell's store. shared selects the
-// genuine shared read path; exclusive cells run the same lock
-// construction with every Get through exclusive mode (RWFromMutex),
-// so the two columns differ only in the read protocol.
-func newStoreRW(opt options, topo *numa.Topology, e registry.Entry, shards int, shared bool) *kvstore.Store {
-	f := e.RWFactory(topo)
-	if !shared {
-		inner := f
-		f = func() locks.RWMutex { return locks.RWFromMutex(inner()) }
-	}
-	// MaxBatch tracks the pipeline's batch size when one is set (the
-	// -adaptive shared-read table), so a shard group of a client batch
-	// is one critical section and the "batch=N" caption describes what
-	// actually ran; plain -reads runs keep the store default.
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch}
-	if shards <= 1 {
-		cfg.Locking = kvstore.FromRWLock(f())
-	} else {
-		cfg.Locking = kvstore.FromRW(f)
-		sizeShards(&cfg, opt, topo, shards)
-	}
-	applyCapacity(&cfg, opt)
-	return kvstore.New(cfg)
-}
-
-// measureBatch runs one batched-pipeline cell: kvload MGet/MSet
-// batches of opt.batch against a fresh store whose every lock
-// instance carries an acquisition counter. Population acquisitions
-// are excluded; the returned amortization covers only the measured
-// window. Combining entries (comb-*, comb-a-*) rebuild through
-// WrapExec so the counter sits between the combiner and the base lock
-// — a combined batch counts as the single acquisition it is; rw-*
-// entries count exclusive and shared acquisitions into the same total
-// and run MGet chunks through the shared-mode group path.
-// adaptiveClient runs kvload's hill-climbing batch sizer against the
-// opt.batch ceiling instead of a fixed size; avgBatch reports what it
-// actually issued.
-func measureBatch(opt options, topo *numa.Topology, e registry.Entry, threads, getPct, shards int, adaptiveClient bool) (tp, opsPerAcq, avgBatch float64, err error) {
-	// Every shard's lock sums into one acquisition counter; under a
-	// comb-* column the counter sits between the combiner and the base
-	// lock, so combined batches count as the single acquisition they
-	// are.
-	var acquisitions atomic.Uint64
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch}
-	switch {
-	case e.NewExec != nil:
-		// Derived combining entry: rebuild it through WrapExec (the
-		// entry's own construction, fixed or adaptive) to interpose the
-		// counter on the base lock.
-		base := registry.MustLookup(e.Base)
-		newMutex := base.MutexFactory(topo)
-		cfg.Locking = kvstore.FromExec(func() locks.Executor {
-			return e.WrapExec(topo, locks.CountAcquisitions(newMutex(), &acquisitions))
-		})
-	case e.NewRW != nil:
-		newRW := e.NewRW
-		cfg.Locking = kvstore.FromRW(func() locks.RWMutex {
-			return locks.CountRWAcquisitions(newRW(topo), &acquisitions, &acquisitions)
-		})
-	case e.NewMutex != nil:
-		newMutex := e.MutexFactory(topo)
-		cfg.Locking = kvstore.FromMutex(func() locks.Mutex {
-			return locks.CountAcquisitions(newMutex(), &acquisitions)
-		})
-	default:
-		return 0, 0, 0, fmt.Errorf("lock %q cannot guard the store", e.Name)
-	}
-	if shards > 1 {
-		sizeShards(&cfg, opt, topo, shards)
-	}
-	applyCapacity(&cfg, opt)
 	store := kvstore.New(cfg)
 	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
 	runtime.GC() // population litters the heap; keep GC out of the window
-	before := acquisitions.Load()
-	lcfg := kvload.DefaultConfig(topo, threads, getPct)
+
+	getPct := c.getPct
+	if c.reads > 0 {
+		getPct = int(c.reads * 100)
+	}
+	lcfg := kvload.DefaultConfig(topo, c.threads, getPct)
 	lcfg.Duration = opt.duration
 	lcfg.Keyspace = opt.keyspace
-	lcfg.BatchSize = opt.batch
-	lcfg.BatchAdaptive = adaptiveClient
+	lcfg.Affinity = opt.affinity
+	lcfg.ReadFraction = c.reads
+	lcfg.BatchSize = c.batch
+	lcfg.BatchAdaptive = c.adaptiveClient
+
+	var sampler *shardStats
+	if c.shardStats {
+		sampler = startShardStats(store)
+	}
+	exclBefore, sharedBefore := excl.Load(), shared.Load()
 	res, err := kvload.Run(lcfg, store)
+	if sampler != nil {
+		sampler.stop()
+	}
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("%s @%d x%d shards (batch=%d): %w", e.Name, threads, shards, opt.batch, err)
+		return outcome{}, fmt.Errorf("%s @%d x%d shards (mix=%d%% reads=%g batch=%d): %w",
+			e.Name, c.threads, c.shards, c.getPct, c.reads, c.batch, err)
 	}
-	if acq := acquisitions.Load() - before; acq > 0 {
-		opsPerAcq = float64(res.Ops) / float64(acq)
+	if sampler != nil {
+		sampler.print(opt, fmt.Sprintf("%s mix=%d%% threads=%d shards=%d", e.Name, c.getPct, c.threads, c.shards))
 	}
-	return res.Throughput(), opsPerAcq, res.AvgBatch(), nil
+	out := outcome{opsPerSec: res.Throughput(), avgBatch: res.AvgBatch()}
+	ops, acq := res.Ops, excl.Load()-exclBefore+shared.Load()-sharedBefore
+	if c.count == countShared {
+		ops, acq = res.Gets, shared.Load()-sharedBefore
+	}
+	if acq > 0 {
+		out.opsPerAcq = float64(ops) / float64(acq)
+	}
+	return out, nil
 }
 
-// runBatchMix emits the batched-pipeline tables for one mix: per
-// shard count, a speedup table (normalized to batched pthread@1 on
-// one shard) and an ops-per-acquisition table over the same cells.
-func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
-	base, _, _, err := measureBatch(opt, topo, registry.MustLookup("pthread"), 1, getPct, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "batch=%d mix %d%% gets: pthread@1 baseline %.0f ops/s\n", opt.batch, getPct, base)
+// shardStats is one cell's -shardstats sampler: pre-run snapshots (so
+// the table covers only the measured window; population would dwarf
+// its counters) and the per-shard maximum of the combining-executor
+// occupancy estimate (Store.ShardOccupancy), polled until stop. Shards
+// whose lock has no estimator — everything but comb-* — stay at -1.
+type shardStats struct {
+	store *kvstore.Store
+	pre   []kvstore.Stats
+	occ   []int
+	quit  chan struct{}
+	done  chan struct{}
+}
 
-	entries := make([]registry.Entry, 0, len(opt.locks))
-	for _, name := range opt.locks {
-		e, err := registry.Find(name)
-		if err != nil {
-			return nil, err
-		}
-		if e.NewMutex == nil && e.NewExec == nil && e.NewRW == nil {
-			return nil, fmt.Errorf("lock %q is abortable-only and cannot guard the store", name)
-		}
-		entries = append(entries, e)
+func startShardStats(store *kvstore.Store) *shardStats {
+	n := store.NumShards()
+	st := &shardStats{store: store, pre: make([]kvstore.Stats, n), occ: make([]int, n),
+		quit: make(chan struct{}), done: make(chan struct{})}
+	for i := range st.pre {
+		st.pre[i], st.occ[i] = store.ShardSnapshot(i), -1
 	}
-
-	var records []record
-	for _, shards := range opt.shards {
-		title := fmt.Sprintf("Batched pipeline (batch=%d, %d%% gets): speedup over pthread@1", opt.batch, getPct)
-		amortTitle := fmt.Sprintf("Batched pipeline (batch=%d, %d%% gets): ops per lock acquisition", opt.batch, getPct)
-		if shards > 1 {
-			suffix := fmt.Sprintf(" [%d shards, %s placement]", shards, opt.placement)
-			title += suffix
-			amortTitle += suffix
-		}
-		headers := append([]string{"threads"}, opt.locks...)
-		tb := stats.NewTable(title, headers...)
-		ab := stats.NewTable(amortTitle, headers...)
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			amortRow := []string{fmt.Sprint(n)}
-			for _, e := range entries {
-				tp, opsPerAcq, _, err := measureBatch(opt, topo, e, n, getPct, shards, false)
-				if err != nil {
-					return nil, err
-				}
-				placement := opt.placement.String()
-				if shards <= 1 {
-					placement = "single"
-				}
-				records = append(records, record{
-					Mix: getPct, Lock: e.Name, Threads: n, Shards: shards,
-					Placement: placement,
-					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-					Batch: opt.batch, OpsPerAcq: opsPerAcq,
-				})
-				row = append(row, stats.F(stats.Speedup(base, tp), 2))
-				amortRow = append(amortRow, stats.F(opsPerAcq, 1))
-				fmt.Fprintf(os.Stderr, "ran batch=%d mix=%d%% %-16s threads=%-4d shards=%-3d %.0f ops/s %.1f ops/acq\n",
-					opt.batch, getPct, e.Name, n, shards, tp, opsPerAcq)
+	go func() {
+		defer close(st.done)
+		for {
+			select {
+			case <-st.quit:
+				return
+			case <-time.After(2 * time.Millisecond):
 			}
-			tb.AddRow(row...)
-			ab.AddRow(amortRow...)
-		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(tb, opt.csv))
-			fmt.Println()
-			fmt.Print(cli.Emit(ab, opt.csv))
-			fmt.Println()
-		}
-	}
-	return records, nil
-}
-
-// runAdaptive emits the adaptive-hot-path exhibit: per shard count,
-// fixed vs adaptive combining (speedup and ops-per-acquisition, the
-// comb-<l> / comb-a-<l> twins of each base lock), shared vs exclusive
-// batched MGet over the reader-writer family at the -reads fraction,
-// and a fixed vs adaptive client batch pair driving the first base
-// lock's adaptive combiner. Everything is normalized to the batched
-// pthread@1 single-shard baseline, like the -batch tables.
-func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
-	getPct := opt.mixes[0]
-	base, _, _, err := measureBatch(opt, topo, registry.MustLookup("pthread"), 1, getPct, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "adaptive batch=%d mix %d%% gets: pthread@1 baseline %.0f ops/s\n",
-		opt.batch, getPct, base)
-
-	// Resolve each named lock to its base entry (comb-*/comb-a-* names
-	// are accepted and stripped back), then to its two combining twins.
-	type pair struct {
-		fixed, adaptive registry.Entry
-	}
-	var pairs []pair
-	for _, name := range opt.locks {
-		e, err := registry.Find(name)
-		if err != nil {
-			return nil, err
-		}
-		if e.Base != "" {
-			e = registry.MustLookup(e.Base)
-		}
-		if e.NewMutex == nil {
-			return nil, fmt.Errorf("lock %q has no blocking face; the combining comparison needs a base lock", name)
-		}
-		pairs = append(pairs, pair{
-			fixed:    registry.MustLookup("comb-" + e.Name),
-			adaptive: registry.MustLookup("comb-a-" + e.Name),
-		})
-	}
-	rwEntries := registry.RW()
-
-	var records []record
-	for _, shards := range opt.shards {
-		placement := opt.placement.String()
-		if shards <= 1 {
-			placement = "single"
-		}
-		suffix := ""
-		if shards > 1 {
-			suffix = fmt.Sprintf(" [%d shards, %s placement]", shards, opt.placement)
-		}
-
-		// Table 1: fixed vs adaptive combining, speedup + ops/acq.
-		headers := []string{"threads"}
-		for _, pr := range pairs {
-			headers = append(headers, pr.fixed.Name, pr.adaptive.Name)
-		}
-		tb := stats.NewTable(fmt.Sprintf("Adaptive combining (batch=%d, %d%% gets): speedup over pthread@1%s", opt.batch, getPct, suffix), headers...)
-		ab := stats.NewTable(fmt.Sprintf("Adaptive combining (batch=%d, %d%% gets): ops per lock acquisition%s", opt.batch, getPct, suffix), headers...)
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			amortRow := []string{fmt.Sprint(n)}
-			for _, pr := range pairs {
-				for ci, e := range []registry.Entry{pr.fixed, pr.adaptive} {
-					tp, opsPerAcq, _, err := measureBatch(opt, topo, e, n, getPct, shards, false)
-					if err != nil {
-						return nil, err
-					}
-					combiner := "fixed"
-					if ci == 1 {
-						combiner = "adaptive"
-					}
-					records = append(records, record{
-						Mix: getPct, Lock: e.Name, Threads: n, Shards: shards,
-						Placement: placement,
-						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-						Batch: opt.batch, OpsPerAcq: opsPerAcq, Combiner: combiner,
-					})
-					row = append(row, stats.F(stats.Speedup(base, tp), 2))
-					amortRow = append(amortRow, stats.F(opsPerAcq, 1))
-					fmt.Fprintf(os.Stderr, "ran adaptive comb=%-8s %-20s threads=%-4d shards=%-3d %.0f ops/s %.1f ops/acq\n",
-						combiner, e.Name, n, shards, tp, opsPerAcq)
+			for i := range st.occ {
+				if occ, ok := store.ShardOccupancy(i); ok && occ > st.occ[i] {
+					st.occ[i] = occ
 				}
 			}
-			tb.AddRow(row...)
-			ab.AddRow(amortRow...)
 		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(tb, opt.csv))
-			fmt.Println()
-			fmt.Print(cli.Emit(ab, opt.csv))
-			fmt.Println()
-		}
-
-		// Table 2: shared vs exclusive batched MGet, rw-* family.
-		headers = []string{"threads"}
-		for _, e := range rwEntries {
-			headers = append(headers, e.Name, e.Name+"/x")
-		}
-		rb := stats.NewTable(fmt.Sprintf("Shared-mode batched reads (batch=%d, %.4g%% gets): speedup over pthread@1%s", opt.batch, opt.reads*100, suffix), headers...)
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			for _, e := range rwEntries {
-				for _, sharedMode := range []bool{true, false} {
-					tp, err := measureRW(opt, topo, e, n, shards, sharedMode)
-					if err != nil {
-						return nil, err
-					}
-					path := "exclusive"
-					if sharedMode {
-						path = "shared"
-					}
-					records = append(records, record{
-						Mix: int(opt.reads*100 + 0.5), Lock: e.Name, Threads: n, Shards: shards,
-						Placement: placement,
-						OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-						Reads: opt.reads, ReadPath: path, Batch: opt.batch,
-					})
-					row = append(row, stats.F(stats.Speedup(base, tp), 2))
-					fmt.Fprintf(os.Stderr, "ran adaptive reads=%g %-14s %-9s threads=%-4d shards=%-3d %.0f ops/s\n",
-						opt.reads, e.Name, path, n, shards, tp)
-				}
-			}
-			rb.AddRow(row...)
-		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(rb, opt.csv))
-			fmt.Println()
-		}
-
-		// Table 3: fixed vs adaptive client batch, driving the first
-		// base lock's adaptive combiner — the whole adaptive hot path
-		// end to end.
-		clientLock := pairs[0].adaptive
-		cb := stats.NewTable(fmt.Sprintf("Adaptive client batch over %s (ceiling %d, %d%% gets): speedup over pthread@1%s", clientLock.Name, opt.batch, getPct, suffix),
-			"threads", fmt.Sprintf("fixed/b=%d", opt.batch), fmt.Sprintf("adaptive/b<=%d", opt.batch), "avg batch")
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			var avg float64
-			for _, mode := range []string{"fixed", "adaptive"} {
-				tp, _, avgBatch, err := measureBatch(opt, topo, clientLock, n, getPct, shards, mode == "adaptive")
-				if err != nil {
-					return nil, err
-				}
-				records = append(records, record{
-					Mix: getPct, Lock: clientLock.Name, Threads: n, Shards: shards,
-					Placement: placement,
-					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-					Batch: opt.batch, Combiner: "adaptive",
-					BatchMode: mode, AvgBatch: avgBatch,
-				})
-				row = append(row, stats.F(stats.Speedup(base, tp), 2))
-				if mode == "adaptive" {
-					avg = avgBatch
-				}
-				fmt.Fprintf(os.Stderr, "ran adaptive client=%-8s %-20s threads=%-4d shards=%-3d %.0f ops/s avg batch %.1f\n",
-					mode, clientLock.Name, n, shards, tp, avgBatch)
-			}
-			cb.AddRow(append(row, stats.F(avg, 1))...)
-		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(cb, opt.csv))
-			fmt.Println()
-		}
-	}
-	return records, nil
+	}()
+	return st
 }
 
-// measure runs one (lock, threads, mix, shards) cell against a fresh
-// store.
-func measure(opt options, topo *numa.Topology, lockName string, threads, getPct, shards int) (float64, error) {
-	e, err := registry.Find(lockName)
-	if err != nil {
-		return 0, err
-	}
-	if e.NewMutex == nil && e.NewExec == nil {
-		return 0, fmt.Errorf("lock %q is abortable-only and cannot guard the store", lockName)
-	}
-	store := newStore(opt, topo, e, shards)
-	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
-	runtime.GC() // population litters the heap; keep GC out of the window
-	cfg := kvload.DefaultConfig(topo, threads, getPct)
-	cfg.Duration = opt.duration
-	cfg.Keyspace = opt.keyspace
-	cfg.Affinity = opt.affinity
-	label := fmt.Sprintf("%s mix=%d%% threads=%d shards=%d", lockName, getPct, threads, shards)
-	res, err := runLoad(opt, store, cfg, label)
-	if err != nil {
-		return 0, fmt.Errorf("%s @%d x%d shards: %w", lockName, threads, shards, err)
-	}
-	return res.Throughput(), nil
+func (st *shardStats) stop() {
+	close(st.quit)
+	<-st.done
 }
 
-// runLoad runs one cell's load, sampling combining-executor occupancy
-// and printing the per-shard counter table when -shardstats is set.
-func runLoad(opt options, store *kvstore.Store, cfg kvload.Config, label string) (kvload.Result, error) {
-	var (
-		stop  chan struct{}
-		occCh chan []int
-		pre   []kvstore.Stats
-	)
-	if opt.shardStat {
-		// Pre-run snapshots make the table cover only the measured
-		// window; population would otherwise dwarf its counters.
-		pre = make([]kvstore.Stats, store.NumShards())
-		for i := range pre {
-			pre[i] = store.ShardSnapshot(i)
-		}
-		stop, occCh = make(chan struct{}), make(chan []int, 1)
-		go sampleOccupancy(store, stop, occCh)
-	}
-	res, err := kvload.Run(cfg, store)
-	if opt.shardStat {
-		close(stop)
-		occ := <-occCh
-		if err == nil {
-			printShardStats(opt, store, pre, occ, label)
-		}
-	}
-	return res, err
-}
-
-// sampleOccupancy polls every shard's combining-executor occupancy
-// estimate (locks.EstimateOccupancy behind Store.ShardOccupancy) until
-// stop closes, keeping the per-shard maximum. Shards whose lock has no
-// estimator — everything but the comb-* columns — stay at -1.
-func sampleOccupancy(store *kvstore.Store, stop <-chan struct{}, done chan<- []int) {
-	max := make([]int, store.NumShards())
-	for i := range max {
-		max[i] = -1
-	}
-	for {
-		select {
-		case <-stop:
-			done <- max
-			return
-		default:
-		}
-		for i := range max {
-			if occ, ok := store.ShardOccupancy(i); ok && occ > max[i] {
-				max[i] = occ
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// printShardStats renders one cell's per-shard counters over the
-// measured window (pre holds each shard's pre-run snapshot). Under
+// print renders the per-shard counters over the measured window. Under
 // -json the table goes to stderr so the envelope on stdout stays
 // parseable.
-func printShardStats(opt options, store *kvstore.Store, pre []kvstore.Stats, occ []int, label string) {
+func (st *shardStats) print(opt options, label string) {
 	tb := stats.NewTable("Shard stats: "+label,
 		"shard", "home", "gets", "sets", "evictions", "max occ")
-	for i := 0; i < store.NumShards(); i++ {
-		st := store.ShardSnapshot(i)
-		occStr := "-"
-		if occ[i] >= 0 {
-			occStr = fmt.Sprint(occ[i])
+	for i, pre := range st.pre {
+		now := st.store.ShardSnapshot(i)
+		occ := "-"
+		if st.occ[i] >= 0 {
+			occ = fmt.Sprint(st.occ[i])
 		}
-		tb.AddRow(fmt.Sprint(i), fmt.Sprint(store.ShardHome(i)),
-			fmt.Sprint(st.Gets-pre[i].Gets), fmt.Sprint(st.Sets-pre[i].Sets),
-			fmt.Sprint(st.Evictions-pre[i].Evictions), occStr)
+		tb.AddRow(fmt.Sprint(i), fmt.Sprint(st.store.ShardHome(i)),
+			fmt.Sprint(now.Gets-pre.Gets), fmt.Sprint(now.Sets-pre.Sets),
+			fmt.Sprint(now.Evictions-pre.Evictions), occ)
 	}
 	out := os.Stdout
 	if opt.jsonOut {
@@ -808,92 +497,272 @@ func printShardStats(opt options, store *kvstore.Store, pre []kvstore.Stats, occ
 	fmt.Fprintln(out)
 }
 
-// measureRW runs one RW-table cell: the -reads fraction against a
-// fresh store whose Gets — MGet chunks included — run shared or
-// exclusive. opt.batch > 0 (the -adaptive shared-read table) drives
-// the batched pipeline; plain -reads runs keep the per-op loop
-// (opt.batch is 0 there, and batching excludes affinity biasing).
-func measureRW(opt options, topo *numa.Topology, e registry.Entry, threads, shards int, shared bool) (float64, error) {
-	store := newStoreRW(opt, topo, e, shards, shared)
-	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
-	runtime.GC() // population litters the heap; keep GC out of the window
-	cfg := kvload.DefaultConfig(topo, threads, int(opt.reads*100))
-	cfg.Duration = opt.duration
-	cfg.Keyspace = opt.keyspace
-	cfg.Affinity = opt.affinity
-	cfg.ReadFraction = opt.reads
-	cfg.BatchSize = opt.batch
-	res, err := kvload.Run(cfg, store)
-	if err != nil {
-		return 0, fmt.Errorf("%s @%d x%d shards (reads=%g batch=%d): %w", e.Name, threads, shards, opt.reads, opt.batch, err)
-	}
-	return res.Throughput(), nil
+// column is one lock column of an exhibit: the cell to run on every
+// row (threads and shards are the row's) and the record fields that
+// describe it.
+type column struct {
+	header string
+	cell   cell
+	rec    record
 }
 
-// measureRWComb runs one read-combining cell of the RW table: a
-// comb-rw-* / comb-a-rw-* entry rebuilt through WrapRWExec so a
-// CountRWAcquisitions counter sits between the reader-combiner and
-// the base RW lock — a combined read batch counts as the single
-// shared acquisition it is. Alongside throughput it reports shared
-// ops per shared acquisition over the measured window: how many read
-// closures each RLock of the base lock amortized (1.0 means every
-// read paid its own RLock, i.e. the uncontended bypass; higher means
-// the combiner folded concurrent same-cluster reads together).
-func measureRWComb(opt options, topo *numa.Topology, e registry.Entry, threads, shards int) (tp, sharedOpsPerAcq float64, err error) {
-	var excl, shared atomic.Uint64
-	base := registry.MustLookup(e.Base)
-	newRW := base.NewRW
-	var execs []locks.RWExecutor
-	cfg := kvstore.Config{Topo: topo, MaxBatch: opt.batch}
-	cfg.Locking = kvstore.FromExec(func() locks.Executor {
-		x := e.WrapRWExec(topo, locks.CountRWAcquisitions(newRW(topo), &excl, &shared))
-		execs = append(execs, x)
-		return x
-	})
+// table is one rendering of an exhibit's cells, each from its record.
+type table struct {
+	title string
+	value func(record) string
+	// tail, when set, closes each row with one more cell computed from
+	// the row's last record, under tailHeader.
+	tailHeader string
+	tail       func(record) string
+}
+
+func speedup(r record) string { return stats.F(r.Speedup, 2) }
+
+// opsPerAcq renders a counted column's amortization, "-" for the rest.
+func opsPerAcq(decimals int) func(record) string {
+	return func(r record) string {
+		if r.OpsPerAcq == 0 {
+			return "-"
+		}
+		return stats.F(r.OpsPerAcq, decimals)
+	}
+}
+
+// baseline measures like at one thread on one shard under pthread: the
+// paper's normalization unit.
+func baseline(opt options, topo *numa.Topology, like cell, label string) (float64, error) {
+	like.entry, like.threads, like.shards, like.shardStats = registry.MustLookup("pthread"), 1, 1, false
+	out, err := runCell(opt, topo, like)
+	if err != nil {
+		return 0, err
+	}
+	fmt.Fprintf(os.Stderr, "%s: pthread@1 baseline %.0f ops/s\n", label, out.opsPerSec)
+	return out.opsPerSec, nil
+}
+
+// exhibit is a set of columns and the tables printed over their cells.
+type exhibit struct {
+	cols   []column
+	tables []table
+}
+
+// runExhibit measures x's columns over opt.threads at one shard count
+// and prints its tables, one row per thread count. Titles gain the
+// shard suffix; records gain what was measured and where.
+func runExhibit(opt options, topo *numa.Topology, shards int, base float64, x exhibit) ([]record, error) {
+	cols, tables := x.cols, x.tables
+	// Single-shard cells ignore placement and affinity; label the
+	// records with what actually ran.
+	placement, affinity, suffix := "single", 0.0, ""
 	if shards > 1 {
-		sizeShards(&cfg, opt, topo, shards)
+		placement, affinity = opt.placement.String(), opt.affinity
+		suffix = fmt.Sprintf(" [%d shards, %s placement]", shards, opt.placement)
 	}
-	applyCapacity(&cfg, opt)
-	store := kvstore.New(cfg)
-	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
-	runtime.GC() // population litters the heap; keep GC out of the window
-	opsBefore, acqBefore := sharedOpsSum(execs), shared.Load()
-	cfg2 := kvload.DefaultConfig(topo, threads, int(opt.reads*100))
-	cfg2.Duration = opt.duration
-	cfg2.Keyspace = opt.keyspace
-	cfg2.Affinity = opt.affinity
-	cfg2.ReadFraction = opt.reads
-	cfg2.BatchSize = opt.batch
-	res, err := kvload.Run(cfg2, store)
-	if err != nil {
-		return 0, 0, fmt.Errorf("%s @%d x%d shards (reads=%g): %w", e.Name, threads, shards, opt.reads, err)
+	rendered := make([]*stats.Table, len(tables))
+	for i, t := range tables {
+		headers := []string{"threads"}
+		for _, c := range cols {
+			headers = append(headers, c.header)
+		}
+		if t.tail != nil {
+			headers = append(headers, t.tailHeader)
+		}
+		rendered[i] = stats.NewTable(t.title+suffix, headers...)
 	}
-	if acq := shared.Load() - acqBefore; acq > 0 {
-		sharedOpsPerAcq = float64(sharedOpsSum(execs)-opsBefore) / float64(acq)
-	}
-	return res.Throughput(), sharedOpsPerAcq, nil
-}
-
-// sharedOpsSum totals the read closures the given executors have run
-// (every shard's executor of one read-combining cell).
-func sharedOpsSum(execs []locks.RWExecutor) uint64 {
-	type sharedOps interface{ SharedOps() uint64 }
-	var n uint64
-	for _, x := range execs {
-		if s, ok := x.(sharedOps); ok {
-			n += s.SharedOps()
+	var records []record
+	for _, n := range opt.threads {
+		rows := make([][]string, len(tables))
+		var r record
+		for _, c := range cols {
+			c.cell.threads, c.cell.shards = n, shards
+			out, err := runCell(opt, topo, c.cell)
+			if err != nil {
+				return nil, err
+			}
+			r = c.rec
+			r.Threads, r.Shards, r.Placement, r.Affinity = n, shards, placement, affinity
+			r.OpsPerSec, r.Speedup, r.OpsPerAcq = out.opsPerSec, stats.Speedup(base, out.opsPerSec), out.opsPerAcq
+			if r.BatchMode != "" {
+				r.AvgBatch = out.avgBatch
+			}
+			records = append(records, r)
+			for i, t := range tables {
+				rows[i] = append(rows[i], t.value(r))
+			}
+			trace := fmt.Sprintf("ran %-22s threads=%-4d shards=%-3d %.0f ops/s", c.header, n, shards, out.opsPerSec)
+			if out.opsPerAcq > 0 {
+				trace += fmt.Sprintf(" %.2f ops/acq", out.opsPerAcq)
+			}
+			if out.avgBatch > 0 {
+				trace += fmt.Sprintf(" avg batch %.1f", out.avgBatch)
+			}
+			fmt.Fprintln(os.Stderr, trace)
+		}
+		for i, t := range tables {
+			if t.tail != nil {
+				rows[i] = append(rows[i], t.tail(r))
+			}
+			rendered[i].AddRow(append([]string{fmt.Sprint(n)}, rows[i]...)...)
 		}
 	}
-	return n
+	if !opt.jsonOut {
+		for _, tb := range rendered {
+			fmt.Print(cli.Emit(tb, opt.csv))
+			fmt.Println()
+		}
+	}
+	return records, nil
 }
 
-// readCombinerLabel names a comb-rw-* entry's policy for the
-// read_combiner record field and the stderr trace.
-func readCombinerLabel(name string) string {
-	if strings.HasPrefix(name, "comb-a-") {
-		return "adaptive"
+// sweep runs the exhibits, in order, once per -shards count.
+func sweep(opt options, topo *numa.Topology, base float64, exhibits ...exhibit) ([]record, error) {
+	var records []record
+	for _, shards := range opt.shards {
+		for _, x := range exhibits {
+			recs, err := runExhibit(opt, topo, shards, base, x)
+			if err != nil {
+				return nil, err
+			}
+			records = append(records, recs...)
+		}
 	}
-	return "fixed"
+	return records, nil
+}
+
+// resolve looks the -locks names up; cli.Locks validated them at flag
+// parsing.
+func resolve(names []string) []registry.Entry {
+	entries := make([]registry.Entry, len(names))
+	for i, name := range names {
+		entries[i] = registry.MustLookup(name)
+	}
+	return entries
+}
+
+// runMix emits Table 1 for one mix: every Get through the lock's
+// exclusive path, as the paper ran it; comb-* names run the single-op
+// path through delegated execution.
+func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
+	var cols []column
+	for i, e := range resolve(opt.locks) {
+		cols = append(cols, column{
+			header: opt.locks[i],
+			cell:   cell{entry: e, getPct: getPct, shardStats: opt.shardStat},
+			rec:    record{Mix: getPct, Lock: opt.locks[i]},
+		})
+	}
+	base, err := baseline(opt, topo, cols[0].cell, fmt.Sprintf("mix %d%% gets", getPct))
+	if err != nil {
+		return nil, err
+	}
+	title := fmt.Sprintf("Table 1 (%d%% gets / %d%% sets): speedup over pthread@1", getPct, 100-getPct)
+	records, err := sweep(opt, topo, base, exhibit{cols, []table{{title: title, value: speedup}}})
+	if err == nil && len(opt.shards) > 1 && !opt.jsonOut {
+		fmt.Print(cli.Emit(scalingTable(opt, records, getPct), opt.csv))
+		fmt.Println()
+	}
+	return records, err
+}
+
+// runBatchMix emits the batched-pipeline tables for one mix: workers
+// issue MGet/MSet batches of opt.batch and every lock column carries
+// an acquisition counter, so beside the speedup table (normalized to
+// batched pthread@1 on one shard) an ops-per-acquisition table shows
+// how much work each lock amortizes per critical section. rw-* columns
+// run MGet chunks in shared mode.
+func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
+	var cols []column
+	for i, e := range resolve(opt.locks) {
+		cols = append(cols, column{
+			header: opt.locks[i],
+			cell:   cell{entry: e, getPct: getPct, batch: opt.batch, sharedReads: true, count: countAll},
+			rec:    record{Mix: getPct, Lock: e.Name, Batch: opt.batch},
+		})
+	}
+	base, err := baseline(opt, topo, cols[0].cell, fmt.Sprintf("batch=%d mix %d%% gets", opt.batch, getPct))
+	if err != nil {
+		return nil, err
+	}
+	title := fmt.Sprintf("Batched pipeline (batch=%d, %d%% gets): ", opt.batch, getPct)
+	return sweep(opt, topo, base, exhibit{cols, []table{
+		{title: title + "speedup over pthread@1", value: speedup},
+		{title: title + "ops per lock acquisition", value: opsPerAcq(1)},
+	}})
+}
+
+// runAdaptive emits the adaptive-hot-path exhibit: per shard count,
+// fixed vs adaptive combining (speedup and ops-per-acquisition, comb-
+// and comb-a- over each named lock), shared vs exclusive batched MGet
+// over the reader-writer family at the -reads fraction, and a fixed vs
+// adaptive client batch pair driving the first lock's adaptive
+// combiner. Everything is normalized to the batched pthread@1
+// single-shard baseline, like the -batch tables.
+func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
+	getPct := opt.mixes[0]
+	batched := cell{getPct: getPct, batch: opt.batch, count: countAll}
+	var combCols []column
+	for _, e := range resolve(opt.locks) {
+		// comb-*/comb-a-* names are accepted and stripped back to
+		// their operand.
+		if _, operand, ok := e.Unwrap(); ok && e.NewExec != nil {
+			e = operand
+		}
+		for _, pol := range []struct{ wrapper, combiner string }{{registry.WrapComb, "fixed"}, {registry.WrapCombA, "adaptive"}} {
+			comb, err := registry.Wrap(pol.wrapper, e)
+			if err != nil {
+				return nil, fmt.Errorf("the combining comparison needs a blocking lock: %w", err)
+			}
+			c := batched
+			c.entry = comb
+			combCols = append(combCols, column{
+				header: comb.Name, cell: c,
+				rec: record{Mix: getPct, Lock: comb.Name, Batch: opt.batch, Combiner: pol.combiner},
+			})
+		}
+	}
+	var rwCols []column
+	for _, e := range registry.RW() {
+		for _, path := range []string{"shared", "exclusive"} {
+			header := e.Name
+			if path == "exclusive" {
+				header += "/x"
+			}
+			rwCols = append(rwCols, column{
+				header: header,
+				cell:   cell{entry: e, reads: opt.reads, batch: opt.batch, sharedReads: path == "shared"},
+				rec: record{Mix: int(opt.reads*100 + 0.5), Lock: e.Name, Batch: opt.batch,
+					Reads: opt.reads, ReadPath: path},
+			})
+		}
+	}
+	// The whole adaptive hot path end to end: the first lock's adaptive
+	// combiner under a fixed and an adaptive client.
+	client := combCols[1]
+	client.cell.count = countNothing
+	client.rec.BatchMode, client.header = "fixed", fmt.Sprintf("fixed/b=%d", opt.batch)
+	adaptiveClient := client
+	adaptiveClient.cell.adaptiveClient = true
+	adaptiveClient.rec.BatchMode, adaptiveClient.header = "adaptive", fmt.Sprintf("adaptive/b<=%d", opt.batch)
+
+	base, err := baseline(opt, topo, batched, fmt.Sprintf("adaptive batch=%d mix %d%% gets", opt.batch, getPct))
+	if err != nil {
+		return nil, err
+	}
+	combTitle := fmt.Sprintf("Adaptive combining (batch=%d, %d%% gets): ", opt.batch, getPct)
+	return sweep(opt, topo, base,
+		exhibit{combCols, []table{
+			{title: combTitle + "speedup over pthread@1", value: speedup},
+			{title: combTitle + "ops per lock acquisition", value: opsPerAcq(1)},
+		}},
+		exhibit{rwCols, []table{{
+			title: fmt.Sprintf("Shared-mode batched reads (batch=%d, %.4g%% gets): speedup over pthread@1", opt.batch, opt.reads*100),
+			value: speedup,
+		}}},
+		exhibit{[]column{client, adaptiveClient}, []table{{
+			title: fmt.Sprintf("Adaptive client batch over %s (ceiling %d, %d%% gets): speedup over pthread@1", client.rec.Lock, opt.batch, getPct),
+			value: speedup, tailHeader: "avg batch",
+			tail: func(r record) string { return stats.F(r.AvgBatch, 1) },
+		}}})
 }
 
 // runRW emits the reader-writer read-path tables: per shard count, one
@@ -903,185 +772,56 @@ func readCombinerLabel(name string) string {
 // entries (comb-rw-*, comb-a-rw-*) contribute a single shared column
 // (their writes already run combined; an exclusive-read variant would
 // measure a different executor, not a different read protocol) and
-// feed a second table: shared ops per shared acquisition of the base
-// lock, the combiner's read-side amortization.
+// feed a second table: shared ops per shared acquisition of the lock
+// under the combiner, its read-side amortization.
 func runRW(opt options, topo *numa.Topology) ([]record, error) {
-	base, err := measureRW(opt, topo, registry.MustLookup("pthread"), 1, 1, false)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "reads=%g: pthread@1 baseline %.0f ops/s\n", opt.reads, base)
-
-	type column struct {
-		name   string
-		entry  registry.Entry
-		shared bool
-		comb   bool
-	}
+	reads := cell{reads: opt.reads, batch: opt.batch}
+	rec := record{Mix: int(opt.reads*100 + 0.5), Reads: opt.reads}
 	var cols []column
 	haveComb := false
-	for _, name := range opt.locks {
-		e, err := registry.Find(name)
-		if err != nil {
-			return nil, err
+	add := func(e registry.Entry, header, path string, count counting) {
+		c, r := reads, rec
+		c.entry, c.sharedReads, c.count = e, path == "shared", count
+		r.Lock, r.ReadPath = e.Name, path
+		if count == countShared {
+			r.ReadCombiner = "fixed"
+			if wrapper, _, _ := e.Unwrap(); wrapper == registry.WrapCombA {
+				r.ReadCombiner = "adaptive"
+			}
 		}
-		if e.NewRWExec != nil {
-			cols = append(cols, column{e.Name, e, true, true})
+		cols = append(cols, column{header: header, cell: c, rec: r})
+	}
+	for _, e := range resolve(opt.locks) {
+		switch {
+		case e.NewRWExec != nil:
+			add(e, e.Name, "shared", countShared)
 			haveComb = true
-			continue
-		}
-		if e.NewMutex == nil && e.NewRW == nil {
-			if e.NewExec != nil {
-				return nil, fmt.Errorf("lock %q is a combining executor with no reader-writer face; use it with -batch or the standard tables", name)
-			}
-			return nil, fmt.Errorf("lock %q is abortable-only and cannot guard the store", name)
-		}
-		if e.NewRW != nil {
-			cols = append(cols, column{e.Name, e, true, false})
-		}
-		cols = append(cols, column{e.Name + "/x", e, false, false})
-	}
-
-	var records []record
-	for _, shards := range opt.shards {
-		title := fmt.Sprintf("RW read path (%.4g%% gets): speedup over pthread@1", opt.reads*100)
-		amortTitle := fmt.Sprintf("RW read path (%.4g%% gets): shared ops per shared acquisition", opt.reads*100)
-		if shards > 1 {
-			suffix := fmt.Sprintf(" [%d shards, %s placement]", shards, opt.placement)
-			title += suffix
-			amortTitle += suffix
-		}
-		headers := []string{"threads"}
-		for _, c := range cols {
-			headers = append(headers, c.name)
-		}
-		tb := stats.NewTable(title, headers...)
-		ab := stats.NewTable(amortTitle, headers...)
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			amortRow := []string{fmt.Sprint(n)}
-			for _, c := range cols {
-				var (
-					tp, opsPerAcq float64
-					err           error
-					combiner      string
-				)
-				if c.comb {
-					tp, opsPerAcq, err = measureRWComb(opt, topo, c.entry, n, shards)
-					combiner = readCombinerLabel(c.entry.Name)
-				} else {
-					tp, err = measureRW(opt, topo, c.entry, n, shards, c.shared)
-				}
-				if err != nil {
-					return nil, err
-				}
-				placement, affinity := opt.placement.String(), opt.affinity
-				if shards <= 1 {
-					placement, affinity = "single", 0
-				}
-				path := "exclusive"
-				if c.shared {
-					path = "shared"
-				}
-				records = append(records, record{
-					Mix: int(opt.reads*100 + 0.5), Lock: c.entry.Name, Threads: n, Shards: shards,
-					Placement: placement, Affinity: affinity,
-					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-					Reads: opt.reads, ReadPath: path,
-					OpsPerAcq: opsPerAcq, ReadCombiner: combiner,
-				})
-				row = append(row, stats.F(stats.Speedup(base, tp), 2))
-				if c.comb {
-					amortRow = append(amortRow, stats.F(opsPerAcq, 2))
-					fmt.Fprintf(os.Stderr, "ran reads=%g %-16s threads=%-4d shards=%-3d %.0f ops/s %.2f shared ops/acq\n",
-						opt.reads, c.name, n, shards, tp, opsPerAcq)
-				} else {
-					amortRow = append(amortRow, "-")
-					fmt.Fprintf(os.Stderr, "ran reads=%g %-16s threads=%-4d shards=%-3d %.0f ops/s\n",
-						opt.reads, c.name, n, shards, tp)
-				}
-			}
-			tb.AddRow(row...)
-			if haveComb {
-				ab.AddRow(amortRow...)
-			}
-		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(tb, opt.csv))
-			fmt.Println()
-			if haveComb {
-				fmt.Print(cli.Emit(ab, opt.csv))
-				fmt.Println()
-			}
+		case e.NewExec != nil:
+			return nil, fmt.Errorf("lock %q is a combining executor with no reader-writer face; use it with -batch or the standard tables", e.Name)
+		case e.NewRW != nil:
+			add(e, e.Name, "shared", countNothing)
+			fallthrough
+		default:
+			add(e, e.Name+"/x", "exclusive", countNothing)
 		}
 	}
-	return records, nil
-}
-
-func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
-	// Baseline: pthread at one thread on one shard, the paper's
-	// normalization unit.
-	base, err := measure(opt, topo, "pthread", 1, getPct, 1)
+	base, err := baseline(opt, topo, reads, fmt.Sprintf("reads=%g", opt.reads))
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "mix %d%% gets: pthread@1 baseline %.0f ops/s\n", getPct, base)
-
-	var records []record
-	for _, shards := range opt.shards {
-		title := fmt.Sprintf("Table 1 (%d%% gets / %d%% sets): speedup over pthread@1",
-			getPct, 100-getPct)
-		if shards > 1 {
-			title = fmt.Sprintf("%s [%d shards, %s placement]", title, shards, opt.placement)
-		}
-		headers := append([]string{"threads"}, opt.locks...)
-		tb := stats.NewTable(title, headers...)
-		for _, n := range opt.threads {
-			row := []string{fmt.Sprint(n)}
-			for _, name := range opt.locks {
-				tp, err := measure(opt, topo, name, n, getPct, shards)
-				if err != nil {
-					return nil, err
-				}
-				// Single-shard cells ignore placement and affinity;
-				// label the records with what actually ran.
-				placement, affinity := opt.placement.String(), opt.affinity
-				if shards <= 1 {
-					placement, affinity = "single", 0
-				}
-				records = append(records, record{
-					Mix: getPct, Lock: name, Threads: n, Shards: shards,
-					Placement: placement, Affinity: affinity,
-					OpsPerSec: tp, Speedup: stats.Speedup(base, tp),
-				})
-				row = append(row, stats.F(stats.Speedup(base, tp), 2))
-				fmt.Fprintf(os.Stderr, "ran mix=%d%% %-10s threads=%-4d shards=%-3d %.0f ops/s\n",
-					getPct, name, n, shards, tp)
-			}
-			tb.AddRow(row...)
-		}
-		if !opt.jsonOut {
-			fmt.Print(cli.Emit(tb, opt.csv))
-			fmt.Println()
-		}
+	title := fmt.Sprintf("RW read path (%.4g%% gets): ", opt.reads*100)
+	tables := []table{{title: title + "speedup over pthread@1", value: speedup}}
+	if haveComb {
+		tables = append(tables, table{title: title + "shared ops per shared acquisition", value: opsPerAcq(2)})
 	}
-	if len(opt.shards) > 1 && !opt.jsonOut {
-		fmt.Print(cli.Emit(scalingTable(opt, records, getPct), opt.csv))
-		fmt.Println()
-	}
-	return records, nil
+	return sweep(opt, topo, base, exhibit{cols, tables})
 }
 
 // scalingTable condenses the sweep into shard scaling at the highest
 // thread count: each cell is that lock's aggregate throughput relative
 // to its own run at the first listed shard count.
 func scalingTable(opt options, records []record, getPct int) *stats.Table {
-	maxThreads := 0
-	for _, t := range opt.threads {
-		if t > maxThreads {
-			maxThreads = t
-		}
-	}
+	maxThreads := slices.Max(opt.threads)
 	tp := map[string]map[int]float64{} // lock -> shards -> ops/s
 	for _, r := range records {
 		if r.Mix != getPct || r.Threads != maxThreads {

@@ -1,0 +1,182 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests below run the tool itself: re-executed with
+// kvbenchMainEnv set, the test binary is kvbench.
+const kvbenchMainEnv = "KVBENCH_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(kvbenchMainEnv) == "1" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+func kvbench(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("kvbench %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out)
+}
+
+// TestExhibitShapes pins what the four exhibits print — table titles,
+// column headers, and the JSON fields of every record, in order — for
+// the CI smoke invocations. The expectations were captured from the
+// tool as it stood before its six store builders and measure functions
+// became one cell runner.
+func TestExhibitShapes(t *testing.T) {
+	const (
+		common   = "mix_get_pct,lock,threads,shards,placement,affinity,ops_per_sec,speedup_vs_pthread1"
+		combCols = "threads comb-mcs comb-a-mcs"
+		rwCols   = "threads rw-c-bo-mcs rw-c-bo-mcs/x rw-c-tkt-tkt rw-c-tkt-tkt/x rw-cna rw-cna/x rw-mcs rw-mcs/x"
+		sharded  = " [2 shards, affine placement]"
+	)
+	var adaptiveHeaders, adaptiveRecords []string
+	for _, suffix := range []string{"", sharded} {
+		adaptiveHeaders = append(adaptiveHeaders,
+			"# Adaptive combining (batch=16, 50% gets): speedup over pthread@1"+suffix, combCols,
+			"# Adaptive combining (batch=16, 50% gets): ops per lock acquisition"+suffix, combCols,
+			"# Shared-mode batched reads (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols,
+			"# Adaptive client batch over comb-a-mcs (ceiling 16, 50% gets): speedup over pthread@1"+suffix,
+			"threads fixed/b=16 adaptive/b<=16 avg batch")
+		adaptiveRecords = append(adaptiveRecords,
+			"comb-mcs: "+common+",batch,ops_per_acq,combiner",
+			"comb-a-mcs: "+common+",batch,ops_per_acq,combiner")
+		for _, l := range []string{"rw-c-bo-mcs", "rw-c-tkt-tkt", "rw-cna", "rw-mcs"} {
+			adaptiveRecords = append(adaptiveRecords,
+				l+": "+common+",read_fraction,read_path,batch",
+				l+": "+common+",read_fraction,read_path,batch")
+		}
+		adaptiveRecords = append(adaptiveRecords,
+			"comb-a-mcs: "+common+",batch,combiner,batch_mode,avg_batch",
+			"comb-a-mcs: "+common+",batch,combiner,batch_mode,avg_batch")
+	}
+	cases := []struct {
+		name    string
+		args    []string
+		headers []string
+		records []string
+	}{
+		{
+			"standard", []string{"-mix", "50", "-threads", "2", "-locks", "cna,gcr-mcs"},
+			[]string{"# Table 1 (50% gets / 50% sets): speedup over pthread@1", "threads cna gcr-mcs"},
+			[]string{"cna: " + common, "gcr-mcs: " + common},
+		},
+		{
+			"batch", []string{"-batch=16", "-mix", "50", "-threads", "2", "-locks", "c-bo-mcs,comb-c-bo-mcs,comb-mcs"},
+			[]string{
+				"# Batched pipeline (batch=16, 50% gets): speedup over pthread@1", "threads c-bo-mcs comb-c-bo-mcs comb-mcs",
+				"# Batched pipeline (batch=16, 50% gets): ops per lock acquisition", "threads c-bo-mcs comb-c-bo-mcs comb-mcs",
+			},
+			[]string{
+				"c-bo-mcs: " + common + ",batch,ops_per_acq",
+				"comb-c-bo-mcs: " + common + ",batch,ops_per_acq",
+				"comb-mcs: " + common + ",batch,ops_per_acq",
+			},
+		},
+		{
+			"adaptive", []string{"-adaptive", "-threads", "2", "-shards", "1,2", "-locks", "mcs"},
+			adaptiveHeaders, adaptiveRecords,
+		},
+		{
+			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs,comb-rw-mcs,comb-a-rw-mcs"},
+			[]string{
+				"# RW read path (99% gets): speedup over pthread@1", "threads rw-mcs rw-mcs/x comb-rw-mcs comb-a-rw-mcs",
+				"# RW read path (99% gets): shared ops per shared acquisition", "threads rw-mcs rw-mcs/x comb-rw-mcs comb-a-rw-mcs",
+			},
+			[]string{
+				"rw-mcs: " + common + ",read_fraction,read_path",
+				"rw-mcs: " + common + ",read_fraction,read_path",
+				"comb-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq,read_combiner",
+				"comb-a-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq,read_combiner",
+			},
+		},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			args := append(c.args, "-duration", "20ms", "-keys", "5000")
+			if got := tableHeaders(kvbench(t, args...)); !slices.Equal(got, c.headers) {
+				t.Errorf("table titles and columns:\n got  %q\n want %q", got, c.headers)
+			}
+			if got := recordFields(t, kvbench(t, append(args, "-json")...)); !slices.Equal(got, c.records) {
+				t.Errorf("JSON records:\n got  %q\n want %q", got, c.records)
+			}
+		})
+	}
+}
+
+// TestLockNameErrorsSurfaceAtFlagParsing checks that a composition the
+// registry refuses stops the tool before any measurement, with the
+// registry's own message.
+func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-locks", "comb-a-clh")
+	cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("kvbench -locks comb-a-clh succeeded:\n%s", out)
+	}
+	if want := "a-clh is abortable-only, comb- needs a blocking lock"; !strings.Contains(string(out), want) {
+		t.Errorf("output %q does not carry %q", out, want)
+	}
+}
+
+// tableHeaders extracts each table's title line and its column header,
+// the latter with its padding collapsed.
+func tableHeaders(out string) []string {
+	var got []string
+	lines := strings.Split(out, "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "# ") && i+1 < len(lines) {
+			got = append(got, l, strings.Join(strings.Fields(lines[i+1]), " "))
+		}
+	}
+	return got
+}
+
+// recordFields renders each JSON record as "lock: field,field,...",
+// fields in emitted order.
+func recordFields(t *testing.T, out string) []string {
+	t.Helper()
+	var records []json.RawMessage
+	if err := json.Unmarshal([]byte(out), &records); err != nil || len(records) == 0 {
+		t.Fatalf("JSON output holds no record array (%v): %q", err, out)
+	}
+	var got []string
+	for _, raw := range records {
+		var named struct{ Lock string }
+		if err := json.Unmarshal(raw, &named); err != nil {
+			t.Fatal(err)
+		}
+		// Records are flat, so every string token at an even position
+		// after the opening brace is a field name.
+		dec := json.NewDecoder(strings.NewReader(string(raw)))
+		var fields []string
+		for i := -1; ; i++ {
+			tok, err := dec.Token()
+			if err != nil {
+				break
+			}
+			if name, ok := tok.(string); ok && i%2 == 0 {
+				fields = append(fields, name)
+			}
+		}
+		got = append(got, named.Lock+": "+strings.Join(fields, ","))
+	}
+	return got
+}

@@ -61,7 +61,7 @@ func main() {
 		connsFlag    = flag.Int("conns-per-cluster", 0, "admitted connections per cluster (default: the cluster's proc count)")
 		capFlag      = flag.Int("capacity", 1<<20, "store item capacity (LRU evicts beyond it)")
 		maxvalFlag   = flag.Int("maxval", server.DefaultMaxValueBytes, "largest accepted value in bytes")
-		maxbatchFlag = flag.Int("maxbatch", 0, "ops per critical section for pipelined flushes (default: the store's MaxBatch)")
+		maxbatchFlag = flag.Int("maxbatch", 0, "ops per critical section, and so per pipelined flush (default: the store's, 64)")
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")
 		writeTOFlag  = flag.Duration("write-timeout", 0, "per-flush write deadline (default 30s)")
 		drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound before force-closing connections")
@@ -102,7 +102,6 @@ func main() {
 		Topo:              topo,
 		Store:             store,
 		ConnsPerCluster:   *connsFlag,
-		MaxBatch:          *maxbatchFlag,
 		MaxValueBytes:     *maxvalFlag,
 		ReadTimeout:       *readTOFlag,
 		WriteTimeout:      *writeTOFlag,

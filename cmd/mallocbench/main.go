@@ -36,7 +36,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mallocbench: bad -threads: %v\n", err)
 		os.Exit(2)
 	}
-	lockNames := cli.ParseNameList(*locksFlag)
+	lockNames, err := cli.Locks(*locksFlag)
+	if err != nil {
+		cli.Die("mallocbench", err)
+	}
 	if len(lockNames) == 0 {
 		lockNames = registry.TableNames()
 	}
@@ -58,10 +61,9 @@ func main() {
 		row := []string{fmt.Sprint(n)}
 		reuseRow := []string{fmt.Sprint(n)}
 		for _, name := range lockNames {
-			e, ok := registry.Lookup(name)
-			if !ok || e.NewMutex == nil {
-				fmt.Fprintf(os.Stderr, "mallocbench: unknown or non-blocking lock %q\n", name)
-				os.Exit(2)
+			e := registry.MustLookup(name)
+			if e.NewMutex == nil {
+				cli.Dief("mallocbench", "lock %q is not blocking", name)
 			}
 			runtime.GC() // previous cell's arena is garbage; collect outside the window
 			cfg := mmicro.DefaultConfig(topo, n)

@@ -42,11 +42,6 @@ func Locks(spec string) ([]string, error) {
 	return names, nil
 }
 
-// Lock resolves one lock name through the registry.
-func Lock(name string) (registry.Entry, error) {
-	return registry.Find(name)
-}
-
 // Placement maps a -placement flag value.
 func Placement(s string) (kvstore.Placement, error) {
 	return kvstore.ParsePlacement(s)

@@ -213,15 +213,14 @@ const adaptEpoch = 8
 // alone would bounce the batch size around the walk's every step.
 const adaptTolerance = 1.05
 
-// BatchSizer is the adaptive batch policy shared by the load
-// generator's batched workers and the server's per-connection flush
-// loop: a hill climb over batch size driven by observed per-op
-// service time. Grow while per-op time holds or falls (batching is
+// BatchSizer is the adaptive batch policy of the load generator's
+// batched workers: a hill climb over batch size driven by observed
+// per-op service time. Grow while per-op time holds or falls (batching is
 // paying: each doubling halves the per-op share of lock
 // acquisitions), reverse when it degrades past tolerance (the batch
 // outgrew MaxBatch's amortization, or contention built up behind the
-// store calls). Not safe for concurrent use; each worker or
-// connection owns its own sizer.
+// store calls). Not safe for concurrent use; each worker owns its own
+// sizer.
 type BatchSizer struct {
 	cur, ceil int
 	dir       int // +1 growing, -1 shrinking
@@ -236,20 +235,6 @@ type BatchSizer struct {
 // operations probes whether batching pays at all.
 func NewBatchSizer(ceil int) *BatchSizer {
 	return &BatchSizer{cur: 1, ceil: ceil, dir: 1}
-}
-
-// NewBatchSizerAt builds a sizer walking within [1, ceil] but seeded
-// at start (clamped into range) — the server's shape, where a fresh
-// connection's first pipelined burst should flush at the full batch
-// bound and only shrink if observed service time degrades.
-func NewBatchSizerAt(start, ceil int) *BatchSizer {
-	if start > ceil {
-		start = ceil
-	}
-	if start < 1 {
-		start = 1
-	}
-	return &BatchSizer{cur: start, ceil: ceil, dir: 1}
 }
 
 // Size reports the current batch size, always within [1, ceil].

@@ -472,32 +472,3 @@ func TestRunBatchedThroughCombiningExecutor(t *testing.T) {
 		t.Fatalf("store saw %d gets, workers issued %d", res.Store.Gets, res.Gets)
 	}
 }
-
-func TestBatchSizerSeededStart(t *testing.T) {
-	// The server seeds its per-connection sizer at the ceiling so a
-	// fresh connection's first burst flushes at the full batch bound;
-	// the walk must still shrink under degradation and stay in range.
-	a := NewBatchSizerAt(64, 64)
-	if a.Size() != 64 {
-		t.Fatalf("seeded sizer starts at %d, want 64", a.Size())
-	}
-	if got := NewBatchSizerAt(100, 16).Size(); got != 16 {
-		t.Fatalf("over-ceiling seed clamped to %d, want 16", got)
-	}
-	if got := NewBatchSizerAt(0, 16).Size(); got != 1 {
-		t.Fatalf("zero seed clamped to %d, want 1", got)
-	}
-	per := 100
-	for epoch := 0; epoch < 4; epoch++ {
-		for r := 0; r < adaptEpoch; r++ {
-			a.Observe(a.Size(), time.Duration(1000*per*a.Size()))
-		}
-		per *= 10
-		if a.Size() < 1 || a.Size() > 64 {
-			t.Fatalf("epoch %d: size %d outside [1,64]", epoch, a.Size())
-		}
-	}
-	if a.Size() >= 64 {
-		t.Fatalf("degrading service time never shrank the seeded sizer (still %d)", a.Size())
-	}
-}

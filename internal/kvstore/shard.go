@@ -56,12 +56,10 @@ type opSlot struct {
 type csKind uint8
 
 const (
-	csGet     csKind = iota // key, buf -> n, ok; exclusive (touch + LRU bump)
-	csRead                  // key, buf -> n, ok; shared (reads only)
+	csGet     csKind = iota // key, buf -> n, ok; under the read bracket (see Shard.read)
 	csSet                   // key, buf
 	csDelete                // key -> ok
-	csMGet                  // chunk of keys/bufs -> lens, found; exclusive
-	csMRead                 // chunk of keys/bufs -> lens, found; shared
+	csMGet                  // chunk of keys/bufs -> lens, found; under the read bracket
 	csMSet                  // chunk of keys/bufs
 	csMDelete               // chunk of keys -> n += present, found (optional)
 	csTouch                 // keys: deferred LRU refresh of sampled hits
@@ -93,9 +91,9 @@ type csRecord struct {
 	p     *numa.Proc
 	kind  csKind
 	key   uint64
-	buf   []byte   // csGet/csRead: destination; csSet: value
+	buf   []byte   // csGet: destination; csSet: value
 	keys  []uint64 // batch kinds: the call's keys; csTouch: sampled keys
-	bufs  [][]byte // csMGet/csMRead: destinations (nil = probe); csMSet: values
+	bufs  [][]byte // csMGet: destinations (nil = probe); csMSet: values
 	lens  []int
 	found []bool
 	chunk []int // batch kinds: the indices into keys this section covers
@@ -110,20 +108,14 @@ func (r *csRecord) run() {
 	s, p := r.s, r.p
 	switch r.kind {
 	case csGet:
-		r.n, r.ok = s.applyGet(p, r.key, r.buf)
-	case csRead:
-		r.n, r.ok = s.readValue(r.key, r.buf)
+		r.n, r.ok = s.lookup(p, r.key, r.buf)
 	case csSet:
 		s.applySet(p, r.key, r.buf)
 	case csDelete:
 		r.ok = s.applyDelete(p, r.key)
 	case csMGet:
 		for _, i := range r.chunk {
-			r.lens[i], r.found[i] = s.applyGet(p, r.keys[i], r.dst(i))
-		}
-	case csMRead:
-		for _, i := range r.chunk {
-			r.lens[i], r.found[i] = s.readValue(r.keys[i], r.dst(i))
+			r.lens[i], r.found[i] = s.lookup(p, r.keys[i], r.dst(i))
 		}
 	case csMSet:
 		for _, i := range r.chunk {
@@ -197,6 +189,16 @@ func (s *Shard) shared(p *numa.Proc, r *csRecord) {
 	s.lock.RLock(p)
 	r.run()
 	s.lock.RUnlock(p)
+}
+
+// read runs r under the shard's read bracket: shared where reads
+// genuinely share, exclusive otherwise.
+func (s *Shard) read(p *numa.Proc, r *csRecord) {
+	if s.sharedReads {
+		s.shared(p, r)
+	} else {
+		s.exclusive(p, r)
+	}
 }
 
 // shardConfig carries the per-shard slice of a Store's Config, already
@@ -409,50 +411,89 @@ func (s *Shard) unlink(it *item) {
 // short). It returns the copied length and whether the key was found.
 //
 // Under an exclusive cache lock a hit bumps the item to the MRU
-// position on every Get, as memcached does. Under a genuine
-// reader-writer lock Get runs in shared mode — concurrent readers on
-// different clusters proceed together, touching nothing but their own
-// cluster's reader counter and their own statistics slot — and the LRU
-// bump follows a bounded touch-every-Nth-hit policy: each proc
-// refreshes an item's recency only on every touchEvery-th hit,
+// position on every Get, as memcached does, so single-shard exclusive
+// configurations reproduce the paper's Table 1 behavior. Under a
+// genuine reader-writer lock Get runs in shared mode — concurrent
+// readers on different clusters proceed together, touching nothing but
+// their own cluster's reader counter and their own statistics slot —
+// and the LRU bump follows a bounded touch-every-Nth-hit policy: each
+// proc refreshes an item's recency only on every touchEvery-th hit,
 // upgrading to exclusive mode just for that bump. Recency becomes
 // approximate (a uniformly sampled subset of hits drives the LRU
 // order, the same trade memcached makes with its 60-second touch
 // rule); hit/miss behavior and returned values are unaffected.
+//
+// On a direct lock the bracket is inline (through the record costs
+// 6-12 ns more per Get); on the executor seam the section is a posted
+// record, batched with other same-cluster sections by the combiner.
 func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	if !s.sharedReads {
-		return s.getExclusive(p, key, dst)
-	}
-	slot := &s.slots[p.ID()]
-	// The shared section only walks the hash bucket and copies the
-	// value; writers (Set/Delete and the deferred LRU bump below) hold
-	// exclusive mode, so no mutation can overlap it.
 	var n int
 	var hit bool
-	if s.rwexec != nil {
-		r := s.arm(p, csRead)
+	switch {
+	case s.exec != nil:
+		r := s.arm(p, csGet)
 		r.key, r.buf = key, dst
-		s.rwexec.ExecShared(p, r.fn)
+		s.read(p, r)
 		n, hit = r.n, r.ok
 		r.done()
-	} else {
+	case s.sharedReads:
 		s.lock.RLock(p)
-		n, hit = s.readValue(key, dst)
+		n, hit = s.lookup(p, key, dst)
 		s.lock.RUnlock(p)
+	default:
+		s.lock.Lock(p)
+		n, hit = s.lookup(p, key, dst)
+		s.lock.Unlock(p)
 	}
+	slot := &s.slots[p.ID()]
 	slot.gets++
 	if !hit {
 		slot.misses++
 		return 0, false
 	}
 	slot.hits++
+	if s.sharedReads {
+		if s.sample(slot, key); len(slot.touch) > 0 {
+			s.touchSampled(p, slot)
+		}
+	}
+	return n, true
+}
+
+// lookup is a get's critical section, run under the shard's read
+// bracket: hash walk and value copy, plus — when that bracket is
+// exclusive — the item touch and LRU bump. Under a shared bracket it
+// only reads (writers hold exclusive mode, so nothing mutates under
+// it) and recency is refreshed later through sample and touchSampled.
+// Statistics stay outside.
+func (s *Shard) lookup(p *numa.Proc, key uint64, dst []byte) (int, bool) {
+	// The hash-bucket walk is read-only: read-shared lines replicate
+	// across caches without coherence misses, so no charge applies.
+	it := s.find(key)
+	if it == nil {
+		return 0, false
+	}
+	if !s.sharedReads {
+		// The LRU bump writes the item's own links — the one line a get
+		// dirties. Which cluster wrote the item last is a property of the
+		// key stream, not of the lock, so this cost is lock-independent
+		// noise (and is why the paper's Table 1a shows all spin locks
+		// performing alike on read-heavy loads).
+		s.touchItem(p, it)
+		s.lruFront(it)
+	}
+	return copy(dst, it.value), true
+}
+
+// sample counts one shared-mode hit of key against the
+// touch-every-Nth-hit policy, collecting every touchEvery-th into
+// slot.touch for touchSampled.
+func (s *Shard) sample(slot *opSlot, key uint64) {
 	slot.sinceTouch++
 	if slot.sinceTouch >= s.touchEvery {
 		slot.sinceTouch = 0
-		slot.touch = append(slot.touch[:0], key)
-		s.touchSampled(p, slot)
+		slot.touch = append(slot.touch, key)
 	}
-	return n, true
 }
 
 // touchSampled refreshes the recency of the keys slot.touch collected,
@@ -466,17 +507,6 @@ func (s *Shard) touchSampled(p *numa.Proc, slot *opSlot) {
 	slot.touch = slot.touch[:0]
 }
 
-// readValue looks up key and copies its value into dst — the body of
-// the shared-mode read paths (Get and mgetShared). Callers hold at
-// least shared mode; nothing here mutates the shard.
-func (s *Shard) readValue(key uint64, dst []byte) (int, bool) {
-	it := s.find(key)
-	if it == nil {
-		return 0, false
-	}
-	return copy(dst, it.value), true
-}
-
 // touchKey re-finds key and refreshes its item's locality charge and
 // LRU position — the deferred bump the shared read paths run under a
 // brief exclusive upgrade. A vanished key (evicted or deleted since
@@ -486,57 +516,6 @@ func (s *Shard) touchKey(p *numa.Proc, key uint64) {
 		s.touchItem(p, it)
 		s.lruFront(it)
 	}
-}
-
-// getExclusive is the pre-RW read path, taken whenever the shard's
-// lock serializes readers: every hit pays the item touch and LRU bump
-// inside the exclusive critical section, so single-shard exclusive
-// configurations reproduce the paper's Table 1 behavior unchanged. On
-// the executor seam the same critical section runs as a posted
-// record — batched with other same-cluster operations by the
-// combiner — instead of bracketing the lock directly.
-func (s *Shard) getExclusive(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	slot := &s.slots[p.ID()]
-	var n int
-	var hit bool
-	if s.exec != nil {
-		r := s.arm(p, csGet)
-		r.key, r.buf = key, dst
-		s.exec.Exec(p, r.fn)
-		n, hit = r.n, r.ok
-		r.done()
-	} else {
-		s.lock.Lock(p)
-		n, hit = s.applyGet(p, key, dst)
-		s.lock.Unlock(p)
-	}
-	slot.gets++
-	if hit {
-		slot.hits++
-	} else {
-		slot.misses++
-	}
-	return n, hit
-}
-
-// applyGet is a get's critical section: hash walk, item touch, LRU
-// bump and value copy. Callers hold the shard's exclusion (the lock,
-// or the executor's combiner); statistics stay outside.
-func (s *Shard) applyGet(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	// The hash-bucket walk is read-only: read-shared lines replicate
-	// across caches without coherence misses, so no charge applies.
-	it := s.find(key)
-	if it == nil {
-		return 0, false
-	}
-	// The LRU bump writes the item's own links — the one line a get
-	// dirties. Which cluster wrote the item last is a property of the
-	// key stream, not of the lock, so this cost is lock-independent
-	// noise (and is why the paper's Table 1a shows all spin locks
-	// performing alike on read-heavy loads).
-	s.touchItem(p, it)
-	s.lruFront(it)
-	return copy(dst, it.value), true
 }
 
 // Set inserts or updates key with a copy of val, evicting the LRU
@@ -653,72 +632,39 @@ func (it *item) clearValue() {
 }
 
 // mget answers the group's lookups (idx indexes keys) in critical
-// sections of at most maxBatch operations each. dsts may be nil to
-// probe without copying; lens and found are written at the same
-// indices as keys. Shards whose reads genuinely share — a reader-
-// writer shard lock, or a read-combining executor seam — route
-// through mgetShared, whole chunks answered under one shared
-// acquisition (or one posted shared record); exclusive-lock and
-// exclusive-executor shards keep this exclusive path unchanged.
+// sections of at most maxBatch operations each, under the shard's read
+// bracket. dsts may be nil to probe without copying; lens and found are
+// written at the same indices as keys.
+//
+// Where reads genuinely share, this composes the RW read protocol with
+// the batch APIs: each chunk runs under ONE shared acquisition —
+// concurrent readers' chunks on different clusters proceed together,
+// and a group of N lookups costs ceil(N/maxBatch) RLock acquisitions.
+// On the read-combining executor seam each chunk is instead a posted
+// shared record: concurrent same-cluster readers' chunks are harvested
+// by one reader-combiner and run under a single RLock, pushing shared
+// acquisitions per read op below even the ceil(N/maxBatch) floor.
+// Per-key semantics match Get: sampled hits accumulate across the group
+// and are refreshed in one deferred exclusive section at the end, so
+// recency maintenance costs at most one extra acquisition per group
+// instead of one per sampled hit. Statistics stay per-proc, outside the
+// lock, counted once per operation under either bracket.
 func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
-	if s.sharedReads {
-		s.mgetShared(p, keys, dsts, lens, found, idx)
-		return
-	}
 	slot := &s.slots[p.ID()]
 	r := s.arm(p, csMGet)
 	r.keys, r.bufs, r.lens, r.found = keys, dsts, lens, found
 	for start := 0; start < len(idx); start += s.maxBatch {
 		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.exclusive(p, r)
+		s.read(p, r)
 		for _, i := range r.chunk {
 			slot.gets++
-			if found[i] {
-				slot.hits++
-			} else {
+			if !found[i] {
 				slot.misses++
+				continue
 			}
-		}
-	}
-	r.done()
-}
-
-// mgetShared is the shared-mode group read path, composing the RW read
-// protocol with the batch APIs: each chunk of up to maxBatch lookups
-// runs under ONE shared acquisition — concurrent readers' chunks on
-// different clusters proceed together, and a group of N lookups costs
-// ceil(N/maxBatch) RLock acquisitions. On the read-combining executor
-// seam each chunk is instead a posted shared record: concurrent
-// same-cluster readers' chunks are harvested by one reader-combiner
-// and run under a single RLock, pushing shared acquisitions per read
-// op below even the ceil(N/maxBatch) floor. Per-key semantics match
-// the shared-mode Get: the hash walk and value copy only read item
-// state (writers hold exclusive mode, so nothing mutates under the
-// chunk), and the LRU bump follows the same touch-every-Nth-hit
-// sampling — sampled keys accumulate across the group and are
-// refreshed in one deferred exclusive section at the end, so recency
-// maintenance costs at most one extra acquisition per group instead of
-// one per sampled hit. Statistics stay per-proc, outside the lock,
-// counted once per operation exactly as the exclusive path counts
-// them.
-func (s *Shard) mgetShared(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
-	slot := &s.slots[p.ID()]
-	r := s.arm(p, csMRead)
-	r.keys, r.bufs, r.lens, r.found = keys, dsts, lens, found
-	for start := 0; start < len(idx); start += s.maxBatch {
-		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.shared(p, r)
-		for _, i := range r.chunk {
-			slot.gets++
-			if found[i] {
-				slot.hits++
-				slot.sinceTouch++
-				if slot.sinceTouch >= s.touchEvery {
-					slot.sinceTouch = 0
-					slot.touch = append(slot.touch, keys[i])
-				}
-			} else {
-				slot.misses++
+			slot.hits++
+			if s.sharedReads {
+				s.sample(slot, keys[i])
 			}
 		}
 	}

@@ -1,11 +1,23 @@
-// Package registry maps the paper's lock names to factories, so every
+// Package registry turns the paper's lock names into locks, so every
 // harness, tool and benchmark selects locks the same way and reports
-// them under the paper's nomenclature.
+// them under the paper's nomenclature. The name is the construction:
+//
+//	name    := wrapper* lock
+//	wrapper := comb-a- | comb- | gcr- | rw-
+//	lock    := base | c-<global>-<local> | a-c-<aglobal>-<alocal>
+//
+// with base, global, local, aglobal and alocal drawn from the tables
+// in this file. Find parses a name against them and composes the lock
+// through core.NewCohortLock, core.NewRestricted, locks.NewRWPerCluster
+// and locks.NewCombining*, so a new base or slot lock is one table row
+// and inherits every wrapper. Names() is the canonical list the tools
+// and tests enumerate; it is data, not the set of valid names.
 package registry
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -19,7 +31,10 @@ type Entry struct {
 	Name string
 	// Desc is a one-line description for tool output.
 	Desc string
-	// NewMutex builds a blocking instance; nil for abortable-only locks.
+	// NewMutex builds a blocking instance; nil for abortable-only locks
+	// and for combining executors (a combining lock cannot expose
+	// Lock/Unlock: the critical section is delegated, never held by the
+	// caller).
 	NewMutex func(topo *numa.Topology) locks.Mutex
 	// NewTry builds an abortable instance; nil for non-abortable locks.
 	NewTry func(topo *numa.Topology) locks.TryMutex
@@ -30,32 +45,15 @@ type Entry struct {
 	// NewExec builds a genuinely combining executor (delegated batches,
 	// one underlying acquisition per batch); nil for plain locks, which
 	// still adapt to the Executor interface through ExecFactory. Set on
-	// the derived comb-* and comb-a-* entries.
+	// comb-* and comb-a-* names.
 	NewExec func(topo *numa.Topology) locks.Executor
-	// WrapExec is the derived entry's combining construction with the
-	// base lock factored out: WrapExec(topo, m) builds the same
-	// executor NewExec would, but over the caller's m. Tools use it to
-	// interpose measurement — an acquisition counter — between the
-	// combiner and the underlying lock without hardcoding which
-	// construction (fixed or adaptive) the entry names. Nil on primary
-	// entries.
-	WrapExec func(topo *numa.Topology, m locks.Mutex) locks.Executor
 	// NewRWExec builds a genuinely combining reader-writer executor
 	// (same-cluster shared closures harvested under one RLock per
-	// batch, exclusive closures under one Lock); set only on the comb-*
-	// twins derived from native RW entries. Entries without it still
-	// adapt through RWExecFactory.
+	// batch, exclusive closures under one Lock); set only on comb-* and
+	// comb-a-* names whose operand has NewRW, where NewExec returns the
+	// same executor. Entries without it still adapt through
+	// RWExecFactory.
 	NewRWExec func(topo *numa.Topology) locks.RWExecutor
-	// WrapRWExec is NewRWExec with the base lock factored out:
-	// WrapRWExec(topo, l) builds the same combining RWExecutor over the
-	// caller's l, so tools can interpose measurement — a
-	// CountRWAcquisitions wrapper — between the reader-combiner and the
-	// underlying lock. Nil wherever NewRWExec is nil.
-	WrapRWExec func(topo *numa.Topology, l locks.RWMutex) locks.RWExecutor
-	// Base names the entry a derived construction wraps ("" for primary
-	// entries); tools use it to build the underlying lock a WrapExec
-	// interposition needs.
-	Base string
 	// Cohort marks the paper's contributed locks.
 	Cohort bool
 	// Extension marks locks beyond the paper's evaluation set (enabled
@@ -63,8 +61,9 @@ type Entry struct {
 	Extension bool
 }
 
-// entries is the master list, in the paper's presentation order.
-var entries = []Entry{
+// bases are the irreducible locks: names the grammar does not take
+// apart.
+var bases = []Entry{
 	{
 		Name: "pthread", Desc: "blocking mutex baseline (sync.Mutex, plays pthread_mutex)",
 		NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewPthread() },
@@ -96,64 +95,8 @@ var entries = []Entry{
 		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewFCMCS(t) },
 	},
 	{
-		Name: "c-bo-bo", Desc: "cohort lock: global BO over local BO (paper §3.1)", Cohort: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewCBOBO(t) },
-	},
-	{
-		Name: "c-tkt-tkt", Desc: "cohort lock: global ticket over local ticket (§3.2)", Cohort: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewCTKTTKT(t) },
-	},
-	{
-		Name: "c-bo-mcs", Desc: "cohort lock: global BO over local MCS (§3.3)", Cohort: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewCBOMCS(t) },
-	},
-	{
-		Name: "c-tkt-mcs", Desc: "cohort lock: global ticket over local MCS (§3.5)", Cohort: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewCTKTMCS(t) },
-	},
-	{
-		Name: "c-mcs-mcs", Desc: "cohort lock: global MCS over local MCS (§3.4)", Cohort: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewCMCSMCS(t) },
-	},
-	{
-		Name: "c-bo-clh", Desc: "cohort lock: global BO over local CLH (extension, §3's generality claim)", Cohort: true, Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewCBOCLH(t) },
-	},
-	{
 		Name: "cna", Desc: "compact NUMA-aware queue lock (Dice & Kogan, EuroSys '19)", Extension: true,
 		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewCNA(t) },
-	},
-	{
-		Name: "gcr-mcs", Desc: "concurrency restriction (GCR) over the MCS queue lock", Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewRestricted(t, locks.NewMCS(t), 0) },
-	},
-	{
-		Name: "gcr-cna", Desc: "concurrency restriction (GCR) over the CNA lock", Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewRestricted(t, locks.NewCNA(t), 0) },
-	},
-	{
-		Name: "gcr-c-bo-mcs", Desc: "concurrency restriction (GCR) over the C-BO-MCS cohort lock", Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewRestricted(t, core.NewCBOMCS(t), 0) },
-	},
-	{
-		Name: "rw-c-bo-mcs", Desc: "reader-writer cohort lock: per-cluster readers over C-BO-MCS writers", Cohort: true, Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewRWCBOMCS(t) },
-		NewRW:    func(t *numa.Topology) locks.RWMutex { return core.NewRWCBOMCS(t) },
-	},
-	{
-		Name: "rw-c-tkt-tkt", Desc: "reader-writer cohort lock: per-cluster readers over C-TKT-TKT writers", Cohort: true, Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return core.NewRWCohort(t, core.NewCTKTTKT(t)) },
-		NewRW:    func(t *numa.Topology) locks.RWMutex { return core.NewRWCohort(t, core.NewCTKTTKT(t)) },
-	},
-	{
-		Name: "rw-cna", Desc: "reader-writer lock: per-cluster readers over a CNA writer queue", Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewRWPerCluster(t, locks.NewCNA(t)) },
-		NewRW:    func(t *numa.Topology) locks.RWMutex { return locks.NewRWPerCluster(t, locks.NewCNA(t)) },
-	},
-	{
-		Name: "rw-mcs", Desc: "reader-writer lock: per-cluster readers over a plain MCS writer queue", Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewRWPerCluster(t, locks.NewMCS(t)) },
-		NewRW:    func(t *numa.Topology) locks.RWMutex { return locks.NewRWPerCluster(t, locks.NewMCS(t)) },
 	},
 	{
 		Name: "a-clh", Desc: "abortable CLH lock (Scott), abortable baseline",
@@ -163,79 +106,241 @@ var entries = []Entry{
 		Name: "a-hbo", Desc: "abortable hierarchical backoff lock",
 		NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
 	},
-	{
-		Name: "a-c-bo-bo", Desc: "abortable cohort lock: global BO over abortable local BO (§3.6.1)", Cohort: true,
-		NewTry: func(t *numa.Topology) locks.TryMutex { return core.NewACBOBO(t) },
-	},
-	{
-		Name: "a-c-bo-clh", Desc: "abortable cohort lock: global BO over abortable local CLH (§3.6.2)", Cohort: true,
-		NewTry: func(t *numa.Topology) locks.TryMutex { return core.NewACBOCLH(t) },
-	},
 }
 
-// init derives a comb-<name> and a comb-a-<name> entry for every
-// blocking lock: the same construction wrapped in the fixed-policy and
-// the load-adaptive combining executor, so every lock in the registry
-// — cohort, CNA, GCR, rw-* — is also available as a combining lock in
-// both tunings. Derived entries are exec-only (a combining lock cannot
-// expose Lock/Unlock: the critical section is delegated, never held by
-// the caller) and point back at their base entry, with WrapExec
-// exposing the construction itself, for tools that interpose on the
-// underlying lock.
-//
-// Bases with a native RW construction derive the reader-writer twin
-// instead: comb-rw-* entries are RWCombining executors whose exclusive
-// closures batch exactly as comb-* does, and whose shared closures are
-// harvested per cluster under ONE RLock per batch (NewRWExec and
-// WrapRWExec expose the shared-aware construction; NewExec returns the
-// same executor so exec-shaped consumers get the RW one and can detect
-// it). WrapExec stays mutex-shaped for those entries — combining over
-// the caller's exclusive lock — so acquisition-counting tools keep one
-// interposition seam across the whole comb-* family.
-func init() {
-	policies := []struct {
-		prefix, exec, rw string
-		wrap             func(*numa.Topology, locks.Mutex) *locks.Combining
-		wrapRW           func(*numa.Topology, locks.RWMutex) *locks.RWCombining
-	}{
-		{
-			prefix: "comb-",
-			exec:   "combining executor over %s: delegated same-cluster batches, one acquisition per batch",
-			rw:     "combining reader-writer executor over %s: batched exclusive closures, same-cluster reads harvested under one RLock",
-			wrap:   locks.NewCombining, wrapRW: locks.NewRWCombining,
-		},
-		{
-			prefix: "comb-a-",
-			exec:   "adaptive combining executor over %s: occupancy-scaled patience and harvest passes",
-			rw:     "adaptive combining reader-writer executor over %s: occupancy-scaled patience and passes on both modes",
-			wrap:   locks.NewCombiningAdaptive, wrapRW: locks.NewRWCombiningAdaptive,
-		},
+// slot is one lock that can fill a position of the cohort
+// transformation (paper §2.1: any thread-oblivious lock on top, any
+// cohort-detecting lock below).
+type slot[T any] struct {
+	name string
+	new  func(*numa.Topology) T
+}
+
+var (
+	globals = []slot[core.Global]{
+		{"bo", func(*numa.Topology) core.Global { return core.NewGlobalBO() }},
+		{"tkt", func(t *numa.Topology) core.Global { return locks.NewTicket(t) }},
+		{"mcs", func(t *numa.Topology) core.Global { return core.NewGlobalMCS(t) }},
 	}
-	base := make([]Entry, len(entries))
-	copy(base, entries)
-	for _, e := range base {
-		if e.NewMutex == nil {
+	locals = []slot[core.Local]{
+		{"bo", func(*numa.Topology) core.Local { return core.NewLocalBO(core.LocalBOBackoff()) }},
+		{"tkt", func(t *numa.Topology) core.Local { return core.NewLocalTicket(t) }},
+		{"mcs", func(t *numa.Topology) core.Local { return core.NewLocalMCS(t) }},
+		{"clh", func(t *numa.Topology) core.Local { return core.NewLocalCLH(t) }},
+	}
+	abortableGlobals = []slot[core.AbortableGlobal]{
+		{"bo", func(*numa.Topology) core.AbortableGlobal { return core.NewGlobalBO() }},
+	}
+	abortableLocals = []slot[core.AbortableLocal]{
+		{"bo", func(*numa.Topology) core.AbortableLocal { return core.NewABOLocal(core.LocalBOBackoff()) }},
+		{"clh", func(t *numa.Topology) core.AbortableLocal { return core.NewACLHLocal(t) }},
+	}
+)
+
+// The wrappers, each a transformation over any blocking operand.
+const (
+	// WrapCombA is the load-adaptive combining executor over its
+	// operand: occupancy-scaled patience and harvest passes.
+	WrapCombA = "comb-a-"
+	// WrapComb is the fixed-policy combining executor over its operand:
+	// delegated same-cluster batches, one acquisition per batch. Over
+	// an operand that genuinely shares reads (NewRW) both combiners are
+	// the reader-writer ones, which also harvest same-cluster shared
+	// closures under one RLock.
+	WrapComb = "comb-"
+	// WrapGCR is concurrency restriction over its operand.
+	WrapGCR = "gcr-"
+	// WrapRW is per-cluster reader counters over its operand as the
+	// writer lock.
+	WrapRW = "rw-"
+)
+
+// wrappers lists the prefixes in the order split tries them: a prefix
+// of another comes after it, so the longest match is tried first.
+var wrappers = []string{WrapCombA, WrapComb, WrapGCR, WrapRW}
+
+// canonical is the presentation-order list behind All and Names: the
+// paper's locks, the extensions the exhibits use, and a comb-/comb-a-
+// pair for every blocking one of them.
+var canonical = []string{
+	"pthread", "fib-bo", "mcs", "hbo", "hbo-tuned", "hclh", "fc-mcs",
+	"c-bo-bo", "c-tkt-tkt", "c-bo-mcs", "c-tkt-mcs", "c-mcs-mcs", "c-bo-clh",
+	"cna", "gcr-mcs", "gcr-cna", "gcr-c-bo-mcs",
+	"rw-c-bo-mcs", "rw-c-tkt-tkt", "rw-cna", "rw-mcs",
+	"a-clh", "a-hbo", "a-c-bo-bo", "a-c-bo-clh",
+	"comb-pthread", "comb-a-pthread", "comb-fib-bo", "comb-a-fib-bo",
+	"comb-mcs", "comb-a-mcs", "comb-hbo", "comb-a-hbo",
+	"comb-hbo-tuned", "comb-a-hbo-tuned", "comb-hclh", "comb-a-hclh",
+	"comb-fc-mcs", "comb-a-fc-mcs", "comb-c-bo-bo", "comb-a-c-bo-bo",
+	"comb-c-tkt-tkt", "comb-a-c-tkt-tkt", "comb-c-bo-mcs", "comb-a-c-bo-mcs",
+	"comb-c-tkt-mcs", "comb-a-c-tkt-mcs", "comb-c-mcs-mcs", "comb-a-c-mcs-mcs",
+	"comb-c-bo-clh", "comb-a-c-bo-clh", "comb-cna", "comb-a-cna",
+	"comb-gcr-mcs", "comb-a-gcr-mcs", "comb-gcr-cna", "comb-a-gcr-cna",
+	"comb-gcr-c-bo-mcs", "comb-a-gcr-c-bo-mcs",
+	"comb-rw-c-bo-mcs", "comb-a-rw-c-bo-mcs", "comb-rw-c-tkt-tkt", "comb-a-rw-c-tkt-tkt",
+	"comb-rw-cna", "comb-a-rw-cna", "comb-rw-mcs", "comb-a-rw-mcs",
+}
+
+// unknownError reports a name — or what is left of one behind valid
+// wrappers — that the grammar does not produce, naming the failing
+// component. It is what lets split backtrack: a composition that
+// parses but cannot be built is an ordinary error and final.
+type unknownError struct{ reason string }
+
+func (u *unknownError) Error() string { return u.reason }
+
+// find parses name and composes its lock: an exact base first, then
+// the cohort forms, then the outermost wrapper over the rest.
+func find(name string) (Entry, error) {
+	for _, e := range bases {
+		if e.Name == name {
+			return e, nil
+		}
+	}
+	if e, shaped, err := cohort(name); shaped {
+		return e, err
+	}
+	w, operand, err := split(name)
+	if err != nil {
+		return Entry{}, err
+	}
+	return Wrap(w, operand)
+}
+
+// split finds name's outermost wrapper and parses its operand. The
+// longest matching prefix wins unless its remainder is no lock, in
+// which case the next one is tried: comb-a-mcs is adaptive combining
+// over mcs, comb-a-clh is fixed combining over a-clh.
+func split(name string) (wrapper string, operand Entry, err error) {
+	var first *unknownError
+	for _, w := range wrappers {
+		rest, ok := strings.CutPrefix(name, w)
+		if !ok {
 			continue
 		}
-		for _, pol := range policies {
-			newMutex, newRW, wrap, wrapRW := e.NewMutex, e.NewRW, pol.wrap, pol.wrapRW
-			d := Entry{
-				Name:      pol.prefix + e.Name,
-				Desc:      fmt.Sprintf(pol.exec, e.Name),
-				Base:      e.Name,
-				Extension: true,
-				WrapExec:  func(t *numa.Topology, m locks.Mutex) locks.Executor { return wrap(t, m) },
-				NewExec:   func(t *numa.Topology) locks.Executor { return wrap(t, newMutex(t)) },
-			}
-			if newRW != nil {
-				d.Desc = fmt.Sprintf(pol.rw, e.Name)
-				d.WrapRWExec = func(t *numa.Topology, l locks.RWMutex) locks.RWExecutor { return wrapRW(t, l) }
-				d.NewRWExec = func(t *numa.Topology) locks.RWExecutor { return wrapRW(t, newRW(t)) }
-				d.NewExec = func(t *numa.Topology) locks.Executor { return wrapRW(t, newRW(t)) }
-			}
-			entries = append(entries, d)
+		operand, err := find(rest)
+		if err == nil {
+			return w, operand, nil
+		}
+		var u *unknownError
+		if !errors.As(err, &u) {
+			return "", Entry{}, err
+		}
+		if first == nil {
+			first = u
 		}
 	}
+	if first == nil {
+		first = &unknownError{fmt.Sprintf("%q is not a lock", name)}
+	}
+	return "", Entry{}, first
+}
+
+// pick finds name in one slot table; role names the table for the
+// error.
+func pick[T any](table []slot[T], role, name string) (slot[T], error) {
+	var valid []string
+	for _, s := range table {
+		if s.name == name {
+			return s, nil
+		}
+		valid = append(valid, s.name)
+	}
+	return slot[T]{}, fmt.Errorf("%q is not %s lock: %s", name, role, strings.Join(valid, ", "))
+}
+
+// cohort builds c-<global>-<local> and a-c-<aglobal>-<alocal>; shaped
+// is false when name is neither form.
+func cohort(name string) (e Entry, shaped bool, err error) {
+	rest, abortable := strings.CutPrefix(name, "a-c-")
+	if !abortable {
+		rest, shaped = strings.CutPrefix(name, "c-")
+	}
+	g, l, two := strings.Cut(rest, "-")
+	if !(abortable || shaped) || !two || strings.Contains(l, "-") {
+		return Entry{}, false, nil
+	}
+	e = Entry{
+		Name:      name,
+		Cohort:    true,
+		Extension: !slices.Contains(Figure2Names(), name) && !slices.Contains(Figure6Names(), name),
+	}
+	if abortable {
+		global, gerr := pick(abortableGlobals, "an abortable global", g)
+		local, lerr := pick(abortableLocals, "an abortable local", l)
+		if err = errors.Join(gerr, lerr); err == nil {
+			e.Desc = fmt.Sprintf("abortable cohort lock: global %s over abortable local %s", strings.ToUpper(g), strings.ToUpper(l))
+			e.NewTry = func(t *numa.Topology) locks.TryMutex {
+				return core.NewAbortableCohortLock(t, global.new(t), func(int) core.AbortableLocal { return local.new(t) })
+			}
+		}
+	} else {
+		global, gerr := pick(globals, "a global", g)
+		local, lerr := pick(locals, "a local", l)
+		if err = errors.Join(gerr, lerr); err == nil {
+			e.Desc = fmt.Sprintf("cohort lock: global %s over local %s", strings.ToUpper(g), strings.ToUpper(l))
+			e.NewMutex = func(t *numa.Topology) locks.Mutex {
+				return core.NewCohortLock(t, global.new(t), func(int) core.Local { return local.new(t) })
+			}
+		}
+	}
+	if err != nil {
+		return Entry{}, true, &unknownError{strings.ReplaceAll(err.Error(), "\n", "; ")}
+	}
+	return e, true, nil
+}
+
+// Wrap applies one wrapper (WrapCombA, WrapComb, WrapGCR or WrapRW) to
+// operand: the entry Find(wrapper + operand.Name) returns, but built
+// over the caller's operand. Together with Unwrap it is the
+// interposition seam: a tool that wants to measure underneath a wrapper
+// unwraps the entry, decorates the operand's constructors (an
+// acquisition counter, say) and wraps it again, without knowing which
+// construction the name spells.
+func Wrap(wrapper string, operand Entry) (Entry, error) {
+	x := operand
+	if x.NewMutex == nil {
+		what := "abortable-only"
+		if x.NewExec != nil {
+			what = "a combining executor"
+		}
+		return Entry{}, fmt.Errorf("%s is %s, %s needs a blocking lock", x.Name, what, wrapper)
+	}
+	e := Entry{Name: wrapper + x.Name, Extension: true}
+	switch wrapper {
+	case WrapGCR:
+		e.Desc = "concurrency restriction (GCR) over " + x.Name
+		e.NewMutex = func(t *numa.Topology) locks.Mutex { return core.NewRestricted(t, x.NewMutex(t), 0) }
+	case WrapRW:
+		e.Desc = "reader-writer lock: per-cluster readers over " + x.Name + " writers"
+		e.Cohort = x.Cohort
+		e.NewMutex = func(t *numa.Topology) locks.Mutex { return locks.NewRWPerCluster(t, x.NewMutex(t)) }
+		e.NewRW = func(t *numa.Topology) locks.RWMutex { return locks.NewRWPerCluster(t, x.NewMutex(t)) }
+	case WrapComb, WrapCombA:
+		over, overRW, policy := locks.NewCombining, locks.NewRWCombining, "combining"
+		if wrapper == WrapCombA {
+			over, overRW, policy = locks.NewCombiningAdaptive, locks.NewRWCombiningAdaptive, "adaptive combining"
+		}
+		if x.NewRW == nil {
+			e.Desc = policy + " executor over " + x.Name + ": delegated same-cluster batches, one acquisition per batch"
+			e.NewExec = func(t *numa.Topology) locks.Executor { return over(t, x.NewMutex(t)) }
+			break
+		}
+		e.Desc = policy + " reader-writer executor over " + x.Name + ": batched exclusive closures, same-cluster reads harvested under one RLock"
+		e.NewRWExec = func(t *numa.Topology) locks.RWExecutor { return overRW(t, x.NewRW(t)) }
+		e.NewExec = func(t *numa.Topology) locks.Executor { return overRW(t, x.NewRW(t)) }
+	default:
+		return Entry{}, fmt.Errorf("%q is not a wrapper: %s", wrapper, strings.Join(wrappers, ", "))
+	}
+	return e, nil
+}
+
+// Unwrap splits a composed entry at its outermost wrapper, by name:
+// Wrap(wrapper, operand) rebuilds e. ok is false for a base or cohort
+// lock, which has nothing to unwrap.
+func (e Entry) Unwrap() (wrapper string, operand Entry, ok bool) {
+	wrapper, operand, err := split(e.Name)
+	return wrapper, operand, err == nil
 }
 
 // MutexFactory returns a factory that builds independent blocking
@@ -316,82 +421,86 @@ func (e Entry) RWExecFactory(topo *numa.Topology) func() locks.RWExecutor {
 // lock. It panics if the entry is not blocking; callers select from
 // Blocking() or check NewMutex first.
 func (e Entry) BuildMutexes(topo *numa.Topology, n int) []locks.Mutex {
-	f := e.MutexFactory(topo)
-	if f == nil {
-		panic(fmt.Sprintf("registry: %s has no blocking factory", e.Name))
-	}
-	out := make([]locks.Mutex, n)
-	for i := range out {
-		out[i] = f()
-	}
-	return out
+	return build(e, "blocking", e.MutexFactory(topo), n)
 }
 
 // BuildRWMutexes constructs n independent reader-writer instances of
 // this lock (native RW or exclusive-adapted; see RWFactory). It panics
 // if the entry cannot lock at all.
 func (e Entry) BuildRWMutexes(topo *numa.Topology, n int) []locks.RWMutex {
-	f := e.RWFactory(topo)
+	return build(e, "reader-writer", e.RWFactory(topo), n)
+}
+
+func build[T any](e Entry, face string, f func() T, n int) []T {
 	if f == nil {
-		panic(fmt.Sprintf("registry: %s has no reader-writer factory", e.Name))
+		panic(fmt.Sprintf("registry: %s has no %s factory", e.Name, face))
 	}
-	out := make([]locks.RWMutex, n)
+	out := make([]T, n)
 	for i := range out {
 		out[i] = f()
 	}
 	return out
 }
 
-// All returns every registered entry, in presentation order.
-func All() []Entry {
-	out := make([]Entry, len(entries))
-	copy(out, entries)
-	return out
-}
-
 // normalize maps user-supplied spellings onto registry names: names
-// are registered lower-case, but CLI users type C-BO-MCS as the paper
-// prints it.
+// are lower-case, but CLI users type C-BO-MCS as the paper prints it.
 func normalize(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
 // Lookup finds an entry by name, case-insensitively.
 func Lookup(name string) (Entry, bool) {
-	name = normalize(name)
-	for _, e := range entries {
-		if e.Name == name {
-			return e, true
-		}
-	}
-	return Entry{}, false
+	e, err := find(normalize(name))
+	return e, err == nil
 }
 
-// Find is Lookup with a CLI-grade error: unknown names produce a "did
-// you mean" suggestion (close or substring matches) plus the full list
-// of valid names, so a typo never dead-ends.
+// Find is Lookup with a CLI-grade error. A name the grammar does not
+// produce reports the failing component, "did you mean" suggestions
+// from the canonical list (close or substring matches) and the
+// grammar, so a typo never dead-ends; a name that parses but cannot be built reports which
+// operand the wrapper cannot take and why.
 func Find(name string) (Entry, error) {
-	if e, ok := Lookup(name); ok {
+	e, err := find(normalize(name))
+	if err == nil {
 		return e, nil
 	}
+	var u *unknownError
+	if !errors.As(err, &u) {
+		return Entry{}, fmt.Errorf("lock %q: %w", name, err)
+	}
 	var msg strings.Builder
-	fmt.Fprintf(&msg, "unknown lock %q", name)
+	fmt.Fprintf(&msg, "lock %q: %v", name, u)
 	if s := suggest(normalize(name)); len(s) > 0 {
 		fmt.Fprintf(&msg, " — did you mean %s?", strings.Join(s, ", "))
 	}
-	fmt.Fprintf(&msg, " (valid locks: %s)", strings.Join(Names(), ", "))
+	fmt.Fprintf(&msg, " (valid locks: %s)", grammar())
 	return Entry{}, errors.New(msg.String())
 }
 
-// suggest returns registered names within edit distance 2 of name, or
-// failing that, names containing (or contained in) it.
+// grammar states the valid names in one line, from the tables.
+func grammar() string {
+	return fmt.Sprintf("any of %s in front of one of %s, c-{%s}-{%s}, a-c-{%s}-{%s}",
+		strings.Join(wrappers, ", "), strings.Join(names(bases), ", "),
+		slotNames(globals), slotNames(locals), slotNames(abortableGlobals), slotNames(abortableLocals))
+}
+
+func slotNames[T any](table []slot[T]) string {
+	var out []string
+	for _, s := range table {
+		out = append(out, s.name)
+	}
+	return strings.Join(out, ",")
+}
+
+// suggest returns canonical names within edit distance 2 of name, or
+// failing that, ones containing it.
 func suggest(name string) []string {
 	var near, sub []string
-	for _, e := range entries {
-		if editDistance(name, e.Name) <= 2 {
-			near = append(near, e.Name)
-		} else if name != "" && (strings.Contains(e.Name, name) || strings.Contains(name, e.Name)) {
-			sub = append(sub, e.Name)
+	for _, c := range canonical {
+		if editDistance(name, c) <= 2 {
+			near = append(near, c)
+		} else if name != "" && strings.Contains(c, name) {
+			sub = append(sub, c)
 		}
 	}
 	if len(near) > 0 {
@@ -422,7 +531,7 @@ func editDistance(a, b string) int {
 	return prev[len(b)]
 }
 
-// MustLookup is Lookup that panics on unknown names; tools use it
+// MustLookup is Find that panics on an invalid name; tools use it
 // after validating flags.
 func MustLookup(name string) Entry {
 	e, err := Find(name)
@@ -432,8 +541,32 @@ func MustLookup(name string) Entry {
 	return e
 }
 
-// Names lists every registered lock name, in presentation order.
+// All returns the canonical entries, in presentation order.
+func All() []Entry {
+	out := make([]Entry, len(canonical))
+	for i, name := range canonical {
+		out[i] = MustLookup(name)
+	}
+	return out
+}
+
+// Names lists the canonical lock names, in presentation order.
 func Names() []string {
+	return append([]string(nil), canonical...)
+}
+
+// filter returns the canonical entries keep accepts, in order.
+func filter(keep func(Entry) bool) []Entry {
+	var out []Entry
+	for _, e := range All() {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func names(entries []Entry) []string {
 	out := make([]string, len(entries))
 	for i, e := range entries {
 		out[i] = e.Name
@@ -443,91 +576,34 @@ func Names() []string {
 
 // Blocking returns the entries usable as blocking locks, in order.
 func Blocking() []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.NewMutex != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return filter(func(e Entry) bool { return e.NewMutex != nil })
 }
 
 // Abortable returns the entries usable as abortable locks, in order.
 func Abortable() []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.NewTry != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return filter(func(e Entry) bool { return e.NewTry != nil })
 }
 
 // RW returns the entries with a native reader-writer construction
 // (shared mode admits concurrent readers), in order.
 func RW() []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.NewRW != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return filter(func(e Entry) bool { return e.NewRW != nil })
 }
 
 // RWNames lists the native reader-writer lock names, in presentation
 // order — the `rw-*` column set of kvbench's read-path table.
-func RWNames() []string {
-	var out []string
-	for _, e := range RW() {
-		out = append(out, e.Name)
-	}
-	return out
-}
+func RWNames() []string { return names(RW()) }
 
-// Combining returns the derived comb-* entries (genuinely combining
-// executors), in order.
-func Combining() []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.NewExec != nil {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// CombiningNames lists the comb-* entry names, in presentation order.
-func CombiningNames() []string {
-	var out []string
-	for _, e := range Combining() {
-		out = append(out, e.Name)
-	}
-	return out
-}
-
-// RWCombining returns the derived comb-rw-*/comb-a-rw-* entries
-// (genuinely combining reader-writer executors), in order.
+// RWCombining returns the comb-rw-*/comb-a-rw-* entries (genuinely
+// combining reader-writer executors), in order.
 func RWCombining() []Entry {
-	var out []Entry
-	for _, e := range entries {
-		if e.NewRWExec != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return filter(func(e Entry) bool { return e.NewRWExec != nil })
 }
 
 // RWCombiningNames lists the comb-rw-*/comb-a-rw-* entry names, in
 // presentation order — the read-combining column set of kvbench's
 // read-path table.
-func RWCombiningNames() []string {
-	var out []string
-	for _, e := range RWCombining() {
-		out = append(out, e.Name)
-	}
-	return out
-}
+func RWCombiningNames() []string { return names(RWCombining()) }
 
 // Figure2Names lists the locks of the paper's Figures 2-5, in legend
 // order.
@@ -552,11 +628,5 @@ func TableNames() []string {
 // ExtensionNames lists the blocking locks beyond the paper's
 // evaluation set, in presentation order.
 func ExtensionNames() []string {
-	var out []string
-	for _, e := range entries {
-		if e.Extension && e.NewMutex != nil {
-			out = append(out, e.Name)
-		}
-	}
-	return out
+	return names(filter(func(e Entry) bool { return e.Extension && e.NewMutex != nil }))
 }

@@ -52,17 +52,16 @@ func TestCombiningEntriesDerived(t *testing.T) {
 				t.Errorf("blocking lock %s has no %s%s entry", e.Name, prefix, e.Name)
 				continue
 			}
-			if comb.NewExec == nil || comb.WrapExec == nil || comb.Base != e.Name || !comb.Extension {
-				t.Errorf("%s%s: want NewExec+WrapExec set, Base=%q, Extension", prefix, e.Name, e.Name)
+			if w, operand, ok := comb.Unwrap(); comb.NewExec == nil || !ok || w != prefix || operand.Name != e.Name || !comb.Extension {
+				t.Errorf("%s%s: want NewExec set, Unwrap = (%q, %s), Extension", prefix, e.Name, prefix, e.Name)
 			}
 			if comb.NewMutex != nil || comb.NewTry != nil || comb.NewRW != nil {
 				t.Errorf("%s%s: derived entries are exec-only", prefix, e.Name)
 			}
 			// Native RW bases derive the reader-writer twin: the shared
-			// side (NewRWExec + the WrapRWExec interposition seam) must
-			// be present exactly there.
-			if rw := e.NewRW != nil; (comb.NewRWExec != nil) != rw || (comb.WrapRWExec != nil) != rw {
-				t.Errorf("%s%s: NewRWExec/WrapRWExec presence should match the base's NewRW (%v)", prefix, e.Name, rw)
+			// side (NewRWExec) must be present exactly there.
+			if rw := e.NewRW != nil; (comb.NewRWExec != nil) != rw {
+				t.Errorf("%s%s: NewRWExec presence should match the base's NewRW (%v)", prefix, e.Name, rw)
 			}
 		}
 	}
@@ -86,10 +85,13 @@ func TestCombiningEntriesDerived(t *testing.T) {
 	if names := RWCombiningNames(); len(names) != 2*len(RW()) {
 		t.Errorf("RWCombiningNames lists %d entries, want %d (two twins per native RW base)", len(names), 2*len(RW()))
 	}
-	for _, e := range Combining() {
-		base, ok := byName[e.Base]
-		if !ok || base.NewMutex == nil {
-			t.Errorf("%s: Base %q is not a blocking entry", e.Name, e.Base)
+	for _, e := range All() {
+		if e.NewExec == nil {
+			continue
+		}
+		_, operand, ok := e.Unwrap()
+		if !ok || operand.NewMutex == nil {
+			t.Errorf("%s: operand %q is not a blocking entry", e.Name, operand.Name)
 		}
 	}
 }
@@ -255,9 +257,9 @@ func TestBlockingAbortablePartition(t *testing.T) {
 }
 
 func TestAllReturnsCopy(t *testing.T) {
-	a := All()
-	a[0].Name = "mutated"
-	if entries[0].Name == "mutated" {
-		t.Error("All() exposes internal slice")
+	a, names := All(), Names()
+	a[0].Name, names[0] = "mutated", "mutated"
+	if All()[0].Name == "mutated" || Names()[0] == "mutated" {
+		t.Error("All() or Names() exposes internal state")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/kvload"
 	"repro/internal/kvstore"
 	"repro/internal/numa"
 )
@@ -37,11 +36,6 @@ type Config struct {
 	// Capped by the topology's procs per cluster, which is also the
 	// default.
 	ConnsPerCluster int
-	// MaxBatch is the flush bound of a connection's pipelined run,
-	// aligned to the store's MaxBatch (the default) so a burst of N
-	// ops costs ceil(N/MaxBatch) shard acquisitions. The hill-climbing
-	// sizer walks below it when observed service time degrades.
-	MaxBatch int
 	// MaxValueBytes caps accepted set values (DoS bound; also sizes
 	// the per-connection response buffers). Default 64 KiB.
 	MaxValueBytes int
@@ -136,9 +130,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.ConnsPerCluster <= 0 || c.ConnsPerCluster > perCluster {
 		c.ConnsPerCluster = perCluster
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = c.Store.MaxBatch()
 	}
 	if c.MaxValueBytes <= 0 {
 		c.MaxValueBytes = DefaultMaxValueBytes
@@ -555,7 +546,10 @@ type conn struct {
 	par *Parser
 	w   *bufio.Writer
 
-	sizer *kvload.BatchSizer
+	// maxBatch is the flush bound of a pipelined same-verb run: the
+	// store's MaxBatch, so a burst of N ops costs ceil(N/MaxBatch)
+	// shard acquisitions.
+	maxBatch int
 
 	// Pending same-verb run. kind is only meaningful when pending>0.
 	kind    Kind
@@ -597,17 +591,17 @@ var crlf = []byte("\r\n")
 
 // serveConn runs one connection's decode loop: parse, accumulate
 // same-verb runs, flush a run when the verb changes, the run reaches
-// the sizer's batch bound, or the reader has no more pipelined bytes.
+// the store's MaxBatch, or the reader has no more pipelined bytes.
 // Responses for a run are written only after its store call returns.
 func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
-	mb := s.cfg.MaxBatch
+	mb := s.store.MaxBatch()
 	c := &conn{
 		srv:        s,
 		c:          nc,
 		p:          p,
 		par:        NewParser(bufio.NewReaderSize(nc, readerBufBytes), Limits{MaxValueBytes: s.cfg.MaxValueBytes}),
 		w:          bufio.NewWriterSize(nc, writerBufBytes),
-		sizer:      kvload.NewBatchSizerAt(mb, mb),
+		maxBatch:   mb,
 		getKeys:    make([]uint64, 0, mb),
 		getEnds:    make([]int, 0, mb),
 		getReqs:    make([]getReq, 0, mb),
@@ -737,7 +731,7 @@ func (c *conn) loop() {
 			c.finish()
 			return
 		}
-		if c.pending >= c.sizer.Size() || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
+		if c.pending >= c.maxBatch || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
 			c.flushOps()
 		}
 		if c.par.Buffered() == 0 {
@@ -810,9 +804,7 @@ func (c *conn) maybeFlushWriter() {
 }
 
 // flushOps applies the pending run through the store's batch APIs and
-// writes its responses. The store call is timed for the sizer: if
-// per-op service time degrades (shards contended, batches outgrowing
-// amortization), subsequent flushes shrink.
+// writes its responses.
 func (c *conn) flushOps() {
 	if c.pending == 0 {
 		return
@@ -821,7 +813,6 @@ func (c *conn) flushOps() {
 		c.shedOps()
 		return
 	}
-	began := time.Now()
 	switch c.kind {
 	case KindGet:
 		c.flushGets()
@@ -859,7 +850,6 @@ func (c *conn) flushOps() {
 		c.delKeys = c.delKeys[:0]
 		c.delNoReply = c.delNoReply[:0]
 	}
-	c.sizer.Observe(c.pending, time.Since(began))
 	c.pending = 0
 	c.pendingBytes = 0
 	c.fold()
@@ -901,8 +891,6 @@ func (c *conn) shedOps() {
 		c.delKeys = c.delKeys[:0]
 		c.delNoReply = c.delNoReply[:0]
 	}
-	// Deliberately no sizer.Observe: a refusal says nothing about
-	// store service time.
 	c.pending = 0
 	c.pendingBytes = 0
 	c.fold()
@@ -935,7 +923,7 @@ func (c *conn) brokenFilterSets() (keys []uint64, vals [][]byte) {
 // request. Destination buffers are lazily grown slots reused across
 // chunks and flushes.
 func (c *conn) flushGets() {
-	mb := c.srv.cfg.MaxBatch
+	mb := c.maxBatch
 	valCap := 4 + c.srv.cfg.MaxValueBytes
 	// The response staging for one chunk is chunk×valCap of lazily
 	// grown destination slots; keep that under the connection's decode

@@ -153,9 +153,6 @@ func TestPipelinedBatchAcquisitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.cfg.MaxBatch != maxBatch {
-		t.Fatalf("server MaxBatch = %d, want store's %d", srv.cfg.MaxBatch, maxBatch)
-	}
 
 	// Populate through the store so the get burst is all hits.
 	p := topo.Proc(0)
@@ -219,6 +216,67 @@ func TestPipelinedBatchAcquisitions(t *testing.T) {
 			n, got, n/maxBatch)
 	}
 
+	client.Close()
+	<-done
+}
+
+// TestPipelinedBurstIsOneFlush pins the flush bound at the store's
+// MaxBatch: a burst of 32 single-key gets, well under the default
+// bound of 64, is one flush and one acquisition on every round — the
+// bound does not move with observed service time.
+func TestPipelinedBurstIsOneFlush(t *testing.T) {
+	const (
+		burst  = 32
+		rounds = 40
+	)
+	topo := numa.New(1, 2)
+	var acq atomic.Uint64
+	store := kvstore.New(kvstore.Config{
+		Topo:   topo,
+		Shards: 1,
+		Locking: kvstore.FromMutex(func() locks.Mutex {
+			return locks.CountAcquisitions(locks.NewPthread(), &acq)
+		}),
+	})
+	if store.MaxBatch() < burst {
+		t.Fatalf("default MaxBatch %d below the burst %d", store.MaxBatch(), burst)
+	}
+	srv, err := New(Config{Topo: topo, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gets strings.Builder
+	for i := 0; i < burst; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		store.Set(topo.Proc(0), HashKey(key), encodeValue(nil, 0, []byte("val")))
+		fmt.Fprintf(&gets, "get %s\r\n", key)
+	}
+
+	client, serverSide := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(serverSide, topo.Proc(1))
+	}()
+	client.SetDeadline(time.Now().Add(10 * time.Second))
+	rd := bufio.NewReader(client)
+	for r := 0; r < rounds; r++ {
+		acqBefore, flushesBefore := acq.Load(), srv.Snapshot().Flushes
+		if _, err := client.Write([]byte(gets.String())); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3*burst; i++ { // VALUE, data, END per request
+			if _, err := rd.ReadString('\n'); err != nil {
+				t.Fatalf("round %d line %d: %v", r, i, err)
+			}
+		}
+		if got := acq.Load() - acqBefore; got != 1 {
+			t.Fatalf("round %d: burst of %d gets cost %d acquisitions, want 1", r, burst, got)
+		}
+		if got := srv.Snapshot().Flushes - flushesBefore; got != 1 {
+			t.Fatalf("round %d: burst of %d gets took %d flushes, want 1", r, burst, got)
+		}
+	}
 	client.Close()
 	<-done
 }

@@ -133,7 +133,7 @@ func BenchmarkFigure6Abortable(b *testing.B) {
 }
 
 // benchTable1 runs one memcached-style cell per iteration.
-func benchTable1(b *testing.B, getPct int) {
+func benchTable1(b *testing.B, reads float64) {
 	threads := contendedThreads()
 	for _, name := range registry.TableNames() {
 		b.Run(name, func(b *testing.B) {
@@ -144,7 +144,7 @@ func benchTable1(b *testing.B, getPct int) {
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{Topo: topo, Locking: kvstore.FromLock(e.NewMutex(topo))})
 				kvload.Populate(store, topo.Proc(0), keyspace, 128)
-				cfg := kvload.DefaultConfig(topo, threads, getPct)
+				cfg := kvload.DefaultConfig(topo, threads, reads)
 				cfg.Duration = trialWindow
 				cfg.Keyspace = keyspace
 				res, err := kvload.Run(cfg, store)
@@ -159,13 +159,13 @@ func benchTable1(b *testing.B, getPct int) {
 }
 
 // BenchmarkTable1aReadHeavy reproduces Table 1(a): 90% gets.
-func BenchmarkTable1aReadHeavy(b *testing.B) { benchTable1(b, 90) }
+func BenchmarkTable1aReadHeavy(b *testing.B) { benchTable1(b, 0.9) }
 
 // BenchmarkTable1bMixed reproduces Table 1(b): 50% gets.
-func BenchmarkTable1bMixed(b *testing.B) { benchTable1(b, 50) }
+func BenchmarkTable1bMixed(b *testing.B) { benchTable1(b, 0.5) }
 
 // BenchmarkTable1cWriteHeavy reproduces Table 1(c): 10% gets.
-func BenchmarkTable1cWriteHeavy(b *testing.B) { benchTable1(b, 10) }
+func BenchmarkTable1cWriteHeavy(b *testing.B) { benchTable1(b, 0.1) }
 
 // BenchmarkShardScaling measures the sharded store beyond the paper:
 // the 50% mix under C-BO-MCS with 1, 4 and 16 shards, cluster-affine
@@ -188,7 +188,7 @@ func BenchmarkShardScaling(b *testing.B) {
 					Capacity:  keyspace * topo.Clusters() * 2,
 				})
 				kvload.PopulateClusters(store, topo, keyspace, 128)
-				cfg := kvload.DefaultConfig(topo, threads, 50)
+				cfg := kvload.DefaultConfig(topo, threads, 0.5)
 				cfg.Duration = trialWindow
 				cfg.Keyspace = keyspace
 				res, err := kvload.Run(cfg, store)
@@ -231,7 +231,7 @@ func BenchmarkShardPlacement(b *testing.B) {
 					Capacity:  keyspace * topo.Clusters() * 2,
 				})
 				kvload.PopulateClusters(store, topo, keyspace, 128)
-				cfg := kvload.DefaultConfig(topo, threads, 50)
+				cfg := kvload.DefaultConfig(topo, threads, 0.5)
 				cfg.Duration = trialWindow
 				cfg.Keyspace = keyspace
 				cfg.Affinity = c.affinity
@@ -414,10 +414,9 @@ func BenchmarkSharedBatchedReads(b *testing.B) {
 					}
 					store := kvstore.New(cfg)
 					kvload.PopulateClusters(store, topo, keyspace, 128)
-					lcfg := kvload.DefaultConfig(topo, threads, int(reads*100))
+					lcfg := kvload.DefaultConfig(topo, threads, reads)
 					lcfg.Duration = trialWindow
 					lcfg.Keyspace = keyspace
-					lcfg.ReadFraction = reads
 					lcfg.BatchSize = 16
 					res, err := kvload.Run(lcfg, store)
 					if err != nil {
@@ -470,7 +469,7 @@ func BenchmarkBatchedStore(b *testing.B) {
 				}
 				store := kvstore.New(cfg)
 				kvload.PopulateClusters(store, topo, keyspace, 128)
-				lcfg := kvload.DefaultConfig(topo, threads, 50)
+				lcfg := kvload.DefaultConfig(topo, threads, 0.5)
 				lcfg.Duration = trialWindow
 				lcfg.Keyspace = keyspace
 				lcfg.BatchSize = c.batch
@@ -666,7 +665,7 @@ func BenchmarkUncontended(b *testing.B) {
 // lock: threads workers draw a readPct read mix; reads go through
 // shared mode when shared is set, everything else through exclusive
 // mode. Both RW benchmark families share this harness.
-func rwTrialOpsPerSec(topo *numa.Topology, l *core.RWCohortLock, threads, readPct int, shared bool) float64 {
+func rwTrialOpsPerSec(topo *numa.Topology, l locks.RWMutex, threads, readPct int, shared bool) float64 {
 	var ops atomic.Uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -714,7 +713,7 @@ func BenchmarkRWCohort(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				topo := numa.New(4, threads)
-				l := core.NewRWCBOMCS(topo)
+				l := locks.NewRWPerCluster(topo, core.NewCBOMCS(topo))
 				var sum float64
 				for i := 0; i < b.N; i++ {
 					sum += rwTrialOpsPerSec(topo, l, threads, readPct, shared)
@@ -754,10 +753,9 @@ func BenchmarkKVReadPath(b *testing.B) {
 					Capacity:  keyspace * topo.Clusters() * 2,
 				})
 				kvload.PopulateClusters(store, topo, keyspace, 128)
-				cfg := kvload.DefaultConfig(topo, threads, 99)
+				cfg := kvload.DefaultConfig(topo, threads, 0.99)
 				cfg.Duration = trialWindow
 				cfg.Keyspace = keyspace
-				cfg.ReadFraction = 0.99
 				res, err := kvload.Run(cfg, store)
 				if err != nil {
 					b.Fatal(err)
@@ -778,7 +776,7 @@ func BenchmarkExtensionRWCohort(b *testing.B) {
 	for _, writePct := range []int{0, 5, 50} {
 		b.Run("write"+itoa(int64(writePct)), func(b *testing.B) {
 			topo := numa.New(4, threads)
-			l := core.NewRWCBOMCS(topo)
+			l := locks.NewRWPerCluster(topo, core.NewCBOMCS(topo))
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				sum += rwTrialOpsPerSec(topo, l, threads, 100-writePct, true)

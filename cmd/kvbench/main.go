@@ -21,8 +21,11 @@
 // through its exclusive path (`<name>/x`) — across every -shards
 // count. This is the Table-1-style exhibit for the cohort line's RW
 // follow-up: on read-mostly traffic shared mode should pull away from
-// every exclusive column. The default column set also includes the
-// comb-rw-*/comb-a-rw-* read-combining twins: each runs Gets as read
+// every exclusive column. With -batch as well, reads arrive as MGet
+// batches of that size (titles and records say batch=N), so the same
+// columns race shared against exclusive batched reads. The default
+// column set also includes the comb-rw-*/comb-a-rw-* read-combining
+// twins: each runs Gets as read
 // closures through the reader-combining executor over its RW operand,
 // with the operand's shared acquisitions counted (registry.Unwrap and
 // Wrap interpose the counter), so a second table reports shared ops
@@ -42,21 +45,6 @@
 // amortize only within each call. comb-* and comb-a-* names are also
 // valid in the standard tables, where they run the single-op path
 // through delegated execution.
-//
-// -adaptive emits the adaptive-hot-path exhibit: per shard count,
-// (1) fixed vs adaptive combining columns (comb-<l> / comb-a-<l>) with
-// speedup and ops-per-acquisition tables, (2) shared vs exclusive
-// batched MGet columns for the reader-writer family at a read-mostly
-// mix, and (3) a fixed vs adaptive client batch pair (kvload's
-// hill-climbing batch sizer against the same ceiling). The tables run
-// at one get/set mix — an explicit single -mix, or 50% when -mix is
-// left at "all". JSON records carry the new knobs (combiner,
-// batch_mode, avg_batch).
-//
-// -shardstats prints a per-shard counter table after each standard
-// cell: gets, sets, evictions, and the maximum combining-executor
-// occupancy estimate sampled while the load ran (comb-* columns only;
-// other locks have no estimator and show "-").
 package main
 
 import (
@@ -89,9 +77,7 @@ type options struct {
 	affinity  float64
 	reads     float64
 	batch     int
-	adaptive  bool
 	capacity  int
-	shardStat bool
 	placement kvstore.Placement
 	csv       bool
 	jsonOut   bool
@@ -117,9 +103,6 @@ type record struct {
 	// underlying lock amortized.
 	Batch     int     `json:"batch,omitempty"`
 	OpsPerAcq float64 `json:"ops_per_acq,omitempty"`
-	// Combiner distinguishes the combining policy of -adaptive runs'
-	// executor columns: "fixed" (comb-*) or "adaptive" (comb-a-*).
-	Combiner string `json:"combiner,omitempty"`
 	// ReadCombiner marks -reads cells whose Gets ran as read closures
 	// through a reader-combining executor (comb-rw-* / comb-a-rw-*
 	// columns): "fixed" or "adaptive". Plain RW cells omit it, so
@@ -127,12 +110,6 @@ type record struct {
 	// OpsPerAcq for shared ops per shared acquisition of the base
 	// lock.
 	ReadCombiner string `json:"read_combiner,omitempty"`
-	// BatchMode is the client batching policy of -adaptive runs'
-	// pipeline pair: "fixed" issues Batch keys every round, "adaptive"
-	// hill-climbs within [1,Batch]; AvgBatch is the average batch the
-	// adaptive client actually issued.
-	BatchMode string  `json:"batch_mode,omitempty"`
-	AvgBatch  float64 `json:"avg_batch,omitempty"`
 }
 
 func main() {
@@ -145,10 +122,8 @@ func main() {
 		placementFlag = flag.String("placement", "affine", "shard placement: hashmod or affine")
 	)
 	flag.Float64Var(&opt.affinity, "affinity", 0, "probability a worker's keys target its own cluster's shards [0,1]")
-	flag.Float64Var(&opt.reads, "reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets")
+	flag.Float64Var(&opt.reads, "reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets (batched with -batch)")
 	flag.IntVar(&opt.batch, "batch", 0, "batch size for the batched-pipeline table (e.g. 16); >0 drives MGet/MSet batches and adds an ops-per-acquisition table")
-	flag.BoolVar(&opt.adaptive, "adaptive", false, "emit the adaptive-hot-path tables: fixed vs adaptive combining, shared vs exclusive batched MGet, fixed vs adaptive client batch (one mix: -mix, defaulting to 50)")
-	flag.BoolVar(&opt.shardStat, "shardstats", false, "print per-shard counters (gets/sets/evictions and sampled max combiner occupancy) after each standard cell")
 	flag.IntVar(&opt.clusters, "clusters", 4, "NUMA clusters to simulate")
 	flag.DurationVar(&opt.duration, "duration", 300*time.Millisecond, "measurement window per cell")
 	flag.Uint64Var(&opt.keyspace, "keys", 50_000, "distinct keys (pre-populated)")
@@ -184,50 +159,21 @@ func main() {
 	if opt.batch < 0 {
 		cli.Dief(tool, "negative -batch %d", opt.batch)
 	}
-	if opt.batch > 0 && opt.reads > 0 && !opt.adaptive {
-		cli.Dief(tool, "-batch and -reads select different tables; pick one (or -adaptive, which uses both)")
-	}
-	if (opt.batch > 0 || opt.adaptive) && opt.affinity > 0 {
+	if opt.batch > 0 && opt.affinity > 0 {
 		cli.Dief(tool, "-affinity is a per-operation knob; unsupported with batched pipelines")
 	}
-	if opt.adaptive {
-		// The adaptive tables pick their own defaults for the knobs the
-		// user left unset: a 16-key pipeline and a 90% read mix. The
-		// client-batch table needs a ceiling the sizer can move within,
-		// so a degenerate pipeline is rejected up front rather than
-		// after the first tables have already burned their windows.
-		if opt.batch == 0 {
-			opt.batch = 16
-		}
-		if opt.batch < 2 {
-			cli.Dief(tool, "-adaptive needs -batch > 1 (the adaptive client sizes batches within [1,batch])")
-		}
-		if opt.reads == 0 {
-			opt.reads = 0.9
-		}
-		// The adaptive tables run at a single mix; the -mix=all default
-		// would silently mean "just the first", so it resolves to the
-		// mixed workload instead. An explicit single -mix is honored.
-		if *mixFlag == "all" {
-			opt.mixes = []int{50}
-		}
-	}
 	if len(opt.locks) == 0 {
-		if opt.adaptive {
-			// Base locks whose comb-/comb-a- twins the combining tables
-			// race; the shared-read table uses the rw-* family.
-			opt.locks = []string{"mcs", "c-bo-mcs", "cna"}
-		} else if opt.batch > 0 {
-			// The batched table races each headline lock against its
-			// combining twin, so amortization-from-batching and
-			// amortization-from-combining land side by side.
-			opt.locks = []string{"mcs", "comb-mcs", "c-bo-mcs", "comb-c-bo-mcs", "cna", "comb-cna"}
-		} else if opt.reads > 0 {
+		if opt.reads > 0 {
 			// The RW table defaults to the native reader-writer family —
 			// each gets a shared and an exclusive column — plus the
 			// read-combining twins (shared-only columns with a shared
 			// ops-per-acquisition metric).
 			opt.locks = append(registry.RWNames(), registry.RWCombiningNames()...)
+		} else if opt.batch > 0 {
+			// The batched table races each headline lock against its
+			// combining twin, so amortization-from-batching and
+			// amortization-from-combining land side by side.
+			opt.locks = []string{"mcs", "comb-mcs", "c-bo-mcs", "comb-c-bo-mcs", "cna", "comb-cna"}
 		} else {
 			// The paper's Table 1 columns plus the headline extension locks,
 			// so the standard tables track the growing family. (mallocbench
@@ -246,12 +192,9 @@ func run(opt options) error {
 
 	var records []record
 	var err error
-	switch {
-	case opt.adaptive:
-		records, err = runAdaptive(opt, topo)
-	case opt.reads > 0:
+	if opt.reads > 0 {
 		records, err = runRW(opt, topo)
-	default:
+	} else {
 		for _, mix := range opt.mixes {
 			var recs []record
 			if opt.batch > 0 {
@@ -293,16 +236,12 @@ type cell struct {
 	entry   registry.Entry
 	threads int
 	shards  int
-	// getPct is the mix; reads, when positive, replaces it with an
-	// exact read fraction.
-	getPct int
-	reads  float64
+	// reads is the share of gets (-mix 50 is 0.5).
+	reads float64
 	// batch, when positive, drives MGet/MSet pipelines of that size and
 	// is the store's MaxBatch, so a shard group of a client batch is one
-	// critical section; adaptiveClient lets kvload's hill-climbing sizer
-	// move within [1, batch] instead.
-	batch          int
-	adaptiveClient bool
+	// critical section.
+	batch int
 	// sharedReads runs Gets in shared mode where the lock has one;
 	// without it a reader-writer lock is driven through its exclusive
 	// path only, so two columns differ in the read protocol alone.
@@ -311,15 +250,12 @@ type cell struct {
 	// between the combiner and its operand (registry.Unwrap and Wrap),
 	// where a combined batch counts as the single acquisition it is.
 	count counting
-	// shardStats prints the per-shard counter table after the run.
-	shardStats bool
 }
 
 // outcome is what one cell measured.
 type outcome struct {
 	opsPerSec float64
 	opsPerAcq float64 // per cell.count; 0 when nothing was counted
-	avgBatch  float64 // average issued batch of a batched run
 }
 
 // runCell builds the cell's store, populates it, runs the load and
@@ -391,35 +327,19 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
 	runtime.GC() // population litters the heap; keep GC out of the window
 
-	getPct := c.getPct
-	if c.reads > 0 {
-		getPct = int(c.reads * 100)
-	}
-	lcfg := kvload.DefaultConfig(topo, c.threads, getPct)
+	lcfg := kvload.DefaultConfig(topo, c.threads, c.reads)
 	lcfg.Duration = opt.duration
 	lcfg.Keyspace = opt.keyspace
 	lcfg.Affinity = opt.affinity
-	lcfg.ReadFraction = c.reads
 	lcfg.BatchSize = c.batch
-	lcfg.BatchAdaptive = c.adaptiveClient
 
-	var sampler *shardStats
-	if c.shardStats {
-		sampler = startShardStats(store)
-	}
 	exclBefore, sharedBefore := excl.Load(), shared.Load()
 	res, err := kvload.Run(lcfg, store)
-	if sampler != nil {
-		sampler.stop()
-	}
 	if err != nil {
-		return outcome{}, fmt.Errorf("%s @%d x%d shards (mix=%d%% reads=%g batch=%d): %w",
-			e.Name, c.threads, c.shards, c.getPct, c.reads, c.batch, err)
+		return outcome{}, fmt.Errorf("%s @%d x%d shards (reads=%g batch=%d): %w",
+			e.Name, c.threads, c.shards, c.reads, c.batch, err)
 	}
-	if sampler != nil {
-		sampler.print(opt, fmt.Sprintf("%s mix=%d%% threads=%d shards=%d", e.Name, c.getPct, c.threads, c.shards))
-	}
-	out := outcome{opsPerSec: res.Throughput(), avgBatch: res.AvgBatch()}
+	out := outcome{opsPerSec: res.Throughput()}
 	ops, acq := res.Ops, excl.Load()-exclBefore+shared.Load()-sharedBefore
 	if c.count == countShared {
 		ops, acq = res.Gets, shared.Load()-sharedBefore
@@ -428,73 +348,6 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 		out.opsPerAcq = float64(ops) / float64(acq)
 	}
 	return out, nil
-}
-
-// shardStats is one cell's -shardstats sampler: pre-run snapshots (so
-// the table covers only the measured window; population would dwarf
-// its counters) and the per-shard maximum of the combining-executor
-// occupancy estimate (Store.ShardOccupancy), polled until stop. Shards
-// whose lock has no estimator — everything but comb-* — stay at -1.
-type shardStats struct {
-	store *kvstore.Store
-	pre   []kvstore.Stats
-	occ   []int
-	quit  chan struct{}
-	done  chan struct{}
-}
-
-func startShardStats(store *kvstore.Store) *shardStats {
-	n := store.NumShards()
-	st := &shardStats{store: store, pre: make([]kvstore.Stats, n), occ: make([]int, n),
-		quit: make(chan struct{}), done: make(chan struct{})}
-	for i := range st.pre {
-		st.pre[i], st.occ[i] = store.ShardSnapshot(i), -1
-	}
-	go func() {
-		defer close(st.done)
-		for {
-			select {
-			case <-st.quit:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-			for i := range st.occ {
-				if occ, ok := store.ShardOccupancy(i); ok && occ > st.occ[i] {
-					st.occ[i] = occ
-				}
-			}
-		}
-	}()
-	return st
-}
-
-func (st *shardStats) stop() {
-	close(st.quit)
-	<-st.done
-}
-
-// print renders the per-shard counters over the measured window. Under
-// -json the table goes to stderr so the envelope on stdout stays
-// parseable.
-func (st *shardStats) print(opt options, label string) {
-	tb := stats.NewTable("Shard stats: "+label,
-		"shard", "home", "gets", "sets", "evictions", "max occ")
-	for i, pre := range st.pre {
-		now := st.store.ShardSnapshot(i)
-		occ := "-"
-		if st.occ[i] >= 0 {
-			occ = fmt.Sprint(st.occ[i])
-		}
-		tb.AddRow(fmt.Sprint(i), fmt.Sprint(st.store.ShardHome(i)),
-			fmt.Sprint(now.Gets-pre.Gets), fmt.Sprint(now.Sets-pre.Sets),
-			fmt.Sprint(now.Evictions-pre.Evictions), occ)
-	}
-	out := os.Stdout
-	if opt.jsonOut {
-		out = os.Stderr
-	}
-	fmt.Fprint(out, cli.Emit(tb, opt.csv))
-	fmt.Fprintln(out)
 }
 
 // column is one lock column of an exhibit: the cell to run on every
@@ -510,10 +363,6 @@ type column struct {
 type table struct {
 	title string
 	value func(record) string
-	// tail, when set, closes each row with one more cell computed from
-	// the row's last record, under tailHeader.
-	tailHeader string
-	tail       func(record) string
 }
 
 func speedup(r record) string { return stats.F(r.Speedup, 2) }
@@ -531,7 +380,7 @@ func opsPerAcq(decimals int) func(record) string {
 // baseline measures like at one thread on one shard under pthread: the
 // paper's normalization unit.
 func baseline(opt options, topo *numa.Topology, like cell, label string) (float64, error) {
-	like.entry, like.threads, like.shards, like.shardStats = registry.MustLookup("pthread"), 1, 1, false
+	like.entry, like.threads, like.shards = registry.MustLookup("pthread"), 1, 1
 	out, err := runCell(opt, topo, like)
 	if err != nil {
 		return 0, err
@@ -540,17 +389,10 @@ func baseline(opt options, topo *numa.Topology, like cell, label string) (float6
 	return out.opsPerSec, nil
 }
 
-// exhibit is a set of columns and the tables printed over their cells.
-type exhibit struct {
-	cols   []column
-	tables []table
-}
-
-// runExhibit measures x's columns over opt.threads at one shard count
-// and prints its tables, one row per thread count. Titles gain the
-// shard suffix; records gain what was measured and where.
-func runExhibit(opt options, topo *numa.Topology, shards int, base float64, x exhibit) ([]record, error) {
-	cols, tables := x.cols, x.tables
+// runExhibit measures cols over opt.threads at one shard count and
+// prints the tables over their cells, one row per thread count. Titles
+// gain the shard suffix; records gain what was measured and where.
+func runExhibit(opt options, topo *numa.Topology, shards int, base float64, cols []column, tables []table) ([]record, error) {
 	// Single-shard cells ignore placement and affinity; label the
 	// records with what actually ran.
 	placement, affinity, suffix := "single", 0.0, ""
@@ -564,27 +406,20 @@ func runExhibit(opt options, topo *numa.Topology, shards int, base float64, x ex
 		for _, c := range cols {
 			headers = append(headers, c.header)
 		}
-		if t.tail != nil {
-			headers = append(headers, t.tailHeader)
-		}
 		rendered[i] = stats.NewTable(t.title+suffix, headers...)
 	}
 	var records []record
 	for _, n := range opt.threads {
 		rows := make([][]string, len(tables))
-		var r record
 		for _, c := range cols {
 			c.cell.threads, c.cell.shards = n, shards
 			out, err := runCell(opt, topo, c.cell)
 			if err != nil {
 				return nil, err
 			}
-			r = c.rec
+			r := c.rec
 			r.Threads, r.Shards, r.Placement, r.Affinity = n, shards, placement, affinity
 			r.OpsPerSec, r.Speedup, r.OpsPerAcq = out.opsPerSec, stats.Speedup(base, out.opsPerSec), out.opsPerAcq
-			if r.BatchMode != "" {
-				r.AvgBatch = out.avgBatch
-			}
 			records = append(records, r)
 			for i, t := range tables {
 				rows[i] = append(rows[i], t.value(r))
@@ -593,15 +428,9 @@ func runExhibit(opt options, topo *numa.Topology, shards int, base float64, x ex
 			if out.opsPerAcq > 0 {
 				trace += fmt.Sprintf(" %.2f ops/acq", out.opsPerAcq)
 			}
-			if out.avgBatch > 0 {
-				trace += fmt.Sprintf(" avg batch %.1f", out.avgBatch)
-			}
 			fmt.Fprintln(os.Stderr, trace)
 		}
-		for i, t := range tables {
-			if t.tail != nil {
-				rows[i] = append(rows[i], t.tail(r))
-			}
+		for i := range tables {
 			rendered[i].AddRow(append([]string{fmt.Sprint(n)}, rows[i]...)...)
 		}
 	}
@@ -614,17 +443,15 @@ func runExhibit(opt options, topo *numa.Topology, shards int, base float64, x ex
 	return records, nil
 }
 
-// sweep runs the exhibits, in order, once per -shards count.
-func sweep(opt options, topo *numa.Topology, base float64, exhibits ...exhibit) ([]record, error) {
+// sweep runs the exhibit once per -shards count.
+func sweep(opt options, topo *numa.Topology, base float64, cols []column, tables []table) ([]record, error) {
 	var records []record
 	for _, shards := range opt.shards {
-		for _, x := range exhibits {
-			recs, err := runExhibit(opt, topo, shards, base, x)
-			if err != nil {
-				return nil, err
-			}
-			records = append(records, recs...)
+		recs, err := runExhibit(opt, topo, shards, base, cols, tables)
+		if err != nil {
+			return nil, err
 		}
+		records = append(records, recs...)
 	}
 	return records, nil
 }
@@ -647,7 +474,7 @@ func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 	for i, e := range resolve(opt.locks) {
 		cols = append(cols, column{
 			header: opt.locks[i],
-			cell:   cell{entry: e, getPct: getPct, shardStats: opt.shardStat},
+			cell:   cell{entry: e, reads: float64(getPct) / 100},
 			rec:    record{Mix: getPct, Lock: opt.locks[i]},
 		})
 	}
@@ -656,7 +483,7 @@ func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 		return nil, err
 	}
 	title := fmt.Sprintf("Table 1 (%d%% gets / %d%% sets): speedup over pthread@1", getPct, 100-getPct)
-	records, err := sweep(opt, topo, base, exhibit{cols, []table{{title: title, value: speedup}}})
+	records, err := sweep(opt, topo, base, cols, []table{{title: title, value: speedup}})
 	if err == nil && len(opt.shards) > 1 && !opt.jsonOut {
 		fmt.Print(cli.Emit(scalingTable(opt, records, getPct), opt.csv))
 		fmt.Println()
@@ -675,7 +502,7 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 	for i, e := range resolve(opt.locks) {
 		cols = append(cols, column{
 			header: opt.locks[i],
-			cell:   cell{entry: e, getPct: getPct, batch: opt.batch, sharedReads: true, count: countAll},
+			cell:   cell{entry: e, reads: float64(getPct) / 100, batch: opt.batch, sharedReads: true, count: countAll},
 			rec:    record{Mix: getPct, Lock: e.Name, Batch: opt.batch},
 		})
 	}
@@ -684,85 +511,10 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 		return nil, err
 	}
 	title := fmt.Sprintf("Batched pipeline (batch=%d, %d%% gets): ", opt.batch, getPct)
-	return sweep(opt, topo, base, exhibit{cols, []table{
+	return sweep(opt, topo, base, cols, []table{
 		{title: title + "speedup over pthread@1", value: speedup},
 		{title: title + "ops per lock acquisition", value: opsPerAcq(1)},
-	}})
-}
-
-// runAdaptive emits the adaptive-hot-path exhibit: per shard count,
-// fixed vs adaptive combining (speedup and ops-per-acquisition, comb-
-// and comb-a- over each named lock), shared vs exclusive batched MGet
-// over the reader-writer family at the -reads fraction, and a fixed vs
-// adaptive client batch pair driving the first lock's adaptive
-// combiner. Everything is normalized to the batched pthread@1
-// single-shard baseline, like the -batch tables.
-func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
-	getPct := opt.mixes[0]
-	batched := cell{getPct: getPct, batch: opt.batch, count: countAll}
-	var combCols []column
-	for _, e := range resolve(opt.locks) {
-		// comb-*/comb-a-* names are accepted and stripped back to
-		// their operand.
-		if _, operand, ok := e.Unwrap(); ok && e.NewExec != nil {
-			e = operand
-		}
-		for _, pol := range []struct{ wrapper, combiner string }{{registry.WrapComb, "fixed"}, {registry.WrapCombA, "adaptive"}} {
-			comb, err := registry.Wrap(pol.wrapper, e)
-			if err != nil {
-				return nil, fmt.Errorf("the combining comparison needs a blocking lock: %w", err)
-			}
-			c := batched
-			c.entry = comb
-			combCols = append(combCols, column{
-				header: comb.Name, cell: c,
-				rec: record{Mix: getPct, Lock: comb.Name, Batch: opt.batch, Combiner: pol.combiner},
-			})
-		}
-	}
-	var rwCols []column
-	for _, e := range registry.RW() {
-		for _, path := range []string{"shared", "exclusive"} {
-			header := e.Name
-			if path == "exclusive" {
-				header += "/x"
-			}
-			rwCols = append(rwCols, column{
-				header: header,
-				cell:   cell{entry: e, reads: opt.reads, batch: opt.batch, sharedReads: path == "shared"},
-				rec: record{Mix: int(opt.reads*100 + 0.5), Lock: e.Name, Batch: opt.batch,
-					Reads: opt.reads, ReadPath: path},
-			})
-		}
-	}
-	// The whole adaptive hot path end to end: the first lock's adaptive
-	// combiner under a fixed and an adaptive client.
-	client := combCols[1]
-	client.cell.count = countNothing
-	client.rec.BatchMode, client.header = "fixed", fmt.Sprintf("fixed/b=%d", opt.batch)
-	adaptiveClient := client
-	adaptiveClient.cell.adaptiveClient = true
-	adaptiveClient.rec.BatchMode, adaptiveClient.header = "adaptive", fmt.Sprintf("adaptive/b<=%d", opt.batch)
-
-	base, err := baseline(opt, topo, batched, fmt.Sprintf("adaptive batch=%d mix %d%% gets", opt.batch, getPct))
-	if err != nil {
-		return nil, err
-	}
-	combTitle := fmt.Sprintf("Adaptive combining (batch=%d, %d%% gets): ", opt.batch, getPct)
-	return sweep(opt, topo, base,
-		exhibit{combCols, []table{
-			{title: combTitle + "speedup over pthread@1", value: speedup},
-			{title: combTitle + "ops per lock acquisition", value: opsPerAcq(1)},
-		}},
-		exhibit{rwCols, []table{{
-			title: fmt.Sprintf("Shared-mode batched reads (batch=%d, %.4g%% gets): speedup over pthread@1", opt.batch, opt.reads*100),
-			value: speedup,
-		}}},
-		exhibit{[]column{client, adaptiveClient}, []table{{
-			title: fmt.Sprintf("Adaptive client batch over %s (ceiling %d, %d%% gets): speedup over pthread@1", client.rec.Lock, opt.batch, getPct),
-			value: speedup, tailHeader: "avg batch",
-			tail: func(r record) string { return stats.F(r.AvgBatch, 1) },
-		}}})
+	})
 }
 
 // runRW emits the reader-writer read-path tables: per shard count, one
@@ -773,10 +525,11 @@ func runAdaptive(opt options, topo *numa.Topology) ([]record, error) {
 // (their writes already run combined; an exclusive-read variant would
 // measure a different executor, not a different read protocol) and
 // feed a second table: shared ops per shared acquisition of the lock
-// under the combiner, its read-side amortization.
+// under the combiner, its read-side amortization. With -batch, reads
+// arrive as MGet batches and the titles and records say so.
 func runRW(opt options, topo *numa.Topology) ([]record, error) {
 	reads := cell{reads: opt.reads, batch: opt.batch}
-	rec := record{Mix: int(opt.reads*100 + 0.5), Reads: opt.reads}
+	rec := record{Mix: int(opt.reads*100 + 0.5), Reads: opt.reads, Batch: opt.batch}
 	var cols []column
 	haveComb := false
 	add := func(e registry.Entry, header, path string, count counting) {
@@ -810,11 +563,14 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 		return nil, err
 	}
 	title := fmt.Sprintf("RW read path (%.4g%% gets): ", opt.reads*100)
+	if opt.batch > 0 {
+		title = fmt.Sprintf("RW read path (batch=%d, %.4g%% gets): ", opt.batch, opt.reads*100)
+	}
 	tables := []table{{title: title + "speedup over pthread@1", value: speedup}}
 	if haveComb {
 		tables = append(tables, table{title: title + "shared ops per shared acquisition", value: opsPerAcq(2)})
 	}
-	return sweep(opt, topo, base, exhibit{cols, tables})
+	return sweep(opt, topo, base, cols, tables)
 }
 
 // scalingTable condenses the sweep into shard scaling at the highest

@@ -36,35 +36,23 @@ func kvbench(t *testing.T, args ...string) string {
 
 // TestExhibitShapes pins what the four exhibits print — table titles,
 // column headers, and the JSON fields of every record, in order — for
-// the CI smoke invocations. The expectations were captured from the
-// tool as it stood before its six store builders and measure functions
-// became one cell runner.
+// the CI smoke invocations. The standard, batch and reads expectations
+// were captured from the tool as it stood before its six store builders
+// and measure functions became one cell runner.
 func TestExhibitShapes(t *testing.T) {
 	const (
-		common   = "mix_get_pct,lock,threads,shards,placement,affinity,ops_per_sec,speedup_vs_pthread1"
-		combCols = "threads comb-mcs comb-a-mcs"
-		rwCols   = "threads rw-c-bo-mcs rw-c-bo-mcs/x rw-c-tkt-tkt rw-c-tkt-tkt/x rw-cna rw-cna/x rw-mcs rw-mcs/x"
-		sharded  = " [2 shards, affine placement]"
+		common = "mix_get_pct,lock,threads,shards,placement,affinity,ops_per_sec,speedup_vs_pthread1"
+		rwCols = "threads rw-mcs rw-mcs/x comb-rw-mcs"
 	)
-	var adaptiveHeaders, adaptiveRecords []string
-	for _, suffix := range []string{"", sharded} {
-		adaptiveHeaders = append(adaptiveHeaders,
-			"# Adaptive combining (batch=16, 50% gets): speedup over pthread@1"+suffix, combCols,
-			"# Adaptive combining (batch=16, 50% gets): ops per lock acquisition"+suffix, combCols,
-			"# Shared-mode batched reads (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols,
-			"# Adaptive client batch over comb-a-mcs (ceiling 16, 50% gets): speedup over pthread@1"+suffix,
-			"threads fixed/b=16 adaptive/b<=16 avg batch")
-		adaptiveRecords = append(adaptiveRecords,
-			"comb-mcs: "+common+",batch,ops_per_acq,combiner",
-			"comb-a-mcs: "+common+",batch,ops_per_acq,combiner")
-		for _, l := range []string{"rw-c-bo-mcs", "rw-c-tkt-tkt", "rw-cna", "rw-mcs"} {
-			adaptiveRecords = append(adaptiveRecords,
-				l+": "+common+",read_fraction,read_path,batch",
-				l+": "+common+",read_fraction,read_path,batch")
-		}
-		adaptiveRecords = append(adaptiveRecords,
-			"comb-a-mcs: "+common+",batch,combiner,batch_mode,avg_batch",
-			"comb-a-mcs: "+common+",batch,combiner,batch_mode,avg_batch")
+	var batchedHeaders, batchedRecords []string
+	for _, suffix := range []string{"", " [2 shards, affine placement]"} {
+		batchedHeaders = append(batchedHeaders,
+			"# RW read path (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols,
+			"# RW read path (batch=16, 90% gets): shared ops per shared acquisition"+suffix, rwCols)
+		batchedRecords = append(batchedRecords,
+			"rw-mcs: "+common+",read_fraction,read_path,batch",
+			"rw-mcs: "+common+",read_fraction,read_path,batch",
+			"comb-rw-mcs: "+common+",read_fraction,read_path,batch,ops_per_acq,read_combiner")
 	}
 	cases := []struct {
 		name    string
@@ -90,10 +78,6 @@ func TestExhibitShapes(t *testing.T) {
 			},
 		},
 		{
-			"adaptive", []string{"-adaptive", "-threads", "2", "-shards", "1,2", "-locks", "mcs"},
-			adaptiveHeaders, adaptiveRecords,
-		},
-		{
 			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs,comb-rw-mcs,comb-a-rw-mcs"},
 			[]string{
 				"# RW read path (99% gets): speedup over pthread@1", "threads rw-mcs rw-mcs/x comb-rw-mcs comb-a-rw-mcs",
@@ -105,6 +89,10 @@ func TestExhibitShapes(t *testing.T) {
 				"comb-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq,read_combiner",
 				"comb-a-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq,read_combiner",
 			},
+		},
+		{
+			"reads-batch", []string{"-reads", "0.9", "-batch", "16", "-threads", "2", "-shards", "1,2", "-locks", "rw-mcs,comb-rw-mcs"},
+			batchedHeaders, batchedRecords,
 		},
 	}
 	for _, c := range cases {

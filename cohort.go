@@ -9,7 +9,7 @@
 // style locality out of a single queue; generic concurrency
 // restriction (NewRestricted), which wraps any lock with per-cluster
 // admission control so saturation cannot collapse throughput;
-// reader-writer cohorting (NewRWCohort, NewRWPerCluster) — the
+// reader-writer cohorting (NewRWCBOMCS, NewRWPerCluster) — the
 // authors' PPoPP'13 follow-up — which adds per-cluster reader counters
 // over any writer lock so read-mostly workloads scale across clusters;
 // and combining execution (NewCombining), flat-combining-style
@@ -58,7 +58,8 @@
 // The transformation is generic: any lock satisfying GlobalLock
 // (thread-oblivious) can be combined with per-cluster locks satisfying
 // LocalLock (cohort-detecting) via New; abortable variants compose via
-// NewAbortable. See examples/custom for a complete program.
+// NewAbortable. ExampleNew_userLocks builds one from two user-written
+// locks.
 package cohort
 
 import (
@@ -201,20 +202,10 @@ func NewCBOCLH(topo *Topology, opts ...Option) *CohortLock {
 // number of concurrent readers).
 type RWLock = locks.RWMutex
 
-// RWCohortLock is a NUMA-aware reader-writer lock whose writers
-// serialize through a cohort lock and whose readers use per-cluster
-// counters; see internal/core for the protocol.
-type RWCohortLock = core.RWCohortLock
-
-// NewRWCBOMCS returns a reader-writer cohort lock over C-BO-MCS.
-func NewRWCBOMCS(topo *Topology, opts ...Option) *RWCohortLock {
-	return core.NewRWCBOMCS(topo, opts...)
-}
-
-// NewRWCohort wraps any fresh cohort lock into a reader-writer cohort
-// lock: per-cluster reader counters over cohort-ordered writers.
-func NewRWCohort(topo *Topology, writers *CohortLock) *RWCohortLock {
-	return core.NewRWCohort(topo, writers)
+// NewRWCBOMCS returns the reader-writer cohort lock: per-cluster reader
+// counters over C-BO-MCS writers (NewRWPerCluster over NewCBOMCS).
+func NewRWCBOMCS(topo *Topology, opts ...Option) *RWPerClusterLock {
+	return NewRWPerCluster(topo, NewCBOMCS(topo, opts...))
 }
 
 // RWPerClusterLock is the generic reader-writer construction: padded
@@ -365,7 +356,6 @@ var (
 	_ TryLock    = (*AbortableCohortLock)(nil)
 	_ Lock       = (*CNALock)(nil)
 	_ Lock       = (*RestrictedLock)(nil)
-	_ RWLock     = (*RWCohortLock)(nil)
 	_ RWLock     = (*RWPerClusterLock)(nil)
 	_ Executor   = (*CombiningLock)(nil)
 	_ RWExecutor = (*RWCombiningLock)(nil)

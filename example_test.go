@@ -2,7 +2,9 @@ package cohort_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	cohort "repro"
@@ -70,6 +72,46 @@ func ExampleNew() {
 	fmt.Println("held with hand-off limit", lock.HandoffLimit())
 	lock.Unlock(p)
 	// Output: held with hand-off limit 16
+}
+
+// tasGlobal is a user-written test-and-set lock. Its Unlock is a plain
+// store any proc may perform, so it is thread-oblivious: all a cohort
+// lock asks of its global lock.
+type tasGlobal struct{ held atomic.Int32 }
+
+func (g *tasGlobal) Lock(*cohort.Proc) {
+	for !g.held.CompareAndSwap(0, 1) {
+		runtime.Gosched()
+	}
+}
+
+func (g *tasGlobal) Unlock(*cohort.Proc) { g.held.Store(0) }
+
+// Both halves user-written: the test-and-set global above, and as the
+// per-cluster lock userSpinLock, a spin lock whose successor flag
+// answers the cohort-detection probe (Alone).
+func ExampleNew_userLocks() {
+	topo := cohort.NewTopology(2, 8)
+	lock := cohort.New(topo, &tasGlobal{}, func(cluster int) cohort.LocalLock {
+		return &userSpinLock{}
+	})
+
+	var counter int
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(p *cohort.Proc) {
+			defer wg.Done()
+			for n := 0; n < 1000; n++ {
+				lock.Lock(p)
+				counter++
+				lock.Unlock(p)
+			}
+		}(topo.Proc(i))
+	}
+	wg.Wait()
+	fmt.Println(counter)
+	// Output: 8000
 }
 
 // Reader-writer cohorting: readers stay cluster-local, writers go

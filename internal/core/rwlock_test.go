@@ -6,12 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
 func TestRWWriterExclusion(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := NewRWCBOMCS(topo)
+	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
 	var inCS atomic.Int32
 	var violations atomic.Int32
 	var counter int64
@@ -43,7 +44,7 @@ func TestRWWriterExclusion(t *testing.T) {
 
 func TestRWReadersCoexist(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := NewRWCBOMCS(topo)
+	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
 	const readers = 8
 	var concurrent atomic.Int32
 	var peak atomic.Int32
@@ -83,7 +84,7 @@ func TestRWReadersCoexist(t *testing.T) {
 
 func TestRWWriterExcludesReaders(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := NewRWCBOMCS(topo)
+	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
 	var data [2]int64 // writer keeps data[0]==data[1]; readers verify
 	var torn atomic.Int32
 	stop := make(chan struct{})
@@ -143,7 +144,7 @@ func TestRWWriterExcludesReaders(t *testing.T) {
 
 func TestRWWriterNotStarvedByReaders(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := NewRWCBOMCS(topo)
+	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// Constant reader churn.
@@ -187,7 +188,7 @@ func TestRWWriterNotStarvedByReaders(t *testing.T) {
 
 func TestRWUncontendedLatency(t *testing.T) {
 	topo := numa.New(2, 4)
-	l := NewRWCBOMCS(topo)
+	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
 	p := topo.Proc(0)
 	for i := 0; i < 1000; i++ {
 		l.RLock(p)

@@ -25,12 +25,9 @@ type Config struct {
 	Threads int
 	// Duration is the measurement window.
 	Duration time.Duration
-	// GetPct is the percentage of get operations (paper: 90/50/10).
-	GetPct int
-	// ReadFraction, when positive, overrides GetPct with per-mille
-	// precision — the read-mostly knob (0.9, 0.99, 0.999) the
-	// reader-writer store path needs, since whole percentages cannot
-	// express a 99.9% read mix. Zero keeps the GetPct path bit-exact.
+	// ReadFraction is the share of get operations (paper: 0.9/0.5/0.1),
+	// drawn per mille, so read-mostly mixes such as 0.999 are
+	// expressible.
 	ReadFraction float64
 	// Keyspace is the number of distinct keys (pre-populated).
 	Keyspace uint64
@@ -55,19 +52,6 @@ type Config struct {
 	// for byte. Affinity biasing is a per-operation knob and must be 0
 	// when batching.
 	BatchSize int
-	// BatchAdaptive, with BatchSize > 1, turns BatchSize into a
-	// ceiling instead of a fixed size: each worker grows and shrinks
-	// its own batch within [1, BatchSize] by hill-climbing on the
-	// observed per-operation service time of its store calls — batch
-	// size doubles while batching keeps paying (per-op time holds or
-	// falls) and halves when it degrades (a batch that outgrew what
-	// the store's locks can amortize, or contention behind them).
-	// Service time is a throughput signal, not a latency one: a store
-	// that goes idle while big batches stay cheap per-op keeps them —
-	// optimal for this closed-loop generator, which models no
-	// per-request latency target. The think-time budget stays
-	// per-operation either way.
-	BatchAdaptive bool
 }
 
 // DefaultConfig mirrors the paper's memcached setup at benchmark
@@ -75,15 +59,15 @@ type Config struct {
 // outside the cache lock (protocol parsing and response assembly in
 // real memcached), sized so the non-locked:locked ratio — which fixes
 // the scalability plateau — matches the paper's ~4.5-5x.
-func DefaultConfig(topo *numa.Topology, threads, getPct int) Config {
+func DefaultConfig(topo *numa.Topology, threads int, readFraction float64) Config {
 	return Config{
-		Topo:      topo,
-		Threads:   threads,
-		Duration:  300 * time.Millisecond,
-		GetPct:    getPct,
-		Keyspace:  100_000,
-		ValueSize: 128,
-		ThinkNs:   8000,
+		Topo:         topo,
+		Threads:      threads,
+		Duration:     300 * time.Millisecond,
+		ReadFraction: readFraction,
+		Keyspace:     100_000,
+		ValueSize:    128,
+		ThinkNs:      8000,
 	}
 }
 
@@ -96,9 +80,6 @@ func (c *Config) validate() error {
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("kvload: non-positive duration")
-	}
-	if c.GetPct < 0 || c.GetPct > 100 {
-		return fmt.Errorf("kvload: get percentage %d outside [0,100]", c.GetPct)
 	}
 	if !(c.ReadFraction >= 0 && c.ReadFraction <= 1) { // inverted to reject NaN
 		return fmt.Errorf("kvload: read fraction %v outside [0,1]", c.ReadFraction)
@@ -118,9 +99,6 @@ func (c *Config) validate() error {
 	if c.BatchSize > 1 && c.Affinity > 0 {
 		return fmt.Errorf("kvload: affinity biasing is per-operation; unsupported with batch size %d", c.BatchSize)
 	}
-	if c.BatchAdaptive && c.BatchSize <= 1 {
-		return fmt.Errorf("kvload: adaptive batching needs a batch ceiling > 1, got %d", c.BatchSize)
-	}
 	return nil
 }
 
@@ -132,24 +110,9 @@ type Result struct {
 	PerThread []uint64
 	Elapsed   time.Duration
 	Store     kvstore.Stats
-	// PerShard breaks Store down by shard, in shard-index order.
-	PerShard []kvstore.Stats
 	// LocalOps counts operations whose key routed to a shard homed on
 	// the worker's own cluster. Tracked only when Affinity > 0.
 	LocalOps uint64
-	// Rounds counts batched-worker rounds (one MGet+MSet pair each);
-	// zero on the per-op path. Ops/Rounds is the average issued batch
-	// size — the observable an adaptive-batch run is judged by.
-	Rounds uint64
-}
-
-// AvgBatch reports the average issued batch size of a batched run, or
-// 0 for per-op runs.
-func (r Result) AvgBatch() float64 {
-	if r.Rounds == 0 {
-		return 0
-	}
-	return float64(r.Ops) / float64(r.Rounds)
 }
 
 // Throughput reports operations per second.
@@ -194,78 +157,11 @@ func PopulateClusters(s *kvstore.Store, topo *numa.Topology, keyspace uint64, va
 }
 
 type loadSlot struct {
-	ops    uint64
-	gets   uint64
-	sets   uint64
-	local  uint64
-	rounds uint64
-	_      numa.Pad
-}
-
-// adaptEpoch is how many rounds an adaptive batched worker runs at one
-// batch size before re-deciding: long enough to average out a stray
-// slow call, short enough to track a load shift within a measurement
-// window.
-const adaptEpoch = 8
-
-// adaptTolerance is the fractional per-op slowdown an adaptive worker
-// shrugs off before reversing direction; without it, measurement noise
-// alone would bounce the batch size around the walk's every step.
-const adaptTolerance = 1.05
-
-// BatchSizer is the adaptive batch policy of the load generator's
-// batched workers: a hill climb over batch size driven by observed
-// per-op service time. Grow while per-op time holds or falls (batching is
-// paying: each doubling halves the per-op share of lock
-// acquisitions), reverse when it degrades past tolerance (the batch
-// outgrew MaxBatch's amortization, or contention built up behind the
-// store calls). Not safe for concurrent use; each worker owns its own
-// sizer.
-type BatchSizer struct {
-	cur, ceil int
-	dir       int // +1 growing, -1 shrinking
-	rounds    int
-	ops       uint64
-	svcNs     int64
-	prevPerOp float64
-}
-
-// NewBatchSizer builds a sizer walking within [1, ceil], starting at
-// 1 — the load generator's shape, where ramping up from single
-// operations probes whether batching pays at all.
-func NewBatchSizer(ceil int) *BatchSizer {
-	return &BatchSizer{cur: 1, ceil: ceil, dir: 1}
-}
-
-// Size reports the current batch size, always within [1, ceil].
-func (a *BatchSizer) Size() int { return a.cur }
-
-// Observe records one round's issued ops and service time, and steps
-// the batch size at each epoch boundary.
-func (a *BatchSizer) Observe(ops int, svc time.Duration) {
-	a.rounds++
-	a.ops += uint64(ops)
-	a.svcNs += svc.Nanoseconds()
-	if a.rounds < adaptEpoch {
-		return
-	}
-	perOp := float64(a.svcNs) / float64(a.ops)
-	if a.prevPerOp > 0 && perOp > a.prevPerOp*adaptTolerance {
-		a.dir = -a.dir
-	}
-	a.prevPerOp = perOp
-	if a.dir > 0 {
-		a.cur *= 2
-	} else {
-		a.cur /= 2
-	}
-	if a.cur > a.ceil {
-		a.cur = a.ceil
-	}
-	if a.cur < 1 {
-		a.cur = 1
-	}
-	a.rounds, a.ops, a.svcNs = 0, 0, 0
+	ops   uint64
+	gets  uint64
+	sets  uint64
+	local uint64
+	_     numa.Pad
 }
 
 // runBatchedWorker is the BatchSize > 1 worker loop: each round draws
@@ -274,10 +170,7 @@ func (a *BatchSizer) Observe(ops int, svc time.Duration) {
 // shard's group. The per-request non-locked work (think time) is
 // still paid once per operation; it is busy-waited in one stretch per
 // batch, as a pipelining server would interleave parsing with the
-// batched cache pass. Fixed mode issues BatchSize keys every round;
-// adaptive mode (Config.BatchAdaptive) sizes each round through a
-// BatchSizer hill climb within [1, BatchSize], timing only the store
-// calls so think time never pollutes the signal.
+// batched cache pass. Every round issues exactly BatchSize keys.
 func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64, stop *atomic.Bool, start chan struct{}) {
 	b := cfg.BatchSize
 	stride := cfg.ValueSize
@@ -292,28 +185,14 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 	}
 	lens := make([]int, b)
 	found := make([]bool, b)
-	var sizer *BatchSizer
-	if cfg.BatchAdaptive {
-		sizer = NewBatchSizer(b)
-	}
 	var sink byte
 	<-start
 	for !stop.Load() {
-		cur := b
-		if sizer != nil {
-			cur = sizer.Size()
-		}
 		getKeys, setKeys, vals = getKeys[:0], setKeys[:0], vals[:0]
 		var think int64
-		for i := 0; i < cur; i++ {
+		for i := 0; i < b; i++ {
 			key := p.Rand() % cfg.Keyspace
-			var isGet bool
-			if getMille >= 0 {
-				isGet = p.RandN(1000) < getMille
-			} else {
-				isGet = int(p.RandN(100)) < cfg.GetPct
-			}
-			if isGet {
+			if p.RandN(1000) < getMille {
 				getKeys = append(getKeys, key)
 			} else {
 				v := valBuf[len(vals)*stride : (len(vals)+1)*stride]
@@ -326,19 +205,12 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 				think += cfg.ThinkNs/2 + p.RandN(cfg.ThinkNs/2+1)
 			}
 		}
-		var began time.Time
-		if sizer != nil {
-			began = time.Now()
-		}
 		if len(getKeys) > 0 {
 			store.MGet(p, getKeys, dsts[:len(getKeys)], lens[:len(getKeys)], found[:len(getKeys)])
 		}
 		if len(setKeys) > 0 {
 			store.MSet(p, setKeys, vals)
 			sl.sets += uint64(len(setKeys))
-		}
-		if sizer != nil {
-			sizer.Observe(cur, time.Since(began))
 		}
 		if len(getKeys) > 0 {
 			for i := range getKeys {
@@ -352,8 +224,7 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 			sl.gets += uint64(len(getKeys))
 		}
 		spin.WaitNs(think)
-		sl.ops += uint64(cur)
-		sl.rounds++
+		sl.ops += uint64(b)
 	}
 }
 
@@ -364,12 +235,7 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 	}
 	spin.Calibrate()
 	spin.AutoOversubscribe(cfg.Threads)
-	// getMille < 0 selects the original whole-percent draw, keeping
-	// GetPct-configured runs identical to the pre-ReadFraction loop.
-	getMille := int64(-1)
-	if cfg.ReadFraction > 0 {
-		getMille = int64(cfg.ReadFraction*1000 + 0.5)
-	}
+	getMille := int64(cfg.ReadFraction*1000 + 0.5)
 	affinityMille := int64(cfg.Affinity * 1000)
 	if store.NumShards() == 1 {
 		// Affinity is a documented no-op on single-shard stores; skip
@@ -426,13 +292,7 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 						sl.local++
 					}
 				}
-				var isGet bool
-				if getMille >= 0 {
-					isGet = p.RandN(1000) < getMille
-				} else {
-					isGet = int(p.RandN(100)) < cfg.GetPct
-				}
-				if isGet {
+				if p.RandN(1000) < getMille {
 					n, ok := store.Get(p, key, dst)
 					if ok {
 						// Response assembly: checksum the payload.
@@ -467,12 +327,7 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 		res.Gets += slots[i].gets
 		res.Sets += slots[i].sets
 		res.LocalOps += slots[i].local
-		res.Rounds += slots[i].rounds
 	}
 	res.Store = store.Snapshot()
-	res.PerShard = make([]kvstore.Stats, store.NumShards())
-	for i := range res.PerShard {
-		res.PerShard[i] = store.ShardSnapshot(i)
-	}
 	return res, nil
 }

@@ -19,8 +19,8 @@ func fastStore(topo *numa.Topology) *kvstore.Store {
 	})
 }
 
-func fastCfg(topo *numa.Topology, threads, getPct int) Config {
-	cfg := DefaultConfig(topo, threads, getPct)
+func fastCfg(topo *numa.Topology, threads int, reads float64) Config {
+	cfg := DefaultConfig(topo, threads, reads)
 	cfg.Duration = 50 * time.Millisecond
 	cfg.Keyspace = 1000
 	cfg.ValueSize = 32
@@ -35,8 +35,6 @@ func TestValidation(t *testing.T) {
 		{},
 		fastCfgMod(topo, func(c *Config) { c.Threads = 9 }),
 		fastCfgMod(topo, func(c *Config) { c.Duration = 0 }),
-		fastCfgMod(topo, func(c *Config) { c.GetPct = 101 }),
-		fastCfgMod(topo, func(c *Config) { c.GetPct = -1 }),
 		fastCfgMod(topo, func(c *Config) { c.Keyspace = 0 }),
 		fastCfgMod(topo, func(c *Config) { c.ValueSize = 0 }),
 	}
@@ -48,7 +46,7 @@ func TestValidation(t *testing.T) {
 }
 
 func fastCfgMod(topo *numa.Topology, mod func(*Config)) Config {
-	cfg := fastCfg(topo, 4, 50)
+	cfg := fastCfg(topo, 4, 0.5)
 	mod(&cfg)
 	return cfg
 }
@@ -66,7 +64,7 @@ func TestRunMixesOps(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := fastStore(topo)
 	Populate(s, topo.Proc(0), 1000, 32)
-	cfg := fastCfg(topo, 8, 90)
+	cfg := fastCfg(topo, 8, 0.9)
 	res, err := Run(cfg, s)
 	if err != nil {
 		t.Fatal(err)
@@ -99,17 +97,17 @@ func TestRunMixesOps(t *testing.T) {
 
 func TestRunPureMixes(t *testing.T) {
 	topo := numa.New(4, 8)
-	for _, pct := range []int{0, 100} {
+	for _, reads := range []float64{0, 1} {
 		s := fastStore(topo)
 		Populate(s, topo.Proc(0), 1000, 32)
-		res, err := Run(fastCfg(topo, 4, pct), s)
+		res, err := Run(fastCfg(topo, 4, reads), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pct == 0 && res.Gets != 0 {
+		if reads == 0 && res.Gets != 0 {
 			t.Errorf("0%% gets produced %d gets", res.Gets)
 		}
-		if pct == 100 && res.Sets != 0 {
+		if reads == 1 && res.Sets != 0 {
 			t.Errorf("100%% gets produced %d sets", res.Sets)
 		}
 	}
@@ -125,7 +123,7 @@ func TestRunWithCohortLock(t *testing.T) {
 		ItemLocalNs: 1, ItemRemoteNs: 1,
 	})
 	Populate(s, topo.Proc(0), 1000, 32)
-	res, err := Run(fastCfg(topo, 16, 50), s)
+	res, err := Run(fastCfg(topo, 16, 0.5), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,19 +152,16 @@ func shardedStore(topo *numa.Topology, shards int, placement kvstore.Placement) 
 func TestReadFractionValidationAndMix(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := fastStore(topo)
-	for _, bad := range []float64{-0.1, 1.5} {
-		cfg := fastCfg(topo, 4, 50)
+	for _, bad := range []float64{-0.1, 1.5, -0.01, 1.01} {
+		cfg := fastCfg(topo, 4, 0.5)
 		cfg.ReadFraction = bad
 		if _, err := Run(cfg, s); err == nil {
 			t.Errorf("read fraction %v accepted", bad)
 		}
 	}
-	// ReadFraction overrides GetPct: at 0.99 reads over a GetPct of 0,
-	// gets must dominate sets by far more than any whole-percent mix
-	// the GetPct field could have produced by accident.
+	// Per-mille precision: at 0.99 reads, sets stay under 5% of ops.
 	Populate(s, topo.Proc(0), 1000, 32)
-	cfg := fastCfg(topo, 8, 0)
-	cfg.ReadFraction = 0.99
+	cfg := fastCfg(topo, 8, 0.99)
 	res, err := Run(cfg, s)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +195,7 @@ func TestAffinityValidation(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := fastStore(topo)
 	for _, bad := range []float64{-0.1, 1.5} {
-		cfg := fastCfg(topo, 4, 50)
+		cfg := fastCfg(topo, 4, 0.5)
 		cfg.Affinity = bad
 		if _, err := Run(cfg, s); err == nil {
 			t.Errorf("affinity %v accepted", bad)
@@ -208,40 +203,11 @@ func TestAffinityValidation(t *testing.T) {
 	}
 }
 
-func TestPerShardStatsAggregation(t *testing.T) {
-	topo := numa.New(4, 8)
-	s := shardedStore(topo, 8, kvstore.HashMod)
-	PopulateClusters(s, topo, 1000, 32)
-	res, err := Run(fastCfg(topo, 8, 50), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.PerShard) != 8 {
-		t.Fatalf("PerShard has %d entries, want 8", len(res.PerShard))
-	}
-	var sum kvstore.Stats
-	for _, st := range res.PerShard {
-		sum.Add(st)
-	}
-	if sum != res.Store {
-		t.Fatalf("shard sum %+v != aggregate %+v", sum, res.Store)
-	}
-	busy := 0
-	for _, st := range res.PerShard {
-		if st.Gets+st.Sets > 0 {
-			busy++
-		}
-	}
-	if busy < 2 {
-		t.Fatalf("only %d shards saw traffic under HashMod", busy)
-	}
-}
-
 func TestAffinityBiasesKeyChoice(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := shardedStore(topo, 8, kvstore.HashMod)
 	PopulateClusters(s, topo, 1000, 32)
-	cfg := fastCfg(topo, 8, 50)
+	cfg := fastCfg(topo, 8, 0.5)
 	cfg.Affinity = 1.0
 	res, err := Run(cfg, s)
 	if err != nil {
@@ -284,7 +250,7 @@ func TestRunShardedAffine(t *testing.T) {
 		ItemLocalNs: 1, ItemRemoteNs: 1,
 	})
 	PopulateClusters(s, topo, 1000, 32)
-	res, err := Run(fastCfg(topo, 16, 90), s)
+	res, err := Run(fastCfg(topo, 16, 0.9), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +292,7 @@ func TestRunBatched(t *testing.T) {
 			ItemLocalNs: 1, ItemRemoteNs: 1,
 		})
 		Populate(store, topo.Proc(0), 1000, 32)
-		cfg := fastCfg(topo, 4, 50)
+		cfg := fastCfg(topo, 4, 0.5)
 		cfg.BatchSize = 16
 		res, err := Run(cfg, store)
 		if err != nil {
@@ -352,98 +318,6 @@ func TestRunBatched(t *testing.T) {
 	}
 }
 
-func TestBatchAdaptiveValidation(t *testing.T) {
-	topo := numa.New(4, 8)
-	s := fastStore(topo)
-	for i, cfg := range []Config{
-		fastCfgMod(topo, func(c *Config) { c.BatchAdaptive = true }),
-		fastCfgMod(topo, func(c *Config) { c.BatchAdaptive = true; c.BatchSize = 1 }),
-	} {
-		if _, err := Run(cfg, s); err == nil {
-			t.Errorf("bad adaptive-batch config %d accepted (adaptive needs a ceiling > 1)", i)
-		}
-	}
-}
-
-func TestBatchSizerWalksWithinBounds(t *testing.T) {
-	// The policy in isolation: growth while per-op time falls, reversal
-	// when it degrades, and the walk never leaves [1, ceil].
-	a := NewBatchSizer(16)
-	if a.cur != 1 {
-		t.Fatalf("sizer starts at %d, want 1", a.cur)
-	}
-	// Improving per-op time: 100ns, 90ns, 80ns... must climb to the
-	// ceiling and stay there.
-	per := 100
-	for epoch := 0; epoch < 8; epoch++ {
-		for r := 0; r < adaptEpoch; r++ {
-			a.Observe(a.cur, time.Duration(per*a.cur))
-		}
-		if per > 20 {
-			per -= 10
-		}
-		if a.cur < 1 || a.cur > 16 {
-			t.Fatalf("epoch %d: batch size %d outside [1,16]", epoch, a.cur)
-		}
-	}
-	if a.cur != 16 {
-		t.Fatalf("improving per-op time left the sizer at %d, want ceiling 16", a.cur)
-	}
-	// A jump to a worse-but-stable per-op time must turn the walk
-	// around and keep it shrinking while nothing improves.
-	for epoch := 0; epoch < 3; epoch++ {
-		for r := 0; r < adaptEpoch; r++ {
-			a.Observe(a.cur, time.Duration(1000*per*a.cur))
-		}
-	}
-	if a.cur > 4 {
-		t.Fatalf("degraded per-op time never shrank the batch (still %d)", a.cur)
-	}
-}
-
-func TestRunBatchAdaptive(t *testing.T) {
-	// End to end: an adaptive-batch run completes, keeps exact
-	// accounting, and reports an average issued batch inside [1, cap].
-	topo := numa.New(4, 8)
-	store := kvstore.New(kvstore.Config{
-		Topo:    topo,
-		Locking: kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
-		Shards:  2, MaxBatch: 8,
-		Buckets: 1 << 10, Capacity: 1 << 14,
-		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
-		ItemLocalNs: 1, ItemRemoteNs: 1,
-	})
-	Populate(store, topo.Proc(0), 1000, 32)
-	cfg := fastCfg(topo, 4, 50)
-	cfg.BatchSize = 16
-	cfg.BatchAdaptive = true
-	res, err := Run(cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 || res.Rounds == 0 {
-		t.Fatalf("adaptive run did nothing: %d ops over %d rounds", res.Ops, res.Rounds)
-	}
-	if res.Gets+res.Sets != res.Ops {
-		t.Fatalf("gets %d + sets %d != ops %d", res.Gets, res.Sets, res.Ops)
-	}
-	if avg := res.AvgBatch(); avg < 1 || avg > float64(cfg.BatchSize) {
-		t.Fatalf("average issued batch %.2f outside [1,%d]", avg, cfg.BatchSize)
-	}
-	if st := res.Store; st.Hits+st.Misses != st.Gets {
-		t.Fatalf("hits %d + misses %d != gets %d", st.Hits, st.Misses, st.Gets)
-	}
-	// The fixed path reports its exact quantum as the average.
-	cfg.BatchAdaptive = false
-	res, err = Run(cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if avg := res.AvgBatch(); avg != float64(cfg.BatchSize) {
-		t.Fatalf("fixed-batch average %.2f, want %d", avg, cfg.BatchSize)
-	}
-}
-
 func TestRunBatchedThroughCombiningExecutor(t *testing.T) {
 	// End to end through every new layer: batched load over a store
 	// whose shards delegate to combining executors.
@@ -459,7 +333,7 @@ func TestRunBatchedThroughCombiningExecutor(t *testing.T) {
 		ItemLocalNs: 1, ItemRemoteNs: 1,
 	})
 	Populate(store, topo.Proc(0), 1000, 32)
-	cfg := fastCfg(topo, 6, 90)
+	cfg := fastCfg(topo, 6, 0.9)
 	cfg.BatchSize = 8
 	res, err := Run(cfg, store)
 	if err != nil {

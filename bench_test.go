@@ -142,7 +142,7 @@ func benchTable1(b *testing.B, reads float64) {
 			const keyspace = 20_000
 			var sum float64
 			for i := 0; i < b.N; i++ {
-				store := kvstore.New(kvstore.Config{Topo: topo, Locking: kvstore.FromLock(e.NewMutex(topo))})
+				store := kvstore.New(kvstore.Config{Topo: topo, Locking: kvstore.FromMutex(func() locks.Mutex { return e.NewMutex(topo) })})
 				kvload.Populate(store, topo.Proc(0), keyspace, 128)
 				cfg := kvload.DefaultConfig(topo, threads, reads)
 				cfg.Duration = trialWindow

@@ -23,7 +23,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 	sizes := []int{64, 512, 200, 96, 448}
 
 	s := kvstore.New(kvstore.Config{
-		Topo: topo, Locking: kvstore.FromLock(locks.NewPthread()), Buckets: 1 << 12, Capacity: 1 << 13,
+		Topo: topo, Locking: kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }), Buckets: 1 << 12, Capacity: 1 << 13,
 	})
 	for k := uint64(0); k < 1000; k++ {
 		s.Set(p, k, val)

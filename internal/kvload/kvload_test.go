@@ -12,7 +12,7 @@ import (
 
 func fastStore(topo *numa.Topology) *kvstore.Store {
 	return kvstore.New(kvstore.Config{
-		Topo: topo, Locking: kvstore.FromLock(locks.NewPthread()),
+		Topo: topo, Locking: kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -117,7 +117,7 @@ func TestRunWithCohortLock(t *testing.T) {
 	// Integration: KV store under a cohort lock, multi-cluster load.
 	topo := numa.New(4, 16)
 	s := kvstore.New(kvstore.Config{
-		Topo: topo, Locking: kvstore.FromLock(lockFromRegistry(topo)),
+		Topo: topo, Locking: kvstore.FromMutex(func() locks.Mutex { return lockFromRegistry(topo) }),
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -176,7 +176,7 @@ func TestReadFractionValidationAndMix(t *testing.T) {
 	// path and the load generator compose end-to-end.
 	rw := kvstore.New(kvstore.Config{
 		Topo:    topo,
-		Locking: kvstore.FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
+		Locking: kvstore.FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
 		Buckets: 1 << 10, Capacity: 1 << 14,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,

@@ -24,7 +24,7 @@ func TestMSetAcquisitionAmortization(t *testing.T) {
 	const n, batch = 16, 4
 	var acq atomic.Uint64
 	lock := locks.CountAcquisitions(locks.NewPthread(), &acq)
-	s := New(Config{Topo: topo, Locking: FromLock(lock), MaxBatch: batch, Buckets: 64, Capacity: 64})
+	s := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return lock }), MaxBatch: batch, Buckets: 64, Capacity: 64})
 
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)

@@ -14,13 +14,13 @@ import (
 // duplicate keys inside one batch and delete-then-reinsert are common.
 const fuzzKeys = 32
 
-// fuzzSeams are the four ways a shard takes its exclusion: a mutex, a
-// reader-writer lock (shared reads, sampled LRU touches), a combining
-// executor and a read-combining executor.
+// fuzzSeams are four lock sources, one of each kind the shard's
+// executor wraps: a mutex, a reader-writer lock (shared reads, sampled
+// LRU touches), a combining executor and a read-combining executor.
 var fuzzSeams = []string{"c-bo-mcs", "rw-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"}
 
 // FuzzStoreAgainstModel decodes its input into single and batched store
-// operations and replays them, over every lock seam on one and on four
+// operations and replays them, over every lock source on one and on four
 // shards, against a reference map. With room for the whole keyspace the
 // store must agree with the map exactly: every answer, every byte, and
 // Len. With less room than keys, eviction makes a miss always legal, so

@@ -36,16 +36,17 @@
 // MGet/MSet/MDelete APIs group keys by shard and run each shard's
 // group in critical sections of up to Config.MaxBatch operations, so
 // N same-shard operations cost ceil(N/MaxBatch) acquisitions instead
-// of N. Orthogonally, an executor LockSource (FromExec) replaces each
-// shard's direct locking with a delegated-execution seam
-// (locks.Executor): every critical section is posted (as a per-proc
-// record, see csRecord) to a combining executor, whose combiner runs
+// of N.
+//
+// Each shard has one exclusion seam, a locks.RWExecutor that every
+// LockSource resolves to: every critical section, single-key ones
+// included, is posted to it as a per-proc record (see csRecord). Over a
+// plain lock (FromMutex, FromRW) the executor brackets the record with
+// one acquisition. Over a combining executor (FromExec) a combiner runs
 // same-cluster batches — across requesting procs — under a single
 // acquisition of the underlying lock. That is the flat-combining
 // amortization the paper credits FC-MCS with (§4.1.3), applied to the
-// store's own critical sections rather than to queue hand-offs. Every
-// other LockSource keeps the direct locking paths untouched, so Table
-// 1 numbers are unaffected.
+// store's own critical sections rather than to queue hand-offs.
 //
 // The cache lock itself is reader-writer shaped (locks.RWMutex): Sets
 // and Deletes take exclusive mode, and when the configured lock's
@@ -64,16 +65,14 @@
 // serialize against.
 //
 // Read-side combining closes the remaining read-path gap: when the
-// executor behind the delegated-execution seam is a locks.RWExecutor
-// whose shared mode is genuine (a comb-rw-* registry entry, or
-// locks.NewRWCombining over a native RW lock), the shard posts each
-// Get and each MGet chunk as a read section through ExecShared. A
-// per-cluster reader-combiner then folds concurrent same-cluster
-// chunks into ONE shared acquisition of the underlying lock, dropping
-// the read path below the ceil(N/MaxBatch)-RLocks floor whenever
+// shard's executor is a read-combining one (a comb-rw-* registry
+// entry, or locks.NewRWCombining over a native RW lock), the Gets and
+// MGet chunks it receives through ExecShared are folded, per cluster,
+// into ONE shared acquisition of the underlying lock, dropping the
+// read path below the ceil(N/MaxBatch)-RLocks floor whenever
 // same-cluster readers overlap — and an idle-path bypass runs a lone
-// section under its own RLock so uncontended reads pay exactly what
-// the direct shared-chunk path pays. Deferred LRU touches ride the
+// section under its own RLock so uncontended reads pay exactly what a
+// plain reader-writer lock pays. Deferred LRU touches ride the
 // exclusive combiner as before.
 package kvstore
 
@@ -126,8 +125,8 @@ type Config struct {
 	// Topo sizes per-proc statistics and the metadata cache domains.
 	Topo *numa.Topology
 	// Locking is the single seam supplying each shard's exclusion
-	// domain; build one with FromMutex, FromRW, FromExec, FromLock,
-	// FromRWLock or FromRegistry. Required.
+	// domain; build one with FromMutex, FromRW, FromExec or
+	// FromRegistry. Required.
 	Locking LockSource
 	// MaxBatch bounds how many operations of a batch API call
 	// (MGet/MSet/MDelete) run inside one critical section, capping
@@ -174,9 +173,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.Locking == nil {
 		return fmt.Errorf("kvstore: nil Locking")
-	}
-	if c.Shards > 1 && !c.Locking.multiShard() {
-		return fmt.Errorf("kvstore: %d shards need a factory-backed LockSource, not %s (a single pre-built lock)", c.Shards, c.Locking.describe())
 	}
 	if c.TouchEvery <= 0 {
 		c.TouchEvery = DefaultTouchEvery
@@ -259,11 +255,7 @@ func New(cfg Config) *Store {
 	if err := cfg.setDefaults(); err != nil {
 		panic(err)
 	}
-	// Resolve the locking seam into one per-shard factory. An executor
-	// source supersedes direct locking (the executor owns the shard's
-	// exclusion domain); exclusive lock sources pass through
-	// RWFromMutex so their shards keep the exclusive read path.
-	newExec, newLock := cfg.Locking.builders()
+	newX := cfg.Locking.executors()
 	perBuckets := ceilDiv(cfg.Buckets, cfg.Shards)
 	// Round up to a power of two for mask indexing.
 	n := 1
@@ -287,6 +279,7 @@ func New(cfg Config) *Store {
 	for i := range s.shards {
 		sc := shardConfig{
 			topo:       cfg.Topo,
+			x:          newX(),
 			maxBatch:   cfg.MaxBatch,
 			touchEvery: uint64(cfg.TouchEvery),
 			buckets:    perBuckets,
@@ -294,11 +287,6 @@ func New(cfg Config) *Store {
 			cache:      cfg.Cache,
 			itemLocal:  cfg.ItemLocalNs,
 			itemRemote: cfg.ItemRemoteNs,
-		}
-		if newExec != nil {
-			sc.exec = newExec()
-		} else {
-			sc.lock = newLock()
 		}
 		s.shards[i] = newShard(sc)
 		home := i % cfg.Topo.Clusters()
@@ -519,14 +507,8 @@ func (s *Store) Placement() Placement { return s.placement }
 // (locks.EstimateOccupancy) are safe to sample concurrently with a
 // running load. Harnesses poll it mid-run to see which shards are hot.
 func (s *Store) ShardOccupancy(i int) (int, bool) {
-	if x := s.shards[i].exec; x != nil {
-		return locks.EstimateOccupancy(x)
-	}
-	return 0, false
+	return locks.EstimateOccupancy(s.shards[i].x)
 }
-
-// ShardHome reports the home cluster of shard i.
-func (s *Store) ShardHome(i int) int { return s.homes[i] }
 
 // IsLocal reports whether key routes p to a shard homed on p's own
 // cluster — the affinity predicate load generators bias key choice
@@ -554,11 +536,6 @@ func (s *Store) Snapshot() Stats {
 		st.Add(sh.Snapshot())
 	}
 	return st
-}
-
-// ShardSnapshot reports the statistics of shard i alone.
-func (s *Store) ShardSnapshot(i int) Stats {
-	return s.shards[i].Snapshot()
 }
 
 // checkLRU validates every shard's list integrity; tests use it.

@@ -14,7 +14,7 @@ import (
 func newTestStore(capacity int) (*Store, *numa.Topology) {
 	topo := numa.New(4, 16)
 	s := New(Config{
-		Topo: topo, Locking: FromLock(locks.NewPthread()),
+		Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Buckets: 64, Capacity: capacity,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -173,7 +173,7 @@ func TestHashCollisionChains(t *testing.T) {
 func TestConcurrentMixedOps(t *testing.T) {
 	topo := numa.New(4, 16)
 	s := New(Config{
-		Topo: topo, Locking: FromLock(locks.NewMCS(topo)),
+		Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
 		Buckets: 256, Capacity: 512,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -221,7 +221,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 				t.Error("nil topology accepted")
 			}
 		}()
-		New(Config{Locking: FromLock(locks.NewPthread())})
+		New(Config{Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() })})
 	}()
 	func() {
 		defer func() {
@@ -231,7 +231,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		}()
 		New(Config{Topo: topo})
 	}()
-	s := New(Config{Topo: topo, Locking: FromLock(locks.NewPthread()), Buckets: 100})
+	s := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }), Buckets: 100})
 	if got := len(s.shards[0].buckets); got != 128 {
 		t.Errorf("buckets rounded to %d, want 128", got)
 	}

@@ -13,7 +13,7 @@ import (
 func TestItemOwnershipMigrates(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := New(Config{
-		Topo: topo, Locking: FromLock(locks.NewPthread()),
+		Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Buckets: 16, Capacity: 100,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -37,7 +37,7 @@ func TestGetDoesNotChargeMetadataLines(t *testing.T) {
 	// must stay untouched (the Table 1a "all spin locks alike" model).
 	topo := numa.New(4, 8)
 	s := New(Config{
-		Topo: topo, Locking: FromLock(locks.NewPthread()),
+		Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Buckets: 16, Capacity: 100,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -57,7 +57,7 @@ func TestGetDoesNotChargeMetadataLines(t *testing.T) {
 func TestSetChargesBatchableLines(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := New(Config{
-		Topo: topo, Locking: FromLock(locks.NewPthread()),
+		Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Buckets: 16, Capacity: 100,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
@@ -77,7 +77,7 @@ func TestMetadataMissesTrackClusterAlternation(t *testing.T) {
 	topo := numa.New(4, 8)
 	mk := func() *Store {
 		return New(Config{
-			Topo: topo, Locking: FromLock(locks.NewPthread()),
+			Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 			Buckets: 16, Capacity: 100,
 			Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 			ItemLocalNs: 1, ItemRemoteNs: 1,

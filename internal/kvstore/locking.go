@@ -9,37 +9,37 @@ import (
 )
 
 // LockSource is the single seam through which a Store receives its
-// shards' exclusion domains: a source either supplies a per-shard
-// executor factory (the delegated-execution seam) or a per-shard
-// reader-writer lock factory (direct locking; exclusive locks are
-// adapted through locks.RWFromMutex).
+// shards' exclusion domains: every source resolves to one per-shard
+// factory of locks.RWExecutor, and each shard posts all its critical
+// sections to the executor it gets.
 //
-// Build one with FromMutex, FromRW, FromExec, FromLock, FromRWLock or
-// FromRegistry and set it as Config.Locking. The interface is sealed:
-// the two resolution targets (executor vs lock) are an internal
-// contract of the shard, so external implementations are not
-// meaningful.
+// Build one with the four constructors and set it as Config.Locking:
+//   - FromMutex: a factory of exclusive locks;
+//   - FromRW: a factory of reader-writer locks;
+//   - FromExec: a factory of executors (combining or not);
+//   - FromRegistry: a lock name, resolved to one of the three above.
+//
+// The interface is sealed: the resolution is an internal contract of
+// the shard, so external implementations are not meaningful.
 type LockSource interface {
-	// builders resolves the source into per-shard factories; exactly
-	// one of the two returns is non-nil.
-	builders() (newExec func() locks.Executor, newLock func() locks.RWMutex)
-	// multiShard reports whether the source can back more than one
-	// shard (i.e. it is factory-backed, not a single pre-built
-	// instance).
-	multiShard() bool
-	// describe names the source for error messages.
-	describe() string
+	executors() func() locks.RWExecutor
 }
 
+// source is every LockSource: the per-shard executor factory itself.
+type source func() locks.RWExecutor
+
+func (s source) executors() func() locks.RWExecutor { return s }
+
 // FromMutex sources each shard's lock from a factory of exclusive
-// locks (registry Entry.MutexFactory shape). Shards keep the
-// exclusive read path: the factory's locks are adapted through
-// locks.RWFromMutex, which keeps the pre-RW Get path byte for byte.
+// locks (registry Entry.MutexFactory shape), one acquisition per
+// critical section. Shards keep the exclusive read path: the lock's
+// shared face is its exclusive one (locks.RWFromMutex), so every Get
+// bumps its hit's LRU position.
 func FromMutex(f func() locks.Mutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromMutex(nil)")
 	}
-	return mutexSource{f}
+	return source(func() locks.RWExecutor { return locks.ExecFromRWMutex(locks.RWFromMutex(f())) })
 }
 
 // FromRW sources each shard's lock from a factory of reader-writer
@@ -51,47 +51,43 @@ func FromRW(f func() locks.RWMutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromRW(nil)")
 	}
-	return rwSource{f}
+	return source(func() locks.RWExecutor { return locks.ExecFromRWMutex(f()) })
 }
 
-// FromExec sources each shard's exclusion from a factory of combining
-// executors (registry Entry.ExecFactory shape): every shard operation
-// — Gets included — is posted to the executor, whose combiner runs
-// same-cluster batches under one acquisition of its underlying lock.
+// FromExec sources each shard's exclusion from a factory of executors
+// (registry Entry.ExecFactory shape). A combining executor runs
+// same-cluster batches of the shard's sections under one acquisition
+// of its underlying lock; one whose shared mode genuinely shares
+// (locks.SharesExecReads) also takes the shard's reads. An executor
+// with no shared mode at all runs reads exclusively.
 func FromExec(f func() locks.Executor) LockSource {
 	if f == nil {
 		panic("kvstore: FromExec(nil)")
 	}
-	return execSource{f}
+	return source(func() locks.RWExecutor {
+		x := f()
+		if rx, ok := x.(locks.RWExecutor); ok {
+			return rx
+		}
+		return exclusiveOnly{x}
+	})
 }
 
-// FromLock sources a single-shard store's lock from one pre-built
-// exclusive instance — the paper's interposition point. Multi-shard
-// stores need a factory-backed source.
-func FromLock(m locks.Mutex) LockSource {
-	if m == nil {
-		panic("kvstore: FromLock(nil)")
-	}
-	return singleSource{newLock: func() locks.RWMutex { return locks.RWFromMutex(m) }, name: "FromLock"}
-}
+// exclusiveOnly gives an executor without a shared mode the exclusive
+// shared face locks.RWFromMutex gives a mutex.
+type exclusiveOnly struct{ locks.Executor }
 
-// FromRWLock sources a single-shard store's lock from one pre-built
-// reader-writer instance.
-func FromRWLock(l locks.RWMutex) LockSource {
-	if l == nil {
-		panic("kvstore: FromRWLock(nil)")
-	}
-	return singleSource{newLock: func() locks.RWMutex { return l }, name: "FromRWLock"}
-}
+func (x exclusiveOnly) ExecShared(p *numa.Proc, fn func()) { x.Exec(p, fn) }
+func (exclusiveOnly) SharedReads() bool                    { return false }
 
 // FromRegistry resolves a lock name through the registry (with its
 // "did you mean" errors) into the source a tool would build for that
 // entry: combining entries (comb-*, comb-a-*) become executor
 // sources (the comb-rw-* twins' executors carry a genuinely shared
-// read mode, which the shard detects and routes its read paths
-// through — see Shard.rwexec), genuine reader-writer entries (rw-*)
-// become RW sources, and plain exclusive entries become mutex sources
-// — the same precedence kvbench applies when wiring a store by name.
+// read mode, which the shard detects), genuine reader-writer entries
+// (rw-*) become RW sources, and plain exclusive entries become mutex
+// sources — the same precedence kvbench applies when wiring a store by
+// name.
 func FromRegistry(topo *numa.Topology, name string) (LockSource, error) {
 	e, err := registry.Find(name)
 	if err != nil {
@@ -107,38 +103,3 @@ func FromRegistry(topo *numa.Topology, name string) (LockSource, error) {
 	}
 	return nil, fmt.Errorf("kvstore: lock %q has no blocking construction (abortable-only locks cannot guard a shard)", e.Name)
 }
-
-type mutexSource struct{ f func() locks.Mutex }
-
-func (s mutexSource) builders() (func() locks.Executor, func() locks.RWMutex) {
-	return nil, func() locks.RWMutex { return locks.RWFromMutex(s.f()) }
-}
-func (s mutexSource) multiShard() bool { return true }
-func (s mutexSource) describe() string { return "FromMutex" }
-
-type rwSource struct{ f func() locks.RWMutex }
-
-func (s rwSource) builders() (func() locks.Executor, func() locks.RWMutex) {
-	return nil, s.f
-}
-func (s rwSource) multiShard() bool { return true }
-func (s rwSource) describe() string { return "FromRW" }
-
-type execSource struct{ f func() locks.Executor }
-
-func (s execSource) builders() (func() locks.Executor, func() locks.RWMutex) {
-	return s.f, nil
-}
-func (s execSource) multiShard() bool { return true }
-func (s execSource) describe() string { return "FromExec" }
-
-type singleSource struct {
-	newLock func() locks.RWMutex
-	name    string
-}
-
-func (s singleSource) builders() (func() locks.Executor, func() locks.RWMutex) {
-	return nil, s.newLock
-}
-func (s singleSource) multiShard() bool { return false }
-func (s singleSource) describe() string { return s.name }

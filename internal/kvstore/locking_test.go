@@ -1,13 +1,15 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
-	"testing"
-
+	"sync"
 	"sync/atomic"
+	"testing"
 
 	"repro/internal/locks"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 // driveOps runs a fixed, deterministic mixed workload against the
@@ -59,26 +61,25 @@ func driveOps(t *testing.T, topo *numa.Topology, s *Store) string {
 	return out
 }
 
-// TestLockingEquivalence proves the five LockSource shapes are one
-// seam: a store built from a pre-built lock, a lock factory, a
-// pre-built or factory-made reader-writer lock, or an executor factory
-// observes identical results and statistics on an identical op
-// sequence, and every one of them really runs its critical sections
-// through the lock it was handed. Subtests are named for what the
-// source wraps.
+// TestLockingEquivalence proves the LockSource shapes are one seam: a
+// store built from one lock, a lock factory, one or a factory of
+// reader-writer locks, or an executor factory observes identical
+// results and statistics on an identical op sequence, and every one of
+// them really runs its critical sections through the lock it was
+// handed. Subtests are named for what the source wraps.
 func TestLockingEquivalence(t *testing.T) {
 	variants := []struct {
 		name string
 		cfg  func(topo *numa.Topology, c *acqCounter) Config
 	}{
 		{"Lock", func(topo *numa.Topology, c *acqCounter) Config {
-			return Config{Topo: topo, Locking: FromLock(c.mutex(locks.NewPthread()))}
+			return Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return c.mutex(locks.NewPthread()) })}
 		}},
 		{"NewLock", func(topo *numa.Topology, c *acqCounter) Config {
 			return Config{Topo: topo, Shards: 4, Locking: FromMutex(func() locks.Mutex { return c.mutex(locks.NewMCS(topo)) })}
 		}},
 		{"RWLock", func(topo *numa.Topology, c *acqCounter) Config {
-			return Config{Topo: topo, Locking: FromRWLock(c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))))}
+			return Config{Topo: topo, Locking: FromRW(func() locks.RWMutex { return c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))) })}
 		}},
 		{"NewRWLock", func(topo *numa.Topology, c *acqCounter) Config {
 			return Config{Topo: topo, Shards: 4, Locking: FromRW(func() locks.RWMutex { return c.rw(locks.NewRWPerCluster(topo, locks.NewMCS(topo))) })}
@@ -127,16 +128,145 @@ func (c *acqCounter) total() uint64 {
 	return c.excl.Load() + c.shared.Load()
 }
 
-// TestLockingSingleInstanceGuard pins the multi-shard validation: a
-// pre-built single instance cannot back a sharded store.
-func TestLockingSingleInstanceGuard(t *testing.T) {
-	topo := numa.New(2, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic for FromLock with 4 shards")
-		}
-	}()
-	New(Config{Topo: topo, Shards: 4, Locking: FromLock(locks.NewPthread())})
+// TestEverySourceIsOneExecutor runs a fixed single-key and batched
+// script against a reference map over six sources, each backing a
+// 2-shard store through the one executor seam, and pins what the seam
+// must not lose: reads share exactly where the source's lock shares,
+// ShardOccupancy reports an estimate exactly where the source combines
+// (the server's occupancy sampler and adaptive admission read it), and
+// on the counted direct sources every single-key Get, Set and Delete is
+// one acquisition — shared for a Get where reads share, exclusive
+// otherwise.
+func TestEverySourceIsOneExecutor(t *testing.T) {
+	type counters struct{ excl, shared atomic.Uint64 }
+	cases := []struct {
+		name      string
+		src       func(topo *numa.Topology, c *counters) LockSource
+		counted   bool
+		shared    bool
+		combining bool
+	}{
+		{"FromMutex(c-bo-mcs)", func(topo *numa.Topology, c *counters) LockSource {
+			return FromMutex(func() locks.Mutex {
+				return locks.CountAcquisitions(registry.MustLookup("c-bo-mcs").NewMutex(topo), &c.excl)
+			})
+		}, true, false, false},
+		{"FromRW(rw-c-bo-mcs)", func(topo *numa.Topology, c *counters) LockSource {
+			return FromRW(func() locks.RWMutex {
+				return locks.CountRWAcquisitions(registry.MustLookup("rw-c-bo-mcs").NewRW(topo), &c.excl, &c.shared)
+			})
+		}, true, true, false},
+		{"FromExec(comb-a/c-bo-mcs)", func(topo *numa.Topology, _ *counters) LockSource {
+			return FromExec(func() locks.Executor {
+				return locks.NewCombiningAdaptive(topo, registry.MustLookup("c-bo-mcs").NewMutex(topo))
+			})
+		}, false, false, true},
+		{"FromExec(comb-a-rw-c-bo-mcs)", func(topo *numa.Topology, _ *counters) LockSource {
+			return FromExec(registry.MustLookup("comb-a-rw-c-bo-mcs").ExecFactory(topo))
+		}, false, true, true},
+		{"FromExec(exclusive-only)", func(_ *numa.Topology, c *counters) LockSource {
+			return FromExec(func() locks.Executor { return &soloExec{n: &c.excl} })
+		}, true, false, false},
+		{"FromRegistry(pthread)", func(topo *numa.Topology, _ *counters) LockSource {
+			src, err := FromRegistry(topo, "pthread")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}, false, false, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo := numa.New(2, 4)
+			var c counters
+			// A stride no run reaches: shared Gets never take the deferred
+			// exclusive LRU touch, so each is exactly one acquisition.
+			s := New(Config{Topo: topo, Shards: 2, Locking: tc.src(topo, &c), TouchEvery: 1 << 30, Buckets: 64})
+			for i, sh := range s.shards {
+				if sh.sharedReads != tc.shared {
+					t.Fatalf("shard %d: sharedReads = %v, want %v", i, sh.sharedReads, tc.shared)
+				}
+				if _, ok := s.ShardOccupancy(i); ok != tc.combining {
+					t.Fatalf("shard %d: ShardOccupancy ok = %v, want %v", i, ok, tc.combining)
+				}
+			}
+			// one checks that op took exactly one acquisition, in the
+			// shared mode when shared is set.
+			one := func(op string, shared bool, run func()) {
+				e0, s0 := c.excl.Load(), c.shared.Load()
+				run()
+				if !tc.counted {
+					return
+				}
+				wantE, wantS := uint64(1), uint64(0)
+				if shared {
+					wantE, wantS = 0, 1
+				}
+				if de, ds := c.excl.Load()-e0, c.shared.Load()-s0; de != wantE || ds != wantS {
+					t.Fatalf("%s took %d exclusive + %d shared acquisitions, want %d + %d", op, de, ds, wantE, wantS)
+				}
+			}
+			model := map[uint64][]byte{}
+			dst := make([]byte, 16)
+			for i := 0; i < 240; i++ {
+				p := topo.Proc(i % topo.MaxProcs())
+				k := uint64(i*7) % 40
+				switch i % 4 {
+				case 0, 1:
+					v := []byte(fmt.Sprintf("v%d", i))
+					one("Set", false, func() { s.Set(p, k, v) })
+					model[k] = v
+				case 2:
+					var n int
+					var ok bool
+					one("Get", tc.shared, func() { n, ok = s.Get(p, k, dst) })
+					if want, has := model[k]; ok != has || !bytes.Equal(dst[:n], want) {
+						t.Fatalf("Get(%d) = %q,%v, want %q,%v", k, dst[:n], ok, want, has)
+					}
+				case 3:
+					var ok bool
+					one("Delete", false, func() { ok = s.Delete(p, k) })
+					if _, has := model[k]; ok != has {
+						t.Fatalf("Delete(%d) = %v, want %v", k, ok, has)
+					}
+					delete(model, k)
+				}
+			}
+			p := topo.Proc(1)
+			keys := make([]uint64, 40)
+			for i := range keys {
+				keys[i] = uint64(i)
+			}
+			bufs := make([][]byte, len(keys))
+			for i := range bufs {
+				bufs[i] = make([]byte, 16)
+			}
+			lens, found := make([]int, len(keys)), make([]bool, len(keys))
+			s.MGet(p, keys, bufs, lens, found)
+			for i, k := range keys {
+				if want, has := model[k]; found[i] != has || !bytes.Equal(bufs[i][:lens[i]], want) {
+					t.Fatalf("MGet key %d = %q,%v, want %q,%v", k, bufs[i][:lens[i]], found[i], want, has)
+				}
+			}
+			if got := s.Len(p); got != len(model) {
+				t.Fatalf("Len = %d, want %d", got, len(model))
+			}
+		})
+	}
+}
+
+// soloExec is an executor with no shared mode: a mutex around each
+// closure, counted into n.
+type soloExec struct {
+	mu sync.Mutex
+	n  *atomic.Uint64
+}
+
+func (x *soloExec) Exec(_ *numa.Proc, fn func()) {
+	x.n.Add(1)
+	x.mu.Lock()
+	fn()
+	x.mu.Unlock()
 }
 
 // TestFromRegistry pins name resolution: a combining entry resolves to

@@ -32,9 +32,9 @@ func rwCombStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *at
 
 func TestReadCombiningShardDetection(t *testing.T) {
 	// The shard must route reads through ExecShared exactly when the
-	// executor has a genuinely shared read mode: comb-rw-* entries set
-	// rwexec, plain comb-* entries (and RWCombining over an adapted
-	// exclusive lock) keep the exclusive batch path.
+	// executor has a genuinely shared read mode: comb-rw-* entries do,
+	// plain comb-* entries (and RWCombining over an adapted exclusive
+	// lock) keep the exclusive batch path.
 	topo := numa.New(2, 4)
 	build := func(name string) *Store {
 		src, err := FromRegistry(topo, name)
@@ -44,15 +44,15 @@ func TestReadCombiningShardDetection(t *testing.T) {
 		return New(Config{Topo: topo, Locking: src, Buckets: 64, Capacity: 128})
 	}
 	s := build("comb-rw-mcs")
-	if s.shards[0].rwexec == nil || !s.shards[0].sharedReads {
+	if !s.shards[0].sharedReads {
 		t.Fatal("comb-rw-mcs store did not select the read-combined shared path")
 	}
 	s = build("comb-a-rw-mcs")
-	if s.shards[0].rwexec == nil || !s.shards[0].sharedReads {
+	if !s.shards[0].sharedReads {
 		t.Fatal("comb-a-rw-mcs store did not select the read-combined shared path")
 	}
 	s = build("comb-mcs")
-	if s.shards[0].rwexec != nil || s.shards[0].sharedReads {
+	if s.shards[0].sharedReads {
 		t.Fatal("comb-mcs store left the exclusive executor path")
 	}
 	over := New(Config{
@@ -62,7 +62,7 @@ func TestReadCombiningShardDetection(t *testing.T) {
 		}),
 		Buckets: 64, Capacity: 128,
 	})
-	if over.shards[0].rwexec != nil || over.shards[0].sharedReads {
+	if over.shards[0].sharedReads {
 		t.Fatal("RWCombining over an exclusive adapter must not select the shared path")
 	}
 }
@@ -102,7 +102,7 @@ func TestReadCombinedMGetUncontendedMatchesSharedChunks(t *testing.T) {
 	if got := excl.Load() - e0; got != 0 {
 		t.Errorf("read-combined MGet took %d exclusive acquisitions, want 0 (touch stride never samples)", got)
 	}
-	x := s.shards[0].rwexec.(*locks.RWCombining)
+	x := s.shards[0].x.(*locks.RWCombining)
 	if ops, b := x.SharedOps(), x.SharedBatches(); ops != b {
 		t.Errorf("uncontended shared counters diverged: SharedOps=%d SharedBatches=%d (every closure should bypass)", ops, b)
 	}

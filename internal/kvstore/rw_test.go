@@ -15,7 +15,7 @@ import (
 func rwStore(topo *numa.Topology, touchEvery int) *Store {
 	return New(Config{
 		Topo:       topo,
-		Locking:    FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
+		Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
 		TouchEvery: touchEvery,
 		Buckets:    1 << 10,
 		Capacity:   1 << 12,
@@ -29,11 +29,11 @@ func TestRWSharedReadsDetection(t *testing.T) {
 	if s := rwStore(topo, 0); !s.shards[0].sharedReads {
 		t.Fatal("RWLock store did not select the shared read path")
 	}
-	excl := New(Config{Topo: topo, Locking: FromLock(locks.NewMCS(topo))})
+	excl := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) })})
 	if excl.shards[0].sharedReads {
 		t.Fatal("exclusive-lock store selected the shared read path")
 	}
-	adapted := New(Config{Topo: topo, Locking: FromRWLock(locks.RWFromMutex(locks.NewMCS(topo)))})
+	adapted := New(Config{Topo: topo, Locking: FromRW(func() locks.RWMutex { return locks.RWFromMutex(locks.NewMCS(topo)) })})
 	if adapted.shards[0].sharedReads {
 		t.Fatal("RWFromMutex-adapted store selected the shared read path")
 	}
@@ -92,7 +92,7 @@ func TestRWTouchPolicy(t *testing.T) {
 	build := func(touchEvery int) *Store {
 		return New(Config{
 			Topo:       topo,
-			Locking:    FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
+			Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
 			TouchEvery: touchEvery,
 			Buckets:    64,
 			Capacity:   2,

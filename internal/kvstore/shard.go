@@ -67,16 +67,13 @@ const (
 )
 
 // csRecord is one proc's critical section, spelled out as data: the
-// operation kind, its arguments and its results. A shard operation
-// arms its proc's record and hands it to the shard's exclusion seam:
-// posted as fn to the executor, where a combiner on another goroutine
-// runs it, or — batch chunks on a direct lock — run in place between
-// Lock and Unlock (RLock and RUnlock). Single-key operations on a
-// direct lock need no record and bracket their apply* call inline. fn
-// is the record's run method, bound once at shard construction, so
-// posting allocates nothing (a closure literal per call would escape
-// through the locks.Executor interface and cost an allocation per
-// critical section).
+// operation kind, its arguments and its results. Every shard operation
+// arms its proc's record and posts fn to the shard's executor, which
+// runs it in place between its lock's acquire and release, or hands it
+// to a combiner on another goroutine. fn is the record's run method,
+// bound once at shard construction, so posting allocates nothing (a
+// closure literal per call would escape through the locks.Executor
+// interface and cost an allocation per critical section).
 //
 // Ownership: the record lives in its proc's opSlot, and a proc is used
 // by one goroutine at a time (the numa.Proc contract), so at most one
@@ -102,8 +99,8 @@ type csRecord struct {
 }
 
 // run executes the armed critical section. The caller — the owning
-// proc under a direct lock, or an executor's combiner — holds the
-// shard's exclusion in the mode the kind requires.
+// proc or an executor's combiner — holds the shard's exclusion in the
+// mode the kind requires.
 func (r *csRecord) run() {
 	s, p := r.s, r.p
 	switch r.kind {
@@ -162,52 +159,24 @@ func (s *Shard) arm(p *numa.Proc, k csKind) *csRecord {
 	return r
 }
 
-// exclusive runs r as one exclusive critical section: one acquisition
-// of the shard lock, or one record posted to the executor seam (which
-// batches it with other same-cluster sections under one acquisition of
-// its underlying lock).
-func (s *Shard) exclusive(p *numa.Proc, r *csRecord) {
-	if s.exec != nil {
-		s.exec.Exec(p, r.fn)
-		return
-	}
-	s.lock.Lock(p)
-	r.run()
-	s.lock.Unlock(p)
-}
-
-// shared runs r under the shard's read seam (sharedReads shards only):
-// one RLock, or one record posted through ExecShared, where concurrent
-// same-cluster readers' records fold into ONE RLock of the underlying
-// lock. Shared kinds only read item state; writers hold exclusive
-// mode, so nothing mutates under them.
-func (s *Shard) shared(p *numa.Proc, r *csRecord) {
-	if s.rwexec != nil {
-		s.rwexec.ExecShared(p, r.fn)
-		return
-	}
-	s.lock.RLock(p)
-	r.run()
-	s.lock.RUnlock(p)
-}
-
-// read runs r under the shard's read bracket: shared where reads
-// genuinely share, exclusive otherwise.
+// read runs r under the shard's read bracket: in shared mode where
+// reads genuinely share (shared kinds only read item state, and writers
+// hold exclusive mode, so nothing mutates under them), exclusively
+// otherwise.
 func (s *Shard) read(p *numa.Proc, r *csRecord) {
 	if s.sharedReads {
-		s.shared(p, r)
+		s.x.ExecShared(p, r.fn)
 	} else {
-		s.exclusive(p, r)
+		s.x.Exec(p, r.fn)
 	}
 }
 
 // shardConfig carries the per-shard slice of a Store's Config, already
 // validated and normalized (buckets a power of two, capacity >= 1,
-// maxBatch >= 1). Exactly one of lock and exec is set.
+// maxBatch >= 1).
 type shardConfig struct {
 	topo       *numa.Topology
-	lock       locks.RWMutex
-	exec       locks.Executor
+	x          locks.RWExecutor
 	maxBatch   int
 	touchEvery uint64
 	buckets    int
@@ -223,32 +192,21 @@ type shardConfig struct {
 // structure of the paper's Table 1 experiment; the pre-sharding store
 // was a single Shard behind one cache lock.
 type Shard struct {
-	lock locks.RWMutex
-	// exec, when non-nil, is the shard's delegated-execution seam:
-	// every critical section is posted (as its proc's csRecord) to a
-	// combining executor, which batches same-cluster sections under one
-	// acquisition of its underlying lock, instead of bracketing the
-	// shard lock directly. lock is nil on this path — the executor owns
-	// the exclusion domain.
-	exec locks.Executor
-	// rwexec, when non-nil, is exec's shared mode: the executor is a
-	// read-combining RWExecutor (locks.RWCombining or its adaptive
-	// twin) whose shared sections genuinely coexist, so the shared read
-	// paths post per-chunk read records through ExecShared — concurrent
-	// same-cluster readers fold into ONE RLock of the underlying lock —
-	// instead of bracketing RLock directly. Always the same value as
-	// exec, pre-asserted to the RW interface; nil when exec is nil or
-	// exclusive-only.
-	rwexec locks.RWExecutor
+	// x is the shard's one exclusion seam: every critical section is
+	// posted to it as its proc's csRecord, through Exec, or through
+	// ExecShared on the shared read paths. Over a plain lock it brackets
+	// the section with the lock's acquire and release; a combining
+	// executor batches same-cluster sections under one acquisition of
+	// its underlying lock (and, read-combining, concurrent same-cluster
+	// readers under ONE RLock).
+	x locks.RWExecutor
 	// maxBatch bounds how many batched operations (MGet/MSet/MDelete)
 	// run inside one critical section.
 	maxBatch int
-	// sharedReads is true when the shard's reads genuinely admit
-	// concurrency — lock's shared mode does (rwexec nil), or the
-	// executor's shared sections do (rwexec set); Get then runs the
-	// shared read path. False for exclusive locks adapted via
-	// locks.RWFromMutex and for exclusive-only executors, whose Gets
-	// keep the pre-RW exclusive path byte for byte.
+	// sharedReads is locks.SharesExecReads(x): true when x's shared
+	// sections genuinely coexist, and Get then runs the shared read
+	// path. False for exclusive locks and exclusive-only executors,
+	// whose Gets keep the exclusive every-hit-bumps path.
 	sharedReads bool
 	touchEvery  uint64
 	mask        uint64
@@ -265,23 +223,10 @@ type Shard struct {
 }
 
 func newShard(cfg shardConfig) *Shard {
-	sharedReads := false
-	var rwexec locks.RWExecutor
-	if cfg.exec == nil {
-		sharedReads = locks.SharesReads(cfg.lock)
-	} else if rx, ok := cfg.exec.(locks.RWExecutor); ok && locks.SharesExecReads(rx) {
-		// The executor seam has a genuinely shared read mode: route the
-		// shared read paths through ExecShared so same-cluster readers
-		// fold into one shared acquisition under the reader-combiner.
-		rwexec = rx
-		sharedReads = true
-	}
 	s := &Shard{
-		lock:        cfg.lock,
-		exec:        cfg.exec,
-		rwexec:      rwexec,
+		x:           cfg.x,
 		maxBatch:    cfg.maxBatch,
-		sharedReads: sharedReads,
+		sharedReads: locks.SharesExecReads(cfg.x),
 		touchEvery:  cfg.touchEvery,
 		mask:        uint64(cfg.buckets - 1),
 		buckets:     make([]atomic.Pointer[item], cfg.buckets),
@@ -422,29 +367,12 @@ func (s *Shard) unlink(it *item) {
 // approximate (a uniformly sampled subset of hits drives the LRU
 // order, the same trade memcached makes with its 60-second touch
 // rule); hit/miss behavior and returned values are unaffected.
-//
-// On a direct lock the bracket is inline (through the record costs
-// 6-12 ns more per Get); on the executor seam the section is a posted
-// record, batched with other same-cluster sections by the combiner.
 func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	var n int
-	var hit bool
-	switch {
-	case s.exec != nil:
-		r := s.arm(p, csGet)
-		r.key, r.buf = key, dst
-		s.read(p, r)
-		n, hit = r.n, r.ok
-		r.done()
-	case s.sharedReads:
-		s.lock.RLock(p)
-		n, hit = s.lookup(p, key, dst)
-		s.lock.RUnlock(p)
-	default:
-		s.lock.Lock(p)
-		n, hit = s.lookup(p, key, dst)
-		s.lock.Unlock(p)
-	}
+	r := s.arm(p, csGet)
+	r.key, r.buf = key, dst
+	s.read(p, r)
+	n, hit := r.n, r.ok
+	r.done()
 	slot := &s.slots[p.ID()]
 	slot.gets++
 	if !hit {
@@ -502,7 +430,7 @@ func (s *Shard) sample(slot *opSlot, key uint64) {
 func (s *Shard) touchSampled(p *numa.Proc, slot *opSlot) {
 	r := s.arm(p, csTouch)
 	r.keys = slot.touch
-	s.exclusive(p, r)
+	s.x.Exec(p, r.fn)
 	r.done()
 	slot.touch = slot.touch[:0]
 }
@@ -521,16 +449,10 @@ func (s *Shard) touchKey(p *numa.Proc, key uint64) {
 // Set inserts or updates key with a copy of val, evicting the LRU
 // victim if the shard is over capacity.
 func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
-	if s.exec != nil {
-		r := s.arm(p, csSet)
-		r.key, r.buf = key, val
-		s.exec.Exec(p, r.fn)
-		r.done()
-	} else {
-		s.lock.Lock(p)
-		s.applySet(p, key, val)
-		s.lock.Unlock(p)
-	}
+	r := s.arm(p, csSet)
+	r.key, r.buf = key, val
+	s.x.Exec(p, r.fn)
+	r.done()
 	s.slots[p.ID()].sets++
 }
 
@@ -585,16 +507,10 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 
 // Delete removes key, returning whether it was present.
 func (s *Shard) Delete(p *numa.Proc, key uint64) bool {
-	if s.exec != nil {
-		r := s.arm(p, csDelete)
-		r.key = key
-		s.exec.Exec(p, r.fn)
-		return r.ok
-	}
-	s.lock.Lock(p)
-	ok := s.applyDelete(p, key)
-	s.lock.Unlock(p)
-	return ok
+	r := s.arm(p, csDelete)
+	r.key = key
+	s.x.Exec(p, r.fn)
+	return r.ok
 }
 
 // applyDelete is a delete's critical section; callers hold the
@@ -640,10 +556,10 @@ func (it *item) clearValue() {
 // the batch APIs: each chunk runs under ONE shared acquisition —
 // concurrent readers' chunks on different clusters proceed together,
 // and a group of N lookups costs ceil(N/maxBatch) RLock acquisitions.
-// On the read-combining executor seam each chunk is instead a posted
-// shared record: concurrent same-cluster readers' chunks are harvested
-// by one reader-combiner and run under a single RLock, pushing shared
-// acquisitions per read op below even the ceil(N/maxBatch) floor.
+// Under a read-combining executor concurrent same-cluster readers'
+// chunks are harvested by one reader-combiner and run under a single
+// RLock, pushing shared acquisitions per read op below even the
+// ceil(N/maxBatch) floor.
 // Per-key semantics match Get: sampled hits accumulate across the group
 // and are refreshed in one deferred exclusive section at the end, so
 // recency maintenance costs at most one extra acquisition per group
@@ -683,7 +599,7 @@ func (s *Shard) mset(p *numa.Proc, keys []uint64, vals [][]byte, idx []int) {
 	r.keys, r.bufs = keys, vals
 	for start := 0; start < len(idx); start += s.maxBatch {
 		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.exclusive(p, r)
+		s.x.Exec(p, r.fn)
 	}
 	r.done()
 	s.slots[p.ID()].sets += uint64(len(idx))
@@ -699,7 +615,7 @@ func (s *Shard) mdelete(p *numa.Proc, keys []uint64, idx []int, found []bool) in
 	r.keys, r.found = keys, found
 	for start := 0; start < len(idx); start += s.maxBatch {
 		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.exclusive(p, r)
+		s.x.Exec(p, r.fn)
 	}
 	r.done()
 	return r.n
@@ -708,7 +624,7 @@ func (s *Shard) mdelete(p *numa.Proc, keys []uint64, idx []int, found []bool) in
 // Len reports the current item count (one critical section).
 func (s *Shard) Len(p *numa.Proc) int {
 	r := s.arm(p, csLen)
-	s.exclusive(p, r)
+	s.x.Exec(p, r.fn)
 	return r.n
 }
 

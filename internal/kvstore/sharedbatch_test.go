@@ -15,8 +15,10 @@ import (
 func countedRWStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *atomic.Uint64) *Store {
 	return New(Config{
 		Topo: topo,
-		Locking: FromRWLock(locks.CountRWAcquisitions(
-			locks.NewRWPerCluster(topo, locks.NewMCS(topo)), excl, shared)),
+		Locking: FromRW(func() locks.RWMutex {
+			return locks.CountRWAcquisitions(
+				locks.NewRWPerCluster(topo, locks.NewMCS(topo)), excl, shared)
+		}),
 		MaxBatch:   maxBatch,
 		TouchEvery: touchEvery,
 		Buckets:    512,
@@ -199,7 +201,7 @@ func TestSharedMGetTouchPolicy(t *testing.T) {
 	build := func(touchEvery int) *Store {
 		return New(Config{
 			Topo:       topo,
-			Locking:    FromRWLock(locks.NewRWPerCluster(topo, locks.NewMCS(topo))),
+			Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
 			MaxBatch:   8,
 			TouchEvery: touchEvery,
 			Buckets:    64,
@@ -247,8 +249,10 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	var excl, shared atomic.Uint64
 	s := New(Config{
 		Topo: topo,
-		Locking: FromRWLock(locks.CountRWAcquisitions(
-			locks.RWFromMutex(locks.NewMCS(topo)), &excl, &shared)),
+		Locking: FromRW(func() locks.RWMutex {
+			return locks.CountRWAcquisitions(
+				locks.RWFromMutex(locks.NewMCS(topo)), &excl, &shared)
+		}),
 		MaxBatch: batch,
 		Buckets:  256,
 		Capacity: 1024,
@@ -282,7 +286,7 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	// An eviction-order probe: the exclusive path bumps on every hit.
 	tiny := New(Config{
 		Topo:     topo,
-		Locking:  FromLock(locks.NewMCS(topo)),
+		Locking:  FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
 		MaxBatch: 8,
 		Buckets:  64,
 		Capacity: 2,

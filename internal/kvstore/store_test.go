@@ -115,7 +115,7 @@ func TestPerShardLRUEviction(t *testing.T) {
 		}
 	}
 	for i := range s.shards {
-		st := s.ShardSnapshot(i)
+		st := s.shards[i].Snapshot()
 		if i == target && st.Evictions != 1 {
 			t.Errorf("target shard evicted %d times, want 1", st.Evictions)
 		}
@@ -139,7 +139,7 @@ func TestCrossShardStatsAggregation(t *testing.T) {
 	}
 	var want Stats
 	for i := 0; i < s.NumShards(); i++ {
-		want.Add(s.ShardSnapshot(i))
+		want.Add(s.shards[i].Snapshot())
 	}
 	got := s.Snapshot()
 	if got != want {
@@ -159,9 +159,9 @@ func TestClusterAffineRoutesHome(t *testing.T) {
 	for id := 0; id < 8; id++ {
 		p := topo.Proc(id)
 		for k := uint64(0); k < 500; k++ {
-			if idx := s.shardIndex(p, k); s.ShardHome(idx) != p.Cluster() {
+			if idx := s.shardIndex(p, k); s.homes[idx] != p.Cluster() {
 				t.Fatalf("proc %d (cluster %d): key %d routed to shard %d homed on %d",
-					id, p.Cluster(), k, idx, s.ShardHome(idx))
+					id, p.Cluster(), k, idx, s.homes[idx])
 			}
 			if !s.IsLocal(p, k) {
 				t.Fatalf("IsLocal false under affine routing")
@@ -267,15 +267,7 @@ func TestShardedConcurrentOps(t *testing.T) {
 
 func TestShardedConfigValidation(t *testing.T) {
 	topo := numa.New(4, 8)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("multi-shard store over a single pre-built lock accepted")
-			}
-		}()
-		New(Config{Topo: topo, Locking: FromLock(locks.NewPthread()), Shards: 4})
-	}()
-	// A lock factory suffices, even for one shard.
+	// Shards defaults to one.
 	s := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() })})
 	if s.NumShards() != 1 {
 		t.Fatalf("default shards = %d, want 1", s.NumShards())

@@ -113,14 +113,18 @@ func TestExecFromMutex(t *testing.T) {
 	locktest.CheckExec(t, topo, x, 8, 300)
 }
 
+// TestCombinesIntrospection: every combining executor, and the
+// ExecFromMutex adapter, is an RWExecutor whose shared face over an
+// exclusive lock is exclusive — a consumer that asks SharesExecReads
+// keeps its exclusive read path.
 func TestCombinesIntrospection(t *testing.T) {
 	topo := numa.New(2, 4)
-	if x := locks.ExecFromMutex(locks.NewMCS(topo)); locks.Combines(x) {
-		t.Error("ExecFromMutex adapter claims to combine")
+	if x, ok := locks.ExecFromMutex(locks.NewMCS(topo)).(locks.RWExecutor); !ok || locks.SharesExecReads(x) {
+		t.Error("ExecFromMutex adapter is not an exclusive RWExecutor")
 	}
 	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
-		if !locks.Combines(c.new(topo, locks.NewMCS(topo))) {
-			t.Error("combining executor does not claim to combine")
+		if x, ok := c.new(topo, locks.NewMCS(topo)).(locks.RWExecutor); !ok || locks.SharesExecReads(x) {
+			t.Error("combining executor over an exclusive lock is not an exclusive RWExecutor")
 		}
 	})
 }
@@ -383,13 +387,10 @@ func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
 func TestRWCombiningIntrospection(t *testing.T) {
 	topo := numa.New(2, 4)
 	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
-		if x := c.new(topo, rwPerCluster(topo)); !locks.Combines(x) || !locks.SharesExecReads(x) {
+		if x := c.new(topo, rwPerCluster(topo)); !locks.SharesExecReads(x) {
 			t.Error("RWCombining over a genuine RW lock drops an introspection property")
 		}
 	})
-	if x := locks.ExecFromRWMutex(rwPerCluster(topo)); locks.Combines(x) {
-		t.Error("ExecFromRWMutex adapter claims to combine")
-	}
 }
 
 func TestRWCombiningSingleProcBypass(t *testing.T) {

@@ -23,45 +23,13 @@ type Executor interface {
 	Exec(p *numa.Proc, fn func())
 }
 
-// ExecCombiner is the optional introspection interface executors use
-// to report whether they genuinely batch closures (many ops per
-// acquisition of the underlying lock). ExecFromMutex adapters report
-// false; NewCombining reports true.
-type ExecCombiner interface {
-	CombinesExec() bool
-}
-
-// Combines reports whether x actually amortizes lock acquisitions
-// over batches of closures. Executors that do not implement
-// ExecCombiner are assumed not to combine.
-func Combines(x Executor) bool {
-	if c, ok := x.(ExecCombiner); ok {
-		return c.CombinesExec()
-	}
-	return false
-}
-
-// execMutex adapts a Mutex to the Executor interface: lock, run,
-// unlock — one acquisition per closure, the non-combining baseline.
-type execMutex struct {
-	m Mutex
-}
-
-func (e execMutex) Exec(p *numa.Proc, fn func()) {
-	e.m.Lock(p)
-	fn()
-	e.m.Unlock(p)
-}
-
-// CombinesExec reports false: the adapter pays one acquisition per op.
-func (e execMutex) CombinesExec() bool { return false }
-
 // ExecFromMutex adapts any mutual-exclusion lock to the Executor
-// interface by bracketing each closure with Lock/Unlock. Correct, not
-// amortized; Combines reports false so callers that only profit from
-// genuine batching can keep their direct locking path.
+// interface by bracketing each closure with Lock/Unlock: correct, one
+// acquisition per closure. It is ExecFromRWMutex over RWFromMutex, so
+// the adapter also carries the exclusive shared face (SharesExecReads
+// reports false).
 func ExecFromMutex(m Mutex) Executor {
-	return execMutex{m: m}
+	return ExecFromRWMutex(RWFromMutex(m))
 }
 
 // countingMutex is the CountAcquisitions wrapper.
@@ -113,8 +81,13 @@ func NewCombiningAdaptive(topo *numa.Topology, m Mutex) *Combining {
 	return c
 }
 
-// CombinesExec reports true: ops amortize over lock acquisitions.
-func (c *Combining) CombinesExec() bool { return true }
+// ExecShared runs fn through Exec: the exclusive shared face that
+// RWFromMutex gives a mutex, so every executor is an RWExecutor.
+func (c *Combining) ExecShared(p *numa.Proc, fn func()) { c.Exec(p, fn) }
+
+// SharedReads reports false: shared closures serialize like exclusive
+// ones.
+func (c *Combining) SharedReads() bool { return false }
 
 // OccupancyEstimator is the optional introspection interface combining
 // executors use to report their load estimate: the number of requests
@@ -134,9 +107,7 @@ func EstimateOccupancy(x Executor) (int, bool) {
 
 // Interface conformance checks.
 var (
-	_ Executor           = execMutex{}
-	_ Executor           = (*Combining)(nil)
-	_ ExecCombiner       = execMutex{}
-	_ ExecCombiner       = (*Combining)(nil)
+	_ RWExecutor         = (*Combining)(nil)
+	_ ReadSharer         = (*Combining)(nil)
 	_ OccupancyEstimator = (*Combining)(nil)
 )

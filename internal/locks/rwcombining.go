@@ -80,7 +80,6 @@ func (c *RWCombining) OccupancyEstimate() int {
 // Interface conformance checks.
 var (
 	_ RWExecutor         = (*RWCombining)(nil)
-	_ ExecCombiner       = (*RWCombining)(nil)
 	_ ReadSharer         = (*RWCombining)(nil)
 	_ OccupancyEstimator = (*RWCombining)(nil)
 )

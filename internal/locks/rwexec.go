@@ -52,9 +52,6 @@ func (e execRWMutex) ExecShared(p *numa.Proc, fn func()) {
 	e.l.RUnlock(p)
 }
 
-// CombinesExec reports false: the adapter pays one acquisition per op.
-func (e execRWMutex) CombinesExec() bool { return false }
-
 // SharedReads passes the underlying lock's sharing property through,
 // so consumers of the executor see exactly what a direct user of the
 // lock would.
@@ -107,9 +104,8 @@ func CountRWAcquisitions(l RWMutex, excl, shared *atomic.Uint64) RWMutex {
 
 // Interface conformance checks.
 var (
-	_ RWExecutor   = execRWMutex{}
-	_ ExecCombiner = execRWMutex{}
-	_ ReadSharer   = execRWMutex{}
-	_ RWMutex      = (*countingRWMutex)(nil)
-	_ ReadSharer   = (*countingRWMutex)(nil)
+	_ RWExecutor = execRWMutex{}
+	_ ReadSharer = execRWMutex{}
+	_ RWMutex    = (*countingRWMutex)(nil)
+	_ ReadSharer = (*countingRWMutex)(nil)
 )

@@ -386,8 +386,7 @@ func (e Entry) RWFactory(topo *numa.Topology) func() locks.RWMutex {
 // comb-* entries yield genuinely combining executors (NewExec);
 // plain blocking entries adapt through locks.ExecFromMutex — correct,
 // one acquisition per closure — so every lock in the registry slots
-// into an executor-shaped consumer (locks.Combines reports which case
-// was built).
+// into an executor-shaped consumer.
 func (e Entry) ExecFactory(topo *numa.Topology) func() locks.Executor {
 	if e.NewExec != nil {
 		return func() locks.Executor { return e.NewExec(topo) }
@@ -404,8 +403,7 @@ func (e Entry) ExecFactory(topo *numa.Topology) func() locks.Executor {
 // entries yield genuinely combining RW executors (NewRWExec); entries
 // with a native RW construction yield one-acquisition-per-closure
 // executors whose shared closures genuinely coexist; exclusive-only
-// entries serialize them (locks.SharesExecReads reports sharing,
-// locks.Combines reports batching).
+// entries serialize them (locks.SharesExecReads reports sharing).
 func (e Entry) RWExecFactory(topo *numa.Topology) func() locks.RWExecutor {
 	if e.NewRWExec != nil {
 		return func() locks.RWExecutor { return e.NewRWExec(topo) }

@@ -95,24 +95,14 @@ func TestEveryExecEntryPassesLocktest(t *testing.T) {
 
 // TestExecFactoryAdaptsMutexEntries verifies the degradation path: a
 // plain blocking entry still yields a correct Executor through
-// ExecFactory (one acquisition per closure), and reports itself as
-// non-combining.
+// ExecFactory (one acquisition per closure).
 func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 	for _, name := range []string{"mcs", "c-bo-mcs", "pthread"} {
 		e := MustLookup(name)
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			x := e.ExecFactory(topo)()
-			if locks.Combines(x) {
-				t.Fatalf("%s adapts through ExecFromMutex but claims to combine", name)
-			}
-			locktest.CheckExec(t, topo, x, 8, 150)
+			locktest.CheckExec(t, topo, e.ExecFactory(topo)(), 8, 150)
 		})
-	}
-	for _, name := range []string{"comb-mcs", "comb-c-bo-mcs"} {
-		if x := MustLookup(name).ExecFactory(numa.New(2, 4))(); !locks.Combines(x) {
-			t.Fatalf("%s does not claim to combine", name)
-		}
 	}
 }
 
@@ -136,9 +126,6 @@ func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 			if got := locks.SharesExecReads(x); got != want {
 				t.Fatalf("SharesExecReads = %v, want %v (NewRW %v, NewRWExec %v)",
 					got, want, e.NewRW != nil, e.NewRWExec != nil)
-			}
-			if got, want := locks.Combines(x), e.NewRWExec != nil; got != want {
-				t.Fatalf("Combines = %v, want %v (NewRWExec %v)", got, want, e.NewRWExec != nil)
 			}
 			locktest.CheckRWExec(t, topo, x, 5, 3, 150)
 		})

@@ -310,14 +310,13 @@ func execTrialOpsPerSec(topo *numa.Topology, xs []locks.Executor, threads int) f
 	return float64(ops.Load()) / trialWindow.Seconds()
 }
 
-// BenchmarkCombining races each headline lock's combining executors —
-// fixed-constant (comb) and load-adaptive (comb-a) — against the same
-// lock driven one-acquisition-per-op (ExecFromMutex), at the
-// high-contention point: the delegated-execution analogue of Figure 2.
-// Every variant's underlying lock carries an acquisition counter, so
-// alongside throughput each sub-benchmark reports measured
-// ops-per-acquisition — the amortization the adaptive policy must meet
-// or beat (direct is definitionally 1.0).
+// BenchmarkCombining races each headline lock's combining executor
+// (comb-a) against the same lock driven one-acquisition-per-op
+// (ExecFromMutex), at the high-contention point: the
+// delegated-execution analogue of Figure 2. Every variant's underlying
+// lock carries an acquisition counter, so alongside throughput each
+// sub-benchmark reports measured ops-per-acquisition — the
+// amortization combining buys (direct is definitionally 1.0).
 //
 // The procs=2/cross rows are the other end: two procs, one per
 // cluster, over eight independent executors picked round-robin — the
@@ -328,14 +327,14 @@ func execTrialOpsPerSec(topo *numa.Topology, xs []locks.Executor, threads int) f
 func BenchmarkCombining(b *testing.B) {
 	threads := contendedThreads()
 	for _, name := range []string{"mcs", "c-bo-mcs", "cna"} {
-		for _, variant := range []string{"direct", "comb", "comb-a"} {
+		for _, variant := range []string{"direct", "comb-a"} {
 			b.Run(name+"/"+variant, func(b *testing.B) {
 				topo := numa.New(4, threads)
 				benchExecutors(b, topo, name, variant, 1, threads)
 			})
 		}
 	}
-	for _, variant := range []string{"direct", "comb", "comb-a"} {
+	for _, variant := range []string{"direct", "comb-a"} {
 		b.Run("procs=2/cross/c-bo-mcs/"+variant, func(b *testing.B) {
 			benchExecutors(b, numa.New(2, 4), "c-bo-mcs", variant, 8, 2)
 		})
@@ -354,12 +353,9 @@ func benchExecutors(b *testing.B, topo *numa.Topology, lock, variant string, cou
 		xs := make([]locks.Executor, count)
 		for k := range xs {
 			inner := locks.CountAcquisitions(e.NewMutex(topo), &acq)
-			switch variant {
-			case "comb":
-				xs[k] = locks.NewCombining(topo, inner)
-			case "comb-a":
+			if variant == "comb-a" {
 				xs[k] = locks.NewCombiningAdaptive(topo, inner)
-			default:
+			} else {
 				xs[k] = locks.ExecFromMutex(inner)
 			}
 		}
@@ -378,7 +374,7 @@ func benchExecutors(b *testing.B, topo *numa.Topology, lock, variant string, cou
 // pipeline (16-key client batches) against a sharded store under the
 // reader-writer cohort lock, with MGet chunks answered three ways —
 // shared mode (one RLock per chunk), read-combined (chunks posted as
-// read closures to locks.NewRWCombining, concurrent same-cluster
+// read closures to locks.NewRWCombiningAdaptive, concurrent same-cluster
 // chunks folded under one RLock), and the same construction driven
 // through its exclusive path. Shared chunks coexist across clusters;
 // combining should close on or beat shared as the read fraction and
@@ -388,7 +384,7 @@ func BenchmarkSharedBatchedReads(b *testing.B) {
 	e := registry.MustLookup("rw-c-bo-mcs")
 	const keyspace = 20_000
 	for _, reads := range []float64{0.50, 0.90, 0.99} {
-		for _, mode := range []string{"shared", "comb-rw", "exclusive"} {
+		for _, mode := range []string{"shared", "comb-a-rw", "exclusive"} {
 			mode := mode
 			b.Run(fmt.Sprintf("reads%.0f/%s", reads*100, mode), func(b *testing.B) {
 				topo := numa.New(4, threads)
@@ -401,10 +397,10 @@ func BenchmarkSharedBatchedReads(b *testing.B) {
 						Capacity: keyspace * 2,
 					}
 					switch mode {
-					case "comb-rw":
+					case "comb-a-rw":
 						newRW := e.RWFactory(topo)
 						cfg.Locking = kvstore.FromExec(func() locks.Executor {
-							return locks.NewRWCombining(topo, newRW())
+							return locks.NewRWCombiningAdaptive(topo, newRW())
 						})
 					case "shared":
 						cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
@@ -446,8 +442,8 @@ func BenchmarkBatchedStore(b *testing.B) {
 	}{
 		{"direct/batch1", false, 1},
 		{"direct/batch16", false, 16},
-		{"comb/batch1", true, 1},
-		{"comb/batch16", true, 16},
+		{"comb-a/batch1", true, 1},
+		{"comb-a/batch16", true, 16},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -462,7 +458,7 @@ func BenchmarkBatchedStore(b *testing.B) {
 				}
 				if c.comb {
 					cfg.Locking = kvstore.FromExec(func() locks.Executor {
-						return locks.NewCombining(topo, e.NewMutex(topo))
+						return locks.NewCombiningAdaptive(topo, e.NewMutex(topo))
 					})
 				} else {
 					cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
@@ -639,17 +635,14 @@ func BenchmarkUncontended(b *testing.B) {
 			}
 		})
 	}
-	for _, name := range []string{"c-bo-mcs", "comb-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"} {
+	for _, name := range []string{"c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"} {
 		b.Run("exec/"+name, func(b *testing.B) {
 			topo := numa.New(2, 4)
-			var exec func(*numa.Proc, func())
-			switch e := registry.MustLookup(name); {
-			case e.NewRWExec != nil:
-				exec = e.NewRWExec(topo).ExecShared
-			case e.NewExec != nil:
-				exec = e.NewExec(topo).Exec
-			default:
-				exec = locks.ExecFromMutex(e.NewMutex(topo)).Exec
+			e := registry.MustLookup(name)
+			x := e.ExecFactory(topo)()
+			exec := x.Exec
+			if e.CombinesReads() {
+				exec = x.ExecShared
 			}
 			p := topo.Proc(0)
 			fn := func() {}

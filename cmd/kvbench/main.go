@@ -24,26 +24,22 @@
 // every exclusive column. With -batch as well, reads arrive as MGet
 // batches of that size (titles and records say batch=N), so the same
 // columns race shared against exclusive batched reads. The default
-// column set also includes the comb-rw-*/comb-a-rw-* read-combining
-// twins: each runs Gets as read
-// closures through the reader-combining executor over its RW operand,
-// with the operand's shared acquisitions counted (registry.Unwrap and
-// Wrap interpose the counter), so a second table reports shared ops
-// per shared acquisition — the read-side amortization the combiner
-// buys on top of shared mode. Their JSON records carry read_combiner
-// ("fixed" or "adaptive"); plain RW records omit the field, so older
-// envelopes keep comparing.
+// column set also includes the comb-a-rw-* read-combining twins: each
+// runs Gets as read closures through the reader-combining executor
+// over its RW operand, with the operand's shared acquisitions counted
+// (registry.Unwrap and Wrap interpose the counter), so a second table
+// reports shared ops per shared acquisition — the read-side
+// amortization the combiner buys on top of shared mode.
 //
 // -batch switches to the batched-pipeline table: workers issue
 // MGet/MSet batches of the given size, and every lock column is
 // instrumented with an acquisition counter, so alongside the usual
 // speedup table an ops-per-acquisition table shows how much work each
-// lock amortizes per critical section. comb-* columns (the combining
+// lock amortizes per critical section. comb-a-* columns (the combining
 // executor over the base lock) batch across procs on top of the batch
-// APIs' per-call grouping; comb-a-* columns run the load-adaptive
-// combiner; rw-* columns run MGet chunks in shared mode; plain columns
-// amortize only within each call. comb-* and comb-a-* names are also
-// valid in the standard tables, where they run the single-op path
+// APIs' per-call grouping; rw-* columns run MGet chunks in shared mode;
+// plain columns amortize only within each call. comb-a-* names are
+// also valid in the standard tables, where they run the single-op path
 // through delegated execution.
 package main
 
@@ -100,16 +96,11 @@ type record struct {
 	ReadPath string  `json:"read_path,omitempty"`
 	// Batch and OpsPerAcq are populated by -batch runs: the pipeline's
 	// batch size and how many operations each acquisition of the
-	// underlying lock amortized.
+	// underlying lock amortized. -reads cells of a reader-combining
+	// executor (comb-a-rw-* columns) reuse OpsPerAcq for shared ops per
+	// shared acquisition of the base lock.
 	Batch     int     `json:"batch,omitempty"`
 	OpsPerAcq float64 `json:"ops_per_acq,omitempty"`
-	// ReadCombiner marks -reads cells whose Gets ran as read closures
-	// through a reader-combining executor (comb-rw-* / comb-a-rw-*
-	// columns): "fixed" or "adaptive". Plain RW cells omit it, so
-	// pre-combining envelopes keep matching. Those cells reuse
-	// OpsPerAcq for shared ops per shared acquisition of the base
-	// lock.
-	ReadCombiner string `json:"read_combiner,omitempty"`
 }
 
 func main() {
@@ -173,7 +164,7 @@ func main() {
 			// The batched table races each headline lock against its
 			// combining twin, so amortization-from-batching and
 			// amortization-from-combining land side by side.
-			opt.locks = []string{"mcs", "comb-mcs", "c-bo-mcs", "comb-c-bo-mcs", "cna", "comb-cna"}
+			opt.locks = []string{"mcs", "comb-a-mcs", "c-bo-mcs", "comb-a-c-bo-mcs", "cna", "comb-a-cna"}
 		} else {
 			// The paper's Table 1 columns plus the headline extension locks,
 			// so the standard tables track the growing family. (mallocbench
@@ -246,7 +237,7 @@ type cell struct {
 	// without it a reader-writer lock is driven through its exclusive
 	// path only, so two columns differ in the read protocol alone.
 	sharedReads bool
-	// count puts counters on the lock itself or, for a comb-* entry,
+	// count puts counters on the lock itself or, for a comb-a-* entry,
 	// between the combiner and its operand (registry.Unwrap and Wrap),
 	// where a combined batch counts as the single acquisition it is.
 	count counting
@@ -467,7 +458,7 @@ func resolve(names []string) []registry.Entry {
 }
 
 // runMix emits Table 1 for one mix: every Get through the lock's
-// exclusive path, as the paper ran it; comb-* names run the single-op
+// exclusive path, as the paper ran it; comb-a-* names run the single-op
 // path through delegated execution.
 func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 	var cols []column
@@ -521,7 +512,7 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 // column pair per lock — shared-mode Gets vs the same construction
 // driven exclusively (`<name>/x`) — at the -reads fraction, normalized
 // like Table 1 to pthread at one thread on one shard. Read-combining
-// entries (comb-rw-*, comb-a-rw-*) contribute a single shared column
+// entries (comb-a-rw-*) contribute a single shared column
 // (their writes already run combined; an exclusive-read variant would
 // measure a different executor, not a different read protocol) and
 // feed a second table: shared ops per shared acquisition of the lock
@@ -536,17 +527,11 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 		c, r := reads, rec
 		c.entry, c.sharedReads, c.count = e, path == "shared", count
 		r.Lock, r.ReadPath = e.Name, path
-		if count == countShared {
-			r.ReadCombiner = "fixed"
-			if wrapper, _, _ := e.Unwrap(); wrapper == registry.WrapCombA {
-				r.ReadCombiner = "adaptive"
-			}
-		}
 		cols = append(cols, column{header: header, cell: c, rec: r})
 	}
 	for _, e := range resolve(opt.locks) {
 		switch {
-		case e.NewRWExec != nil:
+		case e.CombinesReads():
 			add(e, e.Name, "shared", countShared)
 			haveComb = true
 		case e.NewExec != nil:

@@ -38,11 +38,12 @@ func kvbench(t *testing.T, args ...string) string {
 // column headers, and the JSON fields of every record, in order — for
 // the CI smoke invocations. The standard, batch and reads expectations
 // were captured from the tool as it stood before its six store builders
-// and measure functions became one cell runner.
+// and measure functions became one cell runner; its fixed-policy comb-
+// columns and their policy field have since been retired.
 func TestExhibitShapes(t *testing.T) {
 	const (
 		common = "mix_get_pct,lock,threads,shards,placement,affinity,ops_per_sec,speedup_vs_pthread1"
-		rwCols = "threads rw-mcs rw-mcs/x comb-rw-mcs"
+		rwCols = "threads rw-mcs rw-mcs/x comb-a-rw-mcs"
 	)
 	var batchedHeaders, batchedRecords []string
 	for _, suffix := range []string{"", " [2 shards, affine placement]"} {
@@ -52,7 +53,7 @@ func TestExhibitShapes(t *testing.T) {
 		batchedRecords = append(batchedRecords,
 			"rw-mcs: "+common+",read_fraction,read_path,batch",
 			"rw-mcs: "+common+",read_fraction,read_path,batch",
-			"comb-rw-mcs: "+common+",read_fraction,read_path,batch,ops_per_acq,read_combiner")
+			"comb-a-rw-mcs: "+common+",read_fraction,read_path,batch,ops_per_acq")
 	}
 	cases := []struct {
 		name    string
@@ -66,32 +67,31 @@ func TestExhibitShapes(t *testing.T) {
 			[]string{"cna: " + common, "gcr-mcs: " + common},
 		},
 		{
-			"batch", []string{"-batch=16", "-mix", "50", "-threads", "2", "-locks", "c-bo-mcs,comb-c-bo-mcs,comb-mcs"},
+			"batch", []string{"-batch=16", "-mix", "50", "-threads", "2", "-locks", "c-bo-mcs,comb-a-c-bo-mcs,comb-a-mcs"},
 			[]string{
-				"# Batched pipeline (batch=16, 50% gets): speedup over pthread@1", "threads c-bo-mcs comb-c-bo-mcs comb-mcs",
-				"# Batched pipeline (batch=16, 50% gets): ops per lock acquisition", "threads c-bo-mcs comb-c-bo-mcs comb-mcs",
+				"# Batched pipeline (batch=16, 50% gets): speedup over pthread@1", "threads c-bo-mcs comb-a-c-bo-mcs comb-a-mcs",
+				"# Batched pipeline (batch=16, 50% gets): ops per lock acquisition", "threads c-bo-mcs comb-a-c-bo-mcs comb-a-mcs",
 			},
 			[]string{
 				"c-bo-mcs: " + common + ",batch,ops_per_acq",
-				"comb-c-bo-mcs: " + common + ",batch,ops_per_acq",
-				"comb-mcs: " + common + ",batch,ops_per_acq",
+				"comb-a-c-bo-mcs: " + common + ",batch,ops_per_acq",
+				"comb-a-mcs: " + common + ",batch,ops_per_acq",
 			},
 		},
 		{
-			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs,comb-rw-mcs,comb-a-rw-mcs"},
+			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs,comb-a-rw-mcs"},
 			[]string{
-				"# RW read path (99% gets): speedup over pthread@1", "threads rw-mcs rw-mcs/x comb-rw-mcs comb-a-rw-mcs",
-				"# RW read path (99% gets): shared ops per shared acquisition", "threads rw-mcs rw-mcs/x comb-rw-mcs comb-a-rw-mcs",
+				"# RW read path (99% gets): speedup over pthread@1", "threads rw-mcs rw-mcs/x comb-a-rw-mcs",
+				"# RW read path (99% gets): shared ops per shared acquisition", "threads rw-mcs rw-mcs/x comb-a-rw-mcs",
 			},
 			[]string{
 				"rw-mcs: " + common + ",read_fraction,read_path",
 				"rw-mcs: " + common + ",read_fraction,read_path",
-				"comb-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq,read_combiner",
-				"comb-a-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq,read_combiner",
+				"comb-a-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq",
 			},
 		},
 		{
-			"reads-batch", []string{"-reads", "0.9", "-batch", "16", "-threads", "2", "-shards", "1,2", "-locks", "rw-mcs,comb-rw-mcs"},
+			"reads-batch", []string{"-reads", "0.9", "-batch", "16", "-threads", "2", "-shards", "1,2", "-locks", "rw-mcs,comb-a-rw-mcs"},
 			batchedHeaders, batchedRecords,
 		},
 	}
@@ -113,13 +113,13 @@ func TestExhibitShapes(t *testing.T) {
 // registry refuses stops the tool before any measurement, with the
 // registry's own message.
 func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-locks", "comb-a-clh")
+	cmd := exec.Command(os.Args[0], "-locks", "comb-a-a-clh")
 	cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("kvbench -locks comb-a-clh succeeded:\n%s", out)
+		t.Fatalf("kvbench -locks comb-a-a-clh succeeded:\n%s", out)
 	}
-	if want := "a-clh is abortable-only, comb- needs a blocking lock"; !strings.Contains(string(out), want) {
+	if want := "a-clh is abortable-only, comb-a- needs a blocking lock"; !strings.Contains(string(out), want) {
 		t.Errorf("output %q does not carry %q", out, want)
 	}
 }

@@ -5,9 +5,9 @@
 //
 // The engine underneath is the full stack the previous exhibits
 // measured: a sharded store guarded by any registry lock (-lock takes
-// the same names as kvbench, combining comb-* executors included),
+// the same names as kvbench, combining comb-a-* executors included),
 // cluster-affine shard placement, and the batched MGet/MSet/MDelete
-// APIs. Under a combining lock (comb-*) a background sampler tracks
+// APIs. Under a combining lock (comb-a-*) a background sampler tracks
 // peak per-shard combiner occupancy, reported in the final stats
 // line. One accept loop runs per simulated
 // NUMA cluster; every admitted connection owns one of that cluster's
@@ -65,7 +65,7 @@ func main() {
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")
 		writeTOFlag  = flag.Duration("write-timeout", 0, "per-flush write deadline (default 30s)")
 		drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound before force-closing connections")
-		adaptiveFlag = flag.Bool("adaptive-admission", false, "track the per-cluster admission cap against sampled combining occupancy, shedding ops under acute overload (needs a comb-* -lock)")
+		adaptiveFlag = flag.Bool("adaptive-admission", false, "track the per-cluster admission cap against sampled combining occupancy, shedding ops under acute overload (needs a comb-a-* -lock)")
 		busyFlag     = flag.Int("busy-threshold", 0, "sampled per-shard occupancy counted as overload (default: half the proc count, minimum 2)")
 	)
 	flag.Parse()
@@ -112,7 +112,7 @@ func main() {
 		cli.Die(tool, err)
 	}
 	if *adaptiveFlag && !srv.OccupancyTracked() {
-		fmt.Fprintf(os.Stderr, "kvserver: warning: -adaptive-admission is inert under -lock %s — no occupancy estimator; use a combining lock (comb-*)\n", *lockFlag)
+		fmt.Fprintf(os.Stderr, "kvserver: warning: -adaptive-admission is inert under -lock %s — no occupancy estimator; use a combining lock (comb-a-*)\n", *lockFlag)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -133,8 +133,8 @@ func main() {
 	serveErr := srv.ListenAndServe(*addrFlag)
 
 	st := srv.Snapshot()
-	// Occupancy only exists for adaptive-combining locks; "-" keeps the
-	// line shape stable for everything else.
+	// Occupancy only exists for combining locks; "-" keeps the line
+	// shape stable for everything else.
 	occ := "-"
 	if st.MaxOccupancy >= 0 {
 		occ = fmt.Sprint(st.MaxOccupancy)

@@ -12,16 +12,14 @@
 // reader-writer cohorting (NewRWCBOMCS, NewRWPerCluster) — the
 // authors' PPoPP'13 follow-up — which adds per-cluster reader counters
 // over any writer lock so read-mostly workloads scale across clusters;
-// and combining execution (NewCombining), flat-combining-style
+// and combining execution (NewCombiningAdaptive), flat-combining-style
 // delegated critical sections that run same-cluster batches under a
-// single acquisition of any underlying lock — including a
-// load-adaptive variant (NewCombiningAdaptive) whose patience and
-// harvest depth track a per-cluster occupancy estimate, and a
-// shared-mode executor face (ExecFromRWLock) that batches read-only
-// sections under one shared acquisition — with NewRWCombining (and
-// NewRWCombiningAdaptive) going further: an elected per-cluster
-// reader-combiner harvests same-cluster read closures and runs the
-// whole batch under a single shared acquisition.
+// single acquisition of any underlying lock, with election patience
+// and harvest depth following a per-cluster occupancy estimate — the
+// load signal concurrency restriction uses. NewRWCombiningAdaptive
+// adds the shared mode: an elected per-cluster reader-combiner
+// harvests same-cluster read closures and runs the whole batch under a
+// single shared acquisition.
 //
 // # Model
 //
@@ -268,7 +266,7 @@ func NewCNAStreak(topo *Topology, limit int64) *CNALock {
 // Executor is delegated mutual exclusion: Exec runs the closure
 // inside the executor's exclusion domain — at most one closure at a
 // time, each exactly once — and returns when it has run. See
-// NewCombining for why a lock would execute your critical section
+// NewCombiningAdaptive for why a lock would execute your critical section
 // instead of letting you hold it.
 type Executor = locks.Executor
 
@@ -281,22 +279,17 @@ type Executor = locks.Executor
 // posted requests in flight.
 type CombiningLock = locks.Combining
 
-// NewCombining builds a combining executor over a fresh underlying
-// lock (the executor owns it; do not Lock/Unlock it directly), with a
-// fixed election patience window and harvest pass count.
-func NewCombining(topo *Topology, underlying Lock) *CombiningLock {
-	return locks.NewCombining(topo, underlying)
-}
-
 // ExecFromLock adapts any Lock to the Executor interface — one
 // acquisition per closure, no combining — so executor-shaped code
 // degrades gracefully to the whole lock family.
 func ExecFromLock(m Lock) Executor { return locks.ExecFromMutex(m) }
 
-// NewCombiningAdaptive is NewCombining with the patience window and
-// pass count driven by the per-cluster occupancy estimate instead of
-// fixed constants: idle collapses to an eager one-pass bypass,
-// contention grows both for longer locality-preserving batches.
+// NewCombiningAdaptive builds a combining executor over a fresh
+// underlying lock (the executor owns it; do not Lock/Unlock it
+// directly). Election patience and harvest pass count follow the
+// per-cluster occupancy estimate instead of fixed constants: idle
+// collapses to an eager one-pass bypass, contention grows both for
+// longer locality-preserving batches.
 func NewCombiningAdaptive(topo *Topology, underlying Lock) *CombiningLock {
 	return locks.NewCombiningAdaptive(topo, underlying)
 }
@@ -325,14 +318,10 @@ func ExecFromRWLock(l RWLock) RWExecutor { return locks.ExecFromRWMutex(l) }
 // the exclusive side's Ops/Batches.
 type RWCombiningLock = locks.RWCombining
 
-// NewRWCombining builds a read-side combining executor over a fresh
-// reader-writer lock (the executor owns it; do not lock it directly).
-func NewRWCombining(topo *Topology, underlying RWLock) *RWCombiningLock {
-	return locks.NewRWCombining(topo, underlying)
-}
-
-// NewRWCombiningAdaptive is NewRWCombining with the occupancy-adaptive
-// policy of NewCombiningAdaptive on both modes.
+// NewRWCombiningAdaptive builds a read-side combining executor over a
+// fresh reader-writer lock (the executor owns it; do not lock it
+// directly), occupancy-adaptive like NewCombiningAdaptive on both
+// modes.
 func NewRWCombiningAdaptive(topo *Topology, underlying RWLock) *RWCombiningLock {
 	return locks.NewRWCombiningAdaptive(topo, underlying)
 }

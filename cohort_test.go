@@ -91,12 +91,11 @@ func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 func TestRWCombiningFacade(t *testing.T) {
 	// The read-side combining faces: closures run exactly once in both
 	// modes, the shared counters track the idle bypass (one batch per
-	// lone closure), and the adaptive variant exposes a quiescent
-	// occupancy estimate of zero.
+	// lone closure), and the quiescent occupancy estimate is zero.
 	topo := cohort.NewTopology(2, 8)
 	p := topo.Proc(0)
 
-	x := cohort.NewRWCombining(topo, cohort.NewRWPerCluster(topo, cohort.NewCBOMCS(topo)))
+	x := cohort.NewRWCombiningAdaptive(topo, cohort.NewRWPerCluster(topo, cohort.NewCBOMCS(topo)))
 	n := 0
 	for i := 0; i < 10; i++ {
 		x.ExecShared(p, func() { n++ })
@@ -108,15 +107,7 @@ func TestRWCombiningFacade(t *testing.T) {
 	if ops, batches := x.SharedOps(), x.SharedBatches(); ops != 10 || batches != 10 {
 		t.Fatalf("idle shared counters = (%d ops, %d batches), want (10, 10): every lone closure bypasses", ops, batches)
 	}
-
-	a := cohort.NewRWCombiningAdaptive(topo, cohort.NewRWPerCluster(topo, cohort.NewCBOMCS(topo)))
-	m := 0
-	a.ExecShared(p, func() { m++ })
-	a.Exec(p, func() { m++ })
-	if m != 2 {
-		t.Fatalf("adaptive rw combining executor ran %d closures, want 2", m)
-	}
-	if occ := a.OccupancyEstimate(); occ != 0 {
+	if occ := x.OccupancyEstimate(); occ != 0 {
 		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
 	}
 }

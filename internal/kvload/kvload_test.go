@@ -325,7 +325,7 @@ func TestRunBatchedThroughCombiningExecutor(t *testing.T) {
 	store := kvstore.New(kvstore.Config{
 		Topo: topo,
 		Locking: kvstore.FromExec(func() locks.Executor {
-			return locks.NewCombining(topo, locks.NewMCS(topo))
+			return locks.NewCombiningAdaptive(topo, locks.NewMCS(topo))
 		}),
 		Shards: 2, MaxBatch: 8,
 		Buckets: 1 << 10, Capacity: 1 << 14,

@@ -318,7 +318,7 @@ func TestExecStoreMatchesDirect(t *testing.T) {
 	p := topo.Proc(0)
 	exec := New(Config{
 		Topo:     topo,
-		Locking:  FromExec(func() locks.Executor { return locks.NewCombining(topo, locks.NewMCS(topo)) }),
+		Locking:  FromExec(func() locks.Executor { return locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)) }),
 		Shards:   2,
 		Buckets:  256,
 		Capacity: 1024,
@@ -358,7 +358,7 @@ func TestExecStoreConcurrent(t *testing.T) {
 	topo := numa.New(2, 8)
 	s := New(Config{
 		Topo:     topo,
-		Locking:  FromExec(func() locks.Executor { return locks.NewCombining(topo, locks.NewMCS(topo)) }),
+		Locking:  FromExec(func() locks.Executor { return locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)) }),
 		Shards:   2,
 		MaxBatch: 8,
 		Buckets:  256,

@@ -65,9 +65,9 @@
 // serialize against.
 //
 // Read-side combining closes the remaining read-path gap: when the
-// shard's executor is a read-combining one (a comb-rw-* registry
-// entry, or locks.NewRWCombining over a native RW lock), the Gets and
-// MGet chunks it receives through ExecShared are folded, per cluster,
+// shard's executor is a read-combining one (a comb-a-rw-* registry
+// entry, or locks.NewRWCombiningAdaptive over a native RW lock), the
+// Gets and MGet chunks it receives through ExecShared are folded, per cluster,
 // into ONE shared acquisition of the underlying lock, dropping the
 // read path below the ceil(N/MaxBatch)-RLocks floor whenever
 // same-cluster readers overlap — and an idle-path bypass runs a lone
@@ -397,7 +397,7 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 // per-key copy lengths and presence in lens and found. Keys are
 // grouped by shard and each shard's group runs in critical sections
 // of at most Config.MaxBatch lookups — one lock acquisition (or one
-// combined section, under a comb-* executor) answers a whole chunk,
+// combined section, under a comb-a-* executor) answers a whole chunk,
 // instead of one per key as repeated Get calls would pay. Results are
 // written at the same index as the key; every key is answered exactly
 // once. Per-key semantics match Get under the same lock: on an
@@ -503,7 +503,7 @@ func (s *Store) Placement() Placement { return s.placement }
 
 // ShardOccupancy reports shard i's executor in-flight request estimate
 // and whether the shard tracks one at all — true only for shards
-// guarded by a combining executor (comb-*), whose occupancy counters
+// guarded by a combining executor (comb-a-*), whose occupancy counters
 // (locks.EstimateOccupancy) are safe to sample concurrently with a
 // running load. Harnesses poll it mid-run to see which shards are hot.
 func (s *Store) ShardOccupancy(i int) (int, bool) {

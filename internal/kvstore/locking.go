@@ -60,13 +60,13 @@ func FromRW(f func() locks.RWMutex) LockSource {
 // of its underlying lock; one whose shared mode genuinely shares
 // (locks.SharesExecReads) also takes the shard's reads. An executor
 // with no shared mode at all runs reads exclusively.
-func FromExec(f func() locks.Executor) LockSource {
+func FromExec[X locks.Executor](f func() X) LockSource {
 	if f == nil {
 		panic("kvstore: FromExec(nil)")
 	}
 	return source(func() locks.RWExecutor {
 		x := f()
-		if rx, ok := x.(locks.RWExecutor); ok {
+		if rx, ok := any(x).(locks.RWExecutor); ok {
 			return rx
 		}
 		return exclusiveOnly{x}
@@ -81,25 +81,19 @@ func (x exclusiveOnly) ExecShared(p *numa.Proc, fn func()) { x.Exec(p, fn) }
 func (exclusiveOnly) SharedReads() bool                    { return false }
 
 // FromRegistry resolves a lock name through the registry (with its
-// "did you mean" errors) into the source a tool would build for that
-// entry: combining entries (comb-*, comb-a-*) become executor
-// sources (the comb-rw-* twins' executors carry a genuinely shared
+// "did you mean" errors) into the entry's executor factory
+// (registry Entry.ExecFactory): combining entries (comb-a-*) keep
+// their combiner (the comb-a-rw-* executors carry a genuinely shared
 // read mode, which the shard detects), genuine reader-writer entries
-// (rw-*) become RW sources, and plain exclusive entries become mutex
-// sources — the same precedence kvbench applies when wiring a store by
-// name.
+// (rw-*) read in shared mode, and plain exclusive entries read
+// exclusively — the same sources FromExec, FromRW and FromMutex build.
 func FromRegistry(topo *numa.Topology, name string) (LockSource, error) {
 	e, err := registry.Find(name)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case e.NewExec != nil:
-		return FromExec(e.ExecFactory(topo)), nil
-	case e.NewRW != nil:
-		return FromRW(e.RWFactory(topo)), nil
-	case e.NewMutex != nil:
-		return FromMutex(e.MutexFactory(topo)), nil
+	if f := e.ExecFactory(topo); f != nil {
+		return source(f), nil
 	}
 	return nil, fmt.Errorf("kvstore: lock %q has no blocking construction (abortable-only locks cannot guard a shard)", e.Name)
 }

@@ -86,7 +86,7 @@ func TestLockingEquivalence(t *testing.T) {
 		}},
 		{"NewExec", func(topo *numa.Topology, c *acqCounter) Config {
 			return Config{Topo: topo, Shards: 4, Locking: FromExec(func() locks.Executor {
-				return locks.NewCombining(topo, c.mutex(locks.NewMCS(topo)))
+				return locks.NewCombiningAdaptive(topo, c.mutex(locks.NewMCS(topo)))
 			})}
 		}},
 	}
@@ -273,7 +273,7 @@ func (x *soloExec) Exec(_ *numa.Proc, fn func()) {
 // an executor source, an unknown name reports suggestions.
 func TestFromRegistry(t *testing.T) {
 	topo := numa.New(2, 4)
-	for _, name := range []string{"pthread", "mcs", "rw-c-bo-mcs", "comb-mcs", "c-bo-mcs"} {
+	for _, name := range []string{"pthread", "mcs", "rw-c-bo-mcs", "comb-a-mcs", "c-bo-mcs"} {
 		src, err := FromRegistry(topo, name)
 		if err != nil {
 			t.Fatalf("FromRegistry(%q): %v", name, err)

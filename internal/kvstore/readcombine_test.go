@@ -18,7 +18,7 @@ import (
 // from outside the executor to pile readers up deterministically.
 func rwCombStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *atomic.Uint64) (*Store, *locks.RWPerCluster) {
 	inner := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
-	x := locks.NewRWCombining(topo, locks.CountRWAcquisitions(inner, excl, shared))
+	x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(inner, excl, shared))
 	s := New(Config{
 		Topo:       topo,
 		Locking:    FromExec(func() locks.Executor { return x }),
@@ -32,8 +32,8 @@ func rwCombStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *at
 
 func TestReadCombiningShardDetection(t *testing.T) {
 	// The shard must route reads through ExecShared exactly when the
-	// executor has a genuinely shared read mode: comb-rw-* entries do,
-	// plain comb-* entries (and RWCombining over an adapted exclusive
+	// executor has a genuinely shared read mode: comb-a-rw-* entries do,
+	// plain comb-a-* entries (and RWCombining over an adapted exclusive
 	// lock) keep the exclusive batch path.
 	topo := numa.New(2, 4)
 	build := func(name string) *Store {
@@ -43,22 +43,18 @@ func TestReadCombiningShardDetection(t *testing.T) {
 		}
 		return New(Config{Topo: topo, Locking: src, Buckets: 64, Capacity: 128})
 	}
-	s := build("comb-rw-mcs")
-	if !s.shards[0].sharedReads {
-		t.Fatal("comb-rw-mcs store did not select the read-combined shared path")
-	}
-	s = build("comb-a-rw-mcs")
+	s := build("comb-a-rw-mcs")
 	if !s.shards[0].sharedReads {
 		t.Fatal("comb-a-rw-mcs store did not select the read-combined shared path")
 	}
-	s = build("comb-mcs")
+	s = build("comb-a-mcs")
 	if s.shards[0].sharedReads {
-		t.Fatal("comb-mcs store left the exclusive executor path")
+		t.Fatal("comb-a-mcs store left the exclusive executor path")
 	}
 	over := New(Config{
 		Topo: topo,
 		Locking: FromExec(func() locks.Executor {
-			return locks.NewRWCombining(topo, locks.RWFromMutex(locks.NewMCS(topo)))
+			return locks.NewRWCombiningAdaptive(topo, locks.RWFromMutex(locks.NewMCS(topo)))
 		}),
 		Buckets: 64, Capacity: 128,
 	})
@@ -202,7 +198,7 @@ func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
 		}
 		if combined {
 			cfg.Locking = FromExec(func() locks.Executor {
-				return locks.NewRWCombining(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)))
+				return locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)))
 			})
 		} else {
 			cfg.Locking = FromRW(func() locks.RWMutex {

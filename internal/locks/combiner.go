@@ -53,58 +53,43 @@ type occSlot struct {
 	_       numa.Pad
 }
 
-// policy is how a combiner scales with its cluster's occupancy: a
-// poster lingers min(occupancy, patienceCap) base windows before it
-// tries to elect itself, and a combiner makes 1 + log2(occupancy)
-// harvest sweeps per acquisition, clamped to [minPasses, maxPasses].
-type policy struct {
-	patienceCap          int32
-	minPasses, maxPasses int
-}
-
-var (
-	// fixedPolicy pins both knobs to the FC-MCS constants: one base
-	// patience window, DefaultFCPasses sweeps, whatever the load.
-	fixedPolicy = policy{patienceCap: 1, minPasses: DefaultFCPasses, maxPasses: DefaultFCPasses}
-
-	// adaptivePolicy lets both follow the load, because the constants
-	// are mistuned at both ends of it (DESIGN.md §4): idle, the second
-	// pass and its pause stretch every solo operation for a batch that
-	// cannot form; saturated, a one-size window makes waiters compete
-	// for the gate just as a long batch was about to pay off. Passes
-	// stop at 4 however high occupancy climbs: each one adds a full
-	// combinePassPause of lock hold time to everyone's latency.
-	adaptivePolicy = policy{patienceCap: 8, minPasses: 1, maxPasses: 4}
+// The combiner scales with its cluster's occupancy, because fixed
+// constants are mistuned at both ends of the load (DESIGN.md §4):
+// idle, a second pass and its pause stretch every solo operation for a
+// batch that cannot form; saturated, a one-size window makes waiters
+// compete for the gate just as a long batch was about to pay off.
+const (
+	// patienceCap bounds the election patience, in electAfter windows.
+	patienceCap = 8
+	// maxPasses bounds the harvest sweeps per acquisition however high
+	// occupancy climbs: each one adds a full combinePassPause of lock
+	// hold time to everyone's latency.
+	maxPasses = 4
 )
 
 // patience is the election patience window at the given occupancy,
-// which counts the caller's own request and so is at least one.
-func (pol policy) patience(occ int32) int {
-	if occ > pol.patienceCap {
-		occ = pol.patienceCap
-	}
-	return int(occ) * electAfter
+// which counts the caller's own request and so is at least one: a
+// poster lingers min(occupancy, patienceCap) windows before it tries
+// to elect itself.
+func patience(occ int32) int {
+	return int(min(occ, patienceCap)) * electAfter
 }
 
-// passes is the harvest pass count at the given occupancy.
-func (pol policy) passes(occ int32) int {
+// passes is the harvest pass count at the given occupancy:
+// 1 + log2(occupancy), at most maxPasses.
+func passes(occ int32) int {
 	n := 1
-	for o := occ; o > 1; o >>= 1 {
+	for o := occ; o > 1 && n < maxPasses; o >>= 1 {
 		n++
-	}
-	if n < pol.minPasses {
-		n = pol.minPasses
-	}
-	if n > pol.maxPasses {
-		n = pol.maxPasses
 	}
 	return n
 }
 
-// combiner is the publication-slot combining core every comb-*
+// combiner is the publication-slot combining core every comb-a-*
 // executor is built from: procs publish closures in per-proc slots,
 // one proc per cluster elects itself combiner through the cluster's
-// gate (the FC-MCS election machinery, same patience window), and the
+// gate (the FC-MCS election machinery, its patience window scaled by
+// occupancy), and the
 // combiner runs its cluster's whole batch of posted closures inside
 // ONE bracket — one Lock/Unlock of m. Same-cluster critical sections
 // therefore execute back to back on one thread, so the data they touch
@@ -130,15 +115,14 @@ type combiner struct {
 	// CAS over the bare bracket and peers arriving while it waits for
 	// the lock still find a combiner to ride.
 	shares  bool
-	pol     policy
 	occ     []occSlot
 	gates   []combinerGate
 	slots   []combSlot
 	members [][]int // each cluster's proc ids, the combiner's scan order
 }
 
-func (c *combiner) init(topo *numa.Topology, m Mutex, shares bool, pol policy) {
-	c.m, c.shares, c.pol = m, shares, pol
+func (c *combiner) init(topo *numa.Topology, m Mutex, shares bool) {
+	c.m, c.shares = m, shares
 	c.occ = make([]occSlot, topo.Clusters())
 	c.gates = make([]combinerGate, topo.Clusters())
 	c.slots = make([]combSlot, topo.MaxProcs())
@@ -184,7 +168,7 @@ func (c *combiner) Exec(p *numa.Proc, fn func()) {
 		// Bypass the patience window when no combiner is running
 		// anywhere: there is no batch to ride, so elect immediately.
 		// Otherwise linger to be harvested instead of competing.
-		if gate.held.Load() == 0 && (i >= c.pol.patience(oc.n.Load()) || c.quiet()) && gate.held.CompareAndSwap(0, 1) {
+		if gate.held.Load() == 0 && (i >= patience(oc.n.Load()) || c.quiet()) && gate.held.CompareAndSwap(0, 1) {
 			if slot.state.Load() == combPosted {
 				c.combine(p, nil)
 			}
@@ -226,8 +210,7 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 	// mid-batch only mis-sizes this batch's tail, never correctness. A
 	// solo caller still alone after its closure has nobody to harvest.
 	if occ := oc.n.Load(); own == nil || occ > 1 {
-		passes := c.pol.passes(occ)
-		for pass := 0; pass < passes; pass++ {
+		for pass := range passes(occ) {
 			if pass > 0 {
 				// Let in-flight requests publish, so batches form even
 				// at moderate per-cluster occupancy (same rationale as

@@ -2,7 +2,6 @@ package locks
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,68 +9,27 @@ import (
 	"repro/internal/numa"
 )
 
-// TestCombiningSinglePass runs the core under a policy no constructor
-// picks — one patience window and ONE harvest sweep however many
-// posters pile up (the adaptive policy sweeps once only when idle) —
-// because the policy is a value: whatever it says, every closure runs
-// exactly once and alone.
-func TestCombiningSinglePass(t *testing.T) {
-	topo := numa.New(2, 8)
-	var c combiner
-	var acquisitions atomic.Uint64
-	c.init(topo, CountAcquisitions(NewMCS(topo), &acquisitions), false, policy{patienceCap: 1, minPasses: 1, maxPasses: 1})
-	const procs, iters = 8, 300
-	n := 0 // guarded by c
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(p *numa.Proc) {
-			defer wg.Done()
-			for k := 0; k < iters; k++ {
-				c.Exec(p, func() { n++ })
-			}
-		}(topo.Proc(i))
-	}
-	wg.Wait()
-	if n != procs*iters || c.Ops() != procs*iters {
-		t.Fatalf("ran %d closures, Ops() = %d, want %d", n, c.Ops(), procs*iters)
-	}
-	// Both counters are sums of per-cluster shares and must stay exact.
-	if b := c.Batches(); b != acquisitions.Load() || b > c.Ops() {
-		t.Fatalf("%d batches for %d ops over %d acquisitions of the inner lock", b, c.Ops(), acquisitions.Load())
-	}
-}
-
-// exclusivePolicies are the two constructors of an exclusive-bracket
-// core, for tests that read its slots and gates.
-var exclusivePolicies = map[string]func(*numa.Topology, Mutex) *Combining{
-	"comb":   NewCombining,
-	"comb-a": NewCombiningAdaptive,
-}
-
 // TestSoloPathUnpublished pins what the solo path is: a lone caller
 // under an exclusive bracket runs its closure with the cluster gate
 // held and its slot never posted, and leaves the gate free
 // (checkSingleProc has the counters and the occupancy).
 func TestSoloPathUnpublished(t *testing.T) {
-	for name, build := range exclusivePolicies {
-		t.Run(name, func(t *testing.T) {
-			topo := numa.New(2, 4)
-			c := &build(topo, NewMCS(topo)).combiner
-			p := topo.Proc(0)
-			slot, gate := &c.slots[p.ID()], &c.gates[p.Cluster()]
-			for i := 0; i < 100; i++ {
-				var state, held int32
-				c.Exec(p, func() { state, held = slot.state.Load(), gate.held.Load() })
-				if state != combIdle || held != 1 {
-					t.Fatalf("inside solo closure %d: slot state %d, gate %d; want idle (%d) and held", i, state, held, combIdle)
-				}
-				if st, h := slot.state.Load(), gate.held.Load(); st != combIdle || h != 0 {
-					t.Fatalf("after solo Exec %d: slot state %d, gate %d; want idle and free", i, st, h)
-				}
+	t.Run("comb-a", func(t *testing.T) {
+		topo := numa.New(2, 4)
+		c := &NewCombiningAdaptive(topo, NewMCS(topo)).combiner
+		p := topo.Proc(0)
+		slot, gate := &c.slots[p.ID()], &c.gates[p.Cluster()]
+		for i := 0; i < 100; i++ {
+			var state, held int32
+			c.Exec(p, func() { state, held = slot.state.Load(), gate.held.Load() })
+			if state != combIdle || held != 1 {
+				t.Fatalf("inside solo closure %d: slot state %d, gate %d; want idle (%d) and held", i, state, held, combIdle)
 			}
-		})
-	}
+			if st, h := slot.state.Load(), gate.held.Load(); st != combIdle || h != 0 {
+				t.Fatalf("after solo Exec %d: slot state %d, gate %d; want idle and free", i, st, h)
+			}
+		}
+	})
 }
 
 // TestSoloCombinerServesLateArrival is what the solo path must keep of
@@ -80,50 +38,48 @@ func TestSoloPathUnpublished(t *testing.T) {
 // parks until B's slot reads posted, so the overlap is a rendezvous,
 // not a race window.
 func TestSoloCombinerServesLateArrival(t *testing.T) {
-	for name, build := range exclusivePolicies {
-		t.Run(name, func(t *testing.T) {
-			topo := numa.New(2, 4)
-			var acquisitions atomic.Uint64
-			c := &build(topo, CountAcquisitions(NewMCS(topo), &acquisitions)).combiner
-			a, b := topo.Proc(0), topo.Proc(2)
-			if a.Cluster() != b.Cluster() {
-				t.Fatal("test needs two procs on one cluster")
-			}
-			inside, done := make(chan struct{}), make(chan struct{})
-			ranB := 0
-			go func() {
-				defer close(done)
-				<-inside
-				c.Exec(b, func() { ranB++ })
-			}()
-			solo, arrived := false, false
-			c.Exec(a, func() {
-				solo = c.slots[a.ID()].state.Load() == combIdle
-				close(inside)
-				for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-					if arrived = c.slots[b.ID()].state.Load() == combPosted; arrived {
-						return
-					}
+	t.Run("comb-a", func(t *testing.T) {
+		topo := numa.New(2, 4)
+		var acquisitions atomic.Uint64
+		c := &NewCombiningAdaptive(topo, CountAcquisitions(NewMCS(topo), &acquisitions)).combiner
+		a, b := topo.Proc(0), topo.Proc(2)
+		if a.Cluster() != b.Cluster() {
+			t.Fatal("test needs two procs on one cluster")
+		}
+		inside, done := make(chan struct{}), make(chan struct{})
+		ranB := 0
+		go func() {
+			defer close(done)
+			<-inside
+			c.Exec(b, func() { ranB++ })
+		}()
+		solo, arrived := false, false
+		c.Exec(a, func() {
+			solo = c.slots[a.ID()].state.Load() == combIdle
+			close(inside)
+			for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+				if arrived = c.slots[b.ID()].state.Load() == combPosted; arrived {
+					return
 				}
-			})
-			<-done
-			if !solo {
-				t.Fatal("lone caller's closure ran from a posted slot, not on the solo path")
-			}
-			if !arrived {
-				t.Fatal("peer never posted while the solo combiner held the bracket")
-			}
-			if ranB != 1 {
-				t.Fatalf("late arrival's closure ran %d times, want 1", ranB)
-			}
-			if ops, batches, acq := c.Ops(), c.Batches(), acquisitions.Load(); ops != 2 || batches != 1 || acq != 1 {
-				t.Fatalf("%d ops over %d batches and %d acquisitions, want 2 over 1 and 1 (the peer rides the solo bracket)", ops, batches, acq)
-			}
-			if occ := c.OccupancyEstimate(); occ != 0 {
-				t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
 			}
 		})
-	}
+		<-done
+		if !solo {
+			t.Fatal("lone caller's closure ran from a posted slot, not on the solo path")
+		}
+		if !arrived {
+			t.Fatal("peer never posted while the solo combiner held the bracket")
+		}
+		if ranB != 1 {
+			t.Fatalf("late arrival's closure ran %d times, want 1", ranB)
+		}
+		if ops, batches, acq := c.Ops(), c.Batches(), acquisitions.Load(); ops != 2 || batches != 1 || acq != 1 {
+			t.Fatalf("%d ops over %d batches and %d acquisitions, want 2 over 1 and 1 (the peer rides the solo bracket)", ops, batches, acq)
+		}
+		if occ := c.OccupancyEstimate(); occ != 0 {
+			t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
+		}
+	})
 }
 
 // TestRescueSweepServesOrphanedCluster posts a closure on a cluster
@@ -134,7 +90,7 @@ func TestSoloCombinerServesLateArrival(t *testing.T) {
 // slot is posted and lowered after it is consumed.
 func TestRescueSweepServesOrphanedCluster(t *testing.T) {
 	topo := numa.New(2, 4)
-	x := NewRWCombining(topo, NewRWPerCluster(topo, NewMCS(topo)))
+	x := NewRWCombiningAdaptive(topo, NewRWPerCluster(topo, NewMCS(topo)))
 	for name, c := range map[string]*combiner{"exclusive": &x.combiner, "shared": &x.reads} {
 		t.Run(name, func(t *testing.T) {
 			server, orphan := topo.Proc(0), topo.Proc(1)
@@ -174,7 +130,7 @@ func TestRescueSweepServesOrphanedCluster(t *testing.T) {
 // anyway would show as a run closure and a consumed slot.
 func TestRescueSweepSkipsIdleCluster(t *testing.T) {
 	topo := numa.New(2, 4)
-	x := NewRWCombining(topo, NewRWPerCluster(topo, NewMCS(topo)))
+	x := NewRWCombiningAdaptive(topo, NewRWPerCluster(topo, NewMCS(topo)))
 	for name, c := range map[string]*combiner{"exclusive": &x.combiner, "shared": &x.reads} {
 		t.Run(name, func(t *testing.T) {
 			server, idle := topo.Proc(0), topo.Proc(1)

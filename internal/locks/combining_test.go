@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
@@ -21,8 +22,8 @@ type introspected interface {
 	OccupancyEstimate() int
 }
 
-// combinerCase is one of the four constructors, seen through its
-// exclusive face: the reader-writer constructors are handed the inner
+// combinerCase is one of the two constructors, seen through its
+// exclusive face: the reader-writer constructor is handed the inner
 // lock behind RWFromMutex, so Exec runs over exactly the lock the
 // test holds or counts.
 type combinerCase struct {
@@ -30,43 +31,23 @@ type combinerCase struct {
 	new  func(topo *numa.Topology, inner locks.Mutex) introspected
 }
 
-var (
-	fixedCombiners = []combinerCase{
-		{"comb", func(t *numa.Topology, m locks.Mutex) introspected { return locks.NewCombining(t, m) }},
-		{"comb-rw", func(t *numa.Topology, m locks.Mutex) introspected {
-			return locks.NewRWCombining(t, locks.RWFromMutex(m))
-		}},
-	}
-	adaptiveCombiners = []combinerCase{
-		{"comb-a", func(t *numa.Topology, m locks.Mutex) introspected { return locks.NewCombiningAdaptive(t, m) }},
-		{"comb-a-rw", func(t *numa.Topology, m locks.Mutex) introspected {
-			return locks.NewRWCombiningAdaptive(t, locks.RWFromMutex(m))
-		}},
-	}
-	allCombiners = append(append([]combinerCase{}, fixedCombiners...), adaptiveCombiners...)
-)
-
-// rwCombinerCase is one of the two reader-writer constructors.
-type rwCombinerCase struct {
-	name string
-	new  func(topo *numa.Topology, l locks.RWMutex) *locks.RWCombining
+var combiners = []combinerCase{
+	{"comb-a", func(t *numa.Topology, m locks.Mutex) introspected { return locks.NewCombiningAdaptive(t, m) }},
+	{"comb-a-rw", func(t *numa.Topology, m locks.Mutex) introspected {
+		return locks.NewRWCombiningAdaptive(t, locks.RWFromMutex(m))
+	}},
 }
 
-var rwCombiners = []rwCombinerCase{
-	{"comb-rw", locks.NewRWCombining},
-	{"comb-a-rw", locks.NewRWCombiningAdaptive},
-}
-
-func eachCombiner(t *testing.T, cases []combinerCase, body func(t *testing.T, c combinerCase)) {
-	for _, c := range cases {
+func eachCombiner(t *testing.T, body func(t *testing.T, c combinerCase)) {
+	for _, c := range combiners {
 		t.Run(c.name, func(t *testing.T) { body(t, c) })
 	}
 }
 
-func eachRWCombiner(t *testing.T, cases []rwCombinerCase, body func(t *testing.T, c rwCombinerCase)) {
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) { body(t, c) })
-	}
+// rwCombiner runs body as a subtest named after the reader-writer
+// constructor's registry prefix.
+func rwCombiner(t *testing.T, body func(t *testing.T)) {
+	t.Run("comb-a-rw", body)
 }
 
 func rwPerCluster(topo *numa.Topology) locks.RWMutex {
@@ -88,23 +69,32 @@ func newMCS(topo *numa.Topology) locks.Mutex { return locks.NewMCS(topo) }
 // batching layers must compose without losing wakeups.
 func newFCMCS(topo *numa.Topology) locks.Mutex { return locks.NewFCMCS(topo) }
 
-func TestCombiningOverMCS(t *testing.T) {
-	eachCombiner(t, fixedCombiners, checkExecOver(newMCS, 16, 300))
-}
 func TestAdaptiveOverMCS(t *testing.T) {
-	eachCombiner(t, adaptiveCombiners, checkExecOver(newMCS, 16, 300))
+	eachCombiner(t, checkExecOver(newMCS, 16, 300))
+}
+
+// TestCombiningOverMCS runs the same posters on two clusters instead
+// of four, so every batch a combiner harvests is twice as deep.
+func TestCombiningOverMCS(t *testing.T) {
+	eachCombiner(t, func(t *testing.T, c combinerCase) {
+		topo := numa.New(2, 16)
+		locktest.CheckExec(t, topo, c.new(topo, locks.NewMCS(topo)), 16, 300)
+	})
 }
 
 func TestCombiningOverFCMCS(t *testing.T) {
-	eachCombiner(t, fixedCombiners, checkExecOver(newFCMCS, 12, 200))
+	eachCombiner(t, checkExecOver(newFCMCS, 12, 200))
 }
 
+// TestAdaptiveOverCohort runs the executor over the paper's C-BO-MCS
+// cohort lock: the combiner's batch is one cohort acquisition, and
+// local hand-offs inside the cohort must not lose a poster.
 func TestAdaptiveOverCohort(t *testing.T) {
-	eachCombiner(t, adaptiveCombiners, checkExecOver(newFCMCS, 12, 200))
+	eachCombiner(t, checkExecOver(func(topo *numa.Topology) locks.Mutex { return core.NewCBOMCS(topo) }, 12, 200))
 }
 
 func TestCombiningOverPthread(t *testing.T) {
-	eachCombiner(t, allCombiners, checkExecOver(func(*numa.Topology) locks.Mutex { return locks.NewPthread() }, 16, 300))
+	eachCombiner(t, checkExecOver(func(*numa.Topology) locks.Mutex { return locks.NewPthread() }, 16, 300))
 }
 
 func TestExecFromMutex(t *testing.T) {
@@ -122,7 +112,7 @@ func TestCombinesIntrospection(t *testing.T) {
 	if x, ok := locks.ExecFromMutex(locks.NewMCS(topo)).(locks.RWExecutor); !ok || locks.SharesExecReads(x) {
 		t.Error("ExecFromMutex adapter is not an exclusive RWExecutor")
 	}
-	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
+	eachCombiner(t, func(t *testing.T, c combinerCase) {
 		if x, ok := c.new(topo, locks.NewMCS(topo)).(locks.RWExecutor); !ok || locks.SharesExecReads(x) {
 			t.Error("combining executor over an exclusive lock is not an exclusive RWExecutor")
 		}
@@ -133,39 +123,48 @@ func TestCombinesIntrospection(t *testing.T) {
 // must act at once and pay exactly one acquisition per closure — no
 // patience spin, no second bracket — observable as Batches() == Ops()
 // == acquisitions of the inner lock, with the caller's own request the
-// only one the occupancy estimate ever sees.
-func checkSingleProc(t *testing.T, c combinerCase) {
-	topo := numa.New(2, 4)
-	var acquisitions atomic.Uint64
-	x := c.new(topo, locks.CountAcquisitions(locks.NewMCS(topo), &acquisitions))
-	p := topo.Proc(0)
-	const iters = 100
-	n := 0
-	for i := 0; i < iters; i++ {
-		inside := 0
-		x.Exec(p, func() { n++; inside = x.Occupancy(p.Cluster()) })
-		if after := x.OccupancyEstimate(); inside != 1 || after != 0 {
-			t.Fatalf("op %d: occupancy %d inside the closure and %d after, want 1 and 0", i, inside, after)
+// only one the occupancy estimate ever sees. pick names the caller of
+// each op; the calls never overlap.
+func checkSingleProc(pick func(topo *numa.Topology, op int) *numa.Proc) func(*testing.T, combinerCase) {
+	return func(t *testing.T, c combinerCase) {
+		topo := numa.New(2, 4)
+		var acquisitions atomic.Uint64
+		x := c.new(topo, locks.CountAcquisitions(locks.NewMCS(topo), &acquisitions))
+		const iters = 100
+		n := 0
+		for i := 0; i < iters; i++ {
+			p := pick(topo, i)
+			inside := 0
+			x.Exec(p, func() { n++; inside = x.Occupancy(p.Cluster()) })
+			if after := x.OccupancyEstimate(); inside != 1 || after != 0 {
+				t.Fatalf("op %d: occupancy %d inside the closure and %d after, want 1 and 0", i, inside, after)
+			}
 		}
-	}
-	if n != iters {
-		t.Fatalf("ran %d closures, want %d", n, iters)
-	}
-	if ops, batches, acq := x.Ops(), x.Batches(), acquisitions.Load(); ops != iters || batches != iters || acq != iters {
-		t.Fatalf("idle executor: %d ops over %d batches and %d acquisitions, want %d of each (batch of one)", ops, batches, acq, iters)
+		if n != iters {
+			t.Fatalf("ran %d closures, want %d", n, iters)
+		}
+		if ops, batches, acq := x.Ops(), x.Batches(), acquisitions.Load(); ops != iters || batches != iters || acq != iters {
+			t.Fatalf("idle executor: %d ops over %d batches and %d acquisitions, want %d of each (batch of one)", ops, batches, acq, iters)
+		}
 	}
 }
 
-func TestCombiningSingleProc(t *testing.T) { eachCombiner(t, fixedCombiners, checkSingleProc) }
 func TestAdaptiveSingleProcEagerPath(t *testing.T) {
-	eachCombiner(t, adaptiveCombiners, checkSingleProc)
+	eachCombiner(t, checkSingleProc(func(topo *numa.Topology, _ int) *numa.Proc { return topo.Proc(0) }))
+}
+
+// TestCombiningSingleProc hands each op to the next proc in turn, on
+// alternating clusters: idleness, not the caller's identity, is what
+// keeps every op a batch of one.
+func TestCombiningSingleProc(t *testing.T) {
+	eachCombiner(t, checkSingleProc(func(topo *numa.Topology, op int) *numa.Proc { return topo.Proc(op % topo.MaxProcs()) }))
 }
 
 func TestCombiningAmortizesAcquisitions(t *testing.T) {
 	// The construction's whole point: under contention, closures must
 	// outnumber underlying-lock acquisitions. Count acquisitions with a
 	// wrapper and drive enough concurrent posters that batches form.
-	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
+	eachCombiner(t, func(t *testing.T, c combinerCase) {
 		topo := numa.New(2, 16)
 		var acquisitions atomic.Uint64
 		x := c.new(topo, locks.CountAcquisitions(locks.NewMCS(topo), &acquisitions))
@@ -208,12 +207,13 @@ func TestCombiningAmortizesAcquisitions(t *testing.T) {
 }
 
 // pileUp holds the lock an executor runs over (hold/release, from
-// outside the executor), starts workers same-cluster posters through
-// post, lets them all publish — the first to elect itself blocks
-// inside its one acquisition, the rest spin on their slots — and
-// releases. It reports how often each worker's closure ran.
-func pileUp(topo *numa.Topology, workers int, hold, release func(*numa.Proc), post func(p *numa.Proc, fn func())) []int {
-	holder := topo.Proc(topo.MaxProcs() - 1)
+// outside the executor, on a proc of the next cluster), starts workers
+// posters on cluster through post, lets them all publish — the first
+// to elect itself blocks inside its one acquisition, the rest spin on
+// their slots — and releases. It reports how often each worker's
+// closure ran.
+func pileUp(topo *numa.Topology, cluster, workers int, hold, release func(*numa.Proc), post func(p *numa.Proc, fn func())) []int {
+	holder := topo.Proc((cluster + 1) % topo.Clusters())
 	hold(holder)
 	ran := make([]int, workers)
 	var wg sync.WaitGroup
@@ -221,7 +221,7 @@ func pileUp(topo *numa.Topology, workers int, hold, release func(*numa.Proc), po
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := topo.Proc(topo.Clusters() * w) // all on cluster 0
+			p := topo.Proc(topo.Clusters()*w + cluster)
 			post(p, func() { ran[w]++ })
 		}(i)
 	}
@@ -233,42 +233,45 @@ func pileUp(topo *numa.Topology, workers int, hold, release func(*numa.Proc), po
 
 // checkPileUp is deterministic amortization, independent of CPU count:
 // releasing the held lock must let a single acquisition execute the
-// whole pile.
-func checkPileUp(t *testing.T, c combinerCase) {
-	topo := numa.New(2, 16)
-	inner := locks.NewMCS(topo)
-	var acquisitions atomic.Uint64 // the executor's, not the holder's
-	x := c.new(topo, locks.CountAcquisitions(inner, &acquisitions))
-	const workers = 8
-	for w, n := range pileUp(topo, workers, inner.Lock, inner.Unlock, x.Exec) {
-		if n != 1 {
-			t.Fatalf("worker %d ran %d times, want 1", w, n)
+// whole pile, whichever cluster it forms on.
+func checkPileUp(cluster int) func(*testing.T, combinerCase) {
+	return func(t *testing.T, c combinerCase) {
+		topo := numa.New(2, 16)
+		inner := locks.NewMCS(topo)
+		var acquisitions atomic.Uint64 // the executor's, not the holder's
+		x := c.new(topo, locks.CountAcquisitions(inner, &acquisitions))
+		const workers = 8
+		for w, n := range pileUp(topo, cluster, workers, inner.Lock, inner.Unlock, x.Exec) {
+			if n != 1 {
+				t.Fatalf("worker %d ran %d times, want 1", w, n)
+			}
 		}
-	}
-	if ops := x.Ops(); ops != workers {
-		t.Fatalf("Ops() = %d, want %d", ops, workers)
-	}
-	if b, acq := x.Batches(), acquisitions.Load(); b != acq {
-		t.Fatalf("Batches() = %d but inner lock saw %d acquisitions", b, acq)
-	}
-	// The pile drains in far fewer acquisitions than ops; typically one,
-	// but a straggler that published after the combiner's last harvest
-	// pass legitimately elects itself.
-	if b := x.Batches(); b >= workers/2 {
-		t.Fatalf("no amortization: %d acquisitions for %d piled-up ops", b, workers)
+		if ops := x.Ops(); ops != workers {
+			t.Fatalf("Ops() = %d, want %d", ops, workers)
+		}
+		if b, acq := x.Batches(), acquisitions.Load(); b != acq {
+			t.Fatalf("Batches() = %d but inner lock saw %d acquisitions", b, acq)
+		}
+		// The pile drains in far fewer acquisitions than ops; typically
+		// one, but a straggler that published after the combiner's last
+		// harvest pass legitimately elects itself.
+		if b := x.Batches(); b >= workers/2 {
+			t.Fatalf("no amortization: %d acquisitions for %d piled-up ops", b, workers)
+		}
 	}
 }
 
-func TestCombiningBatchesPileUp(t *testing.T) { eachCombiner(t, fixedCombiners, checkPileUp) }
-func TestAdaptiveBatchesPileUp(t *testing.T)  { eachCombiner(t, adaptiveCombiners, checkPileUp) }
+func TestAdaptiveBatchesPileUp(t *testing.T) { eachCombiner(t, checkPileUp(0)) }
+
+// TestCombiningBatchesPileUp piles the posters up on cluster 1.
+func TestCombiningBatchesPileUp(t *testing.T) { eachCombiner(t, checkPileUp(1)) }
 
 func TestAdaptiveOccupancyIntrospection(t *testing.T) {
 	topo := numa.New(2, 16)
 	if _, ok := locks.EstimateOccupancy(locks.ExecFromMutex(locks.NewMCS(topo))); ok {
 		t.Fatal("ExecFromMutex adapter claims an occupancy estimate")
 	}
-	// The counter is maintained under both policies.
-	eachCombiner(t, allCombiners, func(t *testing.T, c combinerCase) {
+	eachCombiner(t, func(t *testing.T, c combinerCase) {
 		inner := locks.NewMCS(topo)
 		x := c.new(topo, inner)
 		if occ, ok := locks.EstimateOccupancy(x); !ok || occ != 0 {
@@ -308,65 +311,21 @@ func TestAdaptiveOccupancyIntrospection(t *testing.T) {
 	})
 }
 
-// measureOpsPerAcq drives procs concurrent posters through x and
-// reports the measured ops-per-acquisition amortization.
-func measureOpsPerAcq(t *testing.T, topo *numa.Topology, x introspected, procs, iters int) float64 {
-	t.Helper()
-	var wg sync.WaitGroup
-	var total atomic.Int64
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := topo.Proc(id)
-			for k := 0; k < iters; k++ {
-				x.Exec(p, func() { total.Add(1) })
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := total.Load(); got != int64(procs*iters) {
-		t.Fatalf("ran %d closures, want %d", got, procs*iters)
-	}
-	return float64(x.Ops()) / float64(x.Batches())
-}
-
-func TestAdaptiveOpsPerAcqAtLeastFixed(t *testing.T) {
-	// The acceptance criterion behind the adaptive policy: under high
-	// contention the occupancy-scaled patience window and pass count
-	// must amortize at least as many ops per acquisition as the fixed
-	// constants. Scheduling makes any single trial noisy, so the
-	// property is asserted over the best of a few attempts
-	// (BenchmarkCombining carries the steady-state comparison).
-	if runtime.NumCPU() < 2 || runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("batch formation needs two truly concurrent processors")
-	}
-	topo := numa.New(2, 16)
-	const procs, iters, attempts = 16, 300, 5
-	for a := 0; a < attempts; a++ {
-		fixed := measureOpsPerAcq(t, topo,
-			locks.NewCombining(topo, locks.NewMCS(topo)), procs, iters)
-		adaptive := measureOpsPerAcq(t, topo,
-			locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), procs, iters)
-		t.Logf("attempt %d: fixed %.1f ops/acq, adaptive %.1f ops/acq", a, fixed, adaptive)
-		if adaptive >= fixed {
-			return
-		}
-	}
-	t.Fatalf("adaptive combining never reached the fixed combiner's amortization in %d attempts", attempts)
-}
-
-func checkRWExecOverRWPerCluster(t *testing.T, c rwCombinerCase) {
-	topo := numa.New(2, 16)
-	locktest.CheckRWExec(t, topo, c.new(topo, rwPerCluster(topo)), 8, 4, 200)
-}
-
-func TestRWCombiningOverRWPerCluster(t *testing.T) {
-	eachRWCombiner(t, rwCombiners[:1], checkRWExecOverRWPerCluster)
-}
-
 func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
-	eachRWCombiner(t, rwCombiners[1:], checkRWExecOverRWPerCluster)
+	rwCombiner(t, func(t *testing.T) {
+		topo := numa.New(2, 16)
+		locktest.CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 8, 4, 200)
+	})
+}
+
+// TestRWCombiningOverRWPerCluster runs the harness on four clusters:
+// four reader cohorts must coexist in shared mode, and each cluster's
+// shared combiner harvests only its own readers.
+func TestRWCombiningOverRWPerCluster(t *testing.T) {
+	rwCombiner(t, func(t *testing.T) {
+		topo := numa.New(4, 16)
+		locktest.CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 12, 4, 200)
+	})
 }
 
 func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
@@ -374,9 +333,9 @@ func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
 	// batches serialize; the construction must still be a correct
 	// RWExecutor (the harness skips the coexistence phase) and must
 	// pass the adapter's non-sharing property through.
-	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 16)
-		x := c.new(topo, locks.RWFromMutex(locks.NewMCS(topo)))
+		x := locks.NewRWCombiningAdaptive(topo, locks.RWFromMutex(locks.NewMCS(topo)))
 		if locks.SharesExecReads(x) {
 			t.Fatal("RWCombining over RWFromMutex claims shared reads")
 		}
@@ -386,8 +345,8 @@ func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
 
 func TestRWCombiningIntrospection(t *testing.T) {
 	topo := numa.New(2, 4)
-	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
-		if x := c.new(topo, rwPerCluster(topo)); !locks.SharesExecReads(x) {
+	rwCombiner(t, func(t *testing.T) {
+		if x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)); !locks.SharesExecReads(x) {
 			t.Error("RWCombining over a genuine RW lock drops an introspection property")
 		}
 	})
@@ -398,10 +357,10 @@ func TestRWCombiningSingleProcBypass(t *testing.T) {
 	// every shared closure takes the single-closure bypass — exactly
 	// one RLock per op, so the two shared counters stay in lockstep and
 	// the exclusive side never fires.
-	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 4)
 		var excl, shared atomic.Uint64
-		x := c.new(topo, locks.CountRWAcquisitions(rwPerCluster(topo), &excl, &shared))
+		x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(rwPerCluster(topo), &excl, &shared))
 		p := topo.Proc(0)
 		n := 0
 		for i := 0; i < 100; i++ {
@@ -426,9 +385,9 @@ func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
 	// One construction serves both modes: exclusive closures go through
 	// the exclusive core and advance Ops/Batches only, shared closures
 	// advance SharedOps/SharedBatches only.
-	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 4)
-		x := c.new(topo, rwPerCluster(topo))
+		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
 		p := topo.Proc(0)
 		n := 0
 		for i := 0; i < 50; i++ {
@@ -453,40 +412,43 @@ func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
 // shared acquisition while every other same-cluster poster publishes.
 // Releasing the writer must drain the whole pile in far fewer shared
 // acquisitions than ops.
-func checkSharedPileUp(t *testing.T, c rwCombinerCase) {
-	topo := numa.New(2, 16)
-	inner := rwPerCluster(topo)
-	var excl, shared atomic.Uint64
-	x := c.new(topo, locks.CountRWAcquisitions(inner, &excl, &shared))
-	const workers = 8
-	for w, n := range pileUp(topo, workers, inner.Lock, inner.Unlock, x.ExecShared) {
-		if n != 1 {
-			t.Fatalf("worker %d ran %d times, want 1", w, n)
+func checkSharedPileUp(cluster int) func(*testing.T) {
+	return func(t *testing.T) {
+		topo := numa.New(2, 16)
+		inner := rwPerCluster(topo)
+		var excl, shared atomic.Uint64
+		x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(inner, &excl, &shared))
+		const workers = 8
+		for w, n := range pileUp(topo, cluster, workers, inner.Lock, inner.Unlock, x.ExecShared) {
+			if n != 1 {
+				t.Fatalf("worker %d ran %d times, want 1", w, n)
+			}
+		}
+		if sb := shared.Load(); sb >= workers/2 {
+			t.Fatalf("no read-side amortization: %d shared acquisitions for %d piled-up read ops", sb, workers)
+		}
+		if e := excl.Load(); e != 0 {
+			t.Fatalf("read pile-up took %d exclusive acquisitions, want 0", e)
 		}
 	}
-	if sb := shared.Load(); sb >= workers/2 {
-		t.Fatalf("no read-side amortization: %d shared acquisitions for %d piled-up read ops", sb, workers)
-	}
-	if e := excl.Load(); e != 0 {
-		t.Fatalf("read pile-up took %d exclusive acquisitions, want 0", e)
-	}
-}
-
-func TestRWCombiningSharedBatchesPileUp(t *testing.T) {
-	eachRWCombiner(t, rwCombiners[:1], checkSharedPileUp)
 }
 
 func TestRWCombiningAdaptiveSharedBatchesPileUp(t *testing.T) {
-	eachRWCombiner(t, rwCombiners[1:], checkSharedPileUp)
+	rwCombiner(t, checkSharedPileUp(0))
+}
+
+// TestRWCombiningSharedBatchesPileUp piles the readers up on cluster 1.
+func TestRWCombiningSharedBatchesPileUp(t *testing.T) {
+	rwCombiner(t, checkSharedPileUp(1))
 }
 
 func TestRWCombiningAdaptiveOccupancyCountsReads(t *testing.T) {
-	// The occupancy estimate must include in-flight shared requests,
-	// under either policy: a closure that reads the estimate from
+	// The occupancy estimate must include in-flight shared requests: a
+	// closure that reads the estimate from
 	// inside the executor sees at least itself.
-	eachRWCombiner(t, rwCombiners, func(t *testing.T, c rwCombinerCase) {
+	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 4)
-		x := c.new(topo, rwPerCluster(topo))
+		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
 		p := topo.Proc(0)
 		seen := 0
 		x.ExecShared(p, func() { seen = x.OccupancyEstimate() })

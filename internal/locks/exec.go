@@ -64,20 +64,12 @@ type Combining struct {
 	combiner
 }
 
-// NewCombining returns a combining executor over m for the topology
-// with the fixed policy: one patience window, DefaultFCPasses harvest
-// sweeps per acquisition.
-func NewCombining(topo *numa.Topology, m Mutex) *Combining {
-	c := &Combining{}
-	c.init(topo, m, false, fixedPolicy)
-	return c
-}
-
-// NewCombiningAdaptive is NewCombining with the load-adaptive policy:
-// patience and harvest passes follow the cluster's occupancy estimate.
+// NewCombiningAdaptive returns a combining executor over m for the
+// topology. It is load-adaptive: election patience and harvest passes
+// follow the cluster's occupancy estimate.
 func NewCombiningAdaptive(topo *numa.Topology, m Mutex) *Combining {
 	c := &Combining{}
-	c.init(topo, m, false, adaptivePolicy)
+	c.init(topo, m, false)
 	return c
 }
 

@@ -31,23 +31,14 @@ type RWCombining struct {
 	l     RWMutex
 }
 
-func newRWCombining(topo *numa.Topology, l RWMutex, pol policy) *RWCombining {
-	c := &RWCombining{l: l}
-	c.init(topo, l, false, pol)
-	c.reads.init(topo, sharedFace{l}, true, pol)
-	return c
-}
-
-// NewRWCombining returns a combining reader-writer executor over l for
-// the topology, with the fixed policy on both modes.
-func NewRWCombining(topo *numa.Topology, l RWMutex) *RWCombining {
-	return newRWCombining(topo, l, fixedPolicy)
-}
-
-// NewRWCombiningAdaptive is NewRWCombining with the load-adaptive
-// policy on both modes.
+// NewRWCombiningAdaptive returns a combining reader-writer executor
+// over l for the topology, load-adaptive on both modes like
+// NewCombiningAdaptive.
 func NewRWCombiningAdaptive(topo *numa.Topology, l RWMutex) *RWCombining {
-	return newRWCombining(topo, l, adaptivePolicy)
+	c := &RWCombining{l: l}
+	c.init(topo, l, false)
+	c.reads.init(topo, sharedFace{l}, true)
+	return c
 }
 
 // ExecShared publishes fn in shared mode and waits until it has run.

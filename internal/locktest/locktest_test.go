@@ -187,8 +187,8 @@ func (x *dropSharedExec) ExecShared(p *numa.Proc, fn func()) {}
 
 func (x *dropSharedExec) SharedReads() bool { return false }
 
-// brokenReadCombiner is a miniature read-side combiner with a seeded
-// defect, shaped like locks.NewRWCombining: readers post closures to a
+// brokenRWCombiner is a miniature read-side combiner with a seeded
+// defect, shaped like locks.NewRWCombiningAdaptive: readers post closures to a
 // queue, one poster elects itself combiner through a gate and drains
 // the whole batch, and posters spin until their closure is
 // acknowledged. The defect comes in two flavors:
@@ -201,7 +201,7 @@ func (x *dropSharedExec) SharedReads() bool { return false }
 //     SharedReads false so the rendezvous phase, whose closures it
 //     would also drop, is skipped and the failure is attributed to
 //     the loss.)
-type brokenReadCombiner struct {
+type brokenRWCombiner struct {
 	drop   bool
 	mu     sync.Mutex // exclusive domain
 	gate   sync.Mutex // combiner election
@@ -215,13 +215,13 @@ type postedRead struct {
 	done chan struct{}
 }
 
-func (x *brokenReadCombiner) Exec(p *numa.Proc, fn func()) {
+func (x *brokenRWCombiner) Exec(p *numa.Proc, fn func()) {
 	x.mu.Lock()
 	fn()
 	x.mu.Unlock()
 }
 
-func (x *brokenReadCombiner) ExecShared(p *numa.Proc, fn func()) {
+func (x *brokenRWCombiner) ExecShared(p *numa.Proc, fn func()) {
 	done := make(chan struct{})
 	x.qmu.Lock()
 	x.q = append(x.q, postedRead{fn, done})
@@ -241,7 +241,7 @@ func (x *brokenReadCombiner) ExecShared(p *numa.Proc, fn func()) {
 	}
 }
 
-func (x *brokenReadCombiner) combine() {
+func (x *brokenRWCombiner) combine() {
 	x.qmu.Lock()
 	batch := x.q
 	x.q = nil
@@ -261,7 +261,7 @@ func (x *brokenReadCombiner) combine() {
 	x.mu.Unlock()
 }
 
-func (x *brokenReadCombiner) SharedReads() bool { return !x.drop }
+func (x *brokenRWCombiner) SharedReads() bool { return !x.drop }
 
 // tornRW takes writers through a real mutex but lets readers straight
 // through: writer exclusion holds, snapshots tear.
@@ -406,7 +406,7 @@ func TestCheckRWExecCatchesExclusiveHarvest(t *testing.T) {
 	// the coexistence rendezvous must wedge on the deadline.
 	withDeadline(300*time.Millisecond, func() {
 		msg := expectFailure(t, "CheckRWExec/exclusive-harvest", func(tb TB) {
-			CheckRWExec(tb, testTopo(), &brokenReadCombiner{}, 4, 2, 10)
+			CheckRWExec(tb, testTopo(), &brokenRWCombiner{}, 4, 2, 10)
 		})
 		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -418,7 +418,7 @@ func TestCheckRWExecCatchesDroppedHarvestedClosure(t *testing.T) {
 	// A read-combiner that acknowledges a posted read closure without
 	// running it must show up as lost ops.
 	msg := expectFailure(t, "CheckRWExec/drop-harvested", func(tb TB) {
-		CheckRWExec(tb, testTopo(), &brokenReadCombiner{drop: true}, 4, 2, 50)
+		CheckRWExec(tb, testTopo(), &brokenRWCombiner{drop: true}, 4, 2, 50)
 	})
 	if !strings.Contains(msg, "lost") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -433,10 +433,10 @@ func TestHarnessesPassCorrectImplementations(t *testing.T) {
 	CheckFairness(t, topo, locks.NewMCS(topo), 6, 50)
 	CheckRW(t, topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)), 4, 2, 100)
 	CheckExec(t, topo, locks.ExecFromMutex(locks.NewMCS(topo)), 8, 100)
-	CheckExec(t, topo, locks.NewCombining(topo, locks.NewMCS(topo)), 8, 100)
+	CheckExec(t, topo, locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), 8, 100)
 	CheckExec(t, topo, locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), 8, 100)
 	CheckRWExec(t, topo, locks.ExecFromRWMutex(locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
 	CheckRWExec(t, topo, locks.ExecFromRWMutex(locks.RWFromMutex(locks.NewMCS(topo))), 4, 2, 100)
-	CheckRWExec(t, topo, locks.NewRWCombining(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
+	CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
 	CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
 }

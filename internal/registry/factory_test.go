@@ -90,7 +90,7 @@ func TestExecFactoriesRepeatable(t *testing.T) {
 	// be distinct and independent, combining and adapted alike.
 	topo := numa.New(4, 4)
 	p := topo.Proc(0)
-	for _, name := range []string{"comb-c-bo-mcs", "comb-mcs", "mcs"} {
+	for _, name := range []string{"comb-a-c-bo-mcs", "comb-a-mcs", "mcs"} {
 		e := MustLookup(name)
 		f := e.ExecFactory(topo)
 		if f == nil {

@@ -9,10 +9,12 @@ import (
 	"repro/internal/numa"
 )
 
-// golden is the registry as it stood when names were a stamped list:
-// the 67 names in presentation order, each with its non-nil faces
-// (M NewMutex, T NewTry, R NewRW, E NewExec, X NewRWExec) and flags
-// (c Cohort, x Extension). Captured before the list became a parser.
+// golden is the registry as it stood when names were a stamped list,
+// less the fixed-policy comb- twins retired since (see retired): the 46
+// names in presentation order, each with its non-nil faces (M
+// NewMutex, T NewTry, R NewRW, E NewExec), whether it combines reads
+// (X) and its flags (c Cohort, x Extension). Captured before the list
+// became a parser.
 var golden = [][2]string{
 	{"pthread", "M"}, {"fib-bo", "M"}, {"mcs", "M"}, {"hbo", "MT"}, {"hbo-tuned", "MT"},
 	{"hclh", "M"}, {"fc-mcs", "M"},
@@ -21,18 +23,22 @@ var golden = [][2]string{
 	{"cna", "Mx"}, {"gcr-mcs", "Mx"}, {"gcr-cna", "Mx"}, {"gcr-c-bo-mcs", "Mx"},
 	{"rw-c-bo-mcs", "MRcx"}, {"rw-c-tkt-tkt", "MRcx"}, {"rw-cna", "MRx"}, {"rw-mcs", "MRx"},
 	{"a-clh", "T"}, {"a-hbo", "T"}, {"a-c-bo-bo", "Tc"}, {"a-c-bo-clh", "Tc"},
-	{"comb-pthread", "Ex"}, {"comb-a-pthread", "Ex"}, {"comb-fib-bo", "Ex"}, {"comb-a-fib-bo", "Ex"},
-	{"comb-mcs", "Ex"}, {"comb-a-mcs", "Ex"}, {"comb-hbo", "Ex"}, {"comb-a-hbo", "Ex"},
-	{"comb-hbo-tuned", "Ex"}, {"comb-a-hbo-tuned", "Ex"}, {"comb-hclh", "Ex"}, {"comb-a-hclh", "Ex"},
-	{"comb-fc-mcs", "Ex"}, {"comb-a-fc-mcs", "Ex"}, {"comb-c-bo-bo", "Ex"}, {"comb-a-c-bo-bo", "Ex"},
-	{"comb-c-tkt-tkt", "Ex"}, {"comb-a-c-tkt-tkt", "Ex"}, {"comb-c-bo-mcs", "Ex"}, {"comb-a-c-bo-mcs", "Ex"},
-	{"comb-c-tkt-mcs", "Ex"}, {"comb-a-c-tkt-mcs", "Ex"}, {"comb-c-mcs-mcs", "Ex"}, {"comb-a-c-mcs-mcs", "Ex"},
-	{"comb-c-bo-clh", "Ex"}, {"comb-a-c-bo-clh", "Ex"}, {"comb-cna", "Ex"}, {"comb-a-cna", "Ex"},
-	{"comb-gcr-mcs", "Ex"}, {"comb-a-gcr-mcs", "Ex"}, {"comb-gcr-cna", "Ex"}, {"comb-a-gcr-cna", "Ex"},
-	{"comb-gcr-c-bo-mcs", "Ex"}, {"comb-a-gcr-c-bo-mcs", "Ex"},
-	{"comb-rw-c-bo-mcs", "EXx"}, {"comb-a-rw-c-bo-mcs", "EXx"},
-	{"comb-rw-c-tkt-tkt", "EXx"}, {"comb-a-rw-c-tkt-tkt", "EXx"},
-	{"comb-rw-cna", "EXx"}, {"comb-a-rw-cna", "EXx"}, {"comb-rw-mcs", "EXx"}, {"comb-a-rw-mcs", "EXx"},
+	{"comb-a-pthread", "Ex"}, {"comb-a-fib-bo", "Ex"}, {"comb-a-mcs", "Ex"}, {"comb-a-hbo", "Ex"},
+	{"comb-a-hbo-tuned", "Ex"}, {"comb-a-hclh", "Ex"}, {"comb-a-fc-mcs", "Ex"},
+	{"comb-a-c-bo-bo", "Ex"}, {"comb-a-c-tkt-tkt", "Ex"}, {"comb-a-c-bo-mcs", "Ex"},
+	{"comb-a-c-tkt-mcs", "Ex"}, {"comb-a-c-mcs-mcs", "Ex"}, {"comb-a-c-bo-clh", "Ex"}, {"comb-a-cna", "Ex"},
+	{"comb-a-gcr-mcs", "Ex"}, {"comb-a-gcr-cna", "Ex"}, {"comb-a-gcr-c-bo-mcs", "Ex"},
+	{"comb-a-rw-c-bo-mcs", "EXx"}, {"comb-a-rw-c-tkt-tkt", "EXx"}, {"comb-a-rw-cna", "EXx"}, {"comb-a-rw-mcs", "EXx"},
+}
+
+// retired are the fixed-policy combining names, valid until the
+// load-adaptive policy became the only one; each names its comb-a-
+// twin minus the "a-".
+var retired = []string{
+	"comb-pthread", "comb-fib-bo", "comb-mcs", "comb-hbo", "comb-hbo-tuned", "comb-hclh", "comb-fc-mcs",
+	"comb-c-bo-bo", "comb-c-tkt-tkt", "comb-c-bo-mcs", "comb-c-tkt-mcs", "comb-c-mcs-mcs", "comb-c-bo-clh",
+	"comb-cna", "comb-gcr-mcs", "comb-gcr-cna", "comb-gcr-c-bo-mcs",
+	"comb-rw-c-bo-mcs", "comb-rw-c-tkt-tkt", "comb-rw-cna", "comb-rw-mcs",
 }
 
 func shape(e Entry) string {
@@ -42,7 +48,7 @@ func shape(e Entry) string {
 		mark byte
 	}{
 		{e.NewMutex != nil, 'M'}, {e.NewTry != nil, 'T'}, {e.NewRW != nil, 'R'},
-		{e.NewExec != nil, 'E'}, {e.NewRWExec != nil, 'X'}, {e.Cohort, 'c'}, {e.Extension, 'x'},
+		{e.NewExec != nil, 'E'}, {e.CombinesReads(), 'X'}, {e.Cohort, 'c'}, {e.Extension, 'x'},
 	} {
 		if f.set {
 			b.WriteByte(f.mark)
@@ -75,6 +81,25 @@ func TestCanonicalNamesGolden(t *testing.T) {
 	}
 }
 
+// TestRetiredNamesSuggestTwin: a fixed-policy name no longer parses,
+// and its error points at the comb-a- twin that replaced it.
+func TestRetiredNamesSuggestTwin(t *testing.T) {
+	for _, name := range retired {
+		twin := WrapCombA + strings.TrimPrefix(name, "comb-")
+		if !slices.Contains(Names(), twin) {
+			t.Errorf("%s: twin %s is not canonical", name, twin)
+		}
+		_, err := Find(name)
+		if err == nil {
+			t.Errorf("Find(%q) succeeded; the fixed policy is retired", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "did you mean") || !strings.Contains(err.Error(), twin) {
+			t.Errorf("Find(%q) error %q does not suggest %s", name, err, twin)
+		}
+	}
+}
+
 // TestUnwrapWrapRoundTrip checks the interposition seam over the
 // canonical list: a composed entry unwraps to its outermost wrapper and
 // operand, wrapping them again rebuilds it, and nothing else unwraps.
@@ -101,17 +126,17 @@ func TestUnwrapWrapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseAmbiguities pins the backtracking rule and the two kinds of
-// error: a name the grammar does not produce names the failing
-// component (with suggestions and the grammar), a name that parses
-// but cannot be built names the operand and why, and neither dumps
-// the canonical list.
+// TestParseAmbiguities pins that at most one wrapper matches a name,
+// so a prefix never backtracks, and the two kinds of error: a name the
+// grammar does not produce names the failing component (with
+// suggestions and the grammar), a name that parses but cannot be built
+// names the operand and why, and neither dumps the canonical list.
 func TestParseAmbiguities(t *testing.T) {
 	for name, operand := range map[string]string{
-		"comb-a-mcs":      "mcs",     // adaptive over mcs, not fixed over a-mcs
-		"comb-a-hbo":      "hbo",     // adaptive over hbo, not fixed over a-hbo
-		"comb-a-c-bo-bo":  "c-bo-bo", // not fixed over the abortable a-c-bo-bo
-		"comb-rw-gcr-mcs": "rw-gcr-mcs",
+		"comb-a-mcs":        "mcs",
+		"comb-a-hbo":        "hbo",
+		"comb-a-c-bo-bo":    "c-bo-bo",
+		"comb-a-rw-gcr-mcs": "rw-gcr-mcs",
 	} {
 		e, err := Find(name)
 		if err != nil {
@@ -123,14 +148,15 @@ func TestParseAmbiguities(t *testing.T) {
 		}
 	}
 	for name, wants := range map[string][]string{
-		"comb-a-clh":    {"a-clh is abortable-only, comb- needs a blocking lock"},
-		"rw-a-c-bo-bo":  {"a-c-bo-bo is abortable-only, rw- needs a blocking lock"},
-		"gcr-comb-mcs":  {"comb-mcs is a combining executor, gcr- needs a blocking lock"},
-		"c-clh-mcs":     {`"clh" is not a global lock: bo, tkt, mcs`, "valid locks"},
-		"a-c-tkt-bo":    {`"tkt" is not an abortable global lock: bo`},
-		"c-bo-mc":       {`"mc" is not a local lock: bo, tkt, mcs, clh`, "did you mean", "c-bo-mcs"},
-		"comb-gcr-mcx":  {`"mcx" is not a lock`, "valid locks"},
-		"comb-a-c-x-bo": {`"x" is not a global lock`},
+		"comb-a-clh":     {`"clh" is not a lock`, "valid locks"}, // comb-a- over clh, never a reading over a-clh
+		"comb-a-a-clh":   {"a-clh is abortable-only, comb-a- needs a blocking lock"},
+		"rw-a-c-bo-bo":   {"a-c-bo-bo is abortable-only, rw- needs a blocking lock"},
+		"gcr-comb-a-mcs": {"comb-a-mcs is a combining executor, gcr- needs a blocking lock"},
+		"c-clh-mcs":      {`"clh" is not a global lock: bo, tkt, mcs`, "valid locks"},
+		"a-c-tkt-bo":     {`"tkt" is not an abortable global lock: bo`},
+		"c-bo-mc":        {`"mc" is not a local lock: bo, tkt, mcs, clh`, "did you mean", "c-bo-mcs"},
+		"comb-a-gcr-mcx": {`"mcx" is not a lock`, "valid locks"},
+		"comb-a-c-x-bo":  {`"x" is not a global lock`},
 	} {
 		_, err := Find(name)
 		if err == nil {
@@ -170,8 +196,8 @@ func TestUnregisteredCompositions(t *testing.T) {
 				locktest.CheckRW(t, topo, f(), 5, 3, 150)
 			}
 			locktest.CheckExec(t, topo, e.ExecFactory(topo)(), 8, 150)
-			if e.NewRWExec != nil {
-				locktest.CheckRWExec(t, topo, e.NewRWExec(topo), 5, 3, 150)
+			if e.CombinesReads() {
+				locktest.CheckRWExec(t, topo, e.ExecFactory(topo)(), 5, 3, 150)
 			}
 		})
 	}
@@ -179,11 +205,14 @@ func TestUnregisteredCompositions(t *testing.T) {
 
 // FuzzParseLockName: Find never panics, and a name it accepts comes
 // back as its normalized self — the parser consumed all of it and
-// nothing else. The seeds (every canonical name, the ambiguity cases
-// and garbage) run under plain go test.
+// nothing else. The seeds (every canonical and retired name, the
+// ambiguity cases and garbage) run under plain go test.
 func FuzzParseLockName(f *testing.F) {
 	for _, g := range golden {
 		f.Add(g[0])
+	}
+	for _, name := range retired {
+		f.Add(name)
 	}
 	for _, s := range []string{
 		"comb-a-mcs", "comb-a-clh", "comb-a-c-bo-bo", "c-clh-mcs", "a-c-tkt-bo", "C-BO-MCS ", "rw-rw-gcr-comb-mcs",

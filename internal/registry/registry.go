@@ -3,14 +3,14 @@
 // them under the paper's nomenclature. The name is the construction:
 //
 //	name    := wrapper* lock
-//	wrapper := comb-a- | comb- | gcr- | rw-
+//	wrapper := comb-a- | gcr- | rw-
 //	lock    := base | c-<global>-<local> | a-c-<aglobal>-<alocal>
 //
 // with base, global, local, aglobal and alocal drawn from the tables
 // in this file. Find parses a name against them and composes the lock
 // through core.NewCohortLock, core.NewRestricted, locks.NewRWPerCluster
-// and locks.NewCombining*, so a new base or slot lock is one table row
-// and inherits every wrapper. Names() is the canonical list the tools
+// and locks.NewCombiningAdaptive/NewRWCombiningAdaptive, so a new base
+// or slot lock is one table row and inherits every wrapper. Names() is the canonical list the tools
 // and tests enumerate; it is data, not the set of valid names.
 package registry
 
@@ -44,16 +44,10 @@ type Entry struct {
 	NewRW func(topo *numa.Topology) locks.RWMutex
 	// NewExec builds a genuinely combining executor (delegated batches,
 	// one underlying acquisition per batch); nil for plain locks, which
-	// still adapt to the Executor interface through ExecFactory. Set on
-	// comb-* and comb-a-* names.
-	NewExec func(topo *numa.Topology) locks.Executor
-	// NewRWExec builds a genuinely combining reader-writer executor
-	// (same-cluster shared closures harvested under one RLock per
-	// batch, exclusive closures under one Lock); set only on comb-* and
-	// comb-a-* names whose operand has NewRW, where NewExec returns the
-	// same executor. Entries without it still adapt through
-	// RWExecFactory.
-	NewRWExec func(topo *numa.Topology) locks.RWExecutor
+	// still adapt to the executor interface through ExecFactory. Set on
+	// comb-a-* names. Over an operand with NewRW the executor also
+	// harvests same-cluster shared closures under one RLock per batch.
+	NewExec func(topo *numa.Topology) locks.RWExecutor
 	// Cohort marks the paper's contributed locks.
 	Cohort bool
 	// Extension marks locks beyond the paper's evaluation set (enabled
@@ -140,14 +134,12 @@ var (
 // The wrappers, each a transformation over any blocking operand.
 const (
 	// WrapCombA is the load-adaptive combining executor over its
-	// operand: occupancy-scaled patience and harvest passes.
-	WrapCombA = "comb-a-"
-	// WrapComb is the fixed-policy combining executor over its operand:
-	// delegated same-cluster batches, one acquisition per batch. Over
-	// an operand that genuinely shares reads (NewRW) both combiners are
-	// the reader-writer ones, which also harvest same-cluster shared
+	// operand: delegated same-cluster batches, one acquisition per
+	// batch, occupancy-scaled patience and harvest passes. Over an
+	// operand that genuinely shares reads (NewRW) it is the
+	// reader-writer combiner, which also harvests same-cluster shared
 	// closures under one RLock.
-	WrapComb = "comb-"
+	WrapCombA = "comb-a-"
 	// WrapGCR is concurrency restriction over its operand.
 	WrapGCR = "gcr-"
 	// WrapRW is per-cluster reader counters over its operand as the
@@ -155,36 +147,31 @@ const (
 	WrapRW = "rw-"
 )
 
-// wrappers lists the prefixes in the order split tries them: a prefix
-// of another comes after it, so the longest match is tried first.
-var wrappers = []string{WrapCombA, WrapComb, WrapGCR, WrapRW}
+// wrappers lists the prefixes; none is a prefix of another, so at
+// most one matches a name.
+var wrappers = []string{WrapCombA, WrapGCR, WrapRW}
 
 // canonical is the presentation-order list behind All and Names: the
-// paper's locks, the extensions the exhibits use, and a comb-/comb-a-
-// pair for every blocking one of them.
+// paper's locks, the extensions the exhibits use, and the comb-a- twin
+// of every blocking one of them.
 var canonical = []string{
 	"pthread", "fib-bo", "mcs", "hbo", "hbo-tuned", "hclh", "fc-mcs",
 	"c-bo-bo", "c-tkt-tkt", "c-bo-mcs", "c-tkt-mcs", "c-mcs-mcs", "c-bo-clh",
 	"cna", "gcr-mcs", "gcr-cna", "gcr-c-bo-mcs",
 	"rw-c-bo-mcs", "rw-c-tkt-tkt", "rw-cna", "rw-mcs",
 	"a-clh", "a-hbo", "a-c-bo-bo", "a-c-bo-clh",
-	"comb-pthread", "comb-a-pthread", "comb-fib-bo", "comb-a-fib-bo",
-	"comb-mcs", "comb-a-mcs", "comb-hbo", "comb-a-hbo",
-	"comb-hbo-tuned", "comb-a-hbo-tuned", "comb-hclh", "comb-a-hclh",
-	"comb-fc-mcs", "comb-a-fc-mcs", "comb-c-bo-bo", "comb-a-c-bo-bo",
-	"comb-c-tkt-tkt", "comb-a-c-tkt-tkt", "comb-c-bo-mcs", "comb-a-c-bo-mcs",
-	"comb-c-tkt-mcs", "comb-a-c-tkt-mcs", "comb-c-mcs-mcs", "comb-a-c-mcs-mcs",
-	"comb-c-bo-clh", "comb-a-c-bo-clh", "comb-cna", "comb-a-cna",
-	"comb-gcr-mcs", "comb-a-gcr-mcs", "comb-gcr-cna", "comb-a-gcr-cna",
-	"comb-gcr-c-bo-mcs", "comb-a-gcr-c-bo-mcs",
-	"comb-rw-c-bo-mcs", "comb-a-rw-c-bo-mcs", "comb-rw-c-tkt-tkt", "comb-a-rw-c-tkt-tkt",
-	"comb-rw-cna", "comb-a-rw-cna", "comb-rw-mcs", "comb-a-rw-mcs",
+	"comb-a-pthread", "comb-a-fib-bo", "comb-a-mcs", "comb-a-hbo",
+	"comb-a-hbo-tuned", "comb-a-hclh", "comb-a-fc-mcs",
+	"comb-a-c-bo-bo", "comb-a-c-tkt-tkt", "comb-a-c-bo-mcs",
+	"comb-a-c-tkt-mcs", "comb-a-c-mcs-mcs", "comb-a-c-bo-clh", "comb-a-cna",
+	"comb-a-gcr-mcs", "comb-a-gcr-cna", "comb-a-gcr-c-bo-mcs",
+	"comb-a-rw-c-bo-mcs", "comb-a-rw-c-tkt-tkt", "comb-a-rw-cna", "comb-a-rw-mcs",
 }
 
 // unknownError reports a name — or what is left of one behind valid
 // wrappers — that the grammar does not produce, naming the failing
-// component. It is what lets split backtrack: a composition that
-// parses but cannot be built is an ordinary error and final.
+// component. Find adds suggestions to it; a composition that parses
+// but cannot be built is an ordinary error.
 type unknownError struct{ reason string }
 
 func (u *unknownError) Error() string { return u.reason }
@@ -207,33 +194,15 @@ func find(name string) (Entry, error) {
 	return Wrap(w, operand)
 }
 
-// split finds name's outermost wrapper and parses its operand. The
-// longest matching prefix wins unless its remainder is no lock, in
-// which case the next one is tried: comb-a-mcs is adaptive combining
-// over mcs, comb-a-clh is fixed combining over a-clh.
+// split finds name's outermost wrapper and parses its operand.
 func split(name string) (wrapper string, operand Entry, err error) {
-	var first *unknownError
 	for _, w := range wrappers {
-		rest, ok := strings.CutPrefix(name, w)
-		if !ok {
-			continue
-		}
-		operand, err := find(rest)
-		if err == nil {
-			return w, operand, nil
-		}
-		var u *unknownError
-		if !errors.As(err, &u) {
-			return "", Entry{}, err
-		}
-		if first == nil {
-			first = u
+		if rest, ok := strings.CutPrefix(name, w); ok {
+			operand, err := find(rest)
+			return w, operand, err
 		}
 	}
-	if first == nil {
-		first = &unknownError{fmt.Sprintf("%q is not a lock", name)}
-	}
-	return "", Entry{}, first
+	return "", Entry{}, &unknownError{fmt.Sprintf("%q is not a lock", name)}
 }
 
 // pick finds name in one slot table; role names the table for the
@@ -290,7 +259,7 @@ func cohort(name string) (e Entry, shaped bool, err error) {
 	return e, true, nil
 }
 
-// Wrap applies one wrapper (WrapCombA, WrapComb, WrapGCR or WrapRW) to
+// Wrap applies one wrapper (WrapCombA, WrapGCR or WrapRW) to
 // operand: the entry Find(wrapper + operand.Name) returns, but built
 // over the caller's operand. Together with Unwrap it is the
 // interposition seam: a tool that wants to measure underneath a wrapper
@@ -316,19 +285,14 @@ func Wrap(wrapper string, operand Entry) (Entry, error) {
 		e.Cohort = x.Cohort
 		e.NewMutex = func(t *numa.Topology) locks.Mutex { return locks.NewRWPerCluster(t, x.NewMutex(t)) }
 		e.NewRW = func(t *numa.Topology) locks.RWMutex { return locks.NewRWPerCluster(t, x.NewMutex(t)) }
-	case WrapComb, WrapCombA:
-		over, overRW, policy := locks.NewCombining, locks.NewRWCombining, "combining"
-		if wrapper == WrapCombA {
-			over, overRW, policy = locks.NewCombiningAdaptive, locks.NewRWCombiningAdaptive, "adaptive combining"
-		}
+	case WrapCombA:
 		if x.NewRW == nil {
-			e.Desc = policy + " executor over " + x.Name + ": delegated same-cluster batches, one acquisition per batch"
-			e.NewExec = func(t *numa.Topology) locks.Executor { return over(t, x.NewMutex(t)) }
+			e.Desc = "adaptive combining executor over " + x.Name + ": delegated same-cluster batches, one acquisition per batch"
+			e.NewExec = func(t *numa.Topology) locks.RWExecutor { return locks.NewCombiningAdaptive(t, x.NewMutex(t)) }
 			break
 		}
-		e.Desc = policy + " reader-writer executor over " + x.Name + ": batched exclusive closures, same-cluster reads harvested under one RLock"
-		e.NewRWExec = func(t *numa.Topology) locks.RWExecutor { return overRW(t, x.NewRW(t)) }
-		e.NewExec = func(t *numa.Topology) locks.Executor { return overRW(t, x.NewRW(t)) }
+		e.Desc = "adaptive combining reader-writer executor over " + x.Name + ": batched exclusive closures, same-cluster reads harvested under one RLock"
+		e.NewExec = func(t *numa.Topology) locks.RWExecutor { return locks.NewRWCombiningAdaptive(t, x.NewRW(t)) }
 	default:
 		return Entry{}, fmt.Errorf("%q is not a wrapper: %s", wrapper, strings.Join(wrappers, ", "))
 	}
@@ -382,31 +346,16 @@ func (e Entry) RWFactory(topo *numa.Topology) func() locks.RWMutex {
 }
 
 // ExecFactory returns a factory building independent executors of this
-// lock for topo, or nil if the entry cannot execute closures at all.
-// comb-* entries yield genuinely combining executors (NewExec);
-// plain blocking entries adapt through locks.ExecFromMutex — correct,
-// one acquisition per closure — so every lock in the registry slots
-// into an executor-shaped consumer.
-func (e Entry) ExecFactory(topo *numa.Topology) func() locks.Executor {
+// lock for topo (exclusive plus shared closures), or nil if the entry
+// cannot lock at all. comb-a-* entries yield genuinely combining
+// executors (NewExec); the rest adapt through locks.ExecFromRWMutex —
+// correct, one acquisition per closure — so every lock in the registry
+// slots into an executor-shaped consumer. Shared closures genuinely
+// coexist over a native RW construction and serialize over an
+// exclusive-only one (locks.SharesExecReads reports which).
+func (e Entry) ExecFactory(topo *numa.Topology) func() locks.RWExecutor {
 	if e.NewExec != nil {
-		return func() locks.Executor { return e.NewExec(topo) }
-	}
-	if e.NewMutex == nil {
-		return nil
-	}
-	return func() locks.Executor { return locks.ExecFromMutex(e.NewMutex(topo)) }
-}
-
-// RWExecFactory returns a factory building independent shared-mode
-// executors of this lock for topo (locks.RWExecutor: exclusive plus
-// shared closures), or nil if the entry cannot lock at all. comb-rw-*
-// entries yield genuinely combining RW executors (NewRWExec); entries
-// with a native RW construction yield one-acquisition-per-closure
-// executors whose shared closures genuinely coexist; exclusive-only
-// entries serialize them (locks.SharesExecReads reports sharing).
-func (e Entry) RWExecFactory(topo *numa.Topology) func() locks.RWExecutor {
-	if e.NewRWExec != nil {
-		return func() locks.RWExecutor { return e.NewRWExec(topo) }
+		return func() locks.RWExecutor { return e.NewExec(topo) }
 	}
 	f := e.RWFactory(topo)
 	if f == nil {
@@ -592,15 +541,22 @@ func RW() []Entry {
 // order — the `rw-*` column set of kvbench's read-path table.
 func RWNames() []string { return names(RW()) }
 
-// RWCombining returns the comb-rw-*/comb-a-rw-* entries (genuinely
-// combining reader-writer executors), in order.
+// RWCombining returns the comb-a-rw-* entries (genuinely combining
+// reader-writer executors), in order.
 func RWCombining() []Entry {
-	return filter(func(e Entry) bool { return e.NewRWExec != nil })
+	return filter(Entry.CombinesReads)
 }
 
-// RWCombiningNames lists the comb-rw-*/comb-a-rw-* entry names, in
-// presentation order — the read-combining column set of kvbench's
-// read-path table.
+// CombinesReads reports whether e is a combining executor whose operand
+// genuinely shares reads, so its shared closures are harvested under
+// one shared acquisition per batch.
+func (e Entry) CombinesReads() bool {
+	_, operand, ok := e.Unwrap()
+	return e.NewExec != nil && ok && operand.NewRW != nil
+}
+
+// RWCombiningNames lists the comb-a-rw-* entry names, in presentation
+// order — the read-combining column set of kvbench's read-path table.
 func RWCombiningNames() []string { return names(RWCombining()) }
 
 // Figure2Names lists the locks of the paper's Figures 2-5, in legend

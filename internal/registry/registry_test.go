@@ -36,8 +36,9 @@ func TestAllEntriesBuildable(t *testing.T) {
 }
 
 func TestCombiningEntriesDerived(t *testing.T) {
-	// Every blocking lock must have a comb-* twin, and every comb-*
+	// Every blocking lock must have a comb-a-* twin, and every comb-a-*
 	// entry must point back at a blocking base.
+	topo := numa.New(2, 4)
 	byName := map[string]Entry{}
 	for _, e := range All() {
 		byName[e.Name] = e
@@ -46,44 +47,33 @@ func TestCombiningEntriesDerived(t *testing.T) {
 		if e.NewMutex == nil {
 			continue
 		}
-		for _, prefix := range []string{"comb-", "comb-a-"} {
-			comb, ok := byName[prefix+e.Name]
-			if !ok {
-				t.Errorf("blocking lock %s has no %s%s entry", e.Name, prefix, e.Name)
-				continue
-			}
-			if w, operand, ok := comb.Unwrap(); comb.NewExec == nil || !ok || w != prefix || operand.Name != e.Name || !comb.Extension {
-				t.Errorf("%s%s: want NewExec set, Unwrap = (%q, %s), Extension", prefix, e.Name, prefix, e.Name)
-			}
-			if comb.NewMutex != nil || comb.NewTry != nil || comb.NewRW != nil {
-				t.Errorf("%s%s: derived entries are exec-only", prefix, e.Name)
-			}
-			// Native RW bases derive the reader-writer twin: the shared
-			// side (NewRWExec) must be present exactly there.
-			if rw := e.NewRW != nil; (comb.NewRWExec != nil) != rw {
-				t.Errorf("%s%s: NewRWExec presence should match the base's NewRW (%v)", prefix, e.Name, rw)
-			}
+		comb, ok := byName[WrapCombA+e.Name]
+		if !ok {
+			t.Errorf("blocking lock %s has no %s%s entry", e.Name, WrapCombA, e.Name)
+			continue
+		}
+		if w, operand, ok := comb.Unwrap(); comb.NewExec == nil || !ok || w != WrapCombA || operand.Name != e.Name || !comb.Extension {
+			t.Errorf("%s: want NewExec set, Unwrap = (%q, %s), Extension", comb.Name, WrapCombA, e.Name)
+		}
+		if comb.NewMutex != nil || comb.NewTry != nil || comb.NewRW != nil {
+			t.Errorf("%s: derived entries are exec-only", comb.Name)
+		}
+		// Native RW bases derive the reader-writer twin, whose shared
+		// mode the kvstore seam detects.
+		if rw := e.NewRW != nil; comb.CombinesReads() != rw || locks.SharesExecReads(comb.NewExec(topo)) != rw {
+			t.Errorf("%s: read combining should match the base's NewRW (%v)", comb.Name, rw)
 		}
 	}
-	// Both derivations maintain the occupancy estimate (the policies
-	// differ in how they use it), so adaptive admission works over
-	// either; the RW twins report it summed over both modes.
-	topo := numa.New(2, 4)
-	for _, name := range []string{"comb-mcs", "comb-a-mcs", "comb-rw-mcs", "comb-a-rw-mcs"} {
+	// Every combiner maintains the occupancy estimate, so adaptive
+	// admission works over it; the RW twins report it summed over both
+	// modes.
+	for _, name := range []string{"comb-a-mcs", "comb-a-rw-mcs"} {
 		if _, ok := locks.EstimateOccupancy(byName[name].NewExec(topo)); !ok {
 			t.Errorf("%s executor has no occupancy estimate", name)
 		}
 	}
-	// The RW twins' NewExec returns the same shared-aware executor
-	// NewRWExec does, so exec-shaped consumers (the kvstore seam) can
-	// detect the shared mode.
-	if x, ok := byName["comb-rw-mcs"].NewExec(topo).(locks.RWExecutor); !ok {
-		t.Error("comb-rw-mcs NewExec does not build an RWExecutor")
-	} else if !locks.SharesExecReads(x) {
-		t.Error("comb-rw-mcs executor does not claim shared reads")
-	}
-	if names := RWCombiningNames(); len(names) != 2*len(RW()) {
-		t.Errorf("RWCombiningNames lists %d entries, want %d (two twins per native RW base)", len(names), 2*len(RW()))
+	if names := RWCombiningNames(); len(names) != len(RW()) {
+		t.Errorf("RWCombiningNames lists %d entries, want %d (one twin per native RW base)", len(names), len(RW()))
 	}
 	for _, e := range All() {
 		if e.NewExec == nil {

@@ -76,10 +76,10 @@ func TestRWFactoryAdaptsExclusiveEntries(t *testing.T) {
 	}
 }
 
-// TestEveryExecEntryPassesLocktest round-trips every derived comb-*
+// TestEveryExecEntryPassesLocktest round-trips every derived comb-a-*
 // factory through locktest.CheckExec: closure mutual exclusion, no
 // lost or double-run ops, deadline-guarded — automatically for any
-// future blocking registration (each gains a comb-* twin).
+// future blocking registration (each gains a comb-a-* twin).
 func TestEveryExecEntryPassesLocktest(t *testing.T) {
 	for _, e := range All() {
 		if e.NewExec == nil {
@@ -107,25 +107,25 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 }
 
 // TestEveryRWExecFactoryPassesLocktest round-trips every lockable
-// entry's shared-mode executor (RWExecFactory: the combining
-// RWCombining construction for comb-rw-* entries, ExecFromRWMutex over
-// the entry's RW face otherwise) through locktest.CheckRWExec:
-// concurrent shared batches coexist where sharing is genuine,
-// exclusive closures exclude them, no lost or double-run ops —
-// automatically for any future registration.
+// entry's executor (ExecFactory: the combining construction for
+// comb-a-* entries, ExecFromRWMutex over the entry's RW face
+// otherwise) through locktest.CheckRWExec: concurrent shared batches
+// coexist where sharing is genuine, exclusive closures exclude them,
+// no lost or double-run ops — automatically for any future
+// registration.
 func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 	for _, e := range All() {
-		if e.NewRW == nil && e.NewMutex == nil && e.NewRWExec == nil {
+		topo := numa.New(2, 8)
+		f := e.ExecFactory(topo)
+		if f == nil {
 			continue
 		}
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			topo := numa.New(2, 8)
-			x := e.RWExecFactory(topo)()
-			want := e.NewRW != nil || e.NewRWExec != nil
+			x := f()
+			want := e.NewRW != nil || e.CombinesReads()
 			if got := locks.SharesExecReads(x); got != want {
-				t.Fatalf("SharesExecReads = %v, want %v (NewRW %v, NewRWExec %v)",
-					got, want, e.NewRW != nil, e.NewRWExec != nil)
+				t.Fatalf("SharesExecReads = %v, want %v (NewRW %v, CombinesReads %v)",
+					got, want, e.NewRW != nil, e.CombinesReads())
 			}
 			locktest.CheckRWExec(t, topo, x, 5, 3, 150)
 		})

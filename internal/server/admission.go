@@ -193,5 +193,5 @@ func (s *Server) admissionCaps() (cur, full int) {
 // OccupancyTracked reports whether any shard lock exposes an occupancy
 // estimate — the signal both the MaxOccupancy gauge and adaptive
 // admission need. False means AdaptiveAdmission is inert (the store's
-// lock family has no estimator; use a comb-* lock).
+// lock family has no estimator; use a comb-a-* lock).
 func (s *Server) OccupancyTracked() bool { return s.occTracked }

@@ -55,7 +55,7 @@ type Config struct {
 	// step at a time, and acute overload past shedMultiplier×
 	// BusyThreshold sheds flushes with "SERVER_ERROR busy" (see
 	// admission.go and DESIGN.md §8). Requires a combining lock
-	// (comb-*), the family with an occupancy estimator; inert otherwise
+	// (comb-a-*), the family with an occupancy estimator; inert otherwise
 	// — check OccupancyTracked.
 	AdaptiveAdmission bool
 	// BusyThreshold is the sampled per-shard occupancy at which the
@@ -179,7 +179,7 @@ type Stats struct {
 	// shard's combiner at the worst moment — under AdaptiveAdmission
 	// this is the signal the admission cap and the shed valve react
 	// to. -1 when no shard's lock exposes an estimator (everything but
-	// the combining comb-* family).
+	// the combining comb-a-* family).
 	MaxOccupancy int
 	// SheddedOps counts operations refused with "SERVER_ERROR busy"
 	// while the shed valve was engaged (never acknowledged, never

@@ -124,12 +124,8 @@ func main() {
 		shutdownErr <- srv.Shutdown(*drainFlag)
 	}()
 
-	connsPerCluster := *connsFlag
-	if connsPerCluster <= 0 || connsPerCluster > *procsFlag / *clustersFlag {
-		connsPerCluster = *procsFlag / *clustersFlag
-	}
 	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d placement=%s clusters=%d conns/cluster<=%d\n",
-		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, connsPerCluster)
+		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, srv.Snapshot().AdmissionCapFull)
 	serveErr := srv.ListenAndServe(*addrFlag)
 
 	st := srv.Snapshot()

@@ -47,7 +47,7 @@ func TestCohortMutualExclusion(t *testing.T) {
 	for name, mk := range cohortFactories() {
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.CheckMutex(t, topo, mk(topo), stressProcs(), 300)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, stressProcs(), 300)
 		})
 	}
 }
@@ -72,7 +72,7 @@ func TestCohortCrossClusterHandoff(t *testing.T) {
 	for name, mk := range cohortFactories() {
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.CheckHandoff(t, topo, mk(topo), 500)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, 2, 500)
 		})
 	}
 }
@@ -82,7 +82,7 @@ func TestCohortSameClusterPair(t *testing.T) {
 	for name, mk := range cohortFactories() {
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(1, 8)
-			locktest.CheckMutex(t, topo, mk(topo), 2, 2000)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, 2, 2000)
 		})
 	}
 }
@@ -91,7 +91,7 @@ func TestCohortOversubscribed(t *testing.T) {
 	for name, mk := range cohortFactories() {
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(4, 64)
-			locktest.CheckMutex(t, topo, mk(topo), 64, 100)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, 64, 100)
 		})
 	}
 }
@@ -104,7 +104,7 @@ func TestCohortUnboundedHandoffStress(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.CheckMutex(t, topo, mk(topo), stressProcs(), 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, stressProcs(), 200)
 		})
 	}
 }
@@ -118,7 +118,7 @@ func TestCohortTinyHandoffLimitStress(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.CheckMutex(t, topo, mk(topo), stressProcs(), 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, stressProcs(), 200)
 		})
 	}
 }

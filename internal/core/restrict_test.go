@@ -29,7 +29,7 @@ func TestRestrictedMutualExclusion(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(4, 32)
 			l := core.NewRestricted(topo, mk(topo), 2)
-			locktest.CheckMutex(t, topo, l, 32, 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 32, 200)
 		})
 	}
 }
@@ -49,7 +49,7 @@ func TestRestrictedOversubscribedStress(t *testing.T) {
 	// deadlock the admitted set, and promotions must keep flowing.
 	topo := numa.New(4, 64)
 	l := core.NewRestricted(topo, locks.NewMCS(topo), 2)
-	locktest.CheckMutex(t, topo, l, 64, 100)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 64, 100)
 }
 
 func TestRestrictedDefaultLimit(t *testing.T) {
@@ -61,7 +61,7 @@ func TestRestrictedDefaultLimit(t *testing.T) {
 	if want := core.DefaultActivePerCluster(topo); l.ActivePerCluster() != want {
 		t.Fatalf("default admission bound %d, want %d", l.ActivePerCluster(), want)
 	}
-	locktest.CheckMutex(t, topo, l, 16, 200)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 16, 200)
 }
 
 func TestRestrictedFairness(t *testing.T) {
@@ -119,7 +119,7 @@ func TestRestrictedBoundsActiveWaitersPerCluster(t *testing.T) {
 		bounds: k,
 	}
 	l := core.NewRestricted(topo, g, k)
-	locktest.CheckMutex(t, topo, l, 32, 300)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 32, 300)
 	if n := g.bad.Load(); n != 0 {
 		t.Fatalf("admission bound exceeded %d times: >%d same-cluster threads inside the inner lock", n, k)
 	}

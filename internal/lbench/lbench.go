@@ -236,32 +236,10 @@ func Run(cfg Config, lock locks.Mutex) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	spin.Calibrate()
-	spin.AutoOversubscribe(cfg.Threads)
-	r := newRunner(cfg)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := cfg.Topo.Proc(id)
-			s := &r.slots[id]
-			<-r.start
-			for !r.stop.Load() {
-				lock.Lock(p)
-				r.body(p, s)
-				lock.Unlock(p)
-				r.nonCS(p)
-				s.ops++
-			}
-		}(i)
-	}
-	began := time.Now()
-	close(r.start)
-	time.Sleep(cfg.Duration)
-	r.stop.Store(true)
-	wg.Wait()
-	return r.collect(time.Since(began)), nil
+	return run(cfg, func(p *numa.Proc, _ *slot) bool {
+		lock.Lock(p)
+		return true
+	}, lock.Unlock), nil
 }
 
 // RunAbortable measures an abortable lock: workers attempt with
@@ -274,6 +252,21 @@ func RunAbortable(cfg Config, lock locks.TryMutex) (Result, error) {
 	if cfg.Patience <= 0 {
 		return Result{}, fmt.Errorf("lbench: abortable run needs positive patience")
 	}
+	return run(cfg, func(p *numa.Proc, s *slot) bool {
+		s.attempts++
+		if lock.TryLockFor(p, cfg.Patience) {
+			return true
+		}
+		s.aborts++
+		return false
+	}, lock.Unlock), nil
+}
+
+// run is the one worker loop behind Run and RunAbortable: behind a
+// start gate, each worker acquires, runs the critical section and
+// releases — an acquire that fails skips the section — then idles,
+// until the stop flag rises after cfg.Duration.
+func run(cfg Config, acquire func(p *numa.Proc, s *slot) bool, release func(p *numa.Proc)) Result {
 	spin.Calibrate()
 	spin.AutoOversubscribe(cfg.Threads)
 	r := newRunner(cfg)
@@ -286,16 +279,12 @@ func RunAbortable(cfg Config, lock locks.TryMutex) (Result, error) {
 			s := &r.slots[id]
 			<-r.start
 			for !r.stop.Load() {
-				s.attempts++
-				if !lock.TryLockFor(p, cfg.Patience) {
-					s.aborts++
-					r.nonCS(p)
-					continue
+				if acquire(p, s) {
+					r.body(p, s)
+					release(p)
+					s.ops++
 				}
-				r.body(p, s)
-				lock.Unlock(p)
 				r.nonCS(p)
-				s.ops++
 			}
 		}(i)
 	}
@@ -304,5 +293,5 @@ func RunAbortable(cfg Config, lock locks.TryMutex) (Result, error) {
 	time.Sleep(cfg.Duration)
 	r.stop.Store(true)
 	wg.Wait()
-	return r.collect(time.Since(began)), nil
+	return r.collect(time.Since(began))
 }

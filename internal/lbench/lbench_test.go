@@ -72,6 +72,9 @@ func TestRunProducesConsistentCounts(t *testing.T) {
 	if res.Throughput() <= 0 {
 		t.Fatal("non-positive throughput")
 	}
+	if res.Aborts != 0 || res.Attempts != 0 {
+		t.Fatalf("blocking run reports %d aborts over %d attempts, want 0 and 0", res.Aborts, res.Attempts)
+	}
 	if res.Elapsed < cfg.Duration {
 		t.Fatalf("elapsed %v shorter than configured %v", res.Elapsed, cfg.Duration)
 	}

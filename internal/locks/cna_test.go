@@ -12,7 +12,7 @@ import (
 
 func TestCNAMutualExclusion(t *testing.T) {
 	topo := testTopo()
-	locktest.CheckMutex(t, topo, locks.NewCNA(topo), stressProcs(), 300)
+	locktest.Check(t, topo, locks.ExecFromMutex(locks.NewCNA(topo)), 0, stressProcs(), 300)
 }
 
 func TestCNASingleThreadedReacquire(t *testing.T) {
@@ -27,19 +27,19 @@ func TestCNASingleThreadedReacquire(t *testing.T) {
 
 func TestCNAHandoff(t *testing.T) {
 	topo := testTopo()
-	locktest.CheckHandoff(t, topo, locks.NewCNA(topo), 2000)
+	locktest.Check(t, topo, locks.ExecFromMutex(locks.NewCNA(topo)), 0, 2, 2000)
 }
 
 func TestCNAOversubscribedStress(t *testing.T) {
 	topo := numa.New(4, 64)
-	locktest.CheckMutex(t, topo, locks.NewCNA(topo), 64, 100)
+	locktest.Check(t, topo, locks.ExecFromMutex(locks.NewCNA(topo)), 0, 64, 100)
 }
 
 func TestCNASingleClusterDegeneratesToMCS(t *testing.T) {
 	// One cluster: every waiter is local, the secondary list is never
 	// used, and the lock must behave exactly like MCS.
 	topo := numa.New(1, 16)
-	locktest.CheckMutex(t, topo, locks.NewCNA(topo), 16, 300)
+	locktest.Check(t, topo, locks.ExecFromMutex(locks.NewCNA(topo)), 0, 16, 300)
 }
 
 func TestCNAStreakValidation(t *testing.T) {
@@ -48,7 +48,7 @@ func TestCNAStreakValidation(t *testing.T) {
 		t.Fatal("nil lock")
 	}
 	l := locks.NewCNAStreak(topo, -1) // unbounded streak must still exclude
-	locktest.CheckMutex(t, topo, l, 8, 200)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 8, 200)
 }
 
 func TestCNAFairnessUnderContention(t *testing.T) {

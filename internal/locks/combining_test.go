@@ -15,7 +15,7 @@ import (
 
 // introspected is what every combining executor reports about itself.
 type introspected interface {
-	locks.Executor
+	locks.RWExecutor
 	Ops() uint64
 	Batches() uint64
 	Occupancy(cluster int) int
@@ -59,7 +59,7 @@ func rwPerCluster(topo *numa.Topology) locks.RWMutex {
 func checkExecOver(build func(*numa.Topology) locks.Mutex, procs, iters int) func(*testing.T, combinerCase) {
 	return func(t *testing.T, c combinerCase) {
 		topo := testTopo()
-		locktest.CheckExec(t, topo, c.new(topo, build(topo)), procs, iters)
+		locktest.Check(t, topo, c.new(topo, build(topo)), 0, procs, iters)
 	}
 }
 
@@ -78,7 +78,7 @@ func TestAdaptiveOverMCS(t *testing.T) {
 func TestCombiningOverMCS(t *testing.T) {
 	eachCombiner(t, func(t *testing.T, c combinerCase) {
 		topo := numa.New(2, 16)
-		locktest.CheckExec(t, topo, c.new(topo, locks.NewMCS(topo)), 16, 300)
+		locktest.Check(t, topo, c.new(topo, locks.NewMCS(topo)), 0, 16, 300)
 	})
 }
 
@@ -100,7 +100,7 @@ func TestCombiningOverPthread(t *testing.T) {
 func TestExecFromMutex(t *testing.T) {
 	topo := numa.New(2, 8)
 	x := locks.ExecFromMutex(locks.NewMCS(topo))
-	locktest.CheckExec(t, topo, x, 8, 300)
+	locktest.Check(t, topo, x, 0, 8, 300)
 }
 
 // TestCombinesIntrospection: every combining executor, and the
@@ -109,12 +109,12 @@ func TestExecFromMutex(t *testing.T) {
 // keeps its exclusive read path.
 func TestCombinesIntrospection(t *testing.T) {
 	topo := numa.New(2, 4)
-	if x, ok := locks.ExecFromMutex(locks.NewMCS(topo)).(locks.RWExecutor); !ok || locks.SharesExecReads(x) {
-		t.Error("ExecFromMutex adapter is not an exclusive RWExecutor")
+	if locks.SharesExecReads(locks.ExecFromMutex(locks.NewMCS(topo))) {
+		t.Error("ExecFromMutex adapter claims shared reads")
 	}
 	eachCombiner(t, func(t *testing.T, c combinerCase) {
-		if x, ok := c.new(topo, locks.NewMCS(topo)).(locks.RWExecutor); !ok || locks.SharesExecReads(x) {
-			t.Error("combining executor over an exclusive lock is not an exclusive RWExecutor")
+		if locks.SharesExecReads(c.new(topo, locks.NewMCS(topo))) {
+			t.Error("combining executor over an exclusive lock claims shared reads")
 		}
 	})
 }
@@ -314,7 +314,7 @@ func TestAdaptiveOccupancyIntrospection(t *testing.T) {
 func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 16)
-		locktest.CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 8, 4, 200)
+		locktest.Check(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 8, 4, 200)
 	})
 }
 
@@ -324,7 +324,7 @@ func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
 func TestRWCombiningOverRWPerCluster(t *testing.T) {
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(4, 16)
-		locktest.CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 12, 4, 200)
+		locktest.Check(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 12, 4, 200)
 	})
 }
 
@@ -339,7 +339,7 @@ func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
 		if locks.SharesExecReads(x) {
 			t.Fatal("RWCombining over RWFromMutex claims shared reads")
 		}
-		locktest.CheckRWExec(t, topo, x, 8, 4, 200)
+		locktest.Check(t, topo, x, 8, 4, 200)
 	})
 }
 

@@ -23,35 +23,22 @@ type Executor interface {
 	Exec(p *numa.Proc, fn func())
 }
 
-// ExecFromMutex adapts any mutual-exclusion lock to the Executor
+// ExecFromMutex adapts any mutual-exclusion lock to the RWExecutor
 // interface by bracketing each closure with Lock/Unlock: correct, one
 // acquisition per closure. It is ExecFromRWMutex over RWFromMutex, so
-// the adapter also carries the exclusive shared face (SharesExecReads
-// reports false).
-func ExecFromMutex(m Mutex) Executor {
+// shared closures serialize too (SharesExecReads reports false).
+func ExecFromMutex(m Mutex) RWExecutor {
 	return ExecFromRWMutex(RWFromMutex(m))
 }
 
-// countingMutex is the CountAcquisitions wrapper.
-type countingMutex struct {
-	inner Mutex
-	n     *atomic.Uint64
-}
-
-func (c *countingMutex) Lock(p *numa.Proc) {
-	c.n.Add(1)
-	c.inner.Lock(p)
-}
-
-func (c *countingMutex) Unlock(p *numa.Proc) { c.inner.Unlock(p) }
-
 // CountAcquisitions returns m instrumented to add one to n on every
 // Lock call — the measurement seam behind the amortization exhibits.
-// n may be shared across instances (a sharded store's locks summing
+// It is CountRWAcquisitions over RWFromMutex with both counters n. n
+// may be shared across instances (a sharded store's locks summing
 // into one counter); interposed beneath a Combining executor, a
 // combined batch counts as the single acquisition it is.
 func CountAcquisitions(m Mutex, n *atomic.Uint64) Mutex {
-	return &countingMutex{inner: m, n: n}
+	return CountRWAcquisitions(RWFromMutex(m), n, n)
 }
 
 // Combining turns any Mutex into a combining lock: one combiner core

@@ -48,7 +48,7 @@ func TestMutualExclusionAllLocks(t *testing.T) {
 	for name, mk := range factories() {
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.CheckMutex(t, topo, mk(topo), stressProcs(), 300)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, stressProcs(), 300)
 		})
 	}
 }
@@ -71,7 +71,7 @@ func TestTwoProcHandoffAllLocks(t *testing.T) {
 	for name, mk := range factories() {
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.CheckHandoff(t, topo, mk(topo), 500)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, 2, 500)
 		})
 	}
 }
@@ -83,7 +83,7 @@ func TestOversubscribedStress(t *testing.T) {
 		mk := factories()[name]
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(4, 64)
-			locktest.CheckMutex(t, topo, mk(topo), 64, 100)
+			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, 64, 100)
 		})
 	}
 }
@@ -228,7 +228,7 @@ func TestBOConcurrentAborts(t *testing.T) {
 func TestHCLHWindowValidation(t *testing.T) {
 	topo := testTopo()
 	l := locks.NewHCLHWindow(topo, -5) // clamps, must not panic
-	locktest.CheckMutex(t, topo, l, 8, 50)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 8, 50)
 }
 
 func TestFCMCSSingleClusterBatches(t *testing.T) {
@@ -236,14 +236,14 @@ func TestFCMCSSingleClusterBatches(t *testing.T) {
 	// everyone; checks the publication-list path thoroughly.
 	topo := numa.New(1, 16)
 	l := locks.NewFCMCS(topo)
-	locktest.CheckMutex(t, topo, l, 16, 300)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 16, 300)
 }
 
 func TestHCLHSingleProcPerCluster(t *testing.T) {
 	// Degenerate batches of size 1: every thread is its own master.
 	topo := numa.New(4, 4)
 	l := locks.NewHCLH(topo)
-	locktest.CheckMutex(t, topo, l, 4, 300)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 4, 300)
 }
 
 func TestCLHNodeRecyclingManyIterations(t *testing.T) {
@@ -251,7 +251,7 @@ func TestCLHNodeRecyclingManyIterations(t *testing.T) {
 	// procs exercises recycling.
 	topo := numa.New(2, 4)
 	l := locks.NewCLH(topo)
-	locktest.CheckMutex(t, topo, l, 4, 2000)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 4, 2000)
 }
 
 func TestMCSUnlockWaitsForLaggingSuccessor(t *testing.T) {
@@ -259,5 +259,5 @@ func TestMCSUnlockWaitsForLaggingSuccessor(t *testing.T) {
 	// successor swaps tail, then holder unlocks before the link is set.
 	topo := testTopo()
 	l := locks.NewMCS(topo)
-	locktest.CheckHandoff(t, topo, l, 2000)
+	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 2, 2000)
 }

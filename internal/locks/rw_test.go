@@ -11,17 +11,17 @@ import (
 func TestRWPerClusterOverMCS(t *testing.T) {
 	topo := numa.New(4, 16)
 	l := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
-	locktest.CheckRW(t, topo, l, 8, 4, 200)
+	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
 }
 
 func TestRWPerClusterOverCNA(t *testing.T) {
 	topo := numa.New(4, 16)
 	l := locks.NewRWPerCluster(topo, locks.NewCNA(topo))
-	locktest.CheckRW(t, topo, l, 8, 4, 200)
+	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
 }
 
 // TestRWFromMutexIsExclusive verifies the adapter is a correct RWMutex
-// (CheckRW skips the coexistence phase for it) and reports itself as
+// (Check skips the coexistence phase for it) and reports itself as
 // not sharing reads.
 func TestRWFromMutexIsExclusive(t *testing.T) {
 	topo := numa.New(4, 16)
@@ -29,7 +29,7 @@ func TestRWFromMutexIsExclusive(t *testing.T) {
 	if locks.SharesReads(l) {
 		t.Fatal("RWFromMutex adapter claims shared reads")
 	}
-	locktest.CheckRW(t, topo, l, 8, 4, 200)
+	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
 }
 
 // TestSharesReadsDefault: a genuine RW lock (no ReadSharer method)

@@ -1,7 +1,11 @@
-// Package locktest provides reusable correctness harnesses for the
-// lock implementations: mutual-exclusion stress checks for blocking
-// and abortable locks, driven through the same Proc handles the real
-// harnesses use. Every lock package's tests build on these.
+// Package locktest provides the reusable correctness harnesses for the
+// lock implementations, driven through the same Proc handles the real
+// harnesses use. Check is the one mutual-exclusion harness: every lock
+// reaches it as a locks.RWExecutor (a blocking lock through
+// locks.ExecFromMutex, a reader-writer lock through
+// locks.ExecFromRWMutex, an executor as is). CheckFairness runs the
+// same loop under skewed quotas, and CheckTryMutex covers abortable
+// attempts. Every lock package's tests build on these.
 package locktest
 
 import (
@@ -101,37 +105,160 @@ func awaitWorkers(t TB, wg *sync.WaitGroup, what string) {
 	}
 }
 
-// CheckMutex stress-tests mutual exclusion: procs goroutines each
-// acquire m iters times around a shared critical section. It fails the
-// test on any exclusion violation or lost update, and on a run that
-// outlives the harness deadline (deadlock, lost wakeup, starvation).
-func CheckMutex(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
+// checkProcs fails the test when n workers do not fit the topology,
+// then sets the spin discipline for n.
+func checkProcs(t TB, topo *numa.Topology, n int) {
 	t.Helper()
-	if procs > topo.MaxProcs() {
-		t.Fatalf("locktest: %d procs exceeds topology max %d", procs, topo.MaxProcs())
+	if n > topo.MaxProcs() {
+		t.Fatalf("locktest: %d workers exceeds topology max %d", n, topo.MaxProcs())
 	}
-	spin.AutoOversubscribe(procs)
-	var s shared
+	spin.AutoOversubscribe(n)
+}
+
+// Check stress-tests mutual exclusion through the one seam every lock
+// reaches its users by. Deadline-guarded, it verifies:
+//
+//   - Shared coexistence: when x genuinely shares reads
+//     (locks.SharesExecReads), one shared closure per cluster must be
+//     able to run simultaneously — an executor or reader-writer lock
+//     that serializes shared mode while claiming to share it wedges
+//     here. Exclusive adapters skip this phase; serializing shared
+//     closures is their documented behavior.
+//   - Exclusion and snapshot consistency: exclusive closures hold the
+//     domain alone, and shared closures always observe the counter pair
+//     equal — an exclusive update is never visible half done. The
+//     counters are non-atomic, so any overlap is also a data race under
+//     -race.
+//   - Exactly-once execution: Exec and ExecShared return only after
+//     their closure ran exactly once, its effects happening-before the
+//     return; the counters equal the number of exclusive closures.
+//
+// readers and writers are goroutine counts; procs are assigned
+// readers-first so shared closures land on distinct clusters. A
+// blocking lock is checked as locks.ExecFromMutex(m) with no readers.
+func Check(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers, iters int) {
+	t.Helper()
+	checkProcs(t, topo, readers+writers)
+	coexist(t, topo, x, readers)
+	stress(t, topo, x, readers, writers, iters, 0,
+		"workers never finished: deadlock, lost wakeup or starvation")
+}
+
+// CheckFairness verifies a lock's waits stay bounded under skewed
+// load: the first proc of every cluster is an aggressor that
+// re-arrives for 10x the quota, and every other worker must still
+// complete its iters critical sections within the harness deadline. A
+// lock that lets eager re-arrivals starve a waiter (a deferred queue
+// node never spliced back, a parked thread never promoted) turns the
+// victim's quota into a hang, which the deadline reports as a
+// failure. Quotas rather than a wall-clock window keep the check
+// independent of scheduler timing (GOMAXPROCS=1 under -race
+// legitimately runs workers very unevenly over short windows).
+func CheckFairness(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
+	t.Helper()
+	checkProcs(t, topo, procs)
+	stress(t, topo, locks.ExecFromMutex(m), 0, procs, iters, topo.Clusters(),
+		"fairness deadline exceeded: a worker's acquisitions are unbounded-delayed (starvation or lost wakeup)")
+}
+
+// coexist is Check's first phase: one shared closure per cluster
+// rendezvouses inside shared mode.
+func coexist(t TB, topo *numa.Topology, x locks.RWExecutor, readers int) {
+	t.Helper()
+	want := min(topo.Clusters(), readers)
+	if !locks.SharesExecReads(x) || want < 2 {
+		return
+	}
+	var inside, stuck atomic.Int32
 	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
+	deadline := time.Now().Add(harnessDeadline)
+	for c := 0; c < want; c++ {
+		// Proc c is on cluster c under round-robin placement.
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			p := topo.Proc(id)
-			for k := 0; k < iters; k++ {
-				m.Lock(p)
-				s.enter(k)
-				m.Unlock(p)
-			}
-		}(i)
+			x.ExecShared(topo.Proc(id), func() {
+				inside.Add(1)
+				for i := 0; inside.Load() < int32(want); i++ {
+					if time.Now().After(deadline) {
+						stuck.Add(1)
+						break
+					}
+					spin.Poll(i)
+				}
+			})
+		}(c)
 	}
-	awaitWorkers(t, &wg, "workers never finished: deadlock, lost wakeup or starvation")
+	awaitWorkers(t, &wg, "shared closures never finished the coexistence rendezvous")
+	if stuck.Load() != 0 {
+		t.Fatalf("shared closures on %d clusters could not run together", want)
+	}
+}
+
+// stress is the one churn loop behind Check and CheckFairness: writers
+// run exclusive closures, the first aggressors of them 10x iters, the
+// rest iters; readers run shared closures until every writer retires
+// its quota. stalled is the report for a run that outlives the
+// deadline.
+func stress(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers, iters, aggressors int, stalled string) {
+	t.Helper()
+	var s shared
+	var lost, doubled atomic.Int64
+	// once runs fn through submit and records whether it ran exactly once.
+	once := func(submit func(*numa.Proc, func()), p *numa.Proc, fn func()) {
+		runs := 0
+		submit(p, func() { runs++; fn() })
+		switch {
+		case runs == 0:
+			lost.Add(1)
+		case runs > 1:
+			doubled.Add(1)
+		}
+	}
+	var writersDone atomic.Int32
+	var wg sync.WaitGroup
+	total := int64(0)
+	for i := 0; i < writers; i++ {
+		quota := iters
+		if i < aggressors {
+			quota = 10 * iters
+		}
+		total += int64(quota)
+		wg.Add(1)
+		go func(p *numa.Proc, quota int) {
+			defer wg.Done()
+			defer writersDone.Add(1)
+			for k := 0; k < quota; k++ {
+				once(x.Exec, p, func() { s.enter(k) })
+			}
+		}(topo.Proc(readers+i), quota)
+	}
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(p *numa.Proc) {
+			defer wg.Done()
+			// A floor of iters closures exercises shared mode even if the
+			// writers finish first.
+			for k := 0; k < iters || writersDone.Load() < int32(writers); k++ {
+				once(x.ExecShared, p, s.observe)
+			}
+		}(topo.Proc(i))
+	}
+	awaitWorkers(t, &wg, stalled)
+	if v := lost.Load(); v != 0 {
+		t.Fatalf("%d closures were lost (Exec/ExecShared returned before running them)", v)
+	}
+	if v := doubled.Load(); v != 0 {
+		t.Fatalf("%d closures ran more than once", v)
+	}
 	if v := s.violations.Load(); v != 0 {
 		t.Fatalf("mutual exclusion violated %d times", v)
 	}
-	want := int64(procs * iters)
-	if s.a != want || s.b != want {
-		t.Fatalf("lost updates: counters (%d,%d), want %d", s.a, s.b, want)
+	if v := s.torn.Load(); v != 0 {
+		t.Fatalf("shared closures observed %d torn snapshots", v)
+	}
+	if s.a != total || s.b != total {
+		t.Fatalf("lost updates: counters (%d,%d), want %d", s.a, s.b, total)
 	}
 }
 
@@ -143,10 +270,7 @@ func CheckMutex(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
 // It returns (successes, aborts) so callers can assert on abort rates.
 func CheckTryMutex(t TB, topo *numa.Topology, m locks.TryMutex, procs, iters int, patience time.Duration) (successes, aborts int64) {
 	t.Helper()
-	if procs > topo.MaxProcs() {
-		t.Fatalf("locktest: %d procs exceeds topology max %d", procs, topo.MaxProcs())
-	}
-	spin.AutoOversubscribe(procs)
+	checkProcs(t, topo, procs)
 	var s shared
 	var okCount, abortCount atomic.Int64
 	var wg sync.WaitGroup
@@ -177,387 +301,4 @@ func CheckTryMutex(t TB, topo *numa.Topology, m locks.TryMutex, procs, iters int
 		t.Fatal("no acquisition ever succeeded")
 	}
 	return okCount.Load(), abortCount.Load()
-}
-
-// CheckFairness verifies a lock's waits stay bounded under skewed
-// load: the first proc of every cluster is an aggressor that
-// re-arrives for 10x the quota, and every other worker must still
-// complete its iters critical sections within the harness deadline. A
-// lock that lets eager re-arrivals starve a waiter (a deferred queue
-// node never spliced back, a parked thread never promoted) turns the
-// victim's quota into a hang, which the deadline reports as a
-// failure. Quotas rather than a wall-clock window keep the check
-// independent of scheduler timing (GOMAXPROCS=1 under -race
-// legitimately runs workers very unevenly over short windows).
-func CheckFairness(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
-	t.Helper()
-	if procs > topo.MaxProcs() {
-		t.Fatalf("locktest: %d procs exceeds topology max %d", procs, topo.MaxProcs())
-	}
-	spin.AutoOversubscribe(procs)
-	var s shared
-	var wg sync.WaitGroup
-	total := int64(0)
-	for i := 0; i < procs; i++ {
-		quota := iters
-		if i < topo.Clusters() {
-			quota = 10 * iters // the cluster's aggressor
-		}
-		total += int64(quota)
-		wg.Add(1)
-		go func(id, quota int) {
-			defer wg.Done()
-			p := topo.Proc(id)
-			for k := 0; k < quota; k++ {
-				m.Lock(p)
-				s.enter(k)
-				m.Unlock(p)
-			}
-		}(i, quota)
-	}
-	awaitWorkers(t, &wg, "fairness deadline exceeded: a worker's acquisitions are unbounded-delayed (starvation or lost wakeup)")
-	if v := s.violations.Load(); v != 0 {
-		t.Fatalf("mutual exclusion violated %d times", v)
-	}
-	if s.a != total || s.b != total {
-		t.Fatalf("lost updates: counters (%d,%d), want %d", s.a, s.b, total)
-	}
-}
-
-// CheckRW stress-tests a reader-writer lock. Three properties, all
-// deadline-guarded like the other harnesses:
-//
-//   - Writer exclusion: writers hold exclusive mode alone (checked via
-//     the same torn-counter shared state as CheckMutex).
-//   - Snapshot consistency: readers under shared mode always observe
-//     the two counters equal — a writer's mutation is never visible
-//     half-done. The counters are deliberately non-atomic, so any
-//     reader/writer overlap is also a data race under -race.
-//   - Reader concurrency: when the lock genuinely shares reads
-//     (locks.SharesReads), one reader per cluster must be able to hold
-//     shared mode simultaneously — concurrent readers on distinct
-//     clusters make progress instead of serializing. Exclusive
-//     adapters (RWFromMutex) skip this phase; serializing readers is
-//     their documented behavior.
-//
-// readers and writers are goroutine counts; procs are assigned
-// readers-first so readers land on distinct clusters.
-func CheckRW(t TB, topo *numa.Topology, l locks.RWMutex, readers, writers, iters int) {
-	t.Helper()
-	if readers+writers > topo.MaxProcs() {
-		t.Fatalf("locktest: %d workers exceeds topology max %d", readers+writers, topo.MaxProcs())
-	}
-	spin.AutoOversubscribe(readers + writers)
-
-	// Phase 1: reader concurrency. One reader per cluster enters shared
-	// mode and waits until every cluster's reader is inside; a lock
-	// that serializes readers wedges here and fails on the deadline.
-	if locks.SharesReads(l) {
-		want := topo.Clusters()
-		if want > readers {
-			want = readers
-		}
-		if want > 1 {
-			var inside atomic.Int32
-			var stuck atomic.Int32
-			var cwg sync.WaitGroup
-			deadline := time.Now().Add(harnessDeadline)
-			for c := 0; c < want; c++ {
-				// Proc c is on cluster c under round-robin placement.
-				cwg.Add(1)
-				go func(id int) {
-					defer cwg.Done()
-					p := topo.Proc(id)
-					l.RLock(p)
-					inside.Add(1)
-					for i := 0; inside.Load() < int32(want); i++ {
-						if time.Now().After(deadline) {
-							stuck.Add(1)
-							break
-						}
-						spin.Poll(i)
-					}
-					l.RUnlock(p)
-				}(c)
-			}
-			awaitWorkers(t, &cwg, "readers never finished the coexistence rendezvous")
-			if stuck.Load() != 0 {
-				t.Fatalf("readers on %d clusters could not hold shared mode together", want)
-			}
-		}
-	}
-
-	// Phase 2: writer exclusion and snapshot consistency under churn.
-	// Writers mutate the counter pair under exclusive mode; readers
-	// under shared mode must always see it consistent.
-	var s shared
-	var writersDone atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			defer writersDone.Add(1)
-			p := topo.Proc(readers + id)
-			for k := 0; k < iters; k++ {
-				l.Lock(p)
-				s.enter(k)
-				l.Unlock(p)
-			}
-		}(i)
-	}
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := topo.Proc(id)
-			// Read until every writer retires its quota, with a floor of
-			// iters sections so readers exercise the lock even if the
-			// writers finish first.
-			for k := 0; k < iters || writersDone.Load() < int32(writers); k++ {
-				l.RLock(p)
-				s.observe()
-				l.RUnlock(p)
-			}
-		}(i)
-	}
-	awaitWorkers(t, &wg, "rw workers never finished: deadlock, lost wakeup or reader starvation")
-	if v := s.violations.Load(); v != 0 {
-		t.Fatalf("writer exclusion violated %d times", v)
-	}
-	if v := s.torn.Load(); v != 0 {
-		t.Fatalf("readers observed %d torn snapshots", v)
-	}
-	want := int64(writers * iters)
-	if s.a != want || s.b != want {
-		t.Fatalf("lost updates: counters (%d,%d), want %d", s.a, s.b, want)
-	}
-}
-
-// CheckExec stress-tests a delegated-execution combiner
-// (locks.Executor): procs goroutines each submit iters closures
-// through Exec. Deadline-guarded like the other harnesses, it
-// verifies:
-//
-//   - Mutual exclusion of closures: no two posted closures run
-//     concurrently, even when a combiner executes other procs'
-//     closures on its own thread (the same torn-counter shared state
-//     as CheckMutex, so an overlap is also a data race under -race).
-//   - No lost or double-run ops: Exec must return only after its own
-//     closure ran exactly once. The per-call run counter is written
-//     inside the closure and read after Exec returns, so an executor
-//     whose completion signal does not happen-after the closure is
-//     also a data race.
-//   - No lost updates overall: the shared counters equal the total
-//     number of submitted closures.
-func CheckExec(t TB, topo *numa.Topology, x locks.Executor, procs, iters int) {
-	t.Helper()
-	if procs > topo.MaxProcs() {
-		t.Fatalf("locktest: %d procs exceeds topology max %d", procs, topo.MaxProcs())
-	}
-	spin.AutoOversubscribe(procs)
-	var s shared
-	var lost, doubled atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < procs; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := topo.Proc(id)
-			for k := 0; k < iters; k++ {
-				runs := 0
-				x.Exec(p, func() {
-					runs++
-					s.enter(k)
-				})
-				switch {
-				case runs == 0:
-					lost.Add(1)
-				case runs > 1:
-					doubled.Add(1)
-				}
-			}
-		}(i)
-	}
-	awaitWorkers(t, &wg, "exec workers never finished: combiner deadlock, lost wakeup or starvation")
-	if v := lost.Load(); v != 0 {
-		t.Fatalf("%d closures were lost (Exec returned before running them)", v)
-	}
-	if v := doubled.Load(); v != 0 {
-		t.Fatalf("%d closures ran more than once", v)
-	}
-	if v := s.violations.Load(); v != 0 {
-		t.Fatalf("closure mutual exclusion violated %d times", v)
-	}
-	want := int64(procs * iters)
-	if s.a != want || s.b != want {
-		t.Fatalf("lost updates: counters (%d,%d), want %d", s.a, s.b, want)
-	}
-}
-
-// CheckRWExec stress-tests a shared-mode executor (locks.RWExecutor):
-// delegated execution whose closures come in exclusive and shared
-// flavors. Deadline-guarded like the other harnesses, it verifies:
-//
-//   - Shared coexistence: when the executor genuinely shares reads
-//     (locks.SharesExecReads), one shared closure per cluster must be
-//     able to run simultaneously — concurrent shared batches make
-//     progress instead of serializing. Adapters over exclusive locks
-//     skip this phase; serializing shared closures is their documented
-//     behavior.
-//   - Writer exclusion and snapshot consistency: exclusive closures
-//     hold the domain alone (torn-counter state as in CheckMutex), and
-//     shared closures always observe the counters equal — an exclusive
-//     mutation is never visible half-done. The counters are non-atomic,
-//     so any shared/exclusive overlap is also a data race under -race.
-//   - No lost or double-run ops in either mode: Exec and ExecShared
-//     must return only after their closure ran exactly once, with the
-//     closure's effects happening-before the return.
-//
-// readers and writers are goroutine counts; procs are assigned
-// readers-first so shared closures land on distinct clusters.
-func CheckRWExec(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers, iters int) {
-	t.Helper()
-	if readers+writers > topo.MaxProcs() {
-		t.Fatalf("locktest: %d workers exceeds topology max %d", readers+writers, topo.MaxProcs())
-	}
-	spin.AutoOversubscribe(readers + writers)
-
-	// Phase 1: shared coexistence. One shared closure per cluster
-	// rendezvouses inside shared mode; an executor that serializes
-	// shared closures wedges here and fails on the deadline.
-	if locks.SharesExecReads(x) {
-		want := topo.Clusters()
-		if want > readers {
-			want = readers
-		}
-		if want > 1 {
-			var inside atomic.Int32
-			var stuck atomic.Int32
-			var cwg sync.WaitGroup
-			deadline := time.Now().Add(harnessDeadline)
-			for c := 0; c < want; c++ {
-				// Proc c is on cluster c under round-robin placement.
-				cwg.Add(1)
-				go func(id int) {
-					defer cwg.Done()
-					p := topo.Proc(id)
-					x.ExecShared(p, func() {
-						inside.Add(1)
-						for i := 0; inside.Load() < int32(want); i++ {
-							if time.Now().After(deadline) {
-								stuck.Add(1)
-								break
-							}
-							spin.Poll(i)
-						}
-					})
-				}(c)
-			}
-			awaitWorkers(t, &cwg, "shared closures never finished the coexistence rendezvous")
-			if stuck.Load() != 0 {
-				t.Fatalf("shared closures on %d clusters could not run together", want)
-			}
-		}
-	}
-
-	// Phase 2: exclusive exclusion, snapshot consistency and
-	// exactly-once execution under churn.
-	var s shared
-	var lost, doubled atomic.Int64
-	var writersDone atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			defer writersDone.Add(1)
-			p := topo.Proc(readers + id)
-			for k := 0; k < iters; k++ {
-				runs := 0
-				x.Exec(p, func() {
-					runs++
-					s.enter(k)
-				})
-				switch {
-				case runs == 0:
-					lost.Add(1)
-				case runs > 1:
-					doubled.Add(1)
-				}
-			}
-		}(i)
-	}
-	for i := 0; i < readers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := topo.Proc(id)
-			// Read until every writer retires its quota, with a floor of
-			// iters closures so shared mode is exercised even if the
-			// writers finish first.
-			for k := 0; k < iters || writersDone.Load() < int32(writers); k++ {
-				runs := 0
-				x.ExecShared(p, func() {
-					runs++
-					s.observe()
-				})
-				switch {
-				case runs == 0:
-					lost.Add(1)
-				case runs > 1:
-					doubled.Add(1)
-				}
-			}
-		}(i)
-	}
-	awaitWorkers(t, &wg, "rw-exec workers never finished: deadlock, lost wakeup or starvation")
-	if v := lost.Load(); v != 0 {
-		t.Fatalf("%d closures were lost (Exec/ExecShared returned before running them)", v)
-	}
-	if v := doubled.Load(); v != 0 {
-		t.Fatalf("%d closures ran more than once", v)
-	}
-	if v := s.violations.Load(); v != 0 {
-		t.Fatalf("exclusive-closure exclusion violated %d times", v)
-	}
-	if v := s.torn.Load(); v != 0 {
-		t.Fatalf("shared closures observed %d torn snapshots", v)
-	}
-	want := int64(writers * iters)
-	if s.a != want || s.b != want {
-		t.Fatalf("lost updates: counters (%d,%d), want %d", s.a, s.b, want)
-	}
-}
-
-// CheckHandoff verifies a lock hands over between two specific procs
-// repeatedly without losing progress: proc 0 and proc 1 alternate via
-// the lock, each completing iters sections within the deadline.
-func CheckHandoff(t TB, topo *numa.Topology, m locks.Mutex, iters int) {
-	t.Helper()
-	spin.AutoOversubscribe(2)
-	done := make(chan struct{}, 2)
-	var s shared
-	for i := 0; i < 2; i++ {
-		go func(id int) {
-			p := topo.Proc(id)
-			for k := 0; k < iters; k++ {
-				m.Lock(p)
-				s.enter(k)
-				m.Unlock(p)
-			}
-			done <- struct{}{}
-		}(i)
-	}
-	timeout := time.After(30 * time.Second)
-	for i := 0; i < 2; i++ {
-		select {
-		case <-done:
-		case <-timeout:
-			t.Fatal("handoff stalled: possible lost wakeup or deadlock")
-		}
-	}
-	if v := s.violations.Load(); v != 0 {
-		t.Fatalf("mutual exclusion violated %d times", v)
-	}
 }

@@ -116,7 +116,8 @@ func (sloppyTry) Unlock(p *numa.Proc)                                  {}
 // dropExec returns without running the closure: a lost op.
 type dropExec struct{}
 
-func (dropExec) Exec(p *numa.Proc, fn func()) {}
+func (dropExec) Exec(p *numa.Proc, fn func())       {}
+func (dropExec) ExecShared(p *numa.Proc, fn func()) {}
 
 // doubleExec runs every closure twice (under a real lock, so the
 // failure is double-execution alone, race-detector clean).
@@ -131,10 +132,13 @@ func (x *doubleExec) Exec(p *numa.Proc, fn func()) {
 	x.mu.Unlock()
 }
 
+func (x *doubleExec) ExecShared(p *numa.Proc, fn func()) { x.Exec(p, fn) }
+
 // bareExec runs closures with no exclusion at all.
 type bareExec struct{}
 
-func (bareExec) Exec(p *numa.Proc, fn func()) { fn() }
+func (bareExec) Exec(p *numa.Proc, fn func())       { fn() }
+func (bareExec) ExecShared(p *numa.Proc, fn func()) { fn() }
 
 // tornRWExec takes exclusive closures through a real mutex but runs
 // shared closures bare: writer exclusion holds, snapshots tear.
@@ -274,6 +278,18 @@ func (l *tornRW) Unlock(p *numa.Proc)  { l.mu.Unlock() }
 func (l *tornRW) RLock(p *numa.Proc)   {}
 func (l *tornRW) RUnlock(p *numa.Proc) {}
 
+// serialRW takes readers through the writers' mutex and omits
+// SharedReads, so it is assumed to share: correct exclusion, broken
+// coexistence.
+type serialRW struct {
+	mu sync.Mutex
+}
+
+func (l *serialRW) Lock(p *numa.Proc)    { l.mu.Lock() }
+func (l *serialRW) Unlock(p *numa.Proc)  { l.mu.Unlock() }
+func (l *serialRW) RLock(p *numa.Proc)   { l.mu.Lock() }
+func (l *serialRW) RUnlock(p *numa.Proc) { l.mu.Unlock() }
+
 func testTopo() *numa.Topology { return numa.New(2, 8) }
 
 // needsViolationObservation skips tests whose broken lock can only be
@@ -293,8 +309,8 @@ func needsViolationObservation(t *testing.T) {
 
 func TestCheckMutexCatchesExclusionViolation(t *testing.T) {
 	needsViolationObservation(t)
-	msg := expectFailure(t, "CheckMutex/noop", func(tb TB) {
-		CheckMutex(tb, testTopo(), noopLock{}, 8, 20_000)
+	msg := expectFailure(t, "Check/noop", func(tb TB) {
+		Check(tb, testTopo(), locks.ExecFromMutex(noopLock{}), 0, 8, 20_000)
 	})
 	if !strings.Contains(msg, "violated") && !strings.Contains(msg, "lost updates") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -303,8 +319,8 @@ func TestCheckMutexCatchesExclusionViolation(t *testing.T) {
 
 func TestCheckMutexCatchesDeadlock(t *testing.T) {
 	withDeadline(300*time.Millisecond, func() {
-		msg := expectFailure(t, "CheckMutex/deadlock", func(tb TB) {
-			CheckMutex(tb, testTopo(), newBlockLock(), 4, 10)
+		msg := expectFailure(t, "Check/deadlock", func(tb TB) {
+			Check(tb, testTopo(), locks.ExecFromMutex(newBlockLock()), 0, 4, 10)
 		})
 		if !strings.Contains(msg, "never finished") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -332,17 +348,31 @@ func TestCheckFairnessCatchesStarvation(t *testing.T) {
 
 func TestCheckRWCatchesTornSnapshots(t *testing.T) {
 	needsViolationObservation(t)
-	msg := expectFailure(t, "CheckRW/torn", func(tb TB) {
-		CheckRW(tb, testTopo(), &tornRW{}, 4, 3, 20_000)
+	msg := expectFailure(t, "Check/torn-rw", func(tb TB) {
+		Check(tb, testTopo(), locks.ExecFromRWMutex(&tornRW{}), 4, 3, 20_000)
 	})
-	if !strings.Contains(msg, "torn") && !strings.Contains(msg, "could not hold shared mode") {
+	if !strings.Contains(msg, "torn") && !strings.Contains(msg, "could not run together") {
 		t.Errorf("unexpected failure message: %q", msg)
 	}
 }
 
+func TestCheckCatchesSerializedSharedLock(t *testing.T) {
+	// A reader-writer lock whose readers serialize, adapted through
+	// ExecFromRWMutex, inherits the lock's assumed sharing: the
+	// coexistence rendezvous must wedge and fail on the deadline.
+	withDeadline(300*time.Millisecond, func() {
+		msg := expectFailure(t, "Check/serialized-rw", func(tb TB) {
+			Check(tb, testTopo(), locks.ExecFromRWMutex(&serialRW{}), 4, 2, 10)
+		})
+		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
+			t.Errorf("unexpected failure message: %q", msg)
+		}
+	})
+}
+
 func TestCheckExecCatchesLostOps(t *testing.T) {
-	msg := expectFailure(t, "CheckExec/drop", func(tb TB) {
-		CheckExec(tb, testTopo(), dropExec{}, 4, 50)
+	msg := expectFailure(t, "Check/drop", func(tb TB) {
+		Check(tb, testTopo(), dropExec{}, 0, 4, 50)
 	})
 	if !strings.Contains(msg, "lost") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -350,8 +380,8 @@ func TestCheckExecCatchesLostOps(t *testing.T) {
 }
 
 func TestCheckExecCatchesDoubleRuns(t *testing.T) {
-	msg := expectFailure(t, "CheckExec/double", func(tb TB) {
-		CheckExec(tb, testTopo(), &doubleExec{}, 4, 50)
+	msg := expectFailure(t, "Check/double", func(tb TB) {
+		Check(tb, testTopo(), &doubleExec{}, 0, 4, 50)
 	})
 	if !strings.Contains(msg, "more than once") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -360,15 +390,15 @@ func TestCheckExecCatchesDoubleRuns(t *testing.T) {
 
 func TestCheckExecCatchesExclusionViolation(t *testing.T) {
 	needsViolationObservation(t)
-	expectFailure(t, "CheckExec/bare", func(tb TB) {
-		CheckExec(tb, testTopo(), bareExec{}, 8, 20_000)
+	expectFailure(t, "Check/bare", func(tb TB) {
+		Check(tb, testTopo(), bareExec{}, 0, 8, 20_000)
 	})
 }
 
 func TestCheckRWExecCatchesTornSnapshots(t *testing.T) {
 	needsViolationObservation(t)
-	msg := expectFailure(t, "CheckRWExec/torn", func(tb TB) {
-		CheckRWExec(tb, testTopo(), &tornRWExec{}, 4, 3, 20_000)
+	msg := expectFailure(t, "Check/torn", func(tb TB) {
+		Check(tb, testTopo(), &tornRWExec{}, 4, 3, 20_000)
 	})
 	if !strings.Contains(msg, "torn") && !strings.Contains(msg, "could not run together") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -382,8 +412,8 @@ func TestCheckRWExecCatchesSerializedSharedClosures(t *testing.T) {
 	// single-processor scheduler can still provide: the inside closure
 	// spins through spin.Poll, which yields.
 	withDeadline(300*time.Millisecond, func() {
-		msg := expectFailure(t, "CheckRWExec/serialized", func(tb TB) {
-			CheckRWExec(tb, testTopo(), &serialRWExec{}, 4, 2, 10)
+		msg := expectFailure(t, "Check/serialized", func(tb TB) {
+			Check(tb, testTopo(), &serialRWExec{}, 4, 2, 10)
 		})
 		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -392,8 +422,8 @@ func TestCheckRWExecCatchesSerializedSharedClosures(t *testing.T) {
 }
 
 func TestCheckRWExecCatchesLostSharedOps(t *testing.T) {
-	msg := expectFailure(t, "CheckRWExec/drop", func(tb TB) {
-		CheckRWExec(tb, testTopo(), &dropSharedExec{}, 4, 2, 50)
+	msg := expectFailure(t, "Check/drop-shared", func(tb TB) {
+		Check(tb, testTopo(), &dropSharedExec{}, 4, 2, 50)
 	})
 	if !strings.Contains(msg, "lost") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -405,8 +435,8 @@ func TestCheckRWExecCatchesExclusiveHarvest(t *testing.T) {
 	// exclusive lock serializes shared mode while claiming to share it:
 	// the coexistence rendezvous must wedge on the deadline.
 	withDeadline(300*time.Millisecond, func() {
-		msg := expectFailure(t, "CheckRWExec/exclusive-harvest", func(tb TB) {
-			CheckRWExec(tb, testTopo(), &brokenRWCombiner{}, 4, 2, 10)
+		msg := expectFailure(t, "Check/exclusive-harvest", func(tb TB) {
+			Check(tb, testTopo(), &brokenRWCombiner{}, 4, 2, 10)
 		})
 		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -417,8 +447,8 @@ func TestCheckRWExecCatchesExclusiveHarvest(t *testing.T) {
 func TestCheckRWExecCatchesDroppedHarvestedClosure(t *testing.T) {
 	// A read-combiner that acknowledges a posted read closure without
 	// running it must show up as lost ops.
-	msg := expectFailure(t, "CheckRWExec/drop-harvested", func(tb TB) {
-		CheckRWExec(tb, testTopo(), &brokenRWCombiner{drop: true}, 4, 2, 50)
+	msg := expectFailure(t, "Check/drop-harvested", func(tb TB) {
+		Check(tb, testTopo(), &brokenRWCombiner{drop: true}, 4, 2, 50)
 	})
 	if !strings.Contains(msg, "lost") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -427,16 +457,14 @@ func TestCheckRWExecCatchesDroppedHarvestedClosure(t *testing.T) {
 
 func TestHarnessesPassCorrectImplementations(t *testing.T) {
 	// Positive control: the same harnesses must accept known-good
-	// implementations, or the failure tests above prove nothing.
+	// implementations, reached through every adapter, or the failure
+	// tests above prove nothing.
 	topo := testTopo()
-	CheckMutex(t, topo, locks.NewMCS(topo), 8, 100)
+	rw := func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }
+	Check(t, topo, locks.ExecFromMutex(locks.NewMCS(topo)), 0, 8, 100)
 	CheckFairness(t, topo, locks.NewMCS(topo), 6, 50)
-	CheckRW(t, topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)), 4, 2, 100)
-	CheckExec(t, topo, locks.ExecFromMutex(locks.NewMCS(topo)), 8, 100)
-	CheckExec(t, topo, locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), 8, 100)
-	CheckExec(t, topo, locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), 8, 100)
-	CheckRWExec(t, topo, locks.ExecFromRWMutex(locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
-	CheckRWExec(t, topo, locks.ExecFromRWMutex(locks.RWFromMutex(locks.NewMCS(topo))), 4, 2, 100)
-	CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
-	CheckRWExec(t, topo, locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo))), 4, 2, 100)
+	Check(t, topo, locks.ExecFromRWMutex(rw()), 4, 2, 100)
+	Check(t, topo, locks.ExecFromRWMutex(locks.RWFromMutex(locks.NewMCS(topo))), 4, 2, 100)
+	Check(t, topo, locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), 0, 8, 100)
+	Check(t, topo, locks.NewRWCombiningAdaptive(topo, rw()), 4, 2, 100)
 }

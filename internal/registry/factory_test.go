@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
 )
@@ -31,7 +32,7 @@ func TestMutexFactoriesSmoke(t *testing.T) {
 			if f == nil {
 				t.Fatal("Blocking() entry has nil MutexFactory")
 			}
-			locktest.CheckMutex(t, topo, f(), 4, 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(f()), 0, 4, 200)
 		})
 	}
 }

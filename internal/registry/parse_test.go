@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
 )
@@ -190,14 +191,14 @@ func TestUnregisteredCompositions(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 8)
 			if e.NewMutex != nil {
-				locktest.CheckMutex(t, topo, e.NewMutex(topo), 8, 150)
+				locktest.Check(t, topo, locks.ExecFromMutex(e.NewMutex(topo)), 0, 8, 150)
 			}
 			if f := e.RWFactory(topo); f != nil {
-				locktest.CheckRW(t, topo, f(), 5, 3, 150)
+				locktest.Check(t, topo, locks.ExecFromRWMutex(f()), 5, 3, 150)
 			}
-			locktest.CheckExec(t, topo, e.ExecFactory(topo)(), 8, 150)
+			locktest.Check(t, topo, e.ExecFactory(topo)(), 0, 8, 150)
 			if e.CombinesReads() {
-				locktest.CheckRWExec(t, topo, e.ExecFactory(topo)(), 5, 3, 150)
+				locktest.Check(t, topo, e.ExecFactory(topo)(), 5, 3, 150)
 			}
 		})
 	}

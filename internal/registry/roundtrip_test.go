@@ -22,7 +22,7 @@ func TestEveryBlockingEntryPassesLocktest(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			locktest.CheckMutex(t, topo, e.NewMutex(topo), 8, 150)
+			locktest.Check(t, topo, locks.ExecFromMutex(e.NewMutex(topo)), 0, 8, 150)
 		})
 	}
 }
@@ -43,7 +43,7 @@ func TestEveryAbortableEntryPassesLocktest(t *testing.T) {
 }
 
 // TestEveryRWEntryPassesLocktest round-trips every registered
-// reader-writer factory through locktest.CheckRW: writer exclusion,
+// reader-writer factory through locktest.Check: writer exclusion,
 // torn-snapshot detection, and genuine cross-cluster reader
 // concurrency, automatically for any future rw-* registration.
 func TestEveryRWEntryPassesLocktest(t *testing.T) {
@@ -54,7 +54,7 @@ func TestEveryRWEntryPassesLocktest(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			locktest.CheckRW(t, topo, e.NewRW(topo), 5, 3, 150)
+			locktest.Check(t, topo, locks.ExecFromRWMutex(e.NewRW(topo)), 5, 3, 150)
 		})
 	}
 }
@@ -71,13 +71,13 @@ func TestRWFactoryAdaptsExclusiveEntries(t *testing.T) {
 			if locks.SharesReads(l) {
 				t.Fatalf("%s has no native RW construction but its adapter claims shared reads", name)
 			}
-			locktest.CheckRW(t, topo, l, 5, 3, 150)
+			locktest.Check(t, topo, locks.ExecFromRWMutex(l), 5, 3, 150)
 		})
 	}
 }
 
 // TestEveryExecEntryPassesLocktest round-trips every derived comb-a-*
-// factory through locktest.CheckExec: closure mutual exclusion, no
+// factory through locktest.Check: closure mutual exclusion, no
 // lost or double-run ops, deadline-guarded — automatically for any
 // future blocking registration (each gains a comb-a-* twin).
 func TestEveryExecEntryPassesLocktest(t *testing.T) {
@@ -88,7 +88,7 @@ func TestEveryExecEntryPassesLocktest(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			locktest.CheckExec(t, topo, e.NewExec(topo), 8, 150)
+			locktest.Check(t, topo, e.NewExec(topo), 0, 8, 150)
 		})
 	}
 }
@@ -101,7 +101,7 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 		e := MustLookup(name)
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			locktest.CheckExec(t, topo, e.ExecFactory(topo)(), 8, 150)
+			locktest.Check(t, topo, e.ExecFactory(topo)(), 0, 8, 150)
 		})
 	}
 }
@@ -109,7 +109,7 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 // TestEveryRWExecFactoryPassesLocktest round-trips every lockable
 // entry's executor (ExecFactory: the combining construction for
 // comb-a-* entries, ExecFromRWMutex over the entry's RW face
-// otherwise) through locktest.CheckRWExec: concurrent shared batches
+// otherwise) through locktest.Check: concurrent shared batches
 // coexist where sharing is genuine, exclusive closures exclude them,
 // no lost or double-run ops — automatically for any future
 // registration.
@@ -127,7 +127,7 @@ func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 				t.Fatalf("SharesExecReads = %v, want %v (NewRW %v, CombinesReads %v)",
 					got, want, e.NewRW != nil, e.CombinesReads())
 			}
-			locktest.CheckRWExec(t, topo, x, 5, 3, 150)
+			locktest.Check(t, topo, x, 5, 3, 150)
 		})
 	}
 }

@@ -96,7 +96,10 @@ func BenchmarkFigure4LowContention(b *testing.B) {
 // BenchmarkFigure5Fairness reproduces Figure 5: the standard deviation
 // of per-thread throughput as a percentage of the mean.
 func BenchmarkFigure5Fairness(b *testing.B) {
-	threads := contendedThreads() / 4 * 4 // cluster-even, see EXPERIMENTS.md
+	// Cluster-even: each of the four clusters gets the same number of
+	// threads, so the per-thread spread measures the lock, not an
+	// uneven deal of threads to clusters.
+	threads := contendedThreads() / 4 * 4
 	if threads < 4 {
 		threads = 4
 	}

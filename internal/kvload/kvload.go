@@ -174,8 +174,8 @@ type loadSlot struct {
 func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64, stop *atomic.Bool, start chan struct{}) {
 	b := cfg.BatchSize
 	stride := cfg.ValueSize
-	getKeys := make([]uint64, 0, b)
-	setKeys := make([]uint64, 0, b)
+	readKeys := make([]uint64, 0, b)
+	writeKeys := make([]uint64, 0, b)
 	vals := make([][]byte, 0, b)
 	valBuf := make([]byte, b*stride)
 	dsts := make([][]byte, b)
@@ -188,32 +188,32 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 	var sink byte
 	<-start
 	for !stop.Load() {
-		getKeys, setKeys, vals = getKeys[:0], setKeys[:0], vals[:0]
+		readKeys, writeKeys, vals = readKeys[:0], writeKeys[:0], vals[:0]
 		var think int64
 		for i := 0; i < b; i++ {
 			key := p.Rand() % cfg.Keyspace
 			if p.RandN(1000) < getMille {
-				getKeys = append(getKeys, key)
+				readKeys = append(readKeys, key)
 			} else {
 				v := valBuf[len(vals)*stride : (len(vals)+1)*stride]
 				v[0] = byte(key)
 				v[stride-1] = sink
-				setKeys = append(setKeys, key)
+				writeKeys = append(writeKeys, key)
 				vals = append(vals, v)
 			}
 			if cfg.ThinkNs > 0 {
 				think += cfg.ThinkNs/2 + p.RandN(cfg.ThinkNs/2+1)
 			}
 		}
-		if len(getKeys) > 0 {
-			store.MGet(p, getKeys, dsts[:len(getKeys)], lens[:len(getKeys)], found[:len(getKeys)])
+		if len(readKeys) > 0 {
+			store.MGet(p, readKeys, dsts[:len(readKeys)], lens[:len(readKeys)], found[:len(readKeys)])
 		}
-		if len(setKeys) > 0 {
-			store.MSet(p, setKeys, vals)
-			sl.sets += uint64(len(setKeys))
+		if len(writeKeys) > 0 {
+			store.MSet(p, writeKeys, vals)
+			sl.sets += uint64(len(writeKeys))
 		}
-		if len(getKeys) > 0 {
-			for i := range getKeys {
+		if len(readKeys) > 0 {
+			for i := range readKeys {
 				if found[i] {
 					// Response assembly: checksum the payload.
 					for _, c := range dsts[i][:lens[i]] {
@@ -221,7 +221,7 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 					}
 				}
 			}
-			sl.gets += uint64(len(getKeys))
+			sl.gets += uint64(len(readKeys))
 		}
 		spin.WaitNs(think)
 		sl.ops += uint64(b)

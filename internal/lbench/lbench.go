@@ -50,7 +50,7 @@ type Config struct {
 // ~1.3 µs (commodity cross-core hand-offs plus the simulated NUMA
 // charges), so the window is scaled to 16 µs to preserve the paper's
 // non-critical:critical ratio — the dimensionless quantity that fixes
-// where the scalability curves saturate. See EXPERIMENTS.md.
+// where the scalability curves saturate.
 const DefaultNonCSMaxNs = 16000
 
 // DefaultPatience is the default acquisition timeout of abortable

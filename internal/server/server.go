@@ -45,8 +45,6 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each response flush. Default 30s.
 	WriteTimeout time.Duration
-	// Version is the string answered to the version command.
-	Version string
 
 	// AdaptiveAdmission makes the per-cluster admission cap track the
 	// sampled combining occupancy with hysteresis: sustained overload
@@ -63,19 +61,6 @@ type Config struct {
 	// proc count (at least 2) — half the machine piling on one shard's
 	// combiner is congestion by any measure.
 	BusyThreshold int
-	// BusyReadTimeout replaces ReadTimeout and bounds WriteTimeout
-	// while shedding is engaged — the escalated per-op deadline that
-	// evicts slow or stalled clients during overload instead of letting
-	// them pin a Proc for the full idle timeout. Acknowledged writes
-	// are never dropped by an eviction: the flush before close still
-	// runs. Default 1s.
-	BusyReadTimeout time.Duration
-	// ConnMemoryBytes is the hard per-connection decode-memory bound:
-	// a pipelined set run flushes early once its buffered values reach
-	// it, and get responses chunk so response staging stays under it.
-	// Raised to MaxValueBytes+4 if set lower (one op must fit).
-	// Default 8 MiB.
-	ConnMemoryBytes int
 	// Broken selects a deliberately defective server behavior for
 	// harness validation — the chaos twin of locktest's broken locks.
 	// Production configs leave it BrokenNone.
@@ -101,17 +86,23 @@ const (
 const (
 	// DefaultMaxValueBytes caps set values unless configured.
 	DefaultMaxValueBytes = 64 << 10
-	// DefaultBusyReadTimeout is the escalated per-op deadline while
-	// shedding is engaged.
-	DefaultBusyReadTimeout = time.Second
-	// DefaultConnMemoryBytes bounds one connection's decode staging:
-	// generous enough that the default MaxBatch×MaxValueBytes response
+	// busyTimeout replaces ReadTimeout and bounds WriteTimeout while
+	// shedding is engaged: the escalated per-op deadline that evicts
+	// slow or stalled clients during overload instead of letting them
+	// pin a Proc for the full idle timeout. Acknowledged writes are
+	// never dropped by an eviction: the flush before close still runs.
+	busyTimeout = time.Second
+	// connMemoryBytes bounds one connection's decode staging: a
+	// pipelined set run flushes early once its buffered values reach
+	// it, and get responses chunk so response staging stays under it.
+	// Generous enough that the default MaxBatch×MaxValueBytes response
 	// window fits (so batching amortization is untouched), small enough
-	// that a thousand hostile connections cannot balloon the heap.
-	DefaultConnMemoryBytes = 8 << 20
-	defaultReadTimeout     = 2 * time.Minute
-	defaultWriteTimeout    = 30 * time.Second
-	// DefaultVersion is the version string served by default.
+	// that a thousand hostile connections cannot balloon the heap. New
+	// raises it to MaxValueBytes+4 when that is larger (one op must fit).
+	connMemoryBytes     = 8 << 20
+	defaultReadTimeout  = 2 * time.Minute
+	defaultWriteTimeout = 30 * time.Second
+	// DefaultVersion is the string answered to the version command.
 	DefaultVersion = "repro-kvserver 1.0"
 	// readerBufBytes is the per-connection decode buffer, which is
 	// also the request-line length bound (a ~250-byte key times a
@@ -140,20 +131,8 @@ func (c *Config) setDefaults() error {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout
 	}
-	if c.Version == "" {
-		c.Version = DefaultVersion
-	}
 	if c.BusyThreshold <= 0 {
 		c.BusyThreshold = max(2, c.Topo.MaxProcs()/2)
-	}
-	if c.BusyReadTimeout <= 0 {
-		c.BusyReadTimeout = DefaultBusyReadTimeout
-	}
-	if c.ConnMemoryBytes <= 0 {
-		c.ConnMemoryBytes = DefaultConnMemoryBytes
-	}
-	if c.ConnMemoryBytes < c.MaxValueBytes+4 {
-		c.ConnMemoryBytes = c.MaxValueBytes + 4
 	}
 	return nil
 }
@@ -187,7 +166,7 @@ type Stats struct {
 	SheddedOps uint64
 	// EvictedConns counts connections cut by a per-op deadline outside
 	// a drain — idle clients at ReadTimeout, stalled or slow clients at
-	// the escalated BusyReadTimeout while shedding.
+	// the escalated busyTimeout while shedding.
 	EvictedConns uint64
 	// ClientGone counts connections the CLIENT broke mid-frame (a
 	// disconnect inside a set payload, a reset mid-request) — a
@@ -201,8 +180,6 @@ type Stats struct {
 	// the deepest shrink the overload forced. Cap == Full everywhere
 	// and Low == Full means admission never shrank.
 	AdmissionCap, AdmissionCapFull, AdmissionCapLow int
-	// PerClusterAccepted is Accepted split by the accepting cluster.
-	PerClusterAccepted []uint64
 }
 
 // Server is the TCP front-end. Build with New, run with Serve or
@@ -210,6 +187,8 @@ type Stats struct {
 type Server struct {
 	cfg   Config
 	store *kvstore.Store
+	// connMem is connMemoryBytes raised to fit one maximal value.
+	connMem int
 
 	// pools[c] holds cluster c's admissible Proc handles; an accept
 	// loop takes one before accepting and returns it when the
@@ -244,7 +223,6 @@ type Server struct {
 	sheddedOps   atomic.Uint64
 	evictedConns atomic.Uint64
 	clientGone   atomic.Uint64
-	perCluster   []atomic.Uint64
 
 	// Adaptive admission state (see admission.go). adm and capLow are
 	// shared; the tick counters belong to the sampler goroutine alone.
@@ -263,12 +241,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:        cfg,
-		store:      cfg.Store,
-		pools:      make([]chan *numa.Proc, cfg.Topo.Clusters()),
-		conns:      make(map[net.Conn]struct{}),
-		done:       make(chan struct{}),
-		perCluster: make([]atomic.Uint64, cfg.Topo.Clusters()),
+		cfg:     cfg,
+		store:   cfg.Store,
+		connMem: max(connMemoryBytes, cfg.MaxValueBytes+4),
+		pools:   make([]chan *numa.Proc, cfg.Topo.Clusters()),
+		conns:   make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	for c := range s.pools {
 		s.pools[c] = make(chan *numa.Proc, cfg.ConnsPerCluster)
@@ -415,7 +393,6 @@ func (s *Server) acceptLoop(ln net.Listener, cluster int, errCh chan<- error) {
 			return
 		}
 		s.accepted.Add(1)
-		s.perCluster[cluster].Add(1)
 		s.active.Add(1)
 		s.mu.Lock()
 		if s.draining {
@@ -495,46 +472,36 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	return nil
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Snapshot returns current statistics.
 func (s *Server) Snapshot() Stats {
 	cur, full := s.admissionCaps()
-	st := Stats{
-		Accepted:           s.accepted.Load(),
-		Active:             uint64(max(s.active.Load(), 0)),
-		Gets:               s.gets.Load(),
-		Sets:               s.sets.Load(),
-		Deletes:            s.deletes.Load(),
-		Hits:               s.hits.Load(),
-		Flushes:            s.flushes.Load(),
-		BadRequests:        s.badRequests.Load(),
-		SheddedOps:         s.sheddedOps.Load(),
-		EvictedConns:       s.evictedConns.Load(),
-		ClientGone:         s.clientGone.Load(),
-		AdmissionCap:       cur,
-		AdmissionCapFull:   full,
-		AdmissionCapLow:    int(s.capLow.Load()),
-		MaxOccupancy:       int(s.occMax.Load()),
-		PerClusterAccepted: make([]uint64, len(s.perCluster)),
+	return Stats{
+		Accepted:         s.accepted.Load(),
+		Active:           uint64(max(s.active.Load(), 0)),
+		Gets:             s.gets.Load(),
+		Sets:             s.sets.Load(),
+		Deletes:          s.deletes.Load(),
+		Hits:             s.hits.Load(),
+		Flushes:          s.flushes.Load(),
+		BadRequests:      s.badRequests.Load(),
+		SheddedOps:       s.sheddedOps.Load(),
+		EvictedConns:     s.evictedConns.Load(),
+		ClientGone:       s.clientGone.Load(),
+		AdmissionCap:     cur,
+		AdmissionCapFull: full,
+		AdmissionCapLow:  int(s.capLow.Load()),
+		MaxOccupancy:     int(s.occMax.Load()),
 	}
-	for i := range s.perCluster {
-		st.PerClusterAccepted[i] = s.perCluster[i].Load()
-	}
-	return st
 }
 
-// getReq records one get/gets request's slice of the accumulated key
-// run, so responses reconstruct per-request END framing even though
-// the keys flush as one batch.
-type getReq struct {
-	n   int
-	cas bool
+// pendingReq is one request of the pending run: how many of the run's
+// keys it owns (one, unless it is a multi-key get), whether a get asked
+// for the cas field, and whether a set or delete waived its answer. The
+// requests answer in order even though their keys flush as one batch.
+type pendingReq struct {
+	n       int
+	cas     bool
+	noReply bool
 }
 
 // conn is the per-connection decode/flush state. All buffers are
@@ -551,30 +518,27 @@ type conn struct {
 	// shard acquisitions.
 	maxBatch int
 
-	// Pending same-verb run. kind is only meaningful when pending>0.
-	kind    Kind
-	pending int
-
-	getKeys []uint64
-	// getNames holds the pending get run's key bytes back to back (VALUE
-	// lines echo them); key i is getNames[getEnds[i-1]:getEnds[i]].
-	getNames   []byte
-	getEnds    []int
-	getReqs    []getReq
-	setKeys    []uint64
-	setVals    [][]byte
-	setSlots   [][]byte
-	setNoReply []bool
-	delKeys    []uint64
-	delNoReply []bool
+	// The pending same-verb run, one verb at a time: its requests, and
+	// the hashed key of every key they name. kind is only meaningful
+	// while reqs is non-empty.
+	kind Kind
+	reqs []pendingReq
+	keys []uint64
+	// A get run keeps its key bytes back to back (VALUE lines echo
+	// them); key i is names[ends[i-1]:ends[i]].
+	names []byte
+	ends  []int
+	// A set run's encoded values, each in the reused slot of its index.
+	vals  [][]byte
+	slots [][]byte
 
 	dsts  [][]byte
 	lens  []int
 	found []bool
 
 	// pendingBytes tracks the buffered value bytes of the pending set
-	// run against Config.ConnMemoryBytes — the hard decode-memory
-	// bound; crossing it flushes early.
+	// run against the server's connMem, the hard decode-memory bound;
+	// crossing it flushes early.
 	pendingBytes int
 
 	// Local op counters, folded into the server's atomics on close.
@@ -596,25 +560,21 @@ var crlf = []byte("\r\n")
 func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
 	mb := s.store.MaxBatch()
 	c := &conn{
-		srv:        s,
-		c:          nc,
-		p:          p,
-		par:        NewParser(bufio.NewReaderSize(nc, readerBufBytes), Limits{MaxValueBytes: s.cfg.MaxValueBytes}),
-		w:          bufio.NewWriterSize(nc, writerBufBytes),
-		maxBatch:   mb,
-		getKeys:    make([]uint64, 0, mb),
-		getEnds:    make([]int, 0, mb),
-		getReqs:    make([]getReq, 0, mb),
-		setKeys:    make([]uint64, 0, mb),
-		setVals:    make([][]byte, 0, mb),
-		setSlots:   make([][]byte, mb),
-		setNoReply: make([]bool, 0, mb),
-		delKeys:    make([]uint64, 0, mb),
-		delNoReply: make([]bool, 0, mb),
-		dsts:       make([][]byte, mb),
-		lens:       make([]int, mb),
-		found:      make([]bool, mb),
-		numBuf:     make([]byte, 0, 24),
+		srv:      s,
+		c:        nc,
+		p:        p,
+		par:      NewParser(bufio.NewReaderSize(nc, readerBufBytes), Limits{MaxValueBytes: s.cfg.MaxValueBytes}),
+		w:        bufio.NewWriterSize(nc, writerBufBytes),
+		maxBatch: mb,
+		reqs:     make([]pendingReq, 0, mb),
+		keys:     make([]uint64, 0, mb),
+		ends:     make([]int, 0, mb),
+		vals:     make([][]byte, 0, mb),
+		slots:    make([][]byte, mb),
+		dsts:     make([][]byte, mb),
+		lens:     make([]int, mb),
+		found:    make([]bool, mb),
+		numBuf:   make([]byte, 0, 24),
 	}
 	defer c.fold()
 	c.loop()
@@ -658,7 +618,7 @@ func (c *conn) loop() {
 		if c.par.Buffered() == 0 {
 			rt := c.srv.cfg.ReadTimeout
 			if c.srv.shedFlag.Load() {
-				rt = c.srv.cfg.BusyReadTimeout
+				rt = busyTimeout
 			}
 			c.c.SetReadDeadline(time.Now().Add(rt))
 			if c.srv.drainFlag.Load() {
@@ -697,32 +657,11 @@ func (c *conn) loop() {
 			return
 		}
 		switch req.Kind {
-		case KindGet:
-			c.accumulate(KindGet)
-			for _, k := range req.Keys {
-				c.getKeys = append(c.getKeys, HashKey(k))
-				c.getNames = append(c.getNames, k...)
-				c.getEnds = append(c.getEnds, len(c.getNames))
-			}
-			c.getReqs = append(c.getReqs, getReq{n: len(req.Keys), cas: req.CAS})
-			c.pending += len(req.Keys)
-		case KindSet:
-			c.accumulate(KindSet)
-			i := len(c.setKeys)
-			c.setSlots[i] = encodeValue(c.setSlots[i], req.Flags, req.Value)
-			c.setKeys = append(c.setKeys, HashKey(req.Keys[0]))
-			c.setVals = append(c.setVals, c.setSlots[i])
-			c.setNoReply = append(c.setNoReply, req.NoReply)
-			c.pending++
-			c.pendingBytes += 4 + len(req.Value)
-		case KindDelete:
-			c.accumulate(KindDelete)
-			c.delKeys = append(c.delKeys, HashKey(req.Keys[0]))
-			c.delNoReply = append(c.delNoReply, req.NoReply)
-			c.pending++
+		case KindGet, KindSet, KindDelete:
+			c.accumulate(&req)
 		case KindVersion:
 			c.flushOps()
-			c.writeLine("VERSION " + c.srv.cfg.Version)
+			c.writeLine("VERSION " + DefaultVersion)
 		case KindStats:
 			c.flushOps()
 			c.writeStats()
@@ -731,7 +670,7 @@ func (c *conn) loop() {
 			c.finish()
 			return
 		}
-		if c.pending >= c.maxBatch || c.pendingBytes >= c.srv.cfg.ConnMemoryBytes {
+		if len(c.keys) >= c.maxBatch || c.pendingBytes >= c.srv.connMem {
 			c.flushOps()
 		}
 		if c.par.Buffered() == 0 {
@@ -741,15 +680,31 @@ func (c *conn) loop() {
 	}
 }
 
-// accumulate starts or continues a same-verb run: a verb change
-// flushes the previous run first, preserving the connection's
-// response order (a set pipelined before a get is applied — and
-// answered — before the get reads).
-func (c *conn) accumulate(k Kind) {
-	if c.pending > 0 && c.kind != k {
+// accumulate adds req to the pending run, starting a new one if req
+// is the first of its verb: a verb change flushes the previous run
+// first, preserving the connection's response order (a set pipelined
+// before a get is applied — and answered — before the get reads).
+func (c *conn) accumulate(req *Request) {
+	if len(c.reqs) > 0 && c.kind != req.Kind {
 		c.flushOps()
 	}
-	c.kind = k
+	c.kind = req.Kind
+	c.reqs = append(c.reqs, pendingReq{n: len(req.Keys), cas: req.CAS, noReply: req.NoReply})
+	for _, k := range req.Keys {
+		c.keys = append(c.keys, HashKey(k))
+	}
+	switch req.Kind {
+	case KindGet:
+		for _, k := range req.Keys {
+			c.names = append(c.names, k...)
+			c.ends = append(c.ends, len(c.names))
+		}
+	case KindSet:
+		i := len(c.vals)
+		c.slots[i] = encodeValue(c.slots[i], req.Flags, req.Value)
+		c.vals = append(c.vals, c.slots[i])
+		c.pendingBytes += 4 + len(req.Value)
+	}
 }
 
 // finish flushes the response buffer and lets the caller close.
@@ -763,8 +718,8 @@ func (c *conn) finish() {
 // draining its responses during an overload is evicted, not waited on.
 func (c *conn) writeTimeout() time.Duration {
 	wt := c.srv.cfg.WriteTimeout
-	if c.srv.shedFlag.Load() && c.srv.cfg.BusyReadTimeout < wt {
-		return c.srv.cfg.BusyReadTimeout
+	if c.srv.shedFlag.Load() && busyTimeout < wt {
+		return busyTimeout
 	}
 	return wt
 }
@@ -803,42 +758,50 @@ func (c *conn) maybeFlushWriter() {
 	}
 }
 
-// flushOps applies the pending run through the store's batch APIs and
-// writes its responses.
+// flushOps answers the pending run, the one place a run is answered.
+// While the shed valve is engaged every request that owes an answer
+// gets "SERVER_ERROR busy" — a legal, frame-preserving error line the
+// client can parse, retry, or back off on — and NOTHING touches the
+// store. The two halves of that contract: a shed op is never applied
+// (so no acknowledged-then-dropped write can exist — STORED is only
+// ever written after MSet returns), and the frame stays intact (every
+// request still gets exactly the answer lines it is owed, so the
+// client's pipeline bookkeeping survives the refusal). Otherwise the
+// run goes through the store's batch APIs and its answers follow.
 func (c *conn) flushOps() {
-	if c.pending == 0 {
+	if len(c.reqs) == 0 {
 		return
 	}
-	if c.srv.shedFlag.Load() {
-		c.shedOps()
-		return
-	}
-	switch c.kind {
-	case KindGet:
-		c.flushGets()
-	case KindSet:
-		setKeys, setVals := c.setKeys, c.setVals
-		if c.srv.cfg.Broken == BrokenDropAckedWrite {
-			setKeys, setVals = c.brokenFilterSets()
+	switch {
+	case c.srv.shedFlag.Load():
+		for _, r := range c.reqs {
+			if !r.noReply {
+				c.writeLine("SERVER_ERROR busy")
+			}
 		}
-		c.srv.store.MSet(c.p, setKeys, setVals)
-		c.sets += uint64(len(c.setKeys))
+		c.shedded += uint64(len(c.keys))
+	case c.kind == KindGet:
+		c.flushGets()
+	case c.kind == KindSet:
+		keys, vals := c.keys, c.vals
+		if c.srv.cfg.Broken == BrokenDropAckedWrite {
+			keys, vals = c.brokenFilterSets()
+		}
+		c.srv.store.MSet(c.p, keys, vals)
+		c.sets += uint64(len(c.keys))
 		c.flushes++
-		for _, noreply := range c.setNoReply {
-			if !noreply {
+		for _, r := range c.reqs {
+			if !r.noReply {
 				c.writeLine("STORED")
 			}
 		}
-		c.setKeys = c.setKeys[:0]
-		c.setVals = c.setVals[:0]
-		c.setNoReply = c.setNoReply[:0]
-	case KindDelete:
-		found := c.found[:len(c.delKeys)]
-		c.srv.store.MDeleteEach(c.p, c.delKeys, found)
-		c.deletes += uint64(len(c.delKeys))
+	case c.kind == KindDelete:
+		found := c.found[:len(c.keys)]
+		c.srv.store.MDeleteEach(c.p, c.keys, found)
+		c.deletes += uint64(len(c.keys))
 		c.flushes++
-		for i, noreply := range c.delNoReply {
-			if noreply {
+		for i, r := range c.reqs {
+			if r.noReply {
 				continue
 			}
 			if found[i] {
@@ -847,148 +810,75 @@ func (c *conn) flushOps() {
 				c.writeLine("NOT_FOUND")
 			}
 		}
-		c.delKeys = c.delKeys[:0]
-		c.delNoReply = c.delNoReply[:0]
 	}
-	c.pending = 0
-	c.pendingBytes = 0
-	c.fold()
-}
-
-// shedOps refuses the pending run: every op that owes a response is
-// answered "SERVER_ERROR busy" — a legal, frame-preserving error line
-// the client can parse, retry, or back off on — and NOTHING touches
-// the store. The two halves of the contract: a shed op is never
-// applied (so no acknowledged-then-dropped write can exist — STORED is
-// only ever written after MSet returns), and the frame stays intact
-// (every non-noreply request still gets exactly one answer line, so
-// the client's pipeline bookkeeping survives the refusal).
-func (c *conn) shedOps() {
-	switch c.kind {
-	case KindGet:
-		for range c.getReqs {
-			c.writeLine("SERVER_ERROR busy")
-		}
-		c.shedded += uint64(len(c.getKeys))
-		c.clearGets()
-	case KindSet:
-		for _, noreply := range c.setNoReply {
-			if !noreply {
-				c.writeLine("SERVER_ERROR busy")
-			}
-		}
-		c.shedded += uint64(len(c.setKeys))
-		c.setKeys = c.setKeys[:0]
-		c.setVals = c.setVals[:0]
-		c.setNoReply = c.setNoReply[:0]
-	case KindDelete:
-		for _, noreply := range c.delNoReply {
-			if !noreply {
-				c.writeLine("SERVER_ERROR busy")
-			}
-		}
-		c.shedded += uint64(len(c.delKeys))
-		c.delKeys = c.delKeys[:0]
-		c.delNoReply = c.delNoReply[:0]
-	}
-	c.pending = 0
+	c.reqs = c.reqs[:0]
+	c.keys = c.keys[:0]
+	c.names = c.names[:0]
+	c.ends = c.ends[:0]
+	c.vals = c.vals[:0]
 	c.pendingBytes = 0
 	c.fold()
 }
 
 // brokenFilterSets implements BrokenDropAckedWrite: every fourth set
 // on the connection is silently removed from the batch about to be
-// applied, while the response path (which iterates setNoReply,
-// untouched) still answers STORED for it. Exists solely so
-// internal/soak's self-test can prove the chaos verifier catches a
-// lost acknowledged write; never reachable in production configs.
+// applied, while the response path (which iterates reqs, untouched)
+// still answers STORED for it. Exists solely so internal/soak's
+// self-test can prove the chaos verifier catches a lost acknowledged
+// write; never reachable in production configs.
 func (c *conn) brokenFilterSets() (keys []uint64, vals [][]byte) {
-	keys, vals = c.setKeys[:0:len(c.setKeys)], c.setVals[:0:len(c.setVals)]
-	for i := range c.setKeys {
+	keys, vals = c.keys[:0:len(c.keys)], c.vals[:0:len(c.vals)]
+	for i := range c.keys {
 		c.brokenCount++
 		if c.brokenCount%4 == 0 {
 			continue
 		}
-		keys = append(keys, c.setKeys[i])
-		vals = append(vals, c.setVals[i])
+		keys = append(keys, c.keys[i])
+		vals = append(vals, c.vals[i])
 	}
 	return keys, vals
 }
 
-// flushGets answers the accumulated get run. Keys flush through MGet
-// in chunks of at most MaxBatch — matching the store's own per-
-// critical-section bound, so a single-shard run of N keys costs
-// exactly ceil(N/MaxBatch) acquisitions — and VALUE lines stream out
-// as each chunk returns, with END framing reconstructed per original
-// request. Destination buffers are lazily grown slots reused across
+// flushGets answers the pending get run request by request: each key's
+// VALUE block if it hit, then END. Keys are fetched through MGet in
+// chunks of at most MaxBatch — matching the store's own per-critical-
+// section bound, so a single-shard run of N keys costs exactly
+// ceil(N/MaxBatch) acquisitions — the next chunk when the answer
+// reaches it. Destination buffers are lazily grown slots reused across
 // chunks and flushes.
 func (c *conn) flushGets() {
-	mb := c.maxBatch
 	valCap := 4 + c.srv.cfg.MaxValueBytes
 	// The response staging for one chunk is chunk×valCap of lazily
 	// grown destination slots; keep that under the connection's decode
 	// memory bound too (the default 8 MiB bound leaves the default
 	// MaxBatch×64KiB window untouched).
-	if byChunk := c.srv.cfg.ConnMemoryBytes / valCap; byChunk < mb {
-		mb = max(1, byChunk)
-	}
-	reqIdx, left := 0, 0
-	if len(c.getReqs) > 0 {
-		left = c.getReqs[0].n
-	}
-	nameAt := 0 // start of the next key's bytes in getNames
-	for start := 0; start < len(c.getKeys); start += mb {
-		end := min(start+mb, len(c.getKeys))
-		n := end - start
-		dsts, lens, found := c.dsts[:n], c.lens[:n], c.found[:n]
-		for i := range dsts {
-			if cap(dsts[i]) < valCap {
-				dsts[i] = make([]byte, valCap)
+	mb := min(c.maxBatch, max(1, c.srv.connMem/valCap))
+	at, start, end, nameAt := 0, 0, 0, 0 // next key; its chunk; its name
+	for _, r := range c.reqs {
+		for range r.n {
+			if at == end {
+				start, end = at, min(at+mb, len(c.keys))
+				dsts := c.dsts[:end-start]
+				for i := range dsts {
+					if cap(dsts[i]) < valCap {
+						dsts[i] = make([]byte, valCap)
+					}
+					dsts[i] = dsts[i][:valCap]
+				}
+				c.srv.store.MGet(c.p, c.keys[start:end], dsts, c.lens[:end-start], c.found[:end-start])
+				c.flushes++
 			}
-			dsts[i] = dsts[i][:valCap]
-		}
-		c.srv.store.MGet(c.p, c.getKeys[start:end], dsts, lens, found)
-		c.flushes++
-		for i := 0; i < n; i++ {
-			for left == 0 {
-				// Zero-key requests cannot exist (parser enforces
-				// >= 1), so this only closes out finished requests.
-				c.writeLine("END")
-				reqIdx++
-				left = c.getReqs[reqIdx].n
-			}
-			nameEnd := c.getEnds[start+i]
-			if found[i] {
+			if i := at - start; c.found[i] {
 				c.hits++
-				flags, val := decodeValue(dsts[i][:lens[i]])
-				c.writeValue(c.getNames[nameAt:nameEnd], flags, val, c.getReqs[reqIdx].cas)
+				flags, val := decodeValue(c.dsts[i][:c.lens[i]])
+				c.writeValue(c.names[nameAt:c.ends[at]], flags, val, r.cas)
 			}
-			nameAt = nameEnd
-			left--
+			nameAt = c.ends[at]
+			at++
 		}
+		c.writeLine("END")
 	}
-	c.gets += uint64(len(c.getKeys))
-	// Close out the trailing finished request(s).
-	for reqIdx < len(c.getReqs) {
-		if left == 0 {
-			c.writeLine("END")
-			reqIdx++
-			if reqIdx < len(c.getReqs) {
-				left = c.getReqs[reqIdx].n
-			}
-			continue
-		}
-		left = 0
-	}
-	c.clearGets()
-}
-
-// clearGets empties the pending get run.
-func (c *conn) clearGets() {
-	c.getKeys = c.getKeys[:0]
-	c.getNames = c.getNames[:0]
-	c.getEnds = c.getEnds[:0]
-	c.getReqs = c.getReqs[:0]
+	c.gets += uint64(len(c.keys))
 }
 
 // writeValue emits one VALUE response block:

@@ -58,7 +58,7 @@ func Speedup(base, value float64) float64 {
 }
 
 // Table accumulates rows for one experiment and renders them as
-// aligned text (for terminals / EXPERIMENTS.md) or CSV.
+// aligned text (for terminals and Markdown notes) or CSV.
 type Table struct {
 	Title   string
 	Headers []string

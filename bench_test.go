@@ -171,9 +171,8 @@ func BenchmarkTable1bMixed(b *testing.B) { benchTable1(b, 0.5) }
 func BenchmarkTable1cWriteHeavy(b *testing.B) { benchTable1(b, 0.1) }
 
 // BenchmarkShardScaling measures the sharded store beyond the paper:
-// the 50% mix under C-BO-MCS with 1, 4 and 16 shards, cluster-affine
-// placement — the structural escape from Table 1's single-lock
-// ceiling.
+// the 50% mix under C-BO-MCS with 1, 4 and 16 shards — the structural
+// escape from Table 1's single-lock ceiling.
 func BenchmarkShardScaling(b *testing.B) {
 	threads := contendedThreads()
 	e := registry.MustLookup("c-bo-mcs")
@@ -184,60 +183,15 @@ func BenchmarkShardScaling(b *testing.B) {
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{
-					Topo:      topo,
-					Locking:   kvstore.FromMutex(e.MutexFactory(topo)),
-					Shards:    shards,
-					Placement: kvstore.ClusterAffine,
-					Capacity:  keyspace * topo.Clusters() * 2,
+					Topo:     topo,
+					Locking:  kvstore.FromMutex(e.MutexFactory(topo)),
+					Shards:   shards,
+					Capacity: keyspace * 2,
 				})
-				kvload.PopulateClusters(store, topo, keyspace, 128)
+				kvload.Populate(store, topo.Proc(0), keyspace, 128)
 				cfg := kvload.DefaultConfig(topo, threads, 0.5)
 				cfg.Duration = trialWindow
 				cfg.Keyspace = keyspace
-				res, err := kvload.Run(cfg, store)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum += res.Throughput()
-			}
-			b.ReportMetric(sum/float64(b.N), "ops/s")
-		})
-	}
-}
-
-// BenchmarkShardPlacement compares HashMod and ClusterAffine routing
-// at a fixed shard count, with the affinity knob biasing HashMod
-// workers toward their home shards.
-func BenchmarkShardPlacement(b *testing.B) {
-	threads := contendedThreads()
-	e := registry.MustLookup("c-bo-mcs")
-	const keyspace = 20_000
-	cases := []struct {
-		name      string
-		placement kvstore.Placement
-		affinity  float64
-	}{
-		{"hashmod", kvstore.HashMod, 0},
-		{"hashmod-affinity", kvstore.HashMod, 0.9},
-		{"affine", kvstore.ClusterAffine, 0},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			topo := numa.New(4, threads)
-			var sum float64
-			for i := 0; i < b.N; i++ {
-				store := kvstore.New(kvstore.Config{
-					Topo:      topo,
-					Locking:   kvstore.FromMutex(e.MutexFactory(topo)),
-					Shards:    16,
-					Placement: c.placement,
-					Capacity:  keyspace * topo.Clusters() * 2,
-				})
-				kvload.PopulateClusters(store, topo, keyspace, 128)
-				cfg := kvload.DefaultConfig(topo, threads, 0.5)
-				cfg.Duration = trialWindow
-				cfg.Keyspace = keyspace
-				cfg.Affinity = c.affinity
 				res, err := kvload.Run(cfg, store)
 				if err != nil {
 					b.Fatal(err)
@@ -412,7 +366,7 @@ func BenchmarkSharedBatchedReads(b *testing.B) {
 						cfg.Locking = kvstore.FromRW(func() locks.RWMutex { return locks.RWFromMutex(newRW()) })
 					}
 					store := kvstore.New(cfg)
-					kvload.PopulateClusters(store, topo, keyspace, 128)
+					kvload.Populate(store, topo.Proc(0), keyspace, 128)
 					lcfg := kvload.DefaultConfig(topo, threads, reads)
 					lcfg.Duration = trialWindow
 					lcfg.Keyspace = keyspace
@@ -467,7 +421,7 @@ func BenchmarkBatchedStore(b *testing.B) {
 					cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
 				}
 				store := kvstore.New(cfg)
-				kvload.PopulateClusters(store, topo, keyspace, 128)
+				kvload.Populate(store, topo.Proc(0), keyspace, 128)
 				lcfg := kvload.DefaultConfig(topo, threads, 0.5)
 				lcfg.Duration = trialWindow
 				lcfg.Keyspace = keyspace
@@ -721,7 +675,7 @@ func BenchmarkRWCohort(b *testing.B) {
 }
 
 // BenchmarkKVReadPath measures the store's read path beyond one shard:
-// a 99% read mix over 4 cluster-affine shards, shared-mode Gets vs the
+// a 99% read mix over 4 shards, shared-mode Gets vs the
 // same rw lock driven exclusively — the end-to-end version of
 // BenchmarkRWCohort through every store layer.
 func BenchmarkKVReadPath(b *testing.B) {
@@ -742,13 +696,12 @@ func BenchmarkKVReadPath(b *testing.B) {
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				store := kvstore.New(kvstore.Config{
-					Topo:      topo,
-					Locking:   kvstore.FromRW(newRW),
-					Shards:    4,
-					Placement: kvstore.ClusterAffine,
-					Capacity:  keyspace * topo.Clusters() * 2,
+					Topo:     topo,
+					Locking:  kvstore.FromRW(newRW),
+					Shards:   4,
+					Capacity: keyspace * 2,
 				})
-				kvload.PopulateClusters(store, topo, keyspace, 128)
+				kvload.Populate(store, topo.Proc(0), keyspace, 128)
 				cfg := kvload.DefaultConfig(topo, threads, 0.99)
 				cfg.Duration = trialWindow
 				cfg.Keyspace = keyspace

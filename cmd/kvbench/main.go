@@ -9,9 +9,8 @@
 // tables track the growing lock family; -locks overrides the list.
 //
 // Beyond the paper, -shards sweeps the sharded store: one lock
-// instance per shard (built from the registry's factories), with
-// -placement choosing how shards are homed on clusters and -affinity
-// biasing each worker's keys toward its own cluster's shards. Multiple
+// instance per shard (built from the registry's factories), every key
+// routed by its hash alone, so every worker sees one keyspace. Multiple
 // shard counts additionally emit a shard-scaling table, and -json
 // emits every measured cell as a JSON record for trajectory tooling.
 //
@@ -63,20 +62,18 @@ import (
 )
 
 type options struct {
-	mixes     []int
-	threads   []int
-	locks     []string
-	shards    []int
-	clusters  int
-	duration  time.Duration
-	keyspace  uint64
-	affinity  float64
-	reads     float64
-	batch     int
-	capacity  int
-	placement kvstore.Placement
-	csv       bool
-	jsonOut   bool
+	mixes    []int
+	threads  []int
+	locks    []string
+	shards   []int
+	clusters int
+	duration time.Duration
+	keyspace uint64
+	reads    float64
+	batch    int
+	capacity int
+	csv      bool
+	jsonOut  bool
 }
 
 // record is one measured cell, emitted under -json.
@@ -85,8 +82,6 @@ type record struct {
 	Lock      string  `json:"lock"`
 	Threads   int     `json:"threads"`
 	Shards    int     `json:"shards"`
-	Placement string  `json:"placement"`
-	Affinity  float64 `json:"affinity"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 	Speedup   float64 `json:"speedup_vs_pthread1"`
 	// Reads and ReadPath are populated by -reads (RW read-path) runs:
@@ -106,13 +101,11 @@ type record struct {
 func main() {
 	var opt options
 	var (
-		mixFlag       = flag.String("mix", "all", "get percentage: 90, 50, 10 or all")
-		threadsFlag   = flag.String("threads", "1,4,8,16,32,64,96,128", "comma-separated thread counts (paper's rows)")
-		locksFlag     = flag.String("locks", "", "override lock list (default: the paper's Table 1 columns)")
-		shardsFlag    = flag.String("shards", "1", "comma-separated shard counts; 1 reproduces the paper's single cache lock")
-		placementFlag = flag.String("placement", "affine", "shard placement: hashmod or affine")
+		mixFlag     = flag.String("mix", "all", "get percentage: 90, 50, 10 or all")
+		threadsFlag = flag.String("threads", "1,4,8,16,32,64,96,128", "comma-separated thread counts (paper's rows)")
+		locksFlag   = flag.String("locks", "", "override lock list (default: the paper's Table 1 columns)")
+		shardsFlag  = flag.String("shards", "1", "comma-separated shard counts; 1 reproduces the paper's single cache lock")
 	)
-	flag.Float64Var(&opt.affinity, "affinity", 0, "probability a worker's keys target its own cluster's shards [0,1]")
 	flag.Float64Var(&opt.reads, "reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets (batched with -batch)")
 	flag.IntVar(&opt.batch, "batch", 0, "batch size for the batched-pipeline table (e.g. 16); >0 drives MGet/MSet batches and adds an ops-per-acquisition table")
 	flag.IntVar(&opt.clusters, "clusters", 4, "NUMA clusters to simulate")
@@ -138,20 +131,11 @@ func main() {
 	if opt.shards, err = cli.ParseIntList(*shardsFlag); err != nil {
 		cli.Dief(tool, "bad -shards: %v", err)
 	}
-	if opt.placement, err = cli.Placement(*placementFlag); err != nil {
-		cli.Die(tool, err)
-	}
-	if err := cli.Fraction("affinity", opt.affinity); err != nil {
-		cli.Die(tool, err)
-	}
 	if err := cli.Fraction("reads", opt.reads); err != nil {
 		cli.Die(tool, err)
 	}
 	if opt.batch < 0 {
 		cli.Dief(tool, "negative -batch %d", opt.batch)
-	}
-	if opt.batch > 0 && opt.affinity > 0 {
-		cli.Dief(tool, "-affinity is a per-operation knob; unsupported with batched pipelines")
 	}
 	if len(opt.locks) == 0 {
 		if opt.reads > 0 {
@@ -278,7 +262,7 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 		}
 	}
 
-	cfg := kvstore.Config{Topo: topo, MaxBatch: c.batch}
+	cfg := kvstore.Config{Topo: topo, Shards: c.shards, MaxBatch: c.batch}
 	switch {
 	case e.NewExec != nil:
 		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
@@ -286,25 +270,6 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 		cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
 	default:
 		cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
-	}
-	if c.shards > 1 {
-		// Keep the comparison against the single-shard cell
-		// apples-to-apples: every keyspace view gets at least the
-		// single-shard default capacity and bucket count. Under
-		// ClusterAffine each cluster's view spans only its home-shard
-		// group, so size per shard from the smallest group; views with
-		// more home shards get proportional slack. Parity is exact when
-		// -shards divides evenly by -clusters and is a power of two (the
-		// store rounds per-shard buckets up to a power of two).
-		cfg.Shards = c.shards
-		cfg.Placement = opt.placement
-		cfg.Capacity = 1 << 16
-		cfg.Buckets = 1 << 15
-		if opt.placement == kvstore.ClusterAffine {
-			minGroup := max(1, c.shards/topo.Clusters())
-			cfg.Capacity = c.shards * (1 << 16) / minGroup
-			cfg.Buckets = c.shards * (1 << 15) / minGroup
-		}
 	}
 	if opt.capacity > 0 {
 		// An explicit capacity also resizes the bucket arrays (half the
@@ -315,13 +280,12 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 		cfg.Buckets = opt.capacity / 2
 	}
 	store := kvstore.New(cfg)
-	kvload.PopulateClusters(store, topo, opt.keyspace, 128)
+	kvload.Populate(store, topo.Proc(0), opt.keyspace, 128)
 	runtime.GC() // population litters the heap; keep GC out of the window
 
 	lcfg := kvload.DefaultConfig(topo, c.threads, c.reads)
 	lcfg.Duration = opt.duration
 	lcfg.Keyspace = opt.keyspace
-	lcfg.Affinity = opt.affinity
 	lcfg.BatchSize = c.batch
 
 	exclBefore, sharedBefore := excl.Load(), shared.Load()
@@ -384,12 +348,9 @@ func baseline(opt options, topo *numa.Topology, like cell, label string) (float6
 // prints the tables over their cells, one row per thread count. Titles
 // gain the shard suffix; records gain what was measured and where.
 func runExhibit(opt options, topo *numa.Topology, shards int, base float64, cols []column, tables []table) ([]record, error) {
-	// Single-shard cells ignore placement and affinity; label the
-	// records with what actually ran.
-	placement, affinity, suffix := "single", 0.0, ""
+	suffix := ""
 	if shards > 1 {
-		placement, affinity = opt.placement.String(), opt.affinity
-		suffix = fmt.Sprintf(" [%d shards, %s placement]", shards, opt.placement)
+		suffix = fmt.Sprintf(" [%d shards]", shards)
 	}
 	rendered := make([]*stats.Table, len(tables))
 	for i, t := range tables {
@@ -409,7 +370,7 @@ func runExhibit(opt options, topo *numa.Topology, shards int, base float64, cols
 				return nil, err
 			}
 			r := c.rec
-			r.Threads, r.Shards, r.Placement, r.Affinity = n, shards, placement, affinity
+			r.Threads, r.Shards = n, shards
 			r.OpsPerSec, r.Speedup, r.OpsPerAcq = out.opsPerSec, stats.Speedup(base, out.opsPerSec), out.opsPerAcq
 			records = append(records, r)
 			for i, t := range tables {
@@ -574,8 +535,8 @@ func scalingTable(opt options, records []record, getPct int) *stats.Table {
 		tp[r.Lock][r.Shards] = r.OpsPerSec
 	}
 	baseShards := opt.shards[0]
-	title := fmt.Sprintf("Shard scaling (%d%% gets, %d threads, %s placement): throughput vs %d shard(s)",
-		getPct, maxThreads, opt.placement, baseShards)
+	title := fmt.Sprintf("Shard scaling (%d%% gets, %d threads): throughput vs %d shard(s)",
+		getPct, maxThreads, baseShards)
 	headers := append([]string{"shards"}, opt.locks...)
 	tb := stats.NewTable(title, headers...)
 	for _, shards := range opt.shards {

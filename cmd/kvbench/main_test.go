@@ -42,11 +42,11 @@ func kvbench(t *testing.T, args ...string) string {
 // columns and their policy field have since been retired.
 func TestExhibitShapes(t *testing.T) {
 	const (
-		common = "mix_get_pct,lock,threads,shards,placement,affinity,ops_per_sec,speedup_vs_pthread1"
+		common = "mix_get_pct,lock,threads,shards,ops_per_sec,speedup_vs_pthread1"
 		rwCols = "threads rw-mcs rw-mcs/x comb-a-rw-mcs"
 	)
 	var batchedHeaders, batchedRecords []string
-	for _, suffix := range []string{"", " [2 shards, affine placement]"} {
+	for _, suffix := range []string{"", " [2 shards]"} {
 		batchedHeaders = append(batchedHeaders,
 			"# RW read path (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols,
 			"# RW read path (batch=16, 90% gets): shared ops per shared acquisition"+suffix, rwCols)

@@ -6,14 +6,14 @@
 // The engine underneath is the full stack the previous exhibits
 // measured: a sharded store guarded by any registry lock (-lock takes
 // the same names as kvbench, combining comb-a-* executors included),
-// cluster-affine shard placement, and the batched MGet/MSet/MDelete
-// APIs. Under a combining lock (comb-a-*) a background sampler tracks
-// peak per-shard combiner occupancy, reported in the final stats
-// line. One accept loop runs per simulated
-// NUMA cluster; every admitted connection owns one of that cluster's
-// proc handles for its lifetime, so a connection's pipelined requests
-// flush into the store as batches costing ceil(N/MaxBatch) shard
-// acquisitions. -conns-per-cluster caps admission per cluster (the
+// keys routed to shards by hash alone so every connection sees one
+// keyspace, and the batched MGet/MSet/MDelete APIs. Under a combining
+// lock (comb-a-*) a background sampler tracks peak per-shard combiner
+// occupancy, reported in the final stats line. One accept loop runs
+// per simulated NUMA cluster; every admitted connection owns one of
+// that cluster's proc handles for its lifetime, so a connection's
+// pipelined requests flush into the store as batches costing
+// ceil(N/MaxBatch) shard acquisitions. -conns-per-cluster caps admission per cluster (the
 // concurrency-restriction idea applied at the front door: excess
 // clients wait in the listen backlog, not in the lock queue).
 //
@@ -55,9 +55,8 @@ func main() {
 		addrFlag     = flag.String("addr", "127.0.0.1:11211", "TCP listen address")
 		lockFlag     = flag.String("lock", "c-bo-mcs", "shard lock from the registry (same names as kvbench -locks)")
 		shardsFlag   = flag.Int("shards", 8, "store shards")
-		placeFlag    = flag.String("placement", "affine", "shard placement: hashmod or affine")
 		clustersFlag = flag.Int("clusters", 4, "NUMA clusters to simulate")
-		procsFlag    = flag.Int("procs", runtime.GOMAXPROCS(0), "proc handles in the topology (bounds total admitted connections)")
+		procsFlag    = flag.Int("procs", runtime.GOMAXPROCS(0), "proc handles in the topology (bounds total admitted connections; unset, raised to -clusters)")
 		connsFlag    = flag.Int("conns-per-cluster", 0, "admitted connections per cluster (default: the cluster's proc count)")
 		capFlag      = flag.Int("capacity", 1<<20, "store item capacity (LRU evicts beyond it)")
 		maxvalFlag   = flag.Int("maxval", server.DefaultMaxValueBytes, "largest accepted value in bytes")
@@ -77,12 +76,15 @@ func main() {
 	if err := cli.Positive("clusters", *clustersFlag); err != nil {
 		cli.Die(tool, err)
 	}
+	procsSet := false
+	flag.Visit(func(f *flag.Flag) { procsSet = procsSet || f.Name == "procs" })
+	if !procsSet {
+		// Every cluster needs a proc, so a host with fewer CPUs than
+		// clusters still serves with no flags.
+		*procsFlag = max(*procsFlag, *clustersFlag)
+	}
 	if *procsFlag < *clustersFlag {
 		cli.Dief(tool, "-procs %d below -clusters %d: every cluster needs a proc to serve connections", *procsFlag, *clustersFlag)
-	}
-	placement, err := cli.Placement(*placeFlag)
-	if err != nil {
-		cli.Die(tool, err)
 	}
 
 	topo := numa.New(*clustersFlag, *procsFlag)
@@ -91,12 +93,11 @@ func main() {
 		cli.Die(tool, err)
 	}
 	store := kvstore.New(kvstore.Config{
-		Topo:      topo,
-		Locking:   locking,
-		Shards:    *shardsFlag,
-		Placement: placement,
-		Capacity:  *capFlag,
-		MaxBatch:  *maxbatchFlag,
+		Topo:     topo,
+		Locking:  locking,
+		Shards:   *shardsFlag,
+		Capacity: *capFlag,
+		MaxBatch: *maxbatchFlag,
 	})
 	srv, err := server.New(server.Config{
 		Topo:              topo,
@@ -124,8 +125,8 @@ func main() {
 		shutdownErr <- srv.Shutdown(*drainFlag)
 	}()
 
-	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d placement=%s clusters=%d conns/cluster<=%d\n",
-		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, placement, *clustersFlag, srv.Snapshot().AdmissionCapFull)
+	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d clusters=%d procs=%d conns/cluster<=%d\n",
+		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, *clustersFlag, *procsFlag, srv.Snapshot().AdmissionCapFull)
 	serveErr := srv.ListenAndServe(*addrFlag)
 
 	st := srv.Snapshot()

@@ -52,11 +52,11 @@ func TestLocks(t *testing.T) {
 }
 
 func TestFraction(t *testing.T) {
-	if err := Fraction("affinity", 0.5); err != nil {
+	if err := Fraction("reads", 0.5); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []float64{-0.1, 1.1, nan()} {
-		if err := Fraction("affinity", bad); err == nil {
+		if err := Fraction("reads", bad); err == nil {
 			t.Errorf("Fraction(%v) accepted", bad)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/kvstore"
 	"repro/internal/registry"
 )
 
@@ -42,12 +41,7 @@ func Locks(spec string) ([]string, error) {
 	return names, nil
 }
 
-// Placement maps a -placement flag value.
-func Placement(s string) (kvstore.Placement, error) {
-	return kvstore.ParsePlacement(s)
-}
-
-// Fraction validates a [0,1] flag such as -affinity or -reads. The
+// Fraction validates a [0,1] flag such as -reads. The
 // inverted comparison rejects NaN too.
 func Fraction(flagName string, v float64) error {
 	if !(v >= 0 && v <= 1) {

@@ -79,7 +79,7 @@ func TestBatchPathAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := kvstore.New(kvstore.Config{
-			Topo: topo, Locking: src, Shards: 8, Placement: kvstore.HashMod,
+			Topo: topo, Locking: src, Shards: 8,
 			Buckets: 1 << 12, Capacity: 1 << 13,
 			TouchEvery: 2, // the deferred LRU touch runs in every MGet
 		})

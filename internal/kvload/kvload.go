@@ -35,22 +35,13 @@ type Config struct {
 	ValueSize int
 	// ThinkNs is the per-request non-locked work, busy-waited.
 	ThinkNs int64
-	// Affinity is the probability in [0,1] that a worker biases its
-	// key choice toward shards homed on its own cluster (rejection
-	// sampling against Store.IsLocal). 0 keeps the uniform key stream.
-	// It only shapes traffic on multi-shard stores under HashMod
-	// placement: ClusterAffine routing is local by construction where
-	// the cluster has home shards, and workers on clusters without
-	// any home shard (fewer shards than clusters) skip the bias.
-	Affinity float64
 	// BatchSize groups each worker's operations into multi-key
 	// MGet/MSet calls of this size — the batched pipeline: the store
 	// runs each shard's portion of a batch in critical sections of up
 	// to its MaxBatch, amortizing lock acquisitions across operations
 	// (a pipelining client driving memcached's multi-get). 0 or 1
 	// issues one operation per call, keeping the original loop byte
-	// for byte. Affinity biasing is a per-operation knob and must be 0
-	// when batching.
+	// for byte.
 	BatchSize int
 }
 
@@ -90,14 +81,8 @@ func (c *Config) validate() error {
 	if c.ValueSize <= 0 {
 		return fmt.Errorf("kvload: non-positive value size")
 	}
-	if !(c.Affinity >= 0 && c.Affinity <= 1) { // inverted to reject NaN
-		return fmt.Errorf("kvload: affinity %v outside [0,1]", c.Affinity)
-	}
 	if c.BatchSize < 0 {
 		return fmt.Errorf("kvload: negative batch size %d", c.BatchSize)
-	}
-	if c.BatchSize > 1 && c.Affinity > 0 {
-		return fmt.Errorf("kvload: affinity biasing is per-operation; unsupported with batch size %d", c.BatchSize)
 	}
 	return nil
 }
@@ -110,9 +95,6 @@ type Result struct {
 	PerThread []uint64
 	Elapsed   time.Duration
 	Store     kvstore.Stats
-	// LocalOps counts operations whose key routed to a shard homed on
-	// the worker's own cluster. Tracked only when Affinity > 0.
-	LocalOps uint64
 }
 
 // Throughput reports operations per second.
@@ -123,10 +105,8 @@ func (r Result) Throughput() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
-// Populate pre-fills the store with every key, as seen from p, so the
-// measured phase sees memcached's steady state (high hit rate). On a
-// ClusterAffine store this fills only p's cluster's shard group; use
-// PopulateClusters to warm every cluster's view.
+// Populate pre-fills the store with every key from p, so the measured
+// phase sees memcached's steady state (high hit rate).
 func Populate(s *kvstore.Store, p *numa.Proc, keyspace uint64, valueSize int) {
 	val := make([]byte, valueSize)
 	for i := range val {
@@ -137,31 +117,11 @@ func Populate(s *kvstore.Store, p *numa.Proc, keyspace uint64, valueSize int) {
 	}
 }
 
-// PopulateClusters pre-fills the store route-aware: under ClusterAffine
-// placement each cluster keeps its own view of the keyspace, so the
-// keys are inserted once from a proc of every cluster; otherwise a
-// single pass from proc 0 reaches every shard.
-func PopulateClusters(s *kvstore.Store, topo *numa.Topology, keyspace uint64, valueSize int) {
-	if s.Placement() != kvstore.ClusterAffine || s.NumShards() == 1 {
-		Populate(s, topo.Proc(0), keyspace, valueSize)
-		return
-	}
-	for c := 0; c < topo.Clusters(); c++ {
-		for id := 0; id < topo.MaxProcs(); id++ {
-			if topo.ClusterOf(id) == c {
-				Populate(s, topo.Proc(id), keyspace, valueSize)
-				break
-			}
-		}
-	}
-}
-
 type loadSlot struct {
-	ops   uint64
-	gets  uint64
-	sets  uint64
-	local uint64
-	_     numa.Pad
+	ops  uint64
+	gets uint64
+	sets uint64
+	_    numa.Pad
 }
 
 // runBatchedWorker is the BatchSize > 1 worker loop: each round draws
@@ -236,13 +196,6 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 	spin.Calibrate()
 	spin.AutoOversubscribe(cfg.Threads)
 	getMille := int64(cfg.ReadFraction*1000 + 0.5)
-	affinityMille := int64(cfg.Affinity * 1000)
-	if store.NumShards() == 1 {
-		// Affinity is a documented no-op on single-shard stores; skip
-		// its per-op bookkeeping so baselines stay byte-identical to
-		// the pre-sharding load path.
-		affinityMille = 0
-	}
 	slots := make([]loadSlot, cfg.Threads)
 	var stop atomic.Bool
 	start := make(chan struct{})
@@ -260,38 +213,9 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 			val := make([]byte, cfg.ValueSize)
 			dst := make([]byte, cfg.ValueSize)
 			var sink byte
-			// A cluster with no home shard can never satisfy the
-			// bias (skip it rather than resample futilely every op),
-			// and under ClusterAffine a cluster with home shards is
-			// local on every op by construction — neither case needs
-			// per-op routing checks in the measured window.
-			bias := affinityMille
-			alwaysLocal := false
-			if !store.HasLocalShard(p) {
-				bias = 0
-			} else if store.Placement() == kvstore.ClusterAffine {
-				alwaysLocal = true
-			}
 			<-start
 			for !stop.Load() {
 				key := p.Rand() % cfg.Keyspace
-				if affinityMille > 0 && alwaysLocal {
-					sl.local++
-				} else if bias > 0 {
-					local := store.IsLocal(p, key)
-					if !local && p.RandN(1000) < bias {
-						// Bias toward a shard homed on this worker's
-						// cluster; bounded rejection sampling keeps
-						// the loop closed even if no key is local.
-						for tries := 0; !local && tries < 64; tries++ {
-							key = p.Rand() % cfg.Keyspace
-							local = store.IsLocal(p, key)
-						}
-					}
-					if local {
-						sl.local++
-					}
-				}
 				if p.RandN(1000) < getMille {
 					n, ok := store.Get(p, key, dst)
 					if ok {
@@ -326,7 +250,6 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 		res.Ops += slots[i].ops
 		res.Gets += slots[i].gets
 		res.Sets += slots[i].sets
-		res.LocalOps += slots[i].local
 	}
 	res.Store = store.Snapshot()
 	return res, nil

@@ -137,18 +137,6 @@ func lockFromRegistry(topo *numa.Topology) locks.Mutex {
 	return locks.NewMCS(topo)
 }
 
-func shardedStore(topo *numa.Topology, shards int, placement kvstore.Placement) *kvstore.Store {
-	return kvstore.New(kvstore.Config{
-		Topo:      topo,
-		Locking:   kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
-		Shards:    shards,
-		Placement: placement,
-		Buckets:   1 << 10, Capacity: 1 << 15,
-		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
-		ItemLocalNs: 1, ItemRemoteNs: 1,
-	})
-}
-
 func TestReadFractionValidationAndMix(t *testing.T) {
 	topo := numa.New(4, 8)
 	s := fastStore(topo)
@@ -191,89 +179,37 @@ func TestReadFractionValidationAndMix(t *testing.T) {
 	}
 }
 
-func TestAffinityValidation(t *testing.T) {
-	topo := numa.New(4, 8)
-	s := fastStore(topo)
-	for _, bad := range []float64{-0.1, 1.5} {
-		cfg := fastCfg(topo, 4, 0.5)
-		cfg.Affinity = bad
-		if _, err := Run(cfg, s); err == nil {
-			t.Errorf("affinity %v accepted", bad)
-		}
-	}
-}
-
-func TestAffinityBiasesKeyChoice(t *testing.T) {
-	topo := numa.New(4, 8)
-	s := shardedStore(topo, 8, kvstore.HashMod)
-	PopulateClusters(s, topo, 1000, 32)
-	cfg := fastCfg(topo, 8, 0.5)
-	cfg.Affinity = 1.0
-	res, err := Run(cfg, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// With full affinity, rejection sampling should make the large
-	// majority of ops land on home shards (~1/4 would be local by
-	// chance with 4 clusters).
-	if res.LocalOps*2 < res.Ops {
-		t.Fatalf("only %d/%d ops local with affinity=1", res.LocalOps, res.Ops)
-	}
-}
-
-func TestPopulateClustersWarmsAffineViews(t *testing.T) {
-	topo := numa.New(4, 8)
-	s := shardedStore(topo, 4, kvstore.ClusterAffine)
-	PopulateClusters(s, topo, 500, 32)
-	dst := make([]byte, 32)
-	// Every cluster must hit its own view of the keyspace.
-	for id := 0; id < 4; id++ {
-		p := topo.Proc(id)
-		for k := uint64(0); k < 500; k += 37 {
-			if _, ok := s.Get(p, k, dst); !ok {
-				t.Fatalf("proc %d (cluster %d) missed key %d after PopulateClusters",
-					id, p.Cluster(), k)
-			}
-		}
-	}
-}
-
-func TestRunShardedAffine(t *testing.T) {
+func TestRunSharded(t *testing.T) {
 	topo := numa.New(4, 16)
 	s := kvstore.New(kvstore.Config{
-		Topo:      topo,
-		Locking:   kvstore.FromMutex(func() locks.Mutex { return lockFromRegistry(topo) }),
-		Shards:    8,
-		Placement: kvstore.ClusterAffine,
-		Buckets:   1 << 10, Capacity: 1 << 15,
+		Topo:    topo,
+		Locking: kvstore.FromMutex(func() locks.Mutex { return lockFromRegistry(topo) }),
+		Shards:  8,
+		Buckets: 1 << 10, Capacity: 1 << 15,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
 		ItemLocalNs: 1, ItemRemoteNs: 1,
 	})
-	PopulateClusters(s, topo, 1000, 32)
+	Populate(s, topo.Proc(0), 1000, 32)
 	res, err := Run(fastCfg(topo, 16, 0.9), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Ops == 0 {
-		t.Fatal("sharded affine store made no progress")
+		t.Fatal("sharded store made no progress")
 	}
-	// Warmed views + 90% gets: hits must dominate misses clearly.
+	// One pass from one proc warms every worker's keyspace, so with 90%
+	// gets hits must dominate misses clearly.
 	if res.Store.Hits < res.Store.Misses {
-		t.Fatalf("hits %d < misses %d against warmed affine store",
+		t.Fatalf("hits %d < misses %d against warmed sharded store",
 			res.Store.Hits, res.Store.Misses)
 	}
 }
 
 func TestBatchValidation(t *testing.T) {
 	topo := numa.New(4, 8)
-	s := fastStore(topo)
-	for i, cfg := range []Config{
-		fastCfgMod(topo, func(c *Config) { c.BatchSize = -1 }),
-		fastCfgMod(topo, func(c *Config) { c.BatchSize = 8; c.Affinity = 0.5 }),
-	} {
-		if _, err := Run(cfg, s); err == nil {
-			t.Errorf("bad batch config %d accepted", i)
-		}
+	cfg := fastCfgMod(topo, func(c *Config) { c.BatchSize = -1 })
+	if _, err := Run(cfg, fastStore(topo)); err == nil {
+		t.Error("negative batch size accepted")
 	}
 }
 

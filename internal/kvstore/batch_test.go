@@ -77,13 +77,12 @@ func TestMSetAcquisitionAmortization(t *testing.T) {
 // locks keep the focus on routing and accounting.
 func newBatchStore(topo *numa.Topology, shards, maxBatch int) *Store {
 	return New(Config{
-		Topo:      topo,
-		Locking:   FromMutex(func() locks.Mutex { return locks.NewPthread() }),
-		Shards:    shards,
-		MaxBatch:  maxBatch,
-		Placement: HashMod,
-		Buckets:   512,
-		Capacity:  4096,
+		Topo:     topo,
+		Locking:  FromMutex(func() locks.Mutex { return locks.NewPthread() }),
+		Shards:   shards,
+		MaxBatch: maxBatch,
+		Buckets:  512,
+		Capacity: 4096,
 	})
 }
 
@@ -177,30 +176,26 @@ func lruOrder(s *Store) [][]uint64 {
 // the cachesim migration count. Single-key calls never run route's warm
 // pass and batch calls always do, so this is also the proof that the
 // warm pass is not observable: on an empty store (nil bucket heads), on
-// absent and duplicate keys, across shards, on one shard, and for a
-// ClusterAffine requester whose cluster owns no shard.
+// absent and duplicate keys, across shards and on one shard.
 func TestBatchedStoreMatchesSequential(t *testing.T) {
 	stores := []struct {
 		name             string
 		clusters, shards int
-		place            Placement
 	}{
-		{"one-shard", 2, 1, HashMod},
-		{"hashmod-4", 2, 4, HashMod},
-		{"affine-shardless-cluster", 3, 2, ClusterAffine},
+		{"one-shard", 2, 1},
+		{"hashmod-4", 2, 4},
 	}
 	for _, sc := range stores {
 		t.Run(sc.name, func(t *testing.T) {
 			topo := numa.New(sc.clusters, 2*sc.clusters)
 			mk := func() *Store {
 				return New(Config{
-					Topo:      topo,
-					Locking:   FromMutex(func() locks.Mutex { return locks.NewPthread() }),
-					Shards:    sc.shards,
-					MaxBatch:  4,
-					Placement: sc.place,
-					Buckets:   64,
-					Capacity:  48, // the 60-key range below evicts
+					Topo:     topo,
+					Locking:  FromMutex(func() locks.Mutex { return locks.NewPthread() }),
+					Shards:   sc.shards,
+					MaxBatch: 4,
+					Buckets:  64,
+					Capacity: 48, // the 60-key range below evicts
 				})
 			}
 			batched, sequential := mk(), mk()
@@ -264,8 +259,7 @@ func TestBatchedStoreMatchesSequential(t *testing.T) {
 				}
 				same(step)
 			}
-			// One requester per cluster; the last cluster of the affine
-			// stores owns no shard.
+			// One requester per cluster.
 			procs := make([]*numa.Proc, sc.clusters)
 			for c := range procs {
 				procs[c] = topo.Proc(c)

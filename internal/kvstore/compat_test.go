@@ -10,7 +10,7 @@ import (
 
 // TestRemovedMemoryModesRejected pins the compat seam: the removed
 // modes fail to parse with an error that says they were removed, the
-// surviving names parse, and the three ignored Config fields change
+// surviving names parse, and the four ignored Config fields change
 // nothing about the store they are set on.
 func TestRemovedMemoryModesRejected(t *testing.T) {
 	if _, err := ParseValueMemory("arena"); err == nil || !strings.Contains(err.Error(), "removed") {
@@ -42,7 +42,7 @@ func TestRemovedMemoryModesRejected(t *testing.T) {
 		return s.Snapshot()
 	}
 	plain := run(Config{})
-	if compat := run(Config{ValueMemory: vm, IndexMemory: im, ArenaBytes: 1 << 20}); compat != plain {
+	if compat := run(Config{Placement: HashMod, ValueMemory: vm, IndexMemory: im, ArenaBytes: 1 << 20}); compat != plain {
 		t.Errorf("compat fields changed the store: %+v, zero-valued config %+v", compat, plain)
 	}
 	if plain.Evictions == 0 || plain.Hits == 0 || plain.Misses == 0 {

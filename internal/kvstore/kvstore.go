@@ -1,5 +1,5 @@
 // Package kvstore is the memcached stand-in for the paper's Table 1
-// experiment, grown into a sharded, NUMA-affine cache.
+// experiment, grown into a sharded cache.
 //
 // Memcached keeps all key-value pairs in one hash table with LRU
 // eviction, and mediates every get and set through a single "cache
@@ -14,20 +14,14 @@
 // Expiry/TTL and the network protocol are omitted (DESIGN.md §2): the
 // experiment exercises only the lock around table operations.
 //
-// A Store fronts N such shards and routes each operation by key hash,
-// which is the structural fix the single cache lock cannot buy: no
-// matter how good the lock, one lock instance caps throughput at one
-// critical section at a time. Sharding multiplies that capacity by N,
-// and the placement policy decides which threads meet at which lock:
-//
-//   - HashMod spreads keys over all shards uniformly; every shard sees
-//     traffic from every cluster.
-//   - ClusterAffine gives each cluster its own group of home shards
-//     and routes a requester's keys within its cluster's group, so
-//     each shard's lock is only ever contended by one cluster — the
-//     longest possible same-cluster runs for a cohort lock, at the
-//     cost of per-cluster (non-coherent) views of the keyspace, as in
-//     a per-NUMA-node cache partition.
+// A Store fronts N such shards and routes each operation by key hash
+// alone, which is the structural fix the single cache lock cannot buy:
+// no matter how good the lock, one lock instance caps throughput at one
+// critical section at a time. Sharding multiplies that capacity by N.
+// Routing never looks at the requester, so every thread of every
+// cluster sees one keyspace and every shard lock sees traffic from
+// every cluster; locality across clusters is the lock's job, as in the
+// paper (DESIGN.md §4).
 //
 // A single-shard Store routes every key to its one shard and behaves
 // exactly like the pre-sharding store.
@@ -84,42 +78,6 @@ import (
 	"repro/internal/numa"
 )
 
-// Placement selects how shards are homed on clusters and how keys are
-// routed to shards.
-type Placement int
-
-const (
-	// HashMod routes key k to shard hash(k) mod N regardless of the
-	// requesting cluster. All clusters contend on all shard locks.
-	HashMod Placement = iota
-	// ClusterAffine homes shard i on cluster i mod C and routes a
-	// requester's keys among the shards homed on its own cluster, so
-	// every shard lock sees single-cluster traffic. Clusters without a
-	// home shard (N < C) fall back to HashMod routing.
-	ClusterAffine
-)
-
-// String names the placement for tool output.
-func (p Placement) String() string {
-	switch p {
-	case ClusterAffine:
-		return "affine"
-	default:
-		return "hashmod"
-	}
-}
-
-// ParsePlacement maps a flag value to a Placement.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "hashmod":
-		return HashMod, nil
-	case "affine":
-		return ClusterAffine, nil
-	}
-	return 0, fmt.Errorf("kvstore: unknown placement %q (want hashmod or affine)", s)
-}
-
 // Config parameterizes a Store.
 type Config struct {
 	// Topo sizes per-proc statistics and the metadata cache domains.
@@ -144,8 +102,6 @@ type Config struct {
 	TouchEvery int
 	// Shards is the shard count. Default 1.
 	Shards int
-	// Placement picks the shard homing/routing policy.
-	Placement Placement
 	// Buckets is the total hash table size, split across shards and
 	// rounded up to a per-shard power of two. Default 1<<15.
 	Buckets int
@@ -157,8 +113,9 @@ type Config struct {
 	// ItemNs are the latencies charged for touching an item whose last
 	// toucher was the same / another cluster. Defaults 25/100 ns.
 	ItemLocalNs, ItemRemoteNs int64
-	// ValueMemory, IndexMemory and ArenaBytes are accepted and ignored;
-	// see compat.go.
+	// Placement, ValueMemory, IndexMemory and ArenaBytes are accepted
+	// and ignored; see compat.go.
+	Placement   Placement
 	ValueMemory ValueMemory
 	IndexMemory IndexMemory
 	ArenaBytes  int
@@ -225,11 +182,7 @@ func (s *Stats) Add(o Stats) {
 
 // Store is the sharded memcached-like key-value cache.
 type Store struct {
-	topo      *numa.Topology
-	placement Placement
-	shards    []*Shard
-	homes     []int   // shard index -> home cluster
-	groups    [][]int // cluster -> indices of shards homed there
+	shards []*Shard
 	// routes holds each proc's batch-routing scratch, indexed by
 	// p.ID(). A proc is used by one goroutine at a time (the numa.Proc
 	// contract the shards' per-proc slots already rest on), so a batch
@@ -266,12 +219,8 @@ func New(cfg Config) *Store {
 	perCapacity := ceilDiv(cfg.Capacity, cfg.Shards)
 
 	s := &Store{
-		topo:      cfg.Topo,
-		placement: cfg.Placement,
-		shards:    make([]*Shard, cfg.Shards),
-		homes:     make([]int, cfg.Shards),
-		groups:    make([][]int, cfg.Topo.Clusters()),
-		routes:    make([]routeScratch, cfg.Topo.MaxProcs()),
+		shards: make([]*Shard, cfg.Shards),
+		routes: make([]routeScratch, cfg.Topo.MaxProcs()),
 	}
 	for i := range s.routes {
 		s.routes[i].start = make([]int, cfg.Shards+1)
@@ -289,9 +238,6 @@ func New(cfg Config) *Store {
 			itemRemote: cfg.ItemRemoteNs,
 		}
 		s.shards[i] = newShard(sc)
-		home := i % cfg.Topo.Clusters()
-		s.homes[i] = home
-		s.groups[home] = append(s.groups[home], i)
 	}
 	return s
 }
@@ -307,46 +253,39 @@ func shardMix(key uint64) uint64 {
 	return key
 }
 
-// shardIndex routes (requester, key) to a shard index under the
-// store's placement.
-func (s *Store) shardIndex(p *numa.Proc, key uint64) int {
+// shardIndex routes key to a shard index: a function of the key alone.
+func (s *Store) shardIndex(key uint64) int {
 	if len(s.shards) == 1 {
 		return 0
-	}
-	if s.placement == ClusterAffine {
-		if g := s.groups[p.Cluster()]; len(g) > 0 {
-			return g[shardMix(key)%uint64(len(g))]
-		}
 	}
 	return int(shardMix(key) % uint64(len(s.shards)))
 }
 
-// shardFor returns the shard that (requester, key) routes to.
-func (s *Store) shardFor(p *numa.Proc, key uint64) *Shard {
-	return s.shards[s.shardIndex(p, key)]
+// shardFor returns the shard that key routes to.
+func (s *Store) shardFor(key uint64) *Shard {
+	return s.shards[s.shardIndex(key)]
 }
 
-// Get looks up key in the requester's shard, copying the value into
+// Get looks up key in its shard, copying the value into
 // dst (truncating if dst is short). It returns the copied length and
 // whether the key was found.
 func (s *Store) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	return s.shardFor(p, key).Get(p, key, dst)
+	return s.shardFor(key).Get(p, key, dst)
 }
 
-// Set inserts or updates key with a copy of val in the requester's
-// shard, evicting that shard's LRU victim if it is over capacity.
+// Set inserts or updates key with a copy of val in its shard, evicting
+// that shard's LRU victim if it is over capacity.
 func (s *Store) Set(p *numa.Proc, key uint64, val []byte) {
-	s.shardFor(p, key).Set(p, key, val)
+	s.shardFor(key).Set(p, key, val)
 }
 
-// Delete removes key from the requester's shard, returning whether it
-// was present.
+// Delete removes key from its shard, returning whether it was present.
 func (s *Store) Delete(p *numa.Proc, key uint64) bool {
-	return s.shardFor(p, key).Delete(p, key)
+	return s.shardFor(key).Delete(p, key)
 }
 
-// route partitions the indices of keys by target shard under the
-// store's placement: a stable counting sort into p's routing scratch.
+// route partitions the indices of keys by target shard: a stable
+// counting sort into p's routing scratch.
 // Shard si's indices are order[start[si]:start[si+1]], in caller order
 // — the order duplicate keys rely on to resolve last-wins — and every
 // index lands in exactly one group, the routing-completeness the batch
@@ -367,7 +306,7 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 	order, shard, start := rs.order[:len(keys)], rs.shard[:len(keys)], rs.start
 	clear(start)
 	for i, k := range keys {
-		si := s.shardIndex(p, k)
+		si := s.shardIndex(k)
 		shard[i] = int32(si)
 		start[si]++
 		// Start this key's index misses now, while no lock is held: the
@@ -498,9 +437,6 @@ func (s *Store) NumShards() int { return len(s.shards) }
 // ceil(N/MaxBatch) acquisitions.
 func (s *Store) MaxBatch() int { return s.shards[0].maxBatch }
 
-// Placement reports the routing policy.
-func (s *Store) Placement() Placement { return s.placement }
-
 // ShardOccupancy reports shard i's executor in-flight request estimate
 // and whether the shard tracks one at all — true only for shards
 // guarded by a combining executor (comb-a-*), whose occupancy counters
@@ -508,24 +444,6 @@ func (s *Store) Placement() Placement { return s.placement }
 // running load. Harnesses poll it mid-run to see which shards are hot.
 func (s *Store) ShardOccupancy(i int) (int, bool) {
 	return locks.EstimateOccupancy(s.shards[i].x)
-}
-
-// IsLocal reports whether key routes p to a shard homed on p's own
-// cluster — the affinity predicate load generators bias key choice
-// with. Single-shard stores are degenerately local.
-func (s *Store) IsLocal(p *numa.Proc, key uint64) bool {
-	if len(s.shards) == 1 {
-		return true
-	}
-	return s.homes[s.shardIndex(p, key)] == p.Cluster()
-}
-
-// HasLocalShard reports whether any shard is homed on p's cluster —
-// i.e. whether IsLocal can ever be true for p. Load generators check
-// it once per worker before biasing key choice, since with fewer
-// shards than clusters some clusters have no home shard at all.
-func (s *Store) HasLocalShard(p *numa.Proc) bool {
-	return len(s.shards) == 1 || len(s.groups[p.Cluster()]) > 0
 }
 
 // Snapshot aggregates statistics across all shards; call while workers

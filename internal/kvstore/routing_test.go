@@ -13,10 +13,10 @@ import (
 // groupByShard is the routing the batch APIs used before Store.route:
 // one appended index slice per shard. Kept as the oracle route is
 // checked against.
-func groupByShard(s *Store, p *numa.Proc, keys []uint64) [][]int {
+func groupByShard(s *Store, keys []uint64) [][]int {
 	groups := make([][]int, len(s.shards))
 	for i, k := range keys {
-		si := s.shardIndex(p, k)
+		si := s.shardIndex(k)
 		groups[si] = append(groups[si], i)
 	}
 	return groups
@@ -25,69 +25,55 @@ func groupByShard(s *Store, p *numa.Proc, keys []uint64) [][]int {
 // TestRouteIsStablePartition checks, over random key batches, that
 // route puts every index in exactly one shard group, keeps caller
 // order within a group, and agrees with the append-per-shard oracle —
-// for every shard count and placement, including a ClusterAffine
-// requester whose cluster owns no shard (3 clusters, 2 shards).
+// for every shard count, from requesters on every cluster.
 func TestRouteIsStablePartition(t *testing.T) {
-	type placement struct {
-		name     string
-		place    Placement
-		clusters int
-	}
-	placements := []placement{
-		{"hashmod", HashMod, 2},
-		{"affine", ClusterAffine, 2},
-		{"affine-shardless-cluster", ClusterAffine, 3},
-	}
 	rng := rand.New(rand.NewSource(1))
-	for _, pl := range placements {
-		for _, shards := range []int{1, 2, 7, 8} {
-			t.Run(fmt.Sprintf("%s/%d", pl.name, shards), func(t *testing.T) {
-				topo := numa.New(pl.clusters, 2*pl.clusters)
-				s := New(Config{
-					Topo:      topo,
-					Locking:   FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
-					Shards:    shards,
-					Placement: pl.place,
-				})
-				for round := 0; round < 200; round++ {
-					// Sizes shrink as well as grow, so a reused scratch
-					// longer than the batch is exercised; a small key
-					// space makes duplicates common.
-					keys := make([]uint64, rng.Intn(70))
-					for i := range keys {
-						keys[i] = uint64(rng.Intn(40))
+	for _, shards := range []int{1, 2, 7, 8} {
+		t.Run(fmt.Sprintf("hashmod/%d", shards), func(t *testing.T) {
+			topo := numa.New(2, 4)
+			s := New(Config{
+				Topo:    topo,
+				Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
+				Shards:  shards,
+			})
+			for round := 0; round < 200; round++ {
+				// Sizes shrink as well as grow, so a reused scratch
+				// longer than the batch is exercised; a small key
+				// space makes duplicates common.
+				keys := make([]uint64, rng.Intn(70))
+				for i := range keys {
+					keys[i] = uint64(rng.Intn(40))
+				}
+				p := topo.Proc(rng.Intn(topo.MaxProcs()))
+				order, start := s.route(p, keys)
+				if len(order) != len(keys) || len(start) != shards+1 || start[0] != 0 || start[shards] != len(keys) {
+					t.Fatalf("route of %d keys: len(order)=%d start=%v", len(keys), len(order), start)
+				}
+				want := groupByShard(s, keys)
+				seen := make([]bool, len(keys))
+				for si := 0; si < shards; si++ {
+					group := order[start[si]:start[si+1]]
+					if !slices.Equal(group, want[si]) {
+						t.Fatalf("shard %d: route %v, oracle %v", si, group, want[si])
 					}
-					p := topo.Proc(rng.Intn(topo.MaxProcs()))
-					order, start := s.route(p, keys)
-					if len(order) != len(keys) || len(start) != shards+1 || start[0] != 0 || start[shards] != len(keys) {
-						t.Fatalf("route of %d keys: len(order)=%d start=%v", len(keys), len(order), start)
+					if !slices.IsSorted(group) {
+						t.Fatalf("shard %d: group %v not in caller order", si, group)
 					}
-					want := groupByShard(s, p, keys)
-					seen := make([]bool, len(keys))
-					for si := 0; si < shards; si++ {
-						group := order[start[si]:start[si+1]]
-						if !slices.Equal(group, want[si]) {
-							t.Fatalf("shard %d: route %v, oracle %v", si, group, want[si])
+					for _, i := range group {
+						if seen[i] {
+							t.Fatalf("index %d routed twice", i)
 						}
-						if !slices.IsSorted(group) {
-							t.Fatalf("shard %d: group %v not in caller order", si, group)
+						seen[i] = true
+						if got := s.shardIndex(keys[i]); got != si {
+							t.Fatalf("index %d in group %d, routes to %d", i, si, got)
 						}
-						for _, i := range group {
-							if seen[i] {
-								t.Fatalf("index %d routed twice", i)
-							}
-							seen[i] = true
-							if got := s.shardIndex(p, keys[i]); got != si {
-								t.Fatalf("index %d in group %d, routes to %d", i, si, got)
-							}
-						}
-					}
-					if i := slices.Index(seen, false); i >= 0 {
-						t.Fatalf("index %d never routed", i)
 					}
 				}
-			})
-		}
+				if i := slices.Index(seen, false); i >= 0 {
+					t.Fatalf("index %d never routed", i)
+				}
+			}
+		})
 	}
 }
 

@@ -99,7 +99,6 @@ func TestSharedMGetPerShardGroups(t *testing.T) {
 		Shards:     shards,
 		MaxBatch:   batch,
 		TouchEvery: 1 << 20,
-		Placement:  HashMod,
 		Buckets:    512,
 		Capacity:   4096,
 	})

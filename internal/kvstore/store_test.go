@@ -10,12 +10,11 @@ import (
 	"repro/internal/numa"
 )
 
-func newShardedStore(topo *numa.Topology, shards, capacity int, placement Placement) *Store {
+func newShardedStore(topo *numa.Topology, shards, capacity int) *Store {
 	return New(Config{
 		Topo:        topo,
 		Locking:     FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 		Shards:      shards,
-		Placement:   placement,
 		Buckets:     256,
 		Capacity:    capacity,
 		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
@@ -25,28 +24,26 @@ func newShardedStore(topo *numa.Topology, shards, capacity int, placement Placem
 
 func TestShardedRoundTrip(t *testing.T) {
 	topo := numa.New(4, 8)
-	for _, placement := range []Placement{HashMod, ClusterAffine} {
-		s := newShardedStore(topo, 8, 1<<14, placement)
-		p := topo.Proc(0)
-		dst := make([]byte, 16)
-		for k := uint64(0); k < 2000; k++ {
-			s.Set(p, k, []byte{byte(k), byte(k >> 8)})
+	s := newShardedStore(topo, 8, 1<<14)
+	p := topo.Proc(0)
+	dst := make([]byte, 16)
+	for k := uint64(0); k < 2000; k++ {
+		s.Set(p, k, []byte{byte(k), byte(k >> 8)})
+	}
+	for k := uint64(0); k < 2000; k++ {
+		n, ok := s.Get(p, k, dst)
+		if !ok || !bytes.Equal(dst[:n], []byte{byte(k), byte(k >> 8)}) {
+			t.Fatalf("key %d round-trip failed (%v, %q)", k, ok, dst[:n])
 		}
-		for k := uint64(0); k < 2000; k++ {
-			n, ok := s.Get(p, k, dst)
-			if !ok || !bytes.Equal(dst[:n], []byte{byte(k), byte(k >> 8)}) {
-				t.Fatalf("%v: key %d round-trip failed (%v, %q)", placement, k, ok, dst[:n])
-			}
-		}
-		if err := s.checkLRU(); err != nil {
-			t.Fatalf("%v: %v", placement, err)
-		}
+	}
+	if err := s.checkLRU(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestShardedKeysSpread(t *testing.T) {
 	topo := numa.New(4, 8)
-	s := newShardedStore(topo, 8, 1<<14, HashMod)
+	s := newShardedStore(topo, 8, 1<<14)
 	p := topo.Proc(0)
 	for k := uint64(0); k < 4000; k++ {
 		s.Set(p, k, []byte("v"))
@@ -64,7 +61,7 @@ func TestShardedKeysSpread(t *testing.T) {
 func TestTotalCapacitySplit(t *testing.T) {
 	topo := numa.New(4, 8)
 	const capacity = 64
-	s := newShardedStore(topo, 8, capacity, HashMod)
+	s := newShardedStore(topo, 8, capacity)
 	if got := s.Capacity(); got != capacity {
 		t.Fatalf("Capacity() = %d, want %d", got, capacity)
 	}
@@ -89,12 +86,12 @@ func TestPerShardLRUEviction(t *testing.T) {
 	// Overflow exactly one shard: only that shard evicts, and its own
 	// LRU order decides the victims.
 	topo := numa.New(4, 8)
-	s := newShardedStore(topo, 4, 4*3, HashMod) // 3 items per shard
+	s := newShardedStore(topo, 4, 4*3) // 3 items per shard
 	p := topo.Proc(0)
-	target := s.shardIndex(p, 0)
+	target := s.shardIndex(0)
 	var keys []uint64
 	for k := uint64(0); len(keys) < 4; k++ {
-		if s.shardIndex(p, k) == target {
+		if s.shardIndex(k) == target {
 			keys = append(keys, k)
 		}
 	}
@@ -127,7 +124,7 @@ func TestPerShardLRUEviction(t *testing.T) {
 
 func TestCrossShardStatsAggregation(t *testing.T) {
 	topo := numa.New(4, 8)
-	s := newShardedStore(topo, 8, 1<<14, HashMod)
+	s := newShardedStore(topo, 8, 1<<14)
 	dst := make([]byte, 8)
 	for id := 0; id < 8; id++ {
 		p := topo.Proc(id)
@@ -153,115 +150,74 @@ func TestCrossShardStatsAggregation(t *testing.T) {
 	}
 }
 
-func TestClusterAffineRoutesHome(t *testing.T) {
-	topo := numa.New(4, 8)
-	s := newShardedStore(topo, 8, 1<<14, ClusterAffine)
-	for id := 0; id < 8; id++ {
-		p := topo.Proc(id)
-		for k := uint64(0); k < 500; k++ {
-			if idx := s.shardIndex(p, k); s.homes[idx] != p.Cluster() {
-				t.Fatalf("proc %d (cluster %d): key %d routed to shard %d homed on %d",
-					id, p.Cluster(), k, idx, s.homes[idx])
-			}
-			if !s.IsLocal(p, k) {
-				t.Fatalf("IsLocal false under affine routing")
-			}
-		}
-	}
-	// Per-cluster views: a key set from cluster 0 is invisible to
-	// cluster 1 (its shard group differs).
-	p0, p1 := topo.Proc(0), topo.Proc(1)
-	s.Set(p0, 42, []byte("v"))
-	if _, ok := s.Get(p1, 42, make([]byte, 4)); ok {
-		t.Fatal("cluster 1 read a key homed on cluster 0's shards")
-	}
-	if _, ok := s.Get(p0, 42, make([]byte, 4)); !ok {
-		t.Fatal("cluster 0 lost its own key")
-	}
-}
-
-func TestClusterAffineFallbackWhenFewShards(t *testing.T) {
-	// 2 shards over 4 clusters: clusters 2 and 3 have no home shard
-	// and fall back to global hash routing; operations still work.
-	topo := numa.New(4, 8)
-	s := newShardedStore(topo, 2, 1<<10, ClusterAffine)
-	if s.HasLocalShard(topo.Proc(2)) {
-		t.Fatal("cluster 2 reported a home shard with only 2 shards")
-	}
-	if !s.HasLocalShard(topo.Proc(0)) {
-		t.Fatal("cluster 0 lost its home shard")
-	}
-	p2 := topo.Proc(2) // cluster 2
-	dst := make([]byte, 8)
-	for k := uint64(0); k < 200; k++ {
-		s.Set(p2, k, []byte{byte(k)})
-	}
-	for k := uint64(0); k < 200; k++ {
-		if n, ok := s.Get(p2, k, dst); !ok || dst[:n][0] != byte(k) {
-			t.Fatalf("fallback routing lost key %d", k)
-		}
-	}
-}
-
+// TestHashModIsRequesterIndependent is the store-level statement of
+// one keyspace: whichever proc, on whichever cluster, writes a key
+// last, every proc of every cluster reads that write.
 func TestHashModIsRequesterIndependent(t *testing.T) {
 	topo := numa.New(4, 8)
-	s := newShardedStore(topo, 8, 1<<14, HashMod)
+	s := newShardedStore(topo, 8, 1<<14)
+	dst := make([]byte, 8)
 	for k := uint64(0); k < 500; k++ {
-		want := s.shardIndex(topo.Proc(0), k)
-		for id := 1; id < 8; id++ {
-			if got := s.shardIndex(topo.Proc(id), k); got != want {
-				t.Fatalf("key %d routes to shard %d for proc 0 but %d for proc %d",
-					k, want, got, id)
+		for id := 0; id < 8; id++ {
+			s.Set(topo.Proc(id), k, []byte{byte(k), byte(id)})
+		}
+		last := byte(k % 8)
+		s.Set(topo.Proc(int(last)), k, []byte{byte(k), last})
+		for id := 0; id < 8; id++ {
+			n, ok := s.Get(topo.Proc(id), k, dst)
+			if !ok || !bytes.Equal(dst[:n], []byte{byte(k), last}) {
+				t.Fatalf("key %d: proc %d (cluster %d) read (%q, %v), want the last write from proc %d",
+					k, id, topo.ClusterOf(id), dst[:n], ok, last)
 			}
 		}
+	}
+	if got := s.Len(topo.Proc(0)); got != 500 {
+		t.Fatalf("Len = %d, want 500: some key lives in more than one shard", got)
 	}
 }
 
 func TestShardedConcurrentOps(t *testing.T) {
 	topo := numa.New(4, 16)
-	for _, placement := range []Placement{HashMod, ClusterAffine} {
-		s := New(Config{
-			Topo:      topo,
-			Locking:   FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
-			Shards:    8,
-			Placement: placement,
-			Buckets:   512, Capacity: 1024,
-			Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
-			ItemLocalNs: 1, ItemRemoteNs: 1,
-		})
-		var wg sync.WaitGroup
-		for i := 0; i < 16; i++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				p := topo.Proc(id)
-				dst := make([]byte, 16)
-				val := []byte("sharded-value")
-				for k := 0; k < 600; k++ {
-					key := uint64(k % 250)
-					switch k % 3 {
-					case 0:
-						s.Set(p, key, val)
-					case 1:
+	s := New(Config{
+		Topo:    topo,
+		Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
+		Shards:  8,
+		Buckets: 512, Capacity: 1024,
+		Cache:       cachesim.Config{LocalNs: 1, RemoteNs: 1},
+		ItemLocalNs: 1, ItemRemoteNs: 1,
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			p := topo.Proc(id)
+			dst := make([]byte, 16)
+			val := []byte("sharded-value")
+			for k := 0; k < 600; k++ {
+				key := uint64(k % 250)
+				switch k % 3 {
+				case 0:
+					s.Set(p, key, val)
+				case 1:
+					s.Get(p, key, dst)
+				case 2:
+					if k%30 == 2 {
+						s.Delete(p, key)
+					} else {
 						s.Get(p, key, dst)
-					case 2:
-						if k%30 == 2 {
-							s.Delete(p, key)
-						} else {
-							s.Get(p, key, dst)
-						}
 					}
 				}
-			}(i)
-		}
-		wg.Wait()
-		if err := s.checkLRU(); err != nil {
-			t.Fatalf("%v: %v", placement, err)
-		}
-		st := s.Snapshot()
-		if st.Gets == 0 || st.Sets == 0 {
-			t.Fatalf("%v: stats look wrong: %+v", placement, st)
-		}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := s.checkLRU(); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Snapshot()
+	if st.Gets == 0 || st.Sets == 0 {
+		t.Fatalf("stats look wrong: %+v", st)
 	}
 }
 
@@ -271,8 +227,5 @@ func TestShardedConfigValidation(t *testing.T) {
 	s := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() })})
 	if s.NumShards() != 1 {
 		t.Fatalf("default shards = %d, want 1", s.NumShards())
-	}
-	if !s.IsLocal(topo.Proc(3), 99) {
-		t.Error("single-shard store not degenerately local")
 	}
 }

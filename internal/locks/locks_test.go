@@ -34,7 +34,6 @@ func factories() map[string]func(topo *numa.Topology) locks.Mutex {
 		"fib-bo":  func(*numa.Topology) locks.Mutex { return locks.NewBO(locks.FibBOConfig()) },
 		"ticket":  func(topo *numa.Topology) locks.Mutex { return locks.NewTicket(topo) },
 		"mcs":     func(topo *numa.Topology) locks.Mutex { return locks.NewMCS(topo) },
-		"clh":     func(topo *numa.Topology) locks.Mutex { return locks.NewCLH(topo) },
 		"hbo":     func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
 		"hclh":    func(topo *numa.Topology) locks.Mutex { return locks.NewHCLH(topo) },
 		"cna":     func(topo *numa.Topology) locks.Mutex { return locks.NewCNA(topo) },
@@ -79,7 +78,7 @@ func TestTwoProcHandoffAllLocks(t *testing.T) {
 func TestOversubscribedStress(t *testing.T) {
 	// More goroutines than GOMAXPROCS forces the Poll/Gosched
 	// escalation paths; queue locks deadlock here if spins never yield.
-	for _, name := range []string{"mcs", "clh", "hclh", "fc-mcs", "ticket"} {
+	for _, name := range []string{"mcs", "hclh", "fc-mcs", "ticket"} {
 		mk := factories()[name]
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(4, 64)
@@ -244,14 +243,6 @@ func TestHCLHSingleProcPerCluster(t *testing.T) {
 	topo := numa.New(4, 4)
 	l := locks.NewHCLH(topo)
 	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 4, 300)
-}
-
-func TestCLHNodeRecyclingManyIterations(t *testing.T) {
-	// CLH rotates nodes between threads; many iterations over few
-	// procs exercises recycling.
-	topo := numa.New(2, 4)
-	l := locks.NewCLH(topo)
-	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 4, 2000)
 }
 
 func TestMCSUnlockWaitsForLaggingSuccessor(t *testing.T) {

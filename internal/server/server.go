@@ -24,9 +24,9 @@ type Config struct {
 	// lifetime (Procs carry unsynchronized per-thread state, so the
 	// exclusive ownership is load-bearing, not cosmetic).
 	Topo *numa.Topology
-	// Store is the batched store requests flush into. Under
-	// ClusterAffine placement the connection→cluster pinning keeps
-	// each connection's traffic on its cluster's home shards.
+	// Store is the batched store requests flush into. It routes by
+	// key alone, so every connection, whichever cluster it is pinned
+	// to, sees one keyspace.
 	Store *kvstore.Store
 	// ConnsPerCluster caps concurrently admitted connections per
 	// cluster — the store-front application of restricting concurrency

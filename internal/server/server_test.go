@@ -421,6 +421,54 @@ func TestAdmissionCap(t *testing.T) {
 	}
 }
 
+// TestConnectionsShareOneKeyspace is the wire-level statement of one
+// keyspace: with both clusters' proc pools full, connections pinned to
+// different clusters take turns overwriting one key, and afterwards
+// every connection reads the last acknowledged write.
+func TestConnectionsShareOneKeyspace(t *testing.T) {
+	const conns = 8
+	topo := numa.New(2, conns)
+	srv, err := New(Config{Topo: topo, Store: newTestStore(topo, 4, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, serveErr := startServer(t, srv)
+
+	// Each cluster admits at most its 4 procs' worth of connections, so
+	// once all 8 are served both pools are full: 4 connections on each
+	// cluster.
+	cs := make([]net.Conn, conns)
+	for i := range cs {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		exchange(t, c, "version\r\n", "VERSION "+DefaultVersion+"\r\n")
+		cs[i] = c
+	}
+	for i, c := range cs {
+		exchange(t, c, fmt.Sprintf("set k 0 0 2\r\nv%d\r\n", i), "STORED\r\n")
+	}
+	last := fmt.Sprintf("VALUE k 0 2\r\nv%d\r\nEND\r\n", conns-1)
+	for _, c := range cs {
+		exchange(t, c, "get k\r\n", last)
+	}
+
+	if got := srv.Snapshot().Accepted; got != conns {
+		t.Fatalf("Accepted = %d, want %d", got, conns)
+	}
+	for _, c := range cs {
+		c.Close()
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
 // TestOccupancyGauge exercises the sampled occupancy gauge end to
 // end: a store guarded by the adaptive combining executor (the one
 // lock family with an occupancy estimator) must move the gauge off

@@ -23,10 +23,10 @@
 //
 // # Model
 //
-// A cohort lock composes a thread-oblivious global lock with one
-// cohort-detecting local lock per NUMA cluster. Threads acquire their
-// cluster's local lock and, only when the hand-off state requires it,
-// the global lock; a releaser that detects waiting same-cluster
+// A cohort lock composes a global lock with one cohort-detecting local
+// lock per NUMA cluster. Threads acquire their cluster's local lock
+// and, only when their cluster does not already own it, the global
+// lock; a releaser that detects waiting same-cluster
 // threads passes ownership within the cluster without touching the
 // global lock. Long runs of same-cluster critical sections keep both
 // lock metadata and the data the critical section touches in the
@@ -53,9 +53,10 @@
 //
 // # Building custom cohort locks
 //
-// The transformation is generic: any lock satisfying GlobalLock
-// (thread-oblivious) can be combined with per-cluster locks satisfying
-// LocalLock (cohort-detecting) via New; abortable variants compose via
+// The transformation is generic: any lock (GlobalLock) can be combined
+// with per-cluster locks that can also answer alone? (LocalLock) via
+// New, which releases the global lock on behalf of the Proc that
+// acquired it; abortable variants compose via
 // NewAbortable. ExampleNew_userLocks builds one from two user-written
 // locks.
 package cohort
@@ -95,8 +96,9 @@ type TryLock interface {
 	Unlock(p *Proc)
 }
 
-// Release is the hand-off state a cohort local lock is released in;
-// see the package documentation of the transformation.
+// Release is the hand-off state an abortable cohort local lock is
+// released in (AbortableLocalLock); the blocking transformation keeps
+// that state itself, so LocalLock does not carry it.
 type Release = core.Release
 
 // Hand-off states.
@@ -109,14 +111,16 @@ const (
 )
 
 // GlobalLock is the contract for the global component of a cohort
-// lock: mutual exclusion whose unlock may run on a different thread
-// than the matching lock.
+// lock: any Lock. The cohort may release it from a different thread
+// than the one that acquired it, but always passes the acquirer's
+// Proc to Unlock.
 type GlobalLock = core.Global
 
-// LocalLock is the contract for the per-cluster component: Lock
-// reports the inherited release state, Unlock releases in a given
-// state, and Alone implements the paper's cohort-detection predicate
-// (false positives allowed, false negatives forbidden).
+// LocalLock is the contract for the per-cluster component: any Lock
+// plus Alone, the paper's cohort-detection predicate alone? (false
+// positives allowed, false negatives forbidden). Whether the cluster
+// owns the global lock is the cohort's own record, not the local
+// lock's.
 type LocalLock = core.Local
 
 // AbortableGlobalLock and AbortableLocalLock are the strengthened
@@ -145,8 +149,8 @@ const DefaultHandoffLimit = core.DefaultHandoffLimit
 // n < 0 removes it (maximum throughput, unbounded unfairness).
 func WithHandoffLimit(n int64) Option { return core.WithHandoffLimit(n) }
 
-// New assembles a cohort lock from a thread-oblivious global lock and
-// a per-cluster local lock factory — the paper's transformation,
+// New assembles a cohort lock from a global lock and a per-cluster
+// local lock factory — the paper's transformation,
 // directly. newLocal is called once per cluster.
 func New(topo *Topology, global GlobalLock, newLocal func(cluster int) LocalLock, opts ...Option) *CohortLock {
 	return core.NewCohortLock(topo, global, newLocal, opts...)
@@ -182,8 +186,8 @@ func NewCTKTMCS(topo *Topology, opts ...Option) *CohortLock {
 	return core.NewCTKTMCS(topo, opts...)
 }
 
-// NewCMCSMCS returns the paper's C-MCS-MCS lock: MCS at both levels,
-// with global queue nodes circulating through per-proc pools (§3.4).
+// NewCMCSMCS returns the paper's C-MCS-MCS lock: MCS at both levels
+// (§3.4).
 func NewCMCSMCS(topo *Topology, opts ...Option) *CohortLock {
 	return core.NewCMCSMCS(topo, opts...)
 }
@@ -239,9 +243,9 @@ func NewACBOCLH(topo *Topology, opts ...Option) *AbortableCohortLock {
 // satisfies AbortableGlobalLock).
 func NewGlobalBO() *core.GlobalBO { return core.NewGlobalBO() }
 
-// NewLocalMCS returns a cohort-detecting MCS lock suitable as the
-// local component of custom compositions.
-func NewLocalMCS(topo *Topology) LocalLock { return core.NewLocalMCS(topo) }
+// NewLocalMCS returns an MCS lock, which is cohort-detecting as it
+// stands, suitable as the local component of custom compositions.
+func NewLocalMCS(topo *Topology) LocalLock { return locks.NewMCS(topo) }
 
 // NewLocalCLH returns a cohort-detecting CLH lock suitable as the
 // local component of custom compositions.

@@ -125,24 +125,21 @@ func TestWithHandoffLimitVisible(t *testing.T) {
 }
 
 // userSpinLock is a deliberately simple user-provided lock used to
-// exercise the generic transformation through the public API.
+// exercise the generic transformation through the public API: a plain
+// spin lock plus a successor-exists flag that answers Alone.
 type userSpinLock struct {
 	held atomic.Int32
 	// succ implements cohort detection the same way LocalBO does.
 	succ atomic.Int32
 }
 
-func (u *userSpinLock) Lock(p *cohort.Proc) cohort.Release {
+func (u *userSpinLock) Lock(_ *cohort.Proc) {
 	for {
-		v := u.held.Load()
-		if v != 1 { // 0 = free/global-release, 2 = local-release
+		if u.held.Load() == 0 {
 			u.succ.Store(1)
-			if u.held.CompareAndSwap(v, 1) {
+			if u.held.CompareAndSwap(0, 1) {
 				u.succ.Store(0)
-				if v == 2 {
-					return cohort.ReleaseLocal
-				}
-				return cohort.ReleaseGlobal
+				return
 			}
 		} else if u.succ.Load() == 0 {
 			u.succ.Store(1)
@@ -150,13 +147,7 @@ func (u *userSpinLock) Lock(p *cohort.Proc) cohort.Release {
 	}
 }
 
-func (u *userSpinLock) Unlock(_ *cohort.Proc, r cohort.Release) {
-	if r == cohort.ReleaseLocal {
-		u.held.Store(2)
-	} else {
-		u.held.Store(0)
-	}
-}
+func (u *userSpinLock) Unlock(_ *cohort.Proc) { u.held.Store(0) }
 
 func (u *userSpinLock) Alone(_ *cohort.Proc) bool { return u.succ.Load() == 0 }
 

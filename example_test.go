@@ -74,9 +74,9 @@ func ExampleNew() {
 	// Output: held with hand-off limit 16
 }
 
-// tasGlobal is a user-written test-and-set lock. Its Unlock is a plain
-// store any proc may perform, so it is thread-oblivious: all a cohort
-// lock asks of its global lock.
+// tasGlobal is a user-written test-and-set lock. Any lock can be a
+// cohort's global lock: the cohort may release it from another thread
+// of the acquiring cluster, but always with the acquirer's Proc.
 type tasGlobal struct{ held atomic.Int32 }
 
 func (g *tasGlobal) Lock(*cohort.Proc) {

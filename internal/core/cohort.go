@@ -10,9 +10,11 @@ import (
 func deadlineFrom(d time.Duration) int64 { return spin.Deadline(d) }
 
 // CohortLock is the generic (non-abortable) lock cohorting
-// transformation: one thread-oblivious global lock plus one
-// cohort-detecting local lock per cluster. It implements the paper's
-// lock/unlock protocol of §2.1 verbatim and satisfies locks.Mutex.
+// transformation: one global lock plus one cohort-detecting local lock
+// per cluster. It implements the paper's lock/unlock protocol of §2.1
+// and satisfies locks.Mutex. Whether a cluster owns the global lock is
+// the cohort's own per-cluster record, not a state of the local lock,
+// so both slots take unmodified locks.
 type CohortLock struct {
 	global Global
 	local  []Local
@@ -22,9 +24,9 @@ type CohortLock struct {
 
 // NewCohortLock assembles a cohort lock over topo. newLocal is invoked
 // once per cluster to build that cluster's local lock; global is the
-// shared thread-oblivious lock. This is the user-facing composition
-// point: any pair of locks with the required properties may be
-// combined (see the named constructions for the paper's seven).
+// shared lock. This is the user-facing composition point: any pair of
+// locks with the required properties may be combined (see the named
+// constructions for the paper's seven).
 func NewCohortLock(topo *numa.Topology, global Global, newLocal func(cluster int) Local, opts ...Option) *CohortLock {
 	o := buildOptions(opts)
 	l := &CohortLock{
@@ -40,32 +42,37 @@ func NewCohortLock(topo *numa.Topology, global Global, newLocal func(cluster int
 }
 
 // Lock acquires the cohort lock: local lock first, then — only if the
-// local release state demands it — the global lock.
+// cluster does not already own it — the global lock.
 func (l *CohortLock) Lock(p *numa.Proc) {
 	c := p.Cluster()
-	if l.local[c].Lock(p) == ReleaseGlobal {
+	l.local[c].Lock(p)
+	if st := &l.state[c]; st.holder == nil {
 		l.global.Lock(p)
-		l.state[c].passes = 0
+		st.holder = p
+		st.passes = 0
 	}
 }
 
 // Unlock releases the cohort lock. If a cohort thread is waiting and
-// the hand-off budget permits, only the local lock is released (in
-// local-release state), keeping the global lock cluster-resident;
-// otherwise the global lock is released first and the local lock is
-// left in global-release state.
+// the hand-off budget permits, only the local lock is released,
+// keeping the global lock cluster-resident; otherwise the global lock
+// is released, on behalf of the proc that acquired it, before the
+// local lock. That proc cannot call global.Lock again until it holds
+// its local lock with holder == nil, which happens only after this
+// global.Unlock has returned.
 func (l *CohortLock) Unlock(p *numa.Proc) {
 	c := p.Cluster()
 	st := &l.state[c]
 	s := l.local[c]
 	if (l.limit < 0 || st.passes < l.limit) && !s.Alone(p) {
 		st.passes++
-		s.Unlock(p, ReleaseLocal)
+		s.Unlock(p)
 		return
 	}
-	st.passes = 0
-	l.global.Unlock(p)
-	s.Unlock(p, ReleaseGlobal)
+	g := st.holder
+	st.holder = nil
+	l.global.Unlock(g)
+	s.Unlock(p)
 }
 
 // HandoffLimit reports the configured may-pass-local bound.

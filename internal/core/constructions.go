@@ -8,6 +8,9 @@ import (
 // This file assembles the paper's seven named cohort locks (§3). Each
 // is just a composition through NewCohortLock/NewAbortableCohortLock —
 // the point of the transformation is that no further code is needed.
+// The blocking ones take the base ticket and MCS locks unmodified:
+// their ticket and MCS locals are locks.Ticket and locks.MCS, whose
+// Alone is the paper's request-counter and successor-pointer check.
 
 // LocalBOBackoff is the default waiter backoff for cluster-local BO
 // locks. Local waiters share a cache domain, so short windows suffice;
@@ -26,37 +29,38 @@ func NewCBOBO(topo *numa.Topology, opts ...Option) *CohortLock {
 }
 
 // NewCTKTTKT builds the C-TKT-TKT lock (paper §3.2): ticket locks at
-// both levels, with the local ticket carrying the top-granted flag.
+// both levels.
 func NewCTKTTKT(topo *numa.Topology, opts ...Option) *CohortLock {
 	return NewCohortLock(topo, locks.NewTicket(topo), func(int) Local {
-		return NewLocalTicket(topo)
+		return locks.NewTicket(topo)
 	}, opts...)
 }
 
 // NewCBOMCS builds the C-BO-MCS lock (paper §3.3, Figure 1): a global
-// BO lock over per-cluster MCS locks with three-state release. The
-// paper's best scaler (60% over FC-MCS).
+// BO lock over per-cluster MCS locks. The paper's best scaler (60%
+// over FC-MCS).
 func NewCBOMCS(topo *numa.Topology, opts ...Option) *CohortLock {
 	return NewCohortLock(topo, NewGlobalBO(), func(int) Local {
-		return NewLocalMCS(topo)
+		return locks.NewMCS(topo)
 	}, opts...)
 }
 
 // NewCTKTMCS builds the C-TKT-MCS lock (paper §3.5): a global ticket
-// lock (no queue-node circulation) over local MCS locks (retaining
-// local spinning) — the paper's "best of both" combination.
+// lock over local MCS locks (retaining local spinning) — the paper's
+// "best of both" combination.
 func NewCTKTMCS(topo *numa.Topology, opts ...Option) *CohortLock {
 	return NewCohortLock(topo, locks.NewTicket(topo), func(int) Local {
-		return NewLocalMCS(topo)
+		return locks.NewMCS(topo)
 	}, opts...)
 }
 
 // NewCMCSMCS builds the C-MCS-MCS lock (paper §3.4): MCS at both
-// levels, with the global MCS made thread-oblivious by circulating
-// queue nodes through per-proc pools.
+// levels. The paper circulates global queue nodes so that any cohort
+// thread can release; here the cohort releases the global MCS with
+// the node of the proc that acquired it, so no node circulates.
 func NewCMCSMCS(topo *numa.Topology, opts ...Option) *CohortLock {
-	return NewCohortLock(topo, NewGlobalMCS(topo), func(int) Local {
-		return NewLocalMCS(topo)
+	return NewCohortLock(topo, locks.NewMCS(topo), func(int) Local {
+		return locks.NewMCS(topo)
 	}, opts...)
 }
 
@@ -64,8 +68,7 @@ func NewCMCSMCS(topo *numa.Topology, opts ...Option) *CohortLock {
 // cohort-detecting CLH locks. Not one of the paper's seven named
 // constructions, but a direct instance of its claim that "most locks
 // can be used in the cohort locking transformation" (§3) — CLH offers
-// the same local spinning as MCS with release states carried on the
-// releaser's node.
+// the same local spinning as MCS, with an exact tail-check alone?.
 func NewCBOCLH(topo *numa.Topology, opts ...Option) *CohortLock {
 	return NewCohortLock(topo, NewGlobalBO(), func(int) Local {
 		return NewLocalCLH(topo)

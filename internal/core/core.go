@@ -1,33 +1,42 @@
 // Package core implements the paper's contribution: the lock cohorting
 // transformation (Dice, Marathe, Shavit; PPoPP 2012).
 //
-// A cohort lock composes one thread-oblivious global lock G with one
-// cohort-detecting local lock S_i per NUMA cluster. A thread acquires
-// its cluster's S_i; the state S_i was released in tells it whether the
-// cluster already owns G (local release — enter the critical section
-// immediately) or whether it must acquire G itself (global release). A
+// A cohort lock composes one global lock G with one cohort-detecting
+// local lock S_i per NUMA cluster. A thread acquires its cluster's
+// S_i; if its cluster already owns G it enters the critical section
+// immediately, otherwise it acquires G itself. A
 // releasing thread that detects waiting cohort threads — and has not
-// exhausted the may-pass-local hand-off budget — releases S_i in local
-// release state without touching G, passing global ownership within
-// the cluster at the cost of a purely cluster-local operation.
+// exhausted the may-pass-local hand-off budget — releases only S_i,
+// passing global ownership within the cluster at the cost of a purely
+// cluster-local operation.
 //
-// The package provides the generic transformation (CohortLock and, for
-// timeout-capable locks, AbortableCohortLock), cohort-detecting local
-// adaptations of the BO, ticket, MCS and A-CLH locks, thread-oblivious
-// global BO, ticket and MCS locks, and the paper's seven named
-// constructions (C-BO-BO, C-TKT-TKT, C-BO-MCS, C-TKT-MCS, C-MCS-MCS,
-// A-C-BO-BO, A-C-BO-CLH).
+// The paper encodes "does this cluster own G?" in each local lock's
+// release state (§3.1-3.4). CohortLock keeps that bit, and the proc
+// that acquired G, in its own per-cluster record instead, so its slots
+// take unmodified locks: any locks.Mutex on top, and below any lock
+// that can also answer alone?. Only the abortable transformation
+// (AbortableCohortLock, §3.6) keeps the release state in the local
+// lock word, where the viable-successor race is decided.
+//
+// The package provides both transformations, cohort-detecting BO and
+// CLH locals (the MCS and ticket locals are locks.MCS and
+// locks.Ticket), a thread-oblivious global BO lock, the abortable BO
+// and A-CLH locals, and the paper's seven named constructions
+// (C-BO-BO, C-TKT-TKT, C-BO-MCS, C-TKT-MCS, C-MCS-MCS, A-C-BO-BO,
+// A-C-BO-CLH).
 package core
 
 import (
 	"time"
 
+	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
-// Release is the state a cohort local lock is released in. It is the
-// signal that makes cohorting work: it tells the next local acquirer
-// whether its cluster still holds the global lock.
+// Release is the state an abortable cohort local lock is released in:
+// it tells the next local acquirer whether its cluster still holds the
+// global lock. Only AbortableLocal carries it; the blocking
+// CohortLock keeps the same bit in its own per-cluster record.
 type Release int32
 
 const (
@@ -54,24 +63,21 @@ func (r Release) String() string {
 	}
 }
 
-// Global is a thread-oblivious mutual-exclusion lock: in any execution
-// the unlock matching a lock call may be performed by a different
-// thread. The paper's definition, §2.1.
-type Global interface {
-	Lock(p *numa.Proc)
-	Unlock(p *numa.Proc)
-}
+// Global is the cohort's global lock: any mutual-exclusion lock. The
+// cohort releases it on behalf of the proc that acquired it, which may
+// not be the releasing thread; a lock keyed by proc (locks.MCS) is
+// therefore thread-oblivious here, because that proc cannot call Lock
+// on it again until the matching Unlock has returned.
+type Global = locks.Mutex
 
-// Local is a cohort-detecting mutual-exclusion lock. Lock returns the
-// release state the previous owner left (ReleaseGlobal for a fresh
-// lock); Unlock releases in the given state. Alone corresponds to the
-// paper's alone? predicate: if no other thread is concurrently
-// executing Lock, it returns true. False positives (reporting alone
-// while a waiter exists) are permitted — they cost an unnecessary
-// global release; false negatives would deadlock and are forbidden.
+// Local is a cohort-detecting mutual-exclusion lock: any lock whose
+// holder can ask Alone, the paper's alone? predicate. If no other
+// thread is concurrently executing Lock, Alone returns true. False
+// positives (reporting alone while a waiter exists) are permitted —
+// they cost an unnecessary global release; false negatives would
+// strand the global lock on an empty cluster and are forbidden.
 type Local interface {
-	Lock(p *numa.Proc) Release
-	Unlock(p *numa.Proc, r Release)
+	locks.Mutex
 	Alone(p *numa.Proc) bool
 }
 
@@ -138,12 +144,15 @@ func buildOptions(opts []Option) Options {
 	return o
 }
 
-// clusterState is per-cluster bookkeeping, touched only while the
-// cohort lock is held by a thread of that cluster (mutual exclusion
-// plus the local lock's acquire/release atomics order these plain
-// accesses).
+// clusterState is per-cluster bookkeeping, touched only by the holder
+// of that cluster's local lock (the local lock's acquire/release
+// atomics order these plain accesses).
 type clusterState struct {
-	passes int64 // consecutive local hand-offs since last global release
+	// holder is the proc that acquired the global lock for this
+	// cluster; nil means the cluster does not hold it. Unused by
+	// AbortableCohortLock, whose locals carry that bit.
+	holder *numa.Proc
+	passes int64 // consecutive local hand-offs since the global acquisition
 	_      numa.Pad
 }
 

@@ -49,111 +49,3 @@ func (l *GlobalBO) TryLock(_ *numa.Proc, deadline int64) bool {
 func (l *GlobalBO) Unlock(_ *numa.Proc) {
 	l.state.Store(0)
 }
-
-// gmcsNode is a queue record of the thread-oblivious global MCS lock.
-// Unlike plain MCS nodes, these circulate through per-proc pools: the
-// cohort thread that finally releases the global lock is usually not
-// the thread that enqueued, so it returns the node to the enqueuer's
-// pool (paper §3.4).
-type gmcsNode struct {
-	next   atomic.Pointer[gmcsNode]
-	locked atomic.Int32
-	pfree  atomic.Pointer[gmcsNode] // free-list link
-	owner  int32                    // proc whose pool this node belongs to
-	parker spin.Parker
-	_      numa.Pad
-}
-
-// gmcsPool is a per-proc Treiber free list. Any proc may push (the
-// releaser returning a node); only the owner pops, so the classic ABA
-// hazard cannot arise.
-type gmcsPool struct {
-	head atomic.Pointer[gmcsNode]
-	_    numa.Pad
-}
-
-func (pl *gmcsPool) push(n *gmcsNode) {
-	for {
-		h := pl.head.Load()
-		n.pfree.Store(h)
-		if pl.head.CompareAndSwap(h, n) {
-			return
-		}
-	}
-}
-
-func (pl *gmcsPool) pop() *gmcsNode {
-	for {
-		h := pl.head.Load()
-		if h == nil {
-			return nil
-		}
-		next := h.pfree.Load()
-		if pl.head.CompareAndSwap(h, next) {
-			return h
-		}
-	}
-}
-
-// GlobalMCS is the thread-oblivious MCS lock of the C-MCS-MCS
-// construction. The queue node posted at Lock must survive until some
-// (possibly different) cohort thread performs the matching Unlock, so
-// nodes come from per-proc pools and are returned to their owner's
-// pool at release (paper §3.4: "this circulation of MCS queue nodes
-// can be done very efficiently").
-type GlobalMCS struct {
-	tail atomic.Pointer[gmcsNode]
-	_    numa.Pad
-	// holder is the node of the current lock holder. It is written by
-	// the acquiring thread and read by the (possibly different)
-	// releasing thread; both hold the enclosing cohort lock, and every
-	// hand-off between them passes through the local lock's atomics,
-	// so plain accesses are correctly ordered.
-	holder *gmcsNode
-	_pad2  numa.Pad
-	pools  []gmcsPool
-}
-
-// NewGlobalMCS returns an unlocked thread-oblivious MCS lock.
-func NewGlobalMCS(topo *numa.Topology) *GlobalMCS {
-	return &GlobalMCS{pools: make([]gmcsPool, topo.MaxProcs())}
-}
-
-// Lock enqueues a pooled node and spins on it.
-func (l *GlobalMCS) Lock(p *numa.Proc) {
-	n := l.pools[p.ID()].pop()
-	if n == nil {
-		n = &gmcsNode{owner: int32(p.ID()), parker: spin.MakeParker()}
-	}
-	n.next.Store(nil)
-	n.locked.Store(1)
-	pred := l.tail.Swap(n)
-	if pred != nil {
-		pred.next.Store(n)
-		n.parker.Wait(func() bool { return n.locked.Load() == 0 })
-	}
-	l.holder = n
-}
-
-// Unlock releases on behalf of whichever thread enqueued, then returns
-// the node to the enqueuer's pool.
-func (l *GlobalMCS) Unlock(_ *numa.Proc) {
-	n := l.holder
-	l.holder = nil
-	next := n.next.Load()
-	if next == nil {
-		if l.tail.CompareAndSwap(n, nil) {
-			l.pools[n.owner].push(n)
-			return
-		}
-		for i := 0; ; i++ {
-			if next = n.next.Load(); next != nil {
-				break
-			}
-			spin.Poll(i)
-		}
-	}
-	next.locked.Store(0)
-	next.parker.Wake()
-	l.pools[n.owner].push(n)
-}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/spin"
 )
@@ -51,125 +52,46 @@ func TestGlobalBOThreadOblivious(t *testing.T) {
 	l.Unlock(topo.Proc(2))
 }
 
-// TestGlobalMCSThreadOblivious exercises the §3.4 machinery: the
-// thread that enqueued the global MCS node is not the thread that
-// releases, so the node must circulate through the owner's pool.
-func TestGlobalMCSThreadOblivious(t *testing.T) {
-	topo := numa.New(2, 8)
-	l := NewGlobalMCS(topo)
-
-	// Proc 0's goroutine acquires; proc 1's goroutine releases.
-	// Repeat enough times that pool recycling must work.
-	for round := 0; round < 200; round++ {
-		acquired := make(chan struct{})
-		released := make(chan struct{})
-		go func() {
-			l.Lock(topo.Proc(0))
-			close(acquired)
-		}()
-		go func() {
-			<-acquired
-			l.Unlock(topo.Proc(1))
-			close(released)
-		}()
-		select {
-		case <-released:
-		case <-time.After(30 * time.Second):
-			t.Fatal("cross-thread release stalled")
-		}
-	}
-}
-
-func TestGlobalMCSContention(t *testing.T) {
-	topo := numa.New(4, 16)
-	l := NewGlobalMCS(topo)
-	var counter int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := topo.Proc(id)
-			for k := 0; k < 500; k++ {
-				l.Lock(p)
-				counter++
-				l.Unlock(p)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if counter != 16*500 {
-		t.Fatalf("counter = %d, want %d", counter, 16*500)
-	}
-}
-
-// TestGlobalMCSPoolRecycles verifies nodes return to their owner's
-// pool rather than leaking: repeated lock/unlock by the same proc must
-// reuse one node.
-func TestGlobalMCSPoolRecycles(t *testing.T) {
-	topo := numa.New(2, 4)
-	l := NewGlobalMCS(topo)
-	p := topo.Proc(0)
-	l.Lock(p)
-	l.Unlock(p)
-	first := l.pools[0].pop()
-	if first == nil {
-		t.Fatal("node not returned to pool after release")
-	}
-	l.pools[0].push(first)
-	l.Lock(p)
-	l.Unlock(p)
-	second := l.pools[0].pop()
-	if second != first {
-		t.Fatal("pool did not recycle the same node")
-	}
-}
-
-// Property: LocalTicket's Alone is exactly "no later request", derived
-// from the counters.
-func TestLocalTicketAloneProperty(t *testing.T) {
+// Property: the ticket lock's Alone is exactly "no later request",
+// derived from the counters.
+func TestTicketAloneProperty(t *testing.T) {
 	topo := numa.New(1, 8)
 	f := func(waiters uint8) bool {
 		n := int(waiters%6) + 1 // 1..6 extra requesters
-		l := NewLocalTicket(topo)
-		p := topo.Proc(0)
-		if l.Lock(p) != ReleaseGlobal {
-			return false
-		}
+		l := locks.NewTicket(topo)
+		p := topo.Proc(0) // the ticket lock ignores proc identity
+		l.Lock(p)
 		if !l.Alone(p) {
 			return false
 		}
 		var wg sync.WaitGroup
-		acquired := make(chan Release, n)
+		acquired := make(chan struct{}, n)
 		for i := 1; i <= n; i++ {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				acquired <- l.Lock(topo.Proc(id))
+				l.Lock(topo.Proc(id))
+				acquired <- struct{}{}
 			}(i)
 		}
 		// Wait until all requests are posted.
-		for i := 0; l.Alone(p) || int(l.request.Load()) != n+1; i++ {
+		for i := 0; ; i++ {
+			if req, _ := l.Holders(); int(req) == n+1 {
+				break
+			}
 			spin.Poll(i)
 		}
 		if l.Alone(p) {
 			return false // waiters posted but Alone still true
 		}
-		// Drain: hand off locally down the chain.
-		l.Unlock(p, ReleaseLocal)
+		// Drain down the chain: only the last holder is alone.
+		l.Unlock(p)
 		for i := 0; i < n; i++ {
-			r := <-acquired
-			if r != ReleaseLocal {
+			<-acquired
+			if l.Alone(p) != (i == n-1) {
 				return false
 			}
-			// Each successive holder passes on locally; the last
-			// releases globally.
-			holder := topo.Proc(0) // ticket lock ignores proc identity
-			if i < n-1 {
-				l.Unlock(holder, ReleaseLocal)
-			} else {
-				l.Unlock(holder, ReleaseGlobal)
-			}
+			l.Unlock(p)
 		}
 		wg.Wait()
 		return true

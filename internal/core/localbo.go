@@ -8,27 +8,13 @@ import (
 	"repro/internal/spin"
 )
 
-// Local BO lock word states. ReleaseGlobal deliberately maps to the
-// free state of a fresh lock.
+// BO lock word states. LocalBO uses only free and held; ABOLocal's
+// free word also carries the release state (paper §3.6.1).
 const (
-	boGlobal int32 = 0 // free; next owner must acquire the global lock
-	boBusy   int32 = 1 // held
-	boLocal  int32 = 2 // free; next owner inherits the global lock
+	boFree  int32 = 0 // free; for ABOLocal, in global-release state
+	boBusy  int32 = 1 // held
+	boLocal int32 = 2 // ABOLocal only: free; next owner inherits the global lock
 )
-
-func boToRelease(w int32) Release {
-	if w == boLocal {
-		return ReleaseLocal
-	}
-	return ReleaseGlobal
-}
-
-func boFromRelease(r Release) int32 {
-	if r == ReleaseLocal {
-		return boLocal
-	}
-	return boGlobal
-}
 
 // LocalBO is the cohort-detecting test-and-test-and-set lock of
 // C-BO-BO (paper §3.1). Cohort detection uses a successor-exists flag:
@@ -56,16 +42,15 @@ func NewLocalBO(cfg locks.BOConfig) *LocalBO {
 	return &LocalBO{cfg: cfg}
 }
 
-// Lock acquires the local lock and reports the inherited release state.
-func (l *LocalBO) Lock(p *numa.Proc) Release {
+// Lock acquires the local lock.
+func (l *LocalBO) Lock(p *numa.Proc) {
 	b := spin.NewBackoff(l.cfg.Policy, l.cfg.MinPause, l.cfg.MaxPause, p.Rand())
 	for {
-		w := l.word.Load()
-		if w != boBusy {
+		if l.word.Load() == boFree {
 			l.succ.Store(1)
-			if l.word.CompareAndSwap(w, boBusy) {
+			if l.word.CompareAndSwap(boFree, boBusy) {
 				l.succ.Store(0)
-				return boToRelease(w)
+				return
 			}
 		} else if l.succ.Load() == 0 {
 			// The current owner's post-acquisition reset erased our
@@ -77,9 +62,9 @@ func (l *LocalBO) Lock(p *numa.Proc) Release {
 	}
 }
 
-// Unlock releases in the given state.
-func (l *LocalBO) Unlock(_ *numa.Proc, r Release) {
-	l.word.Store(boFromRelease(r))
+// Unlock releases the lock.
+func (l *LocalBO) Unlock(_ *numa.Proc) {
+	l.word.Store(boFree)
 }
 
 // Alone reports the complement of successor-exists.
@@ -88,10 +73,11 @@ func (l *LocalBO) Alone(_ *numa.Proc) bool {
 }
 
 // ABOLocal is the abortable cohort-detecting BO lock of A-C-BO-BO
-// (paper §3.6.1). It extends LocalBO with the abort protocol: aborting
-// waiters clear successor-exists, and the releaser double-checks the
-// flag after a local release, reclaiming the hand-off (and releasing
-// the global lock) if every waiter may have vanished.
+// (paper §3.6.1). It extends LocalBO with release states in the lock
+// word and with the abort protocol: aborting waiters clear
+// successor-exists, and the releaser double-checks the flag after a
+// local release, reclaiming the hand-off (and releasing the global
+// lock) if every waiter may have vanished.
 type ABOLocal struct {
 	word atomic.Int32
 	_    numa.Pad
@@ -124,7 +110,10 @@ func (l *ABOLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 			l.succ.Store(1)
 			if l.word.CompareAndSwap(w, boBusy) {
 				l.succ.Store(0)
-				return boToRelease(w), true
+				if w == boLocal {
+					return ReleaseLocal, true
+				}
+				return ReleaseGlobal, true
 			}
 		} else if l.succ.Load() == 0 {
 			l.succ.Store(1)
@@ -156,14 +145,14 @@ func (l *ABOLocal) Unlock(_ *numa.Proc, wantLocal bool, releaseGlobal func()) {
 	if wantLocal {
 		l.word.Store(boLocal)
 		if l.succ.Load() == 0 {
-			if l.word.CompareAndSwap(boLocal, boGlobal) {
+			if l.word.CompareAndSwap(boLocal, boFree) {
 				releaseGlobal()
 			}
 		}
 		return
 	}
 	releaseGlobal()
-	l.word.Store(boGlobal)
+	l.word.Store(boFree)
 }
 
 // Alone reports the complement of successor-exists.

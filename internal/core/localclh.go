@@ -8,12 +8,10 @@ import (
 )
 
 // lclhNode is one record of the cohort-detecting CLH lock. The waiter
-// spins on its predecessor's node; the release state is therefore
-// carried on the releaser's own node rather than the successor's (the
-// mirror image of LocalMCS).
+// spins on its predecessor's node until the predecessor frees it.
 type lclhNode struct {
-	state  atomic.Int32 // lmcsBusy / lmcsLocal / lmcsGlobal
-	parker spin.Parker  // wakes whichever thread watches this node
+	busy   atomic.Bool // set from enqueue until the owner's Unlock
+	parker spin.Parker // wakes whichever thread watches this node
 	_      numa.Pad
 }
 
@@ -21,8 +19,7 @@ type lclhNode struct {
 // sibling of ACLHLocal. The paper presents MCS-based locals (§3.3) and
 // notes that "most locks can be used in the cohort locking
 // transformation"; CLH qualifies exactly like MCS — implicit-
-// predecessor spinning keeps waiting local, release states widen to
-// {busy, release-local, release-global}, and cohort detection is a
+// predecessor spinning keeps waiting local, and cohort detection is a
 // tail check. Composing it under a global BO lock yields C-BO-CLH
 // (see NewCBOCLH), an additional construction beyond the paper's
 // seven.
@@ -47,44 +44,38 @@ func NewLocalCLH(topo *numa.Topology) *LocalCLH {
 	for i := range l.next {
 		l.next[i] = &lclhNode{parker: spin.MakeParker()}
 	}
-	dummy := &lclhNode{parker: spin.MakeParker()}
-	dummy.state.Store(lmcsGlobal) // fresh lock: next owner acquires G
-	l.tail.Store(dummy)
+	l.tail.Store(&lclhNode{parker: spin.MakeParker()}) // free dummy
 	return l
 }
 
-// Lock enqueues and waits on the predecessor's node; the predecessor's
-// release state is the inherited state. The predecessor's node is
-// adopted for this proc's next acquisition (standard CLH rotation).
-func (l *LocalCLH) Lock(p *numa.Proc) Release {
+// Lock enqueues and waits until the predecessor's node is free. The
+// predecessor's node is adopted for this proc's next acquisition
+// (standard CLH rotation).
+func (l *LocalCLH) Lock(p *numa.Proc) {
 	id := p.ID()
 	n := l.next[id]
-	n.state.Store(lmcsBusy)
+	n.busy.Store(true)
 	pred := l.tail.Swap(n)
-	pred.parker.Wait(func() bool { return pred.state.Load() != lmcsBusy })
-	r := lmcsToRelease(pred.state.Load())
+	pred.parker.Wait(func() bool { return !pred.busy.Load() })
 	l.holder[id] = n
 	l.pred[id] = pred
-	return r
 }
 
-// Unlock publishes the release state on the holder's node and recycles
-// the predecessor's node.
-func (l *LocalCLH) Unlock(p *numa.Proc, r Release) {
+// Unlock frees the holder's node and recycles the predecessor's node.
+func (l *LocalCLH) Unlock(p *numa.Proc) {
 	id := p.ID()
 	n := l.holder[id]
 	l.holder[id] = nil
 	l.next[id] = l.pred[id]
 	l.pred[id] = nil
-	n.state.Store(lmcsFromRelease(r))
+	n.busy.Store(false)
 	n.parker.Wake()
 }
 
 // Alone reports whether the holder's node is still the tail: no later
-// request has been posted. Unlike MCS there is no link to lag, so no
-// false positives occur — only benign false negatives are impossible
-// too (the tail moves exactly when a request enqueues, and CLH waiters
-// cannot abort).
+// request has been posted. The answer is exact — the tail moves
+// exactly when a request enqueues, and CLH waiters cannot abort — so
+// there are neither false positives nor false negatives.
 func (l *LocalCLH) Alone(p *numa.Proc) bool {
 	return l.tail.Load() == l.holder[p.ID()]
 }

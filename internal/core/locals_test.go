@@ -5,51 +5,35 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/spin"
 )
 
-// localUnderTest unifies the three non-abortable local locks for
+// localsUnderTest unifies the four non-abortable local locks for
 // table-driven semantics tests.
 func localsUnderTest(topo *numa.Topology) map[string]Local {
 	return map[string]Local{
 		"local-bo":     NewLocalBO(LocalBOBackoff()),
-		"local-ticket": NewLocalTicket(topo),
-		"local-mcs":    NewLocalMCS(topo),
+		"local-ticket": locks.NewTicket(topo),
+		"local-mcs":    locks.NewMCS(topo),
 		"local-clh":    NewLocalCLH(topo),
 	}
 }
 
-func TestLocalFreshLockIsGlobalRelease(t *testing.T) {
-	topo := numa.New(1, 8)
-	for name, l := range localsUnderTest(topo) {
-		t.Run(name, func(t *testing.T) {
-			p := topo.Proc(0)
-			if got := l.Lock(p); got != ReleaseGlobal {
-				t.Fatalf("fresh lock returned %v, want release-global", got)
-			}
-			l.Unlock(p, ReleaseGlobal)
-		})
-	}
-}
-
+// A waiter that has posted its request makes the holder's Alone false,
+// and the release hands the lock to it.
 func TestLocalReleaseStateRoundTrips(t *testing.T) {
 	topo := numa.New(1, 8)
 	for name, l := range localsUnderTest(topo) {
 		t.Run(name, func(t *testing.T) {
 			p0, p1 := topo.Proc(0), topo.Proc(1)
-			// p1 waits while p0 holds; p0 releases locally; p1 must
-			// observe release-local.
-			r := l.Lock(p0)
-			if r != ReleaseGlobal {
-				t.Fatalf("unexpected initial state %v", r)
-			}
-			got := make(chan Release, 1)
+			l.Lock(p0)
 			var wg sync.WaitGroup
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got <- l.Lock(p1)
+				l.Lock(p1)
 			}()
 			// Wait until the waiter registers (Alone flips false).
 			for i := 0; l.Alone(p0); i++ {
@@ -58,17 +42,9 @@ func TestLocalReleaseStateRoundTrips(t *testing.T) {
 					t.Fatal("waiter never became visible to Alone")
 				}
 			}
-			l.Unlock(p0, ReleaseLocal)
+			l.Unlock(p0)
 			wg.Wait()
-			if r := <-got; r != ReleaseLocal {
-				t.Fatalf("waiter observed %v, want release-local", r)
-			}
-			l.Unlock(p1, ReleaseGlobal)
-			// After a global release, the next acquirer sees it.
-			if r := l.Lock(p0); r != ReleaseGlobal {
-				t.Fatalf("after global release, Lock returned %v", r)
-			}
-			l.Unlock(p0, ReleaseGlobal)
+			l.Unlock(p1)
 		})
 	}
 }
@@ -82,7 +58,7 @@ func TestLocalAloneWhenUncontended(t *testing.T) {
 			if !l.Alone(p) {
 				t.Fatal("Alone() = false with no waiters (false negative: deadlock risk)")
 			}
-			l.Unlock(p, ReleaseGlobal)
+			l.Unlock(p)
 		})
 	}
 }

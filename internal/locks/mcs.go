@@ -69,3 +69,9 @@ func (l *MCS) Unlock(p *numa.Proc) {
 	next.locked.Store(0)
 	next.parker.Wake()
 }
+
+// Alone reports whether the caller's node has no linked successor: the
+// alone? predicate that makes MCS a cohort local lock (paper §3.3).
+// False positives are possible (a successor swapped the tail but has
+// not linked yet), which the cohort protocol tolerates.
+func (l *MCS) Alone(p *numa.Proc) bool { return l.nodes[p.ID()].next.Load() == nil }

@@ -54,6 +54,12 @@ func (l *Ticket) Unlock(_ *numa.Proc) {
 	l.parkers[g%uint64(len(l.parkers))].p.Wake()
 }
 
+// Alone reports whether no later ticket has been requested: the
+// alone? predicate that makes the ticket lock a cohort local lock
+// (paper §3.2). The holder of ticket t observes grant == t, and
+// waiters exist exactly when request > t+1.
+func (l *Ticket) Alone(_ *numa.Proc) bool { return l.request.Load() == l.grant.Load()+1 }
+
 // Holders reports the (request, grant) counters, for tests.
 func (l *Ticket) Holders() (request, grant uint64) {
 	return l.request.Load(), l.grant.Load()

@@ -103,8 +103,8 @@ var bases = []Entry{
 }
 
 // slot is one lock that can fill a position of the cohort
-// transformation (paper §2.1: any thread-oblivious lock on top, any
-// cohort-detecting lock below).
+// transformation (paper §2.1): any lock on top, released on its
+// acquirer's behalf, and below any lock that can answer alone?.
 type slot[T any] struct {
 	name string
 	new  func(*numa.Topology) T
@@ -114,12 +114,12 @@ var (
 	globals = []slot[core.Global]{
 		{"bo", func(*numa.Topology) core.Global { return core.NewGlobalBO() }},
 		{"tkt", func(t *numa.Topology) core.Global { return locks.NewTicket(t) }},
-		{"mcs", func(t *numa.Topology) core.Global { return core.NewGlobalMCS(t) }},
+		{"mcs", func(t *numa.Topology) core.Global { return locks.NewMCS(t) }},
 	}
 	locals = []slot[core.Local]{
 		{"bo", func(*numa.Topology) core.Local { return core.NewLocalBO(core.LocalBOBackoff()) }},
-		{"tkt", func(t *numa.Topology) core.Local { return core.NewLocalTicket(t) }},
-		{"mcs", func(t *numa.Topology) core.Local { return core.NewLocalMCS(t) }},
+		{"tkt", func(t *numa.Topology) core.Local { return locks.NewTicket(t) }},
+		{"mcs", func(t *numa.Topology) core.Local { return locks.NewMCS(t) }},
 		{"clh", func(t *numa.Topology) core.Local { return core.NewLocalCLH(t) }},
 	}
 	abortableGlobals = []slot[core.AbortableGlobal]{

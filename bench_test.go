@@ -540,13 +540,17 @@ func BenchmarkAblationHandoff(b *testing.B) {
 		default:
 			name = "limit-" + itoa(limit)
 		}
+		e, err := registry.Find("c-bo-mcs", core.WithHandoffLimit(limit))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(name, func(b *testing.B) {
 			topo := numa.New(4, threads)
 			var tp, fair float64
 			for i := 0; i < b.N; i++ {
 				cfg := lbench.DefaultConfig(topo, threads)
 				cfg.Duration = trialWindow
-				res, err := lbench.Run(cfg, core.NewCBOMCS(topo, core.WithHandoffLimit(limit)))
+				res, err := lbench.Run(cfg, e.NewMutex(topo))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -580,8 +584,12 @@ func BenchmarkAblationBatch(b *testing.B) {
 // batch-boundary yield only costs anything under the oversubscribed
 // one.
 func BenchmarkUncontended(b *testing.B) {
-	for _, e := range registry.Blocking() {
-		b.Run(e.Name, func(b *testing.B) {
+	for _, name := range registry.Names() {
+		e := registry.MustLookup(name)
+		if e.NewMutex == nil {
+			continue
+		}
+		b.Run(name, func(b *testing.B) {
 			topo := numa.New(4, 4)
 			l := e.NewMutex(topo)
 			p := topo.Proc(0)
@@ -663,7 +671,7 @@ func BenchmarkRWCohort(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				topo := numa.New(4, threads)
-				l := locks.NewRWPerCluster(topo, core.NewCBOMCS(topo))
+				l := registry.MustLookup("rw-c-bo-mcs").NewRW(topo)
 				var sum float64
 				for i := 0; i < b.N; i++ {
 					sum += rwTrialOpsPerSec(topo, l, threads, readPct, shared)
@@ -725,7 +733,7 @@ func BenchmarkExtensionRWCohort(b *testing.B) {
 	for _, writePct := range []int{0, 5, 50} {
 		b.Run("write"+itoa(int64(writePct)), func(b *testing.B) {
 			topo := numa.New(4, threads)
-			l := locks.NewRWPerCluster(topo, core.NewCBOMCS(topo))
+			l := registry.MustLookup("rw-c-bo-mcs").NewRW(topo)
 			var sum float64
 			for i := 0; i < b.N; i++ {
 				sum += rwTrialOpsPerSec(topo, l, threads, 100-writePct, true)

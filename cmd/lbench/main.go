@@ -320,10 +320,13 @@ func runHandoffAblation(opt options, topo *numa.Topology) error {
 	for _, n := range opt.threads {
 		row := []string{fmt.Sprint(n)}
 		for _, limit := range limits {
+			e, err := registry.Find("c-bo-mcs", core.WithHandoffLimit(limit))
+			if err != nil {
+				return err
+			}
 			cfg := lbench.DefaultConfig(topo, n)
 			cfg.Duration = opt.duration
-			lock := core.NewCBOMCS(topo, core.WithHandoffLimit(limit))
-			res, err := lbench.Run(cfg, lock)
+			res, err := lbench.Run(cfg, e.NewMutex(topo))
 			if err != nil {
 				return err
 			}

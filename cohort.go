@@ -2,14 +2,16 @@
 // technique for building NUMA-aware locks of Dice, Marathe and Shavit
 // (PPoPP 2012), together with the seven cohort locks the paper
 // presents: C-BO-BO, C-TKT-TKT, C-BO-MCS, C-TKT-MCS, C-MCS-MCS and the
-// abortable A-C-BO-BO and A-C-BO-CLH.
+// abortable A-C-BO-BO and A-C-BO-CLH. Find builds any of them, and
+// every other lock here, from its name: "c-bo-mcs" is the cohort
+// transformation over a global BO lock and per-cluster MCS locks.
 //
 // Beyond the paper it carries four extensions from the same design
 // lineage: the compact NUMA-aware lock (NewCNA), which gets cohort-
 // style locality out of a single queue; generic concurrency
 // restriction (NewRestricted), which wraps any lock with per-cluster
 // admission control so saturation cannot collapse throughput;
-// reader-writer cohorting (NewRWCBOMCS, NewRWPerCluster) — the
+// reader-writer cohorting (rw-c-bo-mcs, NewRWPerCluster) — the
 // authors' PPoPP'13 follow-up — which adds per-cluster reader counters
 // over any writer lock so read-mostly workloads scale across clusters;
 // and combining execution (NewCombiningAdaptive), flat-combining-style
@@ -42,7 +44,11 @@
 // # Quick start
 //
 //	topo := cohort.NewTopology(4, 16) // 4 clusters, up to 16 workers
-//	lock := cohort.NewCBOMCS(topo)
+//	e, err := cohort.Find("c-bo-mcs", cohort.WithHandoffLimit(32))
+//	if err != nil {
+//	    log.Fatal(err) // names the failing component, suggests near names
+//	}
+//	lock := e.NewMutex(topo)
 //	for i := 0; i < 16; i++ {
 //	    go func(p *cohort.Proc) {
 //	        lock.Lock(p)
@@ -67,6 +73,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 // Topology describes the simulated NUMA machine: a number of symmetric
@@ -161,54 +168,40 @@ func NewAbortable(topo *Topology, global AbortableGlobalLock, newLocal func(clus
 	return core.NewAbortableCohortLock(topo, global, newLocal, opts...)
 }
 
-// NewCBOBO returns the paper's C-BO-BO lock: global backoff lock over
-// per-cluster backoff locks (§3.1).
-func NewCBOBO(topo *Topology, opts ...Option) *CohortLock {
-	return core.NewCBOBO(topo, opts...)
-}
+// Entry is what a lock name builds: NewMutex for a blocking lock,
+// NewTry for an abortable one, NewRW for a native reader-writer lock
+// and NewExec for a combining executor (nil where the lock has no
+// such face).
+type Entry = registry.Entry
 
-// NewCTKTTKT returns the paper's C-TKT-TKT lock: ticket locks at both
-// levels (§3.2). FIFO-fair within its hand-off budget.
-func NewCTKTTKT(topo *Topology, opts ...Option) *CohortLock {
-	return core.NewCTKTTKT(topo, opts...)
-}
+// Find builds the lock a name spells (README "Lock names"):
+//
+//	name    := wrapper* lock
+//	wrapper := comb-a- | gcr- | rw-
+//	lock    := base | c-<global>-<local> | a-c-<aglobal>-<alocal>
+//
+// opts (WithHandoffLimit) configure every cohort lock in the name; a
+// name without one rejects them. Names are case-insensitive, and the
+// error for a bad one names the failing component.
+func Find(name string, opts ...Option) (Entry, error) { return registry.Find(name, opts...) }
 
-// NewCBOMCS returns the paper's C-BO-MCS lock: global backoff lock
-// over per-cluster MCS queue locks (§3.3) — the best scaling
-// construction in the paper's evaluation.
-func NewCBOMCS(topo *Topology, opts ...Option) *CohortLock {
-	return core.NewCBOMCS(topo, opts...)
-}
+// NewCTKTTKT is Find("c-tkt-tkt").NewMutex. It goes when
+// bench/seams.go switches to Find (ROADMAP 1(b)).
+func NewCTKTTKT(topo *Topology) Lock { return registry.MustLookup("c-tkt-tkt").NewMutex(topo) }
 
-// NewCTKTMCS returns the paper's C-TKT-MCS lock: global ticket lock
-// over per-cluster MCS locks (§3.5).
-func NewCTKTMCS(topo *Topology, opts ...Option) *CohortLock {
-	return core.NewCTKTMCS(topo, opts...)
-}
-
-// NewCMCSMCS returns the paper's C-MCS-MCS lock: MCS at both levels
-// (§3.4).
-func NewCMCSMCS(topo *Topology, opts ...Option) *CohortLock {
-	return core.NewCMCSMCS(topo, opts...)
-}
-
-// NewCBOCLH returns the C-BO-CLH lock: global backoff lock over
-// cohort-detecting CLH locks — an additional construction beyond the
-// paper's seven, enabled by the generality of the transformation.
-func NewCBOCLH(topo *Topology, opts ...Option) *CohortLock {
-	return core.NewCBOCLH(topo, opts...)
-}
+// NewCBOMCS is Find("c-bo-mcs").NewMutex. It goes when
+// bench/seams.go switches to Find (ROADMAP 1(b)).
+func NewCBOMCS(topo *Topology) Lock { return registry.MustLookup("c-bo-mcs").NewMutex(topo) }
 
 // RWLock is a reader-writer lock operating on Proc handles: Lock and
 // Unlock take exclusive mode, RLock and RUnlock take shared mode (any
 // number of concurrent readers).
 type RWLock = locks.RWMutex
 
-// NewRWCBOMCS returns the reader-writer cohort lock: per-cluster reader
-// counters over C-BO-MCS writers (NewRWPerCluster over NewCBOMCS).
-func NewRWCBOMCS(topo *Topology, opts ...Option) *RWPerClusterLock {
-	return NewRWPerCluster(topo, NewCBOMCS(topo, opts...))
-}
+// NewRWCBOMCS is Find("rw-c-bo-mcs").NewRW: per-cluster reader
+// counters over C-BO-MCS writers. It goes when bench/seams.go
+// switches to Find (ROADMAP 1(b)).
+func NewRWCBOMCS(topo *Topology) RWLock { return registry.MustLookup("rw-c-bo-mcs").NewRW(topo) }
 
 // RWPerClusterLock is the generic reader-writer construction: padded
 // per-cluster reader counters over an arbitrary writer lock, so
@@ -227,30 +220,6 @@ func NewRWPerCluster(topo *Topology, writers Lock) *RWPerClusterLock {
 // slot into reader-writer-shaped code unchanged.
 func RWFromLock(m Lock) RWLock { return locks.RWFromMutex(m) }
 
-// NewACBOBO returns the paper's abortable A-C-BO-BO lock (§3.6.1).
-func NewACBOBO(topo *Topology, opts ...Option) *AbortableCohortLock {
-	return core.NewACBOBO(topo, opts...)
-}
-
-// NewACBOCLH returns the paper's abortable A-C-BO-CLH lock (§3.6.2),
-// the first NUMA-aware abortable queue lock.
-func NewACBOCLH(topo *Topology, opts ...Option) *AbortableCohortLock {
-	return core.NewACBOCLH(topo, opts...)
-}
-
-// NewGlobalBO returns a thread-oblivious test-and-test-and-set lock
-// suitable as the global component of custom compositions (it also
-// satisfies AbortableGlobalLock).
-func NewGlobalBO() *core.GlobalBO { return core.NewGlobalBO() }
-
-// NewLocalMCS returns an MCS lock, which is cohort-detecting as it
-// stands, suitable as the local component of custom compositions.
-func NewLocalMCS(topo *Topology) LocalLock { return locks.NewMCS(topo) }
-
-// NewLocalCLH returns a cohort-detecting CLH lock suitable as the
-// local component of custom compositions.
-func NewLocalCLH(topo *Topology) LocalLock { return core.NewLocalCLH(topo) }
-
 // CNALock is the compact NUMA-aware queue lock of Dice and Kogan
 // (EuroSys 2019): cohort-style locality from a single MCS-shaped queue
 // with constant memory. See NewCNA.
@@ -260,12 +229,6 @@ type CNALock = locks.CNA
 // queue, with remote-cluster waiters deferred onto a secondary list up
 // to a bounded same-cluster streak (the cohort locks' fairness knob).
 func NewCNA(topo *Topology) *CNALock { return locks.NewCNA(topo) }
-
-// NewCNAStreak is NewCNA with an explicit local-streak bound; zero
-// selects the default, negative removes the bound.
-func NewCNAStreak(topo *Topology, limit int64) *CNALock {
-	return locks.NewCNAStreak(topo, limit)
-}
 
 // Executor is delegated mutual exclusion: Exec runs the closure
 // inside the executor's exclusion domain — at most one closure at a

@@ -33,26 +33,21 @@ func TestQuickstartShape(t *testing.T) {
 }
 
 func TestAllConstructorsUsable(t *testing.T) {
+	// The paper's seven cohort locks, each built by its name.
 	topo := cohort.NewTopology(2, 8)
-	blocking := map[string]cohort.Lock{
-		"c-bo-bo":   cohort.NewCBOBO(topo),
-		"c-tkt-tkt": cohort.NewCTKTTKT(topo),
-		"c-bo-mcs":  cohort.NewCBOMCS(topo),
-		"c-tkt-mcs": cohort.NewCTKTMCS(topo),
-		"c-mcs-mcs": cohort.NewCMCSMCS(topo),
-	}
-	for name, l := range blocking {
-		p := topo.Proc(0)
-		l.Lock(p)
-		l.Unlock(p)
-		_ = name
-	}
-	abortable := map[string]cohort.TryLock{
-		"a-c-bo-bo":  cohort.NewACBOBO(topo),
-		"a-c-bo-clh": cohort.NewACBOCLH(topo),
-	}
-	for name, l := range abortable {
-		p := topo.Proc(0)
+	p := topo.Proc(0)
+	for _, name := range []string{"c-bo-bo", "c-tkt-tkt", "c-bo-mcs", "c-tkt-mcs", "c-mcs-mcs", "a-c-bo-bo", "a-c-bo-clh"} {
+		e, err := cohort.Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.NewMutex != nil {
+			l := e.NewMutex(topo)
+			l.Lock(p)
+			l.Unlock(p)
+			continue
+		}
+		l := e.NewTry(topo)
 		if !l.TryLockFor(p, time.Second) {
 			t.Fatalf("%s: TryLockFor failed on free lock", name)
 		}
@@ -114,12 +109,14 @@ func TestRWCombiningFacade(t *testing.T) {
 
 func TestWithHandoffLimitVisible(t *testing.T) {
 	topo := cohort.NewTopology(2, 4)
-	l := cohort.NewCTKTTKT(topo, cohort.WithHandoffLimit(5))
-	if l.HandoffLimit() != 5 {
+	e, err := cohort.Find("c-tkt-tkt", cohort.WithHandoffLimit(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := e.NewMutex(topo).(*cohort.CohortLock); l.HandoffLimit() != 5 {
 		t.Fatalf("HandoffLimit = %d, want 5", l.HandoffLimit())
 	}
-	d := cohort.NewCBOMCS(topo)
-	if d.HandoffLimit() != cohort.DefaultHandoffLimit {
+	if d := cohort.NewCBOMCS(topo).(*cohort.CohortLock); d.HandoffLimit() != cohort.DefaultHandoffLimit {
 		t.Fatalf("default HandoffLimit = %d", d.HandoffLimit())
 	}
 }
@@ -153,7 +150,7 @@ func (u *userSpinLock) Alone(_ *cohort.Proc) bool { return u.succ.Load() == 0 }
 
 func TestGenericTransformationWithUserLock(t *testing.T) {
 	topo := cohort.NewTopology(2, 8)
-	lock := cohort.New(topo, cohort.NewGlobalBO(), func(int) cohort.LocalLock {
+	lock := cohort.New(topo, &tasGlobal{}, func(int) cohort.LocalLock {
 		return &userSpinLock{}
 	})
 	var counter int64
@@ -175,33 +172,13 @@ func TestGenericTransformationWithUserLock(t *testing.T) {
 	}
 }
 
-func TestProvidedLocalMCSComposes(t *testing.T) {
-	topo := cohort.NewTopology(2, 8)
-	lock := cohort.New(topo, cohort.NewGlobalBO(), func(int) cohort.LocalLock {
-		return cohort.NewLocalMCS(topo)
-	}, cohort.WithHandoffLimit(8))
-	var wg sync.WaitGroup
-	var counter int64
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(p *cohort.Proc) {
-			defer wg.Done()
-			for k := 0; k < 300; k++ {
-				lock.Lock(p)
-				counter++
-				lock.Unlock(p)
-			}
-		}(topo.Proc(i))
-	}
-	wg.Wait()
-	if counter != 8*300 {
-		t.Fatalf("counter = %d", counter)
-	}
-}
-
 func TestAbortableUnderContention(t *testing.T) {
 	topo := cohort.NewTopology(4, 16)
-	lock := cohort.NewACBOCLH(topo)
+	e, err := cohort.Find("a-c-bo-clh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lock := e.NewTry(topo)
 	var acquired, aborted atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {

@@ -10,11 +10,16 @@ import (
 	cohort "repro"
 )
 
-// The basic pattern: one Proc per worker goroutine, lock operations
-// carry the Proc.
-func ExampleNewCBOMCS() {
+// The basic pattern: build the lock by its name, one Proc per worker
+// goroutine, lock operations carry the Proc.
+func ExampleFind() {
 	topo := cohort.NewTopology(4, 8) // 4 clusters, up to 8 workers
-	lock := cohort.NewCBOMCS(topo)
+	e, err := cohort.Find("c-bo-mcs")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	lock := e.NewMutex(topo)
 
 	var counter int
 	var wg sync.WaitGroup
@@ -36,9 +41,14 @@ func ExampleNewCBOMCS() {
 
 // Abortable cohort locks give up after a patience budget, so workers
 // can fall back to other work instead of waiting.
-func ExampleNewACBOCLH() {
+func ExampleFind_abortable() {
 	topo := cohort.NewTopology(2, 4)
-	lock := cohort.NewACBOCLH(topo)
+	e, err := cohort.Find("a-c-bo-clh")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	lock := e.NewTry(topo)
 
 	p0, p1 := topo.Proc(0), topo.Proc(1)
 	if !lock.TryLockFor(p0, time.Second) {
@@ -59,12 +69,13 @@ func ExampleNewACBOCLH() {
 	// acquired after release
 }
 
-// The transformation composes user-supplied locks; here the provided
-// building blocks are used directly.
+// The transformation composes user-supplied locks, here the
+// test-and-set global and spin-lock local below, under a hand-off
+// limit.
 func ExampleNew() {
 	topo := cohort.NewTopology(2, 4)
-	lock := cohort.New(topo, cohort.NewGlobalBO(), func(cluster int) cohort.LocalLock {
-		return cohort.NewLocalCLH(topo)
+	lock := cohort.New(topo, &tasGlobal{}, func(cluster int) cohort.LocalLock {
+		return &userSpinLock{}
 	}, cohort.WithHandoffLimit(16))
 
 	p := topo.Proc(0)

@@ -24,9 +24,9 @@ type CohortLock struct {
 
 // NewCohortLock assembles a cohort lock over topo. newLocal is invoked
 // once per cluster to build that cluster's local lock; global is the
-// shared lock. This is the user-facing composition point: any pair of
-// locks with the required properties may be combined (see the named
-// constructions for the paper's seven).
+// shared lock. This is the one composition point: any pair of locks
+// with the required properties may be combined, and the registry
+// builds the paper's seven (c-<global>-<local>) through it.
 func NewCohortLock(topo *numa.Topology, global Global, newLocal func(cluster int) Local, opts ...Option) *CohortLock {
 	o := buildOptions(opts)
 	l := &CohortLock{

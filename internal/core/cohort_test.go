@@ -223,11 +223,11 @@ func TestCohortOwnershipIsPerCluster(t *testing.T) {
 
 func TestDefaultHandoffLimitApplied(t *testing.T) {
 	topo := oneClusterTopo()
-	c := NewCBOMCS(topo)
+	c := newCBOMCS(topo)
 	if got := c.HandoffLimit(); got != DefaultHandoffLimit {
 		t.Fatalf("HandoffLimit = %d, want %d", got, DefaultHandoffLimit)
 	}
-	a := NewACBOCLH(topo, WithHandoffLimit(7))
+	a := NewAbortableCohortLock(topo, NewGlobalBO(), func(int) AbortableLocal { return NewACLHLocal(topo) }, WithHandoffLimit(7))
 	if got := a.HandoffLimit(); got != 7 {
 		t.Fatalf("abortable HandoffLimit = %d, want 7", got)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 func testTopo() *numa.Topology { return numa.New(4, 64) }
@@ -26,20 +27,17 @@ func stressProcs() int {
 }
 
 func cohortFactories() map[string]func(topo *numa.Topology) locks.Mutex {
-	return map[string]func(topo *numa.Topology) locks.Mutex{
-		"c-bo-bo":   func(t *numa.Topology) locks.Mutex { return core.NewCBOBO(t) },
-		"c-tkt-tkt": func(t *numa.Topology) locks.Mutex { return core.NewCTKTTKT(t) },
-		"c-bo-mcs":  func(t *numa.Topology) locks.Mutex { return core.NewCBOMCS(t) },
-		"c-tkt-mcs": func(t *numa.Topology) locks.Mutex { return core.NewCTKTMCS(t) },
-		"c-mcs-mcs": func(t *numa.Topology) locks.Mutex { return core.NewCMCSMCS(t) },
-		"c-bo-clh":  func(t *numa.Topology) locks.Mutex { return core.NewCBOCLH(t) },
+	out := map[string]func(topo *numa.Topology) locks.Mutex{}
+	for _, name := range []string{"c-bo-bo", "c-tkt-tkt", "c-bo-mcs", "c-tkt-mcs", "c-mcs-mcs", "c-bo-clh"} {
+		out[name] = registry.MustLookup(name).NewMutex
 	}
+	return out
 }
 
 func abortableFactories() map[string]func(topo *numa.Topology) locks.TryMutex {
 	return map[string]func(topo *numa.Topology) locks.TryMutex{
-		"a-c-bo-bo":  func(t *numa.Topology) locks.TryMutex { return core.NewACBOBO(t) },
-		"a-c-bo-clh": func(t *numa.Topology) locks.TryMutex { return core.NewACBOCLH(t) },
+		"a-c-bo-bo":  registry.MustLookup("a-c-bo-bo").NewTry,
+		"a-c-bo-clh": registry.MustLookup("a-c-bo-clh").NewTry,
 	}
 }
 
@@ -96,31 +94,30 @@ func TestCohortOversubscribed(t *testing.T) {
 	}
 }
 
-func TestCohortUnboundedHandoffStress(t *testing.T) {
-	// The deeply unfair variant must still be correct.
-	for name, mk := range map[string]func(topo *numa.Topology) locks.Mutex{
-		"c-bo-mcs":  func(tp *numa.Topology) locks.Mutex { return core.NewCBOMCS(tp, core.WithHandoffLimit(-1)) },
-		"c-tkt-tkt": func(tp *numa.Topology) locks.Mutex { return core.NewCTKTTKT(tp, core.WithHandoffLimit(-1)) },
-	} {
+// handoffStress runs the named cohort locks, built with hand-off
+// limit limit, through the mutual-exclusion harness.
+func handoffStress(t *testing.T, limit int64, names ...string) {
+	for _, name := range names {
+		e, err := registry.Find(name, core.WithHandoffLimit(limit))
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(name, func(t *testing.T) {
 			topo := testTopo()
-			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, stressProcs(), 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(e.NewMutex(topo)), 0, stressProcs(), 200)
 		})
 	}
+}
+
+func TestCohortUnboundedHandoffStress(t *testing.T) {
+	// The deeply unfair variant must still be correct.
+	handoffStress(t, -1, "c-bo-mcs", "c-tkt-tkt")
 }
 
 func TestCohortTinyHandoffLimitStress(t *testing.T) {
 	// Limit 1 forces a global release nearly every operation,
 	// hammering the global-path state machine.
-	for name, mk := range map[string]func(topo *numa.Topology) locks.Mutex{
-		"c-bo-bo":   func(tp *numa.Topology) locks.Mutex { return core.NewCBOBO(tp, core.WithHandoffLimit(1)) },
-		"c-mcs-mcs": func(tp *numa.Topology) locks.Mutex { return core.NewCMCSMCS(tp, core.WithHandoffLimit(1)) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			topo := testTopo()
-			locktest.Check(t, topo, locks.ExecFromMutex(mk(topo)), 0, stressProcs(), 200)
-		})
-	}
+	handoffStress(t, 1, "c-bo-bo", "c-mcs-mcs")
 }
 
 func TestAbortableCohortExclusionAndAborts(t *testing.T) {

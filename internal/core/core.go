@@ -20,10 +20,10 @@
 //
 // The package provides both transformations, cohort-detecting BO and
 // CLH locals (the MCS and ticket locals are locks.MCS and
-// locks.Ticket), a thread-oblivious global BO lock, the abortable BO
-// and A-CLH locals, and the paper's seven named constructions
-// (C-BO-BO, C-TKT-TKT, C-BO-MCS, C-TKT-MCS, C-MCS-MCS, A-C-BO-BO,
-// A-C-BO-CLH).
+// locks.Ticket), a thread-oblivious global BO lock, and the abortable
+// BO and A-CLH locals. It names no composition: the paper's seven
+// (C-BO-BO … A-C-BO-CLH) are registry names, each one call to
+// NewCohortLock or NewAbortableCohortLock over two slot locks.
 package core
 
 import (

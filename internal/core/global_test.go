@@ -108,7 +108,7 @@ func TestTicketAloneProperty(t *testing.T) {
 func TestABOLocalHandoffAbortRace(t *testing.T) {
 	topo := numa.New(1, 8)
 	for round := 0; round < 300; round++ {
-		l := NewABOLocal(LocalBOBackoff())
+		l := NewABOLocal()
 		p0, p1 := topo.Proc(0), topo.Proc(1)
 		if _, ok := l.TryLock(p0, spin.Deadline(time.Second)); !ok {
 			t.Fatal("setup acquire failed")

@@ -16,6 +16,12 @@ const (
 	boLocal int32 = 2 // ABOLocal only: free; next owner inherits the global lock
 )
 
+// localBOBackoff is the waiter backoff of both cluster-local BO locks.
+// Local waiters share a cache domain, so short windows suffice; only
+// the local parameters need tuning (paper §4.1.1), unlike HBO's
+// four-parameter space.
+var localBOBackoff = locks.BOConfig{Policy: locks.DefaultBOConfig().Policy, MinPause: 16, MaxPause: 1024}
+
 // LocalBO is the cohort-detecting test-and-test-and-set lock of
 // C-BO-BO (paper §3.1). Cohort detection uses a successor-exists flag:
 // an arriving thread sets it immediately before attempting the
@@ -27,24 +33,14 @@ type LocalBO struct {
 	_    numa.Pad
 	succ atomic.Int32 // successor-exists
 	_pb  numa.Pad
-	cfg  locks.BOConfig
 }
 
-// NewLocalBO returns a cohort-detecting BO lock with the given waiter
-// backoff configuration.
-func NewLocalBO(cfg locks.BOConfig) *LocalBO {
-	if cfg.MinPause < 1 {
-		cfg.MinPause = 1
-	}
-	if cfg.MaxPause < cfg.MinPause {
-		cfg.MaxPause = cfg.MinPause
-	}
-	return &LocalBO{cfg: cfg}
-}
+// NewLocalBO returns a cohort-detecting BO lock.
+func NewLocalBO() *LocalBO { return &LocalBO{} }
 
 // Lock acquires the local lock.
 func (l *LocalBO) Lock(p *numa.Proc) {
-	b := spin.NewBackoff(l.cfg.Policy, l.cfg.MinPause, l.cfg.MaxPause, p.Rand())
+	b := spin.NewBackoff(localBOBackoff.Policy, localBOBackoff.MinPause, localBOBackoff.MaxPause, p.Rand())
 	for {
 		if l.word.Load() == boFree {
 			l.succ.Store(1)
@@ -83,19 +79,10 @@ type ABOLocal struct {
 	_    numa.Pad
 	succ atomic.Int32
 	_pb  numa.Pad
-	cfg  locks.BOConfig
 }
 
 // NewABOLocal returns an abortable cohort-detecting BO lock.
-func NewABOLocal(cfg locks.BOConfig) *ABOLocal {
-	if cfg.MinPause < 1 {
-		cfg.MinPause = 1
-	}
-	if cfg.MaxPause < cfg.MinPause {
-		cfg.MaxPause = cfg.MinPause
-	}
-	return &ABOLocal{cfg: cfg}
-}
+func NewABOLocal() *ABOLocal { return &ABOLocal{} }
 
 // TryLock attempts acquisition until the deadline. An aborting waiter
 // clears successor-exists and then performs one rescue check: if the
@@ -103,7 +90,7 @@ func NewABOLocal(cfg locks.BOConfig) *ABOLocal {
 // (reporting success) rather than strand the cluster's claim on the
 // global lock.
 func (l *ABOLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
-	b := spin.NewBackoff(l.cfg.Policy, l.cfg.MinPause, l.cfg.MaxPause, p.Rand())
+	b := spin.NewBackoff(localBOBackoff.Policy, localBOBackoff.MinPause, localBOBackoff.MaxPause, p.Rand())
 	for {
 		w := l.word.Load()
 		if w != boBusy {

@@ -21,8 +21,8 @@ type lclhNode struct {
 // transformation"; CLH qualifies exactly like MCS — implicit-
 // predecessor spinning keeps waiting local, and cohort detection is a
 // tail check. Composing it under a global BO lock yields C-BO-CLH
-// (see NewCBOCLH), an additional construction beyond the paper's
-// seven.
+// (registry name c-bo-clh), an additional construction beyond the
+// paper's seven.
 type LocalCLH struct {
 	tail atomic.Pointer[lclhNode]
 	_    numa.Pad

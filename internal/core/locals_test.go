@@ -14,7 +14,7 @@ import (
 // table-driven semantics tests.
 func localsUnderTest(topo *numa.Topology) map[string]Local {
 	return map[string]Local{
-		"local-bo":     NewLocalBO(LocalBOBackoff()),
+		"local-bo":     NewLocalBO(),
 		"local-ticket": locks.NewTicket(topo),
 		"local-mcs":    locks.NewMCS(topo),
 		"local-clh":    NewLocalCLH(topo),
@@ -64,7 +64,7 @@ func TestLocalAloneWhenUncontended(t *testing.T) {
 }
 
 func TestABOLocalAloneTracksAbortingWaiters(t *testing.T) {
-	l := NewABOLocal(LocalBOBackoff())
+	l := NewABOLocal()
 	topo := numa.New(1, 8)
 	p0, p1 := topo.Proc(0), topo.Proc(1)
 	r, ok := l.TryLock(p0, spin.Deadline(time.Second))

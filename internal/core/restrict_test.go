@@ -10,6 +10,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 // restrictInners enumerates representative inner locks for the
@@ -19,7 +20,7 @@ func restrictInners() map[string]func(topo *numa.Topology) locks.Mutex {
 	return map[string]func(topo *numa.Topology) locks.Mutex{
 		"mcs":      func(topo *numa.Topology) locks.Mutex { return locks.NewMCS(topo) },
 		"pthread":  func(*numa.Topology) locks.Mutex { return locks.NewPthread() },
-		"c-bo-mcs": func(topo *numa.Topology) locks.Mutex { return core.NewCBOMCS(topo) },
+		"c-bo-mcs": registry.MustLookup("c-bo-mcs").NewMutex,
 		"cna":      func(topo *numa.Topology) locks.Mutex { return locks.NewCNA(topo) },
 	}
 }

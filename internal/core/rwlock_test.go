@@ -10,9 +10,15 @@ import (
 	"repro/internal/numa"
 )
 
+// newCBOMCS is C-BO-MCS with explicit slots: a global BO lock over
+// per-cluster MCS locks.
+func newCBOMCS(topo *numa.Topology) *CohortLock {
+	return NewCohortLock(topo, NewGlobalBO(), func(int) Local { return locks.NewMCS(topo) })
+}
+
 func TestRWWriterExclusion(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
+	l := locks.NewRWPerCluster(topo, newCBOMCS(topo))
 	var inCS atomic.Int32
 	var violations atomic.Int32
 	var counter int64
@@ -44,7 +50,7 @@ func TestRWWriterExclusion(t *testing.T) {
 
 func TestRWReadersCoexist(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
+	l := locks.NewRWPerCluster(topo, newCBOMCS(topo))
 	const readers = 8
 	var concurrent atomic.Int32
 	var peak atomic.Int32
@@ -84,7 +90,7 @@ func TestRWReadersCoexist(t *testing.T) {
 
 func TestRWWriterExcludesReaders(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
+	l := locks.NewRWPerCluster(topo, newCBOMCS(topo))
 	var data [2]int64 // writer keeps data[0]==data[1]; readers verify
 	var torn atomic.Int32
 	stop := make(chan struct{})
@@ -144,7 +150,7 @@ func TestRWWriterExcludesReaders(t *testing.T) {
 
 func TestRWWriterNotStarvedByReaders(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
+	l := locks.NewRWPerCluster(topo, newCBOMCS(topo))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// Constant reader churn.
@@ -188,7 +194,7 @@ func TestRWWriterNotStarvedByReaders(t *testing.T) {
 
 func TestRWUncontendedLatency(t *testing.T) {
 	topo := numa.New(2, 4)
-	l := locks.NewRWPerCluster(topo, NewCBOMCS(topo))
+	l := locks.NewRWPerCluster(topo, newCBOMCS(topo))
 	p := topo.Proc(0)
 	for i := 0; i < 1000; i++ {
 		l.RLock(p)

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 // quickCfg is a fast configuration for unit tests: tiny duration, no
@@ -113,7 +113,7 @@ func mcsAgainstCohort(t *testing.T, violations func(mcs, cbm Result) []string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cbm, err := Run(cfg, core.NewCBOMCS(topo))
+		cbm, err := Run(cfg, registry.MustLookup("c-bo-mcs").NewMutex(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestAbortableCohortRuns(t *testing.T) {
 	topo := numa.New(4, 16)
 	cfg := quickCfg(topo, 12)
 	cfg.Patience = 100 * time.Microsecond
-	res, err := RunAbortable(cfg, core.NewACBOCLH(topo))
+	res, err := RunAbortable(cfg, registry.MustLookup("a-c-bo-clh").NewTry(topo))
 	if err != nil {
 		t.Fatal(err)
 	}

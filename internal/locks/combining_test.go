@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 // introspected is what every combining executor reports about itself.
@@ -90,7 +90,7 @@ func TestCombiningOverFCMCS(t *testing.T) {
 // cohort lock: the combiner's batch is one cohort acquisition, and
 // local hand-offs inside the cohort must not lose a poster.
 func TestAdaptiveOverCohort(t *testing.T) {
-	eachCombiner(t, checkExecOver(func(topo *numa.Topology) locks.Mutex { return core.NewCBOMCS(topo) }, 12, 200))
+	eachCombiner(t, checkExecOver(registry.MustLookup("c-bo-mcs").NewMutex, 12, 200))
 }
 
 func TestCombiningOverPthread(t *testing.T) {

@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 func fastCfg(topo *numa.Topology, threads int) Config {
@@ -87,7 +87,7 @@ func TestRunSteadyStateRecycles(t *testing.T) {
 
 func TestRunUnderCohortLock(t *testing.T) {
 	topo := numa.New(4, 16)
-	res, err := Run(fastCfg(topo, 16), core.NewCBOMCS(topo))
+	res, err := Run(fastCfg(topo, 16), registry.MustLookup("c-bo-mcs").NewMutex(topo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCohortReusesLocallyMoreThanMCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbm, err := Run(cfg, core.NewCBOMCS(topo))
+	cbm, err := Run(cfg, registry.MustLookup("c-bo-mcs").NewMutex(topo))
 	if err != nil {
 		t.Fatal(err)
 	}

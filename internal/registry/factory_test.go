@@ -13,40 +13,70 @@ import (
 // so the factories must be repeatable, and every instance they produce
 // must be an independent, correct lock.
 
+// entries builds every canonical name, in presentation order.
+func entries() []Entry {
+	var out []Entry
+	for _, name := range Names() {
+		out = append(out, MustLookup(name))
+	}
+	return out
+}
+
+// blocking is entries filtered to those with a blocking face.
+func blocking() []Entry {
+	var out []Entry
+	for _, e := range entries() {
+		if e.NewMutex != nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range All() {
-		if seen[e.Name] {
-			t.Errorf("duplicate registry name %q", e.Name)
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("duplicate registry name %q", name)
 		}
-		seen[e.Name] = true
+		seen[name] = true
+	}
+	names := Names()
+	names[0] = "mutated"
+	if Names()[0] == "mutated" {
+		t.Error("Names() exposes internal state")
 	}
 }
 
 func TestMutexFactoriesSmoke(t *testing.T) {
 	topo := numa.New(4, 4)
-	for _, e := range Blocking() {
-		e := e
+	for _, e := range blocking() {
 		t.Run(e.Name, func(t *testing.T) {
-			f := e.MutexFactory(topo)
-			if f == nil {
-				t.Fatal("Blocking() entry has nil MutexFactory")
-			}
-			locktest.Check(t, topo, locks.ExecFromMutex(f()), 0, 4, 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(e.MutexFactory(topo)()), 0, 4, 200)
 		})
 	}
 }
 
 func TestTryFactoriesSmoke(t *testing.T) {
+	// Like TestFactoriesRepeatable, for the abortable face: two
+	// instances are distinct and independent, so a held one does not
+	// make the other time out.
 	topo := numa.New(4, 4)
-	for _, e := range Abortable() {
-		e := e
+	p := topo.Proc(0)
+	for _, e := range entries() {
+		if e.NewTry == nil {
+			continue
+		}
 		t.Run(e.Name, func(t *testing.T) {
-			f := e.TryFactory(topo)
-			if f == nil {
-				t.Fatal("Abortable() entry has nil TryFactory")
+			a, b := e.NewTry(topo), e.NewTry(topo)
+			if a == b {
+				t.Fatal("NewTry returned the same instance twice")
 			}
-			locktest.CheckTryMutex(t, topo, f(), 4, 200, 50*time.Millisecond)
+			if !a.TryLockFor(p, time.Second) || !b.TryLockFor(p, 50*time.Millisecond) {
+				t.Fatal("a fresh instance timed out while another was held")
+			}
+			b.Unlock(p)
+			a.Unlock(p)
 		})
 	}
 }
@@ -56,7 +86,7 @@ func TestFactoriesRepeatable(t *testing.T) {
 	// must be distinct and independent: holding one must not block
 	// acquiring another.
 	topo := numa.New(4, 4)
-	for _, e := range Blocking() {
+	for _, e := range blocking() {
 		f := e.MutexFactory(topo)
 		a, b := f(), f()
 		if a == b {
@@ -73,12 +103,9 @@ func TestFactoriesRepeatable(t *testing.T) {
 
 func TestFactoryNilForMissingInterface(t *testing.T) {
 	topo := numa.New(2, 2)
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewMutex == nil && e.MutexFactory(topo) != nil {
 			t.Errorf("%s: MutexFactory non-nil without NewMutex", e.Name)
-		}
-		if e.NewTry == nil && e.TryFactory(topo) != nil {
-			t.Errorf("%s: TryFactory non-nil without NewTry", e.Name)
 		}
 		if e.NewMutex == nil && e.NewExec == nil && e.ExecFactory(topo) != nil {
 			t.Errorf("%s: ExecFactory non-nil without NewMutex or NewExec", e.Name)
@@ -119,7 +146,7 @@ func TestRWFactoriesRepeatable(t *testing.T) {
 	// The RW kvstore path builds one RW lock per shard; instances must
 	// be distinct and independent, native and adapted alike.
 	topo := numa.New(4, 4)
-	for _, e := range Blocking() {
+	for _, e := range blocking() {
 		f := e.RWFactory(topo)
 		if f == nil {
 			t.Errorf("%s: blocking entry has nil RWFactory", e.Name)
@@ -136,55 +163,4 @@ func TestRWFactoriesRepeatable(t *testing.T) {
 		b.RUnlock(p)
 		a.Unlock(p)
 	}
-}
-
-func TestBuildRWMutexes(t *testing.T) {
-	topo := numa.New(4, 4)
-	for _, name := range []string{"rw-cna", "mcs"} { // native and adapted
-		ms := MustLookup(name).BuildRWMutexes(topo, 4)
-		if len(ms) != 4 {
-			t.Fatalf("%s: BuildRWMutexes returned %d locks, want 4", name, len(ms))
-		}
-		for i, m := range ms {
-			if m == nil {
-				t.Fatalf("%s: instance %d is nil", name, i)
-			}
-			for j := i + 1; j < len(ms); j++ {
-				if m == ms[j] {
-					t.Fatalf("%s: instances %d and %d are the same lock", name, i, j)
-				}
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BuildRWMutexes on a try-only entry did not panic")
-		}
-	}()
-	MustLookup("a-clh").BuildRWMutexes(topo, 1)
-}
-
-func TestBuildMutexes(t *testing.T) {
-	topo := numa.New(4, 4)
-	e := MustLookup("c-bo-mcs")
-	ms := e.BuildMutexes(topo, 8)
-	if len(ms) != 8 {
-		t.Fatalf("BuildMutexes returned %d locks, want 8", len(ms))
-	}
-	for i, m := range ms {
-		if m == nil {
-			t.Fatalf("instance %d is nil", i)
-		}
-		for j := i + 1; j < len(ms); j++ {
-			if m == ms[j] {
-				t.Fatalf("instances %d and %d are the same lock", i, j)
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BuildMutexes on a try-only entry did not panic")
-		}
-	}()
-	MustLookup("a-clh").BuildMutexes(topo, 1)
 }

@@ -13,23 +13,22 @@ import (
 // golden is the registry as it stood when names were a stamped list,
 // less the fixed-policy comb- twins retired since (see retired): the 46
 // names in presentation order, each with its non-nil faces (M
-// NewMutex, T NewTry, R NewRW, E NewExec), whether it combines reads
-// (X) and its flags (c Cohort, x Extension). Captured before the list
-// became a parser.
+// NewMutex, T NewTry, R NewRW, E NewExec) and whether it combines reads
+// (X). Captured before the list became a parser.
 var golden = [][2]string{
 	{"pthread", "M"}, {"fib-bo", "M"}, {"mcs", "M"}, {"hbo", "MT"}, {"hbo-tuned", "MT"},
 	{"hclh", "M"}, {"fc-mcs", "M"},
-	{"c-bo-bo", "Mc"}, {"c-tkt-tkt", "Mc"}, {"c-bo-mcs", "Mc"}, {"c-tkt-mcs", "Mc"},
-	{"c-mcs-mcs", "Mc"}, {"c-bo-clh", "Mcx"},
-	{"cna", "Mx"}, {"gcr-mcs", "Mx"}, {"gcr-cna", "Mx"}, {"gcr-c-bo-mcs", "Mx"},
-	{"rw-c-bo-mcs", "MRcx"}, {"rw-c-tkt-tkt", "MRcx"}, {"rw-cna", "MRx"}, {"rw-mcs", "MRx"},
-	{"a-clh", "T"}, {"a-hbo", "T"}, {"a-c-bo-bo", "Tc"}, {"a-c-bo-clh", "Tc"},
-	{"comb-a-pthread", "Ex"}, {"comb-a-fib-bo", "Ex"}, {"comb-a-mcs", "Ex"}, {"comb-a-hbo", "Ex"},
-	{"comb-a-hbo-tuned", "Ex"}, {"comb-a-hclh", "Ex"}, {"comb-a-fc-mcs", "Ex"},
-	{"comb-a-c-bo-bo", "Ex"}, {"comb-a-c-tkt-tkt", "Ex"}, {"comb-a-c-bo-mcs", "Ex"},
-	{"comb-a-c-tkt-mcs", "Ex"}, {"comb-a-c-mcs-mcs", "Ex"}, {"comb-a-c-bo-clh", "Ex"}, {"comb-a-cna", "Ex"},
-	{"comb-a-gcr-mcs", "Ex"}, {"comb-a-gcr-cna", "Ex"}, {"comb-a-gcr-c-bo-mcs", "Ex"},
-	{"comb-a-rw-c-bo-mcs", "EXx"}, {"comb-a-rw-c-tkt-tkt", "EXx"}, {"comb-a-rw-cna", "EXx"}, {"comb-a-rw-mcs", "EXx"},
+	{"c-bo-bo", "M"}, {"c-tkt-tkt", "M"}, {"c-bo-mcs", "M"}, {"c-tkt-mcs", "M"},
+	{"c-mcs-mcs", "M"}, {"c-bo-clh", "M"},
+	{"cna", "M"}, {"gcr-mcs", "M"}, {"gcr-cna", "M"}, {"gcr-c-bo-mcs", "M"},
+	{"rw-c-bo-mcs", "MR"}, {"rw-c-tkt-tkt", "MR"}, {"rw-cna", "MR"}, {"rw-mcs", "MR"},
+	{"a-clh", "T"}, {"a-hbo", "T"}, {"a-c-bo-bo", "T"}, {"a-c-bo-clh", "T"},
+	{"comb-a-pthread", "E"}, {"comb-a-fib-bo", "E"}, {"comb-a-mcs", "E"}, {"comb-a-hbo", "E"},
+	{"comb-a-hbo-tuned", "E"}, {"comb-a-hclh", "E"}, {"comb-a-fc-mcs", "E"},
+	{"comb-a-c-bo-bo", "E"}, {"comb-a-c-tkt-tkt", "E"}, {"comb-a-c-bo-mcs", "E"},
+	{"comb-a-c-tkt-mcs", "E"}, {"comb-a-c-mcs-mcs", "E"}, {"comb-a-c-bo-clh", "E"}, {"comb-a-cna", "E"},
+	{"comb-a-gcr-mcs", "E"}, {"comb-a-gcr-cna", "E"}, {"comb-a-gcr-c-bo-mcs", "E"},
+	{"comb-a-rw-c-bo-mcs", "EX"}, {"comb-a-rw-c-tkt-tkt", "EX"}, {"comb-a-rw-cna", "EX"}, {"comb-a-rw-mcs", "EX"},
 }
 
 // retired are the fixed-policy combining names, valid until the
@@ -49,7 +48,7 @@ func shape(e Entry) string {
 		mark byte
 	}{
 		{e.NewMutex != nil, 'M'}, {e.NewTry != nil, 'T'}, {e.NewRW != nil, 'R'},
-		{e.NewExec != nil, 'E'}, {e.CombinesReads(), 'X'}, {e.Cohort, 'c'}, {e.Extension, 'x'},
+		{e.NewExec != nil, 'E'}, {e.CombinesReads(), 'X'},
 	} {
 		if f.set {
 			b.WriteByte(f.mark)
@@ -59,8 +58,8 @@ func shape(e Entry) string {
 }
 
 // TestCanonicalNamesGolden: every name valid before the parser is
-// still valid byte for byte, in the same order, with the same faces
-// and flags, and resolves through the same Find as any composition.
+// still valid byte for byte, in the same order, with the same faces,
+// and resolves through the same Find as any composition.
 func TestCanonicalNamesGolden(t *testing.T) {
 	names := Names()
 	if len(names) != len(golden) {
@@ -105,7 +104,7 @@ func TestRetiredNamesSuggestTwin(t *testing.T) {
 // canonical list: a composed entry unwraps to its outermost wrapper and
 // operand, wrapping them again rebuilds it, and nothing else unwraps.
 func TestUnwrapWrapRoundTrip(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range entries() {
 		w, operand, ok := e.Unwrap()
 		composed := false
 		for _, prefix := range wrappers {
@@ -236,8 +235,8 @@ func FuzzParseLockName(f *testing.F) {
 		if e.NewMutex == nil && e.NewTry == nil && e.NewExec == nil {
 			t.Fatalf("Find(%q) built an entry with no face", name)
 		}
-		if _, ok := Lookup(e.Name); !ok {
-			t.Fatalf("Find(%q) accepted, Lookup(%q) did not", name, e.Name)
+		if _, err := Find(e.Name); err != nil {
+			t.Fatalf("Find(%q) accepted, Find(%q) did not: %v", name, e.Name, err)
 		}
 	})
 }

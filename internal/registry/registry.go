@@ -10,14 +10,15 @@
 // in this file. Find parses a name against them and composes the lock
 // through core.NewCohortLock, core.NewRestricted, locks.NewRWPerCluster
 // and locks.NewCombiningAdaptive/NewRWCombiningAdaptive, so a new base
-// or slot lock is one table row and inherits every wrapper. Names() is the canonical list the tools
-// and tests enumerate; it is data, not the set of valid names.
+// or slot lock is one table row and inherits every wrapper. Find's
+// options (the hand-off limit) configure every cohort lock the name
+// spells. Names() is the canonical list the tools and tests enumerate;
+// it is data, not the set of valid names.
 package registry
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -29,8 +30,6 @@ import (
 type Entry struct {
 	// Name is the paper's name for the lock (lower-cased).
 	Name string
-	// Desc is a one-line description for tool output.
-	Desc string
 	// NewMutex builds a blocking instance; nil for abortable-only locks
 	// and for combining executors (a combining lock cannot expose
 	// Lock/Unlock: the critical section is delegated, never held by the
@@ -48,58 +47,26 @@ type Entry struct {
 	// comb-a-* names. Over an operand with NewRW the executor also
 	// harvests same-cluster shared closures under one RLock per batch.
 	NewExec func(topo *numa.Topology) locks.RWExecutor
-	// Cohort marks the paper's contributed locks.
-	Cohort bool
-	// Extension marks locks beyond the paper's evaluation set (enabled
-	// by the transformation but not part of its figures/tables).
-	Extension bool
+	// opts configure every cohort lock the name spells; Unwrap parses
+	// the operand with them again.
+	opts []core.Option
 }
 
 // bases are the irreducible locks: names the grammar does not take
 // apart.
 var bases = []Entry{
-	{
-		Name: "pthread", Desc: "blocking mutex baseline (sync.Mutex, plays pthread_mutex)",
-		NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewPthread() },
-	},
-	{
-		Name: "fib-bo", Desc: "test-and-test-and-set lock with Fibonacci backoff",
-		NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewBO(locks.FibBOConfig()) },
-	},
-	{
-		Name: "mcs", Desc: "MCS queue lock (NUMA-oblivious baseline)",
-		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewMCS(t) },
-	},
-	{
-		Name: "hbo", Desc: "hierarchical backoff lock, microbenchmark-tuned parameters",
-		NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
-		NewTry:   func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
-	},
-	{
-		Name: "hbo-tuned", Desc: "hierarchical backoff lock, application-tuned parameters",
-		NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.AppHBOConfig()) },
-		NewTry:   func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.AppHBOConfig()) },
-	},
-	{
-		Name: "hclh", Desc: "hierarchical CLH lock (Luchangco et al.)",
-		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewHCLH(t) },
-	},
-	{
-		Name: "fc-mcs", Desc: "flat-combining MCS lock (Dice et al.)",
-		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewFCMCS(t) },
-	},
-	{
-		Name: "cna", Desc: "compact NUMA-aware queue lock (Dice & Kogan, EuroSys '19)", Extension: true,
-		NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewCNA(t) },
-	},
-	{
-		Name: "a-clh", Desc: "abortable CLH lock (Scott), abortable baseline",
-		NewTry: func(t *numa.Topology) locks.TryMutex { return locks.NewACLH(t) },
-	},
-	{
-		Name: "a-hbo", Desc: "abortable hierarchical backoff lock",
-		NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
-	},
+	{Name: "pthread", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewPthread() }},
+	{Name: "fib-bo", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewBO(locks.FibBOConfig()) }},
+	{Name: "mcs", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewMCS(t) }},
+	{Name: "hbo", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
+		NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) }},
+	{Name: "hbo-tuned", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.AppHBOConfig()) },
+		NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.AppHBOConfig()) }},
+	{Name: "hclh", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewHCLH(t) }},
+	{Name: "fc-mcs", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewFCMCS(t) }},
+	{Name: "cna", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewCNA(t) }},
+	{Name: "a-clh", NewTry: func(t *numa.Topology) locks.TryMutex { return locks.NewACLH(t) }},
+	{Name: "a-hbo", NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) }},
 }
 
 // slot is one lock that can fill a position of the cohort
@@ -117,7 +84,7 @@ var (
 		{"mcs", func(t *numa.Topology) core.Global { return locks.NewMCS(t) }},
 	}
 	locals = []slot[core.Local]{
-		{"bo", func(*numa.Topology) core.Local { return core.NewLocalBO(core.LocalBOBackoff()) }},
+		{"bo", func(*numa.Topology) core.Local { return core.NewLocalBO() }},
 		{"tkt", func(t *numa.Topology) core.Local { return locks.NewTicket(t) }},
 		{"mcs", func(t *numa.Topology) core.Local { return locks.NewMCS(t) }},
 		{"clh", func(t *numa.Topology) core.Local { return core.NewLocalCLH(t) }},
@@ -126,7 +93,7 @@ var (
 		{"bo", func(*numa.Topology) core.AbortableGlobal { return core.NewGlobalBO() }},
 	}
 	abortableLocals = []slot[core.AbortableLocal]{
-		{"bo", func(*numa.Topology) core.AbortableLocal { return core.NewABOLocal(core.LocalBOBackoff()) }},
+		{"bo", func(*numa.Topology) core.AbortableLocal { return core.NewABOLocal() }},
 		{"clh", func(t *numa.Topology) core.AbortableLocal { return core.NewACLHLocal(t) }},
 	}
 )
@@ -151,7 +118,7 @@ const (
 // most one matches a name.
 var wrappers = []string{WrapCombA, WrapGCR, WrapRW}
 
-// canonical is the presentation-order list behind All and Names: the
+// canonical is the presentation-order list behind Names: the
 // paper's locks, the extensions the exhibits use, and the comb-a- twin
 // of every blocking one of them.
 var canonical = []string{
@@ -177,28 +144,33 @@ type unknownError struct{ reason string }
 func (u *unknownError) Error() string { return u.reason }
 
 // find parses name and composes its lock: an exact base first, then
-// the cohort forms, then the outermost wrapper over the rest.
-func find(name string) (Entry, error) {
+// the cohort forms, then the outermost wrapper over the rest. opts
+// configure the cohort lock the name ends in; a base takes none.
+func find(name string, opts []core.Option) (Entry, error) {
 	for _, e := range bases {
 		if e.Name == name {
+			if len(opts) > 0 {
+				return Entry{}, fmt.Errorf("%s takes no options: only a cohort lock has a hand-off limit", name)
+			}
 			return e, nil
 		}
 	}
-	if e, shaped, err := cohort(name); shaped {
+	if e, shaped, err := cohort(name, opts); shaped {
 		return e, err
 	}
-	w, operand, err := split(name)
+	w, operand, err := split(name, opts)
 	if err != nil {
 		return Entry{}, err
 	}
 	return Wrap(w, operand)
 }
 
-// split finds name's outermost wrapper and parses its operand.
-func split(name string) (wrapper string, operand Entry, err error) {
+// split finds name's outermost wrapper and parses its operand with
+// opts.
+func split(name string, opts []core.Option) (wrapper string, operand Entry, err error) {
 	for _, w := range wrappers {
 		if rest, ok := strings.CutPrefix(name, w); ok {
-			operand, err := find(rest)
+			operand, err := find(rest, opts)
 			return w, operand, err
 		}
 	}
@@ -218,9 +190,9 @@ func pick[T any](table []slot[T], role, name string) (slot[T], error) {
 	return slot[T]{}, fmt.Errorf("%q is not %s lock: %s", name, role, strings.Join(valid, ", "))
 }
 
-// cohort builds c-<global>-<local> and a-c-<aglobal>-<alocal>; shaped
-// is false when name is neither form.
-func cohort(name string) (e Entry, shaped bool, err error) {
+// cohort builds c-<global>-<local> and a-c-<aglobal>-<alocal>
+// configured by opts; shaped is false when name is neither form.
+func cohort(name string, opts []core.Option) (e Entry, shaped bool, err error) {
 	rest, abortable := strings.CutPrefix(name, "a-c-")
 	if !abortable {
 		rest, shaped = strings.CutPrefix(name, "c-")
@@ -229,27 +201,21 @@ func cohort(name string) (e Entry, shaped bool, err error) {
 	if !(abortable || shaped) || !two || strings.Contains(l, "-") {
 		return Entry{}, false, nil
 	}
-	e = Entry{
-		Name:      name,
-		Cohort:    true,
-		Extension: !slices.Contains(Figure2Names(), name) && !slices.Contains(Figure6Names(), name),
-	}
+	e = Entry{Name: name, opts: opts}
 	if abortable {
 		global, gerr := pick(abortableGlobals, "an abortable global", g)
 		local, lerr := pick(abortableLocals, "an abortable local", l)
 		if err = errors.Join(gerr, lerr); err == nil {
-			e.Desc = fmt.Sprintf("abortable cohort lock: global %s over abortable local %s", strings.ToUpper(g), strings.ToUpper(l))
 			e.NewTry = func(t *numa.Topology) locks.TryMutex {
-				return core.NewAbortableCohortLock(t, global.new(t), func(int) core.AbortableLocal { return local.new(t) })
+				return core.NewAbortableCohortLock(t, global.new(t), func(int) core.AbortableLocal { return local.new(t) }, opts...)
 			}
 		}
 	} else {
 		global, gerr := pick(globals, "a global", g)
 		local, lerr := pick(locals, "a local", l)
 		if err = errors.Join(gerr, lerr); err == nil {
-			e.Desc = fmt.Sprintf("cohort lock: global %s over local %s", strings.ToUpper(g), strings.ToUpper(l))
 			e.NewMutex = func(t *numa.Topology) locks.Mutex {
-				return core.NewCohortLock(t, global.new(t), func(int) core.Local { return local.new(t) })
+				return core.NewCohortLock(t, global.new(t), func(int) core.Local { return local.new(t) }, opts...)
 			}
 		}
 	}
@@ -275,23 +241,18 @@ func Wrap(wrapper string, operand Entry) (Entry, error) {
 		}
 		return Entry{}, fmt.Errorf("%s is %s, %s needs a blocking lock", x.Name, what, wrapper)
 	}
-	e := Entry{Name: wrapper + x.Name, Extension: true}
+	e := Entry{Name: wrapper + x.Name, opts: x.opts}
 	switch wrapper {
 	case WrapGCR:
-		e.Desc = "concurrency restriction (GCR) over " + x.Name
 		e.NewMutex = func(t *numa.Topology) locks.Mutex { return core.NewRestricted(t, x.NewMutex(t), 0) }
 	case WrapRW:
-		e.Desc = "reader-writer lock: per-cluster readers over " + x.Name + " writers"
-		e.Cohort = x.Cohort
 		e.NewMutex = func(t *numa.Topology) locks.Mutex { return locks.NewRWPerCluster(t, x.NewMutex(t)) }
 		e.NewRW = func(t *numa.Topology) locks.RWMutex { return locks.NewRWPerCluster(t, x.NewMutex(t)) }
 	case WrapCombA:
 		if x.NewRW == nil {
-			e.Desc = "adaptive combining executor over " + x.Name + ": delegated same-cluster batches, one acquisition per batch"
 			e.NewExec = func(t *numa.Topology) locks.RWExecutor { return locks.NewCombiningAdaptive(t, x.NewMutex(t)) }
 			break
 		}
-		e.Desc = "adaptive combining reader-writer executor over " + x.Name + ": batched exclusive closures, same-cluster reads harvested under one RLock"
 		e.NewExec = func(t *numa.Topology) locks.RWExecutor { return locks.NewRWCombiningAdaptive(t, x.NewRW(t)) }
 	default:
 		return Entry{}, fmt.Errorf("%q is not a wrapper: %s", wrapper, strings.Join(wrappers, ", "))
@@ -299,11 +260,12 @@ func Wrap(wrapper string, operand Entry) (Entry, error) {
 	return e, nil
 }
 
-// Unwrap splits a composed entry at its outermost wrapper, by name:
-// Wrap(wrapper, operand) rebuilds e. ok is false for a base or cohort
-// lock, which has nothing to unwrap.
+// Unwrap splits a composed entry at its outermost wrapper, by name and
+// with the options e was found with, so the operand keeps its hand-off
+// limit: Wrap(wrapper, operand) rebuilds e. ok is false for a base or
+// cohort lock, which has nothing to unwrap.
 func (e Entry) Unwrap() (wrapper string, operand Entry, ok bool) {
-	wrapper, operand, err := split(e.Name)
+	wrapper, operand, err := split(e.Name, e.opts)
 	return wrapper, operand, err == nil
 }
 
@@ -317,15 +279,6 @@ func (e Entry) MutexFactory(topo *numa.Topology) func() locks.Mutex {
 		return nil
 	}
 	return func() locks.Mutex { return e.NewMutex(topo) }
-}
-
-// TryFactory is MutexFactory for the abortable interface, or nil if
-// the entry is not abortable.
-func (e Entry) TryFactory(topo *numa.Topology) func() locks.TryMutex {
-	if e.NewTry == nil {
-		return nil
-	}
-	return func() locks.TryMutex { return e.NewTry(topo) }
 }
 
 // RWFactory returns a factory building independent reader-writer
@@ -364,50 +317,22 @@ func (e Entry) ExecFactory(topo *numa.Topology) func() locks.RWExecutor {
 	return func() locks.RWExecutor { return locks.ExecFromRWMutex(f()) }
 }
 
-// BuildMutexes constructs n independent blocking instances of this
-// lock. It panics if the entry is not blocking; callers select from
-// Blocking() or check NewMutex first.
-func (e Entry) BuildMutexes(topo *numa.Topology, n int) []locks.Mutex {
-	return build(e, "blocking", e.MutexFactory(topo), n)
-}
-
-// BuildRWMutexes constructs n independent reader-writer instances of
-// this lock (native RW or exclusive-adapted; see RWFactory). It panics
-// if the entry cannot lock at all.
-func (e Entry) BuildRWMutexes(topo *numa.Topology, n int) []locks.RWMutex {
-	return build(e, "reader-writer", e.RWFactory(topo), n)
-}
-
-func build[T any](e Entry, face string, f func() T, n int) []T {
-	if f == nil {
-		panic(fmt.Sprintf("registry: %s has no %s factory", e.Name, face))
-	}
-	out := make([]T, n)
-	for i := range out {
-		out[i] = f()
-	}
-	return out
-}
-
 // normalize maps user-supplied spellings onto registry names: names
 // are lower-case, but CLI users type C-BO-MCS as the paper prints it.
 func normalize(name string) string {
 	return strings.ToLower(strings.TrimSpace(name))
 }
 
-// Lookup finds an entry by name, case-insensitively.
-func Lookup(name string) (Entry, bool) {
-	e, err := find(normalize(name))
-	return e, err == nil
-}
-
-// Find is Lookup with a CLI-grade error. A name the grammar does not
-// produce reports the failing component, "did you mean" suggestions
-// from the canonical list (close or substring matches) and the
-// grammar, so a typo never dead-ends; a name that parses but cannot be built reports which
+// Find builds the entry a name spells, case-insensitively; it is the
+// one way to build a lock. opts (core.WithHandoffLimit) configure
+// every cohort lock in the name, under any wrappers; a name without
+// one rejects them. A name the grammar does not produce reports the
+// failing component, "did you mean" suggestions from the canonical
+// list (close or substring matches) and the grammar, so a typo never
+// dead-ends; a name that parses but cannot be built reports which
 // operand the wrapper cannot take and why.
-func Find(name string) (Entry, error) {
-	e, err := find(normalize(name))
+func Find(name string, opts ...core.Option) (Entry, error) {
+	e, err := find(normalize(name), opts)
 	if err == nil {
 		return e, nil
 	}
@@ -426,8 +351,12 @@ func Find(name string) (Entry, error) {
 
 // grammar states the valid names in one line, from the tables.
 func grammar() string {
+	var base []string
+	for _, e := range bases {
+		base = append(base, e.Name)
+	}
 	return fmt.Sprintf("any of %s in front of one of %s, c-{%s}-{%s}, a-c-{%s}-{%s}",
-		strings.Join(wrappers, ", "), strings.Join(names(bases), ", "),
+		strings.Join(wrappers, ", "), strings.Join(base, ", "),
 		slotNames(globals), slotNames(locals), slotNames(abortableGlobals), slotNames(abortableLocals))
 }
 
@@ -488,63 +417,28 @@ func MustLookup(name string) Entry {
 	return e
 }
 
-// All returns the canonical entries, in presentation order.
-func All() []Entry {
-	out := make([]Entry, len(canonical))
-	for i, name := range canonical {
-		out[i] = MustLookup(name)
-	}
-	return out
-}
-
 // Names lists the canonical lock names, in presentation order.
 func Names() []string {
 	return append([]string(nil), canonical...)
 }
 
-// filter returns the canonical entries keep accepts, in order.
-func filter(keep func(Entry) bool) []Entry {
-	var out []Entry
-	for _, e := range All() {
-		if keep(e) {
-			out = append(out, e)
+// filter returns the canonical names whose entries keep accepts, in
+// order.
+func filter(keep func(Entry) bool) []string {
+	var out []string
+	for _, name := range canonical {
+		if keep(MustLookup(name)) {
+			out = append(out, name)
 		}
 	}
 	return out
 }
 
-func names(entries []Entry) []string {
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.Name
-	}
-	return out
-}
-
-// Blocking returns the entries usable as blocking locks, in order.
-func Blocking() []Entry {
-	return filter(func(e Entry) bool { return e.NewMutex != nil })
-}
-
-// Abortable returns the entries usable as abortable locks, in order.
-func Abortable() []Entry {
-	return filter(func(e Entry) bool { return e.NewTry != nil })
-}
-
-// RW returns the entries with a native reader-writer construction
-// (shared mode admits concurrent readers), in order.
-func RW() []Entry {
+// RWNames lists the native reader-writer lock names (shared mode
+// admits concurrent readers), in presentation order — the `rw-*`
+// column set of kvbench's read-path table.
+func RWNames() []string {
 	return filter(func(e Entry) bool { return e.NewRW != nil })
-}
-
-// RWNames lists the native reader-writer lock names, in presentation
-// order — the `rw-*` column set of kvbench's read-path table.
-func RWNames() []string { return names(RW()) }
-
-// RWCombining returns the comb-a-rw-* entries (genuinely combining
-// reader-writer executors), in order.
-func RWCombining() []Entry {
-	return filter(Entry.CombinesReads)
 }
 
 // CombinesReads reports whether e is a combining executor whose operand
@@ -555,9 +449,10 @@ func (e Entry) CombinesReads() bool {
 	return e.NewExec != nil && ok && operand.NewRW != nil
 }
 
-// RWCombiningNames lists the comb-a-rw-* entry names, in presentation
-// order — the read-combining column set of kvbench's read-path table.
-func RWCombiningNames() []string { return names(RWCombining()) }
+// RWCombiningNames lists the comb-a-rw-* names (genuinely combining
+// reader-writer executors), in presentation order — the read-combining
+// column set of kvbench's read-path table.
+func RWCombiningNames() []string { return filter(Entry.CombinesReads) }
 
 // Figure2Names lists the locks of the paper's Figures 2-5, in legend
 // order.
@@ -573,14 +468,8 @@ func Figure6Names() []string {
 
 // TableNames lists the lock columns of Tables 1 and 2, exactly as the
 // paper prints them; tools that also want the post-paper locks append
-// from ExtensionNames (kvbench does).
+// them by name (kvbench does).
 func TableNames() []string {
 	return []string{"pthread", "fib-bo", "mcs", "hbo", "hbo-tuned", "fc-mcs",
 		"c-bo-bo", "c-tkt-tkt", "c-bo-mcs", "c-tkt-mcs", "c-mcs-mcs"}
-}
-
-// ExtensionNames lists the blocking locks beyond the paper's
-// evaluation set, in presentation order.
-func ExtensionNames() []string {
-	return names(filter(func(e Entry) bool { return e.Extension && e.NewMutex != nil }))
 }

@@ -4,13 +4,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
 func TestAllEntriesBuildable(t *testing.T) {
 	topo := numa.New(4, 8)
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewMutex == nil && e.NewTry == nil && e.NewExec == nil {
 			t.Errorf("%s: no factory at all", e.Name)
 		}
@@ -29,9 +30,6 @@ func TestAllEntriesBuildable(t *testing.T) {
 				t.Errorf("%s: NewExec returned nil", e.Name)
 			}
 		}
-		if e.Desc == "" {
-			t.Errorf("%s: missing description", e.Name)
-		}
 	}
 }
 
@@ -40,10 +38,10 @@ func TestCombiningEntriesDerived(t *testing.T) {
 	// entry must point back at a blocking base.
 	topo := numa.New(2, 4)
 	byName := map[string]Entry{}
-	for _, e := range All() {
+	for _, e := range entries() {
 		byName[e.Name] = e
 	}
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewMutex == nil {
 			continue
 		}
@@ -52,8 +50,8 @@ func TestCombiningEntriesDerived(t *testing.T) {
 			t.Errorf("blocking lock %s has no %s%s entry", e.Name, WrapCombA, e.Name)
 			continue
 		}
-		if w, operand, ok := comb.Unwrap(); comb.NewExec == nil || !ok || w != WrapCombA || operand.Name != e.Name || !comb.Extension {
-			t.Errorf("%s: want NewExec set, Unwrap = (%q, %s), Extension", comb.Name, WrapCombA, e.Name)
+		if w, operand, ok := comb.Unwrap(); comb.NewExec == nil || !ok || w != WrapCombA || operand.Name != e.Name {
+			t.Errorf("%s: want NewExec set, Unwrap = (%q, %s)", comb.Name, WrapCombA, e.Name)
 		}
 		if comb.NewMutex != nil || comb.NewTry != nil || comb.NewRW != nil {
 			t.Errorf("%s: derived entries are exec-only", comb.Name)
@@ -72,10 +70,10 @@ func TestCombiningEntriesDerived(t *testing.T) {
 			t.Errorf("%s executor has no occupancy estimate", name)
 		}
 	}
-	if names := RWCombiningNames(); len(names) != len(RW()) {
-		t.Errorf("RWCombiningNames lists %d entries, want %d (one twin per native RW base)", len(names), len(RW()))
+	if names := RWCombiningNames(); len(names) != len(RWNames()) {
+		t.Errorf("RWCombiningNames lists %d entries, want %d (one twin per native RW base)", len(names), len(RWNames()))
 	}
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewExec == nil {
 			continue
 		}
@@ -86,26 +84,58 @@ func TestCombiningEntriesDerived(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	if _, ok := Lookup("c-bo-mcs"); !ok {
-		t.Error("c-bo-mcs not found")
-	}
-	if _, ok := Lookup("nonsense"); ok {
-		t.Error("nonsense lock found")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustLookup on unknown name did not panic")
-		}
-	}()
-	MustLookup("nonsense")
-}
-
 func TestLookupNormalizesCase(t *testing.T) {
 	// CLI users type names as the paper prints them.
 	for _, name := range []string{"C-BO-MCS", "c-bo-mcs", " c-bo-mcs ", "CNA", "GCR-MCS"} {
-		if _, ok := Lookup(name); !ok {
-			t.Errorf("Lookup(%q) failed; names should be case- and space-insensitive", name)
+		if _, err := Find(name); err != nil {
+			t.Errorf("Find(%q): %v; names should be case- and space-insensitive", name, err)
+		}
+	}
+}
+
+// TestFindOptionsReachEveryCohort: the options given to Find configure
+// the cohort lock a name spells, bare or under wrappers, survive
+// Unwrap, and are refused by a name without a cohort lock.
+func TestFindOptionsReachEveryCohort(t *testing.T) {
+	topo := numa.New(2, 4)
+	limit := func(name string, m any) int64 {
+		switch c := m.(type) {
+		case *core.CohortLock:
+			return c.HandoffLimit()
+		case *core.AbortableCohortLock:
+			return c.HandoffLimit()
+		}
+		t.Fatalf("%s built %T, not a cohort lock", name, m)
+		return 0
+	}
+	c, err := Find("c-tkt-tkt", core.WithHandoffLimit(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := limit(c.Name, c.NewMutex(topo)); got != 5 {
+		t.Errorf("c-tkt-tkt HandoffLimit = %d, want 5", got)
+	}
+	a, err := Find("a-c-bo-clh", core.WithHandoffLimit(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := limit(a.Name, a.NewTry(topo)); got != 7 {
+		t.Errorf("a-c-bo-clh HandoffLimit = %d, want 7", got)
+	}
+	comb, err := Find("comb-a-c-tkt-tkt", core.WithHandoffLimit(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, operand, ok := comb.Unwrap()
+	if !ok {
+		t.Fatal("comb-a-c-tkt-tkt does not unwrap")
+	}
+	if got := limit(operand.Name, operand.NewMutex(topo)); got != 5 {
+		t.Errorf("comb-a-c-tkt-tkt's operand HandoffLimit = %d, want 5: Unwrap lost the options", got)
+	}
+	for _, name := range []string{"mcs", "gcr-cna"} {
+		if _, err := Find(name, core.WithHandoffLimit(5)); err == nil {
+			t.Errorf("Find(%q) with a hand-off limit succeeded; it has no cohort lock to take it", name)
 		}
 	}
 }
@@ -138,6 +168,12 @@ func TestFindErrors(t *testing.T) {
 	if !strings.Contains(err.Error(), "valid locks") {
 		t.Errorf("error %q does not list valid locks", err)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("MustLookup on unknown name did not panic")
+		}
+	}()
+	MustLookup("nonsense")
 }
 
 func TestEditDistance(t *testing.T) {
@@ -154,25 +190,6 @@ func TestEditDistance(t *testing.T) {
 	for _, c := range cases {
 		if got := editDistance(c.a, c.b); got != c.want {
 			t.Errorf("editDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestExtensionNames(t *testing.T) {
-	names := ExtensionNames()
-	want := map[string]bool{"cna": false, "gcr-mcs": false, "gcr-cna": false, "gcr-c-bo-mcs": false}
-	for _, n := range names {
-		e := MustLookup(n)
-		if !e.Extension || e.NewMutex == nil {
-			t.Errorf("%s listed as blocking extension but is not", n)
-		}
-		if _, ok := want[n]; ok {
-			want[n] = true
-		}
-	}
-	for n, seen := range want {
-		if !seen {
-			t.Errorf("extension lock %s missing from ExtensionNames", n)
 		}
 	}
 }
@@ -199,10 +216,12 @@ func TestFigureAndTableNamesResolve(t *testing.T) {
 }
 
 func TestFigure2IncludesAllCohortBlockingLocks(t *testing.T) {
+	// Every canonical blocking cohort lock is in Figure 2, except
+	// c-bo-clh: the paper builds no CLH local.
 	want := map[string]bool{}
-	for _, e := range Blocking() {
-		if e.Cohort && !e.Extension {
-			want[e.Name] = false
+	for _, name := range Names() {
+		if strings.HasPrefix(name, "c-") && name != "c-bo-clh" {
+			want[name] = false
 		}
 	}
 	for _, n := range Figure2Names() {
@@ -218,38 +237,22 @@ func TestFigure2IncludesAllCohortBlockingLocks(t *testing.T) {
 }
 
 func TestBlockingAbortablePartition(t *testing.T) {
-	blocking := Blocking()
-	abortable := Abortable()
-	if len(blocking) == 0 || len(abortable) == 0 {
-		t.Fatal("expected both blocking and abortable entries")
-	}
 	// The paper's five blocking cohort locks, the C-BO-CLH extension,
-	// and the two reader-writer cohort locks are marked Cohort among
-	// blocking entries.
-	n := 0
-	for _, e := range blocking {
-		if e.Cohort {
-			n++
+	// and the two reader-writer cohort locks are the blocking cohort
+	// names; the two abortable ones are the abortable cohort names.
+	var blocking, abortable int
+	for _, e := range entries() {
+		if e.NewMutex != nil && strings.HasPrefix(strings.TrimPrefix(e.Name, WrapRW), "c-") {
+			blocking++
+		}
+		if e.NewTry != nil && strings.HasPrefix(e.Name, "a-c-") {
+			abortable++
 		}
 	}
-	if n != 8 {
-		t.Errorf("blocking cohort locks = %d, want 8", n)
+	if blocking != 8 {
+		t.Errorf("blocking cohort locks = %d, want 8", blocking)
 	}
-	n = 0
-	for _, e := range abortable {
-		if e.Cohort {
-			n++
-		}
-	}
-	if n != 2 {
-		t.Errorf("abortable cohort locks = %d, want 2", n)
-	}
-}
-
-func TestAllReturnsCopy(t *testing.T) {
-	a, names := All(), Names()
-	a[0].Name, names[0] = "mutated", "mutated"
-	if All()[0].Name == "mutated" || Names()[0] == "mutated" {
-		t.Error("All() or Names() exposes internal state")
+	if abortable != 2 {
+		t.Errorf("abortable cohort locks = %d, want 2", abortable)
 	}
 }

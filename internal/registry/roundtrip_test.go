@@ -15,7 +15,7 @@ import (
 // under -race in CI), so a future entry whose factory builds a broken
 // instance fails the suite without any new test code.
 func TestEveryBlockingEntryPassesLocktest(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewMutex == nil {
 			continue
 		}
@@ -30,7 +30,7 @@ func TestEveryBlockingEntryPassesLocktest(t *testing.T) {
 // TestEveryAbortableEntryPassesLocktest is the same automatic gate for
 // the abortable factories.
 func TestEveryAbortableEntryPassesLocktest(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewTry == nil {
 			continue
 		}
@@ -47,7 +47,7 @@ func TestEveryAbortableEntryPassesLocktest(t *testing.T) {
 // torn-snapshot detection, and genuine cross-cluster reader
 // concurrency, automatically for any future rw-* registration.
 func TestEveryRWEntryPassesLocktest(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewRW == nil {
 			continue
 		}
@@ -81,7 +81,7 @@ func TestRWFactoryAdaptsExclusiveEntries(t *testing.T) {
 // lost or double-run ops, deadline-guarded — automatically for any
 // future blocking registration (each gains a comb-a-* twin).
 func TestEveryExecEntryPassesLocktest(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range entries() {
 		if e.NewExec == nil {
 			continue
 		}
@@ -114,7 +114,7 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 // no lost or double-run ops — automatically for any future
 // registration.
 func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range entries() {
 		topo := numa.New(2, 8)
 		f := e.ExecFactory(topo)
 		if f == nil {

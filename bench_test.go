@@ -12,6 +12,7 @@ package cohort_test
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -326,22 +327,19 @@ func benchExecutors(b *testing.B, topo *numa.Topology, lock, variant string, cou
 	b.ReportMetric(amort/float64(b.N), "ops/acq")
 }
 
-// BenchmarkSharedBatchedReads measures the read-side amortization
-// machines end to end across a 50/90/99% read sweep: a batched
-// pipeline (16-key client batches) against a sharded store under the
-// reader-writer cohort lock, with MGet chunks answered three ways —
-// shared mode (one RLock per chunk), read-combined (chunks posted as
-// read closures to locks.NewRWCombiningAdaptive, concurrent same-cluster
-// chunks folded under one RLock), and the same construction driven
-// through its exclusive path. Shared chunks coexist across clusters;
-// combining should close on or beat shared as the read fraction and
-// same-cluster overlap rise; exclusive chunks serialize.
+// BenchmarkSharedBatchedReads measures shared-mode batched reads end
+// to end across a 50/90/99% read sweep: a batched pipeline (16-key
+// client batches) against a sharded store under the reader-writer
+// cohort lock, with MGet chunks answered two ways — shared mode (one
+// RLock per chunk) and the same construction driven through its
+// exclusive path. Shared chunks coexist across clusters; exclusive
+// chunks serialize.
 func BenchmarkSharedBatchedReads(b *testing.B) {
 	threads := contendedThreads()
 	e := registry.MustLookup("rw-c-bo-mcs")
 	const keyspace = 20_000
 	for _, reads := range []float64{0.50, 0.90, 0.99} {
-		for _, mode := range []string{"shared", "comb-a-rw", "exclusive"} {
+		for _, mode := range []string{"shared", "exclusive"} {
 			mode := mode
 			b.Run(fmt.Sprintf("reads%.0f/%s", reads*100, mode), func(b *testing.B) {
 				topo := numa.New(4, threads)
@@ -353,17 +351,11 @@ func BenchmarkSharedBatchedReads(b *testing.B) {
 						MaxBatch: 16,
 						Capacity: keyspace * 2,
 					}
-					switch mode {
-					case "comb-a-rw":
-						newRW := e.RWFactory(topo)
-						cfg.Locking = kvstore.FromExec(func() locks.Executor {
-							return locks.NewRWCombiningAdaptive(topo, newRW())
-						})
-					case "shared":
-						cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
-					default:
-						newRW := e.RWFactory(topo)
+					newRW := e.RWFactory(topo)
+					if mode == "exclusive" {
 						cfg.Locking = kvstore.FromRW(func() locks.RWMutex { return locks.RWFromMutex(newRW()) })
+					} else {
+						cfg.Locking = kvstore.FromRW(newRW)
 					}
 					store := kvstore.New(cfg)
 					kvload.Populate(store, topo.Proc(0), keyspace, 128)
@@ -577,9 +569,10 @@ func BenchmarkAblationBatch(b *testing.B) {
 // every blocking lock — the low-contention overhead discussion of
 // §4.1.3 (here ns/op is the metric itself) — and, as exec/<name> rows,
 // what one proc pays to run a no-op closure through each executor over
-// c-bo-mcs: the bare bracket, then the combining cores (a reader-writer
-// one through ExecShared), whose distance from it is the combiner's
-// fixed cost when there is nothing to combine. State -cpu (say -cpu 2) when comparing exec rows: numa.New
+// c-bo-mcs: the bare bracket, then the combining core, whose distance
+// from it is the combiner's fixed cost when there is nothing to
+// combine, and the reader-writer executor's ExecShared, one RLock.
+// State -cpu (say -cpu 2) when comparing exec rows: numa.New
 // sets the spin discipline from GOMAXPROCS, and a combiner's
 // batch-boundary yield only costs anything under the oversubscribed
 // one.
@@ -606,7 +599,7 @@ func BenchmarkUncontended(b *testing.B) {
 			e := registry.MustLookup(name)
 			x := e.ExecFactory(topo)()
 			exec := x.Exec
-			if e.CombinesReads() {
+			if strings.HasPrefix(name, "comb-a-rw-") {
 				exec = x.ExecShared
 			}
 			p := topo.Proc(0)

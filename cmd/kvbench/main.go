@@ -22,13 +22,7 @@
 // follow-up: on read-mostly traffic shared mode should pull away from
 // every exclusive column. With -batch as well, reads arrive as MGet
 // batches of that size (titles and records say batch=N), so the same
-// columns race shared against exclusive batched reads. The default
-// column set also includes the comb-a-rw-* read-combining twins: each
-// runs Gets as read closures through the reader-combining executor
-// over its RW operand, with the operand's shared acquisitions counted
-// (registry.Unwrap and Wrap interpose the counter), so a second table
-// reports shared ops per shared acquisition — the read-side
-// amortization the combiner buys on top of shared mode.
+// columns race shared against exclusive batched reads.
 //
 // -batch switches to the batched-pipeline table: workers issue
 // MGet/MSet batches of the given size, and every lock column is
@@ -91,9 +85,7 @@ type record struct {
 	ReadPath string  `json:"read_path,omitempty"`
 	// Batch and OpsPerAcq are populated by -batch runs: the pipeline's
 	// batch size and how many operations each acquisition of the
-	// underlying lock amortized. -reads cells of a reader-combining
-	// executor (comb-a-rw-* columns) reuse OpsPerAcq for shared ops per
-	// shared acquisition of the base lock.
+	// underlying lock amortized.
 	Batch     int     `json:"batch,omitempty"`
 	OpsPerAcq float64 `json:"ops_per_acq,omitempty"`
 }
@@ -139,11 +131,9 @@ func main() {
 	}
 	if len(opt.locks) == 0 {
 		if opt.reads > 0 {
-			// The RW table defaults to the native reader-writer family —
-			// each gets a shared and an exclusive column — plus the
-			// read-combining twins (shared-only columns with a shared
-			// ops-per-acquisition metric).
-			opt.locks = append(registry.RWNames(), registry.RWCombiningNames()...)
+			// The RW table defaults to the native reader-writer family,
+			// each with a shared and an exclusive column.
+			opt.locks = registry.RWNames()
 		} else if opt.batch > 0 {
 			// The batched table races each headline lock against its
 			// combining twin, so amortization-from-batching and
@@ -189,22 +179,6 @@ func run(opt options) error {
 	return benchfmt.Write(os.Stdout, records)
 }
 
-// counting says which acquisitions of the lock underneath a cell's
-// store are counted, and so what its ops-per-acquisition figure means.
-type counting int
-
-const (
-	countNothing counting = iota
-	// countAll reports operations per acquisition, exclusive and shared
-	// alike — how much work each critical section amortizes.
-	countAll
-	// countShared reports reads per shared acquisition: 1.0 means
-	// every read paid its own RLock (the uncontended bypass), higher
-	// means the reader-combiner folded concurrent same-cluster reads
-	// together.
-	countShared
-)
-
 // cell describes one measurement: a lock guarding a store of some
 // shape under some load.
 type cell struct {
@@ -223,14 +197,15 @@ type cell struct {
 	sharedReads bool
 	// count puts counters on the lock itself or, for a comb-a-* entry,
 	// between the combiner and its operand (registry.Unwrap and Wrap),
-	// where a combined batch counts as the single acquisition it is.
-	count counting
+	// where a combined batch counts as the single acquisition it is, and
+	// reports operations per acquisition, exclusive and shared alike.
+	count bool
 }
 
 // outcome is what one cell measured.
 type outcome struct {
 	opsPerSec float64
-	opsPerAcq float64 // per cell.count; 0 when nothing was counted
+	opsPerAcq float64 // 0 when nothing was counted
 }
 
 // runCell builds the cell's store, populates it, runs the load and
@@ -242,7 +217,7 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 		return outcome{}, fmt.Errorf("lock %q is abortable-only and cannot guard the store", e.Name)
 	}
 	var excl, shared atomic.Uint64
-	if c.count != countNothing {
+	if c.count {
 		counted := func(x registry.Entry) registry.Entry {
 			if newMutex := x.NewMutex; newMutex != nil {
 				x.NewMutex = func(t *numa.Topology) locks.Mutex { return locks.CountAcquisitions(newMutex(t), &excl) }
@@ -295,12 +270,8 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 			e.Name, c.threads, c.shards, c.reads, c.batch, err)
 	}
 	out := outcome{opsPerSec: res.Throughput()}
-	ops, acq := res.Ops, excl.Load()-exclBefore+shared.Load()-sharedBefore
-	if c.count == countShared {
-		ops, acq = res.Gets, shared.Load()-sharedBefore
-	}
-	if acq > 0 {
-		out.opsPerAcq = float64(ops) / float64(acq)
+	if acq := excl.Load() - exclBefore + shared.Load() - sharedBefore; acq > 0 {
+		out.opsPerAcq = float64(res.Ops) / float64(acq)
 	}
 	return out, nil
 }
@@ -323,13 +294,11 @@ type table struct {
 func speedup(r record) string { return stats.F(r.Speedup, 2) }
 
 // opsPerAcq renders a counted column's amortization, "-" for the rest.
-func opsPerAcq(decimals int) func(record) string {
-	return func(r record) string {
-		if r.OpsPerAcq == 0 {
-			return "-"
-		}
-		return stats.F(r.OpsPerAcq, decimals)
+func opsPerAcq(r record) string {
+	if r.OpsPerAcq == 0 {
+		return "-"
 	}
+	return stats.F(r.OpsPerAcq, 1)
 }
 
 // baseline measures like at one thread on one shard under pthread: the
@@ -454,7 +423,7 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 	for i, e := range resolve(opt.locks) {
 		cols = append(cols, column{
 			header: opt.locks[i],
-			cell:   cell{entry: e, reads: float64(getPct) / 100, batch: opt.batch, sharedReads: true, count: countAll},
+			cell:   cell{entry: e, reads: float64(getPct) / 100, batch: opt.batch, sharedReads: true, count: true},
 			rec:    record{Mix: getPct, Lock: e.Name, Batch: opt.batch},
 		})
 	}
@@ -465,43 +434,37 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 	title := fmt.Sprintf("Batched pipeline (batch=%d, %d%% gets): ", opt.batch, getPct)
 	return sweep(opt, topo, base, cols, []table{
 		{title: title + "speedup over pthread@1", value: speedup},
-		{title: title + "ops per lock acquisition", value: opsPerAcq(1)},
+		{title: title + "ops per lock acquisition", value: opsPerAcq},
 	})
 }
 
 // runRW emits the reader-writer read-path tables: per shard count, one
 // column pair per lock — shared-mode Gets vs the same construction
 // driven exclusively (`<name>/x`) — at the -reads fraction, normalized
-// like Table 1 to pthread at one thread on one shard. Read-combining
-// entries (comb-a-rw-*) contribute a single shared column
-// (their writes already run combined; an exclusive-read variant would
-// measure a different executor, not a different read protocol) and
-// feed a second table: shared ops per shared acquisition of the lock
-// under the combiner, its read-side amortization. With -batch, reads
-// arrive as MGet batches and the titles and records say so.
+// like Table 1 to pthread at one thread on one shard. With -batch,
+// reads arrive as MGet batches and the titles and records say so.
 func runRW(opt options, topo *numa.Topology) ([]record, error) {
 	reads := cell{reads: opt.reads, batch: opt.batch}
 	rec := record{Mix: int(opt.reads*100 + 0.5), Reads: opt.reads, Batch: opt.batch}
 	var cols []column
-	haveComb := false
-	add := func(e registry.Entry, header, path string, count counting) {
+	add := func(e registry.Entry, header, path string) {
 		c, r := reads, rec
-		c.entry, c.sharedReads, c.count = e, path == "shared", count
+		c.entry, c.sharedReads = e, path == "shared"
 		r.Lock, r.ReadPath = e.Name, path
 		cols = append(cols, column{header: header, cell: c, rec: r})
 	}
 	for _, e := range resolve(opt.locks) {
 		switch {
-		case e.CombinesReads():
-			add(e, e.Name, "shared", countShared)
-			haveComb = true
 		case e.NewExec != nil:
+			if _, operand, ok := e.Unwrap(); ok && operand.NewRW != nil {
+				return nil, fmt.Errorf("lock %q reads exactly as its operand %s does; use %s here, or %q with -batch", e.Name, operand.Name, operand.Name, e.Name)
+			}
 			return nil, fmt.Errorf("lock %q is a combining executor with no reader-writer face; use it with -batch or the standard tables", e.Name)
 		case e.NewRW != nil:
-			add(e, e.Name, "shared", countNothing)
+			add(e, e.Name, "shared")
 			fallthrough
 		default:
-			add(e, e.Name+"/x", "exclusive", countNothing)
+			add(e, e.Name+"/x", "exclusive")
 		}
 	}
 	base, err := baseline(opt, topo, reads, fmt.Sprintf("reads=%g", opt.reads))
@@ -512,11 +475,7 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 	if opt.batch > 0 {
 		title = fmt.Sprintf("RW read path (batch=%d, %.4g%% gets): ", opt.batch, opt.reads*100)
 	}
-	tables := []table{{title: title + "speedup over pthread@1", value: speedup}}
-	if haveComb {
-		tables = append(tables, table{title: title + "shared ops per shared acquisition", value: opsPerAcq(2)})
-	}
-	return sweep(opt, topo, base, cols, tables)
+	return sweep(opt, topo, base, cols, []table{{title: title + "speedup over pthread@1", value: speedup}})
 }
 
 // scalingTable condenses the sweep into shard scaling at the highest

@@ -43,17 +43,15 @@ func kvbench(t *testing.T, args ...string) string {
 func TestExhibitShapes(t *testing.T) {
 	const (
 		common = "mix_get_pct,lock,threads,shards,ops_per_sec,speedup_vs_pthread1"
-		rwCols = "threads rw-mcs rw-mcs/x comb-a-rw-mcs"
+		rwCols = "threads rw-mcs rw-mcs/x"
 	)
 	var batchedHeaders, batchedRecords []string
 	for _, suffix := range []string{"", " [2 shards]"} {
 		batchedHeaders = append(batchedHeaders,
-			"# RW read path (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols,
-			"# RW read path (batch=16, 90% gets): shared ops per shared acquisition"+suffix, rwCols)
+			"# RW read path (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols)
 		batchedRecords = append(batchedRecords,
 			"rw-mcs: "+common+",read_fraction,read_path,batch",
-			"rw-mcs: "+common+",read_fraction,read_path,batch",
-			"comb-a-rw-mcs: "+common+",read_fraction,read_path,batch,ops_per_acq")
+			"rw-mcs: "+common+",read_fraction,read_path,batch")
 	}
 	cases := []struct {
 		name    string
@@ -79,19 +77,15 @@ func TestExhibitShapes(t *testing.T) {
 			},
 		},
 		{
-			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs,comb-a-rw-mcs"},
-			[]string{
-				"# RW read path (99% gets): speedup over pthread@1", "threads rw-mcs rw-mcs/x comb-a-rw-mcs",
-				"# RW read path (99% gets): shared ops per shared acquisition", "threads rw-mcs rw-mcs/x comb-a-rw-mcs",
-			},
+			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs"},
+			[]string{"# RW read path (99% gets): speedup over pthread@1", rwCols},
 			[]string{
 				"rw-mcs: " + common + ",read_fraction,read_path",
 				"rw-mcs: " + common + ",read_fraction,read_path",
-				"comb-a-rw-mcs: " + common + ",read_fraction,read_path,ops_per_acq",
 			},
 		},
 		{
-			"reads-batch", []string{"-reads", "0.9", "-batch", "16", "-threads", "2", "-shards", "1,2", "-locks", "rw-mcs,comb-a-rw-mcs"},
+			"reads-batch", []string{"-reads", "0.9", "-batch", "16", "-threads", "2", "-shards", "1,2", "-locks", "rw-mcs"},
 			batchedHeaders, batchedRecords,
 		},
 	}

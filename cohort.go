@@ -19,9 +19,8 @@
 // single acquisition of any underlying lock, with election patience
 // and harvest depth following a per-cluster occupancy estimate — the
 // load signal concurrency restriction uses. NewRWCombiningAdaptive
-// adds the shared mode: an elected per-cluster reader-combiner
-// harvests same-cluster read closures and runs the whole batch under a
-// single shared acquisition.
+// adds the shared mode: writes are combined, and each read takes the
+// reader-writer lock's own shared mode.
 //
 // # Model
 //
@@ -274,21 +273,18 @@ type RWExecutor = locks.RWExecutor
 // family.
 func ExecFromRWLock(l RWLock) RWExecutor { return locks.ExecFromRWMutex(l) }
 
-// RWCombiningLock is the read-side combining executor: exclusive
+// RWCombiningLock is the combining reader-writer executor: exclusive
 // closures run through a CombiningLock over the underlying lock, and
-// shared closures are posted to per-cluster publication slots where
-// an elected reader-combiner runs whole harvested same-cluster
-// batches under ONE shared acquisition — N overlapping same-cluster
-// reads cost one RLock instead of N. A lone reader bypasses the
-// machinery (its own RLock, no election), so idle read traffic pays
-// nothing; SharedOps/SharedBatches report the amortization alongside
-// the exclusive side's Ops/Batches.
+// each shared closure runs under one shared acquisition of it, so
+// concurrent readers coexist in the lock's shared mode as they do
+// under ExecFromRWLock. Ops/Batches and Occupancy/OccupancyEstimate
+// count exclusive requests only.
 type RWCombiningLock = locks.RWCombining
 
-// NewRWCombiningAdaptive builds a read-side combining executor over a
-// fresh reader-writer lock (the executor owns it; do not lock it
-// directly), occupancy-adaptive like NewCombiningAdaptive on both
-// modes.
+// NewRWCombiningAdaptive builds a combining reader-writer executor
+// over a fresh reader-writer lock (the executor owns it; do not lock
+// it directly), occupancy-adaptive on its exclusive side like
+// NewCombiningAdaptive.
 func NewRWCombiningAdaptive(topo *Topology, underlying RWLock) *RWCombiningLock {
 	return locks.NewRWCombiningAdaptive(topo, underlying)
 }

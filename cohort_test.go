@@ -84,9 +84,9 @@ func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 }
 
 func TestRWCombiningFacade(t *testing.T) {
-	// The read-side combining faces: closures run exactly once in both
-	// modes, the shared counters track the idle bypass (one batch per
-	// lone closure), and the quiescent occupancy estimate is zero.
+	// The combining reader-writer faces: closures run exactly once in
+	// both modes, Ops counts the exclusive closures only, and the
+	// quiescent occupancy estimate is zero.
 	topo := cohort.NewTopology(2, 8)
 	p := topo.Proc(0)
 
@@ -99,8 +99,8 @@ func TestRWCombiningFacade(t *testing.T) {
 	if n != 11 {
 		t.Fatalf("rw combining executor ran %d closures, want 11", n)
 	}
-	if ops, batches := x.SharedOps(), x.SharedBatches(); ops != 10 || batches != 10 {
-		t.Fatalf("idle shared counters = (%d ops, %d batches), want (10, 10): every lone closure bypasses", ops, batches)
+	if ops := x.Ops(); ops != 1 {
+		t.Fatalf("Ops() = %d, want 1 (exclusive closures only)", ops)
 	}
 	if occ := x.OccupancyEstimate(); occ != 0 {
 		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)

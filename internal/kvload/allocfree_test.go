@@ -51,8 +51,8 @@ func TestHotPathAllocationFree(t *testing.T) {
 
 // TestBatchPathAllocationFree is the same property over the sharded,
 // batched store: on an 8-shard HashMod store, under every lock seam
-// (direct mutex, reader-writer, combining executor, read-combining
-// executor), a 16-key batch call and a single-key call allocate
+// (direct mutex, reader-writer, combining executor, combining
+// reader-writer executor), a 16-key batch call and a single-key call allocate
 // nothing at steady state — routing runs in
 // per-proc scratch, and every critical section is a per-proc record
 // rather than a closure that escapes through the executor interface.

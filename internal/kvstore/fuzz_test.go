@@ -16,7 +16,8 @@ const fuzzKeys = 32
 
 // fuzzSeams are four lock sources, one of each kind the shard's
 // executor wraps: a mutex, a reader-writer lock (shared reads, sampled
-// LRU touches), a combining executor and a read-combining executor.
+// LRU touches), a combining executor and a combining reader-writer
+// executor.
 var fuzzSeams = []string{"c-bo-mcs", "rw-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"}
 
 // FuzzStoreAgainstModel decodes its input into single and batched store

@@ -58,16 +58,11 @@
 // ceil(N/MaxBatch) RLocks that other clusters' readers don't even
 // serialize against.
 //
-// Read-side combining closes the remaining read-path gap: when the
-// shard's executor is a read-combining one (a comb-a-rw-* registry
-// entry, or locks.NewRWCombiningAdaptive over a native RW lock), the
-// Gets and MGet chunks it receives through ExecShared are folded, per cluster,
-// into ONE shared acquisition of the underlying lock, dropping the
-// read path below the ceil(N/MaxBatch)-RLocks floor whenever
-// same-cluster readers overlap — and an idle-path bypass runs a lone
-// section under its own RLock so uncontended reads pay exactly what a
-// plain reader-writer lock pays. Deferred LRU touches ride the
-// exclusive combiner as before.
+// A combining executor over a native RW lock (a comb-a-rw-* registry
+// entry, or locks.NewRWCombiningAdaptive) combines the exclusive
+// sections, deferred LRU touches included, and runs each Get and MGet
+// chunk it receives through ExecShared under one RLock of its own, so
+// its read path is exactly the plain reader-writer lock's.
 package kvstore
 
 import (

@@ -5,30 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/locks"
 	"repro/internal/numa"
 )
-
-// rwCombStore builds a single-shard store whose exclusion seam is a
-// read-combining executor over a genuine RW lock instrumented with
-// separate exclusive/shared acquisition counters. The returned
-// RWPerCluster is the raw inner lock, so tests can hold it exclusively
-// from outside the executor to pile readers up deterministically.
-func rwCombStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *atomic.Uint64) (*Store, *locks.RWPerCluster) {
-	inner := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
-	x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(inner, excl, shared))
-	s := New(Config{
-		Topo:       topo,
-		Locking:    FromExec(func() locks.Executor { return x }),
-		MaxBatch:   maxBatch,
-		TouchEvery: touchEvery,
-		Buckets:    512,
-		Capacity:   4096,
-	})
-	return s, inner
-}
 
 func TestReadCombiningShardDetection(t *testing.T) {
 	// The shard must route reads through ExecShared exactly when the
@@ -45,7 +25,7 @@ func TestReadCombiningShardDetection(t *testing.T) {
 	}
 	s := build("comb-a-rw-mcs")
 	if !s.shards[0].sharedReads {
-		t.Fatal("comb-a-rw-mcs store did not select the read-combined shared path")
+		t.Fatal("comb-a-rw-mcs store did not select the shared read path")
 	}
 	s = build("comb-a-mcs")
 	if s.shards[0].sharedReads {
@@ -64,16 +44,23 @@ func TestReadCombiningShardDetection(t *testing.T) {
 }
 
 func TestReadCombinedMGetUncontendedMatchesSharedChunks(t *testing.T) {
-	// With no concurrent readers every posted chunk takes the
-	// single-closure bypass: a group of N lookups costs exactly
-	// ceil(N/MaxBatch) RLock acquisitions — the PR 5 shared-chunk
-	// floor, acquisition for acquisition — and the executor's shared
-	// counters advance in lockstep (SharedBatches == SharedOps).
+	// Every chunk takes one RLock of its own: a group of N lookups costs
+	// exactly ceil(N/MaxBatch) RLock acquisitions — the shared-chunk
+	// path, acquisition for acquisition.
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	const n, batch = 16, 4
 	var excl, shared atomic.Uint64
-	s, _ := rwCombStore(topo, batch, 1<<20, &excl, &shared)
+	inner := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
+	x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(inner, &excl, &shared))
+	s := New(Config{
+		Topo:       topo,
+		Locking:    FromExec(func() locks.Executor { return x }),
+		MaxBatch:   batch,
+		TouchEvery: 1 << 20,
+		Buckets:    512,
+		Capacity:   4096,
+	})
 
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
@@ -93,14 +80,10 @@ func TestReadCombinedMGetUncontendedMatchesSharedChunks(t *testing.T) {
 	s.MGet(p, keys, dsts, lens, found)
 	const ceil = (n + batch - 1) / batch
 	if got := shared.Load() - s0; got != ceil {
-		t.Errorf("read-combined MGet of %d keys took %d RLock acquisitions, want ceil(%d/%d)=%d", n, got, n, batch, ceil)
+		t.Errorf("MGet of %d keys took %d RLock acquisitions, want ceil(%d/%d)=%d", n, got, n, batch, ceil)
 	}
 	if got := excl.Load() - e0; got != 0 {
-		t.Errorf("read-combined MGet took %d exclusive acquisitions, want 0 (touch stride never samples)", got)
-	}
-	x := s.shards[0].x.(*locks.RWCombining)
-	if ops, b := x.SharedOps(), x.SharedBatches(); ops != b {
-		t.Errorf("uncontended shared counters diverged: SharedOps=%d SharedBatches=%d (every closure should bypass)", ops, b)
+		t.Errorf("MGet took %d exclusive acquisitions, want 0 (touch stride never samples)", got)
 	}
 	for i := range keys {
 		if !found[i] || !bytes.Equal(dsts[i][:lens[i]], vals[i]) {
@@ -109,83 +92,14 @@ func TestReadCombinedMGetUncontendedMatchesSharedChunks(t *testing.T) {
 	}
 }
 
-func TestReadCombinedMGetContention(t *testing.T) {
-	// The acceptance criterion: under multi-reader same-cluster
-	// contention, shared acquisitions per read op drop strictly below
-	// the non-combining baseline (one RLock per chunk). Deterministic
-	// pile-up: the inner lock is held exclusively from outside the
-	// executor, so the first reader bypasses into a blocked RLock and
-	// one elected reader-combiner blocks inside its single shared
-	// acquisition while the remaining same-cluster readers publish;
-	// releasing the writer drains every piled-up chunk under the
-	// combiner's one RLock.
-	topo := numa.New(2, 16)
-	var excl, shared atomic.Uint64
-	s, inner := rwCombStore(topo, 4, 1<<20, &excl, &shared)
-
-	const workers, nkeys = 4, 4
-	keys := make([]uint64, nkeys)
-	vals := make([][]byte, nkeys)
-	for i := range keys {
-		keys[i] = uint64(i)
-		vals[i] = val(i)
-	}
-	s.MSet(topo.Proc(1), keys, vals)
-
-	holder := topo.Proc(15)
-	inner.Lock(holder)
-	e0, s0 := excl.Load(), shared.Load()
-
-	// Four workers, all on cluster 0 (even proc ids), one chunk each.
-	var wg sync.WaitGroup
-	bad := make([]bool, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := topo.Proc(2 * w)
-			dsts := make([][]byte, nkeys)
-			for i := range dsts {
-				dsts[i] = make([]byte, 32)
-			}
-			lens := make([]int, nkeys)
-			found := make([]bool, nkeys)
-			s.MGet(p, keys, dsts, lens, found)
-			for i := range keys {
-				if !found[i] || !bytes.Equal(dsts[i][:lens[i]], vals[i]) {
-					bad[w] = true
-				}
-			}
-		}(w)
-	}
-	// Let every worker publish its chunk closure against the held lock.
-	time.Sleep(50 * time.Millisecond)
-	inner.Unlock(holder)
-	wg.Wait()
-
-	for w := range bad {
-		if bad[w] {
-			t.Fatalf("worker %d read wrong bytes through the combined path", w)
-		}
-	}
-	// Baseline cost is one RLock per chunk = workers acquisitions; the
-	// reader-combiner must do strictly better.
-	if got := shared.Load() - s0; got >= workers {
-		t.Errorf("piled-up read-combined MGets took %d shared acquisitions for %d chunks, want < %d", got, workers, workers)
-	}
-	if got := excl.Load() - e0; got != 0 {
-		t.Errorf("piled-up read-combined MGets took %d exclusive acquisitions, want 0", got)
-	}
-}
-
 func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
-	// Byte-for-byte and stat-for-stat equivalence against the PR 5
+	// Byte-for-byte and stat-for-stat equivalence against the
 	// shared-chunk path: a single-threaded op script must answer
 	// identically and leave identical full statistics (coherence
-	// charges included) whether chunks bracket RLock directly or are
-	// posted through the read-combining executor — the bypass and the
-	// eagerly elected touch combine reduce to exactly the same lock
-	// script.
+	// charges included) whether chunks bracket RLock directly or run
+	// through the combining reader-writer executor — its shared
+	// closures and its solo touch combine reduce to exactly the same
+	// lock script.
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	build := func(combined bool) *Store {
@@ -271,10 +185,10 @@ func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
 	wantBytes, wantStats := script(base)
 	gotBytes, gotStats := script(comb)
 	if !bytes.Equal(wantBytes, gotBytes) {
-		t.Fatal("read-combined op script answered differently from the shared-chunk path")
+		t.Fatal("combining executor's op script answered differently from the shared-chunk path")
 	}
 	if gotStats != wantStats {
-		t.Fatalf("stats diverged:\n shared-chunk:  %+v\n read-combined: %+v", wantStats, gotStats)
+		t.Fatalf("stats diverged:\n shared-chunk: %+v\n combining:    %+v", wantStats, gotStats)
 	}
 	if err := base.checkLRU(); err != nil {
 		t.Fatal(err)
@@ -292,10 +206,10 @@ func btoi(b bool) int {
 }
 
 func TestReadCombinedConcurrentWithWriters(t *testing.T) {
-	// Read-combined batched readers against exclusive writers through
+	// Batched shared readers against combined exclusive writers through
 	// one construction: values must never tear and shard invariants
 	// must hold. Runs under -race in CI, which also checks the
-	// happens-before edges of the publication slots and the harvested
+	// happens-before edges of the publication slots and the combined
 	// closures.
 	topo := numa.New(4, 12)
 	s := New(Config{
@@ -374,7 +288,7 @@ func TestReadCombinedConcurrentWithWriters(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	if bad.Load() != 0 {
-		t.Fatalf("read-combined batched readers observed %d torn values", bad.Load())
+		t.Fatalf("batched shared readers observed %d torn values", bad.Load())
 	}
 	if err := s.checkLRU(); err != nil {
 		t.Fatal(err)

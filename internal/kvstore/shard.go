@@ -196,9 +196,8 @@ type Shard struct {
 	// posted to it as its proc's csRecord, through Exec, or through
 	// ExecShared on the shared read paths. Over a plain lock it brackets
 	// the section with the lock's acquire and release; a combining
-	// executor batches same-cluster sections under one acquisition of
-	// its underlying lock (and, read-combining, concurrent same-cluster
-	// readers under ONE RLock).
+	// executor batches same-cluster exclusive sections under one
+	// acquisition of its underlying lock.
 	x locks.RWExecutor
 	// maxBatch bounds how many batched operations (MGet/MSet/MDelete)
 	// run inside one critical section.
@@ -556,10 +555,6 @@ func (it *item) clearValue() {
 // the batch APIs: each chunk runs under ONE shared acquisition —
 // concurrent readers' chunks on different clusters proceed together,
 // and a group of N lookups costs ceil(N/maxBatch) RLock acquisitions.
-// Under a read-combining executor concurrent same-cluster readers'
-// chunks are harvested by one reader-combiner and run under a single
-// RLock, pushing shared acquisitions per read op below even the
-// ceil(N/maxBatch) floor.
 // Per-key semantics match Get: sampled hits accumulate across the group
 // and are refreshed in one deferred exclusive section at the end, so
 // recency maintenance costs at most one extra acquisition per group

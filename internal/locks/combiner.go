@@ -96,33 +96,26 @@ func passes(occ int32) int {
 // never leaves the combiner's cache, and the underlying lock is
 // acquired once per batch instead of once per operation.
 //
-// The bracket is a value: an exclusive combiner is handed the lock
-// itself, a shared one the lock's read face (sharedFace).
+// A proc with no same-cluster peer in flight — no batch to form —
+// takes the solo path: it wins the cluster gate and combines with its
+// closure in hand, never published, so the idle path costs one gate
+// CAS over the bare bracket and peers arriving while it waits for the
+// lock still find a combiner to ride.
 //
 // Every field of the struct itself is written once, by init: what
 // requests write lives on per-cluster (occ, gates) and per-proc (slots)
 // lines, so no line is written by two clusters except a gate or slot
 // through the election and harvest protocols.
 type combiner struct {
-	m Mutex
-	// shares records that the bracket admits concurrent holders, and
-	// selects what a proc with no same-cluster peer in flight — no
-	// batch to form — does, nothing else. It takes a shareable bracket
-	// directly, gate and slots untouched, so the idle read path costs
-	// what ExecFromRWMutex does. Under an exclusive bracket it takes
-	// the solo path: it wins the cluster gate and combines with its
-	// closure in hand, never published, so the idle path costs one gate
-	// CAS over the bare bracket and peers arriving while it waits for
-	// the lock still find a combiner to ride.
-	shares  bool
+	m       Mutex
 	occ     []occSlot
 	gates   []combinerGate
 	slots   []combSlot
 	members [][]int // each cluster's proc ids, the combiner's scan order
 }
 
-func (c *combiner) init(topo *numa.Topology, m Mutex, shares bool) {
-	c.m, c.shares = m, shares
+func (c *combiner) init(topo *numa.Topology, m Mutex) {
+	c.m = m
 	c.occ = make([]occSlot, topo.Clusters())
 	c.gates = make([]combinerGate, topo.Clusters())
 	c.slots = make([]combSlot, topo.MaxProcs())
@@ -132,27 +125,18 @@ func (c *combiner) init(topo *numa.Topology, m Mutex, shares bool) {
 	}
 }
 
-// Exec runs fn inside the bracket: directly on the bypass path, in
-// hand on the solo path, or by publishing it and waiting until a
-// combiner (possibly this proc) has run it.
+// Exec runs fn inside the bracket: in hand on the solo path, or by
+// publishing it and waiting until a combiner (possibly this proc) has
+// run it.
 func (c *combiner) Exec(p *numa.Proc, fn func()) {
 	oc := &c.occ[p.Cluster()]
 	gate := &c.gates[p.Cluster()]
 	if oc.n.Add(1) == 1 {
 		// No same-cluster peer has a request in flight (peers decrement
 		// only after their slot is idle and their gate free), so no
-		// batch has formed around this closure.
-		if c.shares {
-			c.m.Lock(p)
-			fn()
-			c.m.Unlock(p)
-			oc.batches.Add(1)
-			oc.ops.Add(1)
-			oc.n.Add(-1)
-			return
-		}
-		// Only another cluster's rescue sweep can hold the gate now;
-		// it finds nothing of ours to serve, so post like anyone else.
+		// batch has formed around this closure. Only another cluster's
+		// rescue sweep can hold the gate now; it finds nothing of ours
+		// to serve, so post like anyone else.
 		if gate.held.CompareAndSwap(0, 1) {
 			c.combine(p, fn)
 			gate.held.Store(0)
@@ -228,14 +212,12 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 	// its posted closures would wait unboundedly while other clusters'
 	// combiners cycle the lock. A cluster whose occupancy reads zero
 	// has no posted slot (occSlot's invariant) and costs that one load.
-	// Combiners under a shared bracket run concurrently, so what
-	// serializes a cluster's slot harvest is its gate, and a remote
-	// cluster is swept only after winning it. The try never blocks, so
-	// two sweepers cannot deadlock; a poster that finds its gate taken
-	// by a sweeper keeps polling and is harvested or wins the gate once
-	// the sweeper leaves; a cluster whose own combiner holds the gate
-	// is skipped — that combiner is already waiting on m and will
-	// serve it with locality.
+	// A remote cluster is swept only after a try-CAS wins its gate. The
+	// try never blocks, so two sweepers cannot deadlock; a poster that
+	// finds its gate taken by a sweeper keeps polling and is harvested
+	// or wins the gate once the sweeper leaves; a cluster whose own
+	// combiner holds the gate is skipped — that combiner is already
+	// waiting on m and will serve it with locality.
 	for rc := range c.members {
 		if rc == cl || c.occ[rc].n.Load() == 0 {
 			continue

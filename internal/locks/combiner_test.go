@@ -85,41 +85,39 @@ func TestSoloCombinerServesLateArrival(t *testing.T) {
 // TestRescueSweepServesOrphanedCluster posts a closure on a cluster
 // whose procs never run their election — members starved of processor
 // time — and checks that one batch from the other cluster runs it and
-// leaves the orphaned cluster's gate free, under either bracket. The
-// hand-post follows Exec's protocol: occupancy is raised before the
-// slot is posted and lowered after it is consumed.
+// leaves the orphaned cluster's gate free. The hand-post follows Exec's
+// protocol: occupancy is raised before the slot is posted and lowered
+// after it is consumed.
 func TestRescueSweepServesOrphanedCluster(t *testing.T) {
-	topo := numa.New(2, 4)
-	x := NewRWCombiningAdaptive(topo, NewRWPerCluster(topo, NewMCS(topo)))
-	for name, c := range map[string]*combiner{"exclusive": &x.combiner, "shared": &x.reads} {
-		t.Run(name, func(t *testing.T) {
-			server, orphan := topo.Proc(0), topo.Proc(1)
-			if server.Cluster() == orphan.Cluster() {
-				t.Fatal("test needs procs on two clusters")
-			}
-			ran := 0
-			slot := &c.slots[orphan.ID()]
-			c.occ[orphan.Cluster()].n.Add(1)
-			slot.fn = func() { ran++ }
-			slot.state.Store(combPosted)
+	t.Run("exclusive", func(t *testing.T) {
+		topo := numa.New(2, 4)
+		c := &NewCombiningAdaptive(topo, NewMCS(topo)).combiner
+		server, orphan := topo.Proc(0), topo.Proc(1)
+		if server.Cluster() == orphan.Cluster() {
+			t.Fatal("test needs procs on two clusters")
+		}
+		ran := 0
+		slot := &c.slots[orphan.ID()]
+		c.occ[orphan.Cluster()].n.Add(1)
+		slot.fn = func() { ran++ }
+		slot.state.Store(combPosted)
 
-			served := execBesidePeer(c, server)
-			c.occ[orphan.Cluster()].n.Add(-1)
+		served := execBesidePeer(c, server)
+		c.occ[orphan.Cluster()].n.Add(-1)
 
-			if served != 1 || ran != 1 {
-				t.Fatalf("server closure ran %d times, orphaned closure %d times; want 1 and 1", served, ran)
-			}
-			if st := slot.state.Load(); st != combDone {
-				t.Fatalf("orphaned slot state = %d, want done (%d)", st, combDone)
-			}
-			if held := c.gates[orphan.Cluster()].held.Load(); held != 0 {
-				t.Fatalf("orphaned cluster's gate left held (%d) after the sweep", held)
-			}
-			if ops, batches := c.Ops(), c.Batches(); ops != 2 || batches != 1 {
-				t.Fatalf("%d ops over %d batches, want 2 over 1", ops, batches)
-			}
-		})
-	}
+		if served != 1 || ran != 1 {
+			t.Fatalf("server closure ran %d times, orphaned closure %d times; want 1 and 1", served, ran)
+		}
+		if st := slot.state.Load(); st != combDone {
+			t.Fatalf("orphaned slot state = %d, want done (%d)", st, combDone)
+		}
+		if held := c.gates[orphan.Cluster()].held.Load(); held != 0 {
+			t.Fatalf("orphaned cluster's gate left held (%d) after the sweep", held)
+		}
+		if ops, batches := c.Ops(), c.Batches(); ops != 2 || batches != 1 {
+			t.Fatalf("%d ops over %d batches, want 2 over 1", ops, batches)
+		}
+	})
 }
 
 // TestRescueSweepSkipsIdleCluster is the other side of the sweep's
@@ -129,37 +127,34 @@ func TestRescueSweepServesOrphanedCluster(t *testing.T) {
 // Exec cannot produce — so a sweep that took the gate and harvested
 // anyway would show as a run closure and a consumed slot.
 func TestRescueSweepSkipsIdleCluster(t *testing.T) {
-	topo := numa.New(2, 4)
-	x := NewRWCombiningAdaptive(topo, NewRWPerCluster(topo, NewMCS(topo)))
-	for name, c := range map[string]*combiner{"exclusive": &x.combiner, "shared": &x.reads} {
-		t.Run(name, func(t *testing.T) {
-			server, idle := topo.Proc(0), topo.Proc(1)
-			ran := 0
-			slot := &c.slots[idle.ID()]
-			slot.fn = func() { ran++ }
-			slot.state.Store(combPosted)
+	t.Run("exclusive", func(t *testing.T) {
+		topo := numa.New(2, 4)
+		c := &NewCombiningAdaptive(topo, NewMCS(topo)).combiner
+		server, idle := topo.Proc(0), topo.Proc(1)
+		ran := 0
+		slot := &c.slots[idle.ID()]
+		slot.fn = func() { ran++ }
+		slot.state.Store(combPosted)
 
-			if served := execBesidePeer(c, server); served != 1 || ran != 0 {
-				t.Fatalf("server closure ran %d times, idle cluster's planted closure %d times; want 1 and 0", served, ran)
-			}
-			if st := slot.state.Load(); st != combPosted {
-				t.Fatalf("idle cluster's slot state = %d, want untouched (%d)", st, combPosted)
-			}
-			if held := c.gates[idle.Cluster()].held.Load(); held != 0 {
-				t.Fatalf("idle cluster's gate left held (%d)", held)
-			}
-			if ops, batches := c.Ops(), c.Batches(); ops != 1 || batches != 1 {
-				t.Fatalf("%d ops over %d batches, want 1 over 1", ops, batches)
-			}
-		})
-	}
+		if served := execBesidePeer(c, server); served != 1 || ran != 0 {
+			t.Fatalf("server closure ran %d times, idle cluster's planted closure %d times; want 1 and 0", served, ran)
+		}
+		if st := slot.state.Load(); st != combPosted {
+			t.Fatalf("idle cluster's slot state = %d, want untouched (%d)", st, combPosted)
+		}
+		if held := c.gates[idle.Cluster()].held.Load(); held != 0 {
+			t.Fatalf("idle cluster's gate left held (%d)", held)
+		}
+		if ops, batches := c.Ops(), c.Batches(); ops != 1 || batches != 1 {
+			t.Fatalf("%d ops over %d batches, want 1 over 1", ops, batches)
+		}
+	})
 }
 
 // execBesidePeer runs one counting closure through c on server's
 // posted path: a same-cluster peer in flight (raised occupancy) keeps
-// server off the lone-caller paths, which never sweep (shared bracket)
-// or sweep without having posted (exclusive). It reports how often the
-// closure ran.
+// server off the solo path, which sweeps without having posted. It
+// reports how often the closure ran.
 func execBesidePeer(c *combiner, server *numa.Proc) (served int) {
 	oc := &c.occ[server.Cluster()]
 	oc.n.Add(1)

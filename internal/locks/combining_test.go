@@ -319,8 +319,7 @@ func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
 }
 
 // TestRWCombiningOverRWPerCluster runs the harness on four clusters:
-// four reader cohorts must coexist in shared mode, and each cluster's
-// shared combiner harvests only its own readers.
+// four reader cohorts must coexist in shared mode.
 func TestRWCombiningOverRWPerCluster(t *testing.T) {
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(4, 16)
@@ -329,8 +328,8 @@ func TestRWCombiningOverRWPerCluster(t *testing.T) {
 }
 
 func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
-	// Over an RWFromMutex-adapted exclusive lock the harvested "shared"
-	// batches serialize; the construction must still be a correct
+	// Over an RWFromMutex-adapted exclusive lock "shared" closures
+	// serialize; the construction must still be a correct
 	// RWExecutor (the harness skips the coexistence phase) and must
 	// pass the adapter's non-sharing property through.
 	rwCombiner(t, func(t *testing.T) {
@@ -352,39 +351,9 @@ func TestRWCombiningIntrospection(t *testing.T) {
 	})
 }
 
-func TestRWCombiningSingleProcBypass(t *testing.T) {
-	// The uncontended fast path: with no same-cluster peer in flight,
-	// every shared closure takes the single-closure bypass — exactly
-	// one RLock per op, so the two shared counters stay in lockstep and
-	// the exclusive side never fires.
-	rwCombiner(t, func(t *testing.T) {
-		topo := numa.New(2, 4)
-		var excl, shared atomic.Uint64
-		x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(rwPerCluster(topo), &excl, &shared))
-		p := topo.Proc(0)
-		n := 0
-		for i := 0; i < 100; i++ {
-			x.ExecShared(p, func() { n++ })
-		}
-		if n != 100 {
-			t.Fatalf("ran %d closures, want 100", n)
-		}
-		if ops, b := x.SharedOps(), x.SharedBatches(); ops != 100 || b != 100 {
-			t.Fatalf("SharedOps() = %d, SharedBatches() = %d, want 100 and 100 (bypass every op)", ops, b)
-		}
-		if got := shared.Load(); got != 100 {
-			t.Fatalf("inner lock saw %d RLock acquisitions, want 100", got)
-		}
-		if got := excl.Load(); got != 0 {
-			t.Fatalf("inner lock saw %d exclusive acquisitions, want 0", got)
-		}
-	})
-}
-
 func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
 	// One construction serves both modes: exclusive closures go through
-	// the exclusive core and advance Ops/Batches only, shared closures
-	// advance SharedOps/SharedBatches only.
+	// the combiner and advance Ops/Batches, shared closures bypass it.
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 4)
 		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
@@ -400,18 +369,14 @@ func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
 		if ops := x.Ops(); ops != 50 {
 			t.Fatalf("Ops() = %d, want 50 (exclusive closures only)", ops)
 		}
-		if ops := x.SharedOps(); ops != 50 {
-			t.Fatalf("SharedOps() = %d, want 50 (shared closures only)", ops)
-		}
 	})
 }
 
-// checkSharedPileUp is the read-side pileUp: the inner lock is held
-// exclusively, so the first shared poster bypasses into a blocked
-// RLock and one elected reader-combiner blocks inside its single
-// shared acquisition while every other same-cluster poster publishes.
-// Releasing the writer must drain the whole pile in far fewer shared
-// acquisitions than ops.
+// checkSharedPileUp is pileUp's inverse on the read side: the inner
+// lock is held exclusively while same-cluster readers pile up, and
+// releasing it must drain the pile in exactly one shared acquisition
+// per closure — each reader takes the lock's shared mode itself, no
+// combiner folds reads — and in no exclusive acquisition.
 func checkSharedPileUp(cluster int) func(*testing.T) {
 	return func(t *testing.T) {
 		topo := numa.New(2, 16)
@@ -424,8 +389,8 @@ func checkSharedPileUp(cluster int) func(*testing.T) {
 				t.Fatalf("worker %d ran %d times, want 1", w, n)
 			}
 		}
-		if sb := shared.Load(); sb >= workers/2 {
-			t.Fatalf("no read-side amortization: %d shared acquisitions for %d piled-up read ops", sb, workers)
+		if sb := shared.Load(); sb != workers {
+			t.Fatalf("read pile-up took %d shared acquisitions for %d read ops, want one each", sb, workers)
 		}
 		if e := excl.Load(); e != 0 {
 			t.Fatalf("read pile-up took %d exclusive acquisitions, want 0", e)
@@ -440,26 +405,4 @@ func TestRWCombiningAdaptiveSharedBatchesPileUp(t *testing.T) {
 // TestRWCombiningSharedBatchesPileUp piles the readers up on cluster 1.
 func TestRWCombiningSharedBatchesPileUp(t *testing.T) {
 	rwCombiner(t, checkSharedPileUp(1))
-}
-
-func TestRWCombiningAdaptiveOccupancyCountsReads(t *testing.T) {
-	// The occupancy estimate must include in-flight shared requests: a
-	// closure that reads the estimate from
-	// inside the executor sees at least itself.
-	rwCombiner(t, func(t *testing.T) {
-		topo := numa.New(2, 4)
-		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
-		p := topo.Proc(0)
-		seen := 0
-		x.ExecShared(p, func() { seen = x.OccupancyEstimate() })
-		if seen < 1 {
-			t.Fatalf("OccupancyEstimate() = %d from inside a shared closure, want >= 1", seen)
-		}
-		if got := x.OccupancyEstimate(); got != 0 {
-			t.Fatalf("OccupancyEstimate() = %d after drain, want 0", got)
-		}
-		if got := x.Occupancy(0); got != 0 {
-			t.Fatalf("Occupancy(0) = %d after drain, want 0", got)
-		}
-	})
 }

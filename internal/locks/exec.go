@@ -56,7 +56,7 @@ type Combining struct {
 // follow the cluster's occupancy estimate.
 func NewCombiningAdaptive(topo *numa.Topology, m Mutex) *Combining {
 	c := &Combining{}
-	c.init(topo, m, false)
+	c.init(topo, m)
 	return c
 }
 

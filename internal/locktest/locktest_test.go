@@ -192,15 +192,15 @@ func (x *dropSharedExec) ExecShared(p *numa.Proc, fn func()) {}
 func (x *dropSharedExec) SharedReads() bool { return false }
 
 // brokenRWCombiner is a miniature read-side combiner with a seeded
-// defect, shaped like locks.NewRWCombiningAdaptive: readers post closures to a
-// queue, one poster elects itself combiner through a gate and drains
-// the whole batch, and posters spin until their closure is
-// acknowledged. The defect comes in two flavors:
+// defect: readers post closures to a queue, one poster elects itself
+// combiner through a gate and drains the whole batch, and posters spin
+// until their closure is acknowledged. The defect comes in two
+// flavors:
 //
-//   - drop=false: the combiner runs every harvested read under the
+//   - drop=false: the combiner runs every batched read under the
 //     EXCLUSIVE mutex while still claiming genuine sharing — shared
 //     closures serialize, so the coexistence rendezvous must wedge.
-//   - drop=true: the combiner acknowledges every second harvested
+//   - drop=true: the combiner acknowledges every second batched
 //     closure without running it — lost shared ops. (It reports
 //     SharedReads false so the rendezvous phase, whose closures it
 //     would also drop, is skipped and the failure is attributed to
@@ -250,7 +250,7 @@ func (x *brokenRWCombiner) combine() {
 	batch := x.q
 	x.q = nil
 	x.qmu.Unlock()
-	x.mu.Lock() // the harvest defect: reads run under exclusive mode
+	x.mu.Lock() // the defect: reads run under exclusive mode
 	for _, pr := range batch {
 		if x.drop {
 			x.parity++
@@ -421,7 +421,7 @@ func TestCheckRWExecCatchesSerializedSharedClosures(t *testing.T) {
 	})
 }
 
-func TestCheckRWExecCatchesLostSharedOps(t *testing.T) {
+func TestCheckRWExecCatchesLostSharedClosures(t *testing.T) {
 	msg := expectFailure(t, "Check/drop-shared", func(tb TB) {
 		Check(tb, testTopo(), &dropSharedExec{}, 4, 2, 50)
 	})
@@ -431,7 +431,7 @@ func TestCheckRWExecCatchesLostSharedOps(t *testing.T) {
 }
 
 func TestCheckRWExecCatchesExclusiveHarvest(t *testing.T) {
-	// A read-combiner that runs its harvested read closures under the
+	// A combiner that runs its batch of read closures under the
 	// exclusive lock serializes shared mode while claiming to share it:
 	// the coexistence rendezvous must wedge on the deadline.
 	withDeadline(300*time.Millisecond, func() {
@@ -445,7 +445,7 @@ func TestCheckRWExecCatchesExclusiveHarvest(t *testing.T) {
 }
 
 func TestCheckRWExecCatchesDroppedHarvestedClosure(t *testing.T) {
-	// A read-combiner that acknowledges a posted read closure without
+	// A combiner that acknowledges a posted read closure without
 	// running it must show up as lost ops.
 	msg := expectFailure(t, "Check/drop-harvested", func(tb TB) {
 		Check(tb, testTopo(), &brokenRWCombiner{drop: true}, 4, 2, 50)

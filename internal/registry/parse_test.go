@@ -13,8 +13,8 @@ import (
 // golden is the registry as it stood when names were a stamped list,
 // less the fixed-policy comb- twins retired since (see retired): the 46
 // names in presentation order, each with its non-nil faces (M
-// NewMutex, T NewTry, R NewRW, E NewExec) and whether it combines reads
-// (X). Captured before the list became a parser.
+// NewMutex, T NewTry, R NewRW, E NewExec). Captured before the list
+// became a parser.
 var golden = [][2]string{
 	{"pthread", "M"}, {"fib-bo", "M"}, {"mcs", "M"}, {"hbo", "MT"}, {"hbo-tuned", "MT"},
 	{"hclh", "M"}, {"fc-mcs", "M"},
@@ -28,7 +28,7 @@ var golden = [][2]string{
 	{"comb-a-c-bo-bo", "E"}, {"comb-a-c-tkt-tkt", "E"}, {"comb-a-c-bo-mcs", "E"},
 	{"comb-a-c-tkt-mcs", "E"}, {"comb-a-c-mcs-mcs", "E"}, {"comb-a-c-bo-clh", "E"}, {"comb-a-cna", "E"},
 	{"comb-a-gcr-mcs", "E"}, {"comb-a-gcr-cna", "E"}, {"comb-a-gcr-c-bo-mcs", "E"},
-	{"comb-a-rw-c-bo-mcs", "EX"}, {"comb-a-rw-c-tkt-tkt", "EX"}, {"comb-a-rw-cna", "EX"}, {"comb-a-rw-mcs", "EX"},
+	{"comb-a-rw-c-bo-mcs", "E"}, {"comb-a-rw-c-tkt-tkt", "E"}, {"comb-a-rw-cna", "E"}, {"comb-a-rw-mcs", "E"},
 }
 
 // retired are the fixed-policy combining names, valid until the
@@ -48,7 +48,7 @@ func shape(e Entry) string {
 		mark byte
 	}{
 		{e.NewMutex != nil, 'M'}, {e.NewTry != nil, 'T'}, {e.NewRW != nil, 'R'},
-		{e.NewExec != nil, 'E'}, {e.CombinesReads(), 'X'},
+		{e.NewExec != nil, 'E'},
 	} {
 		if f.set {
 			b.WriteByte(f.mark)
@@ -196,7 +196,7 @@ func TestUnregisteredCompositions(t *testing.T) {
 				locktest.Check(t, topo, locks.ExecFromRWMutex(f()), 5, 3, 150)
 			}
 			locktest.Check(t, topo, e.ExecFactory(topo)(), 0, 8, 150)
-			if e.CombinesReads() {
+			if e.NewExec != nil && sharesReads(e) {
 				locktest.Check(t, topo, e.ExecFactory(topo)(), 5, 3, 150)
 			}
 		})

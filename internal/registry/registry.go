@@ -44,8 +44,8 @@ type Entry struct {
 	// NewExec builds a genuinely combining executor (delegated batches,
 	// one underlying acquisition per batch); nil for plain locks, which
 	// still adapt to the executor interface through ExecFactory. Set on
-	// comb-a-* names. Over an operand with NewRW the executor also
-	// harvests same-cluster shared closures under one RLock per batch.
+	// comb-a-* names. Over an operand with NewRW the executor's shared
+	// closures take the operand's shared mode, one RLock each.
 	NewExec func(topo *numa.Topology) locks.RWExecutor
 	// opts configure every cohort lock the name spells; Unwrap parses
 	// the operand with them again.
@@ -103,9 +103,8 @@ const (
 	// WrapCombA is the load-adaptive combining executor over its
 	// operand: delegated same-cluster batches, one acquisition per
 	// batch, occupancy-scaled patience and harvest passes. Over an
-	// operand that genuinely shares reads (NewRW) it is the
-	// reader-writer combiner, which also harvests same-cluster shared
-	// closures under one RLock.
+	// operand that genuinely shares reads (NewRW) it combines the
+	// exclusive closures and runs each shared one under one RLock.
 	WrapCombA = "comb-a-"
 	// WrapGCR is concurrency restriction over its operand.
 	WrapGCR = "gcr-"
@@ -440,19 +439,6 @@ func filter(keep func(Entry) bool) []string {
 func RWNames() []string {
 	return filter(func(e Entry) bool { return e.NewRW != nil })
 }
-
-// CombinesReads reports whether e is a combining executor whose operand
-// genuinely shares reads, so its shared closures are harvested under
-// one shared acquisition per batch.
-func (e Entry) CombinesReads() bool {
-	_, operand, ok := e.Unwrap()
-	return e.NewExec != nil && ok && operand.NewRW != nil
-}
-
-// RWCombiningNames lists the comb-a-rw-* names (genuinely combining
-// reader-writer executors), in presentation order — the read-combining
-// column set of kvbench's read-path table.
-func RWCombiningNames() []string { return filter(Entry.CombinesReads) }
 
 // Figure2Names lists the locks of the paper's Figures 2-5, in legend
 // order.

@@ -58,20 +58,17 @@ func TestCombiningEntriesDerived(t *testing.T) {
 		}
 		// Native RW bases derive the reader-writer twin, whose shared
 		// mode the kvstore seam detects.
-		if rw := e.NewRW != nil; comb.CombinesReads() != rw || locks.SharesExecReads(comb.NewExec(topo)) != rw {
-			t.Errorf("%s: read combining should match the base's NewRW (%v)", comb.Name, rw)
+		if rw := e.NewRW != nil; locks.SharesExecReads(comb.NewExec(topo)) != rw {
+			t.Errorf("%s: shared reads should match the base's NewRW (%v)", comb.Name, rw)
 		}
 	}
 	// Every combiner maintains the occupancy estimate, so adaptive
-	// admission works over it; the RW twins report it summed over both
-	// modes.
+	// admission works over it; the RW twins count exclusive requests
+	// only.
 	for _, name := range []string{"comb-a-mcs", "comb-a-rw-mcs"} {
 		if _, ok := locks.EstimateOccupancy(byName[name].NewExec(topo)); !ok {
 			t.Errorf("%s executor has no occupancy estimate", name)
 		}
-	}
-	if names := RWCombiningNames(); len(names) != len(RWNames()) {
-		t.Errorf("RWCombiningNames lists %d entries, want %d (one twin per native RW base)", len(names), len(RWNames()))
 	}
 	for _, e := range entries() {
 		if e.NewExec == nil {

@@ -113,6 +113,14 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 // coexist where sharing is genuine, exclusive closures exclude them,
 // no lost or double-run ops — automatically for any future
 // registration.
+// sharesReads reports whether e's executor shares reads: e has a
+// native reader-writer construction, or is a combining executor over
+// an operand that has one.
+func sharesReads(e Entry) bool {
+	_, operand, ok := e.Unwrap()
+	return e.NewRW != nil || e.NewExec != nil && ok && operand.NewRW != nil
+}
+
 func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 	for _, e := range entries() {
 		topo := numa.New(2, 8)
@@ -122,10 +130,8 @@ func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			x := f()
-			want := e.NewRW != nil || e.CombinesReads()
-			if got := locks.SharesExecReads(x); got != want {
-				t.Fatalf("SharesExecReads = %v, want %v (NewRW %v, CombinesReads %v)",
-					got, want, e.NewRW != nil, e.CombinesReads())
+			if got, want := locks.SharesExecReads(x), sharesReads(e); got != want {
+				t.Fatalf("SharesExecReads = %v, want %v", got, want)
 			}
 			locktest.Check(t, topo, x, 5, 3, 150)
 		})

@@ -7,23 +7,16 @@
 // measured: a sharded store guarded by any registry lock (-lock takes
 // the same names as kvbench, combining comb-a-* executors included),
 // keys routed to shards by hash alone so every connection sees one
-// keyspace, and the batched MGet/MSet/MDelete APIs. Under a combining
-// lock (comb-a-*) a background sampler tracks peak per-shard combiner
-// occupancy, reported in the final stats line. One accept loop runs
-// per simulated NUMA cluster; every admitted connection owns one of
-// that cluster's proc handles for its lifetime, so a connection's
+// keyspace, and the batched MGet/MSet/MDelete APIs. One accept loop
+// runs per simulated NUMA cluster; every admitted connection owns one
+// of that cluster's proc handles for its lifetime, so a connection's
 // pipelined requests flush into the store as batches costing
-// ceil(N/MaxBatch) shard acquisitions. -conns-per-cluster caps admission per cluster (the
+// ceil(N/MaxBatch) shard acquisitions. -conns-per-cluster caps
+// admission per cluster, the server's one admission control (the
 // concurrency-restriction idea applied at the front door: excess
-// clients wait in the listen backlog, not in the lock queue).
-//
-// -adaptive-admission makes that cap track the sampled occupancy with
-// hysteresis: sustained overload past -busy-threshold halves the
-// effective cap, acute overload at twice the threshold sheds flushes
-// with "SERVER_ERROR busy" and escalates per-op deadlines against
-// stalled clients, and sustained clearance restores the cap one step
-// at a time (DESIGN.md §8). The stats verb exposes the cap, its
-// low-water mark, and the shed/eviction counters on the wire.
+// clients wait in the listen backlog, not in the lock queue; DESIGN.md
+// §8). The stats verb exposes the server's counters, evicted and
+// client-gone connections included, on the wire.
 //
 // SIGINT/SIGTERM drains gracefully: stop accepting, let every
 // connection answer the requests it has already read, flush in-flight
@@ -64,8 +57,6 @@ func main() {
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")
 		writeTOFlag  = flag.Duration("write-timeout", 0, "per-flush write deadline (default 30s)")
 		drainFlag    = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound before force-closing connections")
-		adaptiveFlag = flag.Bool("adaptive-admission", false, "track the per-cluster admission cap against sampled combining occupancy, shedding ops under acute overload (needs a comb-a-* -lock)")
-		busyFlag     = flag.Int("busy-threshold", 0, "sampled per-shard occupancy counted as overload (default: half the proc count, minimum 2)")
 	)
 	flag.Parse()
 	const tool = "kvserver"
@@ -100,20 +91,15 @@ func main() {
 		MaxBatch: *maxbatchFlag,
 	})
 	srv, err := server.New(server.Config{
-		Topo:              topo,
-		Store:             store,
-		ConnsPerCluster:   *connsFlag,
-		MaxValueBytes:     *maxvalFlag,
-		ReadTimeout:       *readTOFlag,
-		WriteTimeout:      *writeTOFlag,
-		AdaptiveAdmission: *adaptiveFlag,
-		BusyThreshold:     *busyFlag,
+		Topo:            topo,
+		Store:           store,
+		ConnsPerCluster: *connsFlag,
+		MaxValueBytes:   *maxvalFlag,
+		ReadTimeout:     *readTOFlag,
+		WriteTimeout:    *writeTOFlag,
 	})
 	if err != nil {
 		cli.Die(tool, err)
-	}
-	if *adaptiveFlag && !srv.OccupancyTracked() {
-		fmt.Fprintf(os.Stderr, "kvserver: warning: -adaptive-admission is inert under -lock %s — no occupancy estimator; use a combining lock (comb-a-*)\n", *lockFlag)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -125,21 +111,21 @@ func main() {
 		shutdownErr <- srv.Shutdown(*drainFlag)
 	}()
 
+	// The server's own defaulting: a cluster's proc count, lowered to
+	// -conns-per-cluster when that is set and smaller.
+	conns := *procsFlag / *clustersFlag
+	if *connsFlag > 0 {
+		conns = min(conns, *connsFlag)
+	}
 	fmt.Fprintf(os.Stderr, "kvserver: %s on %s — lock=%s shards=%d clusters=%d procs=%d conns/cluster<=%d\n",
-		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, *clustersFlag, *procsFlag, srv.Snapshot().AdmissionCapFull)
+		server.DefaultVersion, *addrFlag, *lockFlag, *shardsFlag, *clustersFlag, *procsFlag, conns)
 	serveErr := srv.ListenAndServe(*addrFlag)
 
 	st := srv.Snapshot()
-	// Occupancy only exists for combining locks; "-" keeps the line
-	// shape stable for everything else.
-	occ := "-"
-	if st.MaxOccupancy >= 0 {
-		occ = fmt.Sprint(st.MaxOccupancy)
-	}
-	fmt.Fprintf(os.Stderr, "kvserver: served %d connections, %d gets (%d hits), %d sets, %d deletes, %d flushes, %d bad requests, peak occupancy %s\n",
-		st.Accepted, st.Gets, st.Hits, st.Sets, st.Deletes, st.Flushes, st.BadRequests, occ)
-	fmt.Fprintf(os.Stderr, "kvserver: resilience: %d shedded ops, %d evicted conns, %d client-gone, admission cap %d/%d (low-water %d)\n",
-		st.SheddedOps, st.EvictedConns, st.ClientGone, st.AdmissionCap, st.AdmissionCapFull, st.AdmissionCapLow)
+	fmt.Fprintf(os.Stderr, "kvserver: served %d connections, %d gets (%d hits), %d sets, %d deletes, %d flushes, %d bad requests\n",
+		st.Accepted, st.Gets, st.Hits, st.Sets, st.Deletes, st.Flushes, st.BadRequests)
+	fmt.Fprintf(os.Stderr, "kvserver: resilience: %d evicted conns, %d client-gone\n",
+		st.EvictedConns, st.ClientGone)
 
 	if serveErr != nil {
 		fmt.Fprintf(os.Stderr, "kvserver: %v\n", serveErr)

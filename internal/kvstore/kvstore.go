@@ -69,7 +69,6 @@ import (
 	"fmt"
 
 	"repro/internal/cachesim"
-	"repro/internal/locks"
 	"repro/internal/numa"
 )
 
@@ -342,6 +341,21 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 // sampling policy with the sampled bumps deferred to one exclusive
 // section per shard group.
 func (s *Store) MGet(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool) {
+	s.mget(p, keys, nil, dsts, lens, found)
+}
+
+// MGetNamed is MGet for keys that hash names: key i hits only if it
+// was stored by MSetNamed under names[i]. Two names whose hashes
+// collide therefore miss on each other's items instead of reading
+// them.
+func (s *Store) MGetNamed(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []int, found []bool) {
+	if len(names) != len(keys) {
+		panic(fmt.Sprintf("kvstore: MGetNamed with %d names for %d keys", len(names), len(keys)))
+	}
+	s.mget(p, keys, names, dsts, lens, found)
+}
+
+func (s *Store) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []int, found []bool) {
 	if dsts != nil && len(dsts) != len(keys) {
 		panic(fmt.Sprintf("kvstore: MGet with %d dsts for %d keys", len(dsts), len(keys)))
 	}
@@ -351,7 +365,7 @@ func (s *Store) MGet(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 	order, start := s.route(p, keys)
 	for si, sh := range s.shards {
 		if idx := order[start[si]:start[si+1]]; len(idx) > 0 {
-			sh.mget(p, keys, dsts, lens, found, idx)
+			sh.mget(p, keys, names, dsts, lens, found, idx)
 		}
 	}
 }
@@ -365,13 +379,36 @@ func (s *Store) MGet(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 // shard order, indistinguishable to readers since cross-shard Sets
 // were never atomic to begin with.
 func (s *Store) MSet(p *numa.Proc, keys []uint64, vals [][]byte) {
+	s.mset(p, keys, nil, vals)
+}
+
+// maxNameBytes bounds each name MSetNamed stores: the item keeps its
+// length in a byte.
+const maxNameBytes = 255
+
+// MSetNamed is MSet that also stores names[i] with key i's value, in
+// the item's one buffer, for MGetNamed to match. A name is at most
+// 255 bytes. Get, MGet and the unnamed sets see only the value.
+func (s *Store) MSetNamed(p *numa.Proc, keys []uint64, names, vals [][]byte) {
+	if len(names) != len(keys) {
+		panic(fmt.Sprintf("kvstore: MSetNamed with %d names for %d keys", len(names), len(keys)))
+	}
+	for _, n := range names {
+		if len(n) > maxNameBytes {
+			panic(fmt.Sprintf("kvstore: MSetNamed with a %d-byte name", len(n)))
+		}
+	}
+	s.mset(p, keys, names, vals)
+}
+
+func (s *Store) mset(p *numa.Proc, keys []uint64, names, vals [][]byte) {
 	if len(vals) != len(keys) {
 		panic(fmt.Sprintf("kvstore: MSet with %d vals for %d keys", len(vals), len(keys)))
 	}
 	order, start := s.route(p, keys)
 	for si, sh := range s.shards {
 		if idx := order[start[si]:start[si+1]]; len(idx) > 0 {
-			sh.mset(p, keys, vals, idx)
+			sh.mset(p, keys, names, vals, idx)
 		}
 	}
 }
@@ -431,15 +468,6 @@ func (s *Store) NumShards() int { return len(s.shards) }
 // their flush chunks to it so a flush of N ops costs exactly
 // ceil(N/MaxBatch) acquisitions.
 func (s *Store) MaxBatch() int { return s.shards[0].maxBatch }
-
-// ShardOccupancy reports shard i's executor in-flight request estimate
-// and whether the shard tracks one at all — true only for shards
-// guarded by a combining executor (comb-a-*), whose occupancy counters
-// (locks.EstimateOccupancy) are safe to sample concurrently with a
-// running load. Harnesses poll it mid-run to see which shards are hot.
-func (s *Store) ShardOccupancy(i int) (int, bool) {
-	return locks.EstimateOccupancy(s.shards[i].x)
-}
 
 // Snapshot aggregates statistics across all shards; call while workers
 // are quiescent.

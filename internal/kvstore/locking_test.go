@@ -132,48 +132,45 @@ func (c *acqCounter) total() uint64 {
 // script against a reference map over six sources, each backing a
 // 2-shard store through the one executor seam, and pins what the seam
 // must not lose: reads share exactly where the source's lock shares,
-// ShardOccupancy reports an estimate exactly where the source combines
-// (the server's occupancy sampler and adaptive admission read it), and
-// on the counted direct sources every single-key Get, Set and Delete is
+// and on the counted direct sources every single-key Get, Set and Delete is
 // one acquisition — shared for a Get where reads share, exclusive
 // otherwise.
 func TestEverySourceIsOneExecutor(t *testing.T) {
 	type counters struct{ excl, shared atomic.Uint64 }
 	cases := []struct {
-		name      string
-		src       func(topo *numa.Topology, c *counters) LockSource
-		counted   bool
-		shared    bool
-		combining bool
+		name    string
+		src     func(topo *numa.Topology, c *counters) LockSource
+		counted bool
+		shared  bool
 	}{
 		{"FromMutex(c-bo-mcs)", func(topo *numa.Topology, c *counters) LockSource {
 			return FromMutex(func() locks.Mutex {
 				return locks.CountAcquisitions(registry.MustLookup("c-bo-mcs").NewMutex(topo), &c.excl)
 			})
-		}, true, false, false},
+		}, true, false},
 		{"FromRW(rw-c-bo-mcs)", func(topo *numa.Topology, c *counters) LockSource {
 			return FromRW(func() locks.RWMutex {
 				return locks.CountRWAcquisitions(registry.MustLookup("rw-c-bo-mcs").NewRW(topo), &c.excl, &c.shared)
 			})
-		}, true, true, false},
+		}, true, true},
 		{"FromExec(comb-a/c-bo-mcs)", func(topo *numa.Topology, _ *counters) LockSource {
 			return FromExec(func() locks.Executor {
 				return locks.NewCombiningAdaptive(topo, registry.MustLookup("c-bo-mcs").NewMutex(topo))
 			})
-		}, false, false, true},
+		}, false, false},
 		{"FromExec(comb-a-rw-c-bo-mcs)", func(topo *numa.Topology, _ *counters) LockSource {
 			return FromExec(registry.MustLookup("comb-a-rw-c-bo-mcs").ExecFactory(topo))
-		}, false, true, true},
+		}, false, true},
 		{"FromExec(exclusive-only)", func(_ *numa.Topology, c *counters) LockSource {
 			return FromExec(func() locks.Executor { return &soloExec{n: &c.excl} })
-		}, true, false, false},
+		}, true, false},
 		{"FromRegistry(pthread)", func(topo *numa.Topology, _ *counters) LockSource {
 			src, err := FromRegistry(topo, "pthread")
 			if err != nil {
 				t.Fatal(err)
 			}
 			return src
-		}, false, false, false},
+		}, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,9 +182,6 @@ func TestEverySourceIsOneExecutor(t *testing.T) {
 			for i, sh := range s.shards {
 				if sh.sharedReads != tc.shared {
 					t.Fatalf("shard %d: sharedReads = %v, want %v", i, sh.sharedReads, tc.shared)
-				}
-				if _, ok := s.ShardOccupancy(i); ok != tc.combining {
-					t.Fatalf("shard %d: ShardOccupancy ok = %v, want %v", i, ok, tc.combining)
 				}
 			}
 			// one checks that op took exactly one acquisition, in the

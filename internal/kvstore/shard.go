@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -20,15 +21,18 @@ const (
 )
 
 // item is one cache entry: hash chain link, intrusive LRU links, the
-// last-touching cluster (for the locality charge), and the value, a
-// GC-managed buffer the item keeps across recycling.
+// last-touching cluster (for the locality charge), and one GC-managed
+// buffer the item keeps across recycling. The buffer holds the name
+// the item was stored under (nameLen bytes, none for an unnamed set)
+// followed by the value.
 type item struct {
-	key   atomic.Uint64 // written once per insert; see Shard.warmItem
-	hnext *item
-	prev  *item
-	next  *item
-	owner int32
-	value []byte
+	key     atomic.Uint64 // written once per insert; see Shard.warmItem
+	hnext   *item
+	prev    *item
+	next    *item
+	owner   int32
+	nameLen uint8
+	value   []byte
 }
 
 // opSlot is per-proc state; each proc writes only its own slot.
@@ -91,6 +95,7 @@ type csRecord struct {
 	buf   []byte   // csGet: destination; csSet: value
 	keys  []uint64 // batch kinds: the call's keys; csTouch: sampled keys
 	bufs  [][]byte // csMGet: destinations (nil = probe); csMSet: values
+	names [][]byte // csMGet: names a hit must match; csMSet: names to store (nil = unnamed)
 	lens  []int
 	found []bool
 	chunk []int // batch kinds: the indices into keys this section covers
@@ -105,18 +110,18 @@ func (r *csRecord) run() {
 	s, p := r.s, r.p
 	switch r.kind {
 	case csGet:
-		r.n, r.ok = s.lookup(p, r.key, r.buf)
+		r.n, r.ok = s.lookup(p, r.key, nil, r.buf)
 	case csSet:
-		s.applySet(p, r.key, r.buf)
+		s.applySet(p, r.key, nil, r.buf)
 	case csDelete:
 		r.ok = s.applyDelete(p, r.key)
 	case csMGet:
 		for _, i := range r.chunk {
-			r.lens[i], r.found[i] = s.lookup(p, r.keys[i], r.dst(i))
+			r.lens[i], r.found[i] = s.lookup(p, r.keys[i], r.name(i), r.dst(i))
 		}
 	case csMSet:
 		for _, i := range r.chunk {
-			s.applySet(p, r.keys[i], r.bufs[i])
+			s.applySet(p, r.keys[i], r.name(i), r.bufs[i])
 		}
 	case csMDelete:
 		for _, i := range r.chunk {
@@ -147,9 +152,17 @@ func (r *csRecord) dst(i int) []byte {
 	return r.bufs[i]
 }
 
+// name is key i's name; nil when the call is unnamed.
+func (r *csRecord) name(i int) []byte {
+	if r.names == nil {
+		return nil
+	}
+	return r.names[i]
+}
+
 // done drops the record's references to caller memory.
 func (r *csRecord) done() {
-	r.buf, r.keys, r.bufs, r.lens, r.found, r.chunk = nil, nil, nil, nil, nil, nil
+	r.buf, r.keys, r.bufs, r.names, r.lens, r.found, r.chunk = nil, nil, nil, nil, nil, nil, nil
 }
 
 // arm returns p's record, reset for a critical section of kind k.
@@ -392,12 +405,13 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 // exclusive — the item touch and LRU bump. Under a shared bracket it
 // only reads (writers hold exclusive mode, so nothing mutates under
 // it) and recency is refreshed later through sample and touchSampled.
-// Statistics stay outside.
-func (s *Shard) lookup(p *numa.Proc, key uint64, dst []byte) (int, bool) {
+// A non-nil name must equal the one the item was stored under, or the
+// lookup misses. Statistics stay outside.
+func (s *Shard) lookup(p *numa.Proc, key uint64, name, dst []byte) (int, bool) {
 	// The hash-bucket walk is read-only: read-shared lines replicate
 	// across caches without coherence misses, so no charge applies.
 	it := s.find(key)
-	if it == nil {
+	if it == nil || name != nil && !bytes.Equal(it.value[:it.nameLen], name) {
 		return 0, false
 	}
 	if !s.sharedReads {
@@ -409,7 +423,7 @@ func (s *Shard) lookup(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 		s.touchItem(p, it)
 		s.lruFront(it)
 	}
-	return copy(dst, it.value), true
+	return copy(dst, it.value[it.nameLen:]), true
 }
 
 // sample counts one shared-mode hit of key against the
@@ -458,7 +472,7 @@ func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
 // applySet is a set's critical section; callers hold the shard's
 // exclusion. The per-proc sets counter stays outside; evictions are
 // charged inside (they are part of the guarded structural change).
-func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
+func (s *Shard) applySet(p *numa.Proc, key uint64, name, val []byte) {
 	slot := &s.slots[p.ID()]
 	it := s.find(key)
 	if it == nil {
@@ -481,7 +495,7 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, val []byte) {
 		s.touchItem(p, it)
 	}
 	it.owner = int32(p.Cluster())
-	it.setValue(val)
+	it.setValue(name, val)
 	s.lruFront(it)
 	s.domain.Access(p, lineLRU, 2)
 	if s.count > s.capacity {
@@ -529,15 +543,17 @@ func (s *Shard) applyDelete(p *numa.Proc, key uint64) bool {
 	return true
 }
 
-// setValue stores a copy of val as it's value: grow the GC-managed
-// buffer when too small, reslice and copy. Callers hold the shard's
-// exclusion.
-func (it *item) setValue(val []byte) {
-	if cap(it.value) < len(val) {
-		it.value = make([]byte, len(val))
+// setValue stores copies of name and val in it's buffer: grow the
+// GC-managed buffer when too small, reslice and copy. Callers hold the
+// shard's exclusion.
+func (it *item) setValue(name, val []byte) {
+	n := len(name) + len(val)
+	if cap(it.value) < n {
+		it.value = make([]byte, n)
 	}
-	it.value = it.value[:len(val)]
-	copy(it.value, val)
+	it.value = it.value[:n]
+	it.nameLen = uint8(copy(it.value, name))
+	copy(it.value[it.nameLen:], val)
 }
 
 // clearValue drops it's value on eviction or delete, keeping the buffer
@@ -548,8 +564,9 @@ func (it *item) clearValue() {
 
 // mget answers the group's lookups (idx indexes keys) in critical
 // sections of at most maxBatch operations each, under the shard's read
-// bracket. dsts may be nil to probe without copying; lens and found are
-// written at the same indices as keys.
+// bracket. dsts may be nil to probe without copying, names nil to hit
+// whatever name a key was stored under; lens and found are written at
+// the same indices as keys.
 //
 // Where reads genuinely share, this composes the RW read protocol with
 // the batch APIs: each chunk runs under ONE shared acquisition —
@@ -560,10 +577,10 @@ func (it *item) clearValue() {
 // recency maintenance costs at most one extra acquisition per group
 // instead of one per sampled hit. Statistics stay per-proc, outside the
 // lock, counted once per operation under either bracket.
-func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool, idx []int) {
+func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []int, found []bool, idx []int) {
 	slot := &s.slots[p.ID()]
 	r := s.arm(p, csMGet)
-	r.keys, r.bufs, r.lens, r.found = keys, dsts, lens, found
+	r.keys, r.names, r.bufs, r.lens, r.found = keys, names, dsts, lens, found
 	for start := 0; start < len(idx); start += s.maxBatch {
 		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
 		s.read(p, r)
@@ -588,10 +605,11 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, fou
 // mset applies the group's sets (idx indexes keys/vals) in critical
 // sections of at most maxBatch operations each, preserving the
 // caller's order within the group — duplicate keys resolve last-wins,
-// exactly as the sequential calls would.
-func (s *Shard) mset(p *numa.Proc, keys []uint64, vals [][]byte, idx []int) {
+// exactly as the sequential calls would. names, when non-nil, are
+// stored beside the values.
+func (s *Shard) mset(p *numa.Proc, keys []uint64, names, vals [][]byte, idx []int) {
 	r := s.arm(p, csMSet)
-	r.keys, r.bufs = keys, vals
+	r.keys, r.names, r.bufs = keys, names, vals
 	for start := 0; start < len(idx); start += s.maxBatch {
 		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
 		s.x.Exec(p, r.fn)

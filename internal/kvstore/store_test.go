@@ -229,3 +229,48 @@ func TestShardedConfigValidation(t *testing.T) {
 		t.Fatalf("default shards = %d, want 1", s.NumShards())
 	}
 }
+
+// TestNamedItemsMatchTheirName pins MSetNamed/MGetNamed, under an
+// exclusive lock and under a reader-writer lock's shared read path: a
+// named get hits only the name the item was stored under and counts
+// anything else as a miss, the unnamed reads see the value alone, and
+// an unnamed set clears the name.
+func TestNamedItemsMatchTheirName(t *testing.T) {
+	topo := numa.New(2, 4)
+	sources := map[string]LockSource{
+		"pthread": FromMutex(func() locks.Mutex { return locks.NewPthread() }),
+		"rw-mcs":  FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
+	}
+	for name, src := range sources {
+		t.Run(name, func(t *testing.T) {
+			s := New(Config{Topo: topo, Shards: 2, Locking: src})
+			p := topo.Proc(0)
+			const key = 42
+			keys := []uint64{key, key}
+			lens, found := make([]int, 2), make([]bool, 2)
+			dsts := [][]byte{make([]byte, 16), make([]byte, 16)}
+			getNamed := func(a, b string) {
+				s.MGetNamed(p, keys, [][]byte{[]byte(a), []byte(b)}, dsts, lens, found)
+			}
+
+			s.MSetNamed(p, keys[:1], [][]byte{[]byte("alpha")}, [][]byte{[]byte("v1")})
+			getNamed("alpha", "beta")
+			if !found[0] || string(dsts[0][:lens[0]]) != "v1" || found[1] {
+				t.Fatalf("named get: found %v, first %q; want only alpha to hit v1", found, dsts[0][:lens[0]])
+			}
+			if st := s.Snapshot(); st.Hits != 1 || st.Misses != 1 {
+				t.Fatalf("hits/misses = %d/%d, want 1/1", st.Hits, st.Misses)
+			}
+			if n, ok := s.Get(p, key, dsts[0]); !ok || string(dsts[0][:n]) != "v1" {
+				t.Fatalf("unnamed Get = %q, %v; want the value alone", dsts[0][:n], ok)
+			}
+
+			// An unnamed set leaves no name to match.
+			s.Set(p, key, []byte("v2"))
+			getNamed("alpha", "")
+			if found[0] || !found[1] || string(dsts[1][:lens[1]]) != "v2" {
+				t.Fatalf("after an unnamed set: found %v; want only the empty name to hit v2", found)
+			}
+		})
+	}
+}

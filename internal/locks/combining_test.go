@@ -268,14 +268,11 @@ func TestCombiningBatchesPileUp(t *testing.T) { eachCombiner(t, checkPileUp(1)) 
 
 func TestAdaptiveOccupancyIntrospection(t *testing.T) {
 	topo := numa.New(2, 16)
-	if _, ok := locks.EstimateOccupancy(locks.ExecFromMutex(locks.NewMCS(topo))); ok {
-		t.Fatal("ExecFromMutex adapter claims an occupancy estimate")
-	}
 	eachCombiner(t, func(t *testing.T, c combinerCase) {
 		inner := locks.NewMCS(topo)
 		x := c.new(topo, inner)
-		if occ, ok := locks.EstimateOccupancy(x); !ok || occ != 0 {
-			t.Fatalf("EstimateOccupancy = (%d,%v), want (0,true)", occ, ok)
+		if occ := x.OccupancyEstimate(); occ != 0 {
+			t.Fatalf("idle occupancy estimate = %d, want 0", occ)
 		}
 
 		// Pile up posters behind a held inner lock: the estimate must

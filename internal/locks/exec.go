@@ -68,25 +68,8 @@ func (c *Combining) ExecShared(p *numa.Proc, fn func()) { c.Exec(p, fn) }
 // ones.
 func (c *Combining) SharedReads() bool { return false }
 
-// OccupancyEstimator is the optional introspection interface combining
-// executors use to report their load estimate: the number of requests
-// currently in flight, summed over clusters. Adapters omit it.
-type OccupancyEstimator interface {
-	OccupancyEstimate() int
-}
-
-// EstimateOccupancy reports x's current in-flight request estimate and
-// whether x tracks one at all.
-func EstimateOccupancy(x Executor) (int, bool) {
-	if e, ok := x.(OccupancyEstimator); ok {
-		return e.OccupancyEstimate(), true
-	}
-	return 0, false
-}
-
 // Interface conformance checks.
 var (
-	_ RWExecutor         = (*Combining)(nil)
-	_ ReadSharer         = (*Combining)(nil)
-	_ OccupancyEstimator = (*Combining)(nil)
+	_ RWExecutor = (*Combining)(nil)
+	_ ReadSharer = (*Combining)(nil)
 )

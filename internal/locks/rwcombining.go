@@ -40,7 +40,6 @@ func (c *RWCombining) SharedReads() bool { return SharesReads(c.l) }
 
 // Interface conformance checks.
 var (
-	_ RWExecutor         = (*RWCombining)(nil)
-	_ ReadSharer         = (*RWCombining)(nil)
-	_ OccupancyEstimator = (*RWCombining)(nil)
+	_ RWExecutor = (*RWCombining)(nil)
+	_ ReadSharer = (*RWCombining)(nil)
 )

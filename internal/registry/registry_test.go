@@ -62,13 +62,14 @@ func TestCombiningEntriesDerived(t *testing.T) {
 			t.Errorf("%s: shared reads should match the base's NewRW (%v)", comb.Name, rw)
 		}
 	}
-	// Every combiner maintains the occupancy estimate, so adaptive
-	// admission works over it; the RW twins count exclusive requests
-	// only.
-	for _, name := range []string{"comb-a-mcs", "comb-a-rw-mcs"} {
-		if _, ok := locks.EstimateOccupancy(byName[name].NewExec(topo)); !ok {
-			t.Errorf("%s executor has no occupancy estimate", name)
-		}
+	// The derived entries build the combiner itself, whose occupancy
+	// estimate reads zero while nothing is in flight; the RW twin is
+	// the combiner over the lock's exclusive face.
+	if x, ok := byName["comb-a-mcs"].NewExec(topo).(*locks.Combining); !ok || x.OccupancyEstimate() != 0 {
+		t.Errorf("comb-a-mcs: want an idle *locks.Combining, got %T", byName["comb-a-mcs"].NewExec(topo))
+	}
+	if x, ok := byName["comb-a-rw-mcs"].NewExec(topo).(*locks.RWCombining); !ok || x.OccupancyEstimate() != 0 {
+		t.Errorf("comb-a-rw-mcs: want an idle *locks.RWCombining, got %T", byName["comb-a-rw-mcs"].NewExec(topo))
 	}
 	for _, e := range entries() {
 		if e.NewExec == nil {

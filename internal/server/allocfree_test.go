@@ -170,7 +170,7 @@ func TestServeGetBurstAllocationFree(t *testing.T) {
 			continue
 		}
 		val := bytes.Repeat([]byte{byte('a' + i%26)}, 100)
-		store.Set(p, HashKey(key), encodeValue(nil, uint32(i), val))
+		storeSet(store, p, key, uint32(i), val)
 		fmt.Fprintf(&want, "VALUE %s %d %d\r\n%s\r\nEND\r\n", key, i, len(val), val)
 	}
 	got := make([]byte, want.Len())

@@ -385,9 +385,9 @@ func parseUint(b []byte, max uint64) (uint64, bool) {
 
 // HashKey maps a wire key — as the string a client holds or the bytes
 // the parser hands up — to the store's uint64 keyspace (FNV-1a).
-// Distinct keys colliding in 64 bits would alias — acceptable for a
-// cache (a collision reads as a different value having been set), and
-// vanishingly unlikely below ~2^32 keys.
+// Collisions can be crafted, so the server stores each set's key name
+// beside its value and a get hits only on its own name: colliding keys
+// share one item but never read each other's bytes.
 func HashKey[K ~string | ~[]byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037

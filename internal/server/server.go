@@ -45,22 +45,6 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each response flush. Default 30s.
 	WriteTimeout time.Duration
-
-	// AdaptiveAdmission makes the per-cluster admission cap track the
-	// sampled combining occupancy with hysteresis: sustained overload
-	// halves the effective cap (idle procs are withheld, new clients
-	// wait in the listen backlog), sustained clearance restores it one
-	// step at a time, and acute overload past shedMultiplier×
-	// BusyThreshold sheds flushes with "SERVER_ERROR busy" (see
-	// admission.go and DESIGN.md §8). Requires a combining lock
-	// (comb-a-*), the family with an occupancy estimator; inert otherwise
-	// — check OccupancyTracked.
-	AdaptiveAdmission bool
-	// BusyThreshold is the sampled per-shard occupancy at which the
-	// server counts a tick as overloaded. Default: half the topology's
-	// proc count (at least 2) — half the machine piling on one shard's
-	// combiner is congestion by any measure.
-	BusyThreshold int
 	// Broken selects a deliberately defective server behavior for
 	// harness validation — the chaos twin of locktest's broken locks.
 	// Production configs leave it BrokenNone.
@@ -77,21 +61,16 @@ const (
 	// BrokenNone is the production behavior.
 	BrokenNone BrokenMode = iota
 	// BrokenDropAckedWrite answers STORED for every fourth set without
-	// applying it — the exact violation the shedding contract forbids
-	// (a shed must never be acknowledged). A soak harness that fails to
-	// flag a run against this server is not testing anything.
+	// applying it — the exact violation the ack contract forbids
+	// (STORED is written only after the set is applied). A soak
+	// harness that fails to flag a run against this server is not
+	// testing anything.
 	BrokenDropAckedWrite
 )
 
 const (
 	// DefaultMaxValueBytes caps set values unless configured.
 	DefaultMaxValueBytes = 64 << 10
-	// busyTimeout replaces ReadTimeout and bounds WriteTimeout while
-	// shedding is engaged: the escalated per-op deadline that evicts
-	// slow or stalled clients during overload instead of letting them
-	// pin a Proc for the full idle timeout. Acknowledged writes are
-	// never dropped by an eviction: the flush before close still runs.
-	busyTimeout = time.Second
 	// connMemoryBytes bounds one connection's decode staging: a
 	// pipelined set run flushes early once its buffered values reach
 	// it, and get responses chunk so response staging stays under it.
@@ -131,9 +110,6 @@ func (c *Config) setDefaults() error {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout
 	}
-	if c.BusyThreshold <= 0 {
-		c.BusyThreshold = max(2, c.Topo.MaxProcs()/2)
-	}
 	return nil
 }
 
@@ -152,21 +128,9 @@ type Stats struct {
 	Flushes uint64
 	// BadRequests counts protocol errors answered with an error line.
 	BadRequests uint64
-	// MaxOccupancy is the peak per-shard combining-executor occupancy
-	// estimate (locks.EstimateOccupancy behind Store.ShardOccupancy)
-	// sampled while the server ran: how many procs were crowding one
-	// shard's combiner at the worst moment — under AdaptiveAdmission
-	// this is the signal the admission cap and the shed valve react
-	// to. -1 when no shard's lock exposes an estimator (everything but
-	// the combining comb-a-* family).
-	MaxOccupancy int
-	// SheddedOps counts operations refused with "SERVER_ERROR busy"
-	// while the shed valve was engaged (never acknowledged, never
-	// applied — a multi-key get counts one per key).
-	SheddedOps uint64
 	// EvictedConns counts connections cut by a per-op deadline outside
-	// a drain — idle clients at ReadTimeout, stalled or slow clients at
-	// the escalated busyTimeout while shedding.
+	// a drain: idle clients at ReadTimeout, stalled or slow clients at
+	// WriteTimeout.
 	EvictedConns uint64
 	// ClientGone counts connections the CLIENT broke mid-frame (a
 	// disconnect inside a set payload, a reset mid-request) — a
@@ -174,12 +138,6 @@ type Stats struct {
 	// complete frames, a protocol fault). Chaos runs use the split to
 	// tell injected faults from server bugs.
 	ClientGone uint64
-	// AdmissionCap is the current effective per-cluster admission cap
-	// (minimum across clusters); AdmissionCapFull is the configured
-	// cap it recovers toward; AdmissionCapLow is the low-water mark —
-	// the deepest shrink the overload forced. Cap == Full everywhere
-	// and Low == Full means admission never shrank.
-	AdmissionCap, AdmissionCapFull, AdmissionCapLow int
 }
 
 // Server is the TCP front-end. Build with New, run with Serve or
@@ -192,7 +150,8 @@ type Server struct {
 
 	// pools[c] holds cluster c's admissible Proc handles; an accept
 	// loop takes one before accepting and returns it when the
-	// connection ends, so pool exhaustion IS the admission cap.
+	// connection ends, so pool exhaustion IS the admission cap, the
+	// server's one admission control.
 	pools []chan *numa.Proc
 
 	mu       sync.Mutex
@@ -212,27 +171,14 @@ type Server struct {
 
 	accepted     atomic.Uint64
 	active       atomic.Int64
-	occMax       atomic.Int64
-	samplerWG    sync.WaitGroup
 	gets         atomic.Uint64
 	sets         atomic.Uint64
 	deletes      atomic.Uint64
 	hits         atomic.Uint64
 	flushes      atomic.Uint64
 	badRequests  atomic.Uint64
-	sheddedOps   atomic.Uint64
 	evictedConns atomic.Uint64
 	clientGone   atomic.Uint64
-
-	// Adaptive admission state (see admission.go). adm and capLow are
-	// shared; the tick counters belong to the sampler goroutine alone.
-	adm        []admission
-	capLow     atomic.Int64
-	shedFlag   atomic.Bool
-	occTracked bool
-	overTicks  int
-	underTicks int
-	shedTicks  int
 }
 
 // New validates cfg and builds a Server (not yet listening).
@@ -260,64 +206,12 @@ func New(cfg Config) (*Server, error) {
 			pool <- p
 		}
 	}
-	s.adm = make([]admission, len(s.pools))
-	low := 1 << 30
 	for c, pool := range s.pools {
 		if len(pool) == 0 {
 			return nil, fmt.Errorf("server: cluster %d has no procs to serve connections", c)
 		}
-		s.adm[c].full = len(pool)
-		s.adm[c].cap = len(pool)
-		low = min(low, len(pool))
-	}
-	s.capLow.Store(int64(low))
-	s.occMax.Store(-1)
-	for i := 0; i < cfg.Store.NumShards(); i++ {
-		if _, ok := cfg.Store.ShardOccupancy(i); ok {
-			s.occTracked = true
-			break
-		}
 	}
 	return s, nil
-}
-
-// occupancySampleInterval paces the background occupancy gauge: fine
-// enough to catch contention bursts a few tens of milliseconds long,
-// coarse enough that the sampler is invisible next to request work.
-const occupancySampleInterval = 25 * time.Millisecond
-
-// startOccupancySampler begins the background occupancy gauge when at
-// least one shard's lock exposes an estimate (the adaptive combining
-// executors); stores without one keep the gauge at -1, pay nothing,
-// and leave AdaptiveAdmission inert. Each tick feeds the max per-shard
-// estimate to noteOccupancy, which keeps the lifetime peak and — under
-// AdaptiveAdmission — drives the cap and shed hysteresis. The sampler
-// stops when the server begins draining.
-func (s *Server) startOccupancySampler() {
-	if !s.occTracked {
-		return
-	}
-	n := s.store.NumShards()
-	s.samplerWG.Add(1)
-	go func() {
-		defer s.samplerWG.Done()
-		t := time.NewTicker(occupancySampleInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.done:
-				return
-			case <-t.C:
-				peak := 0
-				for i := 0; i < n; i++ {
-					if occ, ok := s.store.ShardOccupancy(i); ok && occ > peak {
-						peak = occ
-					}
-				}
-				s.noteOccupancy(peak)
-			}
-		}
-	}()
 }
 
 // ListenAndServe listens on addr and calls Serve.
@@ -346,7 +240,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	s.startOccupancySampler()
 	errCh := make(chan error, len(s.pools))
 	for c := range s.pools {
 		s.acceptWG.Add(1)
@@ -384,7 +277,7 @@ func (s *Server) acceptLoop(ln net.Listener, cluster int, errCh chan<- error) {
 		}
 		c, err := ln.Accept()
 		if err != nil {
-			s.releaseProc(cluster, p)
+			s.pools[cluster] <- p
 			select {
 			case <-s.done: // Shutdown closed the listener
 			default:
@@ -398,7 +291,7 @@ func (s *Server) acceptLoop(ln net.Listener, cluster int, errCh chan<- error) {
 		if s.draining {
 			s.mu.Unlock()
 			c.Close()
-			s.releaseProc(cluster, p)
+			s.pools[cluster] <- p
 			s.active.Add(-1)
 			return
 		}
@@ -411,7 +304,7 @@ func (s *Server) acceptLoop(ln net.Listener, cluster int, errCh chan<- error) {
 				delete(s.conns, c)
 				s.mu.Unlock()
 				c.Close()
-				s.releaseProc(cluster, p)
+				s.pools[cluster] <- p
 				s.active.Add(-1)
 				s.connWG.Done()
 			}()
@@ -447,7 +340,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	if ln != nil {
 		ln.Close()
 	}
-	s.samplerWG.Wait() // exits promptly once done is closed
 
 	drained := make(chan struct{})
 	go func() {
@@ -474,23 +366,17 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 
 // Snapshot returns current statistics.
 func (s *Server) Snapshot() Stats {
-	cur, full := s.admissionCaps()
 	return Stats{
-		Accepted:         s.accepted.Load(),
-		Active:           uint64(max(s.active.Load(), 0)),
-		Gets:             s.gets.Load(),
-		Sets:             s.sets.Load(),
-		Deletes:          s.deletes.Load(),
-		Hits:             s.hits.Load(),
-		Flushes:          s.flushes.Load(),
-		BadRequests:      s.badRequests.Load(),
-		SheddedOps:       s.sheddedOps.Load(),
-		EvictedConns:     s.evictedConns.Load(),
-		ClientGone:       s.clientGone.Load(),
-		AdmissionCap:     cur,
-		AdmissionCapFull: full,
-		AdmissionCapLow:  int(s.capLow.Load()),
-		MaxOccupancy:     int(s.occMax.Load()),
+		Accepted:     s.accepted.Load(),
+		Active:       uint64(max(s.active.Load(), 0)),
+		Gets:         s.gets.Load(),
+		Sets:         s.sets.Load(),
+		Deletes:      s.deletes.Load(),
+		Hits:         s.hits.Load(),
+		Flushes:      s.flushes.Load(),
+		BadRequests:  s.badRequests.Load(),
+		EvictedConns: s.evictedConns.Load(),
+		ClientGone:   s.clientGone.Load(),
 	}
 }
 
@@ -524,10 +410,13 @@ type conn struct {
 	kind Kind
 	reqs []pendingReq
 	keys []uint64
-	// A get run keeps its key bytes back to back (VALUE lines echo
-	// them); key i is names[ends[i-1]:ends[i]].
+	// The run's key bytes, back to back: a get or set run hands them
+	// to the store, which matches them on every hit, and VALUE lines
+	// echo them (a delete run stays keyed by hash alone). Key i is
+	// names[ends[i-1]:ends[i]]; refs holds those slices at flush.
 	names []byte
 	ends  []int
+	refs  [][]byte
 	// A set run's encoded values, each in the reused slot of its index.
 	vals  [][]byte
 	slots [][]byte
@@ -536,13 +425,13 @@ type conn struct {
 	lens  []int
 	found []bool
 
-	// pendingBytes tracks the buffered value bytes of the pending set
-	// run against the server's connMem, the hard decode-memory bound;
-	// crossing it flushes early.
+	// pendingBytes tracks the buffered key and value bytes of the
+	// pending set run against the server's connMem, the hard
+	// decode-memory bound; crossing it flushes early.
 	pendingBytes int
 
 	// Local op counters, folded into the server's atomics on close.
-	gets, sets, deletes, hits, flushes, badRequests, shedded uint64
+	gets, sets, deletes, hits, flushes, badRequests uint64
 
 	// brokenCount sequences BrokenDropAckedWrite's every-fourth-set
 	// violation (harness validation only).
@@ -569,6 +458,7 @@ func (s *Server) serveConn(nc net.Conn, p *numa.Proc) {
 		reqs:     make([]pendingReq, 0, mb),
 		keys:     make([]uint64, 0, mb),
 		ends:     make([]int, 0, mb),
+		refs:     make([][]byte, 0, mb),
 		vals:     make([][]byte, 0, mb),
 		slots:    make([][]byte, mb),
 		dsts:     make([][]byte, mb),
@@ -591,7 +481,6 @@ func (c *conn) fold() {
 	drain(&s.hits, &c.hits)
 	drain(&s.flushes, &c.flushes)
 	drain(&s.badRequests, &c.badRequests)
-	drain(&s.sheddedOps, &c.shedded)
 }
 
 // drain moves a non-zero local count into its server total. A flush is
@@ -608,19 +497,13 @@ func (c *conn) loop() {
 	var req Request
 	for {
 		// Block for the next request, with a fresh per-request read
-		// deadline — the escalated busy deadline while shedding, so a
-		// stalled client cannot pin a Proc through an overload.
-		// Anything already pipelined into the buffer parses without
-		// touching the deadline. The drain check comes after arming
-		// the deadline (see drainFlag's ordering contract): a draining
-		// server answers everything already read, then says goodbye
-		// instead of blocking for more.
+		// deadline. Anything already pipelined into the buffer parses
+		// without touching the deadline. The drain check comes after
+		// arming the deadline (see drainFlag's ordering contract): a
+		// draining server answers everything already read, then says
+		// goodbye instead of blocking for more.
 		if c.par.Buffered() == 0 {
-			rt := c.srv.cfg.ReadTimeout
-			if c.srv.shedFlag.Load() {
-				rt = busyTimeout
-			}
-			c.c.SetReadDeadline(time.Now().Add(rt))
+			c.c.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
 			if c.srv.drainFlag.Load() {
 				c.flushOps()
 				c.finish()
@@ -692,36 +575,21 @@ func (c *conn) accumulate(req *Request) {
 	c.reqs = append(c.reqs, pendingReq{n: len(req.Keys), cas: req.CAS, noReply: req.NoReply})
 	for _, k := range req.Keys {
 		c.keys = append(c.keys, HashKey(k))
+		c.names = append(c.names, k...)
+		c.ends = append(c.ends, len(c.names))
 	}
-	switch req.Kind {
-	case KindGet:
-		for _, k := range req.Keys {
-			c.names = append(c.names, k...)
-			c.ends = append(c.ends, len(c.names))
-		}
-	case KindSet:
+	if req.Kind == KindSet {
 		i := len(c.vals)
 		c.slots[i] = encodeValue(c.slots[i], req.Flags, req.Value)
 		c.vals = append(c.vals, c.slots[i])
-		c.pendingBytes += 4 + len(req.Value)
+		c.pendingBytes += len(req.Keys[0]) + 4 + len(req.Value)
 	}
 }
 
 // finish flushes the response buffer and lets the caller close.
 func (c *conn) finish() {
-	c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout()))
+	c.c.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 	c.w.Flush()
-}
-
-// writeTimeout is the per-flush write bound: the configured timeout,
-// escalated down to the busy timeout while shedding — a client not
-// draining its responses during an overload is evicted, not waited on.
-func (c *conn) writeTimeout() time.Duration {
-	wt := c.srv.cfg.WriteTimeout
-	if c.srv.shedFlag.Load() && busyTimeout < wt {
-		return busyTimeout
-	}
-	return wt
 }
 
 // classifyDisconnect attributes an abnormal connection end (outside a
@@ -750,7 +618,7 @@ func (c *conn) maybeFlushWriter() {
 	if c.w.Buffered() == 0 {
 		return
 	}
-	c.c.SetWriteDeadline(time.Now().Add(c.writeTimeout()))
+	c.c.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
 	if err := c.w.Flush(); err != nil {
 		// A dead write side will surface on the next read too; no
 		// separate handling needed.
@@ -758,36 +626,22 @@ func (c *conn) maybeFlushWriter() {
 	}
 }
 
-// flushOps answers the pending run, the one place a run is answered.
-// While the shed valve is engaged every request that owes an answer
-// gets "SERVER_ERROR busy" — a legal, frame-preserving error line the
-// client can parse, retry, or back off on — and NOTHING touches the
-// store. The two halves of that contract: a shed op is never applied
-// (so no acknowledged-then-dropped write can exist — STORED is only
-// ever written after MSet returns), and the frame stays intact (every
-// request still gets exactly the answer lines it is owed, so the
-// client's pipeline bookkeeping survives the refusal). Otherwise the
-// run goes through the store's batch APIs and its answers follow.
+// flushOps answers the pending run, the one place a run is answered:
+// the run goes through the store's batch APIs and its answers follow,
+// so STORED is only ever written after MSet returns.
 func (c *conn) flushOps() {
 	if len(c.reqs) == 0 {
 		return
 	}
-	switch {
-	case c.srv.shedFlag.Load():
-		for _, r := range c.reqs {
-			if !r.noReply {
-				c.writeLine("SERVER_ERROR busy")
-			}
-		}
-		c.shedded += uint64(len(c.keys))
-	case c.kind == KindGet:
+	switch c.kind {
+	case KindGet:
 		c.flushGets()
-	case c.kind == KindSet:
-		keys, vals := c.keys, c.vals
+	case KindSet:
+		keys, names, vals := c.keys, c.nameRefs(), c.vals
 		if c.srv.cfg.Broken == BrokenDropAckedWrite {
-			keys, vals = c.brokenFilterSets()
+			keys, names, vals = c.brokenFilterSets(names)
 		}
-		c.srv.store.MSet(c.p, keys, vals)
+		c.srv.store.MSetNamed(c.p, keys, names, vals)
 		c.sets += uint64(len(c.keys))
 		c.flushes++
 		for _, r := range c.reqs {
@@ -795,7 +649,7 @@ func (c *conn) flushOps() {
 				c.writeLine("STORED")
 			}
 		}
-	case c.kind == KindDelete:
+	case KindDelete:
 		found := c.found[:len(c.keys)]
 		c.srv.store.MDeleteEach(c.p, c.keys, found)
 		c.deletes += uint64(len(c.keys))
@@ -820,27 +674,44 @@ func (c *conn) flushOps() {
 	c.fold()
 }
 
+// nameRefs slices the pending run's key names out of names, one per
+// key, into refs.
+func (c *conn) nameRefs() [][]byte {
+	c.refs = c.refs[:0]
+	at := 0
+	for _, end := range c.ends {
+		c.refs = append(c.refs, c.names[at:end])
+		at = end
+	}
+	return c.refs
+}
+
 // brokenFilterSets implements BrokenDropAckedWrite: every fourth set
 // on the connection is silently removed from the batch about to be
 // applied, while the response path (which iterates reqs, untouched)
 // still answers STORED for it. Exists solely so internal/soak's
 // self-test can prove the chaos verifier catches a lost acknowledged
 // write; never reachable in production configs.
-func (c *conn) brokenFilterSets() (keys []uint64, vals [][]byte) {
-	keys, vals = c.keys[:0:len(c.keys)], c.vals[:0:len(c.vals)]
-	for i := range c.keys {
+func (c *conn) brokenFilterSets(names [][]byte) ([]uint64, [][]byte, [][]byte) {
+	n := len(c.keys)
+	keys, kept, vals := c.keys[:0:n], names[:0:n], c.vals[:0:n]
+	for i := range n {
 		c.brokenCount++
 		if c.brokenCount%4 == 0 {
 			continue
 		}
 		keys = append(keys, c.keys[i])
+		kept = append(kept, names[i])
 		vals = append(vals, c.vals[i])
 	}
-	return keys, vals
+	return keys, kept, vals
 }
 
 // flushGets answers the pending get run request by request: each key's
-// VALUE block if it hit, then END. Keys are fetched through MGet in
+// VALUE block if it hit, then END. A hit needs the stored name to equal
+// the requested one, so two names colliding in HashKey miss on each
+// other instead of answering with each other's bytes. Keys are fetched
+// through MGetNamed in
 // chunks of at most MaxBatch — matching the store's own per-critical-
 // section bound, so a single-shard run of N keys costs exactly
 // ceil(N/MaxBatch) acquisitions — the next chunk when the answer
@@ -853,7 +724,8 @@ func (c *conn) flushGets() {
 	// memory bound too (the default 8 MiB bound leaves the default
 	// MaxBatch×64KiB window untouched).
 	mb := min(c.maxBatch, max(1, c.srv.connMem/valCap))
-	at, start, end, nameAt := 0, 0, 0, 0 // next key; its chunk; its name
+	names := c.nameRefs()
+	at, start, end := 0, 0, 0 // next key; its chunk
 	for _, r := range c.reqs {
 		for range r.n {
 			if at == end {
@@ -865,15 +737,14 @@ func (c *conn) flushGets() {
 					}
 					dsts[i] = dsts[i][:valCap]
 				}
-				c.srv.store.MGet(c.p, c.keys[start:end], dsts, c.lens[:end-start], c.found[:end-start])
+				c.srv.store.MGetNamed(c.p, c.keys[start:end], names[start:end], dsts, c.lens[:end-start], c.found[:end-start])
 				c.flushes++
 			}
 			if i := at - start; c.found[i] {
 				c.hits++
 				flags, val := decodeValue(c.dsts[i][:c.lens[i]])
-				c.writeValue(c.names[nameAt:c.ends[at]], flags, val, r.cas)
+				c.writeValue(names[at], flags, val, r.cas)
 			}
-			nameAt = c.ends[at]
 			at++
 		}
 		c.writeLine("END")
@@ -911,9 +782,9 @@ func (c *conn) writeLine(s string) {
 
 // writeStats answers the stats command: "STAT <name> <value>" lines
 // then END, the memcached shape. This is the wire-visible face of
-// Snapshot — it exists so an external observer (kvsoak's chaos mode)
-// can watch the admission cap shrink and recover without a side
-// channel into the process. Counters folded so far plus this
+// Snapshot: an external observer (kvsoak) reads the server's own
+// accounting without a side channel into the process. Counters folded
+// so far plus this
 // connection's unfolded locals, so a single-connection observer sees
 // its own traffic.
 func (c *conn) writeStats() {
@@ -926,14 +797,6 @@ func (c *conn) writeStats() {
 		c.writeUint(v)
 		c.w.Write(crlf)
 	}
-	stati := func(name string, v int) {
-		c.w.WriteString("STAT ")
-		c.w.WriteString(name)
-		c.w.WriteByte(' ')
-		c.numBuf = strconv.AppendInt(c.numBuf[:0], int64(v), 10)
-		c.w.Write(c.numBuf)
-		c.w.Write(crlf)
-	}
 	stat("accepted", st.Accepted)
 	stat("active", st.Active)
 	stat("gets", st.Gets)
@@ -944,10 +807,5 @@ func (c *conn) writeStats() {
 	stat("bad_requests", st.BadRequests)
 	stat("client_gone", st.ClientGone)
 	stat("evicted_conns", st.EvictedConns)
-	stat("shedded_ops", st.SheddedOps)
-	stati("admission_cap", st.AdmissionCap)
-	stati("admission_cap_full", st.AdmissionCapFull)
-	stati("admission_cap_low", st.AdmissionCapLow)
-	stati("max_occupancy", st.MaxOccupancy)
 	c.writeLine("END")
 }

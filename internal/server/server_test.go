@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,12 @@ func newTestStore(topo *numa.Topology, shards, maxBatch int) *kvstore.Store {
 		MaxBatch: maxBatch,
 		Locking:  kvstore.FromMutex(func() locks.Mutex { return locks.NewPthread() }),
 	})
+}
+
+// storeSet sets key directly in the store, named as the server names
+// its sets, so a get over the wire hits it.
+func storeSet(store *kvstore.Store, p *numa.Proc, key string, flags uint32, val []byte) {
+	store.MSetNamed(p, []uint64{HashKey(key)}, [][]byte{[]byte(key)}, [][]byte{encodeValue(nil, flags, val)})
 }
 
 // startServer runs srv on a loopback listener and returns the dial
@@ -127,6 +134,55 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 }
 
+// collidingA and collidingB are distinct keys with one HashKey.
+const (
+	collidingA = "93f871770643c125"
+	collidingB = "21adcbb594f9b5cd"
+)
+
+// TestCollidingKeysAnswerMiss pins that the server never answers one
+// key with another key's bytes: the store is keyed by HashKey, so two
+// names colliding in it land on one item, and a get of the name that
+// did not set the item must miss — for get, gets and a multi-key get —
+// without counting a hit.
+func TestCollidingKeysAnswerMiss(t *testing.T) {
+	if HashKey(collidingA) != HashKey(collidingB) {
+		t.Fatalf("HashKey(%q) = %#x and HashKey(%q) = %#x no longer collide",
+			collidingA, HashKey(collidingA), collidingB, HashKey(collidingB))
+	}
+	topo := numa.New(1, 2)
+	srv, err := New(Config{Topo: topo, Store: newTestStore(topo, 1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, serveErr := startServer(t, srv)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	a := "VALUE " + collidingA + " 0 6\r\nsecret\r\n"
+	exchange(t, c, "set "+collidingA+" 0 0 6\r\nsecret\r\n", "STORED\r\n")
+	exchange(t, c, "get "+collidingB+"\r\n", "END\r\n")
+	exchange(t, c, "gets "+collidingB+"\r\n", "END\r\n")
+	exchange(t, c, "get "+collidingB+" "+collidingA+" "+collidingB+"\r\n", a+"END\r\n")
+	exchange(t, c, "get "+collidingA+"\r\n", a+"END\r\n")
+	// The twin's set takes the item over, and the first name misses.
+	exchange(t, c, "set "+collidingB+" 0 0 5\r\nother\r\n", "STORED\r\n")
+	exchange(t, c, "get "+collidingA+" "+collidingB+"\r\n", "VALUE "+collidingB+" 0 5\r\nother\r\nEND\r\n")
+
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	if st := srv.Snapshot(); st.Gets != 8 || st.Hits != 3 {
+		t.Fatalf("gets/hits = %d/%d, want 8/3: a colliding miss counted as a hit", st.Gets, st.Hits)
+	}
+}
+
 // TestPipelinedBatchAcquisitions is the amortization proof: a
 // pipelined burst of N operations on a single-shard store with
 // MaxBatch B costs exactly ceil(N/B) lock acquisitions — not N — for
@@ -157,7 +213,7 @@ func TestPipelinedBatchAcquisitions(t *testing.T) {
 	// Populate through the store so the get burst is all hits.
 	p := topo.Proc(0)
 	for i := 0; i < n; i++ {
-		store.Set(p, HashKey(fmt.Sprintf("k%02d", i)), encodeValue(nil, 0, []byte("val")))
+		storeSet(store, p, fmt.Sprintf("k%02d", i), 0, []byte("val"))
 	}
 
 	client, serverSide := net.Pipe()
@@ -248,7 +304,7 @@ func TestPipelinedBurstIsOneFlush(t *testing.T) {
 	var gets strings.Builder
 	for i := 0; i < burst; i++ {
 		key := fmt.Sprintf("k%02d", i)
-		store.Set(topo.Proc(0), HashKey(key), encodeValue(nil, 0, []byte("val")))
+		storeSet(store, topo.Proc(0), key, 0, []byte("val"))
 		fmt.Fprintf(&gets, "get %s\r\n", key)
 	}
 
@@ -469,19 +525,42 @@ func TestConnectionsShareOneKeyspace(t *testing.T) {
 	}
 }
 
-// TestOccupancyGauge exercises the sampled occupancy gauge end to
-// end: a store guarded by the adaptive combining executor (the one
-// lock family with an occupancy estimator) must move the gauge off
-// its -1 sentinel while the server runs, and a store with no
-// estimator must leave it there for the server's whole life.
-func TestOccupancyGauge(t *testing.T) {
-	topo := numa.New(2, 4)
-	locking, err := kvstore.FromRegistry(topo, "comb-a-mcs")
-	if err != nil {
+// readStats issues the stats command and parses the STAT dump.
+func readStats(t *testing.T, c net.Conn) map[string]int64 {
+	t.Helper()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Write([]byte("stats\r\n")); err != nil {
 		t.Fatal(err)
 	}
-	store := kvstore.New(kvstore.Config{Topo: topo, Shards: 2, Locking: locking})
-	srv, err := New(Config{Topo: topo, Store: store})
+	rd := bufio.NewReader(c)
+	out := make(map[string]int64)
+	for {
+		line, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reading stats: %v", err)
+		}
+		line = strings.TrimSuffix(line, "\r\n")
+		if line == "END" {
+			return out
+		}
+		f := strings.Fields(line)
+		if len(f) != 3 || f[0] != "STAT" {
+			t.Fatalf("malformed stats line %q", line)
+		}
+		v, err := strconv.ParseInt(f[2], 10, 64)
+		if err != nil {
+			t.Fatalf("stats line %q: %v", line, err)
+		}
+		out[f[1]] = v
+	}
+}
+
+// TestStatsCommand pins the wire-visible stats dump — the face of
+// Snapshot an external client reads — key for key, including that the
+// issuing connection's own unfolded traffic is in the numbers.
+func TestStatsCommand(t *testing.T) {
+	topo := numa.New(1, 2)
+	srv, err := New(Config{Topo: topo, Store: newTestStore(topo, 1, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,17 +570,32 @@ func TestOccupancyGauge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	exchange(t, c, "set occ 0 0 2\r\nok\r\n", "STORED\r\n")
-	exchange(t, c, "get occ\r\n", "VALUE occ 0 2\r\nok\r\nEND\r\n")
 
-	// The sampler ticks on its own clock; wait for the first sample
-	// rather than racing it.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Snapshot().MaxOccupancy < 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("occupancy gauge never sampled: %+v", srv.Snapshot())
+	exchange(t, c, "set s 0 0 2\r\nok\r\n", "STORED\r\n")
+	st := readStats(t, c)
+	want := map[string]int64{
+		"accepted":      1,
+		"active":        1,
+		"gets":          0,
+		"sets":          1,
+		"deletes":       0,
+		"hits":          0,
+		"flushes":       1,
+		"bad_requests":  0,
+		"client_gone":   0,
+		"evicted_conns": 0,
+	}
+	if len(st) != len(want) {
+		t.Fatalf("stats dump has %d keys, want exactly %d: %v", len(st), len(want), st)
+	}
+	for k, v := range want {
+		got, ok := st[k]
+		if !ok {
+			t.Fatalf("stats dump missing %q: %v", k, st)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if got != v {
+			t.Fatalf("stats[%q] = %d, want %d (dump %v)", k, got, v, st)
+		}
 	}
 
 	if err := srv.Shutdown(5 * time.Second); err != nil {
@@ -510,30 +604,72 @@ func TestOccupancyGauge(t *testing.T) {
 	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	if st := srv.Snapshot(); st.MaxOccupancy < 0 {
-		t.Fatalf("MaxOccupancy = %d after sampled run, want >= 0", st.MaxOccupancy)
+}
+
+// TestDisconnectClassification pins the fault taxonomy: a client
+// vanishing mid-payload is ClientGone (network/client fault), an idle
+// client cut by the read deadline is EvictedConns (the server's
+// choice), a clean close is neither, and none of them are
+// BadRequests (reserved for well-delivered, malformed frames).
+func TestDisconnectClassification(t *testing.T) {
+	topo := numa.New(1, 4)
+	srv, err := New(Config{
+		Topo:        topo,
+		Store:       newTestStore(topo, 1, 0),
+		ReadTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, serveErr := startServer(t, srv)
+
+	waitFor := func(what string, pred func(Stats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !pred(srv.Snapshot()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never observed: %+v", what, srv.Snapshot())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
 	}
 
-	// No estimator (plain mutex store): the gauge must stay -1.
-	srv2, err := New(Config{Topo: topo, Store: newTestStore(topo, 2, 0)})
+	// Mid-payload disconnect: 3 of a declared 10 bytes, then gone.
+	gone, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr2, serveErr2 := startServer(t, srv2)
-	c2, err := net.Dial("tcp", addr2)
+	if _, err := gone.Write([]byte("set k 0 0 10\r\nabc")); err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+	waitFor("ClientGone", func(st Stats) bool { return st.ClientGone == 1 })
+
+	// Idle past the read deadline: evicted.
+	idle, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c2.Close()
-	exchange(t, c2, "set occ 0 0 2\r\nok\r\n", "STORED\r\n")
-	time.Sleep(3 * occupancySampleInterval)
-	if err := srv2.Shutdown(5 * time.Second); err != nil {
+	defer idle.Close()
+	waitFor("EvictedConns", func(st Stats) bool { return st.EvictedConns == 1 })
+
+	// Clean close after a served request: no fault of any kind.
+	clean, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exchange(t, clean, "version\r\n", "VERSION "+DefaultVersion+"\r\n")
+	clean.Close()
+	waitFor("clean close", func(st Stats) bool { return st.Active == 0 })
+
+	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if err := <-serveErr2; err != nil {
+	if err := <-serveErr; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	if st := srv2.Snapshot(); st.MaxOccupancy != -1 {
-		t.Fatalf("MaxOccupancy = %d without an estimator, want -1", st.MaxOccupancy)
+	st := srv.Snapshot()
+	if st.ClientGone != 1 || st.EvictedConns != 1 || st.BadRequests != 0 {
+		t.Fatalf("classification: %+v", st)
 	}
 }

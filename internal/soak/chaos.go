@@ -42,8 +42,7 @@ func DefaultStorm(seed int64) Storm {
 // proxy running the storm schedule, arm a timer that clears the
 // faults at the storm/recovery boundary, and clean up by tearing the
 // proxy down, waiting the quiet tail, and polling the server's stats
-// DIRECTLY (not through the dead proxy) — the window in which an
-// adaptive admission cap demonstrably recovers off its low-water mark.
+// DIRECTLY (not through the dead proxy).
 func (o *Options) arrange() (addr string, cleanup func(*Result), err error) {
 	if !o.Chaos {
 		return o.Addr, func(res *Result) { o.pollStats(res) }, nil
@@ -83,18 +82,11 @@ func (o *Options) pollStats(res *Result) {
 }
 
 // ServerStats is the server's own post-run accounting, parsed from the
-// wire stats verb. HasAdmission reports whether the dump carried the
-// admission-cap fields at all (a stock memcached's won't), gating the
-// hysteresis assertions in Problems.
+// wire stats verb: the fault counters a chaos run reads against what
+// its proxy injected.
 type ServerStats struct {
-	HasAdmission     bool   `json:"-"`
-	AdmissionCap     int    `json:"admission_cap"`
-	AdmissionCapFull int    `json:"admission_cap_full"`
-	AdmissionCapLow  int    `json:"admission_cap_low"`
-	SheddedOps       uint64 `json:"shedded_ops"`
-	EvictedConns     uint64 `json:"evicted_conns"`
-	ClientGone       uint64 `json:"client_gone"`
-	MaxOccupancy     int    `json:"max_occupancy"`
+	EvictedConns uint64 `json:"evicted_conns"`
+	ClientGone   uint64 `json:"client_gone"`
 }
 
 // FetchStats issues the stats command on a fresh connection to addr
@@ -129,21 +121,10 @@ func FetchStats(addr string) (*ServerStats, error) {
 			continue // non-numeric stat from a foreign server: skip
 		}
 		switch f[1] {
-		case "admission_cap":
-			st.AdmissionCap = int(v)
-			st.HasAdmission = true
-		case "admission_cap_full":
-			st.AdmissionCapFull = int(v)
-		case "admission_cap_low":
-			st.AdmissionCapLow = int(v)
-		case "shedded_ops":
-			st.SheddedOps = uint64(v)
 		case "evicted_conns":
 			st.EvictedConns = uint64(v)
 		case "client_gone":
 			st.ClientGone = uint64(v)
-		case "max_occupancy":
-			st.MaxOccupancy = int(v)
 		}
 	}
 }

@@ -10,18 +10,15 @@
 //     actually issued for that key (payloads embed worker, key, seq);
 //   - a read must never observe a seq OLDER than the newest set the
 //     server ACKNOWLEDGED for that key — that is a lost acked write,
-//     the one violation nothing (drain, shed, eviction, fault) may
-//     cause. Misses stay legal: the store's LRU may evict.
+//     the one violation nothing (drain, eviction, fault) may cause.
+//     Misses stay legal: the store's LRU may evict.
 //
 // Connection cuts are expected, not errors: the worker reconnects with
 // capped exponential backoff plus jitter and retries only idempotent
 // operations (gets). A set whose ack never arrived is recorded as
 // indeterminate — it MAY have been applied — so its seq is accepted on
 // later reads but never required, and it is never retried (retrying a
-// set would double-apply it if the first copy landed). "SERVER_ERROR
-// busy" answers (the server's load-shedding refusal) are counted, and
-// a shed set is treated as definitively not applied — which is exactly
-// the shedding contract this harness exists to check.
+// set would double-apply it if the first copy landed).
 package soak
 
 import (
@@ -53,8 +50,8 @@ type Options struct {
 	// the storm phase (StormFraction of Duration, default 0.6) runs
 	// the Storm fault schedule, then faults clear for the recovery
 	// tail. After the load ends, QuietTail elapses before the server's
-	// stats are polled — the window in which an adaptive admission cap
-	// demonstrably recovers.
+	// stats are polled, so the connections the proxy cut have been
+	// torn down and counted.
 	Chaos         bool
 	Storm         *Storm        // nil = DefaultStorm(Seed)
 	StormFraction float64       // (0,1); default 0.6
@@ -125,9 +122,6 @@ type Result struct {
 	// applied, so their seqs are accepted but never required, and they
 	// are never counted as lost OR as durable.
 	IndeterminateOps uint64 `json:"indeterminate_ops"`
-	// ShedResponses counts "SERVER_ERROR busy" answers — the server
-	// refusing load instead of queueing it.
-	ShedResponses uint64 `json:"shed_responses"`
 	// LostAckedWrites counts reads that observed a value OLDER than an
 	// acknowledged set for the key — the contract violation. Any
 	// nonzero value fails the run.
@@ -154,39 +148,19 @@ func (r *Result) add(w *Result) {
 	r.Dropped += w.Dropped
 	r.Retries += w.Retries
 	r.IndeterminateOps += w.IndeterminateOps
-	r.ShedResponses += w.ShedResponses
 	r.LostAckedWrites += w.LostAckedWrites
 	r.Reconnects += w.Reconnects
 }
 
 // Problems returns the run's contract violations, empty on a clean
-// run. With expectShed (chaos runs that deliberately overload an
-// adaptive server) it additionally requires the overload defenses to
-// have demonstrably ENGAGED and RECOVERED: shedding observed, the
-// admission cap shrunk below its configured value, and — after the
-// quiet tail — grown back off its low-water mark.
-func (r *Result) Problems(expectShed bool) []string {
+// run.
+func (r *Result) Problems() []string {
 	var ps []string
 	if r.LostAckedWrites > 0 {
 		ps = append(ps, fmt.Sprintf("%d acknowledged writes lost (read observed an older value than a STORED-acked set)", r.LostAckedWrites))
 	}
 	if r.Errors > 0 {
 		ps = append(ps, fmt.Sprintf("%d verification errors (corrupt or never-issued values, malformed responses)", r.Errors))
-	}
-	if expectShed {
-		if r.ShedResponses == 0 && (r.Server == nil || r.Server.SheddedOps == 0) {
-			ps = append(ps, "shedding never engaged: no SERVER_ERROR busy observed and server shedded_ops is 0")
-		}
-		if r.Server != nil && r.Server.HasAdmission {
-			switch {
-			case r.Server.AdmissionCapLow >= r.Server.AdmissionCapFull:
-				ps = append(ps, fmt.Sprintf("admission cap never shrank (low-water %d, configured %d)",
-					r.Server.AdmissionCapLow, r.Server.AdmissionCapFull))
-			case r.Server.AdmissionCap <= r.Server.AdmissionCapLow:
-				ps = append(ps, fmt.Sprintf("admission cap did not recover after faults cleared (still %d, low-water %d)",
-					r.Server.AdmissionCap, r.Server.AdmissionCapLow))
-			}
-		}
 	}
 	return ps
 }
@@ -439,13 +413,6 @@ func (w *worker) readOne(rd *bufio.Reader, o *op) error {
 		if o.seq > w.acked[o.key] {
 			w.acked[o.key] = o.seq
 		}
-		return nil
-	case line == "SERVER_ERROR busy":
-		// The shed valve: refused, never applied, frame intact. A shed
-		// set does NOT advance acked — and must not, since the server
-		// promises it was not applied.
-		w.res.Ops++
-		w.res.ShedResponses++
 		return nil
 	case line == "END": // miss — legal under LRU eviction
 		w.res.Ops++

@@ -51,7 +51,7 @@ func main() {
 		clustersFlag = flag.Int("clusters", 4, "NUMA clusters to simulate")
 		procsFlag    = flag.Int("procs", runtime.GOMAXPROCS(0), "proc handles in the topology (bounds total admitted connections; unset, raised to -clusters)")
 		connsFlag    = flag.Int("conns-per-cluster", 0, "admitted connections per cluster (default: the cluster's proc count)")
-		capFlag      = flag.Int("capacity", 1<<20, "store item capacity (LRU evicts beyond it)")
+		capFlag      = flag.Int("capacity", 1<<20, "store item capacity (CLOCK evicts beyond it)")
 		maxvalFlag   = flag.Int("maxval", server.DefaultMaxValueBytes, "largest accepted value in bytes")
 		maxbatchFlag = flag.Int("maxbatch", 0, "ops per critical section, and so per pipelined flush (default: the store's, 64)")
 		readTOFlag   = flag.Duration("read-timeout", 0, "per-request read deadline (default 2m)")

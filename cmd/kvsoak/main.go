@@ -10,7 +10,7 @@
 // against its own issue history: a payload that was never issued, or
 // one OLDER than a set the server acknowledged, fails the run (the
 // latter is a lost acked write — the violation no drain or fault may
-// cause). Misses stay legal: the server's LRU may evict.
+// cause). Misses stay legal: the server's store may evict.
 //
 // Workers survive connection cuts: reconnect with capped exponential
 // backoff plus jitter, retrying only idempotent operations (gets);

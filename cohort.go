@@ -9,9 +9,9 @@
 // Beyond the paper it carries four extensions from the same design
 // lineage: the compact NUMA-aware lock (NewCNA), which gets cohort-
 // style locality out of a single queue; generic concurrency
-// restriction (NewRestricted), which wraps any lock with per-cluster
+// restriction (gcr-<lock>), which wraps any lock with per-cluster
 // admission control so saturation cannot collapse throughput;
-// reader-writer cohorting (rw-c-bo-mcs, NewRWPerCluster) — the
+// reader-writer cohorting (rw-<lock>, e.g. rw-c-bo-mcs) — the
 // authors' PPoPP'13 follow-up — which adds per-cluster reader counters
 // over any writer lock so read-mostly workloads scale across clusters;
 // and combining execution (NewCombiningAdaptive), flat-combining-style
@@ -202,23 +202,6 @@ type RWLock = locks.RWMutex
 // switches to Find (ROADMAP 1(b)).
 func NewRWCBOMCS(topo *Topology) RWLock { return registry.MustLookup("rw-c-bo-mcs").NewRW(topo) }
 
-// RWPerClusterLock is the generic reader-writer construction: padded
-// per-cluster reader counters over an arbitrary writer lock, so
-// readers on different clusters never exchange cache lines.
-type RWPerClusterLock = locks.RWPerCluster
-
-// NewRWPerCluster builds the reader-writer construction over any
-// writer lock (a cohort lock, a CNA lock, a plain MCS — the writer
-// medium is pluggable). The writer lock must be fresh.
-func NewRWPerCluster(topo *Topology, writers Lock) *RWPerClusterLock {
-	return locks.NewRWPerCluster(topo, writers)
-}
-
-// RWFromLock adapts any Lock to the RWLock interface by taking shared
-// mode exclusively — correct, just not concurrent — so exclusive locks
-// slot into reader-writer-shaped code unchanged.
-func RWFromLock(m Lock) RWLock { return locks.RWFromMutex(m) }
-
 // CNALock is the compact NUMA-aware queue lock of Dice and Kogan
 // (EuroSys 2019): cohort-style locality from a single MCS-shaped queue
 // with constant memory. See NewCNA.
@@ -245,11 +228,6 @@ type Executor = locks.Executor
 // posted requests in flight.
 type CombiningLock = locks.Combining
 
-// ExecFromLock adapts any Lock to the Executor interface — one
-// acquisition per closure, no combining — so executor-shaped code
-// degrades gracefully to the whole lock family.
-func ExecFromLock(m Lock) Executor { return locks.ExecFromMutex(m) }
-
 // NewCombiningAdaptive builds a combining executor over a fresh
 // underlying lock (the executor owns it; do not Lock/Unlock it
 // directly). Election patience and harvest pass count follow the
@@ -267,17 +245,11 @@ func NewCombiningAdaptive(topo *Topology, underlying Lock) *CombiningLock {
 // acquisition.
 type RWExecutor = locks.RWExecutor
 
-// ExecFromRWLock adapts any RWLock to the RWExecutor interface — one
-// acquisition per closure, shared closures under shared mode — so
-// shared-executor-shaped code runs over the whole reader-writer
-// family.
-func ExecFromRWLock(l RWLock) RWExecutor { return locks.ExecFromRWMutex(l) }
-
 // RWCombiningLock is the combining reader-writer executor: exclusive
 // closures run through a CombiningLock over the underlying lock, and
 // each shared closure runs under one shared acquisition of it, so
 // concurrent readers coexist in the lock's shared mode as they do
-// under ExecFromRWLock. Ops/Batches and Occupancy/OccupancyEstimate
+// under the lock itself. Ops/Batches and Occupancy/OccupancyEstimate
 // count exclusive requests only.
 type RWCombiningLock = locks.RWCombining
 
@@ -289,26 +261,11 @@ func NewRWCombiningAdaptive(topo *Topology, underlying RWLock) *RWCombiningLock 
 	return locks.NewRWCombiningAdaptive(topo, underlying)
 }
 
-// RestrictedLock wraps any Lock with generic concurrency restriction
-// (Dice & Kogan, 2019): at most K waiters per cluster compete for the
-// inner lock, the surplus parks FIFO. See NewRestricted.
-type RestrictedLock = core.Restricted
-
-// NewRestricted applies admission control around inner: at most
-// perCluster waiters per cluster compete at once (non-positive selects
-// a GOMAXPROCS-derived default). Under saturation this keeps
-// throughput flat instead of collapsing as threads are added.
-func NewRestricted(topo *Topology, inner Lock, perCluster int) *RestrictedLock {
-	return core.NewRestricted(topo, inner, perCluster)
-}
-
 // Interface conformance checks.
 var (
 	_ Lock       = (*CohortLock)(nil)
 	_ TryLock    = (*AbortableCohortLock)(nil)
 	_ Lock       = (*CNALock)(nil)
-	_ Lock       = (*RestrictedLock)(nil)
-	_ RWLock     = (*RWPerClusterLock)(nil)
 	_ Executor   = (*CombiningLock)(nil)
 	_ RWExecutor = (*RWCombiningLock)(nil)
 )

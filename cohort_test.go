@@ -58,7 +58,7 @@ func TestAllConstructorsUsable(t *testing.T) {
 func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 	// The public faces of the adaptive hot path: the load-adaptive
 	// combining executor with its occupancy introspection, and the
-	// shared-mode executor adapter over a reader-writer lock.
+	// shared-mode executor a reader-writer lock name builds.
 	topo := cohort.NewTopology(2, 8)
 	p := topo.Proc(0)
 
@@ -74,7 +74,11 @@ func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
 	}
 
-	rx := cohort.ExecFromRWLock(cohort.NewRWPerCluster(topo, cohort.NewCBOMCS(topo)))
+	e, err := cohort.Find("rw-c-bo-mcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rx := e.ExecFactory(topo)()
 	m := 0
 	rx.ExecShared(p, func() { m++ })
 	rx.Exec(p, func() { m++ })
@@ -90,7 +94,14 @@ func TestRWCombiningFacade(t *testing.T) {
 	topo := cohort.NewTopology(2, 8)
 	p := topo.Proc(0)
 
-	x := cohort.NewRWCombiningAdaptive(topo, cohort.NewRWPerCluster(topo, cohort.NewCBOMCS(topo)))
+	e, err := cohort.Find("comb-a-rw-c-bo-mcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, ok := e.NewExec(topo).(*cohort.RWCombiningLock)
+	if !ok {
+		t.Fatalf("comb-a-rw-c-bo-mcs builds %T, want *cohort.RWCombiningLock", e.NewExec(topo))
+	}
 	n := 0
 	for i := 0; i < 10; i++ {
 		x.ExecShared(p, func() { n++ })

@@ -81,7 +81,6 @@ func TestBatchPathAllocationFree(t *testing.T) {
 		s := kvstore.New(kvstore.Config{
 			Topo: topo, Locking: src, Shards: 8,
 			Buckets: 1 << 12, Capacity: 1 << 13,
-			TouchEvery: 2, // the deferred LRU touch runs in every MGet
 		})
 		// Warm up: every item (and every recycled item the
 		// deletes below leave on the free lists) has held a

@@ -159,7 +159,7 @@ func TestBatchStatsCountedOncePerOp(t *testing.T) {
 	}
 }
 
-// lruOrder lists every shard's keys from MRU to LRU victim.
+// lruOrder lists every shard's keys from head to tail.
 func lruOrder(s *Store) [][]uint64 {
 	out := make([][]uint64, len(s.shards))
 	for i, sh := range s.shards {
@@ -172,7 +172,7 @@ func lruOrder(s *Store) [][]uint64 {
 
 // TestBatchedStoreMatchesSequential: a batched run must be
 // indistinguishable from the same operations issued one at a time —
-// same answers, same contents, same LRU order, same statistics down to
+// same answers, same contents, same list order, same statistics down to
 // the cachesim migration count. Single-key calls never run route's warm
 // pass and batch calls always do, so this is also the proof that the
 // warm pass is not observable: on an empty store (nil bucket heads), on

@@ -15,8 +15,8 @@ import (
 const fuzzKeys = 32
 
 // fuzzSeams are four lock sources, one of each kind the shard's
-// executor wraps: a mutex, a reader-writer lock (shared reads, sampled
-// LRU touches), a combining executor and a combining reader-writer
+// executor wraps: a mutex, a reader-writer lock (shared reads that set
+// reference bits), a combining executor and a combining reader-writer
 // executor.
 var fuzzSeams = []string{"c-bo-mcs", "rw-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-rw-c-bo-mcs"}
 
@@ -26,8 +26,8 @@ var fuzzSeams = []string{"c-bo-mcs", "rw-c-bo-mcs", "comb-a-c-bo-mcs", "comb-a-r
 // store must agree with the map exactly: every answer, every byte, and
 // Len. With less room than keys, eviction makes a miss always legal, so
 // what is checked is what is found: a hit carries the map's bytes, the
-// store never holds more than its capacity, and the LRU lists stay
-// sound. The seeds run under plain go test.
+// store never holds more than its capacity, and the lists and clock
+// hands stay sound. The seeds run under plain go test.
 func FuzzStoreAgainstModel(f *testing.F) {
 	f.Add([]byte{})
 	// Set k1 long, overwrite it short, then empty, then longer than ever.
@@ -74,7 +74,7 @@ func replayAgainstModel(t *testing.T, data []byte, lock string, shards int, exac
 	}
 	s := New(Config{
 		Topo: topo, Locking: src, Shards: shards,
-		MaxBatch: 3, TouchEvery: 2, Buckets: 16, Capacity: capacity,
+		MaxBatch: 3, Buckets: 16, Capacity: capacity,
 		Cache:       cachesim.Config{LocalNs: 0, RemoteNs: 1},
 		ItemLocalNs: 0, ItemRemoteNs: 1,
 	})

@@ -6,11 +6,12 @@
 // lock" — the contention bottleneck the paper targets by interposing
 // different lock implementations under the pthread API. A Shard
 // reproduces that structure in-process: a chained hash table, an
-// intrusive LRU list, and a single pluggable lock. Hot shared
-// metadata — the LRU head, hash-table metadata, statistics and the
-// item allocator — is charged through a per-shard cachesim domain, so
-// lock algorithms that batch critical sections by cluster keep those
-// lines local exactly as they would on the paper's machine.
+// intrusive recency list evicted by a CLOCK hand, and a single
+// pluggable lock. Hot shared metadata — the recency list head,
+// hash-table metadata, statistics and the item allocator — is charged
+// through a per-shard cachesim domain, so lock algorithms that batch
+// critical sections by cluster keep those lines local exactly as they
+// would on the paper's machine.
 // Expiry/TTL and the network protocol are omitted (DESIGN.md §2): the
 // experiment exercises only the lock around table operations.
 //
@@ -46,23 +47,24 @@
 // and Deletes take exclusive mode, and when the configured lock's
 // shared mode genuinely admits concurrent readers (an rw-* registry
 // lock), Gets run in shared mode — the read-mostly scaling lever the
-// cohort papers' reader-writer follow-up adds on top of cohorting. The
-// LRU bump a hit normally pays moves under a bounded
-// touch-every-Nth-hit policy (Config.TouchEvery) so the common-case
-// Get mutates nothing. Exclusive locks slot in through
-// locks.RWFromMutex and keep the original every-hit-bumps read path
-// unchanged. The two amortization machines compose on the read side:
-// under a genuine reader-writer lock MGet answers each chunk of up to
-// MaxBatch lookups under ONE shared acquisition (LRU touches deferred
-// per the TouchEvery policy), so batched read-mostly traffic pays
-// ceil(N/MaxBatch) RLocks that other clusters' readers don't even
-// serialize against.
+// cohort papers' reader-writer follow-up adds on top of cohorting.
+// Under either mode a hit only reads, apart from setting its item's
+// CLOCK reference bit: recency work (linking, the hand's sweep) is the
+// write path's. memcached does not relink on every hit either: 1.4
+// relinks a fetched item at most once per ITEM_UPDATE_INTERVAL (60 s),
+// and 1.5's segmented LRU only marks it active. Exclusive locks slot
+// in through locks.RWFromMutex and run the same lookup exclusively.
+// The two amortization machines compose on the read side: under a
+// genuine reader-writer lock MGet answers each chunk of up to MaxBatch
+// lookups under ONE shared acquisition and takes no exclusive one, so
+// batched read-mostly traffic pays ceil(N/MaxBatch) RLocks that other
+// clusters' readers don't even serialize against.
 //
 // A combining executor over a native RW lock (a comb-a-rw-* registry
 // entry, or locks.NewRWCombiningAdaptive) combines the exclusive
-// sections, deferred LRU touches included, and runs each Get and MGet
-// chunk it receives through ExecShared under one RLock of its own, so
-// its read path is exactly the plain reader-writer lock's.
+// sections and runs each Get and MGet chunk it receives through
+// ExecShared under one RLock of its own, so its read path is exactly
+// the plain reader-writer lock's.
 package kvstore
 
 import (
@@ -86,26 +88,21 @@ type Config struct {
 	// ceil(N/MaxBatch) acquisitions instead of N. Default 64.
 	// Single-operation calls are unaffected.
 	MaxBatch int
-	// TouchEvery is the shared read path's LRU sampling stride: each
-	// proc refreshes an item's LRU position (under a brief exclusive
-	// acquire) only on its TouchEvery-th hit, keeping the common-case
-	// Get free of any store mutation. 1 bumps on every hit (maximum
-	// recency fidelity, maximum writer traffic); larger values trade
-	// recency precision for read-side scalability. Default 8. Ignored
-	// on exclusive read paths, which bump on every hit as before.
-	TouchEvery int
 	// Shards is the shard count. Default 1.
 	Shards int
 	// Buckets is the total hash table size, split across shards and
 	// rounded up to a per-shard power of two. Default 1<<15.
 	Buckets int
-	// Capacity is the total maximum item count before LRU eviction,
-	// split evenly across shards. Default 1<<16.
+	// Capacity is the total maximum item count before eviction, split
+	// evenly across shards. Default 1<<16. Eviction is CLOCK: a hit
+	// sets its item's reference bit (no relink, in the spirit of
+	// memcached's ITEM_UPDATE_INTERVAL) and the hand spares referenced
+	// items once.
 	Capacity int
 	// Cache sets the metadata-line latencies (cachesim semantics).
 	Cache cachesim.Config
-	// ItemNs are the latencies charged for touching an item whose last
-	// toucher was the same / another cluster. Defaults 25/100 ns.
+	// ItemNs are the latencies charged for overwriting an item whose
+	// last writer was the same / another cluster. Defaults 25/100 ns.
 	ItemLocalNs, ItemRemoteNs int64
 	// Placement, ValueMemory, IndexMemory and ArenaBytes are accepted
 	// and ignored; see compat.go.
@@ -125,9 +122,6 @@ func (c *Config) setDefaults() error {
 	if c.Locking == nil {
 		return fmt.Errorf("kvstore: nil Locking")
 	}
-	if c.TouchEvery <= 0 {
-		c.TouchEvery = DefaultTouchEvery
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
@@ -146,10 +140,6 @@ func (c *Config) setDefaults() error {
 	}
 	return nil
 }
-
-// DefaultTouchEvery is the default LRU sampling stride of the shared
-// read path: one in eight hits per proc refreshes the item's recency.
-const DefaultTouchEvery = 8
 
 // DefaultMaxBatch is the default bound on operations per batch-API
 // critical section — long enough to amortize the acquisition, short
@@ -224,7 +214,6 @@ func New(cfg Config) *Store {
 			topo:       cfg.Topo,
 			x:          newX(),
 			maxBatch:   cfg.MaxBatch,
-			touchEvery: uint64(cfg.TouchEvery),
 			buckets:    perBuckets,
 			capacity:   perCapacity,
 			cache:      cfg.Cache,
@@ -268,7 +257,7 @@ func (s *Store) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 }
 
 // Set inserts or updates key with a copy of val in its shard, evicting
-// that shard's LRU victim if it is over capacity.
+// that shard's clock victim if it is full.
 func (s *Store) Set(p *numa.Proc, key uint64, val []byte) {
 	s.shardFor(key).Set(p, key, val)
 }
@@ -333,13 +322,11 @@ func (s *Store) route(p *numa.Proc, keys []uint64) (order, start []int) {
 // combined section, under a comb-a-* executor) answers a whole chunk,
 // instead of one per key as repeated Get calls would pay. Results are
 // written at the same index as the key; every key is answered exactly
-// once. Per-key semantics match Get under the same lock: on an
-// exclusive lock a hit pays the item touch and LRU bump inside the
-// critical section; under a genuine reader-writer lock each chunk runs
-// in SHARED mode — one RLock answers the whole chunk, concurrent with
-// other readers' chunks — and LRU recency follows the TouchEvery
-// sampling policy with the sampled bumps deferred to one exclusive
-// section per shard group.
+// once. Per-key semantics match Get under the same lock: a hit sets
+// its item's reference bit and nothing else; under a genuine
+// reader-writer lock each chunk runs in SHARED mode — one RLock answers
+// the whole chunk, concurrent with other readers' chunks — and the
+// group takes no exclusive acquisition.
 func (s *Store) MGet(p *numa.Proc, keys []uint64, dsts [][]byte, lens []int, found []bool) {
 	s.mget(p, keys, nil, dsts, lens, found)
 }

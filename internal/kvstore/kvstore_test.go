@@ -115,7 +115,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	s.Set(p, 1, []byte("a"))
 	s.Set(p, 2, []byte("b"))
 	s.Set(p, 3, []byte("c"))
-	// Touch 1 so 2 becomes the LRU victim.
+	// Hit 1 so the hand spares it and 2 becomes the victim.
 	if _, ok := s.Get(p, 1, make([]byte, 4)); !ok {
 		t.Fatal("warm get failed")
 	}

@@ -25,10 +25,17 @@ func TestItemOwnershipMigrates(t *testing.T) {
 	if it.owner != 0 {
 		t.Fatalf("owner = %d after cluster-0 set, want 0", it.owner)
 	}
+	// A read leaves the item's line, and its ownership, where they are.
 	dst := make([]byte, 4)
-	s.Get(p1, 1, dst)
+	if _, ok := s.Get(p1, 1, dst); !ok {
+		t.Fatal("cluster-1 get missed")
+	}
+	if it.owner != 0 {
+		t.Fatalf("owner = %d after cluster-1 get, want 0", it.owner)
+	}
+	s.Set(p1, 1, []byte("w"))
 	if it.owner != 1 {
-		t.Fatalf("owner = %d after cluster-1 get, want 1", it.owner)
+		t.Fatalf("owner = %d after cluster-1 set, want 1", it.owner)
 	}
 }
 

@@ -32,9 +32,8 @@ func (s source) executors() func() locks.RWExecutor { return s }
 
 // FromMutex sources each shard's lock from a factory of exclusive
 // locks (registry Entry.MutexFactory shape), one acquisition per
-// critical section. Shards keep the exclusive read path: the lock's
-// shared face is its exclusive one (locks.RWFromMutex), so every Get
-// bumps its hit's LRU position.
+// critical section. Shards read exclusively: the lock's shared face is
+// its exclusive one (locks.RWFromMutex).
 func FromMutex(f func() locks.Mutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromMutex(nil)")
@@ -44,9 +43,8 @@ func FromMutex(f func() locks.Mutex) LockSource {
 
 // FromRW sources each shard's lock from a factory of reader-writer
 // locks (registry Entry.RWFactory shape). When the factory's locks
-// genuinely share reads (locks.SharesReads), Gets run in shared mode
-// with the TouchEvery LRU sampling policy; Sets and Deletes always
-// take exclusive mode.
+// genuinely share reads (locks.SharesReads), Gets run in shared mode;
+// Sets and Deletes always take exclusive mode.
 func FromRW(f func() locks.RWMutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromRW(nil)")

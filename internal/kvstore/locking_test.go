@@ -176,9 +176,9 @@ func TestEverySourceIsOneExecutor(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := numa.New(2, 4)
 			var c counters
-			// A stride no run reaches: shared Gets never take the deferred
-			// exclusive LRU touch, so each is exactly one acquisition.
-			s := New(Config{Topo: topo, Shards: 2, Locking: tc.src(topo, &c), TouchEvery: 1 << 30, Buckets: 64})
+			// A hit only sets its reference bit, so each Get is exactly
+			// one acquisition.
+			s := New(Config{Topo: topo, Shards: 2, Locking: tc.src(topo, &c), Buckets: 64})
 			for i, sh := range s.shards {
 				if sh.sharedReads != tc.shared {
 					t.Fatalf("shard %d: sharedReads = %v, want %v", i, sh.sharedReads, tc.shared)

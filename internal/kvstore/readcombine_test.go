@@ -54,12 +54,11 @@ func TestReadCombinedMGetUncontendedMatchesSharedChunks(t *testing.T) {
 	inner := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
 	x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(inner, &excl, &shared))
 	s := New(Config{
-		Topo:       topo,
-		Locking:    FromExec(func() locks.Executor { return x }),
-		MaxBatch:   batch,
-		TouchEvery: 1 << 20,
-		Buckets:    512,
-		Capacity:   4096,
+		Topo:     topo,
+		Locking:  FromExec(func() locks.Executor { return x }),
+		MaxBatch: batch,
+		Buckets:  512,
+		Capacity: 4096,
 	})
 
 	keys := make([]uint64, n)
@@ -83,7 +82,7 @@ func TestReadCombinedMGetUncontendedMatchesSharedChunks(t *testing.T) {
 		t.Errorf("MGet of %d keys took %d RLock acquisitions, want ceil(%d/%d)=%d", n, got, n, batch, ceil)
 	}
 	if got := excl.Load() - e0; got != 0 {
-		t.Errorf("MGet took %d exclusive acquisitions, want 0 (touch stride never samples)", got)
+		t.Errorf("MGet took %d exclusive acquisitions, want 0 (hits only set reference bits)", got)
 	}
 	for i := range keys {
 		if !found[i] || !bytes.Equal(dsts[i][:lens[i]], vals[i]) {
@@ -98,17 +97,16 @@ func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
 	// identically and leave identical full statistics (coherence
 	// charges included) whether chunks bracket RLock directly or run
 	// through the combining reader-writer executor — its shared
-	// closures and its solo touch combine reduce to exactly the same
-	// lock script.
+	// closures and its solo exclusive combines reduce to exactly the
+	// same lock script.
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	build := func(combined bool) *Store {
 		cfg := Config{
-			Topo:       topo,
-			MaxBatch:   5,
-			TouchEvery: 3,
-			Buckets:    256,
-			Capacity:   32, // small: the script drives evictions
+			Topo:     topo,
+			MaxBatch: 5,
+			Buckets:  256,
+			Capacity: 32, // small: the script drives evictions
 		}
 		if combined {
 			cfg.Locking = FromExec(func() locks.Executor {
@@ -136,7 +134,7 @@ func TestReadCombinedMGetSequentialEquivalence(t *testing.T) {
 		s.MSet(p, keys, vals)
 
 		// Reads with duplicates and misses, then single Gets to walk
-		// the touch sampling, then overwrites and deletes.
+		// the reference bits, then overwrites and deletes.
 		rk := append(append([]uint64{}, keys[20:]...), keys[30], keys[31], 9999, 10001)
 		dsts := make([][]byte, len(rk))
 		lens := make([]int, len(rk))
@@ -217,11 +215,10 @@ func TestReadCombinedConcurrentWithWriters(t *testing.T) {
 		Locking: FromExec(func() locks.Executor {
 			return locks.NewRWCombiningAdaptive(topo, locks.NewRWPerCluster(topo, locks.NewMCS(topo)))
 		}),
-		Shards:     2,
-		MaxBatch:   4,
-		TouchEvery: 4,
-		Buckets:    256,
-		Capacity:   1024,
+		Shards:   2,
+		MaxBatch: 4,
+		Buckets:  256,
+		Capacity: 1024,
 	})
 	const keyspace = 64
 	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, 32) }

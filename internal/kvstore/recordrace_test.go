@@ -86,7 +86,7 @@ func TestRecordReuseHammer(t *testing.T) {
 			}
 			s := New(Config{
 				Topo: topo, Locking: src, Shards: 2, MaxBatch: 5,
-				TouchEvery: 3, Buckets: 256, Capacity: capacity,
+				Buckets: 256, Capacity: capacity,
 			})
 			var refMu sync.Mutex
 			ref := make(map[uint64][]byte) // absent = deleted

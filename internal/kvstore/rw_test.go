@@ -12,13 +12,12 @@ import (
 
 // rwStore builds a single-shard store over a genuine reader-writer
 // lock (per-cluster readers over MCS writers).
-func rwStore(topo *numa.Topology, touchEvery int) *Store {
+func rwStore(topo *numa.Topology) *Store {
 	return New(Config{
-		Topo:       topo,
-		Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
-		TouchEvery: touchEvery,
-		Buckets:    1 << 10,
-		Capacity:   1 << 12,
+		Topo:     topo,
+		Locking:  FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
+		Buckets:  1 << 10,
+		Capacity: 1 << 12,
 	})
 }
 
@@ -26,7 +25,7 @@ func rwStore(topo *numa.Topology, touchEvery int) *Store {
 // exclusive configs (plain or adapter-wrapped) keep the exclusive one.
 func TestRWSharedReadsDetection(t *testing.T) {
 	topo := numa.New(2, 4)
-	if s := rwStore(topo, 0); !s.shards[0].sharedReads {
+	if s := rwStore(topo); !s.shards[0].sharedReads {
 		t.Fatal("RWLock store did not select the shared read path")
 	}
 	excl := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) })})
@@ -53,7 +52,7 @@ func TestRWSharedReadsDetection(t *testing.T) {
 // the exclusive one for hits, misses, deletes and overwrites.
 func TestRWGetSemantics(t *testing.T) {
 	topo := numa.New(2, 4)
-	s := rwStore(topo, 0)
+	s := rwStore(topo)
 	p := topo.Proc(0)
 	dst := make([]byte, 16)
 
@@ -82,56 +81,13 @@ func TestRWGetSemantics(t *testing.T) {
 	}
 }
 
-// TestRWTouchPolicy pins the LRU-touch semantics of the shared read
-// path: with TouchEvery=1 a hit refreshes recency exactly like the
-// exclusive path; with a large stride the hit is mutation-free and the
-// un-bumped item remains the eviction victim.
-func TestRWTouchPolicy(t *testing.T) {
-	topo := numa.New(2, 4)
-	dst := make([]byte, 4)
-	build := func(touchEvery int) *Store {
-		return New(Config{
-			Topo:       topo,
-			Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
-			TouchEvery: touchEvery,
-			Buckets:    64,
-			Capacity:   2,
-		})
-	}
-	p := topo.Proc(0)
-
-	s := build(1) // bump on every hit
-	s.Set(p, 1, []byte("a"))
-	s.Set(p, 2, []byte("b"))
-	s.Get(p, 1, dst) // key 1 becomes MRU
-	s.Set(p, 3, []byte("c"))
-	if _, ok := s.Get(p, 1, dst); !ok {
-		t.Fatal("touched key evicted despite TouchEvery=1")
-	}
-	if _, ok := s.Get(p, 2, dst); ok {
-		t.Fatal("LRU victim survived eviction")
-	}
-
-	s = build(1 << 20) // effectively never bump
-	s.Set(p, 1, []byte("a"))
-	s.Set(p, 2, []byte("b"))
-	s.Get(p, 1, dst) // sampled out: no LRU mutation
-	s.Set(p, 3, []byte("c"))
-	if _, ok := s.Get(p, 1, dst); ok {
-		t.Fatal("un-bumped key survived: shared Get mutated the LRU")
-	}
-	if err := s.checkLRU(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRWConcurrentReadersWriter hammers the shared read path: readers
 // verify values are never torn while writers overwrite and delete
 // under exclusive mode. Run under -race this is the kvstore RW-path
 // coherence check CI leans on.
 func TestRWConcurrentReadersWriter(t *testing.T) {
 	topo := numa.New(4, 12)
-	s := rwStore(topo, 4)
+	s := rwStore(topo)
 	const keys = 64
 	// Every value of key k is a run of identical bytes; a torn read
 	// surfaces as a mixed-byte buffer.

@@ -13,26 +13,32 @@ import (
 
 // Metadata line indices in each shard's cachesim domain.
 const (
-	lineLRU   = 0 // LRU list head/tail, touched by every operation
+	lineLRU   = 0 // recency list head/tail and clock hand, touched by every set
 	lineHash  = 1 // hash table metadata
 	lineStats = 2 // global statistics counters
 	lineAlloc = 3 // item allocator free list
 	numLines  = 4
 )
 
-// item is one cache entry: hash chain link, intrusive LRU links, the
-// last-touching cluster (for the locality charge), and one GC-managed
-// buffer the item keeps across recycling. The buffer holds the name
-// the item was stored under (nameLen bytes, none for an unnamed set)
-// followed by the value.
+// item is one cache entry: hash chain link, intrusive recency-list
+// links, the last-writing cluster (for the locality charge), the clock
+// reference bit, and one GC-managed buffer the item keeps across
+// recycling. The buffer holds the name the item was stored under
+// (nameLen bytes, none for an unnamed set) followed by the value. The
+// fields fill exactly one 64-byte line.
 type item struct {
 	key     atomic.Uint64 // written once per insert; see Shard.warmItem
 	hnext   *item
-	prev    *item
-	next    *item
-	owner   int32
+	prev    *item // toward the head (newer)
+	next    *item // toward the tail (older)
+	owner   uint16
 	nameLen uint8
-	value   []byte
+	// ref is the clock's reference bit, the one item word written
+	// outside an exclusive section: a hit sets it under either bracket,
+	// so concurrent shared readers store it. Only the hand clears it,
+	// under exclusive mode.
+	ref   atomic.Uint32
+	value []byte
 }
 
 // opSlot is per-proc state; each proc writes only its own slot.
@@ -45,12 +51,6 @@ type opSlot struct {
 	hits      uint64
 	misses    uint64
 	evictions uint64
-	// sinceTouch counts this proc's hits since it last refreshed an
-	// item's LRU position (shared read path only; see Shard.Get).
-	sinceTouch uint64
-	// touch collects the keys this proc's shared reads sampled for a
-	// deferred LRU refresh; reused across calls, it holds keys only.
-	touch []uint64
 	// cs is this proc's critical-section record (see csRecord).
 	cs csRecord
 	_  numa.Pad
@@ -66,7 +66,6 @@ const (
 	csMGet                  // chunk of keys/bufs -> lens, found; under the read bracket
 	csMSet                  // chunk of keys/bufs
 	csMDelete               // chunk of keys -> n += present, found (optional)
-	csTouch                 // keys: deferred LRU refresh of sampled hits
 	csLen                   // -> n
 )
 
@@ -93,7 +92,7 @@ type csRecord struct {
 	kind  csKind
 	key   uint64
 	buf   []byte   // csGet: destination; csSet: value
-	keys  []uint64 // batch kinds: the call's keys; csTouch: sampled keys
+	keys  []uint64 // batch kinds: the call's keys
 	bufs  [][]byte // csMGet: destinations (nil = probe); csMSet: values
 	names [][]byte // csMGet: names a hit must match; csMSet: names to store (nil = unnamed)
 	lens  []int
@@ -110,14 +109,14 @@ func (r *csRecord) run() {
 	s, p := r.s, r.p
 	switch r.kind {
 	case csGet:
-		r.n, r.ok = s.lookup(p, r.key, nil, r.buf)
+		r.n, r.ok = s.lookup(r.key, nil, r.buf)
 	case csSet:
 		s.applySet(p, r.key, nil, r.buf)
 	case csDelete:
 		r.ok = s.applyDelete(p, r.key)
 	case csMGet:
 		for _, i := range r.chunk {
-			r.lens[i], r.found[i] = s.lookup(p, r.keys[i], r.name(i), r.dst(i))
+			r.lens[i], r.found[i] = s.lookup(r.keys[i], r.name(i), r.dst(i))
 		}
 	case csMSet:
 		for _, i := range r.chunk {
@@ -132,12 +131,6 @@ func (r *csRecord) run() {
 			if r.found != nil {
 				r.found[i] = ok
 			}
-		}
-	case csTouch:
-		// Re-find under exclusive mode: an item may have been evicted
-		// or deleted between the shared read and this upgrade.
-		for _, k := range r.keys {
-			s.touchKey(p, k)
 		}
 	case csLen:
 		r.n = s.count
@@ -173,9 +166,9 @@ func (s *Shard) arm(p *numa.Proc, k csKind) *csRecord {
 }
 
 // read runs r under the shard's read bracket: in shared mode where
-// reads genuinely share (shared kinds only read item state, and writers
-// hold exclusive mode, so nothing mutates under them), exclusively
-// otherwise.
+// reads genuinely share (shared kinds only read item state and set
+// reference bits, and writers hold exclusive mode, so nothing else
+// mutates under them), exclusively otherwise.
 func (s *Shard) read(p *numa.Proc, r *csRecord) {
 	if s.sharedReads {
 		s.x.ExecShared(p, r.fn)
@@ -191,7 +184,6 @@ type shardConfig struct {
 	topo       *numa.Topology
 	x          locks.RWExecutor
 	maxBatch   int
-	touchEvery uint64
 	buckets    int
 	capacity   int
 	cache      cachesim.Config
@@ -200,10 +192,10 @@ type shardConfig struct {
 }
 
 // Shard is one independently locked slice of the store: a chained hash
-// table, an intrusive LRU list, per-proc statistics and a private
-// cachesim domain for its hot metadata. It is exactly the memcached
-// structure of the paper's Table 1 experiment; the pre-sharding store
-// was a single Shard behind one cache lock.
+// table, an intrusive recency list swept by a clock hand, per-proc
+// statistics and a private cachesim domain for its hot metadata. It is
+// the memcached structure of the paper's Table 1 experiment; the
+// pre-sharding store was a single Shard behind one cache lock.
 type Shard struct {
 	// x is the shard's one exclusion seam: every critical section is
 	// posted to it as its proc's csRecord, through Exec, or through
@@ -216,15 +208,15 @@ type Shard struct {
 	// run inside one critical section.
 	maxBatch int
 	// sharedReads is locks.SharesExecReads(x): true when x's shared
-	// sections genuinely coexist, and Get then runs the shared read
-	// path. False for exclusive locks and exclusive-only executors,
-	// whose Gets keep the exclusive every-hit-bumps path.
+	// sections genuinely coexist, and reads then run in shared mode.
+	// False for exclusive locks and exclusive-only executors, whose
+	// reads run the same lookup exclusively.
 	sharedReads bool
-	touchEvery  uint64
 	mask        uint64
 	buckets     []atomic.Pointer[item] // chain heads; atomic for the lock-free warm pass (see warmBucket)
-	head        *item                  // MRU
-	tail        *item                  // LRU victim
+	head        *item                  // where the hand wraps from
+	tail        *item                  // where the hand wraps to
+	hand        *item                  // next eviction candidate; nil = the tail
 	count       int
 	capacity    int
 	free        *item // recycled items (chained via hnext)
@@ -239,7 +231,6 @@ func newShard(cfg shardConfig) *Shard {
 		x:           cfg.x,
 		maxBatch:    cfg.maxBatch,
 		sharedReads: locks.SharesExecReads(cfg.x),
-		touchEvery:  cfg.touchEvery,
 		mask:        uint64(cfg.buckets - 1),
 		buckets:     make([]atomic.Pointer[item], cfg.buckets),
 		capacity:    cfg.capacity,
@@ -282,7 +273,7 @@ func (s *Shard) find(key uint64) *item {
 // Running unlocked is legal only because of the publication rule
 // (DESIGN.md §4): bucket heads and item keys are atomics, stored inside
 // exclusive sections, and the warm pass loads nothing else — never
-// hnext, the LRU links, owner, value bytes, statistics or cachesim
+// hnext, the list links, owner, ref, value bytes, statistics or cachesim
 // state. A head that is unlinked, recycled or re-keyed between the two
 // loads is harmless: the item's memory stays valid, the result is
 // thrown away, and the locked lookup re-reads everything.
@@ -297,9 +288,11 @@ func (s *Shard) warmItem(key uint64) {
 }
 
 // touchItem charges the item-locality latency and migrates ownership,
-// the per-item analogue of cachesim. Must hold the shard lock.
+// the per-item analogue of cachesim. Only an overwrite pays it: a read
+// leaves the item's line, and its ownership, where they are. Must hold
+// exclusive mode.
 func (s *Shard) touchItem(p *numa.Proc, it *item) {
-	c := int32(p.Cluster())
+	c := uint16(p.Cluster())
 	if it.owner != c {
 		it.owner = c
 		spin.WaitNs(s.itemRemote)
@@ -308,35 +301,77 @@ func (s *Shard) touchItem(p *numa.Proc, it *item) {
 	}
 }
 
-// lruFront moves it to the MRU position. Must hold the shard lock.
-func (s *Shard) lruFront(it *item) {
-	if s.head == it {
-		return
+// Recency is CLOCK (second chance). A hit only sets its item's
+// reference bit (item.reference); the write path does the rest. The
+// list is a circle that the hand walks from the tail toward the head
+// (prev links), wrapping to the tail when it passes the head. An
+// eviction clears the bit of each referenced item the hand passes,
+// leaving the item where it is, and takes the first unreferenced one.
+
+// clockScan bounds the referenced items one eviction passes before it
+// takes the item under the hand anyway, so an insert does bounded work
+// however many items were hit. memcached's lru_pull_tail likewise
+// tries only five items.
+const clockScan = 5
+
+// reference sets it's reference bit. It runs under either bracket, so
+// concurrent shared readers may race to set the bit; each stores only
+// when the bit is clear, so a hot item's line is written once per
+// pass of the hand, not once per hit.
+func (it *item) reference() {
+	if it.ref.Load() == 0 {
+		it.ref.Store(1)
 	}
-	// unlink
-	if it.prev != nil {
-		it.prev.next = it.next
+}
+
+// link puts a new item just behind the hand, the last place the hand
+// reaches — at the head when the hand is at the tail — so a fresh item
+// waits a full revolution before it is a candidate, as in classic
+// CLOCK. After an eviction that is the victim's old place. Must hold
+// exclusive mode.
+func (s *Shard) link(it *item) {
+	newer, older := s.hand, s.head
+	if newer != nil {
+		older = newer.next
 	}
-	if it.next != nil {
-		it.next.prev = it.prev
+	it.prev, it.next = newer, older
+	if newer != nil {
+		newer.next = it
+	} else {
+		s.head = it
 	}
-	if s.tail == it {
-		s.tail = it.prev
-	}
-	// push front
-	it.prev = nil
-	it.next = s.head
-	if s.head != nil {
-		s.head.prev = it
-	}
-	s.head = it
-	if s.tail == nil {
+	if older != nil {
+		older.prev = it
+	} else {
 		s.tail = it
 	}
 }
 
-// unlink removes it from both the hash chain and the LRU list. Must
-// hold the shard lock.
+// evict retires the hand's victim: the first unreferenced item from the
+// hand on, or the item under the hand once clockScan referenced items
+// have had their bits cleared. The shard must hold an item. Must hold
+// exclusive mode.
+func (s *Shard) evict(p *numa.Proc) {
+	it := s.hand
+	for passed := 0; ; passed++ {
+		if it == nil {
+			it = s.tail
+		}
+		if passed == clockScan || it.ref.Load() == 0 {
+			break
+		}
+		it.ref.Store(0)
+		it = it.prev
+	}
+	s.hand = it // retire moves the hand on
+	s.retire(it)
+	s.domain.Access(p, lineHash, 1)
+	s.domain.Access(p, lineAlloc, 2)
+	s.slots[p.ID()].evictions++
+}
+
+// unlink removes it from both the hash chain and the list, moving the
+// hand on toward the head if it was on it. Must hold exclusive mode.
 func (s *Shard) unlink(it *item) {
 	b := &s.buckets[s.hash(it.key.Load())]
 	if head := b.Load(); head == it {
@@ -361,24 +396,37 @@ func (s *Shard) unlink(it *item) {
 	if s.tail == it {
 		s.tail = it.prev
 	}
+	if s.hand == it {
+		s.hand = it.prev
+	}
 	it.prev, it.next, it.hnext = nil, nil, nil
+}
+
+// retire unlinks it on eviction or delete and pushes it on the free
+// list, dropping its value (the buffer stays for the next insert to
+// reuse) and its reference bit. Must hold exclusive mode.
+func (s *Shard) retire(it *item) {
+	s.unlink(it)
+	s.count--
+	it.value = it.value[:0]
+	if it.ref.Load() != 0 {
+		it.ref.Store(0)
+	}
+	it.hnext = s.free
+	s.free = it
 }
 
 // Get looks up key, copying the value into dst (truncating if dst is
 // short). It returns the copied length and whether the key was found.
 //
-// Under an exclusive cache lock a hit bumps the item to the MRU
-// position on every Get, as memcached does, so single-shard exclusive
-// configurations reproduce the paper's Table 1 behavior. Under a
-// genuine reader-writer lock Get runs in shared mode — concurrent
-// readers on different clusters proceed together, touching nothing but
-// their own cluster's reader counter and their own statistics slot —
-// and the LRU bump follows a bounded touch-every-Nth-hit policy: each
-// proc refreshes an item's recency only on every touchEvery-th hit,
-// upgrading to exclusive mode just for that bump. Recency becomes
-// approximate (a uniformly sampled subset of hits drives the LRU
-// order, the same trade memcached makes with its 60-second touch
-// rule); hit/miss behavior and returned values are unaffected.
+// A get only reads. Under an exclusive lock, and in shared mode under
+// a genuine reader-writer lock, it runs the same lookup, which sets the
+// hit item's reference bit and writes nothing else: no relink, no
+// ownership move, no deferred exclusive section. memcached does not
+// relink on every hit either: 1.4 relinks a fetched item at most once
+// per ITEM_UPDATE_INTERVAL (60 s), and 1.5's segmented LRU only marks
+// it active. Concurrent readers on different clusters therefore share
+// every line they touch except the bit and their own statistics slot.
 func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	r := s.arm(p, csGet)
 	r.key, r.buf = key, dst
@@ -392,75 +440,27 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 		return 0, false
 	}
 	slot.hits++
-	if s.sharedReads {
-		if s.sample(slot, key); len(slot.touch) > 0 {
-			s.touchSampled(p, slot)
-		}
-	}
 	return n, true
 }
 
-// lookup is a get's critical section, run under the shard's read
-// bracket: hash walk and value copy, plus — when that bracket is
-// exclusive — the item touch and LRU bump. Under a shared bracket it
-// only reads (writers hold exclusive mode, so nothing mutates under
-// it) and recency is refreshed later through sample and touchSampled.
-// A non-nil name must equal the one the item was stored under, or the
-// lookup misses. Statistics stay outside.
-func (s *Shard) lookup(p *numa.Proc, key uint64, name, dst []byte) (int, bool) {
+// lookup is a get's critical section, one body under either read
+// bracket: hash walk, name check, reference bit, value copy. It never
+// relinks, as memcached relinks a fetched item at most once per
+// ITEM_UPDATE_INTERVAL. A non-nil name must equal the one the item was
+// stored under, or the lookup misses. Statistics stay outside.
+func (s *Shard) lookup(key uint64, name, dst []byte) (int, bool) {
 	// The hash-bucket walk is read-only: read-shared lines replicate
 	// across caches without coherence misses, so no charge applies.
 	it := s.find(key)
 	if it == nil || name != nil && !bytes.Equal(it.value[:it.nameLen], name) {
 		return 0, false
 	}
-	if !s.sharedReads {
-		// The LRU bump writes the item's own links — the one line a get
-		// dirties. Which cluster wrote the item last is a property of the
-		// key stream, not of the lock, so this cost is lock-independent
-		// noise (and is why the paper's Table 1a shows all spin locks
-		// performing alike on read-heavy loads).
-		s.touchItem(p, it)
-		s.lruFront(it)
-	}
+	it.reference()
 	return copy(dst, it.value[it.nameLen:]), true
 }
 
-// sample counts one shared-mode hit of key against the
-// touch-every-Nth-hit policy, collecting every touchEvery-th into
-// slot.touch for touchSampled.
-func (s *Shard) sample(slot *opSlot, key uint64) {
-	slot.sinceTouch++
-	if slot.sinceTouch >= s.touchEvery {
-		slot.sinceTouch = 0
-		slot.touch = append(slot.touch, key)
-	}
-}
-
-// touchSampled refreshes the recency of the keys slot.touch collected,
-// in one exclusive section — the deferred bump of the shared read
-// paths.
-func (s *Shard) touchSampled(p *numa.Proc, slot *opSlot) {
-	r := s.arm(p, csTouch)
-	r.keys = slot.touch
-	s.x.Exec(p, r.fn)
-	r.done()
-	slot.touch = slot.touch[:0]
-}
-
-// touchKey re-finds key and refreshes its item's locality charge and
-// LRU position — the deferred bump the shared read paths run under a
-// brief exclusive upgrade. A vanished key (evicted or deleted since
-// the shared read) is a no-op. Callers hold exclusive mode.
-func (s *Shard) touchKey(p *numa.Proc, key uint64) {
-	if it := s.find(key); it != nil {
-		s.touchItem(p, it)
-		s.lruFront(it)
-	}
-}
-
-// Set inserts or updates key with a copy of val, evicting the LRU
-// victim if the shard is over capacity.
+// Set inserts or updates key with a copy of val, evicting the clock
+// hand's victim first if the shard is full.
 func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
 	r := s.arm(p, csSet)
 	r.key, r.buf = key, val
@@ -470,10 +470,13 @@ func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
 }
 
 // applySet is a set's critical section; callers hold the shard's
-// exclusion. The per-proc sets counter stays outside; evictions are
-// charged inside (they are part of the guarded structural change).
+// exclusion. An insert into a full shard evicts before it links, so
+// the new item can never be its own victim and takes the victim's
+// place, behind the hand. An overwrite stays where it is and sets the
+// reference bit. The per-proc
+// sets counter stays outside; evictions are charged inside (they are
+// part of the guarded structural change).
 func (s *Shard) applySet(p *numa.Proc, key uint64, name, val []byte) {
-	slot := &s.slots[p.ID()]
 	it := s.find(key)
 	if it == nil {
 		// Structural insert: writes the bucket chain and allocator.
@@ -486,35 +489,26 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, name, val []byte) {
 		} else {
 			it = &item{}
 		}
+		if s.count >= s.capacity {
+			s.evict(p) // the victim waits on the free list for the next insert
+		}
 		it.key.Store(key)
 		b := &s.buckets[s.hash(key)]
 		it.hnext = b.Load()
 		b.Store(it)
+		s.link(it)
 		s.count++
+		it.owner = uint16(p.Cluster())
 	} else {
 		s.touchItem(p, it)
+		it.reference()
 	}
-	it.owner = int32(p.Cluster())
 	it.setValue(name, val)
-	s.lruFront(it)
+	// Sets charge the recency line and mutate the global statistics
+	// counters under the cache lock, as memcached does: the batchable
+	// portion of a set's critical section, since runs of same-cluster
+	// sets keep these lines local.
 	s.domain.Access(p, lineLRU, 2)
-	if s.count > s.capacity {
-		victim := s.tail
-		if victim != nil && victim != it {
-			s.unlink(victim)
-			s.count--
-			victim.clearValue()
-			victim.hnext = s.free
-			s.free = victim
-			s.domain.Access(p, lineHash, 1)
-			s.domain.Access(p, lineAlloc, 2)
-			slot.evictions++
-		}
-	}
-	// Sets mutate the global statistics counters under the cache lock
-	// (as memcached does) — together with the LRU head line above,
-	// this is the batchable portion of a set's critical section: runs
-	// of same-cluster sets keep these lines local.
 	s.domain.Access(p, lineStats, 1)
 }
 
@@ -534,11 +528,7 @@ func (s *Shard) applyDelete(p *numa.Proc, key uint64) bool {
 		return false
 	}
 	s.domain.Access(p, lineHash, 1)
-	s.unlink(it)
-	s.count--
-	it.clearValue()
-	it.hnext = s.free
-	s.free = it
+	s.retire(it)
 	s.domain.Access(p, lineAlloc, 2)
 	return true
 }
@@ -556,12 +546,6 @@ func (it *item) setValue(name, val []byte) {
 	copy(it.value[it.nameLen:], val)
 }
 
-// clearValue drops it's value on eviction or delete, keeping the buffer
-// for the recycled item to reuse. Callers hold the shard's exclusion.
-func (it *item) clearValue() {
-	it.value = it.value[:0]
-}
-
 // mget answers the group's lookups (idx indexes keys) in critical
 // sections of at most maxBatch operations each, under the shard's read
 // bracket. dsts may be nil to probe without copying, names nil to hit
@@ -571,12 +555,10 @@ func (it *item) clearValue() {
 // Where reads genuinely share, this composes the RW read protocol with
 // the batch APIs: each chunk runs under ONE shared acquisition —
 // concurrent readers' chunks on different clusters proceed together,
-// and a group of N lookups costs ceil(N/maxBatch) RLock acquisitions.
-// Per-key semantics match Get: sampled hits accumulate across the group
-// and are refreshed in one deferred exclusive section at the end, so
-// recency maintenance costs at most one extra acquisition per group
-// instead of one per sampled hit. Statistics stay per-proc, outside the
-// lock, counted once per operation under either bracket.
+// and a group of N lookups costs ceil(N/maxBatch) RLock acquisitions
+// and no exclusive one. Per-key semantics match Get. Statistics stay
+// per-proc, outside the lock, counted once per operation under either
+// bracket.
 func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []int, found []bool, idx []int) {
 	slot := &s.slots[p.ID()]
 	r := s.arm(p, csMGet)
@@ -586,20 +568,14 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []i
 		s.read(p, r)
 		for _, i := range r.chunk {
 			slot.gets++
-			if !found[i] {
+			if found[i] {
+				slot.hits++
+			} else {
 				slot.misses++
-				continue
-			}
-			slot.hits++
-			if s.sharedReads {
-				s.sample(slot, keys[i])
 			}
 		}
 	}
 	r.done()
-	if len(slot.touch) > 0 {
-		s.touchSampled(p, slot)
-	}
 }
 
 // mset applies the group's sets (idx indexes keys/vals) in critical
@@ -660,11 +636,14 @@ func (s *Shard) Snapshot() Stats {
 	return st
 }
 
-// checkLRU validates list integrity; tests use it.
+// checkLRU validates list integrity, and that the hand is nil or on
+// the list; tests use it.
 func (s *Shard) checkLRU() error {
 	seen := 0
+	handOn := s.hand == nil
 	var prev *item
 	for it := s.head; it != nil; it = it.next {
+		handOn = handOn || it == s.hand
 		if it.prev != prev {
 			return fmt.Errorf("kvstore: broken prev link at %d", it.key.Load())
 		}
@@ -679,6 +658,9 @@ func (s *Shard) checkLRU() error {
 	}
 	if seen != s.count {
 		return fmt.Errorf("kvstore: LRU has %d items, count %d", seen, s.count)
+	}
+	if !handOn {
+		return fmt.Errorf("kvstore: clock hand off the list")
 	}
 	return nil
 }

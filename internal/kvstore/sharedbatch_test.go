@@ -12,30 +12,30 @@ import (
 
 // countedRWStore builds a single-shard store over a genuine RW lock
 // instrumented with separate exclusive/shared acquisition counters.
-func countedRWStore(topo *numa.Topology, maxBatch, touchEvery int, excl, shared *atomic.Uint64) *Store {
+func countedRWStore(topo *numa.Topology, maxBatch int, excl, shared *atomic.Uint64) *Store {
 	return New(Config{
 		Topo: topo,
 		Locking: FromRW(func() locks.RWMutex {
 			return locks.CountRWAcquisitions(
 				locks.NewRWPerCluster(topo, locks.NewMCS(topo)), excl, shared)
 		}),
-		MaxBatch:   maxBatch,
-		TouchEvery: touchEvery,
-		Buckets:    512,
-		Capacity:   4096,
+		MaxBatch: maxBatch,
+		Buckets:  512,
+		Capacity: 4096,
 	})
 }
 
 func TestSharedMGetAcquisitionCount(t *testing.T) {
-	// The acceptance criterion: a shard group of N lookups under a
-	// genuine reader-writer lock costs exactly ceil(N/MaxBatch) SHARED
-	// acquisitions, and — with the touch stride too large to sample —
-	// zero exclusive ones.
+	// The acceptance criterion: a shard group of N hits under a genuine
+	// reader-writer lock costs exactly ceil(N/MaxBatch) SHARED
+	// acquisitions and zero exclusive ones — on the first read, which
+	// sets every hit's reference bit, and on every read after it. The
+	// bits are the hits' only recency work; nothing is deferred.
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
-	const n, batch = 16, 4
+	const n, batch = 18, 4
 	var excl, shared atomic.Uint64
-	s := countedRWStore(topo, batch, 1<<20, &excl, &shared)
+	s := countedRWStore(topo, batch, &excl, &shared)
 
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
@@ -51,34 +51,24 @@ func TestSharedMGetAcquisitionCount(t *testing.T) {
 	}
 	lens := make([]int, n)
 	found := make([]bool, n)
-	e0, s0 := excl.Load(), shared.Load()
-	s.MGet(p, keys, dsts, lens, found)
 	const ceil = (n + batch - 1) / batch
-	if got := shared.Load() - s0; got != ceil {
-		t.Errorf("shared MGet of %d keys took %d RLock acquisitions, want ceil(%d/%d)=%d", n, got, n, batch, ceil)
-	}
-	if got := excl.Load() - e0; got != 0 {
-		t.Errorf("shared MGet took %d exclusive acquisitions, want 0 (touch stride never samples)", got)
-	}
-	for i := range keys {
-		if !found[i] || !bytes.Equal(dsts[i][:lens[i]], vals[i]) {
-			t.Fatalf("key %d: got (%q,%v), want %q", keys[i], dsts[i][:lens[i]], found[i], vals[i])
+	for round := 0; round < 3; round++ {
+		e0, s0 := excl.Load(), shared.Load()
+		s.MGet(p, keys, dsts, lens, found)
+		if got := shared.Load() - s0; got != ceil {
+			t.Errorf("round %d: shared MGet of %d keys took %d RLock acquisitions, want ceil(%d/%d)=%d", round, n, got, n, batch, ceil)
 		}
-	}
-
-	// With TouchEvery=1 every hit is sampled; the deferred LRU refresh
-	// still costs exactly ONE extra exclusive acquisition per group,
-	// not one per sampled hit.
-	var excl1, shared1 atomic.Uint64
-	s1 := countedRWStore(topo, batch, 1, &excl1, &shared1)
-	s1.MSet(p, keys, vals)
-	e0, s0 = excl1.Load(), shared1.Load()
-	s1.MGet(p, keys, dsts, lens, found)
-	if got := shared1.Load() - s0; got != ceil {
-		t.Errorf("TouchEvery=1 shared MGet took %d RLock acquisitions, want %d", got, ceil)
-	}
-	if got := excl1.Load() - e0; got != 1 {
-		t.Errorf("TouchEvery=1 shared MGet took %d exclusive acquisitions, want 1 (one deferred touch batch)", got)
+		if got := excl.Load() - e0; got != 0 {
+			t.Errorf("round %d: shared MGet took %d exclusive acquisitions, want 0", round, got)
+		}
+		for i := range keys {
+			if !found[i] || !bytes.Equal(dsts[i][:lens[i]], vals[i]) {
+				t.Fatalf("round %d key %d: got (%q,%v), want %q", round, keys[i], dsts[i][:lens[i]], found[i], vals[i])
+			}
+			if it := s.shards[0].find(keys[i]); it.ref.Load() == 0 {
+				t.Fatalf("round %d key %d: hit left the reference bit clear", round, keys[i])
+			}
+		}
 	}
 }
 
@@ -96,11 +86,10 @@ func TestSharedMGetPerShardGroups(t *testing.T) {
 			return locks.CountRWAcquisitions(
 				locks.NewRWPerCluster(topo, locks.NewMCS(topo)), &excl, &shared)
 		}),
-		Shards:     shards,
-		MaxBatch:   batch,
-		TouchEvery: 1 << 20,
-		Buckets:    512,
-		Capacity:   4096,
+		Shards:   shards,
+		MaxBatch: batch,
+		Buckets:  512,
+		Capacity: 4096,
 	})
 	const n = 64
 	keys := make([]uint64, n)
@@ -140,7 +129,7 @@ func TestSharedMGetMatchesSequentialGets(t *testing.T) {
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	var excl, shared atomic.Uint64
-	s := countedRWStore(topo, 5, 8, &excl, &shared)
+	s := countedRWStore(topo, 5, &excl, &shared)
 
 	const present = 40
 	for i := 0; i < present; i++ {
@@ -191,57 +180,13 @@ func TestSharedMGetMatchesSequentialGets(t *testing.T) {
 	}
 }
 
-func TestSharedMGetTouchPolicy(t *testing.T) {
-	// The deferred LRU refresh must actually refresh: with TouchEvery=1
-	// a batched read keeps its keys off the eviction victim spot,
-	// exactly as sequential shared Gets would.
-	topo := numa.New(2, 4)
-	p := topo.Proc(0)
-	build := func(touchEvery int) *Store {
-		return New(Config{
-			Topo:       topo,
-			Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
-			MaxBatch:   8,
-			TouchEvery: touchEvery,
-			Buckets:    64,
-			Capacity:   2,
-		})
-	}
-	lens := make([]int, 1)
-	found := make([]bool, 1)
-	dst := make([]byte, 4)
-
-	s := build(1) // every hit sampled: batched read bumps recency
-	s.Set(p, 1, []byte("a"))
-	s.Set(p, 2, []byte("b"))
-	s.MGet(p, []uint64{1}, nil, lens, found)
-	s.Set(p, 3, []byte("c"))
-	if _, ok := s.Get(p, 1, dst); !ok {
-		t.Fatal("batch-touched key evicted despite TouchEvery=1")
-	}
-	if _, ok := s.Get(p, 2, dst); ok {
-		t.Fatal("LRU victim survived eviction")
-	}
-
-	s = build(1 << 20) // sampled out: batched read mutates nothing
-	s.Set(p, 1, []byte("a"))
-	s.Set(p, 2, []byte("b"))
-	s.MGet(p, []uint64{1}, nil, lens, found)
-	s.Set(p, 3, []byte("c"))
-	if _, ok := s.Get(p, 1, dst); ok {
-		t.Fatal("un-bumped key survived: shared MGet mutated the LRU")
-	}
-	if err := s.checkLRU(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	// When the shard lock is not a genuine RW lock — plain exclusive,
 	// RWFromMutex-adapted, or the executor seam — MGet must keep the
-	// exclusive batch path: correct answers, every-hit LRU bumps, and
-	// ceil(N/MaxBatch) EXCLUSIVE acquisitions (the RLock face of the
-	// adapter maps to Lock, so a shared count would be a path change).
+	// exclusive batch path: correct answers, hits that set reference
+	// bits, and ceil(N/MaxBatch) EXCLUSIVE acquisitions (the RLock face
+	// of the adapter maps to Lock, so a shared count would be a path
+	// change).
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	const n, batch = 12, 4
@@ -282,7 +227,7 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 			t.Fatalf("key %d unanswered", keys[i])
 		}
 	}
-	// An eviction-order probe: the exclusive path bumps on every hit.
+	// An eviction-order probe: an exclusive hit sets the reference bit.
 	tiny := New(Config{
 		Topo:     topo,
 		Locking:  FromMutex(func() locks.Mutex { return locks.NewMCS(topo) }),
@@ -296,7 +241,7 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	tiny.MGet(p, []uint64{1}, nil, lens[:1], found[:1])
 	tiny.Set(p, 3, []byte("c"))
 	if _, ok := tiny.Get(p, 1, dst); !ok {
-		t.Fatal("exclusive MGet hit did not bump recency")
+		t.Fatal("exclusive MGet hit did not set the reference bit")
 	}
 }
 
@@ -306,13 +251,12 @@ func TestSharedMGetConcurrentWithWriters(t *testing.T) {
 	// CI, which also checks the RLock chunk's happens-before edges.
 	topo := numa.New(4, 12)
 	s := New(Config{
-		Topo:       topo,
-		Locking:    FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
-		Shards:     2,
-		MaxBatch:   4,
-		TouchEvery: 4,
-		Buckets:    256,
-		Capacity:   1024,
+		Topo:     topo,
+		Locking:  FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
+		Shards:   2,
+		MaxBatch: 4,
+		Buckets:  256,
+		Capacity: 1024,
 	})
 	const keyspace = 64
 	val := func(b byte) []byte { return bytes.Repeat([]byte{b}, 32) }

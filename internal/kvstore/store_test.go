@@ -98,7 +98,7 @@ func TestPerShardLRUEviction(t *testing.T) {
 	for _, k := range keys[:3] {
 		s.Set(p, k, []byte("v"))
 	}
-	// Touch keys[0] so keys[1] is the victim when keys[3] arrives.
+	// Hit keys[0] so keys[1] is the victim when keys[3] arrives.
 	if _, ok := s.Get(p, keys[0], make([]byte, 4)); !ok {
 		t.Fatal("warm get failed")
 	}

@@ -40,59 +40,61 @@ func resident(s *Store, keys ...uint64) []bool {
 	return in
 }
 
-// TestClockPolicy pins CLOCK under every lock seam, for a hit by Get
-// and by MGet alike: the hit item survives the next eviction, the unhit
-// one is the victim, and the hit item, its bit now cleared by the hand,
-// is evicted on the hand's next pass, before the items inserted after
-// it. No item outlives a revolution of the hand unreferenced.
-func TestClockPolicy(t *testing.T) {
-	reads := []struct {
-		name string
-		hit  func(s *Store, p *numa.Proc, key uint64) bool
-	}{
-		{"Get", func(s *Store, p *numa.Proc, key uint64) bool {
-			_, ok := s.Get(p, key, make([]byte, 4))
-			return ok
-		}},
-		{"MGet", func(s *Store, p *numa.Proc, key uint64) bool {
-			found := make([]bool, 1)
-			s.MGet(p, []uint64{key}, nil, make([]int, 1), found)
-			return found[0]
-		}},
-	}
+// TestRWTouchPolicy pins CLOCK for a hit by Get, and
+// TestSharedMGetTouchPolicy for a hit by MGet, each under every lock
+// seam: the hit item survives the next eviction, the unhit one is the
+// victim, and the hit item, its bit now cleared by the hand, is evicted
+// on the hand's next pass, before the items inserted after it. No item
+// outlives a revolution of the hand unreferenced.
+func TestRWTouchPolicy(t *testing.T) {
+	checkClockPolicy(t, func(s *Store, p *numa.Proc, key uint64) bool {
+		_, ok := s.Get(p, key, make([]byte, 4))
+		return ok
+	})
+}
+
+func TestSharedMGetTouchPolicy(t *testing.T) {
+	checkClockPolicy(t, func(s *Store, p *numa.Proc, key uint64) bool {
+		found := make([]bool, 1)
+		s.MGet(p, []uint64{key}, nil, make([]int, 1), found)
+		return found[0]
+	})
+}
+
+// checkClockPolicy runs the CLOCK steps over every seam, with hit as
+// the read that references key 1.
+func checkClockPolicy(t *testing.T, hit func(s *Store, p *numa.Proc, key uint64) bool) {
 	for _, seam := range clockSeams {
-		for _, read := range reads {
-			t.Run(seam.name+"/"+read.name, func(t *testing.T) {
-				topo := numa.New(2, 4)
-				p := topo.Proc(0)
-				s := New(Config{Topo: topo, Locking: seam.src(topo), Buckets: 64, Capacity: 3})
-				set := func(k uint64) { s.Set(p, k, []byte{byte(k)}) }
-				want := func(step string, keys []uint64, in ...bool) {
-					t.Helper()
-					if got := resident(s, keys...); !equalBools(got, in) {
-						t.Fatalf("%s: keys %v resident %v, want %v", step, keys, got, in)
-					}
-					if err := s.checkLRU(); err != nil {
-						t.Fatalf("%s: %v", step, err)
-					}
+		t.Run(seam.name, func(t *testing.T) {
+			topo := numa.New(2, 4)
+			p := topo.Proc(0)
+			s := New(Config{Topo: topo, Locking: seam.src(topo), Buckets: 64, Capacity: 3})
+			set := func(k uint64) { s.Set(p, k, []byte{byte(k)}) }
+			want := func(step string, keys []uint64, in ...bool) {
+				t.Helper()
+				if got := resident(s, keys...); !equalBools(got, in) {
+					t.Fatalf("%s: keys %v resident %v, want %v", step, keys, got, in)
 				}
-				set(1)
-				set(2)
-				set(3)
-				if !read.hit(s, p, 1) {
-					t.Fatal("hit on key 1 missed")
+				if err := s.checkLRU(); err != nil {
+					t.Fatalf("%s: %v", step, err)
 				}
-				set(4) // the hand spares 1, clearing its bit, and evicts 2
-				want("after 4", []uint64{1, 2, 3, 4}, true, false, true, true)
-				set(5) // evicts 3, the hand's next candidate
-				want("after 5", []uint64{1, 3, 4, 5}, true, false, true, true)
-				set(6) // the hand comes round to 1: no second second chance
-				want("after 6", []uint64{1, 4, 5, 6}, false, true, true, true)
-				if ev := s.Snapshot().Evictions; ev != 3 {
-					t.Fatalf("Evictions = %d, want 3", ev)
-				}
-			})
-		}
+			}
+			set(1)
+			set(2)
+			set(3)
+			if !hit(s, p, 1) {
+				t.Fatal("hit on key 1 missed")
+			}
+			set(4) // the hand spares 1, clearing its bit, and evicts 2
+			want("after 4", []uint64{1, 2, 3, 4}, true, false, true, true)
+			set(5) // evicts 3, the hand's next candidate
+			want("after 5", []uint64{1, 3, 4, 5}, true, false, true, true)
+			set(6) // the hand comes round to 1: no second second chance
+			want("after 6", []uint64{1, 4, 5, 6}, false, true, true, true)
+			if ev := s.Snapshot().Evictions; ev != 3 {
+				t.Fatalf("Evictions = %d, want 3", ev)
+			}
+		})
 	}
 }
 

@@ -129,6 +129,9 @@ func main() {
 	if opt.batch < 0 {
 		cli.Dief(tool, "negative -batch %d", opt.batch)
 	}
+	if err := cli.Positive("clusters", opt.clusters); err != nil {
+		cli.Die(tool, err)
+	}
 	if len(opt.locks) == 0 {
 		if opt.reads > 0 {
 			// The RW table defaults to the native reader-writer family,
@@ -191,10 +194,10 @@ type cell struct {
 	// is the store's MaxBatch, so a shard group of a client batch is one
 	// critical section.
 	batch int
-	// sharedReads runs Gets in shared mode where the lock has one;
+	// sharedPath runs Gets in shared mode where the lock has one;
 	// without it a reader-writer lock is driven through its exclusive
 	// path only, so two columns differ in the read protocol alone.
-	sharedReads bool
+	sharedPath bool
 	// count puts counters on the lock itself or, for a comb-a-* entry,
 	// between the combiner and its operand (registry.Unwrap and Wrap),
 	// where a combined batch counts as the single acquisition it is, and
@@ -241,7 +244,7 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 	switch {
 	case e.NewExec != nil:
 		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
-	case c.sharedReads && e.NewRW != nil:
+	case c.sharedPath && e.NewRW != nil:
 		cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
 	default:
 		cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
@@ -423,7 +426,7 @@ func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error)
 	for i, e := range resolve(opt.locks) {
 		cols = append(cols, column{
 			header: opt.locks[i],
-			cell:   cell{entry: e, reads: float64(getPct) / 100, batch: opt.batch, sharedReads: true, count: true},
+			cell:   cell{entry: e, reads: float64(getPct) / 100, batch: opt.batch, sharedPath: true, count: true},
 			rec:    record{Mix: getPct, Lock: e.Name, Batch: opt.batch},
 		})
 	}
@@ -449,7 +452,7 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 	var cols []column
 	add := func(e registry.Entry, header, path string) {
 		c, r := reads, rec
-		c.entry, c.sharedReads = e, path == "shared"
+		c.entry, c.sharedPath = e, path == "shared"
 		r.Lock, r.ReadPath = e.Name, path
 		cols = append(cols, column{header: header, cell: c, rec: r})
 	}

@@ -118,6 +118,20 @@ func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
 	}
 }
 
+// TestBadClustersExitsWithItsMessage checks that -clusters 0 stops the
+// tool at flag parsing with the flag's message, not a panic.
+func TestBadClustersExitsWithItsMessage(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-clusters", "0")
+	cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("kvbench -clusters 0 succeeded:\n%s", out)
+	}
+	if want := "-clusters must be positive, got 0"; !strings.Contains(string(out), want) || strings.Contains(string(out), "panic:") {
+		t.Errorf("output %q does not carry %q, or panics", out, want)
+	}
+}
+
 // tableHeaders extracts each table's title line and its column header,
 // the latter with its padding collapsed.
 func tableHeaders(out string) []string {

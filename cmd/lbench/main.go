@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,19 +51,22 @@ type options struct {
 // Every figure's metric is a projection of the same sweep, so one
 // record carries them all.
 type record struct {
-	Kind              string  `json:"kind"` // "blocking" or "abortable"
-	Lock              string  `json:"lock"`
-	Threads           int     `json:"threads"`
-	PairsPerSec       float64 `json:"pairs_per_sec"`
-	MissesPerCS       float64 `json:"misses_per_cs"`
-	FairnessStdDevPct float64 `json:"fairness_stddev_pct"`
-	AvgBatch          float64 `json:"avg_batch"`
-	AbortPct          float64 `json:"abort_pct,omitempty"`
+	Kind              string   `json:"kind"` // "blocking" or "abortable"
+	Lock              string   `json:"lock"`
+	Threads           int      `json:"threads"`
+	PairsPerSec       float64  `json:"pairs_per_sec"`
+	MissesPerCS       float64  `json:"misses_per_cs"`
+	FairnessStdDevPct float64  `json:"fairness_stddev_pct"`
+	AvgBatch          float64  `json:"avg_batch"`
+	AbortPct          *float64 `json:"abort_pct,omitempty"` // abortable records only, zero included
 }
+
+// figures are the -fig values; all but 6 read the blocking sweep.
+const figures = "2,3,4,5,6,batch,all"
 
 func main() {
 	var (
-		figFlag      = flag.String("fig", "all", "figure to regenerate: 2,3,4,5,6,batch,all")
+		figFlag      = flag.String("fig", "all", "figure to regenerate: "+figures)
 		ablationFlag = flag.String("ablation", "", "ablation to run: handoff")
 		threadsFlag  = flag.String("threads", "1,2,4,8,16,32,64,128", "comma-separated thread counts")
 		locksFlag    = flag.String("locks", "", "override lock list (default: the figure's paper set; extension locks like cna and gcr-mcs are valid here)")
@@ -75,6 +79,12 @@ func main() {
 	flag.Parse()
 
 	const tool = "lbench"
+	if !slices.Contains(strings.Split(figures, ","), *figFlag) {
+		cli.Dief(tool, "-fig %q: want one of %s", *figFlag, figures)
+	}
+	if err := cli.Positive("clusters", *clustersFlag); err != nil {
+		cli.Die(tool, err)
+	}
 	threads, err := cli.ParseIntList(*threadsFlag)
 	if err != nil {
 		cli.Dief(tool, "bad -threads: %v", err)
@@ -101,13 +111,7 @@ func main() {
 }
 
 func run(opt options) error {
-	maxThreads := 0
-	for _, t := range opt.threads {
-		if t > maxThreads {
-			maxThreads = t
-		}
-	}
-	topo := numa.New(opt.clusters, maxThreads)
+	topo := numa.New(opt.clusters, slices.Max(opt.threads))
 
 	if opt.ablation == "handoff" {
 		return runHandoffAblation(opt, topo)
@@ -116,7 +120,7 @@ func run(opt options) error {
 		return fmt.Errorf("unknown ablation %q", opt.ablation)
 	}
 
-	wantBlocking := strings.ContainsAny(opt.fig, "2345b") || opt.fig == "all" || opt.fig == "batch"
+	wantBlocking := opt.fig != "6"
 	wantAbortable := opt.fig == "6" || opt.fig == "all"
 
 	var records []record
@@ -163,7 +167,7 @@ func collectRecords(kind string, opt options, names []string, results map[string
 	for _, name := range names {
 		for i, n := range opt.threads {
 			res := results[name][i]
-			out = append(out, record{
+			rec := record{
 				Kind:              kind,
 				Lock:              name,
 				Threads:           n,
@@ -171,8 +175,12 @@ func collectRecords(kind string, opt options, names []string, results map[string
 				MissesPerCS:       res.MissesPerCS(),
 				FairnessStdDevPct: res.FairnessStdDevPct(),
 				AvgBatch:          res.AvgBatch(),
-				AbortPct:          100 * res.AbortRate(),
-			})
+			}
+			if kind == "abortable" {
+				pct := 100 * res.AbortRate()
+				rec.AbortPct = &pct
+			}
+			out = append(out, rec)
 		}
 	}
 	return out

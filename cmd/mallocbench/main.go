@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cli"
@@ -31,25 +32,22 @@ func main() {
 	)
 	flag.Parse()
 
+	const tool = "mallocbench"
 	threads, err := cli.ParseIntList(*threadsFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mallocbench: bad -threads: %v\n", err)
-		os.Exit(2)
+		cli.Dief(tool, "bad -threads: %v", err)
+	}
+	if err := cli.Positive("clusters", *clustersFlag); err != nil {
+		cli.Die(tool, err)
 	}
 	lockNames, err := cli.Locks(*locksFlag)
 	if err != nil {
-		cli.Die("mallocbench", err)
+		cli.Die(tool, err)
 	}
 	if len(lockNames) == 0 {
 		lockNames = registry.TableNames()
 	}
-	maxThreads := 0
-	for _, t := range threads {
-		if t > maxThreads {
-			maxThreads = t
-		}
-	}
-	topo := numa.New(*clustersFlag, maxThreads)
+	topo := numa.New(*clustersFlag, slices.Max(threads))
 
 	headers := append([]string{"threads"}, lockNames...)
 	tb := stats.NewTable("Table 2: malloc-free pairs per millisecond (mmicro)", headers...)
@@ -63,7 +61,7 @@ func main() {
 		for _, name := range lockNames {
 			e := registry.MustLookup(name)
 			if e.NewMutex == nil {
-				cli.Dief("mallocbench", "lock %q is not blocking", name)
+				cli.Dief(tool, "lock %q is not blocking", name)
 			}
 			runtime.GC() // previous cell's arena is garbage; collect outside the window
 			cfg := mmicro.DefaultConfig(topo, n)
@@ -71,7 +69,7 @@ func main() {
 			cfg.DelayNs = int64(*delayFlag)
 			res, err := mmicro.Run(cfg, e.NewMutex(topo))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mallocbench: %s @%d: %v\n", name, n, err)
+				fmt.Fprintf(os.Stderr, "%s: %s @%d: %v\n", tool, name, n, err)
 				os.Exit(1)
 			}
 			row = append(row, stats.F(res.PairsPerMs(), 0))

@@ -44,16 +44,17 @@
 // store's own critical sections rather than to queue hand-offs.
 //
 // The cache lock itself is reader-writer shaped (locks.RWMutex): Sets
-// and Deletes take exclusive mode, and when the configured lock's
-// shared mode genuinely admits concurrent readers (an rw-* registry
-// lock), Gets run in shared mode — the read-mostly scaling lever the
-// cohort papers' reader-writer follow-up adds on top of cohorting.
-// Under either mode a hit only reads, apart from setting its item's
-// CLOCK reference bit: recency work (linking, the hand's sweep) is the
-// write path's. memcached does not relink on every hit either: 1.4
-// relinks a fetched item at most once per ITEM_UPDATE_INTERVAL (60 s),
-// and 1.5's segmented LRU only marks it active. Exclusive locks slot
-// in through locks.RWFromMutex and run the same lookup exclusively.
+// and Deletes take exclusive mode and Gets take shared mode, so under a
+// lock whose shared mode admits concurrent readers (an rw-* registry
+// lock) Gets run together — the read-mostly scaling lever the cohort
+// papers' reader-writer follow-up adds on top of cohorting. Exclusive
+// locks slot in through locks.RWFromMutex, whose shared mode is the
+// exclusive one, so their Gets take exactly one Lock each. Under
+// either mode a hit only reads, apart from setting its item's CLOCK
+// reference bit: recency work (linking, the hand's sweep) is the write
+// path's. memcached does not relink on every hit either: 1.4 relinks a
+// fetched item at most once per ITEM_UPDATE_INTERVAL (60 s), and 1.5's
+// segmented LRU only marks it active.
 // The two amortization machines compose on the read side: under a
 // genuine reader-writer lock MGet answers each chunk of up to MaxBatch
 // lookups under ONE shared acquisition and takes no exclusive one, so

@@ -42,9 +42,8 @@ func FromMutex(f func() locks.Mutex) LockSource {
 }
 
 // FromRW sources each shard's lock from a factory of reader-writer
-// locks (registry Entry.RWFactory shape). When the factory's locks
-// genuinely share reads (locks.SharesReads), Gets run in shared mode;
-// Sets and Deletes always take exclusive mode.
+// locks (registry Entry.RWFactory shape). Gets take the lock's shared
+// mode, Sets and Deletes its exclusive mode.
 func FromRW(f func() locks.RWMutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromRW(nil)")
@@ -55,9 +54,10 @@ func FromRW(f func() locks.RWMutex) LockSource {
 // FromExec sources each shard's exclusion from a factory of executors
 // (registry Entry.ExecFactory shape). A combining executor runs
 // same-cluster batches of the shard's sections under one acquisition
-// of its underlying lock; one whose shared mode genuinely shares
-// (locks.SharesExecReads) also takes the shard's reads. An executor
-// with no shared mode at all runs reads exclusively.
+// of its underlying lock. Reads go through the executor's ExecShared:
+// a combiner over an exclusive lock combines them with the writes, one
+// over a reader-writer lock runs them in that lock's shared mode. An
+// executor with no shared mode at all runs reads exclusively.
 func FromExec[X locks.Executor](f func() X) LockSource {
 	if f == nil {
 		panic("kvstore: FromExec(nil)")
@@ -76,15 +76,14 @@ func FromExec[X locks.Executor](f func() X) LockSource {
 type exclusiveOnly struct{ locks.Executor }
 
 func (x exclusiveOnly) ExecShared(p *numa.Proc, fn func()) { x.Exec(p, fn) }
-func (exclusiveOnly) SharedReads() bool                    { return false }
 
 // FromRegistry resolves a lock name through the registry (with its
 // "did you mean" errors) into the entry's executor factory
 // (registry Entry.ExecFactory): combining entries (comb-a-*) keep
-// their combiner (the comb-a-rw-* executors carry a genuinely shared
-// read mode, which the shard detects), genuine reader-writer entries
-// (rw-*) read in shared mode, and plain exclusive entries read
-// exclusively — the same sources FromExec, FromRW and FromMutex build.
+// their combiner (the comb-a-rw-* executors read in their operand's
+// shared mode), genuine reader-writer entries (rw-*) read in shared
+// mode, and plain exclusive entries read exclusively — the same
+// sources FromExec, FromRW and FromMutex build.
 func FromRegistry(topo *numa.Topology, name string) (LockSource, error) {
 	e, err := registry.Find(name)
 	if err != nil {

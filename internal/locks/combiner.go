@@ -32,8 +32,8 @@ type combSlot struct {
 // combiner. Incremented before a slot is posted and decremented after
 // the closure completes, so it over-approximates the posted-slot count
 // by at most the requests in their brief post/return windows — the
-// cheap, slightly-stale estimate an admission policy wants — and only
-// same-cluster procs write it.
+// cheap, slightly-stale estimate the patience and pass policy reads —
+// and only same-cluster procs write it.
 //
 // Invariant: a slot is posted only while its cluster's occupancy is
 // >= 1; the decrement follows the slot's return to idle (and the

@@ -105,17 +105,25 @@ func TestExecFromMutex(t *testing.T) {
 
 // TestCombinesIntrospection: every combining executor, and the
 // ExecFromMutex adapter, is an RWExecutor whose shared face over an
-// exclusive lock is exclusive — a consumer that asks SharesExecReads
-// keeps its exclusive read path.
+// exclusive lock is exclusive — each ExecShared runs its closure once
+// under one acquisition of the mutex, as the counter underneath sees.
 func TestCombinesIntrospection(t *testing.T) {
 	topo := numa.New(2, 4)
-	if locks.SharesExecReads(locks.ExecFromMutex(locks.NewMCS(topo))) {
-		t.Error("ExecFromMutex adapter claims shared reads")
-	}
-	eachCombiner(t, func(t *testing.T, c combinerCase) {
-		if locks.SharesExecReads(c.new(topo, locks.NewMCS(topo))) {
-			t.Error("combining executor over an exclusive lock claims shared reads")
+	shareOnce := func(t *testing.T, build func(locks.Mutex) locks.RWExecutor) {
+		var acquisitions atomic.Uint64
+		x := build(locks.CountAcquisitions(locks.NewMCS(topo), &acquisitions))
+		const iters = 20
+		n := 0
+		for i := 0; i < iters; i++ {
+			x.ExecShared(topo.Proc(i%4), func() { n++ })
 		}
+		if n != iters || acquisitions.Load() != iters {
+			t.Errorf("%d shared closures ran %d times under %d acquisitions, want one each", iters, n, acquisitions.Load())
+		}
+	}
+	shareOnce(t, locks.ExecFromMutex)
+	eachCombiner(t, func(t *testing.T, c combinerCase) {
+		shareOnce(t, func(m locks.Mutex) locks.RWExecutor { return c.new(topo, m) })
 	})
 }
 
@@ -311,7 +319,9 @@ func TestAdaptiveOccupancyIntrospection(t *testing.T) {
 func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 16)
-		locktest.Check(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 8, 4, 200)
+		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
+		locktest.Coexist(t, topo, x, 8)
+		locktest.Check(t, topo, x, 8, 4, 200)
 	})
 }
 
@@ -320,31 +330,20 @@ func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
 func TestRWCombiningOverRWPerCluster(t *testing.T) {
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(4, 16)
-		locktest.Check(t, topo, locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)), 12, 4, 200)
+		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
+		locktest.Coexist(t, topo, x, 12)
+		locktest.Check(t, topo, x, 12, 4, 200)
 	})
 }
 
 func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
-	// Over an RWFromMutex-adapted exclusive lock "shared" closures
-	// serialize; the construction must still be a correct
-	// RWExecutor (the harness skips the coexistence phase) and must
-	// pass the adapter's non-sharing property through.
+	// Over an RWFromMutex-adapted exclusive lock a "shared" closure takes
+	// the mutex itself, outside the combiner: reads serialize with one
+	// another and must still exclude the combiner's batches.
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 16)
 		x := locks.NewRWCombiningAdaptive(topo, locks.RWFromMutex(locks.NewMCS(topo)))
-		if locks.SharesExecReads(x) {
-			t.Fatal("RWCombining over RWFromMutex claims shared reads")
-		}
 		locktest.Check(t, topo, x, 8, 4, 200)
-	})
-}
-
-func TestRWCombiningIntrospection(t *testing.T) {
-	topo := numa.New(2, 4)
-	rwCombiner(t, func(t *testing.T) {
-		if x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo)); !locks.SharesExecReads(x) {
-			t.Error("RWCombining over a genuine RW lock drops an introspection property")
-		}
 	})
 }
 

@@ -26,7 +26,7 @@ type Executor interface {
 // ExecFromMutex adapts any mutual-exclusion lock to the RWExecutor
 // interface by bracketing each closure with Lock/Unlock: correct, one
 // acquisition per closure. It is ExecFromRWMutex over RWFromMutex, so
-// shared closures serialize too (SharesExecReads reports false).
+// shared closures serialize too.
 func ExecFromMutex(m Mutex) RWExecutor {
 	return ExecFromRWMutex(RWFromMutex(m))
 }
@@ -64,12 +64,5 @@ func NewCombiningAdaptive(topo *numa.Topology, m Mutex) *Combining {
 // RWFromMutex gives a mutex, so every executor is an RWExecutor.
 func (c *Combining) ExecShared(p *numa.Proc, fn func()) { c.Exec(p, fn) }
 
-// SharedReads reports false: shared closures serialize like exclusive
-// ones.
-func (c *Combining) SharedReads() bool { return false }
-
-// Interface conformance checks.
-var (
-	_ RWExecutor = (*Combining)(nil)
-	_ ReadSharer = (*Combining)(nil)
-)
+// Interface conformance check.
+var _ RWExecutor = (*Combining)(nil)

@@ -23,24 +23,6 @@ type RWMutex interface {
 	RUnlock(p *numa.Proc)
 }
 
-// ReadSharer is the optional introspection interface RW-aware callers
-// use to learn whether a lock's shared mode actually admits concurrent
-// readers. RWFromMutex adapters report false; genuine reader-writer
-// locks either omit the method or report true.
-type ReadSharer interface {
-	SharedReads() bool
-}
-
-// SharesReads reports whether l's shared mode can genuinely run
-// readers concurrently. Locks that do not implement ReadSharer are
-// assumed to be real reader-writer locks.
-func SharesReads(l RWMutex) bool {
-	if s, ok := l.(ReadSharer); ok {
-		return s.SharedReads()
-	}
-	return true
-}
-
 // rwExclusive adapts a Mutex to RWMutex by taking every acquisition in
 // exclusive mode.
 type rwExclusive struct {
@@ -50,14 +32,10 @@ type rwExclusive struct {
 func (l rwExclusive) RLock(p *numa.Proc)   { l.Lock(p) }
 func (l rwExclusive) RUnlock(p *numa.Proc) { l.Unlock(p) }
 
-// SharedReads reports false: the adapter serializes readers.
-func (l rwExclusive) SharedReads() bool { return false }
-
 // RWFromMutex adapts any mutual-exclusion lock to the RWMutex
-// interface: shared mode is exclusive mode. The adapter reports
-// SharedReads() == false so read paths that can exploit genuine
-// sharing (the kvstore's Get) know to keep their exclusive-mode
-// behavior byte-identical to the unwrapped lock.
+// interface: shared mode is exclusive mode, so a read path written
+// against RWMutex (the kvstore's Get) takes exactly the unwrapped
+// lock's acquisitions.
 func RWFromMutex(m Mutex) RWMutex {
 	return rwExclusive{Mutex: m}
 }
@@ -163,7 +141,6 @@ func (l *RWPerCluster) ActiveReaders() int64 {
 
 // Interface conformance checks.
 var (
-	_ RWMutex    = rwExclusive{}
-	_ RWMutex    = (*RWPerCluster)(nil)
-	_ ReadSharer = rwExclusive{}
+	_ RWMutex = rwExclusive{}
+	_ RWMutex = (*RWPerCluster)(nil)
 )

@@ -1,6 +1,7 @@
 package locks_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/locks"
@@ -10,35 +11,32 @@ import (
 
 func TestRWPerClusterOverMCS(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
-	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
+	x := locks.ExecFromRWMutex(locks.NewRWPerCluster(topo, locks.NewMCS(topo)))
+	locktest.Coexist(t, topo, x, 8)
+	locktest.Check(t, topo, x, 8, 4, 200)
 }
 
 func TestRWPerClusterOverCNA(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.NewRWPerCluster(topo, locks.NewCNA(topo))
-	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
+	x := locks.ExecFromRWMutex(locks.NewRWPerCluster(topo, locks.NewCNA(topo)))
+	locktest.Coexist(t, topo, x, 8)
+	locktest.Check(t, topo, x, 8, 4, 200)
 }
 
 // TestRWFromMutexIsExclusive verifies the adapter is a correct RWMutex
-// (Check skips the coexistence phase for it) and reports itself as
-// not sharing reads.
+// whose shared mode is its exclusive one: every RLock is one Lock of
+// the mutex.
 func TestRWFromMutexIsExclusive(t *testing.T) {
 	topo := numa.New(4, 16)
-	l := locks.RWFromMutex(locks.NewMCS(topo))
-	if locks.SharesReads(l) {
-		t.Fatal("RWFromMutex adapter claims shared reads")
+	var n atomic.Uint64
+	l := locks.RWFromMutex(locks.CountAcquisitions(locks.NewMCS(topo), &n))
+	p := topo.Proc(0)
+	l.RLock(p)
+	l.RUnlock(p)
+	if got := n.Load(); got != 1 {
+		t.Fatalf("RLock took %d acquisitions of the mutex, want 1", got)
 	}
 	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
-}
-
-// TestSharesReadsDefault: a genuine RW lock (no ReadSharer method)
-// reports shared reads.
-func TestSharesReadsDefault(t *testing.T) {
-	topo := numa.New(2, 4)
-	if !locks.SharesReads(locks.NewRWPerCluster(topo, locks.NewMCS(topo))) {
-		t.Fatal("RWPerCluster should report shared reads")
-	}
 }
 
 // TestRWPerClusterDrains: after heavy mixed traffic the reader

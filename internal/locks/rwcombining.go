@@ -7,6 +7,8 @@ import "repro/internal/numa"
 // closures run under one RLock/RUnlock each, as ExecFromRWMutex runs
 // them. Writes are combined; reads share the lock's own shared mode,
 // so concurrent readers coexist instead of queueing behind a combiner.
+// Over an RWFromMutex-adapted exclusive lock a read takes the mutex
+// itself: outside the combiner, still excluded by its batches.
 //
 // The underlying lock must be fresh (not shared with direct users).
 // Ops/Batches and Occupancy/OccupancyEstimate count exclusive requests
@@ -33,13 +35,5 @@ func (c *RWCombining) ExecShared(p *numa.Proc, fn func()) {
 	c.l.RUnlock(p)
 }
 
-// SharedReads passes the underlying lock's sharing property through:
-// over an RWFromMutex-adapted exclusive lock shared closures
-// serialize, and consumers should know.
-func (c *RWCombining) SharedReads() bool { return SharesReads(c.l) }
-
-// Interface conformance checks.
-var (
-	_ RWExecutor = (*RWCombining)(nil)
-	_ ReadSharer = (*RWCombining)(nil)
-)
+// Interface conformance check.
+var _ RWExecutor = (*RWCombining)(nil)

@@ -20,22 +20,10 @@ type RWExecutor interface {
 	ExecShared(p *numa.Proc, fn func())
 }
 
-// SharesExecReads reports whether x's shared mode can genuinely run
-// closures concurrently. Adapters over exclusive locks report false
-// through ReadSharer; executors that do not implement ReadSharer are
-// assumed to share.
-func SharesExecReads(x RWExecutor) bool {
-	if s, ok := x.(ReadSharer); ok {
-		return s.SharedReads()
-	}
-	return true
-}
-
 // execRWMutex adapts an RWMutex to the RWExecutor interface: exclusive
 // closures bracket Lock/Unlock, shared closures bracket RLock/RUnlock
 // — one acquisition per closure, the non-combining baseline. Whether
-// shared closures genuinely coexist is the underlying lock's property,
-// passed through SharedReads.
+// shared closures genuinely coexist is the underlying lock's property.
 type execRWMutex struct {
 	l RWMutex
 }
@@ -52,16 +40,10 @@ func (e execRWMutex) ExecShared(p *numa.Proc, fn func()) {
 	e.l.RUnlock(p)
 }
 
-// SharedReads passes the underlying lock's sharing property through,
-// so consumers of the executor see exactly what a direct user of the
-// lock would.
-func (e execRWMutex) SharedReads() bool { return SharesReads(e.l) }
-
 // ExecFromRWMutex adapts any reader-writer lock to the RWExecutor
 // interface by bracketing each closure with the matching mode's
 // acquire/release. Correct, not amortized; an exclusive lock adapted
-// through RWFromMutex composes (shared closures then serialize, and
-// SharesExecReads reports so).
+// through RWFromMutex composes (shared closures then serialize).
 func ExecFromRWMutex(l RWMutex) RWExecutor {
 	return execRWMutex{l: l}
 }
@@ -87,17 +69,11 @@ func (c *countingRWMutex) RLock(p *numa.Proc) {
 
 func (c *countingRWMutex) RUnlock(p *numa.Proc) { c.inner.RUnlock(p) }
 
-// SharedReads passes the wrapped lock's sharing property through, so
-// an instrumented genuine reader-writer lock still selects shared read
-// paths in its consumers.
-func (c *countingRWMutex) SharedReads() bool { return SharesReads(c.inner) }
-
 // CountRWAcquisitions returns l instrumented to add one to excl on
 // every Lock and one to shared on every RLock — the measurement seam
 // behind the shared-batch amortization exhibits. The two counters may
 // alias (one total-acquisitions counter) and may be shared across
-// instances; the wrapper preserves SharedReads introspection so
-// counted locks keep their consumers' read paths.
+// instances.
 func CountRWAcquisitions(l RWMutex, excl, shared *atomic.Uint64) RWMutex {
 	return &countingRWMutex{inner: l, excl: excl, shared: shared}
 }
@@ -105,7 +81,5 @@ func CountRWAcquisitions(l RWMutex, excl, shared *atomic.Uint64) RWMutex {
 // Interface conformance checks.
 var (
 	_ RWExecutor = execRWMutex{}
-	_ ReadSharer = execRWMutex{}
 	_ RWMutex    = (*countingRWMutex)(nil)
-	_ ReadSharer = (*countingRWMutex)(nil)
 )

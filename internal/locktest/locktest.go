@@ -3,9 +3,10 @@
 // harnesses use. Check is the one mutual-exclusion harness: every lock
 // reaches it as a locks.RWExecutor (a blocking lock through
 // locks.ExecFromMutex, a reader-writer lock through
-// locks.ExecFromRWMutex, an executor as is). CheckFairness runs the
-// same loop under skewed quotas, and CheckTryMutex covers abortable
-// attempts. Every lock package's tests build on these.
+// locks.ExecFromRWMutex, an executor as is). Coexist checks that a
+// shared mode which must share does, CheckFairness runs Check's loop
+// under skewed quotas, and CheckTryMutex covers abortable attempts.
+// Every lock package's tests build on these.
 package locktest
 
 import (
@@ -118,12 +119,6 @@ func checkProcs(t TB, topo *numa.Topology, n int) {
 // Check stress-tests mutual exclusion through the one seam every lock
 // reaches its users by. Deadline-guarded, it verifies:
 //
-//   - Shared coexistence: when x genuinely shares reads
-//     (locks.SharesExecReads), one shared closure per cluster must be
-//     able to run simultaneously — an executor or reader-writer lock
-//     that serializes shared mode while claiming to share it wedges
-//     here. Exclusive adapters skip this phase; serializing shared
-//     closures is their documented behavior.
 //   - Exclusion and snapshot consistency: exclusive closures hold the
 //     domain alone, and shared closures always observe the counter pair
 //     equal — an exclusive update is never visible half done. The
@@ -133,13 +128,15 @@ func checkProcs(t TB, topo *numa.Topology, n int) {
 //     their closure ran exactly once, its effects happening-before the
 //     return; the counters equal the number of exclusive closures.
 //
-// readers and writers are goroutine counts; procs are assigned
-// readers-first so shared closures land on distinct clusters. A
-// blocking lock is checked as locks.ExecFromMutex(m) with no readers.
+// An exclusive shared face passes; a shared mode that must genuinely
+// share is checked by Coexist as well.
+//
+// readers and writers are goroutine counts, readers on the first
+// procs. A blocking lock is checked as locks.ExecFromMutex(m) with no
+// readers.
 func Check(t TB, topo *numa.Topology, x locks.RWExecutor, readers, writers, iters int) {
 	t.Helper()
 	checkProcs(t, topo, readers+writers)
-	coexist(t, topo, x, readers)
 	stress(t, topo, x, readers, writers, iters, 0,
 		"workers never finished: deadlock, lost wakeup or starvation")
 }
@@ -161,12 +158,15 @@ func CheckFairness(t TB, topo *numa.Topology, m locks.Mutex, procs, iters int) {
 		"fairness deadline exceeded: a worker's acquisitions are unbounded-delayed (starvation or lost wakeup)")
 }
 
-// coexist is Check's first phase: one shared closure per cluster
-// rendezvouses inside shared mode.
-func coexist(t TB, topo *numa.Topology, x locks.RWExecutor, readers int) {
+// Coexist checks that x's shared mode genuinely shares, as a
+// reader-writer lock's (or a combiner's over one) must: one shared
+// closure on each of min(clusters, readers) clusters must be inside
+// shared mode at once, or the rendezvous fails on the deadline.
+func Coexist(t TB, topo *numa.Topology, x locks.RWExecutor, readers int) {
 	t.Helper()
+	checkProcs(t, topo, readers)
 	want := min(topo.Clusters(), readers)
-	if !locks.SharesExecReads(x) || want < 2 {
+	if want < 2 {
 		return
 	}
 	var inside, stuck atomic.Int32

@@ -155,8 +155,7 @@ func (x *tornRWExec) Exec(p *numa.Proc, fn func()) {
 func (x *tornRWExec) ExecShared(p *numa.Proc, fn func()) { fn() }
 
 // serialRWExec serializes shared closures through the same mutex as
-// exclusive ones while claiming genuine sharing: correct exclusion,
-// broken coexistence.
+// exclusive ones: correct exclusion, broken coexistence.
 type serialRWExec struct {
 	mu sync.Mutex
 }
@@ -173,8 +172,6 @@ func (x *serialRWExec) ExecShared(p *numa.Proc, fn func()) {
 	x.mu.Unlock()
 }
 
-func (x *serialRWExec) SharedReads() bool { return true }
-
 // dropSharedExec runs exclusive closures correctly but returns from
 // ExecShared without running the closure: lost shared ops.
 type dropSharedExec struct {
@@ -189,8 +186,6 @@ func (x *dropSharedExec) Exec(p *numa.Proc, fn func()) {
 
 func (x *dropSharedExec) ExecShared(p *numa.Proc, fn func()) {}
 
-func (x *dropSharedExec) SharedReads() bool { return false }
-
 // brokenRWCombiner is a miniature read-side combiner with a seeded
 // defect: readers post closures to a queue, one poster elects itself
 // combiner through a gate and drains the whole batch, and posters spin
@@ -198,13 +193,10 @@ func (x *dropSharedExec) SharedReads() bool { return false }
 // flavors:
 //
 //   - drop=false: the combiner runs every batched read under the
-//     EXCLUSIVE mutex while still claiming genuine sharing — shared
-//     closures serialize, so the coexistence rendezvous must wedge.
+//     EXCLUSIVE mutex — shared closures serialize, so the coexistence
+//     rendezvous must wedge.
 //   - drop=true: the combiner acknowledges every second batched
-//     closure without running it — lost shared ops. (It reports
-//     SharedReads false so the rendezvous phase, whose closures it
-//     would also drop, is skipped and the failure is attributed to
-//     the loss.)
+//     closure without running it — lost shared ops.
 type brokenRWCombiner struct {
 	drop   bool
 	mu     sync.Mutex // exclusive domain
@@ -265,8 +257,6 @@ func (x *brokenRWCombiner) combine() {
 	x.mu.Unlock()
 }
 
-func (x *brokenRWCombiner) SharedReads() bool { return !x.drop }
-
 // tornRW takes writers through a real mutex but lets readers straight
 // through: writer exclusion holds, snapshots tear.
 type tornRW struct {
@@ -278,9 +268,8 @@ func (l *tornRW) Unlock(p *numa.Proc)  { l.mu.Unlock() }
 func (l *tornRW) RLock(p *numa.Proc)   {}
 func (l *tornRW) RUnlock(p *numa.Proc) {}
 
-// serialRW takes readers through the writers' mutex and omits
-// SharedReads, so it is assumed to share: correct exclusion, broken
-// coexistence.
+// serialRW takes readers through the writers' mutex: correct
+// exclusion, broken coexistence.
 type serialRW struct {
 	mu sync.Mutex
 }
@@ -349,7 +338,9 @@ func TestCheckFairnessCatchesStarvation(t *testing.T) {
 func TestCheckRWCatchesTornSnapshots(t *testing.T) {
 	needsViolationObservation(t)
 	msg := expectFailure(t, "Check/torn-rw", func(tb TB) {
-		Check(tb, testTopo(), locks.ExecFromRWMutex(&tornRW{}), 4, 3, 20_000)
+		x := locks.ExecFromRWMutex(&tornRW{})
+		Coexist(tb, testTopo(), x, 4)
+		Check(tb, testTopo(), x, 4, 3, 20_000)
 	})
 	if !strings.Contains(msg, "torn") && !strings.Contains(msg, "could not run together") {
 		t.Errorf("unexpected failure message: %q", msg)
@@ -358,11 +349,11 @@ func TestCheckRWCatchesTornSnapshots(t *testing.T) {
 
 func TestCheckCatchesSerializedSharedLock(t *testing.T) {
 	// A reader-writer lock whose readers serialize, adapted through
-	// ExecFromRWMutex, inherits the lock's assumed sharing: the
-	// coexistence rendezvous must wedge and fail on the deadline.
+	// ExecFromRWMutex, must wedge the coexistence rendezvous and fail on
+	// the deadline.
 	withDeadline(300*time.Millisecond, func() {
-		msg := expectFailure(t, "Check/serialized-rw", func(tb TB) {
-			Check(tb, testTopo(), locks.ExecFromRWMutex(&serialRW{}), 4, 2, 10)
+		msg := expectFailure(t, "Coexist/serialized-rw", func(tb TB) {
+			Coexist(tb, testTopo(), locks.ExecFromRWMutex(&serialRW{}), 4)
 		})
 		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -398,6 +389,7 @@ func TestCheckExecCatchesExclusionViolation(t *testing.T) {
 func TestCheckRWExecCatchesTornSnapshots(t *testing.T) {
 	needsViolationObservation(t)
 	msg := expectFailure(t, "Check/torn", func(tb TB) {
+		Coexist(tb, testTopo(), &tornRWExec{}, 4)
 		Check(tb, testTopo(), &tornRWExec{}, 4, 3, 20_000)
 	})
 	if !strings.Contains(msg, "torn") && !strings.Contains(msg, "could not run together") {
@@ -406,14 +398,14 @@ func TestCheckRWExecCatchesTornSnapshots(t *testing.T) {
 }
 
 func TestCheckRWExecCatchesSerializedSharedClosures(t *testing.T) {
-	// A claimed-shared executor whose shared closures serialize must
-	// wedge the coexistence rendezvous and fail on the deadline. Needs
-	// two clusters' closures genuinely in flight at once, which a
+	// An executor whose shared closures serialize must wedge the
+	// coexistence rendezvous and fail on the deadline. Needs two
+	// clusters' closures genuinely in flight at once, which a
 	// single-processor scheduler can still provide: the inside closure
 	// spins through spin.Poll, which yields.
 	withDeadline(300*time.Millisecond, func() {
-		msg := expectFailure(t, "Check/serialized", func(tb TB) {
-			Check(tb, testTopo(), &serialRWExec{}, 4, 2, 10)
+		msg := expectFailure(t, "Coexist/serialized", func(tb TB) {
+			Coexist(tb, testTopo(), &serialRWExec{}, 4)
 		})
 		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -432,11 +424,11 @@ func TestCheckRWExecCatchesLostSharedClosures(t *testing.T) {
 
 func TestCheckRWExecCatchesExclusiveHarvest(t *testing.T) {
 	// A combiner that runs its batch of read closures under the
-	// exclusive lock serializes shared mode while claiming to share it:
-	// the coexistence rendezvous must wedge on the deadline.
+	// exclusive lock serializes shared mode: the coexistence rendezvous
+	// must wedge on the deadline.
 	withDeadline(300*time.Millisecond, func() {
-		msg := expectFailure(t, "Check/exclusive-harvest", func(tb TB) {
-			Check(tb, testTopo(), &brokenRWCombiner{}, 4, 2, 10)
+		msg := expectFailure(t, "Coexist/exclusive-harvest", func(tb TB) {
+			Coexist(tb, testTopo(), &brokenRWCombiner{}, 4)
 		})
 		if !strings.Contains(msg, "could not run together") && !strings.Contains(msg, "rendezvous") {
 			t.Errorf("unexpected failure message: %q", msg)
@@ -463,8 +455,10 @@ func TestHarnessesPassCorrectImplementations(t *testing.T) {
 	rw := func() locks.RWMutex { return locks.NewRWPerCluster(topo, locks.NewMCS(topo)) }
 	Check(t, topo, locks.ExecFromMutex(locks.NewMCS(topo)), 0, 8, 100)
 	CheckFairness(t, topo, locks.NewMCS(topo), 6, 50)
-	Check(t, topo, locks.ExecFromRWMutex(rw()), 4, 2, 100)
+	for _, x := range []locks.RWExecutor{locks.ExecFromRWMutex(rw()), locks.NewRWCombiningAdaptive(topo, rw())} {
+		Coexist(t, topo, x, 4)
+		Check(t, topo, x, 4, 2, 100)
+	}
 	Check(t, topo, locks.ExecFromRWMutex(locks.RWFromMutex(locks.NewMCS(topo))), 4, 2, 100)
 	Check(t, topo, locks.NewCombiningAdaptive(topo, locks.NewMCS(topo)), 0, 8, 100)
-	Check(t, topo, locks.NewRWCombiningAdaptive(topo, rw()), 4, 2, 100)
 }

@@ -193,11 +193,17 @@ func TestUnregisteredCompositions(t *testing.T) {
 				locktest.Check(t, topo, locks.ExecFromMutex(e.NewMutex(topo)), 0, 8, 150)
 			}
 			if f := e.RWFactory(topo); f != nil {
-				locktest.Check(t, topo, locks.ExecFromRWMutex(f()), 5, 3, 150)
+				x := locks.ExecFromRWMutex(f())
+				if e.NewRW != nil {
+					locktest.Coexist(t, topo, x, 5)
+				}
+				locktest.Check(t, topo, x, 5, 3, 150)
 			}
 			locktest.Check(t, topo, e.ExecFactory(topo)(), 0, 8, 150)
-			if e.NewExec != nil && sharesReads(e) {
-				locktest.Check(t, topo, e.ExecFactory(topo)(), 5, 3, 150)
+			if e.NewExec != nil && mustShare(e) {
+				x := e.ExecFactory(topo)()
+				locktest.Coexist(t, topo, x, 5)
+				locktest.Check(t, topo, x, 5, 3, 150)
 			}
 		})
 	}

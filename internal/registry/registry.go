@@ -284,9 +284,9 @@ func (e Entry) MutexFactory(topo *numa.Topology) func() locks.Mutex {
 // instances of this lock for topo, or nil if the entry cannot lock at
 // all. Entries with a native RW construction (NewRW) yield genuinely
 // shared readers; exclusive-only entries are adapted through
-// locks.RWFromMutex, so every blocking lock in the registry slots into
-// an RW-shaped consumer (the kvstore) and keeps its exact exclusive
-// behavior (locks.SharesReads reports which case was built).
+// locks.RWFromMutex, whose shared mode is the lock's exclusive one, so
+// every blocking lock in the registry slots into an RW-shaped consumer
+// and keeps its exact exclusive behavior.
 func (e Entry) RWFactory(topo *numa.Topology) func() locks.RWMutex {
 	if e.NewRW != nil {
 		return func() locks.RWMutex { return e.NewRW(topo) }
@@ -303,8 +303,8 @@ func (e Entry) RWFactory(topo *numa.Topology) func() locks.RWMutex {
 // executors (NewExec); the rest adapt through locks.ExecFromRWMutex —
 // correct, one acquisition per closure — so every lock in the registry
 // slots into an executor-shaped consumer. Shared closures genuinely
-// coexist over a native RW construction and serialize over an
-// exclusive-only one (locks.SharesExecReads reports which).
+// coexist over a native RW construction (NewRW, or a comb-a- operand
+// with one) and serialize over an exclusive-only one.
 func (e Entry) ExecFactory(topo *numa.Topology) func() locks.RWExecutor {
 	if e.NewExec != nil {
 		return func() locks.RWExecutor { return e.NewExec(topo) }

@@ -56,10 +56,10 @@ func TestCombiningEntriesDerived(t *testing.T) {
 		if comb.NewMutex != nil || comb.NewTry != nil || comb.NewRW != nil {
 			t.Errorf("%s: derived entries are exec-only", comb.Name)
 		}
-		// Native RW bases derive the reader-writer twin, whose shared
-		// mode the kvstore seam detects.
-		if rw := e.NewRW != nil; locks.SharesExecReads(comb.NewExec(topo)) != rw {
-			t.Errorf("%s: shared reads should match the base's NewRW (%v)", comb.Name, rw)
+		// Native RW bases derive the reader-writer twin, whose reads
+		// take the base's shared mode.
+		if _, rw := comb.NewExec(topo).(*locks.RWCombining); rw != (e.NewRW != nil) {
+			t.Errorf("%s: builds an RWCombining = %v, want the base's NewRW != nil (%v)", comb.Name, rw, e.NewRW != nil)
 		}
 	}
 	// The derived entries build the combiner itself, whose occupancy

@@ -54,24 +54,22 @@ func TestEveryRWEntryPassesLocktest(t *testing.T) {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			locktest.Check(t, topo, locks.ExecFromRWMutex(e.NewRW(topo)), 5, 3, 150)
+			x := locks.ExecFromRWMutex(e.NewRW(topo))
+			locktest.Coexist(t, topo, x, 5)
+			locktest.Check(t, topo, x, 5, 3, 150)
 		})
 	}
 }
 
 // TestRWFactoryAdaptsExclusiveEntries verifies the degradation path:
 // an exclusive-only entry still yields a correct RWMutex through
-// RWFactory (readers serialized), and reports itself as such.
+// RWFactory (readers serialized).
 func TestRWFactoryAdaptsExclusiveEntries(t *testing.T) {
 	for _, name := range []string{"mcs", "c-bo-mcs", "pthread"} {
 		e := MustLookup(name)
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			l := e.RWFactory(topo)()
-			if locks.SharesReads(l) {
-				t.Fatalf("%s has no native RW construction but its adapter claims shared reads", name)
-			}
-			locktest.Check(t, topo, locks.ExecFromRWMutex(l), 5, 3, 150)
+			locktest.Check(t, topo, locks.ExecFromRWMutex(e.RWFactory(topo)()), 5, 3, 150)
 		})
 	}
 }
@@ -106,6 +104,14 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 	}
 }
 
+// mustShare reports whether e's executor must share reads: e has a
+// native reader-writer construction, or is a combining executor over
+// an operand that has one.
+func mustShare(e Entry) bool {
+	_, operand, ok := e.Unwrap()
+	return e.NewRW != nil || e.NewExec != nil && ok && operand.NewRW != nil
+}
+
 // TestEveryRWExecFactoryPassesLocktest round-trips every lockable
 // entry's executor (ExecFactory: the combining construction for
 // comb-a-* entries, ExecFromRWMutex over the entry's RW face
@@ -113,14 +119,6 @@ func TestExecFactoryAdaptsMutexEntries(t *testing.T) {
 // coexist where sharing is genuine, exclusive closures exclude them,
 // no lost or double-run ops — automatically for any future
 // registration.
-// sharesReads reports whether e's executor shares reads: e has a
-// native reader-writer construction, or is a combining executor over
-// an operand that has one.
-func sharesReads(e Entry) bool {
-	_, operand, ok := e.Unwrap()
-	return e.NewRW != nil || e.NewExec != nil && ok && operand.NewRW != nil
-}
-
 func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 	for _, e := range entries() {
 		topo := numa.New(2, 8)
@@ -130,8 +128,8 @@ func TestEveryRWExecFactoryPassesLocktest(t *testing.T) {
 		}
 		t.Run(e.Name, func(t *testing.T) {
 			x := f()
-			if got, want := locks.SharesExecReads(x), sharesReads(e); got != want {
-				t.Fatalf("SharesExecReads = %v, want %v", got, want)
+			if mustShare(e) {
+				locktest.Coexist(t, topo, x, 5)
 			}
 			locktest.Check(t, topo, x, 5, 3, 150)
 		})

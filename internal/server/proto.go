@@ -44,7 +44,7 @@ const (
 	// KindVersion answers the server version string.
 	KindVersion
 	// KindStats answers a "STAT <name> <value>" dump then END — the
-	// wire-visible Stats snapshot (admission cap, shed counters, …).
+	// wire-visible Stats snapshot (connections, ops, hits, flushes, …).
 	KindStats
 	// KindQuit closes the connection.
 	KindQuit

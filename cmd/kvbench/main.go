@@ -113,6 +113,11 @@ func main() {
 	if opt.locks, err = cli.Locks(*locksFlag); err != nil {
 		cli.Die(tool, err)
 	}
+	for _, name := range opt.locks {
+		if e := registry.MustLookup(name); e.NewMutex == nil && e.NewExec == nil {
+			cli.Dief(tool, "lock %q is abortable-only and cannot guard the store", name)
+		}
+	}
 	opt.mixes = map[string][]int{"all": {90, 50, 10}, "90": {90}, "50": {50}, "10": {10}}[*mixFlag]
 	if opt.mixes == nil {
 		cli.Dief(tool, "-mix must be 90, 50, 10 or all")
@@ -216,9 +221,6 @@ type outcome struct {
 // excluded: the counts cover only the measured window.
 func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 	e := c.entry
-	if e.NewMutex == nil && e.NewExec == nil {
-		return outcome{}, fmt.Errorf("lock %q is abortable-only and cannot guard the store", e.Name)
-	}
 	var excl, shared atomic.Uint64
 	if c.count {
 		counted := func(x registry.Entry) registry.Entry {

@@ -65,6 +65,15 @@ func TestExhibitShapes(t *testing.T) {
 			[]string{"cna: " + common, "gcr-mcs: " + common},
 		},
 		{
+			"shards", []string{"-mix", "50", "-threads", "2", "-shards", "1,2", "-locks", "mcs,c-bo-mcs"},
+			[]string{
+				"# Table 1 (50% gets / 50% sets): speedup over pthread@1", "threads mcs c-bo-mcs",
+				"# Table 1 (50% gets / 50% sets): speedup over pthread@1 [2 shards]", "threads mcs c-bo-mcs",
+				"# Shard scaling (50% gets, 2 threads): throughput vs 1 shard(s)", "shards mcs c-bo-mcs",
+			},
+			[]string{"mcs: " + common, "c-bo-mcs: " + common, "mcs: " + common, "c-bo-mcs: " + common},
+		},
+		{
 			"batch", []string{"-batch=16", "-mix", "50", "-threads", "2", "-locks", "c-bo-mcs,comb-a-c-bo-mcs,comb-a-mcs"},
 			[]string{
 				"# Batched pipeline (batch=16, 50% gets): speedup over pthread@1", "threads c-bo-mcs comb-a-c-bo-mcs comb-a-mcs",
@@ -104,17 +113,23 @@ func TestExhibitShapes(t *testing.T) {
 }
 
 // TestLockNameErrorsSurfaceAtFlagParsing checks that a composition the
-// registry refuses stops the tool before any measurement, with the
-// registry's own message.
+// registry refuses, or a lock that cannot guard the store, stops the
+// tool at flag parsing (exit 2) before any measurement, with the
+// reason.
 func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-locks", "comb-a-a-clh")
-	cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("kvbench -locks comb-a-a-clh succeeded:\n%s", out)
-	}
-	if want := "a-clh is abortable-only, comb-a- needs a blocking lock"; !strings.Contains(string(out), want) {
-		t.Errorf("output %q does not carry %q", out, want)
+	for _, c := range []struct{ locks, want string }{
+		{"comb-a-a-clh", "a-clh is abortable-only, comb-a- needs a blocking lock"},
+		{"mcs,a-clh", `lock "a-clh" is abortable-only and cannot guard the store`},
+	} {
+		cmd := exec.Command(os.Args[0], "-locks", c.locks, "-mix", "50", "-threads", "2", "-duration", "10ms", "-keys", "2000")
+		cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("kvbench -locks %s exited %d, want 2:\n%s", c.locks, code, out)
+		}
+		if !strings.Contains(string(out), c.want) || strings.Contains(string(out), "ran ") {
+			t.Errorf("kvbench -locks %s: output %q, want %q before any run", c.locks, out, c.want)
+		}
 	}
 }
 

@@ -44,6 +44,11 @@ func main() {
 	if err != nil {
 		cli.Die(tool, err)
 	}
+	for _, name := range lockNames {
+		if registry.MustLookup(name).NewMutex == nil {
+			cli.Dief(tool, "lock %q is not blocking; the allocator needs a Lock/Unlock lock", name)
+		}
+	}
 	if len(lockNames) == 0 {
 		lockNames = registry.TableNames()
 	}
@@ -60,9 +65,6 @@ func main() {
 		reuseRow := []string{fmt.Sprint(n)}
 		for _, name := range lockNames {
 			e := registry.MustLookup(name)
-			if e.NewMutex == nil {
-				cli.Dief(tool, "lock %q is not blocking", name)
-			}
 			runtime.GC() // previous cell's arena is garbage; collect outside the window
 			cfg := mmicro.DefaultConfig(topo, n)
 			cfg.Duration = *durationFlag

@@ -20,22 +20,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// mallocbench runs the tool and returns its stdout, its stderr and
-// whether it exited 0.
-func mallocbench(args ...string) (stdout, stderr string, ok bool) {
+// mallocbench runs the tool and returns its stdout, its stderr and its
+// exit status.
+func mallocbench(args ...string) (stdout, stderr string, code int) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), mallocbenchMainEnv+"=1")
 	var errb strings.Builder
 	cmd.Stderr = &errb
-	out, err := cmd.Output()
-	return string(out), errb.String(), err == nil
+	out, _ := cmd.Output()
+	return string(out), errb.String(), cmd.ProcessState.ExitCode()
 }
 
 // TestExhibitShapes pins the table titles and column headers of the CI
 // smoke invocation, the remote-reuse table included.
 func TestExhibitShapes(t *testing.T) {
-	out, stderr, ok := mallocbench("-threads", "1,2", "-locks", "mcs,c-bo-mcs", "-duration", "10ms", "-reuse")
-	if !ok {
+	out, stderr, code := mallocbench("-threads", "1,2", "-locks", "mcs,c-bo-mcs", "-duration", "10ms", "-reuse")
+	if code != 0 {
 		t.Fatalf("mallocbench failed:\n%s", stderr)
 	}
 	want := []string{
@@ -54,14 +54,25 @@ func TestExhibitShapes(t *testing.T) {
 	}
 }
 
-// TestBadClustersExitsWithItsMessage checks that -clusters 0 stops the
-// tool before any measurement, with the flag's message and no panic.
-func TestBadClustersExitsWithItsMessage(t *testing.T) {
-	out, stderr, ok := mallocbench("-clusters", "0", "-threads", "1", "-duration", "10ms")
-	if ok {
-		t.Fatalf("mallocbench -clusters 0 succeeded:\n%s", out)
-	}
-	if want := "-clusters must be positive, got 0"; !strings.Contains(stderr, want) || strings.Contains(stderr, "panic:") || strings.Contains(stderr, "ran ") {
-		t.Errorf("stderr %q, want %q before any run and no panic", stderr, want)
+// TestBadFlagsExitWithTheirMessage checks that a flag value the tool
+// cannot run stops it at flag parsing (exit 2) before any measurement,
+// with the reason and no panic. A -locks name that is not a blocking
+// lock (abortable-only, or a comb-a-* executor) is such a value.
+func TestBadFlagsExitWithTheirMessage(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-clusters", "0"}, "-clusters must be positive, got 0"},
+		{[]string{"-locks", "mcs,a-clh"}, `lock "a-clh" is not blocking`},
+		{[]string{"-locks", "mcs,comb-a-mcs"}, `lock "comb-a-mcs" is not blocking`},
+	} {
+		out, stderr, code := mallocbench(append(c.args, "-threads", "1", "-duration", "10ms")...)
+		if code != 2 {
+			t.Errorf("mallocbench %s exited %d, want 2:\n%s", strings.Join(c.args, " "), code, out)
+		}
+		if !strings.Contains(stderr, c.want) || strings.Contains(stderr, "panic:") || strings.Contains(stderr, "ran ") {
+			t.Errorf("mallocbench %s: stderr %q, want %q before any run and no panic", strings.Join(c.args, " "), stderr, c.want)
+		}
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -113,9 +112,17 @@ func main() {
 	if opt.locks, err = cli.Locks(*locksFlag); err != nil {
 		cli.Die(tool, err)
 	}
-	for _, name := range opt.locks {
-		if e := registry.MustLookup(name); e.NewMutex == nil && e.NewExec == nil {
-			cli.Dief(tool, "lock %q is abortable-only and cannot guard the store", name)
+	for _, e := range resolve(opt.locks) {
+		if e.NewMutex == nil && e.NewExec == nil {
+			cli.Dief(tool, "lock %q is abortable-only and cannot guard the store", e.Name)
+		}
+		if opt.reads > 0 && e.NewExec != nil {
+			// The -reads table compares a lock's shared and exclusive
+			// Gets; a combining executor has no read path of its own.
+			if _, operand, ok := e.Unwrap(); ok && operand.NewRW != nil {
+				cli.Dief(tool, "lock %q reads exactly as its operand %s does; use %s here, or %q with -batch", e.Name, operand.Name, operand.Name, e.Name)
+			}
+			cli.Dief(tool, "lock %q is a combining executor with no reader-writer face; use it with -batch or the standard tables", e.Name)
 		}
 	}
 	opt.mixes = map[string][]int{"all": {90, 50, 10}, "90": {90}, "50": {50}, "10": {10}}[*mixFlag]
@@ -261,7 +268,6 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 	}
 	store := kvstore.New(cfg)
 	kvload.Populate(store, topo.Proc(0), opt.keyspace, 128)
-	runtime.GC() // population litters the heap; keep GC out of the window
 
 	lcfg := kvload.DefaultConfig(topo, c.threads, c.reads)
 	lcfg.Duration = opt.duration
@@ -459,18 +465,10 @@ func runRW(opt options, topo *numa.Topology) ([]record, error) {
 		cols = append(cols, column{header: header, cell: c, rec: r})
 	}
 	for _, e := range resolve(opt.locks) {
-		switch {
-		case e.NewExec != nil:
-			if _, operand, ok := e.Unwrap(); ok && operand.NewRW != nil {
-				return nil, fmt.Errorf("lock %q reads exactly as its operand %s does; use %s here, or %q with -batch", e.Name, operand.Name, operand.Name, e.Name)
-			}
-			return nil, fmt.Errorf("lock %q is a combining executor with no reader-writer face; use it with -batch or the standard tables", e.Name)
-		case e.NewRW != nil:
+		if e.NewRW != nil {
 			add(e, e.Name, "shared")
-			fallthrough
-		default:
-			add(e, e.Name+"/x", "exclusive")
 		}
+		add(e, e.Name+"/x", "exclusive")
 	}
 	base, err := baseline(opt, topo, reads, fmt.Sprintf("reads=%g", opt.reads))
 	if err != nil {

@@ -113,15 +113,20 @@ func TestExhibitShapes(t *testing.T) {
 }
 
 // TestLockNameErrorsSurfaceAtFlagParsing checks that a composition the
-// registry refuses, or a lock that cannot guard the store, stops the
-// tool at flag parsing (exit 2) before any measurement, with the
-// reason.
+// registry refuses, a lock that cannot guard the store, or a combining
+// name in the -reads table stops the tool at flag parsing (exit 2)
+// before any measurement, with the reason.
 func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
-	for _, c := range []struct{ locks, want string }{
-		{"comb-a-a-clh", "a-clh is abortable-only, comb-a- needs a blocking lock"},
-		{"mcs,a-clh", `lock "a-clh" is abortable-only and cannot guard the store`},
+	for _, c := range []struct {
+		locks, want string
+		extra       []string
+	}{
+		{"comb-a-a-clh", "a-clh is abortable-only, comb-a- needs a blocking lock", nil},
+		{"mcs,a-clh", `lock "a-clh" is abortable-only and cannot guard the store`, nil},
+		{"rw-mcs,comb-a-rw-mcs", `lock "comb-a-rw-mcs" reads exactly as its operand rw-mcs does; use rw-mcs here`, []string{"-reads", "0.99"}},
 	} {
-		cmd := exec.Command(os.Args[0], "-locks", c.locks, "-mix", "50", "-threads", "2", "-duration", "10ms", "-keys", "2000")
+		args := append([]string{"-locks", c.locks, "-mix", "50", "-threads", "2", "-duration", "10ms", "-keys", "2000"}, c.extra...)
+		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
 		out, _ := cmd.CombinedOutput()
 		if code := cmd.ProcessState.ExitCode(); code != 2 {

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -217,7 +216,6 @@ func sweep(opt options, topo *numa.Topology, kind string, names []string, opts .
 			return nil, err
 		}
 		for _, n := range opt.threads {
-			runtime.GC() // keep collector work out of the window
 			cfg := lbench.DefaultConfig(topo, n)
 			cfg.Duration = opt.duration
 			var res lbench.Result

@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"time"
 
@@ -65,7 +64,6 @@ func main() {
 		reuseRow := []string{fmt.Sprint(n)}
 		for _, name := range lockNames {
 			e := registry.MustLookup(name)
-			runtime.GC() // previous cell's arena is garbage; collect outside the window
 			cfg := mmicro.DefaultConfig(topo, n)
 			cfg.Duration = *durationFlag
 			cfg.DelayNs = int64(*delayFlag)

@@ -106,9 +106,6 @@ func NewDomain(topo *numa.Topology, nLines int, cfg Config) *Domain {
 	return d
 }
 
-// Lines reports the number of simulated lines.
-func (d *Domain) Lines() int { return len(d.lines) }
-
 // Access models a critical section touching line idx with the given
 // number of read-modify-write operations. It must be called with mutual
 // exclusion over the line (i.e. while holding the experiment's lock):
@@ -135,10 +132,6 @@ func (d *Domain) Access(p *numa.Proc, idx int, writes int) bool {
 	}
 	return miss
 }
-
-// Touch is Access with a single write, for callers modelling one
-// counter update.
-func (d *Domain) Touch(p *numa.Proc, idx int) bool { return d.Access(p, idx, 1) }
 
 // Stats is an aggregated view of domain activity.
 type Stats struct {

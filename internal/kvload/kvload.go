@@ -9,10 +9,9 @@ package kvload
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/closedloop"
 	"repro/internal/kvstore"
 	"repro/internal/numa"
 	"repro/internal/spin"
@@ -63,14 +62,8 @@ func DefaultConfig(topo *numa.Topology, threads int, readFraction float64) Confi
 }
 
 func (c *Config) validate() error {
-	if c.Topo == nil {
-		return fmt.Errorf("kvload: nil topology")
-	}
-	if c.Threads < 1 || c.Threads > c.Topo.MaxProcs() {
-		return fmt.Errorf("kvload: %d threads outside [1,%d]", c.Threads, c.Topo.MaxProcs())
-	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("kvload: non-positive duration")
+	if err := closedloop.Check(c.Topo, c.Threads, c.Duration); err != nil {
+		return fmt.Errorf("kvload: %w", err)
 	}
 	if !(c.ReadFraction >= 0 && c.ReadFraction <= 1) { // inverted to reject NaN
 		return fmt.Errorf("kvload: read fraction %v outside [0,1]", c.ReadFraction)
@@ -124,14 +117,45 @@ type loadSlot struct {
 	_    numa.Pad
 }
 
-// runBatchedWorker is the BatchSize > 1 worker loop: each round draws
-// a batch of keys, splits them by the get/set mix, and issues one MGet
-// and one MSet — the store amortizes lock acquisitions across each
-// shard's group. The per-request non-locked work (think time) is
-// still paid once per operation; it is busy-waited in one stretch per
-// batch, as a pipelining server would interleave parsing with the
-// batched cache pass. Every round issues exactly BatchSize keys.
-func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64, stop *atomic.Bool, start chan struct{}) {
+// newStep builds one worker's request loop: pick a key, get or set it
+// per the mix, then do the request's non-locked work.
+func newStep(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64) func() bool {
+	val := make([]byte, cfg.ValueSize)
+	dst := make([]byte, cfg.ValueSize)
+	var sink byte
+	return func() bool {
+		key := p.Rand() % cfg.Keyspace
+		if p.RandN(1000) < getMille {
+			n, ok := store.Get(p, key, dst)
+			if ok {
+				// Response assembly: checksum the payload.
+				for _, b := range dst[:n] {
+					sink ^= b
+				}
+			}
+			sl.gets++
+		} else {
+			val[0] = byte(key)
+			val[len(val)-1] = sink
+			store.Set(p, key, val)
+			sl.sets++
+		}
+		if cfg.ThinkNs > 0 {
+			spin.WaitNs(cfg.ThinkNs/2 + p.RandN(cfg.ThinkNs/2+1))
+		}
+		sl.ops++
+		return true
+	}
+}
+
+// newBatchedStep builds the BatchSize > 1 worker loop: each round
+// draws a batch of keys, splits them by the get/set mix, and issues one
+// MGet and one MSet — the store amortizes lock acquisitions across each
+// shard's group. The per-request non-locked work (think time) is still
+// paid once per operation; it is busy-waited in one stretch per batch,
+// as a pipelining server would interleave parsing with the batched
+// cache pass. Every round issues exactly BatchSize keys.
+func newBatchedStep(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64) func() bool {
 	b := cfg.BatchSize
 	stride := cfg.ValueSize
 	readKeys := make([]uint64, 0, b)
@@ -146,8 +170,7 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 	lens := make([]int, b)
 	found := make([]bool, b)
 	var sink byte
-	<-start
-	for !stop.Load() {
+	return func() bool {
 		readKeys, writeKeys, vals = readKeys[:0], writeKeys[:0], vals[:0]
 		var think int64
 		for i := 0; i < b; i++ {
@@ -185,6 +208,7 @@ func runBatchedWorker(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadS
 		}
 		spin.WaitNs(think)
 		sl.ops += uint64(b)
+		return true
 	}
 }
 
@@ -193,58 +217,16 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	spin.Calibrate()
-	spin.AutoOversubscribe(cfg.Threads)
 	getMille := int64(cfg.ReadFraction*1000 + 0.5)
-	slots := make([]loadSlot, cfg.Threads)
-	var stop atomic.Bool
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := cfg.Topo.Proc(id)
-			sl := &slots[id]
-			if cfg.BatchSize > 1 {
-				runBatchedWorker(&cfg, store, p, sl, getMille, &stop, start)
-				return
-			}
-			val := make([]byte, cfg.ValueSize)
-			dst := make([]byte, cfg.ValueSize)
-			var sink byte
-			<-start
-			for !stop.Load() {
-				key := p.Rand() % cfg.Keyspace
-				if p.RandN(1000) < getMille {
-					n, ok := store.Get(p, key, dst)
-					if ok {
-						// Response assembly: checksum the payload.
-						for _, b := range dst[:n] {
-							sink ^= b
-						}
-					}
-					sl.gets++
-				} else {
-					val[0] = byte(key)
-					val[len(val)-1] = sink
-					store.Set(p, key, val)
-					sl.sets++
-				}
-				if cfg.ThinkNs > 0 {
-					spin.WaitNs(cfg.ThinkNs/2 + p.RandN(cfg.ThinkNs/2+1))
-				}
-				sl.ops++
-			}
-		}(i)
+	build := newStep
+	if cfg.BatchSize > 1 {
+		build = newBatchedStep
 	}
-	began := time.Now()
-	close(start)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-
-	res := Result{PerThread: make([]uint64, cfg.Threads), Elapsed: time.Since(began)}
+	slots := make([]loadSlot, cfg.Threads)
+	elapsed := closedloop.Run(cfg.Topo, cfg.Threads, cfg.Duration, func(p *numa.Proc) func() bool {
+		return build(&cfg, store, p, &slots[p.ID()], getMille)
+	})
+	res := Result{PerThread: make([]uint64, cfg.Threads), Elapsed: elapsed}
 	for i := range slots {
 		res.PerThread[i] = slots[i].ops
 		res.Ops += slots[i].ops

@@ -11,15 +11,14 @@ package lbench
 
 import (
 	"fmt"
-	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cachesim"
+	"repro/internal/closedloop"
 	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/spin"
+	"repro/internal/stats"
 )
 
 // Config describes one LBench run.
@@ -76,14 +75,8 @@ func DefaultConfig(topo *numa.Topology, threads int) Config {
 }
 
 func (c *Config) validate() error {
-	if c.Topo == nil {
-		return fmt.Errorf("lbench: nil topology")
-	}
-	if c.Threads < 1 || c.Threads > c.Topo.MaxProcs() {
-		return fmt.Errorf("lbench: %d threads outside [1,%d]", c.Threads, c.Topo.MaxProcs())
-	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("lbench: non-positive duration")
+	if err := closedloop.Check(c.Topo, c.Threads, c.Duration); err != nil {
+		return fmt.Errorf("lbench: %w", err)
 	}
 	if c.CSLines < 1 {
 		return fmt.Errorf("lbench: need at least one critical-section line")
@@ -130,19 +123,11 @@ func (r Result) MissesPerCS() float64 {
 // FairnessStdDevPct reports the standard deviation of per-thread
 // throughput as a percentage of the mean (Figure 5's metric).
 func (r Result) FairnessStdDevPct() float64 {
-	if len(r.PerThread) == 0 {
-		return 0
+	xs := make([]float64, len(r.PerThread))
+	for i, v := range r.PerThread {
+		xs[i] = float64(v)
 	}
-	m := float64(r.Ops) / float64(len(r.PerThread))
-	if m == 0 {
-		return 0
-	}
-	var ss float64
-	for _, v := range r.PerThread {
-		d := float64(v) - m
-		ss += d * d
-	}
-	return 100 * math.Sqrt(ss/float64(len(r.PerThread))) / m
+	return stats.StdDevPct(xs)
 }
 
 // AbortRate reports aborts per attempt for abortable runs.
@@ -176,8 +161,6 @@ type runner struct {
 	cfg    Config
 	domain *cachesim.Domain
 	slots  []slot
-	stop   atomic.Bool
-	start  chan struct{}
 	// lastCluster is written under the measured lock: migration
 	// detection is itself part of the critical section's shared data,
 	// exactly like the paper's counters.
@@ -190,7 +173,6 @@ func newRunner(cfg Config) *runner {
 		cfg:         cfg,
 		domain:      cachesim.NewDomain(cfg.Topo, cfg.CSLines, cfg.Cache),
 		slots:       make([]slot, cfg.Threads),
-		start:       make(chan struct{}),
 		lastCluster: -1,
 	}
 }
@@ -262,36 +244,22 @@ func RunAbortable(cfg Config, lock locks.TryMutex) (Result, error) {
 	}, lock.Unlock), nil
 }
 
-// run is the one worker loop behind Run and RunAbortable: behind a
-// start gate, each worker acquires, runs the critical section and
-// releases — an acquire that fails skips the section — then idles,
-// until the stop flag rises after cfg.Duration.
+// run is the one worker loop behind Run and RunAbortable: each worker
+// acquires, runs the critical section and releases — an acquire that
+// fails skips the section — then idles, for one closed-loop window.
 func run(cfg Config, acquire func(p *numa.Proc, s *slot) bool, release func(p *numa.Proc)) Result {
-	spin.Calibrate()
-	spin.AutoOversubscribe(cfg.Threads)
 	r := newRunner(cfg)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := cfg.Topo.Proc(id)
-			s := &r.slots[id]
-			<-r.start
-			for !r.stop.Load() {
-				if acquire(p, s) {
-					r.body(p, s)
-					release(p)
-					s.ops++
-				}
-				r.nonCS(p)
+	elapsed := closedloop.Run(cfg.Topo, cfg.Threads, cfg.Duration, func(p *numa.Proc) func() bool {
+		s := &r.slots[p.ID()]
+		return func() bool {
+			if acquire(p, s) {
+				r.body(p, s)
+				release(p)
+				s.ops++
 			}
-		}(i)
-	}
-	began := time.Now()
-	close(r.start)
-	time.Sleep(cfg.Duration)
-	r.stop.Store(true)
-	wg.Wait()
-	return r.collect(time.Since(began))
+			r.nonCS(p)
+			return true
+		}
+	})
+	return r.collect(elapsed)
 }

@@ -2,11 +2,11 @@ package locks_test
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/closedloop"
 	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/registry"
@@ -27,42 +27,35 @@ func contendedThreads() int {
 	return n
 }
 
-// execTrialOpsPerSec runs one fixed-window trial against a set of
+// execTrialOpsPerSec runs one closed-loop window against a set of
 // independent executors: threads workers each loop posting a small
 // critical section (bump the executor's own counter pair) through
 // Exec, visiting the executors round-robin.
 func execTrialOpsPerSec(topo *numa.Topology, xs []locks.Executor, threads int) float64 {
-	var ops atomic.Uint64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	counts := make([]struct {
+		n uint64
+		_ numa.Pad
+	}, threads)
 	pairs := make([]struct{ a, b int64 }, len(xs)) // each protected by its executor's exclusion
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(p *numa.Proc) {
-			defer wg.Done()
-			n := uint64(0)
-			for {
-				select {
-				case <-stop:
-					ops.Add(n)
-					return
-				default:
-				}
-				k := int(n % uint64(len(xs)))
-				xs[k].Exec(p, func() { pairs[k].a++; pairs[k].b++ })
-				n++
-			}
-		}(topo.Proc(w))
-	}
-	time.Sleep(trialWindow)
-	close(stop)
-	wg.Wait()
+	closedloop.Run(topo, threads, trialWindow, func(p *numa.Proc) func() bool {
+		c := &counts[p.ID()]
+		return func() bool {
+			k := int(c.n % uint64(len(xs)))
+			xs[k].Exec(p, func() { pairs[k].a++; pairs[k].b++ })
+			c.n++
+			return true
+		}
+	})
 	for _, pr := range pairs {
 		if pr.a != pr.b {
 			panic("executor exclusion violated in benchmark")
 		}
 	}
-	return float64(ops.Load()) / trialWindow.Seconds()
+	var ops uint64
+	for _, c := range counts {
+		ops += c.n
+	}
+	return float64(ops) / trialWindow.Seconds()
 }
 
 // BenchmarkCombining races each headline lock's combining executor

@@ -9,11 +9,10 @@ package mmicro
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alloc"
+	"repro/internal/closedloop"
 	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/spin"
@@ -52,14 +51,8 @@ func DefaultConfig(topo *numa.Topology, threads int) Config {
 }
 
 func (c *Config) validate() error {
-	if c.Topo == nil {
-		return fmt.Errorf("mmicro: nil topology")
-	}
-	if c.Threads < 1 || c.Threads > c.Topo.MaxProcs() {
-		return fmt.Errorf("mmicro: %d threads outside [1,%d]", c.Threads, c.Topo.MaxProcs())
-	}
-	if c.Duration <= 0 {
-		return fmt.Errorf("mmicro: non-positive duration")
+	if err := closedloop.Check(c.Topo, c.Threads, c.Duration); err != nil {
+		return fmt.Errorf("mmicro: %w", err)
 	}
 	if c.BlockSize <= 0 {
 		return fmt.Errorf("mmicro: non-positive block size")
@@ -81,11 +74,10 @@ type Result struct {
 // PairsPerMs reports malloc-free pairs per millisecond (Table 2's
 // metric).
 func (r Result) PairsPerMs() float64 {
-	ms := float64(r.Elapsed.Milliseconds())
-	if ms <= 0 {
+	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Pairs) / ms
+	return float64(r.Pairs) / (float64(r.Elapsed) / float64(time.Millisecond))
 }
 
 // RemoteReuseRate reports the fraction of block touches that crossed
@@ -110,8 +102,6 @@ func Run(cfg Config, lock locks.Mutex) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
-	spin.Calibrate()
-	spin.AutoOversubscribe(cfg.Threads)
 	a, err := alloc.New(alloc.Config{
 		Topo:       cfg.Topo,
 		Lock:       lock,
@@ -121,43 +111,30 @@ func Run(cfg Config, lock locks.Mutex) (Result, error) {
 		return Result{}, err
 	}
 	slots := make([]pairSlot, cfg.Threads)
-	var stop atomic.Bool
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Threads; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			p := cfg.Topo.Proc(id)
-			sl := &slots[id]
-			<-start
-			for !stop.Load() {
-				off, err := a.Malloc(p, cfg.BlockSize)
-				if err != nil {
-					sl.err = err
-					return
-				}
-				buf := a.Bytes(off, cfg.InitWords*8)
-				for w := 0; w < cfg.InitWords; w++ {
-					binary.LittleEndian.PutUint64(buf[w*8:], uint64(id)<<32|sl.pairs)
-				}
-				spin.WaitNs(cfg.DelayNs)
-				if err := a.Free(p, off); err != nil {
-					sl.err = err
-					return
-				}
-				spin.WaitNs(cfg.DelayNs)
-				sl.pairs++
+	elapsed := closedloop.Run(cfg.Topo, cfg.Threads, cfg.Duration, func(p *numa.Proc) func() bool {
+		id := p.ID()
+		sl := &slots[id]
+		return func() bool {
+			off, err := a.Malloc(p, cfg.BlockSize)
+			if err != nil {
+				sl.err = err
+				return false
 			}
-		}(i)
-	}
-	began := time.Now()
-	close(start)
-	time.Sleep(cfg.Duration)
-	stop.Store(true)
-	wg.Wait()
-
-	res := Result{PerThread: make([]uint64, cfg.Threads), Elapsed: time.Since(began)}
+			buf := a.Bytes(off, cfg.InitWords*8)
+			for w := 0; w < cfg.InitWords; w++ {
+				binary.LittleEndian.PutUint64(buf[w*8:], uint64(id)<<32|sl.pairs)
+			}
+			spin.WaitNs(cfg.DelayNs)
+			if err := a.Free(p, off); err != nil {
+				sl.err = err
+				return false
+			}
+			spin.WaitNs(cfg.DelayNs)
+			sl.pairs++
+			return true
+		}
+	})
+	res := Result{PerThread: make([]uint64, cfg.Threads), Elapsed: elapsed}
 	for i := range slots {
 		if slots[i].err != nil {
 			return Result{}, fmt.Errorf("mmicro worker %d: %w", i, slots[i].err)

@@ -125,3 +125,13 @@ func TestResultEdgeCases(t *testing.T) {
 		t.Fatal("zero-value Result should yield zero metrics")
 	}
 }
+
+// TestPairsPerMsUsesExactElapsed pins Table 2's unit against a window
+// that is not a whole number of milliseconds: truncating 10.5 ms to
+// 10 ms would overstate the rate by 5 %.
+func TestPairsPerMsUsesExactElapsed(t *testing.T) {
+	r := Result{Pairs: 1050, Elapsed: 10500 * time.Microsecond}
+	if got := r.PairsPerMs(); got != 100 {
+		t.Fatalf("1050 pairs over 10.5 ms: PairsPerMs = %v, want 100", got)
+	}
+}

@@ -91,6 +91,8 @@ type ServerStats struct {
 
 // FetchStats issues the stats command on a fresh connection to addr
 // and parses the fields this harness understands, ignoring the rest.
+// A dump that is not one or more "STAT name value" lines then END is
+// an error.
 func FetchStats(addr string) (*ServerStats, error) {
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
@@ -103,13 +105,16 @@ func FetchStats(addr string) (*ServerStats, error) {
 	}
 	rd := bufio.NewReader(c)
 	st := &ServerStats{}
-	for {
+	for lines := 0; ; lines++ {
 		line, err := rd.ReadString('\n')
 		if err != nil {
 			return nil, fmt.Errorf("reading stats: %w", err)
 		}
 		line = strings.TrimRight(line, "\r\n")
 		if line == "END" {
+			if lines == 0 {
+				return nil, fmt.Errorf("stats dump had no STAT lines")
+			}
 			return st, nil
 		}
 		f := strings.Fields(line)

@@ -133,3 +133,32 @@ func TestHarnessFlagsBrokenServer(t *testing.T) {
 	}
 	shutdown()
 }
+
+// TestFetchStatsRefusesEmptyDump checks both sides of the stats
+// shape: a real server's dump parses, and a bare END with no STAT
+// line is refused rather than read as zero counters.
+func TestFetchStatsRefusesEmptyDump(t *testing.T) {
+	addr, shutdown := startServer(t, server.BrokenNone)
+	if _, err := FetchStats(addr); err != nil {
+		t.Errorf("FetchStats against kvserver: %v", err)
+	}
+	shutdown()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		c.Read(make([]byte, 64))
+		c.Write([]byte("END\r\n"))
+	}()
+	if _, err := FetchStats(ln.Addr().String()); err == nil {
+		t.Error("FetchStats accepted a stats dump with no STAT line")
+	}
+}

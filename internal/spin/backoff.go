@@ -38,16 +38,13 @@ const (
 	// PolicyFibonacci grows the bound along the Fibonacci sequence,
 	// the progression used by the paper's Fib-BO lock.
 	PolicyFibonacci
-	// PolicyNone waits a fixed minimal amount; used by cohort global
-	// BO locks, which the paper runs with no backoff at all.
-	PolicyNone
 )
 
 // Backoff produces a bounded, randomized sequence of spin delays. It is
 // not safe for concurrent use; each spinning thread owns one instance.
 type Backoff struct {
 	policy   Policy
-	min, max int64
+	max      int64
 	cur      int64
 	fibPrev  int64
 	rng      XorShift
@@ -66,7 +63,6 @@ func NewBackoff(policy Policy, min, max int64, seed uint64) Backoff {
 	}
 	return Backoff{
 		policy:  policy,
-		min:     min,
 		max:     max,
 		cur:     min,
 		fibPrev: 0,
@@ -96,20 +92,10 @@ func (b *Backoff) Wait() {
 		b.cur *= 2
 	case PolicyFibonacci:
 		b.cur, b.fibPrev = b.cur+b.fibPrev, b.cur
-	case PolicyNone:
-		// fixed delay
 	}
 	if b.cur > b.max {
 		b.cur = b.max
 	}
-}
-
-// Reset restores the delay to its minimum; call after a successful
-// acquisition.
-func (b *Backoff) Reset() {
-	b.cur = b.min
-	b.fibPrev = 0
-	b.attempts = 0
 }
 
 // Cur exposes the current delay bound, for tests.

@@ -133,27 +133,6 @@ func TestBackoffFibonacciSequence(t *testing.T) {
 	}
 }
 
-func TestBackoffNonePolicyFixed(t *testing.T) {
-	b := NewBackoff(PolicyNone, 8, 512, 1)
-	for i := 0; i < 5; i++ {
-		b.Wait()
-	}
-	if b.Cur() != 8 {
-		t.Fatalf("PolicyNone bound = %d, want fixed 8", b.Cur())
-	}
-}
-
-func TestBackoffReset(t *testing.T) {
-	b := NewBackoff(PolicyExponential, 2, 1024, 1)
-	for i := 0; i < 8; i++ {
-		b.Wait()
-	}
-	b.Reset()
-	if b.Cur() != 2 {
-		t.Fatalf("after Reset bound = %d, want 2", b.Cur())
-	}
-}
-
 func TestBackoffClampsInvalidBounds(t *testing.T) {
 	b := NewBackoff(PolicyExponential, -10, -20, 1)
 	if b.Cur() < 1 {
@@ -217,7 +196,7 @@ func TestBackoffWaitYieldsOnlyWhenOversubscribed(t *testing.T) {
 
 	yields = 0
 	SetOversubscribed(false)
-	b.Reset()
+	b = NewBackoff(PolicyExponential, 1, 2, 1)
 	for i := 0; i < 64; i++ {
 		b.Wait()
 	}

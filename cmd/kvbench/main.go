@@ -1,8 +1,9 @@
 // Command kvbench regenerates the paper's Table 1: memcached-style
 // key-value store scalability under every lock, for read-heavy
-// (90% get), mixed (50%) and write-heavy (10% get) workloads. Each
-// cell is the speedup over the single-threaded pthread-lock run of the
-// same mix, exactly as the paper normalizes.
+// (90% get), mixed (50%) and write-heavy (10% get) workloads; -mix
+// names other get percentages, read-mostly ones such as 99.9 included.
+// Each cell is the speedup over the single-threaded pthread-lock run
+// of the same mix, exactly as the paper normalizes.
 //
 // The default lock columns are the paper's Table 1 set plus the
 // extension locks (CNA and GCR-restricted variants), so the standard
@@ -14,15 +15,11 @@
 // shard counts additionally emit a shard-scaling table, and -json
 // emits every measured cell as a JSON record for trajectory tooling.
 //
-// -reads switches to the reader-writer read-path table: a read-mostly
-// mix at the given fraction (e.g. -reads=0.99), with two columns per
-// reader-writer lock — shared-mode Gets against the same lock driven
-// through its exclusive path (`<name>/x`) — across every -shards
-// count. This is the Table-1-style exhibit for the cohort line's RW
-// follow-up: on read-mostly traffic shared mode should pull away from
-// every exclusive column. With -batch as well, reads arrive as MGet
-// batches of that size (titles and records say batch=N), so the same
-// columns race shared against exclusive batched reads.
+// A lock's name decides its read path in every table: rw-* columns
+// read in shared mode, comb-a-* columns through the combiner (in the
+// operand's shared mode for comb-a-rw-*), the rest exclusively. So
+// -mix 99 -locks rw-c-bo-mcs,c-bo-mcs races a reader-writer lock's
+// shared Gets against its operand's exclusive ones.
 //
 // -batch switches to the batched-pipeline table: workers issue
 // MGet/MSet batches of the given size, and every lock column is
@@ -31,16 +28,17 @@
 // lock amortizes per critical section. comb-a-* columns (the combining
 // executor over the base lock) batch across procs on top of the batch
 // APIs' per-call grouping; rw-* columns run MGet chunks in shared mode;
-// plain columns amortize only within each call. comb-a-* names are
-// also valid in the standard tables, where they run the single-op path
-// through delegated execution.
+// plain columns amortize only within each call.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -55,14 +53,13 @@ import (
 )
 
 type options struct {
-	mixes    []int
+	mixes    []float64
 	threads  []int
 	locks    []string
 	shards   []int
 	clusters int
 	duration time.Duration
 	keyspace uint64
-	reads    float64
 	batch    int
 	capacity int
 	csv      bool
@@ -71,17 +68,12 @@ type options struct {
 
 // record is one measured cell, emitted under -json.
 type record struct {
-	Mix       int     `json:"mix_get_pct"`
+	Mix       float64 `json:"mix_get_pct"`
 	Lock      string  `json:"lock"`
 	Threads   int     `json:"threads"`
 	Shards    int     `json:"shards"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 	Speedup   float64 `json:"speedup_vs_pthread1"`
-	// Reads and ReadPath are populated by -reads (RW read-path) runs:
-	// the exact read fraction and whether Gets ran in shared or
-	// exclusive mode.
-	Reads    float64 `json:"read_fraction,omitempty"`
-	ReadPath string  `json:"read_path,omitempty"`
 	// Batch and OpsPerAcq are populated by -batch runs: the pipeline's
 	// batch size and how many operations each acquisition of the
 	// underlying lock amortized.
@@ -92,12 +84,11 @@ type record struct {
 func main() {
 	var opt options
 	var (
-		mixFlag     = flag.String("mix", "all", "get percentage: 90, 50, 10 or all")
+		mixFlag     = flag.String("mix", "all", "comma-separated get percentages in [0,100], in steps of 0.1 (e.g. 50 or 99.9), or all (90,50,10)")
 		threadsFlag = flag.String("threads", "1,4,8,16,32,64,96,128", "comma-separated thread counts (paper's rows)")
 		locksFlag   = flag.String("locks", "", "override lock list (default: the paper's Table 1 columns)")
 		shardsFlag  = flag.String("shards", "1", "comma-separated shard counts; 1 reproduces the paper's single cache lock")
 	)
-	flag.Float64Var(&opt.reads, "reads", 0, "read fraction for the RW read-path table (e.g. 0.99); >0 replaces -mix and compares shared vs exclusive Gets (batched with -batch)")
 	flag.IntVar(&opt.batch, "batch", 0, "batch size for the batched-pipeline table (e.g. 16); >0 drives MGet/MSet batches and adds an ops-per-acquisition table")
 	flag.IntVar(&opt.clusters, "clusters", 4, "NUMA clusters to simulate")
 	flag.DurationVar(&opt.duration, "duration", 300*time.Millisecond, "measurement window per cell")
@@ -116,18 +107,9 @@ func main() {
 		if e.NewMutex == nil && e.NewExec == nil {
 			cli.Dief(tool, "lock %q is abortable-only and cannot guard the store", e.Name)
 		}
-		if opt.reads > 0 && e.NewExec != nil {
-			// The -reads table compares a lock's shared and exclusive
-			// Gets; a combining executor has no read path of its own.
-			if _, operand, ok := e.Unwrap(); ok && operand.NewRW != nil {
-				cli.Dief(tool, "lock %q reads exactly as its operand %s does; use %s here, or %q with -batch", e.Name, operand.Name, operand.Name, e.Name)
-			}
-			cli.Dief(tool, "lock %q is a combining executor with no reader-writer face; use it with -batch or the standard tables", e.Name)
-		}
 	}
-	opt.mixes = map[string][]int{"all": {90, 50, 10}, "90": {90}, "50": {50}, "10": {10}}[*mixFlag]
-	if opt.mixes == nil {
-		cli.Dief(tool, "-mix must be 90, 50, 10 or all")
+	if opt.mixes, err = parseMix(*mixFlag); err != nil {
+		cli.Die(tool, err)
 	}
 	if opt.threads, err = cli.ParseIntList(*threadsFlag); err != nil {
 		cli.Dief(tool, "bad -threads: %v", err)
@@ -135,21 +117,20 @@ func main() {
 	if opt.shards, err = cli.ParseIntList(*shardsFlag); err != nil {
 		cli.Dief(tool, "bad -shards: %v", err)
 	}
-	if err := cli.Fraction("reads", opt.reads); err != nil {
-		cli.Die(tool, err)
-	}
 	if opt.batch < 0 {
 		cli.Dief(tool, "negative -batch %d", opt.batch)
 	}
-	if err := cli.Positive("clusters", opt.clusters); err != nil {
-		cli.Die(tool, err)
+	for _, err := range []error{
+		cli.Positive("clusters", opt.clusters),
+		cli.Positive("duration", opt.duration),
+		cli.Positive("keys", opt.keyspace),
+	} {
+		if err != nil {
+			cli.Die(tool, err)
+		}
 	}
 	if len(opt.locks) == 0 {
-		if opt.reads > 0 {
-			// The RW table defaults to the native reader-writer family,
-			// each with a shared and an exclusive column.
-			opt.locks = registry.RWNames()
-		} else if opt.batch > 0 {
+		if opt.batch > 0 {
 			// The batched table races each headline lock against its
 			// combining twin, so amortization-from-batching and
 			// amortization-from-combining land side by side.
@@ -167,29 +148,41 @@ func main() {
 	}
 }
 
+// parseMix reads -mix: all, or a comma list of get percentages in
+// [0,100]. kvload draws gets per mille, so a mix may have one decimal
+// and no more: 99.95 would run as 100 under a title saying 99.95.
+func parseMix(spec string) ([]float64, error) {
+	if spec == "all" {
+		return []float64{90, 50, 10}, nil
+	}
+	var mixes []float64
+	for _, part := range strings.Split(spec, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil || !(v >= 0 && v <= 100) || math.Abs(v*10-math.Round(v*10)) > 1e-9 { // inverted to reject NaN
+			return nil, fmt.Errorf("-mix %q: want all or get percentages in [0,100], in steps of 0.1", spec)
+		}
+		mixes = append(mixes, v)
+	}
+	return mixes, nil
+}
+
 func run(opt options) error {
 	topo := numa.New(opt.clusters, slices.Max(opt.threads))
 
-	var records []record
-	var err error
-	if opt.reads > 0 {
-		records, err = runRW(opt, topo)
-	} else {
-		for _, mix := range opt.mixes {
-			var recs []record
-			if opt.batch > 0 {
-				recs, err = runBatchMix(opt, topo, mix)
-			} else {
-				recs, err = runMix(opt, topo, mix)
-			}
-			if err != nil {
-				break
-			}
-			records = append(records, recs...)
-		}
+	measure := runMix
+	if opt.batch > 0 {
+		measure = runBatchMix
 	}
-	if err != nil || !opt.jsonOut {
-		return err
+	var records []record
+	for _, mix := range opt.mixes {
+		recs, err := measure(opt, topo, mix)
+		if err != nil {
+			return err
+		}
+		records = append(records, recs...)
+	}
+	if !opt.jsonOut {
+		return nil
 	}
 	return benchfmt.Write(os.Stdout, records)
 }
@@ -206,10 +199,6 @@ type cell struct {
 	// is the store's MaxBatch, so a shard group of a client batch is one
 	// critical section.
 	batch int
-	// sharedPath runs Gets in shared mode where the lock has one;
-	// without it a reader-writer lock is driven through its exclusive
-	// path only, so two columns differ in the read protocol alone.
-	sharedPath bool
 	// count puts counters on the lock itself or, for a comb-a-* entry,
 	// between the combiner and its operand (registry.Unwrap and Wrap),
 	// where a combined batch counts as the single acquisition it is, and
@@ -249,15 +238,10 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 		}
 	}
 
-	cfg := kvstore.Config{Topo: topo, Shards: c.shards, MaxBatch: c.batch}
-	switch {
-	case e.NewExec != nil:
-		cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
-	case c.sharedPath && e.NewRW != nil:
-		cfg.Locking = kvstore.FromRW(e.RWFactory(topo))
-	default:
-		cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
-	}
+	// The name decides the read path: ExecFactory reads rw-* entries in
+	// shared mode, comb-a-* ones through the combiner, the rest
+	// exclusively.
+	cfg := kvstore.Config{Topo: topo, Shards: c.shards, MaxBatch: c.batch, Locking: kvstore.FromExec(e.ExecFactory(topo))}
 	if opt.capacity > 0 {
 		// An explicit capacity also resizes the bucket arrays (half the
 		// item count — ~2-deep chains at full residency), since the
@@ -289,11 +273,10 @@ func runCell(opt options, topo *numa.Topology, c cell) (outcome, error) {
 
 // column is one lock column of an exhibit: the cell to run on every
 // row (threads and shards are the row's) and the record fields that
-// describe it.
+// describe it, its lock heading the column.
 type column struct {
-	header string
-	cell   cell
-	rec    record
+	cell cell
+	rec  record
 }
 
 // table is one rendering of an exhibit's cells, each from its record.
@@ -336,7 +319,7 @@ func runExhibit(opt options, topo *numa.Topology, shards int, base float64, cols
 	for i, t := range tables {
 		headers := []string{"threads"}
 		for _, c := range cols {
-			headers = append(headers, c.header)
+			headers = append(headers, c.rec.Lock)
 		}
 		rendered[i] = stats.NewTable(t.title+suffix, headers...)
 	}
@@ -356,7 +339,7 @@ func runExhibit(opt options, topo *numa.Topology, shards int, base float64, cols
 			for i, t := range tables {
 				rows[i] = append(rows[i], t.value(r))
 			}
-			trace := fmt.Sprintf("ran %-22s threads=%-4d shards=%-3d %.0f ops/s", c.header, n, shards, out.opsPerSec)
+			trace := fmt.Sprintf("ran %-22s threads=%-4d shards=%-3d %.0f ops/s", r.Lock, n, shards, out.opsPerSec)
 			if out.opsPerAcq > 0 {
 				trace += fmt.Sprintf(" %.2f ops/acq", out.opsPerAcq)
 			}
@@ -388,8 +371,8 @@ func sweep(opt options, topo *numa.Topology, base float64, cols []column, tables
 	return records, nil
 }
 
-// resolve looks the -locks names up; cli.Locks validated them at flag
-// parsing.
+// resolve looks the -locks names up; cli.Locks validated and spelled
+// them at flag parsing.
 func resolve(names []string) []registry.Entry {
 	entries := make([]registry.Entry, len(names))
 	for i, name := range names {
@@ -398,23 +381,23 @@ func resolve(names []string) []registry.Entry {
 	return entries
 }
 
-// runMix emits Table 1 for one mix: every Get through the lock's
-// exclusive path, as the paper ran it; comb-a-* names run the single-op
-// path through delegated execution.
-func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
+// runMix emits Table 1 for one mix, each Get on its lock's read path:
+// exclusive for the paper's locks, as the paper ran them, shared for
+// rw-* names; comb-a-* names run the single-op path through delegated
+// execution.
+func runMix(opt options, topo *numa.Topology, getPct float64) ([]record, error) {
 	var cols []column
-	for i, e := range resolve(opt.locks) {
+	for _, e := range resolve(opt.locks) {
 		cols = append(cols, column{
-			header: opt.locks[i],
-			cell:   cell{entry: e, reads: float64(getPct) / 100},
-			rec:    record{Mix: getPct, Lock: opt.locks[i]},
+			cell: cell{entry: e, reads: getPct / 100},
+			rec:  record{Mix: getPct, Lock: e.Name},
 		})
 	}
-	base, err := baseline(opt, topo, cols[0].cell, fmt.Sprintf("mix %d%% gets", getPct))
+	base, err := baseline(opt, topo, cols[0].cell, fmt.Sprintf("mix %.4g%% gets", getPct))
 	if err != nil {
 		return nil, err
 	}
-	title := fmt.Sprintf("Table 1 (%d%% gets / %d%% sets): speedup over pthread@1", getPct, 100-getPct)
+	title := fmt.Sprintf("Table 1 (%.4g%% gets / %.4g%% sets): speedup over pthread@1", getPct, 100-getPct)
 	records, err := sweep(opt, topo, base, cols, []table{{title: title, value: speedup}})
 	if err == nil && len(opt.shards) > 1 && !opt.jsonOut {
 		fmt.Print(cli.Emit(scalingTable(opt, records, getPct), opt.csv))
@@ -429,62 +412,29 @@ func runMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
 // batched pthread@1 on one shard) an ops-per-acquisition table shows
 // how much work each lock amortizes per critical section. rw-* columns
 // run MGet chunks in shared mode.
-func runBatchMix(opt options, topo *numa.Topology, getPct int) ([]record, error) {
+func runBatchMix(opt options, topo *numa.Topology, getPct float64) ([]record, error) {
 	var cols []column
-	for i, e := range resolve(opt.locks) {
+	for _, e := range resolve(opt.locks) {
 		cols = append(cols, column{
-			header: opt.locks[i],
-			cell:   cell{entry: e, reads: float64(getPct) / 100, batch: opt.batch, sharedPath: true, count: true},
-			rec:    record{Mix: getPct, Lock: e.Name, Batch: opt.batch},
+			cell: cell{entry: e, reads: getPct / 100, batch: opt.batch, count: true},
+			rec:  record{Mix: getPct, Lock: e.Name, Batch: opt.batch},
 		})
 	}
-	base, err := baseline(opt, topo, cols[0].cell, fmt.Sprintf("batch=%d mix %d%% gets", opt.batch, getPct))
+	base, err := baseline(opt, topo, cols[0].cell, fmt.Sprintf("batch=%d mix %.4g%% gets", opt.batch, getPct))
 	if err != nil {
 		return nil, err
 	}
-	title := fmt.Sprintf("Batched pipeline (batch=%d, %d%% gets): ", opt.batch, getPct)
+	title := fmt.Sprintf("Batched pipeline (batch=%d, %.4g%% gets): ", opt.batch, getPct)
 	return sweep(opt, topo, base, cols, []table{
 		{title: title + "speedup over pthread@1", value: speedup},
 		{title: title + "ops per lock acquisition", value: opsPerAcq},
 	})
 }
 
-// runRW emits the reader-writer read-path tables: per shard count, one
-// column pair per lock — shared-mode Gets vs the same construction
-// driven exclusively (`<name>/x`) — at the -reads fraction, normalized
-// like Table 1 to pthread at one thread on one shard. With -batch,
-// reads arrive as MGet batches and the titles and records say so.
-func runRW(opt options, topo *numa.Topology) ([]record, error) {
-	reads := cell{reads: opt.reads, batch: opt.batch}
-	rec := record{Mix: int(opt.reads*100 + 0.5), Reads: opt.reads, Batch: opt.batch}
-	var cols []column
-	add := func(e registry.Entry, header, path string) {
-		c, r := reads, rec
-		c.entry, c.sharedPath = e, path == "shared"
-		r.Lock, r.ReadPath = e.Name, path
-		cols = append(cols, column{header: header, cell: c, rec: r})
-	}
-	for _, e := range resolve(opt.locks) {
-		if e.NewRW != nil {
-			add(e, e.Name, "shared")
-		}
-		add(e, e.Name+"/x", "exclusive")
-	}
-	base, err := baseline(opt, topo, reads, fmt.Sprintf("reads=%g", opt.reads))
-	if err != nil {
-		return nil, err
-	}
-	title := fmt.Sprintf("RW read path (%.4g%% gets): ", opt.reads*100)
-	if opt.batch > 0 {
-		title = fmt.Sprintf("RW read path (batch=%d, %.4g%% gets): ", opt.batch, opt.reads*100)
-	}
-	return sweep(opt, topo, base, cols, []table{{title: title + "speedup over pthread@1", value: speedup}})
-}
-
 // scalingTable condenses the sweep into shard scaling at the highest
 // thread count: each cell is that lock's aggregate throughput relative
 // to its own run at the first listed shard count.
-func scalingTable(opt options, records []record, getPct int) *stats.Table {
+func scalingTable(opt options, records []record, getPct float64) *stats.Table {
 	maxThreads := slices.Max(opt.threads)
 	tp := map[string]map[int]float64{} // lock -> shards -> ops/s
 	for _, r := range records {
@@ -497,7 +447,7 @@ func scalingTable(opt options, records []record, getPct int) *stats.Table {
 		tp[r.Lock][r.Shards] = r.OpsPerSec
 	}
 	baseShards := opt.shards[0]
-	title := fmt.Sprintf("Shard scaling (%d%% gets, %d threads): throughput vs %d shard(s)",
+	title := fmt.Sprintf("Shard scaling (%.4g%% gets, %d threads): throughput vs %d shard(s)",
 		getPct, maxThreads, baseShards)
 	headers := append([]string{"shards"}, opt.locks...)
 	tb := stats.NewTable(title, headers...)

@@ -34,25 +34,14 @@ func kvbench(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// TestExhibitShapes pins what the four exhibits print — table titles,
+// TestExhibitShapes pins what the exhibits print — table titles,
 // column headers, and the JSON fields of every record, in order — for
-// the CI smoke invocations. The standard, batch and reads expectations
-// were captured from the tool as it stood before its six store builders
-// and measure functions became one cell runner; its fixed-policy comb-
+// the CI smoke invocations. The standard and batch expectations were
+// captured from the tool as it stood before its six store builders and
+// measure functions became one cell runner; its fixed-policy comb-
 // columns and their policy field have since been retired.
 func TestExhibitShapes(t *testing.T) {
-	const (
-		common = "mix_get_pct,lock,threads,shards,ops_per_sec,speedup_vs_pthread1"
-		rwCols = "threads rw-mcs rw-mcs/x"
-	)
-	var batchedHeaders, batchedRecords []string
-	for _, suffix := range []string{"", " [2 shards]"} {
-		batchedHeaders = append(batchedHeaders,
-			"# RW read path (batch=16, 90% gets): speedup over pthread@1"+suffix, rwCols)
-		batchedRecords = append(batchedRecords,
-			"rw-mcs: "+common+",read_fraction,read_path,batch",
-			"rw-mcs: "+common+",read_fraction,read_path,batch")
-	}
+	const common = "mix_get_pct,lock,threads,shards,ops_per_sec,speedup_vs_pthread1"
 	cases := []struct {
 		name    string
 		args    []string
@@ -86,16 +75,12 @@ func TestExhibitShapes(t *testing.T) {
 			},
 		},
 		{
-			"reads", []string{"-reads=0.99", "-threads", "2", "-locks", "rw-mcs"},
-			[]string{"# RW read path (99% gets): speedup over pthread@1", rwCols},
-			[]string{
-				"rw-mcs: " + common + ",read_fraction,read_path",
-				"rw-mcs: " + common + ",read_fraction,read_path",
-			},
-		},
-		{
-			"reads-batch", []string{"-reads", "0.9", "-batch", "16", "-threads", "2", "-shards", "1,2", "-locks", "rw-mcs"},
-			batchedHeaders, batchedRecords,
+			// A read-mostly mix is a plain Table 1: the rw- lock reads in
+			// shared mode beside its exclusive operand, each column under
+			// the name as the registry spells it.
+			"read-mostly", []string{"-mix", "99.9", "-threads", "2", "-locks", "RW-MCS,mcs"},
+			[]string{"# Table 1 (99.9% gets / 0.1% sets): speedup over pthread@1", "threads rw-mcs mcs"},
+			[]string{"rw-mcs: " + common, "mcs: " + common},
 		},
 	}
 	for _, c := range cases {
@@ -113,9 +98,9 @@ func TestExhibitShapes(t *testing.T) {
 }
 
 // TestLockNameErrorsSurfaceAtFlagParsing checks that a composition the
-// registry refuses, a lock that cannot guard the store, or a combining
-// name in the -reads table stops the tool at flag parsing (exit 2)
-// before any measurement, with the reason.
+// registry refuses, a lock that cannot guard the store, a -mix outside
+// [0,100] or a run flag that cannot run stops the tool at flag parsing
+// (exit 2) before any measurement, with the reason.
 func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
 	for _, c := range []struct {
 		locks, want string
@@ -123,17 +108,21 @@ func TestLockNameErrorsSurfaceAtFlagParsing(t *testing.T) {
 	}{
 		{"comb-a-a-clh", "a-clh is abortable-only, comb-a- needs a blocking lock", nil},
 		{"mcs,a-clh", `lock "a-clh" is abortable-only and cannot guard the store`, nil},
-		{"rw-mcs,comb-a-rw-mcs", `lock "comb-a-rw-mcs" reads exactly as its operand rw-mcs does; use rw-mcs here`, []string{"-reads", "0.99"}},
+		{"mcs", `-mix "101": want all or get percentages in [0,100]`, []string{"-mix", "101"}},
+		{"mcs", `-mix "x": want all or get percentages in [0,100]`, []string{"-mix", "x"}},
+		{"mcs", `-mix "99.95": want all or get percentages in [0,100], in steps of 0.1`, []string{"-mix", "99.95"}},
+		{"mcs", "-duration must be positive, got 0s", []string{"-duration", "0"}},
+		{"mcs", "-keys must be positive, got 0", []string{"-keys", "0"}},
 	} {
 		args := append([]string{"-locks", c.locks, "-mix", "50", "-threads", "2", "-duration", "10ms", "-keys", "2000"}, c.extra...)
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Env = append(os.Environ(), kvbenchMainEnv+"=1")
 		out, _ := cmd.CombinedOutput()
 		if code := cmd.ProcessState.ExitCode(); code != 2 {
-			t.Errorf("kvbench -locks %s exited %d, want 2:\n%s", c.locks, code, out)
+			t.Errorf("kvbench %s exited %d, want 2:\n%s", strings.Join(args, " "), code, out)
 		}
 		if !strings.Contains(string(out), c.want) || strings.Contains(string(out), "ran ") {
-			t.Errorf("kvbench -locks %s: output %q, want %q before any run", c.locks, out, c.want)
+			t.Errorf("kvbench %s: output %q, want %q before any run", strings.Join(args, " "), out, c.want)
 		}
 	}
 }

@@ -107,8 +107,18 @@ func main() {
 	if err != nil {
 		cli.Die(tool, err)
 	}
-	if _, _, err := route(*figFlag, lockNames); err != nil {
+	_, abortable, err := route(*figFlag, lockNames)
+	if err != nil {
 		cli.Die(tool, err)
+	}
+	if err := cli.Positive("duration", *durationFlag); err != nil {
+		cli.Die(tool, err)
+	}
+	// Only Figure 6 waits with patience; the ablation runs no figure.
+	if *ablationFlag == "" && len(abortable) > 0 {
+		if err := cli.Positive("patience", *patienceFlag); err != nil {
+			cli.Die(tool, err)
+		}
 	}
 	opt := options{
 		fig:      *figFlag,

@@ -154,8 +154,10 @@ func TestBadFlagsExitWithTheirMessage(t *testing.T) {
 		{[]string{"-fig", "batch", "-locks", "a-c-bo-clh"}, `lock "a-c-bo-clh" is abortable-only`},
 		{[]string{"-fig", "6", "-locks", "a-clh,mcs"}, `lock "mcs" is not abortable; Figure 6 needs a TryMutex`},
 		{[]string{"-locks", "mcs,comb-a-mcs"}, `lock "comb-a-mcs" is neither blocking nor abortable`},
+		{[]string{"-duration", "0"}, "-duration must be positive, got 0s"},
+		{[]string{"-fig", "all", "-patience", "0"}, "-patience must be positive, got 0s"},
 	} {
-		out, stderr, code := runTool(append(c.args, "-threads", "1", "-duration", "10ms")...)
+		out, stderr, code := runTool(append([]string{"-threads", "1", "-duration", "10ms"}, c.args...)...)
 		if code != 2 {
 			t.Errorf("lbench %s exited %d, want 2:\n%s", strings.Join(c.args, " "), code, out)
 		}
@@ -163,6 +165,13 @@ func TestBadFlagsExitWithTheirMessage(t *testing.T) {
 			t.Errorf("lbench %s: stderr %q, want %q before any run and no panic", strings.Join(c.args, " "), stderr, c.want)
 		}
 	}
+}
+
+// TestPatienceCheckedOnlyForFigure6 checks that -patience, which only
+// Figure 6 uses, does not stop a run that measures no abortable lock.
+func TestPatienceCheckedOnlyForFigure6(t *testing.T) {
+	mustRun(t, "-fig", "2", "-locks", "mcs", "-threads", "1", "-duration", "5ms", "-patience", "0")
+	mustRun(t, "-ablation", "handoff", "-threads", "1", "-duration", "5ms", "-patience", "0", "-json")
 }
 
 // tableHeaders extracts each table's title line and its column header,

@@ -39,6 +39,9 @@ func main() {
 	if err := cli.Positive("clusters", *clustersFlag); err != nil {
 		cli.Die(tool, err)
 	}
+	if err := cli.Positive("duration", *durationFlag); err != nil {
+		cli.Die(tool, err)
+	}
 	lockNames, err := cli.Locks(*locksFlag)
 	if err != nil {
 		cli.Die(tool, err)

@@ -66,8 +66,9 @@ func TestBadFlagsExitWithTheirMessage(t *testing.T) {
 		{[]string{"-clusters", "0"}, "-clusters must be positive, got 0"},
 		{[]string{"-locks", "mcs,a-clh"}, `lock "a-clh" is not blocking`},
 		{[]string{"-locks", "mcs,comb-a-mcs"}, `lock "comb-a-mcs" is not blocking`},
+		{[]string{"-duration", "0"}, "-duration must be positive, got 0s"},
 	} {
-		out, stderr, code := mallocbench(append(c.args, "-threads", "1", "-duration", "10ms")...)
+		out, stderr, code := mallocbench(append([]string{"-threads", "1", "-duration", "10ms"}, c.args...)...)
 		if code != 2 {
 			t.Errorf("mallocbench %s exited %d, want 2:\n%s", strings.Join(c.args, " "), code, out)
 		}

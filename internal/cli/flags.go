@@ -3,6 +3,7 @@ package cli
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"repro/internal/registry"
 )
@@ -29,31 +30,25 @@ func Dief(tool, format string, args ...any) {
 
 // Locks parses a comma-separated lock list and validates every name
 // against the registry, so unknown names fail at startup with the
-// registry's suggestions. An empty spec returns nil — the tool's
-// default set applies.
+// registry's suggestions. Each name comes back as the registry spells
+// it, so -locks C-BO-MCS heads every table and record as c-bo-mcs. An
+// empty spec returns nil — the tool's default set applies.
 func Locks(spec string) ([]string, error) {
 	names := ParseNameList(spec)
-	for _, n := range names {
-		if _, err := registry.Find(n); err != nil {
+	for i, n := range names {
+		e, err := registry.Find(n)
+		if err != nil {
 			return nil, err
 		}
+		names[i] = e.Name
 	}
 	return names, nil
 }
 
-// Fraction validates a [0,1] flag such as -reads. The
-// inverted comparison rejects NaN too.
-func Fraction(flagName string, v float64) error {
-	if !(v >= 0 && v <= 1) {
-		return fmt.Errorf("-%s %v outside [0,1]", flagName, v)
-	}
-	return nil
-}
-
-// Positive validates a flag that must be > 0.
-func Positive(flagName string, v int) error {
+// Positive validates a count or duration flag that must be > 0.
+func Positive[T int | uint64 | time.Duration](flagName string, v T) error {
 	if v <= 0 {
-		return fmt.Errorf("-%s must be positive, got %d", flagName, v)
+		return fmt.Errorf("-%s must be positive, got %v", flagName, v)
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ func BenchmarkBatchedStore(b *testing.B) {
 						return locks.NewCombiningAdaptive(topo, e.NewMutex(topo))
 					})
 				} else {
-					cfg.Locking = kvstore.FromMutex(e.MutexFactory(topo))
+					cfg.Locking = kvstore.FromExec(e.ExecFactory(topo))
 				}
 				store := kvstore.New(cfg)
 				kvload.Populate(store, topo.Proc(0), keyspace, 128)
@@ -115,7 +115,7 @@ func benchColdIndex(b *testing.B, batch int) {
 	topo := numa.New(2, 2)
 	store := kvstore.New(kvstore.Config{
 		Topo:        topo,
-		Locking:     kvstore.FromMutex(registry.MustLookup("pthread").MutexFactory(topo)),
+		Locking:     kvstore.FromExec(registry.MustLookup("pthread").ExecFactory(topo)),
 		Shards:      8,
 		MaxBatch:    16,
 		Buckets:     2 * resident,

@@ -31,19 +31,19 @@ type source func() locks.RWExecutor
 func (s source) executors() func() locks.RWExecutor { return s }
 
 // FromMutex sources each shard's lock from a factory of exclusive
-// locks (registry Entry.MutexFactory shape), one acquisition per
-// critical section. Shards read exclusively: the lock's shared face is
-// its exclusive one (locks.RWFromMutex).
+// locks, one acquisition per critical section. Shards read
+// exclusively: the lock's shared face is its exclusive one
+// (locks.ExecFromMutex).
 func FromMutex(f func() locks.Mutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromMutex(nil)")
 	}
-	return source(func() locks.RWExecutor { return locks.ExecFromRWMutex(locks.RWFromMutex(f())) })
+	return source(func() locks.RWExecutor { return locks.ExecFromMutex(f()) })
 }
 
 // FromRW sources each shard's lock from a factory of reader-writer
-// locks (registry Entry.RWFactory shape). Gets take the lock's shared
-// mode, Sets and Deletes its exclusive mode.
+// locks. Gets take the lock's shared mode, Sets and Deletes its
+// exclusive mode.
 func FromRW(f func() locks.RWMutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromRW(nil)")

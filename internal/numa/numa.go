@@ -25,51 +25,31 @@ const CacheLineBytes = 64
 // false sharing.
 type Pad [2 * CacheLineBytes]byte
 
-// Placement controls how proc ids map to clusters.
-type Placement int
-
-const (
-	// RoundRobin spreads consecutive procs across clusters
-	// (proc i -> cluster i mod C). This matches how the paper's
-	// experiments load all four sockets at every thread count.
-	RoundRobin Placement = iota
-	// Packed fills one cluster before starting the next.
-	Packed
-)
-
 // Topology describes a machine as a set of symmetric clusters and a
 // bounded set of logical processors (worker threads). All lock
 // implementations size their per-thread state from MaxProcs, so the
 // topology fixes the maximum concurrency up front, mirroring the
 // paper's fixed 256-context machine.
 type Topology struct {
-	clusters  int
-	maxProcs  int
-	placement Placement
-	procs     []*Proc
+	clusters int
+	maxProcs int
+	procs    []*Proc
 }
 
 // New returns a topology with the given cluster count and maximum
-// number of logical processors, using RoundRobin placement. It panics
-// on non-positive arguments, which indicate programmer error.
+// number of logical processors. Placement is round-robin: consecutive
+// procs spread across clusters (proc i -> cluster i mod C), as the
+// paper's experiments load all four sockets at every thread count. It
+// panics on non-positive arguments, which indicate programmer error.
 func New(clusters, maxProcs int) *Topology {
-	return NewWithPlacement(clusters, maxProcs, RoundRobin)
-}
-
-// NewWithPlacement is New with an explicit placement policy.
-func NewWithPlacement(clusters, maxProcs int, placement Placement) *Topology {
-	if clusters <= 0 {
-		panic(fmt.Sprintf("numa: clusters = %d, must be positive", clusters))
+	if clusters <= 0 || maxProcs <= 0 {
+		panic(fmt.Sprintf("numa: New(%d, %d): clusters and maxProcs must be positive", clusters, maxProcs))
 	}
-	if maxProcs <= 0 {
-		panic(fmt.Sprintf("numa: maxProcs = %d, must be positive", maxProcs))
-	}
-	t := &Topology{clusters: clusters, maxProcs: maxProcs, placement: placement}
-	t.procs = make([]*Proc, maxProcs)
-	for i := 0; i < maxProcs; i++ {
+	t := &Topology{clusters: clusters, maxProcs: maxProcs, procs: make([]*Proc, maxProcs)}
+	for i := range t.procs {
 		t.procs[i] = &Proc{
 			id:      i,
-			cluster: t.clusterOf(i),
+			cluster: i % clusters,
 			rng:     spin.NewXorShift(uint64(i) + 1),
 		}
 	}
@@ -80,20 +60,6 @@ func NewWithPlacement(clusters, maxProcs int, placement Placement) *Topology {
 	// thread count.
 	spin.AutoOversubscribe(maxProcs)
 	return t
-}
-
-func (t *Topology) clusterOf(id int) int {
-	switch t.placement {
-	case Packed:
-		per := (t.maxProcs + t.clusters - 1) / t.clusters
-		c := id / per
-		if c >= t.clusters {
-			c = t.clusters - 1
-		}
-		return c
-	default:
-		return id % t.clusters
-	}
 }
 
 // Clusters reports the number of NUMA clusters.
@@ -113,8 +79,7 @@ func (t *Topology) Proc(id int) *Proc {
 	return t.procs[id]
 }
 
-// ClusterOf reports the cluster that proc id maps to under this
-// topology's placement.
+// ClusterOf reports the cluster that proc id maps to.
 func (t *Topology) ClusterOf(id int) int {
 	if id < 0 || id >= t.maxProcs {
 		panic(fmt.Sprintf("numa: proc id %d out of range [0,%d)", id, t.maxProcs))

@@ -27,30 +27,6 @@ func TestRoundRobinPlacement(t *testing.T) {
 	}
 }
 
-func TestPackedPlacement(t *testing.T) {
-	topo := NewWithPlacement(4, 16, Packed)
-	// 16 procs over 4 clusters, 4 per cluster, filled in order.
-	for i := 0; i < 16; i++ {
-		if got, want := topo.ClusterOf(i), i/4; got != want {
-			t.Errorf("ClusterOf(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestPackedPlacementUnevenStaysInRange(t *testing.T) {
-	topo := NewWithPlacement(3, 10, Packed)
-	for i := 0; i < 10; i++ {
-		c := topo.ClusterOf(i)
-		if c < 0 || c >= 3 {
-			t.Fatalf("ClusterOf(%d) = %d out of range", i, c)
-		}
-	}
-	// Last proc lands in the last cluster even when division rounds.
-	if topo.ClusterOf(9) != 2 {
-		t.Errorf("ClusterOf(9) = %d, want 2", topo.ClusterOf(9))
-	}
-}
-
 func TestProcHandlesStable(t *testing.T) {
 	topo := New(2, 8)
 	for i := 0; i < 8; i++ {
@@ -82,14 +58,10 @@ func TestProcOutOfRangePanics(t *testing.T) {
 }
 
 func TestPlacementCoverage(t *testing.T) {
-	check := func(clusters, procs uint8, packed bool) bool {
+	check := func(clusters, procs uint8) bool {
 		c := int(clusters%8) + 1
 		p := int(procs%32) + c // at least one proc per cluster
-		pl := RoundRobin
-		if packed {
-			pl = Packed
-		}
-		topo := NewWithPlacement(c, p, pl)
+		topo := New(c, p)
 		seen := make([]bool, c)
 		for i := 0; i < p; i++ {
 			cl := topo.ClusterOf(i)
@@ -98,25 +70,13 @@ func TestPlacementCoverage(t *testing.T) {
 			}
 			seen[cl] = true
 		}
-		if !packed {
-			// RoundRobin with p >= c populates every cluster.
-			for _, s := range seen {
-				if !s {
-					return false
-				}
-			}
-			return true
-		}
-		// Packed populates a gap-free prefix of clusters.
-		gapSeen := false
+		// Round-robin with p >= c populates every cluster.
 		for _, s := range seen {
 			if !s {
-				gapSeen = true
-			} else if gapSeen {
-				return false // populated cluster after a gap
+				return false
 			}
 		}
-		return seen[0]
+		return true
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestMutexFactoriesSmoke(t *testing.T) {
 	topo := numa.New(4, 4)
 	for _, e := range blocking() {
 		t.Run(e.Name, func(t *testing.T) {
-			locktest.Check(t, topo, locks.ExecFromMutex(e.MutexFactory(topo)()), 0, 4, 200)
+			locktest.Check(t, topo, locks.ExecFromMutex(e.NewMutex(topo)), 0, 4, 200)
 		})
 	}
 }
@@ -82,13 +82,12 @@ func TestTryFactoriesSmoke(t *testing.T) {
 }
 
 func TestFactoriesRepeatable(t *testing.T) {
-	// Per-shard construction calls the factory many times; instances
-	// must be distinct and independent: holding one must not block
-	// acquiring another.
+	// Per-shard construction calls the constructor many times;
+	// instances must be distinct and independent: holding one must not
+	// block acquiring another.
 	topo := numa.New(4, 4)
 	for _, e := range blocking() {
-		f := e.MutexFactory(topo)
-		a, b := f(), f()
+		a, b := e.NewMutex(topo), e.NewMutex(topo)
 		if a == b {
 			t.Errorf("%s: factory returned the same instance twice", e.Name)
 			continue
@@ -104,11 +103,8 @@ func TestFactoriesRepeatable(t *testing.T) {
 func TestFactoryNilForMissingInterface(t *testing.T) {
 	topo := numa.New(2, 2)
 	for _, e := range entries() {
-		if e.NewMutex == nil && e.MutexFactory(topo) != nil {
-			t.Errorf("%s: MutexFactory non-nil without NewMutex", e.Name)
-		}
-		if e.NewMutex == nil && e.NewExec == nil && e.ExecFactory(topo) != nil {
-			t.Errorf("%s: ExecFactory non-nil without NewMutex or NewExec", e.Name)
+		if lockable := e.NewMutex != nil || e.NewExec != nil; lockable != (e.ExecFactory(topo) != nil) {
+			t.Errorf("%s: ExecFactory nil is %v, want %v", e.Name, !lockable, lockable)
 		}
 	}
 }
@@ -143,24 +139,24 @@ func TestExecFactoriesRepeatable(t *testing.T) {
 }
 
 func TestRWFactoriesRepeatable(t *testing.T) {
-	// The RW kvstore path builds one RW lock per shard; instances must
-	// be distinct and independent, native and adapted alike.
+	// The store posts reads to ExecShared of one executor per shard;
+	// instances must be distinct and independent, shared-mode and
+	// exclusive-adapted alike.
 	topo := numa.New(4, 4)
+	p := topo.Proc(0)
 	for _, e := range blocking() {
-		f := e.RWFactory(topo)
-		if f == nil {
-			t.Errorf("%s: blocking entry has nil RWFactory", e.Name)
-			continue
-		}
+		f := e.ExecFactory(topo)
 		a, b := f(), f()
 		if a == b {
-			t.Errorf("%s: RW factory returned the same instance twice", e.Name)
+			t.Errorf("%s: exec factory returned the same instance twice", e.Name)
 			continue
 		}
-		p := topo.Proc(0)
-		a.Lock(p)
-		b.RLock(p) // would deadlock if a and b shared state
-		b.RUnlock(p)
-		a.Unlock(p)
+		ran := false
+		a.Exec(p, func() {
+			b.ExecShared(p, func() { ran = true }) // would deadlock if a and b shared state
+		})
+		if !ran {
+			t.Errorf("%s: shared closure under an independent executor never ran", e.Name)
+		}
 	}
 }

@@ -192,19 +192,12 @@ func TestUnregisteredCompositions(t *testing.T) {
 			if e.NewMutex != nil {
 				locktest.Check(t, topo, locks.ExecFromMutex(e.NewMutex(topo)), 0, 8, 150)
 			}
-			if f := e.RWFactory(topo); f != nil {
-				x := locks.ExecFromRWMutex(f())
-				if e.NewRW != nil {
-					locktest.Coexist(t, topo, x, 5)
-				}
-				locktest.Check(t, topo, x, 5, 3, 150)
-			}
 			locktest.Check(t, topo, e.ExecFactory(topo)(), 0, 8, 150)
-			if e.NewExec != nil && mustShare(e) {
-				x := e.ExecFactory(topo)()
+			x := e.ExecFactory(topo)()
+			if mustShare(e) {
 				locktest.Coexist(t, topo, x, 5)
-				locktest.Check(t, topo, x, 5, 3, 150)
 			}
+			locktest.Check(t, topo, x, 5, 3, 150)
 		})
 	}
 }

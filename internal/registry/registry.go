@@ -38,8 +38,8 @@ type Entry struct {
 	// NewTry builds an abortable instance; nil for non-abortable locks.
 	NewTry func(topo *numa.Topology) locks.TryMutex
 	// NewRW builds a genuine reader-writer instance (shared mode admits
-	// concurrent readers); nil for exclusive-only locks. Exclusive
-	// entries still adapt to the RW interface through RWFactory.
+	// concurrent readers); nil for exclusive-only locks, whose shared
+	// closures ExecFactory runs exclusively.
 	NewRW func(topo *numa.Topology) locks.RWMutex
 	// NewExec builds a genuinely combining executor (delegated batches,
 	// one underlying acquisition per batch); nil for plain locks, which
@@ -268,52 +268,26 @@ func (e Entry) Unwrap() (wrapper string, operand Entry, ok bool) {
 	return wrapper, operand, err == nil
 }
 
-// MutexFactory returns a factory that builds independent blocking
-// instances of this lock for topo, or nil if the entry is not
-// blocking. The factory is safe to call any number of times; every
-// call constructs a fresh, unshared lock. Sharded stores use this to
-// build one lock per shard from a single registry name.
-func (e Entry) MutexFactory(topo *numa.Topology) func() locks.Mutex {
-	if e.NewMutex == nil {
-		return nil
-	}
-	return func() locks.Mutex { return e.NewMutex(topo) }
-}
-
-// RWFactory returns a factory building independent reader-writer
-// instances of this lock for topo, or nil if the entry cannot lock at
-// all. Entries with a native RW construction (NewRW) yield genuinely
-// shared readers; exclusive-only entries are adapted through
-// locks.RWFromMutex, whose shared mode is the lock's exclusive one, so
-// every blocking lock in the registry slots into an RW-shaped consumer
-// and keeps its exact exclusive behavior.
-func (e Entry) RWFactory(topo *numa.Topology) func() locks.RWMutex {
-	if e.NewRW != nil {
-		return func() locks.RWMutex { return e.NewRW(topo) }
-	}
-	if e.NewMutex == nil {
-		return nil
-	}
-	return func() locks.RWMutex { return locks.RWFromMutex(e.NewMutex(topo)) }
-}
-
 // ExecFactory returns a factory building independent executors of this
 // lock for topo (exclusive plus shared closures), or nil if the entry
-// cannot lock at all. comb-a-* entries yield genuinely combining
-// executors (NewExec); the rest adapt through locks.ExecFromRWMutex —
-// correct, one acquisition per closure — so every lock in the registry
-// slots into an executor-shaped consumer. Shared closures genuinely
-// coexist over a native RW construction (NewRW, or a comb-a- operand
-// with one) and serialize over an exclusive-only one.
+// cannot lock at all. Every call of the factory constructs a fresh,
+// unshared executor, so a sharded store builds one per shard from a
+// single name, and the name decides the read path: comb-a-* entries
+// yield genuinely combining executors (NewExec), whose shared closures
+// take a comb-a-rw-* operand's shared mode; rw-* entries (NewRW) run
+// shared closures in shared mode, so readers coexist; the rest adapt
+// through locks.ExecFromMutex, one exclusive acquisition per closure,
+// shared or not.
 func (e Entry) ExecFactory(topo *numa.Topology) func() locks.RWExecutor {
-	if e.NewExec != nil {
+	switch {
+	case e.NewExec != nil:
 		return func() locks.RWExecutor { return e.NewExec(topo) }
+	case e.NewRW != nil:
+		return func() locks.RWExecutor { return locks.ExecFromRWMutex(e.NewRW(topo)) }
+	case e.NewMutex != nil:
+		return func() locks.RWExecutor { return locks.ExecFromMutex(e.NewMutex(topo)) }
 	}
-	f := e.RWFactory(topo)
-	if f == nil {
-		return nil
-	}
-	return func() locks.RWExecutor { return locks.ExecFromRWMutex(f()) }
+	return nil
 }
 
 // normalize maps user-supplied spellings onto registry names: names
@@ -419,25 +393,6 @@ func MustLookup(name string) Entry {
 // Names lists the canonical lock names, in presentation order.
 func Names() []string {
 	return append([]string(nil), canonical...)
-}
-
-// filter returns the canonical names whose entries keep accepts, in
-// order.
-func filter(keep func(Entry) bool) []string {
-	var out []string
-	for _, name := range canonical {
-		if keep(MustLookup(name)) {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
-// RWNames lists the native reader-writer lock names (shared mode
-// admits concurrent readers), in presentation order — the `rw-*`
-// column set of kvbench's read-path table.
-func RWNames() []string {
-	return filter(func(e Entry) bool { return e.NewRW != nil })
 }
 
 // Figure2Names lists the locks of the paper's Figures 2-5, in legend

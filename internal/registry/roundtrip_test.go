@@ -62,14 +62,14 @@ func TestEveryRWEntryPassesLocktest(t *testing.T) {
 }
 
 // TestRWFactoryAdaptsExclusiveEntries verifies the degradation path:
-// an exclusive-only entry still yields a correct RWMutex through
-// RWFactory (readers serialized).
+// an exclusive-only entry still yields a correct executor through
+// ExecFactory, its shared closures serialized with the rest.
 func TestRWFactoryAdaptsExclusiveEntries(t *testing.T) {
 	for _, name := range []string{"mcs", "c-bo-mcs", "pthread"} {
 		e := MustLookup(name)
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 8)
-			locktest.Check(t, topo, locks.ExecFromRWMutex(e.RWFactory(topo)()), 5, 3, 150)
+			locktest.Check(t, topo, e.ExecFactory(topo)(), 5, 3, 150)
 		})
 	}
 }
@@ -114,7 +114,7 @@ func mustShare(e Entry) bool {
 
 // TestEveryRWExecFactoryPassesLocktest round-trips every lockable
 // entry's executor (ExecFactory: the combining construction for
-// comb-a-* entries, ExecFromRWMutex over the entry's RW face
+// comb-a-* entries, ExecFromRWMutex over rw-* ones, ExecFromMutex
 // otherwise) through locktest.Check: concurrent shared batches
 // coexist where sharing is genuine, exclusive closures exclude them,
 // no lost or double-run ops — automatically for any future

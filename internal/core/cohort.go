@@ -7,8 +7,6 @@ import (
 	"repro/internal/spin"
 )
 
-func deadlineFrom(d time.Duration) int64 { return spin.Deadline(d) }
-
 // CohortLock is the generic (non-abortable) lock cohorting
 // transformation: one global lock plus one cohort-detecting local lock
 // per cluster. It implements the paper's lock/unlock protocol of §2.1
@@ -111,7 +109,7 @@ func NewAbortableCohortLock(topo *numa.Topology, global AbortableGlobal, newLoca
 // global-release state (it never held the global lock, so this cannot
 // strand it) and reports failure.
 func (l *AbortableCohortLock) TryLockFor(p *numa.Proc, patience time.Duration) bool {
-	deadline := deadlineFrom(patience)
+	deadline := spin.Deadline(patience)
 	c := p.Cluster()
 	r, ok := l.local[c].TryLock(p, deadline)
 	if !ok {

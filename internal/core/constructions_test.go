@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -184,6 +185,32 @@ func TestAbortableCohortSameClusterAbortChurn(t *testing.T) {
 			topo := numa.New(1, 16)
 			s, a := locktest.CheckTryMutex(t, topo, mk(topo), 16, 300, 100*time.Microsecond)
 			t.Logf("%s same-cluster churn: %d successes, %d aborts", name, s, a)
+		})
+	}
+}
+
+func TestAbortableCohortForeverPatience(t *testing.T) {
+	// A patience past the clock's range waits as long as it takes; it
+	// must not wrap into a deadline that has already passed.
+	for name, mk := range abortableFactories() {
+		t.Run(name, func(t *testing.T) {
+			topo := numa.New(2, 4) // procs 0 and 2 share cluster 0
+			l := mk(topo)
+			p0, p2 := topo.Proc(0), topo.Proc(2)
+			if !l.TryLockFor(p0, time.Second) {
+				t.Fatal("uncontended TryLockFor failed")
+			}
+			released := make(chan struct{})
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				l.Unlock(p0)
+				close(released)
+			}()
+			if !l.TryLockFor(p2, math.MaxInt64) {
+				t.Fatal("TryLockFor(math.MaxInt64) gave up on a lock released after 5 ms")
+			}
+			<-released
+			l.Unlock(p2)
 		})
 	}
 }

@@ -27,8 +27,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/locks"
 	"repro/internal/numa"
 )
@@ -154,11 +152,4 @@ type clusterState struct {
 	holder *numa.Proc
 	passes int64 // consecutive local hand-offs since the global acquisition
 	_      numa.Pad
-}
-
-// Patience converts a TryLockFor-style duration into the deadline
-// representation used by the abortable interfaces. Exposed for callers
-// composing their own abortable locks.
-func Patience(d time.Duration) int64 {
-	return deadlineFrom(d)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/numa"
@@ -49,9 +48,9 @@ const (
 
 type acChunk [acChunkSize]acNode
 
-// acArena is a grow-only chunked node store.
+// acArena is a grow-only chunked node store. Racing installers of a
+// chunk agree by CAS; a loser's chunk is garbage.
 type acArena struct {
-	mu     sync.Mutex
 	next   atomic.Int64
 	chunks [acMaxChunks]atomic.Pointer[acChunk]
 }
@@ -63,11 +62,7 @@ func (a *acArena) alloc() int64 {
 		panic(fmt.Sprintf("core: A-CLH arena exhausted (%d nodes)", i))
 	}
 	if a.chunks[ci].Load() == nil {
-		a.mu.Lock()
-		if a.chunks[ci].Load() == nil {
-			a.chunks[ci].Store(new(acChunk))
-		}
-		a.mu.Unlock()
+		a.chunks[ci].CompareAndSwap(nil, new(acChunk))
 	}
 	return i
 }

@@ -226,11 +226,54 @@ func TestACLHLocalRescueWinsOrAborts(t *testing.T) {
 }
 
 func TestPatienceHelper(t *testing.T) {
-	d := Patience(time.Hour)
+	d := spin.Deadline(time.Hour)
 	if spin.Expired(d) {
 		t.Fatal("hour-long patience already expired")
 	}
-	if !spin.Expired(Patience(-time.Second)) {
+	if !spin.Expired(spin.Deadline(-time.Second)) {
 		t.Fatal("negative patience should be expired")
+	}
+}
+
+func TestACLHLocalArenaConcurrentGrowth(t *testing.T) {
+	// Eight allocators race across eight chunk installs. Every index
+	// must resolve to its own node, and a node handed out during the
+	// race must stay where it was: a lost install race must not
+	// replace a chunk already in use.
+	const workers, perWorker = 8, acChunkSize
+	var a acArena
+	idx := make([][]int64, workers)
+	got := make([][]*acNode, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range perWorker {
+				i := a.alloc()
+				idx[w] = append(idx[w], i)
+				got[w] = append(got[w], a.node(i))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	seen := map[*acNode]int64{}
+	for w := range workers {
+		for k, i := range idx[w] {
+			n := got[w][k]
+			if a.node(i) != n {
+				t.Fatalf("node(%d) moved after the race", i)
+			}
+			if j, dup := seen[n]; dup {
+				t.Fatalf("indices %d and %d resolve to one node", j, i)
+			}
+			seen[n] = i
+		}
+	}
+	if len(seen) != workers*perWorker {
+		t.Fatalf("%d distinct nodes, want %d", len(seen), workers*perWorker)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/locks"
@@ -65,10 +64,10 @@ type Restricted struct {
 
 // DefaultActivePerCluster is the admission bound NewRestricted applies
 // when given a non-positive limit: enough competitors per cluster to
-// fill the host's processors and no more, the point past which the
-// restriction paper shows extra waiters only slow the lock down.
+// fill spin.CPUs (GOMAXPROCS in real mode) and no more, the point past
+// which the restriction paper shows extra waiters only slow it down.
 func DefaultActivePerCluster(topo *numa.Topology) int {
-	k := runtime.GOMAXPROCS(0) / topo.Clusters()
+	k := spin.CPUs() / topo.Clusters()
 	if k < 1 {
 		k = 1
 	}

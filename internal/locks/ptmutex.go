@@ -1,17 +1,16 @@
 package locks
 
 import (
-	"sync"
-
 	"repro/internal/numa"
+	"repro/internal/spin"
 )
 
-// Pthread adapts Go's blocking sync.Mutex to the Mutex interface. It
-// plays the role of the paper's pthread_mutex baseline: an
-// OS-arbitrated blocking lock with no NUMA awareness, the default that
-// memcached and the Solaris allocator are measured with.
+// Pthread adapts the blocking spin.Mutex (sync.Mutex in real mode) to
+// the Mutex interface. It plays the role of the paper's pthread_mutex
+// baseline: an OS-arbitrated blocking lock with no NUMA awareness, the
+// default that memcached and the Solaris allocator are measured with.
 type Pthread struct {
-	mu sync.Mutex
+	mu spin.Mutex
 }
 
 // NewPthread returns an unlocked blocking mutex.

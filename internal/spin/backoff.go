@@ -97,6 +97,3 @@ func (b *Backoff) Wait() {
 		b.cur = b.max
 	}
 }
-
-// Cur exposes the current delay bound, for tests.
-func (b *Backoff) Cur() int64 { return b.cur }

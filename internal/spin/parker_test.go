@@ -24,9 +24,9 @@ func TestParkerImmediateCondition(t *testing.T) {
 }
 
 func TestParkerWakesParkedWaiter(t *testing.T) {
-	prev := Oversubscribed()
-	defer SetOversubscribed(prev)
-	SetOversubscribed(true) // force the park path
+	prev := oversubscribed.Load()
+	defer oversubscribed.Store(prev)
+	oversubscribed.Store(true) // force the park path
 
 	pk := MakeParker()
 	var flag atomic.Int32
@@ -47,9 +47,9 @@ func TestParkerWakesParkedWaiter(t *testing.T) {
 }
 
 func TestParkerStaleTokenHarmless(t *testing.T) {
-	prev := Oversubscribed()
-	defer SetOversubscribed(prev)
-	SetOversubscribed(true)
+	prev := oversubscribed.Load()
+	defer oversubscribed.Store(prev)
+	oversubscribed.Store(true)
 
 	pk := MakeParker()
 	pk.Wake() // stale token from a hand-off observed by spinning
@@ -74,9 +74,9 @@ func TestParkerStaleTokenHarmless(t *testing.T) {
 func TestParkerHandoffChain(t *testing.T) {
 	// A ring of waiters passing a baton through parkers: stresses the
 	// check-then-park race from both sides.
-	prev := Oversubscribed()
-	defer SetOversubscribed(prev)
-	SetOversubscribed(true)
+	prev := oversubscribed.Load()
+	defer oversubscribed.Store(prev)
+	oversubscribed.Store(true)
 
 	const workers = 8
 	const rounds = 200

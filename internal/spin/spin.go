@@ -7,12 +7,16 @@
 // The Go runtime multiplexes goroutines onto a bounded set of OS
 // threads, so a naive spin loop can starve the very goroutine it is
 // waiting for when workers outnumber GOMAXPROCS. Poll therefore
-// escalates from cheap pauses to runtime.Gosched so that spinning
-// remains safe even for the paper's 255-thread configurations.
+// escalates from cheap pauses to yielding so that spinning remains
+// safe even for the paper's 255-thread configurations.
+//
+// The package is the lock and store stack's one door to the scheduler:
+// the stack blocks, yields, counts processors and reads the clock only
+// through yield, Parker, Mutex, CPUs and Now (seam_test.go checks it).
 package spin
 
 import (
-	"runtime"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,21 +52,14 @@ var oversubscribed atomic.Bool
 
 func init() { oversubscribed.Store(true) }
 
-// SetOversubscribed declares whether spinning goroutines may outnumber
-// GOMAXPROCS. Harnesses call it before a run (workers+bookkeeping vs
-// GOMAXPROCS); it may be changed between runs but not during one.
-func SetOversubscribed(b bool) { oversubscribed.Store(b) }
-
-// Oversubscribed reports the current spin discipline.
-func Oversubscribed() bool { return oversubscribed.Load() }
-
 // AutoOversubscribe sets the discipline from a worker count and
-// reports the previous value. A single worker never contends with
-// anyone for a processor, so it never oversubscribes — even when
-// GOMAXPROCS is 1.
+// reports the previous value. Harnesses call it before a run; it may
+// be changed between runs but not during one. A single worker never
+// contends with anyone for a processor, so it never oversubscribes —
+// even when CPUs is 1.
 func AutoOversubscribe(workers int) bool {
 	prev := oversubscribed.Load()
-	oversubscribed.Store(workers > 1 && workers >= runtime.GOMAXPROCS(0))
+	oversubscribed.Store(workers > 1 && workers >= CPUs())
 	return prev
 }
 
@@ -79,7 +76,7 @@ func AutoOversubscribe(workers int) bool {
 // default discipline, so the call is a trip through the scheduler.
 func Yield() {
 	if oversubscribed.Load() {
-		runtime.Gosched()
+		yield()
 	}
 }
 
@@ -99,11 +96,13 @@ func Poll(i int) {
 		return
 	}
 	if oversubscribed.Load() {
-		runtime.Gosched()
+		yield()
 		return
 	}
 	Pause(64)
 }
+
+const waitChunk = 1 << 15 // pause units WaitNs spins between yields
 
 // calibration state for WaitNs: pauseUnitsPerMicro is the number of
 // Pause(1) iterations that consume roughly one microsecond.
@@ -156,16 +155,15 @@ func WaitNs(ns int64) {
 	if units <= 0 {
 		units = 1
 	}
-	// Yield only on long waits (chunk ≈ 9 µs) and only when
+	// Yield only on long waits (waitChunk ≈ 9 µs) and only when
 	// oversubscribed: short waits — like LBench's 4 µs non-critical
 	// idle — must not pay descheduling latency, or the emulated delay
 	// balloons.
-	const chunk = 1 << 15
-	for units > chunk {
-		Pause(chunk)
-		units -= chunk
+	for units > waitChunk {
+		Pause(waitChunk)
+		units -= waitChunk
 		if oversubscribed.Load() {
-			runtime.Gosched()
+			yield()
 		}
 	}
 	Pause(int(units))
@@ -183,9 +181,10 @@ func Now() int64 {
 
 // Deadline converts a patience duration into an absolute deadline for
 // TryLock-style operations. A non-positive patience yields a deadline
-// that is already expired.
+// that is already expired; a math.MaxInt64 one never expires.
 func Deadline(patience time.Duration) int64 {
-	return Now() + int64(patience)
+	now := Now()
+	return now + min(int64(patience), math.MaxInt64-now)
 }
 
 // Expired reports whether the deadline produced by Deadline has passed.

@@ -1,6 +1,7 @@
 package spin
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -67,6 +68,11 @@ func TestDeadlineExpiry(t *testing.T) {
 	if !Expired(d) {
 		t.Fatal("deadline did not expire after its patience elapsed")
 	}
+	// A patience past the clock's range saturates instead of wrapping
+	// into the past.
+	if forever := Deadline(math.MaxInt64); forever != math.MaxInt64 || Expired(forever) {
+		t.Fatalf("Deadline(math.MaxInt64) = %d (expired %v), want math.MaxInt64, never expired", forever, Expired(forever))
+	}
 }
 
 func TestXorShiftNonZeroAndDistinct(t *testing.T) {
@@ -107,7 +113,7 @@ func TestBackoffExponentialGrowsAndCaps(t *testing.T) {
 	b := NewBackoff(PolicyExponential, 4, 64, 1)
 	var prev int64
 	for i := 0; i < 10; i++ {
-		cur := b.Cur()
+		cur := b.cur
 		if cur < prev {
 			t.Fatalf("exponential backoff shrank: %d -> %d", prev, cur)
 		}
@@ -117,8 +123,8 @@ func TestBackoffExponentialGrowsAndCaps(t *testing.T) {
 		prev = cur
 		b.Wait()
 	}
-	if b.Cur() != 64 {
-		t.Fatalf("after 10 waits, bound = %d, want capped at 64", b.Cur())
+	if b.cur != 64 {
+		t.Fatalf("after 10 waits, bound = %d, want capped at 64", b.cur)
 	}
 }
 
@@ -126,8 +132,8 @@ func TestBackoffFibonacciSequence(t *testing.T) {
 	b := NewBackoff(PolicyFibonacci, 1, 1000, 1)
 	want := []int64{1, 1, 2, 3, 5, 8, 13, 21}
 	for i, w := range want {
-		if b.Cur() != w {
-			t.Fatalf("fib step %d: bound = %d, want %d", i, b.Cur(), w)
+		if b.cur != w {
+			t.Fatalf("fib step %d: bound = %d, want %d", i, b.cur, w)
 		}
 		b.Wait()
 	}
@@ -135,72 +141,100 @@ func TestBackoffFibonacciSequence(t *testing.T) {
 
 func TestBackoffClampsInvalidBounds(t *testing.T) {
 	b := NewBackoff(PolicyExponential, -10, -20, 1)
-	if b.Cur() < 1 {
-		t.Fatalf("bound = %d, want >= 1 after clamping", b.Cur())
+	if b.cur < 1 {
+		t.Fatalf("bound = %d, want >= 1 after clamping", b.cur)
 	}
 	b.Wait() // must not panic
 }
 
+// countYields makes every yield for the rest of the test a count
+// under the given discipline, and returns the counter.
+func countYields(t *testing.T, over bool) *int {
+	prevYield, prevOver := yield, oversubscribed.Load()
+	t.Cleanup(func() {
+		yield = prevYield
+		oversubscribed.Store(prevOver)
+	})
+	n := 0
+	yield = func() { n++ }
+	oversubscribed.Store(over)
+	return &n
+}
+
 func TestPollDisciplines(t *testing.T) {
-	prev := Oversubscribed()
-	defer SetOversubscribed(prev)
-	// Not oversubscribed: Poll never deschedules, regardless of i.
-	SetOversubscribed(false)
-	for i := 0; i < 4096; i++ {
-		Poll(i)
-	}
-	// Oversubscribed: Poll must not hang when driven far past the hot
-	// window (Gosched path).
-	SetOversubscribed(true)
-	for i := 0; i < 4096; i++ {
-		Poll(i)
+	// Each wait yields never with dedicated processors and, when
+	// oversubscribed, exactly as often as its discipline says.
+	const polls = 4096
+	ns := int64(7*waitChunk/2) * 1000 / UnitsPerMicro() // 3.5 chunks of WaitNs
+	for _, tc := range []struct {
+		name string
+		wait func()
+		want int // yields when oversubscribed
+	}{
+		{"Poll", func() {
+			for i := range polls {
+				Poll(i)
+			}
+		}, polls - hotSpinIters}, // one per poll past the hot window
+		{"Yield", func() {
+			for range 100 {
+				Yield()
+			}
+		}, 100},
+		{"WaitNs", func() { WaitNs(ns) }, 3}, // one per full chunk
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			yields := countYields(t, false)
+			tc.wait()
+			if *yields != 0 {
+				t.Fatalf("yielded %d times with dedicated processors", *yields)
+			}
+			oversubscribed.Store(true)
+			tc.wait()
+			if *yields != tc.want {
+				t.Fatalf("yielded %d times oversubscribed, want %d", *yields, tc.want)
+			}
+		})
 	}
 }
 
 func TestOversubscriptionFlag(t *testing.T) {
-	prev := Oversubscribed()
-	defer SetOversubscribed(prev)
-	SetOversubscribed(false)
-	if Oversubscribed() {
+	prev := oversubscribed.Load()
+	defer oversubscribed.Store(prev)
+	oversubscribed.Store(false)
+	if oversubscribed.Load() {
 		t.Fatal("flag did not clear")
 	}
 	got := AutoOversubscribe(1 << 20) // absurdly many workers
 	if got {
 		t.Fatal("AutoOversubscribe returned wrong previous value")
 	}
-	if !Oversubscribed() {
+	if !oversubscribed.Load() {
 		t.Fatal("huge worker count did not set oversubscription")
 	}
 	AutoOversubscribe(1) // one worker never oversubscribes
-	if Oversubscribed() {
+	if oversubscribed.Load() {
 		t.Fatal("single worker marked oversubscribed")
 	}
 }
 
 func TestBackoffWaitYieldsOnlyWhenOversubscribed(t *testing.T) {
-	prev := Oversubscribed()
-	defer SetOversubscribed(prev)
-	old := yield
-	defer func() { yield = old }()
-	yields := 0
-	yield = func() { yields++ }
-
-	SetOversubscribed(true)
+	yields := countYields(t, true)
 	b := NewBackoff(PolicyExponential, 1, 2, 1)
 	for i := 0; i < 64; i++ {
 		b.Wait()
 	}
-	if yields == 0 {
-		t.Fatal("Backoff.Wait never yielded over 64 oversubscribed attempts")
+	if want := 64 - hotAttempts; *yields != want {
+		t.Fatalf("Backoff.Wait yielded %d times over 64 oversubscribed attempts, want %d", *yields, want)
 	}
 
-	yields = 0
-	SetOversubscribed(false)
+	*yields = 0
+	oversubscribed.Store(false)
 	b = NewBackoff(PolicyExponential, 1, 2, 1)
 	for i := 0; i < 64; i++ {
 		b.Wait()
 	}
-	if yields != 0 {
-		t.Fatalf("Backoff.Wait yielded %d times with dedicated processors", yields)
+	if *yields != 0 {
+		t.Fatalf("Backoff.Wait yielded %d times with dedicated processors", *yields)
 	}
 }

@@ -224,8 +224,6 @@ type Executor = locks.Executor
 // combiner runs whole same-cluster batches under a single acquisition
 // of the underlying lock — flat-combining-style delegated execution,
 // the technique FC-MCS derives from, over any lock in the family.
-// Ops/Batches report the amortization, Occupancy/OccupancyEstimate the
-// posted requests in flight.
 type CombiningLock = locks.Combining
 
 // NewCombiningAdaptive builds a combining executor over a fresh
@@ -249,8 +247,7 @@ type RWExecutor = locks.RWExecutor
 // closures run through a CombiningLock over the underlying lock, and
 // each shared closure runs under one shared acquisition of it, so
 // concurrent readers coexist in the lock's shared mode as they do
-// under the lock itself. Ops/Batches and Occupancy/OccupancyEstimate
-// count exclusive requests only.
+// under the lock itself.
 type RWCombiningLock = locks.RWCombining
 
 // NewRWCombiningAdaptive builds a combining reader-writer executor

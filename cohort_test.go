@@ -57,8 +57,8 @@ func TestAllConstructorsUsable(t *testing.T) {
 
 func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 	// The public faces of the adaptive hot path: the load-adaptive
-	// combining executor with its occupancy introspection, and the
-	// shared-mode executor a reader-writer lock name builds.
+	// combining executor, and the shared-mode executor a reader-writer
+	// lock name builds.
 	topo := cohort.NewTopology(2, 8)
 	p := topo.Proc(0)
 
@@ -69,9 +69,6 @@ func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 	}
 	if n != 10 {
 		t.Fatalf("adaptive executor ran %d closures, want 10", n)
-	}
-	if occ := x.OccupancyEstimate(); occ != 0 {
-		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
 	}
 
 	e, err := cohort.Find("rw-c-bo-mcs")
@@ -89,8 +86,7 @@ func TestAdaptiveCombiningAndRWExecutorFacade(t *testing.T) {
 
 func TestRWCombiningFacade(t *testing.T) {
 	// The combining reader-writer faces: closures run exactly once in
-	// both modes, Ops counts the exclusive closures only, and the
-	// quiescent occupancy estimate is zero.
+	// both modes.
 	topo := cohort.NewTopology(2, 8)
 	p := topo.Proc(0)
 
@@ -109,12 +105,6 @@ func TestRWCombiningFacade(t *testing.T) {
 	x.Exec(p, func() { n++ })
 	if n != 11 {
 		t.Fatalf("rw combining executor ran %d closures, want 11", n)
-	}
-	if ops := x.Ops(); ops != 1 {
-		t.Fatalf("Ops() = %d, want 1 (exclusive closures only)", ops)
-	}
-	if occ := x.OccupancyEstimate(); occ != 0 {
-		t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
 	}
 }
 

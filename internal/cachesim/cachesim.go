@@ -139,14 +139,6 @@ type Stats struct {
 	Misses   uint64 // accesses that migrated the line across clusters
 }
 
-// MissRate reports misses per access, or 0 for an idle domain.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Snapshot sums the per-proc counters. Call only after the worker
 // goroutines have been joined (or while they are quiescent); the slots
 // are intentionally unsynchronized.
@@ -157,20 +149,6 @@ func (d *Domain) Snapshot() Stats {
 		s.Misses += d.slots[i].misses
 	}
 	return s
-}
-
-// Reset clears the counters and ownership tags, returning the domain to
-// a cold state. Not safe to call concurrently with Access.
-func (d *Domain) Reset() {
-	for i := range d.lines {
-		d.lines[i].owner.v = -1
-		for j := range d.lines[i].words {
-			d.lines[i].words[j].v = 0
-		}
-	}
-	for i := range d.slots {
-		d.slots[i] = statSlot{}
-	}
 }
 
 // PayloadSum returns the sum of all payload counters, used by tests to

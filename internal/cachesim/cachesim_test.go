@@ -71,15 +71,6 @@ func TestSnapshotCounts(t *testing.T) {
 	if s.Misses != 3 {
 		t.Errorf("Misses = %d, want 3", s.Misses)
 	}
-	if got, want := s.MissRate(), 0.75; got != want {
-		t.Errorf("MissRate = %v, want %v", got, want)
-	}
-}
-
-func TestMissRateEmptyDomain(t *testing.T) {
-	if (Stats{}).MissRate() != 0 {
-		t.Fatal("empty stats should report 0 miss rate")
-	}
 }
 
 func TestPayloadSumCountsEveryWrite(t *testing.T) {
@@ -92,23 +83,6 @@ func TestPayloadSumCountsEveryWrite(t *testing.T) {
 	}
 	if got := d.PayloadSum(); got != int64(total) {
 		t.Fatalf("PayloadSum = %d, want %d", got, total)
-	}
-}
-
-func TestReset(t *testing.T) {
-	topo, d := newTestDomain(1)
-	p := topo.Proc(0)
-	d.Access(p, 0, 2)
-	d.Reset()
-	s := d.Snapshot()
-	if s.Accesses != 0 || s.Misses != 0 {
-		t.Fatalf("after Reset, stats = %+v, want zero", s)
-	}
-	if d.PayloadSum() != 0 {
-		t.Fatal("after Reset, payload should be zero")
-	}
-	if !d.Access(p, 0, 1) {
-		t.Fatal("after Reset, lines should be cold again")
 	}
 }
 

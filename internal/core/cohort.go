@@ -84,7 +84,10 @@ type AbortableCohortLock struct {
 	global AbortableGlobal
 	local  []AbortableLocal
 	state  []clusterState
-	limit  int64
+	// release is, per proc id, the releaseGlobal callback Unlock hands
+	// the local lock: bound once here, so a release allocates nothing.
+	release []func()
+	limit   int64
 }
 
 // NewAbortableCohortLock assembles an abortable cohort lock; see
@@ -92,13 +95,25 @@ type AbortableCohortLock struct {
 func NewAbortableCohortLock(topo *numa.Topology, global AbortableGlobal, newLocal func(cluster int) AbortableLocal, opts ...Option) *AbortableCohortLock {
 	o := buildOptions(opts)
 	l := &AbortableCohortLock{
-		global: global,
-		local:  make([]AbortableLocal, topo.Clusters()),
-		state:  make([]clusterState, topo.Clusters()),
-		limit:  o.HandoffLimit,
+		global:  global,
+		local:   make([]AbortableLocal, topo.Clusters()),
+		state:   make([]clusterState, topo.Clusters()),
+		release: make([]func(), topo.MaxProcs()),
+		limit:   o.HandoffLimit,
 	}
 	for c := range l.local {
 		l.local[c] = newLocal(c)
+	}
+	for id := range l.release {
+		p, st := topo.Proc(id), &l.state[topo.ClusterOf(id)]
+		// The pass-count reset must precede the global release: once
+		// the global lock drops, a new holder may write the counter,
+		// and the global lock's acquire/release atomics are what order
+		// the two accesses.
+		l.release[id] = func() {
+			st.passes = 0
+			l.global.Unlock(p)
+		}
 	}
 	return l
 }
@@ -135,14 +150,7 @@ func (l *AbortableCohortLock) Unlock(p *numa.Proc) {
 	if wantLocal {
 		st.passes++
 	}
-	// The pass-count reset must precede the global release inside the
-	// callback: once the global lock drops, a new holder may write the
-	// counter, and the global lock's acquire/release atomics are what
-	// order the two accesses.
-	s.Unlock(p, wantLocal, func() {
-		st.passes = 0
-		l.global.Unlock(p)
-	})
+	s.Unlock(p, wantLocal, l.release[p.ID()])
 }
 
 // HandoffLimit reports the configured may-pass-local bound.

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -222,6 +223,33 @@ func TestAbortableCohortZeroPatience(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(4, 32)
 			locktest.CheckTryMutex(t, topo, mk(topo), 16, 200, 0)
+		})
+	}
+}
+
+// TestAbortableCohortReleaseAllocatesNothing: an uncontended
+// acquisition and release of every abortable cohort lock the registry
+// builds allocates nothing, so a critical section costs no heap
+// object. The releaseGlobal callback each release hands its local lock
+// is bound per proc when the lock is built, not per Unlock.
+func TestAbortableCohortReleaseAllocatesNothing(t *testing.T) {
+	for _, name := range registry.Names() {
+		if !strings.HasPrefix(name, "a-c-") {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			topo := numa.New(2, 4)
+			l := registry.MustLookup(name).NewTry(topo)
+			p := topo.Proc(0)
+			allocs := testing.AllocsPerRun(1000, func() {
+				if !l.TryLockFor(p, time.Second) {
+					t.Fatal("TryLockFor failed on a free lock")
+				}
+				l.Unlock(p)
+			})
+			if allocs != 0 {
+				t.Fatalf("%v allocations per uncontended TryLockFor+Unlock, want 0", allocs)
+			}
 		})
 	}
 }

@@ -198,7 +198,3 @@ func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
 func (l *ACLHLocal) Alone(p *numa.Proc) bool {
 	return l.tail.Load() == l.procs[p.ID()].holder
 }
-
-// Allocated reports how many arena nodes this lock has ever created;
-// tests use it to verify pooling keeps allocation bounded.
-func (l *ACLHLocal) Allocated() int64 { return l.arena.next.Load() }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/spin"
 )
@@ -16,11 +15,14 @@ const (
 	boLocal int32 = 2 // ABOLocal only: free; next owner inherits the global lock
 )
 
-// localBOBackoff is the waiter backoff of both cluster-local BO locks.
-// Local waiters share a cache domain, so short windows suffice; only
-// the local parameters need tuning (paper §4.1.1), unlike HBO's
-// four-parameter space.
-var localBOBackoff = locks.BOConfig{Policy: locks.DefaultBOConfig().Policy, MinPause: 16, MaxPause: 1024}
+// The waiter backoff of both cluster-local BO locks is exponential
+// over this window, in pause units. Local waiters share a cache
+// domain, so short windows suffice; only the local parameters need
+// tuning (paper §4.1.1), unlike HBO's four-parameter space.
+const (
+	localBOMinPause = 16
+	localBOMaxPause = 1024
+)
 
 // LocalBO is the cohort-detecting test-and-test-and-set lock of
 // C-BO-BO (paper §3.1). Cohort detection uses a successor-exists flag:
@@ -40,7 +42,7 @@ func NewLocalBO() *LocalBO { return &LocalBO{} }
 
 // Lock acquires the local lock.
 func (l *LocalBO) Lock(p *numa.Proc) {
-	b := spin.NewBackoff(localBOBackoff.Policy, localBOBackoff.MinPause, localBOBackoff.MaxPause, p.Rand())
+	b := spin.NewBackoff(spin.PolicyExponential, localBOMinPause, localBOMaxPause, p.Rand())
 	for {
 		if l.word.Load() == boFree {
 			l.succ.Store(1)
@@ -90,7 +92,7 @@ func NewABOLocal() *ABOLocal { return &ABOLocal{} }
 // (reporting success) rather than strand the cluster's claim on the
 // global lock.
 func (l *ABOLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
-	b := spin.NewBackoff(localBOBackoff.Policy, localBOBackoff.MinPause, localBOBackoff.MaxPause, p.Rand())
+	b := spin.NewBackoff(spin.PolicyExponential, localBOMinPause, localBOMaxPause, p.Rand())
 	for {
 		w := l.word.Load()
 		if w != boBusy {

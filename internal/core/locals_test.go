@@ -173,7 +173,7 @@ func TestACLHLocalNodePoolingBounded(t *testing.T) {
 	}
 	// Uncontended lock/unlock recycles through the pool: allocation
 	// must stay tiny rather than growing with iterations.
-	if n := l.Allocated(); n > 16 {
+	if n := l.arena.next.Load(); n > 16 {
 		t.Fatalf("allocated %d arena nodes over 10k uncontended cycles, want a handful", n)
 	}
 }

@@ -96,9 +96,6 @@ func NewRestricted(topo *numa.Topology, inner locks.Mutex, perCluster int) *Rest
 	return l
 }
 
-// ActivePerCluster reports the admission bound.
-func (l *Restricted) ActivePerCluster() int { return int(l.limit) }
-
 // Waiting reports how many procs of cluster c are currently throttled
 // (ticketed but not yet admitted). Monitoring only; racy by nature.
 func (l *Restricted) Waiting(c int) int {

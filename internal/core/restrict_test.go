@@ -53,18 +53,6 @@ func TestRestrictedOversubscribedStress(t *testing.T) {
 	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 64, 100)
 }
 
-func TestRestrictedDefaultLimit(t *testing.T) {
-	topo := numa.New(4, 16)
-	l := core.NewRestricted(topo, locks.NewMCS(topo), 0)
-	if l.ActivePerCluster() < 1 {
-		t.Fatalf("default admission bound %d, want >= 1", l.ActivePerCluster())
-	}
-	if want := core.DefaultActivePerCluster(topo); l.ActivePerCluster() != want {
-		t.Fatalf("default admission bound %d, want %d", l.ActivePerCluster(), want)
-	}
-	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 16, 200)
-}
-
 func TestRestrictedFairness(t *testing.T) {
 	// K=1 per cluster is the harshest setting: all throughput flows
 	// through promotions, so any lost wakeup or ticket skew starves a

@@ -187,22 +187,17 @@ func TestRWWriterNotStarvedByReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if l.ActiveReaders() != 0 {
-		t.Fatalf("ActiveReaders = %d after drain", l.ActiveReaders())
-	}
-}
-
-func TestRWUncontendedLatency(t *testing.T) {
-	topo := numa.New(2, 4)
-	l := locks.NewRWPerCluster(topo, newCBOMCS(topo))
-	p := topo.Proc(0)
-	for i := 0; i < 1000; i++ {
-		l.RLock(p)
-		l.RUnlock(p)
+	// With the churn gone, a writer's drain must find every cluster's
+	// reader count back at zero: a leaked count would hang this Lock.
+	drained := make(chan struct{})
+	go func() {
 		l.Lock(p)
 		l.Unlock(p)
-	}
-	if l.ActiveReaders() != 0 {
-		t.Fatal("reader accounting leaked")
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatal("writer never drained the readers: reader accounting leaked")
 	}
 }

@@ -448,9 +448,6 @@ func (s *Store) Capacity() int {
 	return n
 }
 
-// NumShards reports the shard count.
-func (s *Store) NumShards() int { return len(s.shards) }
-
 // MaxBatch reports the per-critical-section operation bound the batch
 // APIs honor (Config.MaxBatch after defaulting). Front-ends align
 // their flush chunks to it so a flush of N ops costs exactly

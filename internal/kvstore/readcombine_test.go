@@ -8,40 +8,55 @@ import (
 
 	"repro/internal/locks"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 func TestReadCombiningShardDetection(t *testing.T) {
 	// The shard posts every read to its executor's ExecShared, and the
 	// executor's shared face decides where it runs: a comb-a-* combiner
-	// runs reads through its combiner, which counts each Get and MGet
-	// chunk in Ops, and a comb-a-rw-* one runs them in its operand's
-	// shared mode, outside the combiner.
+	// runs each Get and MGet chunk through its combiner, one exclusive
+	// acquisition of its operand, and a comb-a-rw-* one runs them in
+	// its operand's shared mode, outside the combiner. Counters sit
+	// between the combiner and its operand, interposed through
+	// registry.Unwrap and Wrap.
 	topo := numa.New(2, 4)
 	p := topo.Proc(0)
 	for _, c := range []struct {
-		name    string
-		readOps uint64 // Ops per read: 1 through the combiner, 0 beside it
-	}{{"comb-a-mcs", 1}, {"comb-a-rw-mcs", 0}} {
-		src, err := FromRegistry(topo, c.name)
+		name         string
+		excl, shared uint64 // acquisitions per read
+	}{{"comb-a-mcs", 1, 0}, {"comb-a-rw-mcs", 0, 1}} {
+		var excl, shared atomic.Uint64
+		e, err := registry.Find(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := New(Config{Topo: topo, Locking: src, MaxBatch: 4, Buckets: 64, Capacity: 128})
-		x := s.shards[0].x.(interface{ Ops() uint64 })
+		wrapper, operand, _ := e.Unwrap()
+		newMutex, newRW := operand.NewMutex, operand.NewRW
+		operand.NewMutex = func(t *numa.Topology) locks.Mutex { return locks.CountAcquisitions(newMutex(t), &excl) }
+		if newRW != nil {
+			operand.NewRW = func(t *numa.Topology) locks.RWMutex { return locks.CountRWAcquisitions(newRW(t), &excl, &shared) }
+		}
+		if e, err = registry.Wrap(wrapper, operand); err != nil {
+			t.Fatal(err)
+		}
+		s := New(Config{Topo: topo, Locking: FromExec(e.ExecFactory(topo)), MaxBatch: 4, Buckets: 64, Capacity: 128})
 		s.MSet(p, []uint64{1, 2, 3, 4, 5}, [][]byte{val(1), val(2), val(3), val(4), val(5)})
-		ops := x.Ops()
-		if _, ok := s.Get(p, 1, nil); !ok {
-			t.Fatalf("%s: Get missed", c.name)
+		check := func(what string, reads uint64, read func()) {
+			e0, s0 := excl.Load(), shared.Load()
+			read()
+			if ge, gs := excl.Load()-e0, shared.Load()-s0; ge != reads*c.excl || gs != reads*c.shared {
+				t.Errorf("%s: %s took %d exclusive and %d shared acquisitions, want %d and %d",
+					c.name, what, ge, gs, reads*c.excl, reads*c.shared)
+			}
 		}
-		if got := x.Ops() - ops; got != c.readOps {
-			t.Errorf("%s: a Get counted %d combined ops, want %d", c.name, got, c.readOps)
-		}
-		ops = x.Ops()
-		lens, found := make([]int, 5), make([]bool, 5)
-		s.MGet(p, []uint64{1, 2, 3, 4, 5}, nil, lens, found)
-		if got := x.Ops() - ops; got != 2*c.readOps {
-			t.Errorf("%s: an MGet of two chunks counted %d combined ops, want %d", c.name, got, 2*c.readOps)
-		}
+		check("a Get", 1, func() {
+			if _, ok := s.Get(p, 1, nil); !ok {
+				t.Fatalf("%s: Get missed", c.name)
+			}
+		})
+		check("an MGet of two chunks", 2, func() {
+			s.MGet(p, []uint64{1, 2, 3, 4, 5}, nil, make([]int, 5), make([]bool, 5))
+		})
 	}
 }
 

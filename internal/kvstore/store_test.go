@@ -135,8 +135,8 @@ func TestCrossShardStatsAggregation(t *testing.T) {
 		}
 	}
 	var want Stats
-	for i := 0; i < s.NumShards(); i++ {
-		want.Add(s.shards[i].Snapshot())
+	for _, sh := range s.shards {
+		want.Add(sh.Snapshot())
 	}
 	got := s.Snapshot()
 	if got != want {
@@ -225,8 +225,8 @@ func TestShardedConfigValidation(t *testing.T) {
 	topo := numa.New(4, 8)
 	// Shards defaults to one.
 	s := New(Config{Topo: topo, Locking: FromMutex(func() locks.Mutex { return locks.NewPthread() })})
-	if s.NumShards() != 1 {
-		t.Fatalf("default shards = %d, want 1", s.NumShards())
+	if n := len(s.shards); n != 1 {
+		t.Fatalf("default shards = %d, want 1", n)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestRunProducesConsistentCounts(t *testing.T) {
 func TestSingleThreadNoMigrationsAfterFirst(t *testing.T) {
 	topo := numa.New(4, 4)
 	cfg := quickCfg(topo, 1)
-	res, err := Run(cfg, locks.NewBO(locks.DefaultBOConfig()))
+	res, err := Run(cfg, locks.NewBO())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,18 +69,11 @@ func (l *ACLH) putNode(p *numa.Proc, nd *aclhNode) {
 	l.pools[p.ID()] = append(l.pools[p.ID()], nd)
 }
 
-// Lock acquires with unbounded patience.
-func (l *ACLH) Lock(p *numa.Proc) {
-	l.tryLock(p, 0, false)
-}
-
 // TryLockFor attempts acquisition, aborting after patience. On abort
 // the caller's node remains in the queue for the successor to unlink.
+// ACLH has no Lock: the registry builds a-clh as a TryMutex only.
 func (l *ACLH) TryLockFor(p *numa.Proc, patience time.Duration) bool {
-	return l.tryLock(p, spin.Deadline(patience), true)
-}
-
-func (l *ACLH) tryLock(p *numa.Proc, deadline int64, abortable bool) bool {
+	deadline := spin.Deadline(patience)
 	n := l.getNode(p)
 	pred := l.tail.Swap(n)
 	for i := 0; ; i++ {
@@ -97,7 +90,7 @@ func (l *ACLH) tryLock(p *numa.Proc, deadline int64, abortable bool) bool {
 			pred = pp
 			continue
 		}
-		if abortable && spin.Expired(deadline) {
+		if spin.Expired(deadline) {
 			// Publish our predecessor so our successor can skip us;
 			// the node now belongs to that successor.
 			n.prev.Store(pred)

@@ -2,89 +2,41 @@ package locks
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/numa"
 	"repro/internal/spin"
 )
 
-// BOConfig parameterizes the backoff behaviour of a BO lock.
-type BOConfig struct {
-	Policy   spin.Policy // delay progression between attempts
-	MinPause int64       // initial delay bound, in pause units
-	MaxPause int64       // delay cap, in pause units
-}
+// Fib-BO's backoff window, in pause units: the Fibonacci-backoff
+// variant the paper's memcached and malloc tables run as "Fib-BO".
+const (
+	boMinPause = 16
+	boMaxPause = 8192
+)
 
-// DefaultBOConfig is an exponential backoff tuned for moderate
-// contention; the classic "test-and-test-and-set with backoff" lock
-// the paper calls BO.
-func DefaultBOConfig() BOConfig {
-	return BOConfig{Policy: spin.PolicyExponential, MinPause: 32, MaxPause: 4096}
-}
-
-// FibBOConfig is the Fibonacci-backoff variant used as the "Fib-BO"
-// column in the paper's memcached and malloc tables.
-func FibBOConfig() BOConfig {
-	return BOConfig{Policy: spin.PolicyFibonacci, MinPause: 16, MaxPause: 8192}
-}
-
-// BO is a test-and-test-and-set lock with configurable backoff. It is
-// trivially thread-oblivious (any thread may store the release) and
-// abortable (a waiter simply stops trying), which is why the paper
-// uses it as the global lock of most cohort constructions.
+// BO is the test-and-test-and-set lock with Fibonacci backoff (the
+// paper's Fib-BO). It is trivially thread-oblivious: any thread may
+// store the release.
 type BO struct {
 	state atomic.Int32 // 0 free, 1 held
 	_     numa.Pad
-	cfg   BOConfig
 }
 
-// NewBO returns a BO lock with the given backoff configuration.
-func NewBO(cfg BOConfig) *BO {
-	if cfg.MinPause < 1 {
-		cfg.MinPause = 1
-	}
-	if cfg.MaxPause < cfg.MinPause {
-		cfg.MaxPause = cfg.MinPause
-	}
-	return &BO{cfg: cfg}
-}
+// NewBO returns a Fib-BO lock.
+func NewBO() *BO { return &BO{} }
 
 // Lock acquires the lock, backing off between failed attempts.
 func (l *BO) Lock(p *numa.Proc) {
 	if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
 		return
 	}
-	b := spin.NewBackoff(l.cfg.Policy, l.cfg.MinPause, l.cfg.MaxPause, p.Rand())
+	b := spin.NewBackoff(spin.PolicyFibonacci, boMinPause, boMaxPause, p.Rand())
 	for {
 		for l.state.Load() != 0 {
 			b.Wait()
 		}
 		if l.state.CompareAndSwap(0, 1) {
 			return
-		}
-		b.Wait()
-	}
-}
-
-// TryLockFor attempts acquisition until patience expires.
-func (l *BO) TryLockFor(p *numa.Proc, patience time.Duration) bool {
-	if l.state.Load() == 0 && l.state.CompareAndSwap(0, 1) {
-		return true
-	}
-	deadline := spin.Deadline(patience)
-	b := spin.NewBackoff(l.cfg.Policy, l.cfg.MinPause, l.cfg.MaxPause, p.Rand())
-	for {
-		for l.state.Load() != 0 {
-			if spin.Expired(deadline) {
-				return false
-			}
-			b.Wait()
-		}
-		if l.state.CompareAndSwap(0, 1) {
-			return true
-		}
-		if spin.Expired(deadline) {
-			return false
 		}
 		b.Wait()
 	}

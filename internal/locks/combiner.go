@@ -42,15 +42,9 @@ type combSlot struct {
 // cluster has no poster and no elected combiner, so the caller may act
 // alone; and a count of zero proves the cluster has no posted slot, so
 // another cluster's rescue sweep may skip it after one load.
-//
-// ops and batches are this cluster's share of the executor's counters
-// (closures run and brackets taken by its procs), kept here because
-// every request already owns this line for its increment.
 type occSlot struct {
-	n       atomic.Int32
-	ops     atomic.Uint64
-	batches atomic.Uint64
-	_       numa.Pad
+	n atomic.Int32
+	_ numa.Pad
 }
 
 // The combiner scales with its cluster's occupancy, because fixed
@@ -185,7 +179,7 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 	cl := p.Cluster()
 	oc := &c.occ[cl]
 	c.m.Lock(p)
-	ran := uint64(0)
+	ran := 0
 	if own != nil {
 		own()
 		ran = 1
@@ -228,8 +222,6 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 		}
 	}
 	c.m.Unlock(p)
-	oc.batches.Add(1)
-	oc.ops.Add(ran)
 	// A combiner never blocks — it serves a batch and immediately cycles
 	// into its next request — so on an oversubscribed machine it must
 	// hand the processor around at batch boundaries or the posters it
@@ -242,7 +234,7 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 
 // harvest runs every closure cluster's procs have posted and reports
 // how many. Called inside the bracket with cluster's gate held.
-func (c *combiner) harvest(cluster int) (ran uint64) {
+func (c *combiner) harvest(cluster int) (ran int) {
 	for _, id := range c.members[cluster] {
 		s := &c.slots[id]
 		if s.state.Load() != combPosted {
@@ -256,36 +248,4 @@ func (c *combiner) harvest(cluster int) (ran uint64) {
 		ran++
 	}
 	return ran
-}
-
-// Ops reports the number of closures executed so far; read it while
-// posters are quiescent.
-func (c *combiner) Ops() (n uint64) {
-	for i := range c.occ {
-		n += c.occ[i].ops.Load()
-	}
-	return n
-}
-
-// Batches reports the number of acquisitions of the underlying lock so
-// far; Ops/Batches is the amortization factor the construction buys.
-func (c *combiner) Batches() (n uint64) {
-	for i := range c.occ {
-		n += c.occ[i].batches.Load()
-	}
-	return n
-}
-
-// Occupancy reports cluster's current in-flight request estimate
-// (racy; diagnostics, tools and tests only).
-func (c *combiner) Occupancy(cluster int) int { return int(c.occ[cluster].n.Load()) }
-
-// OccupancyEstimate reports the in-flight request estimate summed over
-// clusters (racy; diagnostics, tools and tests only).
-func (c *combiner) OccupancyEstimate() int {
-	n := 0
-	for i := range c.occ {
-		n += int(c.occ[i].n.Load())
-	}
-	return n
 }

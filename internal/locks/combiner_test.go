@@ -2,6 +2,7 @@ package locks
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,22 +12,23 @@ import (
 
 // TestSoloPathUnpublished pins what the solo path is: a lone caller
 // under an exclusive bracket runs its closure with the cluster gate
-// held and its slot never posted, and leaves the gate free
-// (checkSingleProc has the counters and the occupancy).
+// held, its slot never posted and its own request the only one the
+// occupancy counter sees, and leaves the gate free and the counter
+// at zero (checkSingleProc has the acquisition count).
 func TestSoloPathUnpublished(t *testing.T) {
 	t.Run("comb-a", func(t *testing.T) {
 		topo := numa.New(2, 4)
 		c := &NewCombiningAdaptive(topo, NewMCS(topo)).combiner
 		p := topo.Proc(0)
-		slot, gate := &c.slots[p.ID()], &c.gates[p.Cluster()]
+		slot, gate, oc := &c.slots[p.ID()], &c.gates[p.Cluster()], &c.occ[p.Cluster()]
 		for i := 0; i < 100; i++ {
-			var state, held int32
-			c.Exec(p, func() { state, held = slot.state.Load(), gate.held.Load() })
-			if state != combIdle || held != 1 {
-				t.Fatalf("inside solo closure %d: slot state %d, gate %d; want idle (%d) and held", i, state, held, combIdle)
+			var state, held, occ int32
+			c.Exec(p, func() { state, held, occ = slot.state.Load(), gate.held.Load(), oc.n.Load() })
+			if state != combIdle || held != 1 || occ != 1 {
+				t.Fatalf("inside solo closure %d: slot state %d, gate %d, occupancy %d; want idle (%d), held and 1", i, state, held, occ, combIdle)
 			}
-			if st, h := slot.state.Load(), gate.held.Load(); st != combIdle || h != 0 {
-				t.Fatalf("after solo Exec %d: slot state %d, gate %d; want idle and free", i, st, h)
+			if st, h, o := slot.state.Load(), gate.held.Load(), occupancy(c); st != combIdle || h != 0 || o != 0 {
+				t.Fatalf("after solo Exec %d: slot state %d, gate %d, occupancy %d; want idle, free and 0", i, st, h, o)
 			}
 		}
 	})
@@ -73,11 +75,11 @@ func TestSoloCombinerServesLateArrival(t *testing.T) {
 		if ranB != 1 {
 			t.Fatalf("late arrival's closure ran %d times, want 1", ranB)
 		}
-		if ops, batches, acq := c.Ops(), c.Batches(), acquisitions.Load(); ops != 2 || batches != 1 || acq != 1 {
-			t.Fatalf("%d ops over %d batches and %d acquisitions, want 2 over 1 and 1 (the peer rides the solo bracket)", ops, batches, acq)
+		if acq := acquisitions.Load(); acq != 1 {
+			t.Fatalf("2 closures over %d acquisitions, want 1 (the peer rides the solo bracket)", acq)
 		}
-		if occ := c.OccupancyEstimate(); occ != 0 {
-			t.Fatalf("quiescent occupancy estimate = %d, want 0", occ)
+		if occ := occupancy(c); occ != 0 {
+			t.Fatalf("quiescent occupancy = %d, want 0", occ)
 		}
 	})
 }
@@ -91,7 +93,8 @@ func TestSoloCombinerServesLateArrival(t *testing.T) {
 func TestRescueSweepServesOrphanedCluster(t *testing.T) {
 	t.Run("exclusive", func(t *testing.T) {
 		topo := numa.New(2, 4)
-		c := &NewCombiningAdaptive(topo, NewMCS(topo)).combiner
+		var acquisitions atomic.Uint64
+		c := &NewCombiningAdaptive(topo, CountAcquisitions(NewMCS(topo), &acquisitions)).combiner
 		server, orphan := topo.Proc(0), topo.Proc(1)
 		if server.Cluster() == orphan.Cluster() {
 			t.Fatal("test needs procs on two clusters")
@@ -114,8 +117,8 @@ func TestRescueSweepServesOrphanedCluster(t *testing.T) {
 		if held := c.gates[orphan.Cluster()].held.Load(); held != 0 {
 			t.Fatalf("orphaned cluster's gate left held (%d) after the sweep", held)
 		}
-		if ops, batches := c.Ops(), c.Batches(); ops != 2 || batches != 1 {
-			t.Fatalf("%d ops over %d batches, want 2 over 1", ops, batches)
+		if acq := acquisitions.Load(); acq != 1 {
+			t.Fatalf("served and orphaned closures ran under %d acquisitions, want 1", acq)
 		}
 	})
 }
@@ -129,7 +132,8 @@ func TestRescueSweepServesOrphanedCluster(t *testing.T) {
 func TestRescueSweepSkipsIdleCluster(t *testing.T) {
 	t.Run("exclusive", func(t *testing.T) {
 		topo := numa.New(2, 4)
-		c := &NewCombiningAdaptive(topo, NewMCS(topo)).combiner
+		var acquisitions atomic.Uint64
+		c := &NewCombiningAdaptive(topo, CountAcquisitions(NewMCS(topo), &acquisitions)).combiner
 		server, idle := topo.Proc(0), topo.Proc(1)
 		ran := 0
 		slot := &c.slots[idle.ID()]
@@ -145,8 +149,8 @@ func TestRescueSweepSkipsIdleCluster(t *testing.T) {
 		if held := c.gates[idle.Cluster()].held.Load(); held != 0 {
 			t.Fatalf("idle cluster's gate left held (%d)", held)
 		}
-		if ops, batches := c.Ops(), c.Batches(); ops != 1 || batches != 1 {
-			t.Fatalf("%d ops over %d batches, want 1 over 1", ops, batches)
+		if acq := acquisitions.Load(); acq != 1 {
+			t.Fatalf("server closure ran under %d acquisitions, want 1", acq)
 		}
 	})
 }
@@ -161,4 +165,61 @@ func execBesidePeer(c *combiner, server *numa.Proc) (served int) {
 	c.Exec(server, func() { served++ })
 	oc.n.Add(-1)
 	return served
+}
+
+// occupancy sums the in-flight request counter over c's clusters.
+func occupancy(c *combiner) (n int32) {
+	for i := range c.occ {
+		n += c.occ[i].n.Load()
+	}
+	return n
+}
+
+// TestAdaptiveOccupancyIntrospection: the occupancy counter that
+// steers election and harvest sees posters piled up behind a held
+// inner lock, cluster by cluster, and drains to zero with them.
+func TestAdaptiveOccupancyIntrospection(t *testing.T) {
+	topo := numa.New(2, 16)
+	for _, cc := range []struct {
+		name string
+		new  func(inner Mutex) *combiner
+	}{
+		{"comb-a", func(m Mutex) *combiner { return &NewCombiningAdaptive(topo, m).combiner }},
+		{"comb-a-rw", func(m Mutex) *combiner { return &NewRWCombiningAdaptive(topo, RWFromMutex(m)).combiner }},
+	} {
+		t.Run(cc.name, func(t *testing.T) {
+			inner := NewMCS(topo)
+			c := cc.new(inner)
+			if occ := occupancy(c); occ != 0 {
+				t.Fatalf("idle occupancy = %d, want 0", occ)
+			}
+			holder := topo.Proc(15)
+			inner.Lock(holder)
+			const workers = 6
+			var wg sync.WaitGroup
+			for i := 0; i < workers; i++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					c.Exec(topo.Proc(2*w), func() {}) // all on cluster 0
+				}(i)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for c.occ[0].n.Load() < workers {
+				if time.Now().After(deadline) {
+					inner.Unlock(holder)
+					t.Fatalf("cluster 0 occupancy stuck at %d, want %d", c.occ[0].n.Load(), workers)
+				}
+				runtime.Gosched()
+			}
+			if got := c.occ[1].n.Load(); got != 0 {
+				t.Errorf("cluster 1 occupancy = %d, want 0 (no cluster-1 posters)", got)
+			}
+			inner.Unlock(holder)
+			wg.Wait()
+			if occ := occupancy(c); occ != 0 {
+				t.Fatalf("post-drain occupancy = %d, want 0", occ)
+			}
+		})
+	}
 }

@@ -1,7 +1,6 @@
 package locks_test
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,27 +12,18 @@ import (
 	"repro/internal/registry"
 )
 
-// introspected is what every combining executor reports about itself.
-type introspected interface {
-	locks.RWExecutor
-	Ops() uint64
-	Batches() uint64
-	Occupancy(cluster int) int
-	OccupancyEstimate() int
-}
-
 // combinerCase is one of the two constructors, seen through its
 // exclusive face: the reader-writer constructor is handed the inner
 // lock behind RWFromMutex, so Exec runs over exactly the lock the
 // test holds or counts.
 type combinerCase struct {
 	name string
-	new  func(topo *numa.Topology, inner locks.Mutex) introspected
+	new  func(topo *numa.Topology, inner locks.Mutex) locks.RWExecutor
 }
 
 var combiners = []combinerCase{
-	{"comb-a", func(t *numa.Topology, m locks.Mutex) introspected { return locks.NewCombiningAdaptive(t, m) }},
-	{"comb-a-rw", func(t *numa.Topology, m locks.Mutex) introspected {
+	{"comb-a", func(t *numa.Topology, m locks.Mutex) locks.RWExecutor { return locks.NewCombiningAdaptive(t, m) }},
+	{"comb-a-rw", func(t *numa.Topology, m locks.Mutex) locks.RWExecutor {
 		return locks.NewRWCombiningAdaptive(t, locks.RWFromMutex(m))
 	}},
 }
@@ -129,10 +119,9 @@ func TestCombinesIntrospection(t *testing.T) {
 
 // checkSingleProc is the idle end of the load curve: a lone caller
 // must act at once and pay exactly one acquisition per closure — no
-// patience spin, no second bracket — observable as Batches() == Ops()
-// == acquisitions of the inner lock, with the caller's own request the
-// only one the occupancy estimate ever sees. pick names the caller of
-// each op; the calls never overlap.
+// patience spin, no second bracket — observable as one acquisition of
+// the inner lock per closure run. pick names the caller of each op;
+// the calls never overlap.
 func checkSingleProc(pick func(topo *numa.Topology, op int) *numa.Proc) func(*testing.T, combinerCase) {
 	return func(t *testing.T, c combinerCase) {
 		topo := numa.New(2, 4)
@@ -141,18 +130,10 @@ func checkSingleProc(pick func(topo *numa.Topology, op int) *numa.Proc) func(*te
 		const iters = 100
 		n := 0
 		for i := 0; i < iters; i++ {
-			p := pick(topo, i)
-			inside := 0
-			x.Exec(p, func() { n++; inside = x.Occupancy(p.Cluster()) })
-			if after := x.OccupancyEstimate(); inside != 1 || after != 0 {
-				t.Fatalf("op %d: occupancy %d inside the closure and %d after, want 1 and 0", i, inside, after)
-			}
+			x.Exec(pick(topo, i), func() { n++ })
 		}
-		if n != iters {
-			t.Fatalf("ran %d closures, want %d", n, iters)
-		}
-		if ops, batches, acq := x.Ops(), x.Batches(), acquisitions.Load(); ops != iters || batches != iters || acq != iters {
-			t.Fatalf("idle executor: %d ops over %d batches and %d acquisitions, want %d of each (batch of one)", ops, batches, acq, iters)
+		if acq := acquisitions.Load(); n != iters || acq != iters {
+			t.Fatalf("idle executor: %d closures over %d acquisitions, want %d of each (batch of one)", n, acq, iters)
 		}
 	}
 }
@@ -196,13 +177,7 @@ func TestCombiningAmortizesAcquisitions(t *testing.T) {
 				t.Fatalf("proc %d ran %d closures, want %d", id, total[id], iters)
 			}
 		}
-		ops, batches := x.Ops(), x.Batches()
-		if ops != procs*iters {
-			t.Fatalf("Ops() = %d, want %d", ops, procs*iters)
-		}
-		if batches != acquisitions.Load() {
-			t.Fatalf("Batches() = %d but inner lock saw %d acquisitions", batches, acquisitions.Load())
-		}
+		ops, batches := uint64(procs*iters), acquisitions.Load()
 		if batches > ops {
 			t.Fatalf("more acquisitions (%d) than ops (%d)", batches, ops)
 		}
@@ -254,16 +229,10 @@ func checkPileUp(cluster int) func(*testing.T, combinerCase) {
 				t.Fatalf("worker %d ran %d times, want 1", w, n)
 			}
 		}
-		if ops := x.Ops(); ops != workers {
-			t.Fatalf("Ops() = %d, want %d", ops, workers)
-		}
-		if b, acq := x.Batches(), acquisitions.Load(); b != acq {
-			t.Fatalf("Batches() = %d but inner lock saw %d acquisitions", b, acq)
-		}
 		// The pile drains in far fewer acquisitions than ops; typically
 		// one, but a straggler that published after the combiner's last
 		// harvest pass legitimately elects itself.
-		if b := x.Batches(); b >= workers/2 {
+		if b := acquisitions.Load(); b >= workers/2 {
 			t.Fatalf("no amortization: %d acquisitions for %d piled-up ops", b, workers)
 		}
 	}
@@ -273,48 +242,6 @@ func TestAdaptiveBatchesPileUp(t *testing.T) { eachCombiner(t, checkPileUp(0)) }
 
 // TestCombiningBatchesPileUp piles the posters up on cluster 1.
 func TestCombiningBatchesPileUp(t *testing.T) { eachCombiner(t, checkPileUp(1)) }
-
-func TestAdaptiveOccupancyIntrospection(t *testing.T) {
-	topo := numa.New(2, 16)
-	eachCombiner(t, func(t *testing.T, c combinerCase) {
-		inner := locks.NewMCS(topo)
-		x := c.new(topo, inner)
-		if occ := x.OccupancyEstimate(); occ != 0 {
-			t.Fatalf("idle occupancy estimate = %d, want 0", occ)
-		}
-
-		// Pile up posters behind a held inner lock: the estimate must
-		// see them, cluster by cluster.
-		holder := topo.Proc(15)
-		inner.Lock(holder)
-		const workers = 6
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				p := topo.Proc(2 * w) // all on cluster 0
-				x.Exec(p, func() {})
-			}(i)
-		}
-		deadline := time.Now().Add(30 * time.Second)
-		for x.Occupancy(0) < workers {
-			if time.Now().After(deadline) {
-				inner.Unlock(holder)
-				t.Fatalf("occupancy estimate stuck at %d, want %d", x.Occupancy(0), workers)
-			}
-			runtime.Gosched()
-		}
-		if got := x.Occupancy(1); got != 0 {
-			t.Errorf("cluster 1 occupancy = %d, want 0 (no cluster-1 posters)", got)
-		}
-		inner.Unlock(holder)
-		wg.Wait()
-		if occ := x.OccupancyEstimate(); occ != 0 {
-			t.Fatalf("post-drain occupancy estimate = %d, want 0", occ)
-		}
-	})
-}
 
 func TestRWCombiningAdaptiveOverRWPerCluster(t *testing.T) {
 	rwCombiner(t, func(t *testing.T) {
@@ -349,10 +276,12 @@ func TestRWCombiningOverExclusiveAdapter(t *testing.T) {
 
 func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
 	// One construction serves both modes: exclusive closures go through
-	// the combiner and advance Ops/Batches, shared closures bypass it.
+	// the combiner's exclusive bracket, shared closures bypass it for
+	// one shared acquisition each.
 	rwCombiner(t, func(t *testing.T) {
 		topo := numa.New(2, 4)
-		x := locks.NewRWCombiningAdaptive(topo, rwPerCluster(topo))
+		var excl, shared atomic.Uint64
+		x := locks.NewRWCombiningAdaptive(topo, locks.CountRWAcquisitions(rwPerCluster(topo), &excl, &shared))
 		p := topo.Proc(0)
 		n := 0
 		for i := 0; i < 50; i++ {
@@ -362,8 +291,8 @@ func TestRWCombiningExclusiveSideIndependent(t *testing.T) {
 		if n != 100 {
 			t.Fatalf("ran %d closures, want 100", n)
 		}
-		if ops := x.Ops(); ops != 50 {
-			t.Fatalf("Ops() = %d, want 50 (exclusive closures only)", ops)
+		if e, sh := excl.Load(), shared.Load(); e != 50 || sh != 50 {
+			t.Fatalf("%d exclusive and %d shared acquisitions, want 50 and 50", e, sh)
 		}
 	})
 }

@@ -45,8 +45,8 @@ func CountAcquisitions(m Mutex, n *atomic.Uint64) Mutex {
 // whose bracket is Lock/Unlock of the underlying lock, so same-cluster
 // closures run back to back on one thread under a single acquisition.
 // The underlying lock must be fresh (not shared with direct Lock/
-// Unlock users): the executor owns its exclusion domain. Amortization
-// is reported by Ops/Batches, load by Occupancy/OccupancyEstimate.
+// Unlock users): the executor owns its exclusion domain.
+// CountAcquisitions beneath it counts its batches.
 type Combining struct {
 	combiner
 }

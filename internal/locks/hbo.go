@@ -93,7 +93,3 @@ func (l *HBO) lock(p *numa.Proc, deadline int64, abortable bool) bool {
 func (l *HBO) Unlock(_ *numa.Proc) {
 	l.word.Store(-1)
 }
-
-// OwnerCluster reports the current owner cluster (-1 if free); tests
-// and the fairness harness use it.
-func (l *HBO) OwnerCluster() int32 { return l.word.Load() }

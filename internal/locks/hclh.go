@@ -46,32 +46,21 @@ type HCLH struct {
 	_      numa.Pad
 	ltails []localTail
 	nodes  []qNode
-	// window is how long (in pause units) a master lingers before
-	// closing its cluster's queue, the HCLH merge tradeoff.
-	window int
 }
 
-// DefaultHCLHWindow is the default master combining window, in pause
-// units — long enough (~several µs) that arrivals inside the window
-// join the master's batch. The paper calls out exactly this tension:
+// DefaultHCLHWindow is how long (in pause units) a cluster master
+// lingers before closing its cluster's queue, the HCLH merge tradeoff:
+// long enough (~several µs) that arrivals inside the window join the
+// master's batch. The paper calls out exactly this tension:
 // the master "must either wait for a long period or globally merge an
 // unacceptably short local queue".
 const DefaultHCLHWindow = 2048
 
 // NewHCLH returns an HCLH lock for the given topology.
 func NewHCLH(topo *numa.Topology) *HCLH {
-	return NewHCLHWindow(topo, DefaultHCLHWindow)
-}
-
-// NewHCLHWindow is NewHCLH with an explicit combining window.
-func NewHCLHWindow(topo *numa.Topology, window int) *HCLH {
-	if window < 0 {
-		window = 0
-	}
 	l := &HCLH{
 		ltails: make([]localTail, topo.Clusters()),
 		nodes:  make([]qNode, topo.MaxProcs()),
-		window: window,
 	}
 	for i := range l.nodes {
 		l.nodes[i].parker = spin.MakeParker()
@@ -98,9 +87,7 @@ func (l *HCLH) Lock(p *numa.Proc) {
 
 	// We are the cluster master. Linger to let the batch grow, then
 	// close the local queue and splice the chain [n..end] globally.
-	if l.window > 0 {
-		spin.Pause(l.window)
-	}
+	spin.Pause(DefaultHCLHWindow)
 	end := lt.ptr.Swap(nil)
 	// end is the last node that swapped in; ensure the chain's links
 	// are all published before handing the chain to the global queue.

@@ -1,14 +1,15 @@
 // Package locks implements the classic and prior-art lock algorithms
 // the paper builds on and compares against: the test-and-test-and-set
-// backoff lock (BO, including the Fibonacci-backoff variant), the
+// lock with Fibonacci backoff (Fib-BO, the one BO lock here), the
 // ticket lock, the MCS and CLH queue locks, Scott's abortable CLH
 // (A-CLH), the hierarchical backoff lock (HBO) of Radović and
 // Hagersten with an abortable variant, the hierarchical CLH lock
 // (HCLH) of Luchangco et al., the flat-combining MCS lock (FC-MCS) of
 // Dice et al., and a pthread-style blocking mutex.
 //
-// All locks share the Mutex interface, which threads per-thread
-// context (*numa.Proc) explicitly: queue locks need a stable identity
+// Blocking locks share the Mutex interface and abortable ones (A-CLH,
+// A-HBO) the TryMutex interface; both thread per-thread context
+// (*numa.Proc) explicitly: queue locks need a stable identity
 // for their queue nodes, and NUMA-aware locks need the cluster id.
 package locks
 

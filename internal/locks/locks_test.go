@@ -30,8 +30,7 @@ func stressProcs() int {
 // factories enumerates every blocking lock in the package.
 func factories() map[string]func(topo *numa.Topology) locks.Mutex {
 	return map[string]func(topo *numa.Topology) locks.Mutex{
-		"bo":      func(*numa.Topology) locks.Mutex { return locks.NewBO(locks.DefaultBOConfig()) },
-		"fib-bo":  func(*numa.Topology) locks.Mutex { return locks.NewBO(locks.FibBOConfig()) },
+		"fib-bo":  func(*numa.Topology) locks.Mutex { return locks.NewBO() },
 		"ticket":  func(topo *numa.Topology) locks.Mutex { return locks.NewTicket(topo) },
 		"mcs":     func(topo *numa.Topology) locks.Mutex { return locks.NewMCS(topo) },
 		"hbo":     func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
@@ -39,7 +38,6 @@ func factories() map[string]func(topo *numa.Topology) locks.Mutex {
 		"cna":     func(topo *numa.Topology) locks.Mutex { return locks.NewCNA(topo) },
 		"fc-mcs":  func(topo *numa.Topology) locks.Mutex { return locks.NewFCMCS(topo) },
 		"pthread": func(*numa.Topology) locks.Mutex { return locks.NewPthread() },
-		"a-clh":   func(topo *numa.Topology) locks.Mutex { return locks.NewACLH(topo) },
 	}
 }
 
@@ -101,42 +99,6 @@ func TestTicketFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestBOTryLockForTimesOut(t *testing.T) {
-	topo := testTopo()
-	l := locks.NewBO(locks.DefaultBOConfig())
-	p0, p1 := topo.Proc(0), topo.Proc(1)
-	l.Lock(p0)
-	start := time.Now()
-	if l.TryLockFor(p1, 5*time.Millisecond) {
-		t.Fatal("TryLockFor succeeded while lock held")
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("TryLockFor waited far beyond its patience")
-	}
-	l.Unlock(p0)
-	if !l.TryLockFor(p1, time.Second) {
-		t.Fatal("TryLockFor failed on a free lock")
-	}
-	l.Unlock(p1)
-}
-
-func TestHBOTracksOwnerCluster(t *testing.T) {
-	topo := testTopo()
-	l := locks.NewHBO(locks.LBenchHBOConfig())
-	if l.OwnerCluster() != -1 {
-		t.Fatal("fresh HBO should be free")
-	}
-	p := topo.Proc(2) // cluster 2
-	l.Lock(p)
-	if got := l.OwnerCluster(); got != 2 {
-		t.Fatalf("OwnerCluster = %d, want 2", got)
-	}
-	l.Unlock(p)
-	if l.OwnerCluster() != -1 {
-		t.Fatal("HBO should be free after unlock")
-	}
-}
-
 func TestHBOTryLockAborts(t *testing.T) {
 	topo := testTopo()
 	l := locks.NewHBO(locks.AppHBOConfig())
@@ -156,22 +118,24 @@ func TestACLHAbortThenReacquire(t *testing.T) {
 	topo := testTopo()
 	l := locks.NewACLH(topo)
 	p0, p1, p2 := topo.Proc(0), topo.Proc(1), topo.Proc(2)
-	l.Lock(p0)
+	if !l.TryLockFor(p0, time.Second) {
+		t.Fatal("p0 could not acquire a free lock")
+	}
 	// p1 aborts, leaving its node in the queue.
 	if l.TryLockFor(p1, 2*time.Millisecond) {
 		t.Fatal("p1 acquired a held lock")
 	}
 	// p2 enqueues behind p1's abandoned node, then p0 releases; p2 must
 	// skip the aborted node and acquire.
-	acquired := make(chan struct{})
-	go func() {
-		l.Lock(p2)
-		close(acquired)
-	}()
+	acquired := make(chan bool, 1)
+	go func() { acquired <- l.TryLockFor(p2, time.Minute) }()
 	time.Sleep(5 * time.Millisecond)
 	l.Unlock(p0)
 	select {
-	case <-acquired:
+	case ok := <-acquired:
+		if !ok {
+			t.Fatal("p2 gave up behind the aborted node")
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("p2 never acquired past the aborted node")
 	}
@@ -187,7 +151,9 @@ func TestACLHChainOfAborts(t *testing.T) {
 	topo := testTopo()
 	l := locks.NewACLH(topo)
 	p0 := topo.Proc(0)
-	l.Lock(p0)
+	if !l.TryLockFor(p0, time.Second) {
+		t.Fatal("p0 could not acquire a free lock")
+	}
 	// Several waiters abort in sequence, each stacking an abandoned
 	// node onto the queue.
 	for i := 1; i <= 4; i++ {
@@ -215,19 +181,6 @@ func TestHBOConcurrentAborts(t *testing.T) {
 	l := locks.NewHBO(locks.LBenchHBOConfig())
 	successes, aborts := locktest.CheckTryMutex(t, topo, l, 32, 200, 200*time.Microsecond)
 	t.Logf("A-HBO stress: %d successes, %d aborts", successes, aborts)
-}
-
-func TestBOConcurrentAborts(t *testing.T) {
-	topo := numa.New(4, 32)
-	l := locks.NewBO(locks.DefaultBOConfig())
-	successes, aborts := locktest.CheckTryMutex(t, topo, l, 32, 200, 200*time.Microsecond)
-	t.Logf("A-BO stress: %d successes, %d aborts", successes, aborts)
-}
-
-func TestHCLHWindowValidation(t *testing.T) {
-	topo := testTopo()
-	l := locks.NewHCLHWindow(topo, -5) // clamps, must not panic
-	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 8, 50)
 }
 
 func TestFCMCSSingleClusterBatches(t *testing.T) {

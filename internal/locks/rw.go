@@ -129,16 +129,6 @@ func (l *RWPerCluster) Unlock(p *numa.Proc) {
 	l.writers.Unlock(p)
 }
 
-// ActiveReaders reports the current reader count (racy; diagnostics
-// and tests only).
-func (l *RWPerCluster) ActiveReaders() int64 {
-	var n int64
-	for c := range l.readers {
-		n += l.readers[c].n.Load()
-	}
-	return n
-}
-
 // Interface conformance checks.
 var (
 	_ RWMutex = rwExclusive{}

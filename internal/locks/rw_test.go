@@ -3,10 +3,12 @@ package locks_test
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/locks"
 	"repro/internal/locktest"
 	"repro/internal/numa"
+	"repro/internal/registry"
 )
 
 func TestRWPerClusterOverMCS(t *testing.T) {
@@ -39,19 +41,30 @@ func TestRWFromMutexIsExclusive(t *testing.T) {
 	locktest.Check(t, topo, locks.ExecFromRWMutex(l), 8, 4, 200)
 }
 
-// TestRWPerClusterDrains: after heavy mixed traffic the reader
-// accounting returns to zero.
+// TestRWPerClusterDrains: over a plain and over a cohort writer lock,
+// reads leave no reader count behind — each writer Lock waits for
+// every cluster's count to drain, so a leak would hang the loop.
 func TestRWPerClusterDrains(t *testing.T) {
-	topo := numa.New(2, 4)
-	l := locks.NewRWPerCluster(topo, locks.NewMCS(topo))
-	p := topo.Proc(0)
-	for i := 0; i < 1000; i++ {
-		l.RLock(p)
-		l.RUnlock(p)
-		l.Lock(p)
-		l.Unlock(p)
-	}
-	if n := l.ActiveReaders(); n != 0 {
-		t.Fatalf("ActiveReaders = %d after drain", n)
+	for _, name := range []string{"mcs", "c-bo-mcs"} {
+		t.Run(name, func(t *testing.T) {
+			topo := numa.New(2, 4)
+			l := locks.NewRWPerCluster(topo, registry.MustLookup(name).NewMutex(topo))
+			p := topo.Proc(0)
+			drained := make(chan struct{})
+			go func() {
+				for i := 0; i < 1000; i++ {
+					l.RLock(p)
+					l.RUnlock(p)
+					l.Lock(p)
+					l.Unlock(p)
+				}
+				close(drained)
+			}()
+			select {
+			case <-drained:
+			case <-time.After(30 * time.Second):
+				t.Fatal("a writer never drained the readers: reader accounting leaked")
+			}
+		})
 	}
 }

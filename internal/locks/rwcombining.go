@@ -11,8 +11,6 @@ import "repro/internal/numa"
 // itself: outside the combiner, still excluded by its batches.
 //
 // The underlying lock must be fresh (not shared with direct users).
-// Ops/Batches and Occupancy/OccupancyEstimate count exclusive requests
-// only.
 type RWCombining struct {
 	Combining
 	l RWMutex

@@ -56,7 +56,7 @@ type Entry struct {
 // apart.
 var bases = []Entry{
 	{Name: "pthread", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewPthread() }},
-	{Name: "fib-bo", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewBO(locks.FibBOConfig()) }},
+	{Name: "fib-bo", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewBO() }},
 	{Name: "mcs", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewMCS(t) }},
 	{Name: "hbo", NewMutex: func(*numa.Topology) locks.Mutex { return locks.NewHBO(locks.LBenchHBOConfig()) },
 		NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) }},

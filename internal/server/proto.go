@@ -5,7 +5,7 @@
 // The design premise is the same amortization the batch APIs give
 // in-process callers, carried across the socket: a connection's decode
 // loop accumulates consecutive same-verb requests and flushes each run
-// through MGet/MSet/MDeleteEach, so a pipelined burst of N same-shard
+// through MGetNamed/MSetNamed/MDeleteEach, so a pipelined burst of N same-shard
 // operations costs ceil(N/MaxBatch) lock acquisitions instead of N.
 // Responses are written only after the store call returns — an
 // acknowledged write is in the store by construction, which is what
@@ -14,9 +14,13 @@
 // Protocol deviations from stock memcached, recorded here because the
 // wire format is public API (see also DESIGN.md §5):
 //
-//   - Keys are hashed to the store's uint64 keyspace with FNV-1a; two
-//     distinct keys colliding in 64 bits would alias. Flags round-trip
-//     by storing a 4-byte big-endian header ahead of the value bytes.
+//   - Keys are hashed to the store's uint64 keyspace with FNV-1a. An
+//     item stores its key name, and a get hits only the name it was
+//     set under, so two distinct keys colliding in 64 bits overwrite
+//     each other's item but miss on each other, never reading each
+//     other's bytes; a delete of one drops its twin's item. Flags
+//     round-trip by storing a 4-byte big-endian header ahead of the
+//     value bytes.
 //   - exptime is parsed and ignored — the store has no TTL (DESIGN.md
 //     §2); cas unique values are served as an FNV-1a checksum of the
 //     stored value ("gets" works, "cas" is not implemented).

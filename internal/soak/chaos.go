@@ -37,6 +37,10 @@ func DefaultStorm(seed int64) Storm {
 	}
 }
 
+// stormFraction is the share of Duration a chaos run spends in the
+// storm phase; the rest is the recovery tail.
+const stormFraction = 0.6
+
 // arrange sets up the run's data path. Plain runs dial Addr directly
 // and the cleanup just polls stats. Chaos runs interpose a faultnet
 // proxy running the storm schedule, arm a timer that clears the
@@ -56,7 +60,7 @@ func (o *Options) arrange() (addr string, cleanup func(*Result), err error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("soak: chaos proxy: %w", err)
 	}
-	stormFor := time.Duration(float64(o.Duration) * o.StormFraction)
+	stormFor := time.Duration(float64(o.Duration) * stormFraction)
 	o.logf("chaos: storm phase %v through proxy %s (then faults clear for %v)",
 		stormFor.Round(time.Millisecond), proxy.Addr(), (o.Duration - stormFor).Round(time.Millisecond))
 	clear := time.AfterFunc(stormFor, func() {

@@ -47,16 +47,13 @@ type Options struct {
 	Seed     int64
 
 	// Chaos interposes a faultnet proxy between the workers and Addr:
-	// the storm phase (StormFraction of Duration, default 0.6) runs
-	// the Storm fault schedule, then faults clear for the recovery
-	// tail. After the load ends, QuietTail elapses before the server's
-	// stats are polled, so the connections the proxy cut have been
-	// torn down and counted.
-	Chaos         bool
-	Storm         *Storm        // nil = DefaultStorm(Seed)
-	StormFraction float64       // (0,1); default 0.6
-	SettleDelay   time.Duration // pause after a reconnect; default 150ms
-	QuietTail     time.Duration // load-end → stats-poll gap; default 750ms
+	// the storm phase (stormFraction of Duration) runs the Storm fault
+	// schedule, then faults clear for the recovery tail. After the load
+	// ends, QuietTail elapses before the server's stats are polled, so
+	// the connections the proxy cut have been torn down and counted.
+	Chaos     bool
+	Storm     *Storm        // nil = DefaultStorm(Seed)
+	QuietTail time.Duration // load-end → stats-poll gap; default 750ms
 
 	// Log, when non-nil, narrates phase transitions.
 	Log func(format string, args ...any)
@@ -90,15 +87,6 @@ func (o *Options) validate() error {
 	}
 	if o.Duration <= 0 {
 		return fmt.Errorf("soak: Duration must be positive")
-	}
-	if o.StormFraction == 0 {
-		o.StormFraction = 0.6
-	}
-	if o.StormFraction < 0 || o.StormFraction >= 1 {
-		return fmt.Errorf("soak: StormFraction %v outside (0,1)", o.StormFraction)
-	}
-	if o.SettleDelay == 0 {
-		o.SettleDelay = 150 * time.Millisecond
 	}
 	if o.QuietTail == 0 {
 		o.QuietTail = 750 * time.Millisecond
@@ -274,6 +262,7 @@ func (w *worker) connect(stop time.Time) net.Conn {
 	const (
 		backoffBase = 10 * time.Millisecond
 		backoffCap  = 500 * time.Millisecond
+		settleDelay = 150 * time.Millisecond
 	)
 	for time.Now().Before(stop) {
 		c, err := net.DialTimeout("tcp", w.addr, time.Second)
@@ -281,7 +270,7 @@ func (w *worker) connect(stop time.Time) net.Conn {
 			w.backoff = 0
 			if w.conns > 0 {
 				w.res.Reconnects++
-				time.Sleep(w.opt.SettleDelay)
+				time.Sleep(settleDelay)
 			}
 			w.conns++
 			return c

@@ -114,24 +114,30 @@ var (
 // Calibrate measures the cost of Pause iterations and stores the
 // iterations-per-microsecond rate used by WaitNs. It is invoked
 // automatically on first use; tests may call it eagerly.
+//
+// It times several short windows and keeps the fastest: a deschedule
+// inside a window only ever lowers that window's rate, so under CPU
+// load one long window would understate the rate (and WaitNs would
+// return early), while the best of eight still reads an undisturbed
+// spin.
 func Calibrate() {
 	calOnce.Do(func() {
-		const batch = 4096
+		const (
+			batch   = 4096
+			windows = 8
+			window  = 250 * time.Microsecond
+		)
 		// Warm up once so the loop is resident.
 		Pause(batch)
-		var iters int64
-		start := time.Now()
-		for time.Since(start) < 2*time.Millisecond {
-			Pause(batch)
-			iters += batch
-		}
-		elapsed := time.Since(start).Microseconds()
-		if elapsed < 1 {
-			elapsed = 1
-		}
-		rate := iters / elapsed
-		if rate < 1 {
-			rate = 1
+		rate := int64(1)
+		for range windows {
+			var iters int64
+			start := time.Now()
+			for time.Since(start) < window {
+				Pause(batch)
+				iters += batch
+			}
+			rate = max(rate, iters*1000/time.Since(start).Nanoseconds())
 		}
 		pauseUnitsPerMicro.Store(rate)
 	})

@@ -3,7 +3,7 @@
 //	Figure 2 — throughput vs thread count (-fig 2)
 //	Figure 3 — L2 coherence misses per critical section (-fig 3)
 //	Figure 4 — low-contention zoom of Figure 2 (-fig 4)
-//	Figure 5 — fairness: stddev %% of per-thread throughput (-fig 5)
+//	Figure 5 — fairness: stddev % of per-thread throughput (-fig 5)
 //	Figure 6 — abortable lock throughput and abort rates (-fig 6)
 //	batching — avg same-cluster batch length and migrations (-fig batch)
 //

@@ -132,7 +132,7 @@ func (l *AbortableCohortLock) TryLockFor(p *numa.Proc, patience time.Duration) b
 	}
 	if r == ReleaseGlobal {
 		if !l.global.TryLock(p, deadline) {
-			l.local[c].Unlock(p, false, func() {})
+			l.local[c].Unlock(p, false, noRelease)
 			return false
 		}
 		l.state[c].passes = 0

@@ -3,7 +3,6 @@ package core_test
 import (
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -227,19 +226,22 @@ func TestAbortableCohortZeroPatience(t *testing.T) {
 	}
 }
 
-// TestAbortableCohortReleaseAllocatesNothing: an uncontended
-// acquisition and release of every abortable cohort lock the registry
-// builds allocates nothing, so a critical section costs no heap
-// object. The releaseGlobal callback each release hands its local lock
-// is bound per proc when the lock is built, not per Unlock.
-func TestAbortableCohortReleaseAllocatesNothing(t *testing.T) {
+// TestAbortableCohortsAndBaselinesAllocateNothing: an uncontended
+// acquisition and release of every abortable lock the registry builds
+// — the cohort locks and the a-clh and hbo baselines — allocates
+// nothing, so a critical section costs no heap object. The
+// releaseGlobal callback each release hands an abortable local lock is
+// bound per proc when the lock is built (a-clh's is a package-level
+// no-op), never per Unlock.
+func TestAbortableCohortsAndBaselinesAllocateNothing(t *testing.T) {
 	for _, name := range registry.Names() {
-		if !strings.HasPrefix(name, "a-c-") {
+		e := registry.MustLookup(name)
+		if e.NewTry == nil {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 4)
-			l := registry.MustLookup(name).NewTry(topo)
+			l := e.NewTry(topo)
 			p := topo.Proc(0)
 			allocs := testing.AllocsPerRun(1000, func() {
 				if !l.TryLockFor(p, time.Second) {

@@ -20,10 +20,12 @@
 //
 // The package provides both transformations, cohort-detecting BO and
 // CLH locals (the MCS and ticket locals are locks.MCS and
-// locks.Ticket), a thread-oblivious global BO lock, and the abortable
-// BO and A-CLH locals. It names no composition: the paper's seven
-// (C-BO-BO … A-C-BO-CLH) are registry names, each one call to
-// NewCohortLock or NewAbortableCohortLock over two slot locks.
+// locks.Ticket), a thread-oblivious global BO lock, the abortable BO
+// and A-CLH locals, and ACLH, Scott's abortable CLH lock, which is the
+// A-CLH local used alone (registry name a-clh). It names no
+// composition: the paper's seven (C-BO-BO … A-C-BO-CLH) are registry
+// names, each one call to NewCohortLock or NewAbortableCohortLock over
+// two slot locks.
 package core
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/numa"
 	"repro/internal/spin"
@@ -137,7 +138,7 @@ func (l *ACLHLocal) putNode(p *numa.Proc, idx int64) {
 //   - release observed after the deadline: we have become the local
 //     owner and report (late) success; for release-global the caller's
 //     global acquisition will itself time out and abandon via
-//     Unlock(p, false, noop), which re-releases the node in
+//     Unlock(p, false, noRelease), which re-releases the node in
 //     global-release state without stranding anything.
 func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 	n := l.getNode(p)
@@ -198,3 +199,29 @@ func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
 func (l *ACLHLocal) Alone(p *numa.Proc) bool {
 	return l.tail.Load() == l.procs[p.ID()].holder
 }
+
+// ACLH is Scott's abortable CLH queue lock (PODC 2002), the paper's
+// abortable baseline of Figure 6 (registry name a-clh): the
+// A-C-BO-CLH local lock used alone, with no global lock above it.
+// Every release is a global release, so the successor-aborted flag an
+// aborter sets is never read: against Scott's lock it costs one CAS
+// per abort.
+type ACLH struct{ local *ACLHLocal }
+
+// NewACLH returns an unlocked abortable CLH lock.
+func NewACLH(topo *numa.Topology) *ACLH { return &ACLH{NewACLHLocal(topo)} }
+
+// TryLockFor attempts acquisition, aborting after patience. On abort
+// the caller's node stays in the queue for its successor to unlink.
+func (l *ACLH) TryLockFor(p *numa.Proc, patience time.Duration) bool {
+	_, ok := l.local.TryLock(p, spin.Deadline(patience))
+	return ok
+}
+
+// Unlock releases the lock to the successor, or to a future arrival.
+func (l *ACLH) Unlock(p *numa.Proc) { l.local.Unlock(p, false, noRelease) }
+
+// noRelease is the releaseGlobal of a thread that holds no global
+// lock: the lone ACLH, and an abortable cohort waiter that won its
+// local lock but timed out on the global one.
+func noRelease() {}

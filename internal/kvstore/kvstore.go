@@ -193,7 +193,6 @@ func New(cfg Config) *Store {
 	if err := cfg.setDefaults(); err != nil {
 		panic(err)
 	}
-	newX := cfg.Locking.executors()
 	perBuckets := ceilDiv(cfg.Buckets, cfg.Shards)
 	// Round up to a power of two for mask indexing.
 	n := 1
@@ -213,7 +212,7 @@ func New(cfg Config) *Store {
 	for i := range s.shards {
 		sc := shardConfig{
 			topo:       cfg.Topo,
-			x:          newX(),
+			x:          cfg.Locking(),
 			maxBatch:   cfg.MaxBatch,
 			buckets:    perBuckets,
 			capacity:   perCapacity,

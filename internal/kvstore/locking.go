@@ -9,26 +9,16 @@ import (
 )
 
 // LockSource is the single seam through which a Store receives its
-// shards' exclusion domains: every source resolves to one per-shard
-// factory of locks.RWExecutor, and each shard posts all its critical
-// sections to the executor it gets.
+// shards' exclusion domains: a per-shard factory of locks.RWExecutor,
+// called once per shard. Each shard posts all its critical sections
+// to the executor it gets.
 //
 // Build one with the four constructors and set it as Config.Locking:
 //   - FromMutex: a factory of exclusive locks;
 //   - FromRW: a factory of reader-writer locks;
 //   - FromExec: a factory of executors (combining or not);
 //   - FromRegistry: a lock name, resolved to one of the three above.
-//
-// The interface is sealed: the resolution is an internal contract of
-// the shard, so external implementations are not meaningful.
-type LockSource interface {
-	executors() func() locks.RWExecutor
-}
-
-// source is every LockSource: the per-shard executor factory itself.
-type source func() locks.RWExecutor
-
-func (s source) executors() func() locks.RWExecutor { return s }
+type LockSource func() locks.RWExecutor
 
 // FromMutex sources each shard's lock from a factory of exclusive
 // locks, one acquisition per critical section. Shards read
@@ -38,7 +28,7 @@ func FromMutex(f func() locks.Mutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromMutex(nil)")
 	}
-	return source(func() locks.RWExecutor { return locks.ExecFromMutex(f()) })
+	return func() locks.RWExecutor { return locks.ExecFromMutex(f()) }
 }
 
 // FromRW sources each shard's lock from a factory of reader-writer
@@ -48,7 +38,7 @@ func FromRW(f func() locks.RWMutex) LockSource {
 	if f == nil {
 		panic("kvstore: FromRW(nil)")
 	}
-	return source(func() locks.RWExecutor { return locks.ExecFromRWMutex(f()) })
+	return func() locks.RWExecutor { return locks.ExecFromRWMutex(f()) }
 }
 
 // FromExec sources each shard's exclusion from a factory of executors
@@ -62,13 +52,13 @@ func FromExec[X locks.Executor](f func() X) LockSource {
 	if f == nil {
 		panic("kvstore: FromExec(nil)")
 	}
-	return source(func() locks.RWExecutor {
+	return func() locks.RWExecutor {
 		x := f()
 		if rx, ok := any(x).(locks.RWExecutor); ok {
 			return rx
 		}
 		return exclusiveOnly{x}
-	})
+	}
 }
 
 // exclusiveOnly gives an executor without a shared mode the exclusive
@@ -90,7 +80,7 @@ func FromRegistry(topo *numa.Topology, name string) (LockSource, error) {
 		return nil, err
 	}
 	if f := e.ExecFactory(topo); f != nil {
-		return source(f), nil
+		return f, nil
 	}
 	return nil, fmt.Errorf("kvstore: lock %q has no blocking construction (abortable-only locks cannot guard a shard)", e.Name)
 }

@@ -55,7 +55,7 @@ const DefaultNonCSMaxNs = 16000
 // DefaultPatience is the default acquisition timeout of abortable
 // runs: comfortably above the saturated queue wait (~60 µs at full
 // machine load), so aborts stay the exception — the paper reports
-// abort rates under 1%% for its Figure 6 runs.
+// abort rates under 1% for its Figure 6 runs.
 const DefaultPatience = 500 * time.Microsecond
 
 // DefaultConfig mirrors the paper's parameters (with the idle window

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/numa"
 	"repro/internal/registry"
@@ -43,7 +44,7 @@ func TestValidation(t *testing.T) {
 	}
 	abad := quickCfg(topo, 4)
 	abad.Patience = 0
-	if _, err := RunAbortable(abad, locks.NewACLH(topo)); err == nil {
+	if _, err := RunAbortable(abad, core.NewACLH(topo)); err == nil {
 		t.Error("zero patience accepted for abortable run")
 	}
 }
@@ -155,7 +156,7 @@ func TestRunAbortableAccountsAborts(t *testing.T) {
 	topo := numa.New(4, 16)
 	cfg := quickCfg(topo, 16)
 	cfg.Patience = 20 * time.Microsecond
-	res, err := RunAbortable(cfg, locks.NewACLH(topo))
+	res, err := RunAbortable(cfg, core.NewACLH(topo))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,17 +7,12 @@ import (
 	"repro/internal/spin"
 )
 
-// Publication-slot states for FC-MCS.
-const (
-	fcIdle     int32 = 0 // no outstanding request
-	fcRequest  int32 = 1 // posted, waiting to be enlisted
-	fcEnqueued int32 = 2 // combiner placed the node in the queue
-)
-
-// fcSlot is a per-proc publication record scanned by the combiner.
+// fcSlot is a per-proc publication record scanned by the combiner:
+// posted is set by a requester and cleared by the combiner that
+// enlists its node.
 type fcSlot struct {
-	state atomic.Int32
-	_     numa.Pad
+	posted atomic.Bool
+	_      numa.Pad
 }
 
 // combinerGate is a padded per-cluster TATAS lock electing the
@@ -44,7 +39,8 @@ func clusterMembers(topo *numa.Topology) [][]int {
 // publication array; a combiner — elected with a cluster-local TATAS
 // gate — harvests posted requests into an MCS chain and splices the
 // chain into a single global MCS queue. Grants then flow down the
-// chain exactly as in HCLH.
+// chain exactly as in HCLH: the global queue is an MCS lock, and
+// Unlock is its hand-down.
 //
 // Deviation (documented in DESIGN.md): the publication list is a fixed
 // per-proc slot array rather than a dynamic list with aging, and the
@@ -52,11 +48,9 @@ func clusterMembers(topo *numa.Topology) [][]int {
 // and the combiner-election cost — what the evaluation exercises — are
 // preserved.
 type FCMCS struct {
-	gtail atomic.Pointer[qNode]
-	_     numa.Pad
+	q     *MCS
 	gates []combinerGate
 	slots []fcSlot
-	nodes []qNode
 	// members lists the proc ids of each cluster, the combiner's scan
 	// order.
 	members [][]int
@@ -69,16 +63,12 @@ const DefaultFCPasses = 2
 
 // NewFCMCS returns an FC-MCS lock for the given topology.
 func NewFCMCS(topo *numa.Topology) *FCMCS {
-	l := &FCMCS{
+	return &FCMCS{
+		q:       NewMCS(topo),
 		gates:   make([]combinerGate, topo.Clusters()),
 		slots:   make([]fcSlot, topo.MaxProcs()),
-		nodes:   make([]qNode, topo.MaxProcs()),
 		members: clusterMembers(topo),
 	}
-	for i := range l.nodes {
-		l.nodes[i].parker = spin.MakeParker()
-	}
-	return l
 }
 
 // electAfter is how long a requester lingers on its publication slot
@@ -93,17 +83,17 @@ const electAfter = 512
 func (l *FCMCS) Lock(p *numa.Proc) {
 	id := p.ID()
 	slot := &l.slots[id]
-	node := &l.nodes[id]
-	slot.state.Store(fcRequest)
+	node := &l.q.nodes[id]
+	slot.posted.Store(true)
 
 	gate := &l.gates[p.Cluster()]
-	for i := 0; slot.state.Load() == fcRequest; i++ {
+	for i := 0; slot.posted.Load(); i++ {
 		// Bypass at low contention (the optimization the paper credits
 		// FC-MCS with, §4.1.3): when the global queue is empty there is
 		// no batch to wait for, so elect immediately.
-		eager := l.gtail.Load() == nil
+		eager := l.q.tail.Load() == nil
 		if (eager || i >= electAfter) && gate.held.Load() == 0 && gate.held.CompareAndSwap(0, 1) {
-			if slot.state.Load() == fcRequest {
+			if slot.posted.Load() {
 				l.combine(p.Cluster())
 			}
 			gate.held.Store(0)
@@ -111,7 +101,7 @@ func (l *FCMCS) Lock(p *numa.Proc) {
 		}
 		spin.Poll(i)
 	}
-	node.parker.Wait(func() bool { return node.status.Load() != qWait })
+	node.parker.Wait(func() bool { return node.locked.Load() == 0 })
 }
 
 // combinePassPause is the wait between combiner harvest passes, in
@@ -122,34 +112,34 @@ const combinePassPause = 512
 // combine harvests posted requests from the cluster into a chain and
 // splices it into the global queue. Called with the cluster gate held.
 func (l *FCMCS) combine(cluster int) {
-	var head, tail *qNode
+	var head, tail *mcsNode
 	for pass := 0; pass < DefaultFCPasses; pass++ {
 		if pass > 0 {
 			spin.Pause(combinePassPause)
 		}
 		for _, id := range l.members[cluster] {
 			s := &l.slots[id]
-			if s.state.Load() != fcRequest {
+			if !s.posted.Load() {
 				continue
 			}
-			nd := &l.nodes[id]
+			nd := &l.q.nodes[id]
 			nd.next.Store(nil)
-			nd.status.Store(qWait)
+			nd.locked.Store(1)
 			if head == nil {
 				head = nd
 			} else {
 				tail.next.Store(nd)
 			}
 			tail = nd
-			s.state.Store(fcEnqueued)
+			s.posted.Store(false)
 		}
 	}
 	if head == nil {
 		return
 	}
-	gpred := l.gtail.Swap(tail)
+	gpred := l.q.tail.Swap(tail)
 	if gpred == nil {
-		head.status.Store(qGranted)
+		head.locked.Store(0)
 		head.parker.Wake()
 		return
 	}
@@ -157,23 +147,4 @@ func (l *FCMCS) combine(cluster int) {
 }
 
 // Unlock passes the lock down the global chain, or empties it.
-func (l *FCMCS) Unlock(p *numa.Proc) {
-	id := p.ID()
-	n := &l.nodes[id]
-	next := n.next.Load()
-	if next == nil {
-		if l.gtail.CompareAndSwap(n, nil) {
-			l.slots[id].state.Store(fcIdle)
-			return
-		}
-		for i := 0; ; i++ {
-			if next = n.next.Load(); next != nil {
-				break
-			}
-			spin.Poll(i)
-		}
-	}
-	l.slots[id].state.Store(fcIdle)
-	next.status.Store(qGranted)
-	next.parker.Wake()
-}
+func (l *FCMCS) Unlock(p *numa.Proc) { l.q.Unlock(p) }

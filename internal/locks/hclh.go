@@ -7,25 +7,9 @@ import (
 	"repro/internal/spin"
 )
 
-// Queue-node grant states shared by the hierarchical queue locks.
-const (
-	qWait    int32 = 0
-	qGranted int32 = 1
-)
-
-// qNode is a queue record used by HCLH and FC-MCS: an explicit
-// successor link plus a grant flag the owner spins on. One node per
-// (lock, proc); standard MCS reuse rules apply.
-type qNode struct {
-	next   atomic.Pointer[qNode]
-	status atomic.Int32
-	parker spin.Parker
-	_      numa.Pad
-}
-
 // localTail is a padded per-cluster collection-queue tail.
 type localTail struct {
-	ptr atomic.Pointer[qNode]
+	ptr atomic.Pointer[mcsNode]
 	_   numa.Pad
 }
 
@@ -40,12 +24,12 @@ type localTail struct {
 // tagged pointers. The properties the paper's evaluation exercises —
 // batch formation per cluster, the SWAP contention bottleneck on the
 // local tail, the master's wait-vs-short-batch tension, and
-// FIFO-after-splice ordering — are preserved.
+// FIFO-after-splice ordering — are preserved. The global queue is an
+// MCS lock: a master splices its batch onto the MCS tail, a grant is
+// the node's locked flag, and Unlock is MCS's hand-down.
 type HCLH struct {
-	gtail  atomic.Pointer[qNode]
-	_      numa.Pad
+	q      *MCS
 	ltails []localTail
-	nodes  []qNode
 }
 
 // DefaultHCLHWindow is how long (in pause units) a cluster master
@@ -58,22 +42,15 @@ const DefaultHCLHWindow = 2048
 
 // NewHCLH returns an HCLH lock for the given topology.
 func NewHCLH(topo *numa.Topology) *HCLH {
-	l := &HCLH{
-		ltails: make([]localTail, topo.Clusters()),
-		nodes:  make([]qNode, topo.MaxProcs()),
-	}
-	for i := range l.nodes {
-		l.nodes[i].parker = spin.MakeParker()
-	}
-	return l
+	return &HCLH{q: NewMCS(topo), ltails: make([]localTail, topo.Clusters())}
 }
 
 // Lock enqueues into the cluster queue; the cluster master splices the
 // batch into the global queue.
 func (l *HCLH) Lock(p *numa.Proc) {
-	n := &l.nodes[p.ID()]
+	n := &l.q.nodes[p.ID()]
 	n.next.Store(nil)
-	n.status.Store(qWait)
+	n.locked.Store(1)
 
 	lt := &l.ltails[p.Cluster()]
 	pred := lt.ptr.Swap(n)
@@ -81,7 +58,7 @@ func (l *HCLH) Lock(p *numa.Proc) {
 		// Mid-batch: link in and wait to be granted (the grant arrives
 		// after our batch is spliced and our predecessor finishes).
 		pred.next.Store(n)
-		n.parker.Wait(func() bool { return n.status.Load() != qWait })
+		n.parker.Wait(func() bool { return n.locked.Load() == 0 })
 		return
 	}
 
@@ -92,7 +69,7 @@ func (l *HCLH) Lock(p *numa.Proc) {
 	// end is the last node that swapped in; ensure the chain's links
 	// are all published before handing the chain to the global queue.
 	for cur := n; cur != end; {
-		var nxt *qNode
+		var nxt *mcsNode
 		for i := 0; ; i++ {
 			if nxt = cur.next.Load(); nxt != nil {
 				break
@@ -102,29 +79,13 @@ func (l *HCLH) Lock(p *numa.Proc) {
 		cur = nxt
 	}
 
-	gpred := l.gtail.Swap(end)
+	gpred := l.q.tail.Swap(end)
 	if gpred == nil {
 		return // global queue was empty: the master owns the lock
 	}
 	gpred.next.Store(n)
-	n.parker.Wait(func() bool { return n.status.Load() != qWait })
+	n.parker.Wait(func() bool { return n.locked.Load() == 0 })
 }
 
 // Unlock passes the lock down the spliced global chain, or empties it.
-func (l *HCLH) Unlock(p *numa.Proc) {
-	n := &l.nodes[p.ID()]
-	next := n.next.Load()
-	if next == nil {
-		if l.gtail.CompareAndSwap(n, nil) {
-			return
-		}
-		for i := 0; ; i++ {
-			if next = n.next.Load(); next != nil {
-				break
-			}
-			spin.Poll(i)
-		}
-	}
-	next.status.Store(qGranted)
-	next.parker.Wake()
-}
+func (l *HCLH) Unlock(p *numa.Proc) { l.q.Unlock(p) }

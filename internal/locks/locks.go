@@ -1,14 +1,16 @@
 // Package locks implements the classic and prior-art lock algorithms
 // the paper builds on and compares against: the test-and-test-and-set
 // lock with Fibonacci backoff (Fib-BO, the one BO lock here), the
-// ticket lock, the MCS and CLH queue locks, Scott's abortable CLH
-// (A-CLH), the hierarchical backoff lock (HBO) of Radović and
-// Hagersten with an abortable variant, the hierarchical CLH lock
-// (HCLH) of Luchangco et al., the flat-combining MCS lock (FC-MCS) of
-// Dice et al., and a pthread-style blocking mutex.
+// ticket lock, the MCS queue lock, the hierarchical backoff lock (HBO)
+// of Radović and Hagersten with an abortable variant, the hierarchical
+// CLH lock (HCLH) of Luchangco et al. and the flat-combining MCS lock
+// (FC-MCS) of Dice et al. — both splice cluster batches onto one MCS
+// queue and release through it — and a pthread-style blocking mutex.
+// The CLH locks live in package core, as cohort locals; Scott's
+// abortable CLH (A-CLH) is core.ACLH, the A-C-BO-CLH local used alone.
 //
-// Blocking locks share the Mutex interface and abortable ones (A-CLH,
-// A-HBO) the TryMutex interface; both thread per-thread context
+// Blocking locks share the Mutex interface and abortable ones (A-HBO
+// here, core.ACLH) the TryMutex interface; both thread per-thread context
 // (*numa.Proc) explicitly: queue locks need a stable identity
 // for their queue nodes, and NUMA-aware locks need the cluster id.
 package locks

@@ -65,7 +65,7 @@ var bases = []Entry{
 	{Name: "hclh", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewHCLH(t) }},
 	{Name: "fc-mcs", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewFCMCS(t) }},
 	{Name: "cna", NewMutex: func(t *numa.Topology) locks.Mutex { return locks.NewCNA(t) }},
-	{Name: "a-clh", NewTry: func(t *numa.Topology) locks.TryMutex { return locks.NewACLH(t) }},
+	{Name: "a-clh", NewTry: func(t *numa.Topology) locks.TryMutex { return core.NewACLH(t) }},
 	{Name: "a-hbo", NewTry: func(*numa.Topology) locks.TryMutex { return locks.NewHBO(locks.LBenchHBOConfig()) }},
 }
 

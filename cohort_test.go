@@ -127,7 +127,7 @@ func TestWithHandoffLimitVisible(t *testing.T) {
 // spin lock plus a successor-exists flag that answers Alone.
 type userSpinLock struct {
 	held atomic.Int32
-	// succ implements cohort detection the same way LocalBO does.
+	// succ implements cohort detection the same way core.ABOLocal does.
 	succ atomic.Int32
 }
 

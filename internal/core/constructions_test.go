@@ -3,6 +3,7 @@ package core_test
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -226,31 +227,41 @@ func TestAbortableCohortZeroPatience(t *testing.T) {
 	}
 }
 
-// TestAbortableCohortsAndBaselinesAllocateNothing: an uncontended
-// acquisition and release of every abortable lock the registry builds
-// — the cohort locks and the a-clh and hbo baselines — allocates
-// nothing, so a critical section costs no heap object. The
-// releaseGlobal callback each release hands an abortable local lock is
-// bound per proc when the lock is built (a-clh's is a package-level
-// no-op), never per Unlock.
-func TestAbortableCohortsAndBaselinesAllocateNothing(t *testing.T) {
+// TestCohortsAndBaselinesAllocateNothing: an uncontended acquisition
+// and release of every cohort lock the registry lists (c-*, measured
+// per Lock+Unlock) and of every abortable lock it builds — the cohort
+// locks and the a-clh and hbo baselines, measured per
+// TryLockFor+Unlock — allocates nothing, so a critical section costs
+// no heap object. The releaseGlobal callback each release hands an
+// abortable local lock is bound per proc when the lock is built
+// (a-clh's and Blocking's is a package-level no-op), never per Unlock.
+func TestCohortsAndBaselinesAllocateNothing(t *testing.T) {
 	for _, name := range registry.Names() {
 		e := registry.MustLookup(name)
-		if e.NewTry == nil {
+		if e.NewTry == nil && !strings.HasPrefix(name, "c-") {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
 			topo := numa.New(2, 4)
-			l := e.NewTry(topo)
 			p := topo.Proc(0)
-			allocs := testing.AllocsPerRun(1000, func() {
-				if !l.TryLockFor(p, time.Second) {
-					t.Fatal("TryLockFor failed on a free lock")
+			var cycle func()
+			if e.NewTry != nil {
+				l := e.NewTry(topo)
+				cycle = func() {
+					if !l.TryLockFor(p, time.Second) {
+						t.Fatal("TryLockFor failed on a free lock")
+					}
+					l.Unlock(p)
 				}
-				l.Unlock(p)
-			})
-			if allocs != 0 {
-				t.Fatalf("%v allocations per uncontended TryLockFor+Unlock, want 0", allocs)
+			} else {
+				l := e.NewMutex(topo)
+				cycle = func() {
+					l.Lock(p)
+					l.Unlock(p)
+				}
+			}
+			if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+				t.Fatalf("%v allocations per uncontended acquisition and release, want 0", allocs)
 			}
 		})
 	}

@@ -18,14 +18,14 @@
 // (AbortableCohortLock, §3.6) keeps the release state in the local
 // lock word, where the viable-successor race is decided.
 //
-// The package provides both transformations, cohort-detecting BO and
-// CLH locals (the MCS and ticket locals are locks.MCS and
-// locks.Ticket), a thread-oblivious global BO lock, the abortable BO
-// and A-CLH locals, and ACLH, Scott's abortable CLH lock, which is the
-// A-CLH local used alone (registry name a-clh). It names no
-// composition: the paper's seven (C-BO-BO … A-C-BO-CLH) are registry
-// names, each one call to NewCohortLock or NewAbortableCohortLock over
-// two slot locks.
+// The package provides both transformations, a thread-oblivious
+// global BO lock, the abortable BO and A-CLH locals, which Blocking
+// makes the blocking BO and CLH locals too (the MCS and ticket locals
+// are locks.MCS and locks.Ticket), and ACLH, Scott's abortable CLH
+// lock, which is the A-CLH local used alone (registry name a-clh). It
+// names no composition: the paper's seven (C-BO-BO … A-C-BO-CLH) are
+// registry names, each one call to NewCohortLock or
+// NewAbortableCohortLock over two slot locks.
 package core
 
 import (

@@ -81,14 +81,14 @@ type acProcState struct {
 }
 
 // ACLHLocal is the abortable cohort-detecting CLH lock of A-C-BO-CLH
-// (paper §3.6.2). Waiters spin on their predecessor's node (CLH-style
-// implicit predecessors). An aborting waiter atomically sets its
-// predecessor's successor-aborted flag — the same word the owner's
-// release-local CAS targets — then publishes its predecessor in its
-// own node for its successor to adopt. The single-word CAS makes
-// "hand off locally" and "successor aborts" mutually exclusive, which
-// is exactly the strengthened cohort-detection property abortability
-// requires.
+// (paper §3.6.2), and behind Blocking C-BO-CLH's. Waiters spin on
+// their predecessor's node (CLH-style implicit predecessors). An
+// aborting waiter atomically sets its predecessor's successor-aborted
+// flag — the same word the owner's release-local CAS targets — then
+// publishes its predecessor in its own node for its successor to
+// adopt. The single-word CAS makes "hand off locally" and "successor
+// aborts" mutually exclusive, which is exactly the strengthened
+// cohort-detection property abortability requires.
 //
 // Deviation (documented in DESIGN.md): reclaimed nodes go to the pool
 // of the proc that unlinked them rather than their original owner's;

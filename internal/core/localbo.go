@@ -7,79 +7,37 @@ import (
 	"repro/internal/spin"
 )
 
-// BO lock word states. LocalBO uses only free and held; ABOLocal's
-// free word also carries the release state (paper §3.6.1).
+// BO lock word states; the free word carries the release state (paper
+// §3.6.1).
 const (
-	boFree  int32 = 0 // free; for ABOLocal, in global-release state
+	boFree  int32 = 0 // free, in global-release state
 	boBusy  int32 = 1 // held
-	boLocal int32 = 2 // ABOLocal only: free; next owner inherits the global lock
+	boLocal int32 = 2 // free; next owner inherits the global lock
 )
 
-// The waiter backoff of both cluster-local BO locks is exponential
-// over this window, in pause units. Local waiters share a cache
-// domain, so short windows suffice; only the local parameters need
-// tuning (paper §4.1.1), unlike HBO's four-parameter space.
+// The waiter backoff of the cluster-local BO lock is exponential over
+// this window, in pause units. Local waiters share a cache domain, so
+// short windows suffice; only the local parameters need tuning (paper
+// §4.1.1), unlike HBO's four-parameter space.
 const (
 	localBOMinPause = 16
 	localBOMaxPause = 1024
 )
 
-// LocalBO is the cohort-detecting test-and-test-and-set lock of
-// C-BO-BO (paper §3.1). Cohort detection uses a successor-exists flag:
-// an arriving thread sets it immediately before attempting the
-// acquisition CAS; the CAS winner resets it; spinning waiters
-// re-assert it if they see it reset, so an incorrect-false — allowed,
-// but causing a needless global release — is short-lived.
-type LocalBO struct {
-	word atomic.Int32
-	_    numa.Pad
-	succ atomic.Int32 // successor-exists
-	_pb  numa.Pad
-}
-
-// NewLocalBO returns a cohort-detecting BO lock.
-func NewLocalBO() *LocalBO { return &LocalBO{} }
-
-// Lock acquires the local lock.
-func (l *LocalBO) Lock(p *numa.Proc) {
-	b := spin.NewBackoff(spin.PolicyExponential, localBOMinPause, localBOMaxPause, p.Rand())
-	for {
-		if l.word.Load() == boFree {
-			l.succ.Store(1)
-			if l.word.CompareAndSwap(boFree, boBusy) {
-				l.succ.Store(0)
-				return
-			}
-		} else if l.succ.Load() == 0 {
-			// The current owner's post-acquisition reset erased our
-			// (or another waiter's) assertion; restore it. This write
-			// is off the lock's critical path (paper §3.1).
-			l.succ.Store(1)
-		}
-		b.Wait()
-	}
-}
-
-// Unlock releases the lock.
-func (l *LocalBO) Unlock(_ *numa.Proc) {
-	l.word.Store(boFree)
-}
-
-// Alone reports the complement of successor-exists.
-func (l *LocalBO) Alone(_ *numa.Proc) bool {
-	return l.succ.Load() == 0
-}
-
-// ABOLocal is the abortable cohort-detecting BO lock of A-C-BO-BO
-// (paper §3.6.1). It extends LocalBO with release states in the lock
-// word and with the abort protocol: aborting waiters clear
-// successor-exists, and the releaser double-checks the flag after a
-// local release, reclaiming the hand-off (and releasing the global
-// lock) if every waiter may have vanished.
+// ABOLocal is the abortable cohort-detecting test-and-test-and-set
+// lock of A-C-BO-BO (paper §3.6.1), and behind Blocking C-BO-BO's
+// (§3.1). Cohort detection uses a successor-exists flag: an arriving
+// thread sets it just before its acquisition CAS, the CAS winner
+// resets it, and spinning waiters re-assert it, so an incorrect-false
+// (a needless global release) is short-lived. Abortability adds
+// release states to the lock word and the abort protocol: aborting
+// waiters clear successor-exists, and the releaser double-checks the
+// flag after a local release, reclaiming the hand-off (and releasing
+// the global lock) if every waiter may have vanished.
 type ABOLocal struct {
 	word atomic.Int32
 	_    numa.Pad
-	succ atomic.Int32
+	succ atomic.Int32 // successor-exists
 	_pb  numa.Pad
 }
 
@@ -105,6 +63,8 @@ func (l *ABOLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 				return ReleaseGlobal, true
 			}
 		} else if l.succ.Load() == 0 {
+			// The owner's post-acquisition reset erased an assertion;
+			// restore it, off the critical path (paper §3.1).
 			l.succ.Store(1)
 		}
 		if spin.Expired(deadline) {

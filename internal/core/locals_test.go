@@ -14,10 +14,70 @@ import (
 // table-driven semantics tests.
 func localsUnderTest(topo *numa.Topology) map[string]Local {
 	return map[string]Local{
-		"local-bo":     NewLocalBO(),
+		"local-bo":     Blocking(NewABOLocal()),
 		"local-ticket": locks.NewTicket(topo),
 		"local-mcs":    locks.NewMCS(topo),
-		"local-clh":    NewLocalCLH(topo),
+		"local-clh":    Blocking(NewACLHLocal(topo)),
+	}
+}
+
+// TestBlockingLocalReleasesGlobally: Blocking never leaves its lock in
+// release-local state, after an uncontended cycle or a hand-off to a
+// waiter alike, so an acquirer reading the wrapped lock directly sees
+// release-global. The blocking cohort keeps the cluster's claim on the
+// global lock in its own record; a release-local word would tell an
+// abortable acquirer it inherits a global lock it does not hold.
+func TestBlockingLocalReleasesGlobally(t *testing.T) {
+	topo := numa.New(1, 8)
+	for name, l := range map[string]AbortableLocal{
+		"a-bo":  NewABOLocal(),
+		"a-clh": NewACLHLocal(topo),
+	} {
+		t.Run(name, func(t *testing.T) {
+			b := Blocking(l)
+			p0, p1, p2 := topo.Proc(0), topo.Proc(1), topo.Proc(2)
+			awaitWaiter := func(holder *numa.Proc) {
+				for i := 0; b.Alone(holder); i++ {
+					spin.Poll(i)
+					if i > 1<<22 {
+						t.Fatal("waiter never became visible to Alone")
+					}
+				}
+			}
+			b.Lock(p0)
+			b.Unlock(p0)
+			if r, ok := l.TryLock(p0, spin.Deadline(time.Second)); !ok || r != ReleaseGlobal {
+				t.Fatalf("TryLock after an uncontended cycle = (%v,%v), want (release-global,true)", r, ok)
+			}
+			l.Unlock(p0, false, noRelease)
+
+			// p0 hands the lock to a waiting p1; p1 releases it to p2,
+			// which waits in a direct TryLock.
+			b.Lock(p0)
+			acquired := make(chan struct{})
+			go func() {
+				b.Lock(p1)
+				close(acquired)
+			}()
+			awaitWaiter(p0)
+			b.Unlock(p0)
+			<-acquired
+			type res struct {
+				r  Release
+				ok bool
+			}
+			got := make(chan res, 1)
+			go func() {
+				r, ok := l.TryLock(p2, spin.Deadline(10*time.Second))
+				got <- res{r, ok}
+			}()
+			awaitWaiter(p1)
+			b.Unlock(p1)
+			if r := <-got; !r.ok || r.r != ReleaseGlobal {
+				t.Fatalf("TryLock of a waiter handed the lock = (%v,%v), want (release-global,true)", r.r, r.ok)
+			}
+			l.Unlock(p2, false, noRelease)
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 )
 
 // Proxy is a TCP forwarder with the injector's fault schedule applied
@@ -22,8 +21,7 @@ type Proxy struct {
 	conns  map[net.Conn]struct{} // both sides of every live pair
 	closed bool
 
-	wg     sync.WaitGroup
-	active atomic.Int64
+	wg sync.WaitGroup
 }
 
 // NewProxy listens on listenAddr (use "127.0.0.1:0" for an ephemeral
@@ -42,12 +40,6 @@ func NewProxy(listenAddr, target string, in *Injector) (*Proxy, error) {
 
 // Addr is the proxy's dial address.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
-
-// Injector returns the schedule the proxy applies (swap it with Set).
-func (p *Proxy) Injector() *Injector { return p.in }
-
-// Active reports the number of live proxied connection pairs.
-func (p *Proxy) Active() int { return int(p.active.Load()) }
 
 // Close stops accepting, cuts every proxied connection, and waits for
 // the pump goroutines to drain.
@@ -86,7 +78,6 @@ func (p *Proxy) serve() {
 		p.conns[faulty] = struct{}{}
 		p.conns[upstream] = struct{}{}
 		p.mu.Unlock()
-		p.active.Add(1)
 		var pumps sync.WaitGroup
 		pumps.Add(2)
 		pump := func(dst, src net.Conn) {
@@ -104,7 +95,6 @@ func (p *Proxy) serve() {
 		go func() {
 			defer p.wg.Done()
 			pumps.Wait()
-			p.active.Add(-1)
 			p.mu.Lock()
 			delete(p.conns, faulty)
 			delete(p.conns, upstream)

@@ -1,6 +1,7 @@
 package locks
 
 import (
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -58,15 +59,15 @@ func NewHBO(cfg HBOConfig) *HBO {
 
 // Lock acquires the lock, backing off per the hierarchical policy.
 func (l *HBO) Lock(p *numa.Proc) {
-	l.lock(p, 0, false)
+	l.lock(p, math.MaxInt64)
 }
 
 // TryLockFor attempts acquisition until patience expires.
 func (l *HBO) TryLockFor(p *numa.Proc, patience time.Duration) bool {
-	return l.lock(p, spin.Deadline(patience), true)
+	return l.lock(p, spin.Deadline(patience))
 }
 
-func (l *HBO) lock(p *numa.Proc, deadline int64, abortable bool) bool {
+func (l *HBO) lock(p *numa.Proc, deadline int64) bool {
 	me := int32(p.Cluster())
 	local := spin.NewBackoff(spin.PolicyExponential, l.cfg.LocalMin, l.cfg.LocalMax, p.Rand())
 	remote := spin.NewBackoff(spin.PolicyExponential, l.cfg.RemoteMin, l.cfg.RemoteMax, p.Rand())
@@ -78,7 +79,7 @@ func (l *HBO) lock(p *numa.Proc, deadline int64, abortable bool) bool {
 			}
 			continue
 		}
-		if abortable && spin.Expired(deadline) {
+		if spin.Expired(deadline) {
 			return false
 		}
 		if w == me {

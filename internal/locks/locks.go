@@ -6,8 +6,9 @@
 // CLH lock (HCLH) of Luchangco et al. and the flat-combining MCS lock
 // (FC-MCS) of Dice et al. — both splice cluster batches onto one MCS
 // queue and release through it — and a pthread-style blocking mutex.
-// The CLH locks live in package core, as cohort locals; Scott's
-// abortable CLH (A-CLH) is core.ACLH, the A-C-BO-CLH local used alone.
+// The one CLH lock lives in package core: the A-C-BO-CLH local, which
+// is also the blocking cohort's CLH local (core.Blocking) and, used
+// alone, Scott's abortable CLH (A-CLH, core.ACLH).
 //
 // Blocking locks share the Mutex interface and abortable ones (A-HBO
 // here, core.ACLH) the TryMutex interface; both thread per-thread context

@@ -84,10 +84,10 @@ var (
 		{"mcs", func(t *numa.Topology) core.Global { return locks.NewMCS(t) }},
 	}
 	locals = []slot[core.Local]{
-		{"bo", func(*numa.Topology) core.Local { return core.NewLocalBO() }},
+		{"bo", func(*numa.Topology) core.Local { return core.Blocking(core.NewABOLocal()) }},
 		{"tkt", func(t *numa.Topology) core.Local { return locks.NewTicket(t) }},
 		{"mcs", func(t *numa.Topology) core.Local { return locks.NewMCS(t) }},
-		{"clh", func(t *numa.Topology) core.Local { return core.NewLocalCLH(t) }},
+		{"clh", func(t *numa.Topology) core.Local { return core.Blocking(core.NewACLHLocal(t)) }},
 	}
 	abortableGlobals = []slot[core.AbortableGlobal]{
 		{"bo", func(*numa.Topology) core.AbortableGlobal { return core.NewGlobalBO() }},

@@ -194,6 +194,7 @@ func Deadline(patience time.Duration) int64 {
 }
 
 // Expired reports whether the deadline produced by Deadline has passed.
+// A math.MaxInt64 deadline never passes, and asks no clock to say so.
 func Expired(deadline int64) bool {
-	return Now() >= deadline
+	return deadline != math.MaxInt64 && Now() >= deadline
 }

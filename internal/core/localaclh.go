@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -31,10 +32,13 @@ const (
 
 func acEncodePred(idx int64) uint64 { return uint64(idx) + acPredBase }
 
-// acNode is one abortable-CLH queue record.
+// acNode is one abortable-CLH queue record. parker wakes the waiter
+// that parks on this node: a waiter that never aborts (Blocking's)
+// parks, one with a deadline polls.
 type acNode struct {
-	word atomic.Uint64
-	_    numa.Pad
+	word   atomic.Uint64
+	parker spin.Parker
+	_      numa.Pad
 }
 
 // Arena geometry: chunks are installed once and never move, so a node
@@ -63,7 +67,11 @@ func (a *acArena) alloc() int64 {
 		panic(fmt.Sprintf("core: A-CLH arena exhausted (%d nodes)", i))
 	}
 	if a.chunks[ci].Load() == nil {
-		a.chunks[ci].CompareAndSwap(nil, new(acChunk))
+		c := new(acChunk)
+		for j := range c {
+			c[j].parker = spin.MakeParker()
+		}
+		a.chunks[ci].CompareAndSwap(nil, c)
 	}
 	return i
 }
@@ -129,6 +137,10 @@ func (l *ACLHLocal) putNode(p *numa.Proc, idx int64) {
 
 // TryLock enqueues and spins on the predecessor until granted, the
 // predecessor chain resolves to a release, or the deadline passes.
+// A waiter whose deadline never comes (math.MaxInt64, Blocking's)
+// parks on the predecessor's node instead: under oversubscription a
+// FIFO successor that only polls is a runnable goroutine queued behind
+// busy ones, so each hand-off could cost a scheduler time slice.
 //
 // Abort rules (all resolved through the predecessor's single word):
 //   - predecessor busy, flag clear: CAS in the successor-aborted flag;
@@ -162,10 +174,17 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 			continue
 		}
 		// Predecessor is busy.
+		if deadline == math.MaxInt64 {
+			pn := l.arena.node(pred)
+			pn.parker.Wait(func() bool { return pn.word.Load()&acCodeMask != acBusy })
+			continue
+		}
 		if spin.Expired(deadline) {
 			if w&acAbortFlag != 0 ||
 				l.arena.node(pred).word.CompareAndSwap(acBusy, acBusy|acAbortFlag) {
-				l.arena.node(n).word.Store(acEncodePred(pred))
+				nd := l.arena.node(n)
+				nd.word.Store(acEncodePred(pred))
+				nd.parker.Wake()
 				return ReleaseGlobal, false
 			}
 			// The CAS lost a race with a release or an abort
@@ -181,15 +200,16 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 // release-local; the colocated flag guarantees the successor is
 // viable. If the CAS fails (successor aborted) or no local hand-off is
 // wanted, the global lock is released first and the node is then
-// marked release-global.
+// marked release-global. Either way the node's parked successor, if
+// any, is woken after the word changes.
 func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
 	n := l.procs[p.ID()].holder
 	nd := l.arena.node(n)
-	if wantLocal && nd.word.CompareAndSwap(acBusy, acRL) {
-		return
+	if !wantLocal || !nd.word.CompareAndSwap(acBusy, acRL) {
+		releaseGlobal()
+		nd.word.Store(acRG)
 	}
-	releaseGlobal()
-	nd.word.Store(acRG)
+	nd.parker.Wake()
 }
 
 // Alone reports whether the holder's node is still the queue tail,

@@ -39,8 +39,8 @@ type Config struct {
 	// runs each shard's portion of a batch in critical sections of up
 	// to its MaxBatch, amortizing lock acquisitions across operations
 	// (a pipelining client driving memcached's multi-get). 0 or 1
-	// issues one operation per call, keeping the original loop byte
-	// for byte.
+	// issues a batch of one: each operation is an MGet or MSet of its
+	// one key, one critical section, as a Get or Set would be.
 	BatchSize int
 }
 
@@ -117,46 +117,15 @@ type loadSlot struct {
 	_    numa.Pad
 }
 
-// newStep builds one worker's request loop: pick a key, get or set it
-// per the mix, then do the request's non-locked work.
-func newStep(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64) func() bool {
-	val := make([]byte, cfg.ValueSize)
-	dst := make([]byte, cfg.ValueSize)
-	var sink byte
-	return func() bool {
-		key := p.Rand() % cfg.Keyspace
-		if p.RandN(1000) < getMille {
-			n, ok := store.Get(p, key, dst)
-			if ok {
-				// Response assembly: checksum the payload.
-				for _, b := range dst[:n] {
-					sink ^= b
-				}
-			}
-			sl.gets++
-		} else {
-			val[0] = byte(key)
-			val[len(val)-1] = sink
-			store.Set(p, key, val)
-			sl.sets++
-		}
-		if cfg.ThinkNs > 0 {
-			spin.WaitNs(cfg.ThinkNs/2 + p.RandN(cfg.ThinkNs/2+1))
-		}
-		sl.ops++
-		return true
-	}
-}
-
-// newBatchedStep builds the BatchSize > 1 worker loop: each round
-// draws a batch of keys, splits them by the get/set mix, and issues one
-// MGet and one MSet — the store amortizes lock acquisitions across each
-// shard's group. The per-request non-locked work (think time) is still
-// paid once per operation; it is busy-waited in one stretch per batch,
-// as a pipelining server would interleave parsing with the batched
-// cache pass. Every round issues exactly BatchSize keys.
+// newBatchedStep builds one worker's request loop: each round draws
+// BatchSize keys (one when it is 0), splits them by the get/set mix,
+// and issues one MGet and one MSet — the store amortizes lock
+// acquisitions across each shard's group. The per-request non-locked
+// work (think time) is still paid once per operation, busy-waited in
+// one stretch per batch, as a pipelining server would interleave
+// parsing with the batched cache pass.
 func newBatchedStep(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlot, getMille int64) func() bool {
-	b := cfg.BatchSize
+	b := max(cfg.BatchSize, 1)
 	stride := cfg.ValueSize
 	readKeys := make([]uint64, 0, b)
 	writeKeys := make([]uint64, 0, b)
@@ -190,12 +159,6 @@ func newBatchedStep(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlo
 		}
 		if len(readKeys) > 0 {
 			store.MGet(p, readKeys, dsts[:len(readKeys)], lens[:len(readKeys)], found[:len(readKeys)])
-		}
-		if len(writeKeys) > 0 {
-			store.MSet(p, writeKeys, vals)
-			sl.sets += uint64(len(writeKeys))
-		}
-		if len(readKeys) > 0 {
 			for i := range readKeys {
 				if found[i] {
 					// Response assembly: checksum the payload.
@@ -205,6 +168,10 @@ func newBatchedStep(cfg *Config, store *kvstore.Store, p *numa.Proc, sl *loadSlo
 				}
 			}
 			sl.gets += uint64(len(readKeys))
+		}
+		if len(writeKeys) > 0 {
+			store.MSet(p, writeKeys, vals)
+			sl.sets += uint64(len(writeKeys))
 		}
 		spin.WaitNs(think)
 		sl.ops += uint64(b)
@@ -218,13 +185,9 @@ func Run(cfg Config, store *kvstore.Store) (Result, error) {
 		return Result{}, err
 	}
 	getMille := int64(cfg.ReadFraction*1000 + 0.5)
-	build := newStep
-	if cfg.BatchSize > 1 {
-		build = newBatchedStep
-	}
 	slots := make([]loadSlot, cfg.Threads)
 	elapsed := closedloop.Run(cfg.Topo, cfg.Threads, cfg.Duration, func(p *numa.Proc) func() bool {
-		return build(&cfg, store, p, &slots[p.ID()], getMille)
+		return newBatchedStep(&cfg, store, p, &slots[p.ID()], getMille)
 	})
 	res := Result{PerThread: make([]uint64, cfg.Threads), Elapsed: elapsed}
 	for i := range slots {

@@ -34,12 +34,13 @@
 // of N.
 //
 // Each shard has one exclusion seam, a locks.RWExecutor that every
-// LockSource resolves to: every critical section, single-key ones
-// included, is posted to it as a per-proc record (see csRecord). Over a
-// plain lock (FromMutex, FromRW) the executor brackets the record with
-// one acquisition. Over a combining executor (FromExec) a combiner runs
-// same-cluster batches — across requesting procs — under a single
-// acquisition of the underlying lock. That is the flat-combining
+// LockSource resolves to: every critical section is posted to it as a
+// per-proc record (see csRecord), one kind per verb, a single-key Get,
+// Set or Delete being a batch of one. Over a plain lock (FromMutex,
+// FromRW) the executor brackets the record with one acquisition. Over
+// a combining executor (FromExec) a combiner runs same-cluster batches
+// — across requesting procs — under a single acquisition of the
+// underlying lock. That is the flat-combining
 // amortization the paper credits FC-MCS with (§4.1.3), applied to the
 // store's own critical sections rather than to queue hand-offs.
 //
@@ -87,7 +88,7 @@ type Config struct {
 	// (MGet/MSet/MDelete) run inside one critical section, capping
 	// lock hold times: a shard group of N operations takes
 	// ceil(N/MaxBatch) acquisitions instead of N. Default 64.
-	// Single-operation calls are unaffected.
+	// A single-key call is a batch of one: one critical section.
 	MaxBatch int
 	// Shards is the shard count. Default 1.
 	Shards int
@@ -249,22 +250,39 @@ func (s *Store) shardFor(key uint64) *Shard {
 	return s.shards[s.shardIndex(key)]
 }
 
-// Get looks up key in its shard, copying the value into
-// dst (truncating if dst is short). It returns the copied length and
-// whether the key was found.
+// one returns key's shard and p's slot there, key and buf filling the
+// slot's batch of one.
+func (s *Store) one(p *numa.Proc, key uint64, buf []byte) (*Shard, *opSlot) {
+	sh := s.shardFor(key)
+	sl := &sh.slots[p.ID()]
+	sl.oneKey[0], sl.oneBuf[0] = key, buf
+	return sh, sl
+}
+
+// Get looks up key in its shard, copying the value into dst
+// (truncating if dst is short). It returns the copied length and
+// whether the key was found. It is an MGet of one key, without the
+// routing pass: one critical section through ExecShared.
 func (s *Store) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	return s.shardFor(key).Get(p, key, dst)
+	sh, sl := s.one(p, key, dst)
+	sh.mget(p, sl.oneKey[:], nil, sl.oneBuf[:], sl.oneLen[:], sl.oneFound[:], oneIdx)
+	sl.oneBuf[0] = nil
+	return sl.oneLen[0], sl.oneFound[0]
 }
 
 // Set inserts or updates key with a copy of val in its shard, evicting
-// that shard's clock victim if it is full.
+// that shard's clock victim if it is full: an MSet of one key.
 func (s *Store) Set(p *numa.Proc, key uint64, val []byte) {
-	s.shardFor(key).Set(p, key, val)
+	sh, sl := s.one(p, key, val)
+	sh.mset(p, sl.oneKey[:], nil, sl.oneBuf[:], oneIdx)
+	sl.oneBuf[0] = nil
 }
 
-// Delete removes key from its shard, returning whether it was present.
+// Delete removes key from its shard, returning whether it was present:
+// an MDelete of one key.
 func (s *Store) Delete(p *numa.Proc, key uint64) bool {
-	return s.shardFor(key).Delete(p, key)
+	sh, sl := s.one(p, key, nil)
+	return sh.mdelete(p, sl.oneKey[:], oneIdx, nil) == 1
 }
 
 // route partitions the indices of keys by target shard: a stable

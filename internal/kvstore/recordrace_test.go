@@ -195,8 +195,11 @@ func TestRecordReuseHammer(t *testing.T) {
 			}
 			for _, sh := range s.shards {
 				for i := range sh.slots {
-					if r := &sh.slots[i].cs; r.buf != nil || r.keys != nil || r.bufs != nil || r.lens != nil || r.found != nil || r.chunk != nil {
+					if r := &sh.slots[i].cs; r.keys != nil || r.bufs != nil || r.names != nil || r.lens != nil || r.found != nil || r.chunk != nil {
 						t.Errorf("idle record of proc %d still references caller memory: %+v", i, *r)
+					}
+					if buf := sh.slots[i].oneBuf[0]; buf != nil {
+						t.Errorf("idle batch-of-one scratch of proc %d still references a caller buffer (%d bytes)", i, len(buf))
 					}
 				}
 			}

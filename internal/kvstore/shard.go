@@ -53,30 +53,40 @@ type opSlot struct {
 	evictions uint64
 	// cs is this proc's critical-section record (see csRecord).
 	cs csRecord
-	_  numa.Pad
+	// oneKey..oneFound are this proc's batch of one: Store.Get, Set and
+	// Delete pass their key to the batch verbs through them, allocating
+	// nothing. oneBuf is cleared after each call, so an idle shard pins
+	// no caller buffer.
+	oneKey   [1]uint64
+	oneBuf   [1][]byte
+	oneLen   [1]int
+	oneFound [1]bool
+	_        numa.Pad
 }
+
+// oneIdx indexes a batch of one; nobody writes it.
+var oneIdx = []int{0}
 
 // csKind names the critical section a csRecord runs.
 type csKind uint8
 
 const (
-	csGet     csKind = iota // key, buf -> n, ok; through ExecShared (see Shard.Get)
-	csSet                   // key, buf
-	csDelete                // key -> ok
-	csMGet                  // chunk of keys/bufs -> lens, found; through ExecShared
+	csMGet    csKind = iota // chunk of keys/bufs -> lens, found; through ExecShared
 	csMSet                  // chunk of keys/bufs
 	csMDelete               // chunk of keys -> n += present, found (optional)
 	csLen                   // -> n
 )
 
 // csRecord is one proc's critical section, spelled out as data: the
-// operation kind, its arguments and its results. Every shard operation
-// arms its proc's record and posts fn to the shard's executor, which
-// runs it in place between its lock's acquire and release, or hands it
-// to a combiner on another goroutine. fn is the record's run method,
-// bound once at shard construction, so posting allocates nothing (a
-// closure literal per call would escape through the locks.Executor
-// interface and cost an allocation per critical section).
+// operation kind, its arguments and its results. There is one kind
+// per verb, over a chunk of keys (a single-key call is a batch of
+// one), and Len. Every shard operation arms its proc's record and
+// posts fn to the shard's executor, which runs it in place between its
+// lock's acquire and release, or hands it to a combiner on another
+// goroutine. fn is the record's run method, bound once at shard
+// construction, so posting allocates nothing (a closure literal per
+// call would escape through the locks.Executor interface and cost an
+// allocation per critical section).
 //
 // Ownership: the record lives in its proc's opSlot, and a proc is used
 // by one goroutine at a time (the numa.Proc contract), so at most one
@@ -90,16 +100,13 @@ type csRecord struct {
 	s     *Shard
 	p     *numa.Proc
 	kind  csKind
-	key   uint64
-	buf   []byte   // csGet: destination; csSet: value
-	keys  []uint64 // batch kinds: the call's keys
+	keys  []uint64 // the call's keys
 	bufs  [][]byte // csMGet: destinations (nil = probe); csMSet: values
 	names [][]byte // csMGet: names a hit must match; csMSet: names to store (nil = unnamed)
 	lens  []int
 	found []bool
-	chunk []int // batch kinds: the indices into keys this section covers
+	chunk []int // the indices into keys this section covers
 	n     int
-	ok    bool
 }
 
 // run executes the armed critical section. The caller — the owning
@@ -108,12 +115,6 @@ type csRecord struct {
 func (r *csRecord) run() {
 	s, p := r.s, r.p
 	switch r.kind {
-	case csGet:
-		r.n, r.ok = s.lookup(r.key, nil, r.buf)
-	case csSet:
-		s.applySet(p, r.key, nil, r.buf)
-	case csDelete:
-		r.ok = s.applyDelete(p, r.key)
 	case csMGet:
 		for _, i := range r.chunk {
 			r.lens[i], r.found[i] = s.lookup(r.keys[i], r.name(i), r.dst(i))
@@ -155,14 +156,29 @@ func (r *csRecord) name(i int) []byte {
 
 // done drops the record's references to caller memory.
 func (r *csRecord) done() {
-	r.buf, r.keys, r.bufs, r.names, r.lens, r.found, r.chunk = nil, nil, nil, nil, nil, nil, nil
+	r.keys, r.bufs, r.names, r.lens, r.found, r.chunk = nil, nil, nil, nil, nil, nil
 }
 
 // arm returns p's record, reset for a critical section of kind k.
 func (s *Shard) arm(p *numa.Proc, k csKind) *csRecord {
 	r := &s.slots[p.ID()].cs
-	r.p, r.kind, r.n, r.ok = p, k, 0, false
+	r.p, r.kind, r.n = p, k, 0
 	return r
+}
+
+// post runs r over the keys idx indexes in critical sections of at
+// most maxBatch keys each: lookups through ExecShared, writes through
+// Exec. It then drops r's references to caller memory.
+func (s *Shard) post(p *numa.Proc, r *csRecord, idx []int) {
+	for start := 0; start < len(idx); start += s.maxBatch {
+		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
+		if r.kind == csMGet {
+			s.x.ExecShared(p, r.fn)
+		} else {
+			s.x.Exec(p, r.fn)
+		}
+	}
+	r.done()
 }
 
 // shardConfig carries the per-shard slice of a Store's Config, already
@@ -398,38 +414,13 @@ func (s *Shard) retire(it *item) {
 	s.free = it
 }
 
-// Get looks up key, copying the value into dst (truncating if dst is
-// short). It returns the copied length and whether the key was found.
-//
-// A get only reads. It runs under the lock's shared mode (ExecShared),
-// which is the exclusive mode over an exclusive lock, and its lookup
-// sets the hit item's reference bit and writes nothing else: no relink, no
-// ownership move, no deferred exclusive section. memcached does not
-// relink on every hit either: 1.4 relinks a fetched item at most once
-// per ITEM_UPDATE_INTERVAL (60 s), and 1.5's segmented LRU only marks
-// it active. Concurrent readers on different clusters therefore share
-// every line they touch except the bit and their own statistics slot.
-func (s *Shard) Get(p *numa.Proc, key uint64, dst []byte) (int, bool) {
-	r := s.arm(p, csGet)
-	r.key, r.buf = key, dst
-	s.x.ExecShared(p, r.fn)
-	n, hit := r.n, r.ok
-	r.done()
-	slot := &s.slots[p.ID()]
-	slot.gets++
-	if !hit {
-		slot.misses++
-		return 0, false
-	}
-	slot.hits++
-	return n, true
-}
-
 // lookup is a get's critical section, one body whether the lock's
-// shared mode shares or excludes: hash walk, name check, reference bit, value copy. It never
-// relinks, as memcached relinks a fetched item at most once per
-// ITEM_UPDATE_INTERVAL. A non-nil name must equal the one the item was
-// stored under, or the lookup misses. Statistics stay outside.
+// shared mode shares or excludes: hash walk, name check, reference bit,
+// value copy. It writes only the hit item's bit, so readers on
+// different clusters share every other line; memcached relinks a
+// fetched item at most once per ITEM_UPDATE_INTERVAL (60 s). A non-nil
+// name must equal the one the item was stored under, or the lookup
+// misses. Statistics stay outside.
 func (s *Shard) lookup(key uint64, name, dst []byte) (int, bool) {
 	// The hash-bucket walk is read-only: read-shared lines replicate
 	// across caches without coherence misses, so no charge applies.
@@ -439,16 +430,6 @@ func (s *Shard) lookup(key uint64, name, dst []byte) (int, bool) {
 	}
 	it.reference()
 	return copy(dst, it.value[it.nameLen:]), true
-}
-
-// Set inserts or updates key with a copy of val, evicting the clock
-// hand's victim first if the shard is full.
-func (s *Shard) Set(p *numa.Proc, key uint64, val []byte) {
-	r := s.arm(p, csSet)
-	r.key, r.buf = key, val
-	s.x.Exec(p, r.fn)
-	r.done()
-	s.slots[p.ID()].sets++
 }
 
 // applySet is a set's critical section; callers hold the shard's
@@ -494,14 +475,6 @@ func (s *Shard) applySet(p *numa.Proc, key uint64, name, val []byte) {
 	s.domain.Access(p, lineStats, 1)
 }
 
-// Delete removes key, returning whether it was present.
-func (s *Shard) Delete(p *numa.Proc, key uint64) bool {
-	r := s.arm(p, csDelete)
-	r.key = key
-	s.x.Exec(p, r.fn)
-	return r.ok
-}
-
 // applyDelete is a delete's critical section; callers hold the
 // shard's exclusion.
 func (s *Shard) applyDelete(p *numa.Proc, key uint64) bool {
@@ -529,35 +502,26 @@ func (it *item) setValue(name, val []byte) {
 }
 
 // mget answers the group's lookups (idx indexes keys) in critical
-// sections of at most maxBatch operations each, each one ExecShared.
-// dsts may be nil to probe without copying, names nil to hit whatever
-// name a key was stored under; lens and found are written at the same
-// indices as keys.
-//
-// Where the lock's shared mode genuinely shares, this composes the RW
-// read protocol with the batch APIs: each chunk runs under ONE shared
-// acquisition — concurrent readers' chunks on different clusters
-// proceed together, and a group of N lookups costs ceil(N/maxBatch)
-// RLock acquisitions and no exclusive one. Per-key semantics match Get. Statistics stay
-// per-proc, outside the lock, counted once per operation under either
-// bracket.
+// sections of at most maxBatch lookups each, each one ExecShared. dsts
+// may be nil to probe without copying, names nil to hit whatever name a
+// key was stored under; lens and found are written at the same indices
+// as keys. Where the lock's shared mode genuinely shares, a group of N
+// lookups costs ceil(N/maxBatch) RLocks, concurrent with other
+// clusters' readers, and no exclusive acquisition. Statistics stay
+// per-proc, outside the lock.
 func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []int, found []bool, idx []int) {
-	slot := &s.slots[p.ID()]
 	r := s.arm(p, csMGet)
 	r.keys, r.names, r.bufs, r.lens, r.found = keys, names, dsts, lens, found
-	for start := 0; start < len(idx); start += s.maxBatch {
-		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.x.ExecShared(p, r.fn)
-		for _, i := range r.chunk {
-			slot.gets++
-			if found[i] {
-				slot.hits++
-			} else {
-				slot.misses++
-			}
+	s.post(p, r, idx)
+	slot := &s.slots[p.ID()]
+	slot.gets += uint64(len(idx))
+	for _, i := range idx {
+		if found[i] {
+			slot.hits++
+		} else {
+			slot.misses++
 		}
 	}
-	r.done()
 }
 
 // mset applies the group's sets (idx indexes keys/vals) in critical
@@ -568,11 +532,7 @@ func (s *Shard) mget(p *numa.Proc, keys []uint64, names, dsts [][]byte, lens []i
 func (s *Shard) mset(p *numa.Proc, keys []uint64, names, vals [][]byte, idx []int) {
 	r := s.arm(p, csMSet)
 	r.keys, r.names, r.bufs = keys, names, vals
-	for start := 0; start < len(idx); start += s.maxBatch {
-		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.x.Exec(p, r.fn)
-	}
-	r.done()
+	s.post(p, r, idx)
 	s.slots[p.ID()].sets += uint64(len(idx))
 }
 
@@ -584,11 +544,7 @@ func (s *Shard) mset(p *numa.Proc, keys []uint64, names, vals [][]byte, idx []in
 func (s *Shard) mdelete(p *numa.Proc, keys []uint64, idx []int, found []bool) int {
 	r := s.arm(p, csMDelete)
 	r.keys, r.found = keys, found
-	for start := 0; start < len(idx); start += s.maxBatch {
-		r.chunk = idx[start:min(start+s.maxBatch, len(idx))]
-		s.x.Exec(p, r.fn)
-	}
-	r.done()
+	s.post(p, r, idx)
 	return r.n
 }
 

@@ -29,6 +29,13 @@ var sink atomic.Uint64
 
 // Pause busy-spins for approximately n trivial loop iterations. It
 // never yields the processor; use Poll inside unbounded spin loops.
+//
+// It is never inlined, so every caller runs the one loop body that
+// Calibrate timed: an inlined copy's cost per unit depends on where the
+// caller's loop lands in memory and on the code around it, which made
+// the same pause window cost different times in different locks.
+//
+//go:noinline
 func Pause(n int) {
 	var x uint64
 	for i := 0; i < n; i++ {

@@ -32,12 +32,12 @@ const (
 
 func acEncodePred(idx int64) uint64 { return uint64(idx) + acPredBase }
 
-// acNode is one abortable-CLH queue record. parker wakes the waiter
-// that parks on this node: a waiter that never aborts (Blocking's)
-// parks, one with a deadline polls.
+// acNode is one abortable-CLH queue record. waiter names the parker
+// of the successor parked on this node, nil while none is: a waiter
+// that never aborts (Blocking's) parks, one with a deadline polls.
 type acNode struct {
 	word   atomic.Uint64
-	parker spin.Parker
+	waiter atomic.Pointer[spin.Parker]
 	_      numa.Pad
 }
 
@@ -67,11 +67,7 @@ func (a *acArena) alloc() int64 {
 		panic(fmt.Sprintf("core: A-CLH arena exhausted (%d nodes)", i))
 	}
 	if a.chunks[ci].Load() == nil {
-		c := new(acChunk)
-		for j := range c {
-			c[j].parker = spin.MakeParker()
-		}
-		a.chunks[ci].CompareAndSwap(nil, c)
+		a.chunks[ci].CompareAndSwap(nil, new(acChunk))
 	}
 	return i
 }
@@ -138,9 +134,12 @@ func (l *ACLHLocal) putNode(p *numa.Proc, idx int64) {
 // TryLock enqueues and spins on the predecessor until granted, the
 // predecessor chain resolves to a release, or the deadline passes.
 // A waiter whose deadline never comes (math.MaxInt64, Blocking's)
-// parks on the predecessor's node instead: under oversubscription a
-// FIFO successor that only polls is a runnable goroutine queued behind
-// busy ones, so each hand-off could cost a scheduler time slice.
+// parks instead, naming its parker in the predecessor's node before it
+// re-checks the node's word: under oversubscription a FIFO successor
+// that only polls is a runnable goroutine queued behind busy ones, so
+// each hand-off could cost a scheduler time slice. It clears the name
+// before it reclaims the node, so a recycled node names no stale
+// parker.
 //
 // Abort rules (all resolved through the predecessor's single word):
 //   - predecessor busy, flag clear: CAS in the successor-aborted flag;
@@ -176,7 +175,9 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 		// Predecessor is busy.
 		if deadline == math.MaxInt64 {
 			pn := l.arena.node(pred)
-			pn.parker.Wait(func() bool { return pn.word.Load()&acCodeMask != acBusy })
+			pn.waiter.Store(p.Parker())
+			p.Parker().Wait(func() bool { return pn.word.Load()&acCodeMask != acBusy })
+			pn.waiter.Store(nil)
 			continue
 		}
 		if spin.Expired(deadline) {
@@ -184,7 +185,7 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 				l.arena.node(pred).word.CompareAndSwap(acBusy, acBusy|acAbortFlag) {
 				nd := l.arena.node(n)
 				nd.word.Store(acEncodePred(pred))
-				nd.parker.Wake()
+				nd.wake()
 				return ReleaseGlobal, false
 			}
 			// The CAS lost a race with a release or an abort
@@ -209,7 +210,18 @@ func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
 		releaseGlobal()
 		nd.word.Store(acRG)
 	}
-	nd.parker.Wake()
+	nd.wake()
+}
+
+// wake wakes the successor parked on n, if one has named its parker.
+// Call it after n's word changes: the successor names its parker
+// before it re-checks the word, and both sides are sequentially
+// consistent, so either this load sees the parker or the re-check
+// sees the word.
+func (n *acNode) wake() {
+	if pk := n.waiter.Load(); pk != nil {
+		pk.Wake()
+	}
 }
 
 // Alone reports whether the holder's node is still the queue tail,

@@ -28,14 +28,15 @@ import (
 // admitted set re-arrives (re-arrivals queue behind it).
 
 // gcrWaiter is one proc's registration record for one Restricted
-// lock: the ticket it is currently throttled on (-1 when none) and
-// the parker a promotion wakes. Only the owning proc ever writes
-// ticket, which is what makes the wake protocol loss-free: a
-// registration cannot be overwritten by other threads, so a
-// releaser's scan finds it no matter how late the releaser runs.
+// lock: the ticket it was last throttled on. It starts at 0, which no
+// exit ever admits (an exit admits e+limit-1 >= 1), so a proc that
+// never waited is never woken. A promotion wakes the proc's parker.
+// Only the owning proc ever writes ticket, which is what makes the
+// wake protocol loss-free: a registration cannot be overwritten by
+// other threads, so a releaser's scan finds it no matter how late the
+// releaser runs.
 type gcrWaiter struct {
 	ticket atomic.Int64
-	parker spin.Parker
 	_      numa.Pad
 }
 
@@ -47,15 +48,13 @@ type gcrCluster struct {
 	_       numa.Pad
 	exits   atomic.Int64
 	_       numa.Pad
-	// waiters holds the registration records of this cluster's procs;
-	// a releaser scans it for the one ticket its exit admitted.
-	waiters []*gcrWaiter
 }
 
 // Restricted is a concurrency-restriction wrapper around an inner
 // lock. It is itself a locks.Mutex, so it composes with everything the
 // registry can build, including cohort locks and CNA.
 type Restricted struct {
+	topo  *numa.Topology
 	inner locks.Mutex
 	limit int64
 	cls   []gcrCluster
@@ -81,19 +80,13 @@ func NewRestricted(topo *numa.Topology, inner locks.Mutex, perCluster int) *Rest
 	if perCluster <= 0 {
 		perCluster = DefaultActivePerCluster(topo)
 	}
-	l := &Restricted{
+	return &Restricted{
+		topo:  topo,
 		inner: inner,
 		limit: int64(perCluster),
 		cls:   make([]gcrCluster, topo.Clusters()),
 		procs: make([]gcrWaiter, topo.MaxProcs()),
 	}
-	for i := range l.procs {
-		l.procs[i].parker = spin.MakeParker()
-		l.procs[i].ticket.Store(-1)
-		c := &l.cls[topo.ClusterOf(i)]
-		c.waiters = append(c.waiters, &l.procs[i])
-	}
-	return l
 }
 
 // Waiting reports how many procs of cluster c are currently throttled
@@ -113,7 +106,6 @@ func (l *Restricted) Lock(p *numa.Proc) {
 	c := &l.cls[p.Cluster()]
 	t := c.tickets.Add(1) - 1
 	if t-c.exits.Load() >= l.limit {
-		w := &l.procs[p.ID()]
 		// Publish the ticket before the admission check inside Wait: a
 		// releaser that scans before this store has not yet retired the
 		// ticket we would be waiting on, so the re-check sees the new
@@ -121,16 +113,22 @@ func (l *Restricted) Lock(p *numa.Proc) {
 		// left in place — tickets are unique and increasing, so a past
 		// value can never equal a future exit's target and needs no
 		// reset.
-		w.ticket.Store(t)
-		w.parker.Wait(func() bool { return t-c.exits.Load() < l.limit })
+		l.procs[p.ID()].ticket.Store(t)
+		p.Parker().Wait(func() bool { return t-c.exits.Load() < l.limit })
 	}
 	l.inner.Lock(p)
 }
 
-// Unlock releases the inner lock, retires the caller's ticket, and
-// promotes the newly admitted waiter, if any.
+// Unlock retires the caller's ticket, promotes the newly admitted
+// waiter, if any, and then releases the inner lock. Admission is a
+// throttle and exclusion is the inner lock's job, so promoting first
+// is safe: the promoted proc only starts competing for an inner lock
+// the caller still holds. The order matters under oversubscription:
+// the inner release wakes the inner successor, and a promotion woken
+// after it displaced that new holder from the releaser's processor,
+// which made gcr- writers take seconds where pthread's took
+// milliseconds (TestOversubscribedWritersFinish).
 func (l *Restricted) Unlock(p *numa.Proc) {
-	l.inner.Unlock(p)
 	c := &l.cls[p.Cluster()]
 	e := c.exits.Add(1)
 	// Tickets below e+limit are now admitted; adm = e+limit-1 is the
@@ -142,11 +140,12 @@ func (l *Restricted) Unlock(p *numa.Proc) {
 	// slow, never lost.
 	adm := e + l.limit - 1
 	if c.tickets.Load() > adm {
-		for _, w := range c.waiters {
-			if w.ticket.Load() == adm {
-				w.parker.Wake()
+		for _, id := range l.topo.Members(p.Cluster()) {
+			if l.procs[id].ticket.Load() == adm {
+				l.topo.Proc(id).Parker().Wake()
 				break
 			}
 		}
 	}
+	l.inner.Unlock(p)
 }

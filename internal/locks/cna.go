@@ -23,7 +23,7 @@ type cnaNode struct {
 	granted atomic.Int32 // 1 once the lock has been passed to this node
 	sec     atomic.Pointer[cnaNode]
 	secTail atomic.Pointer[cnaNode]
-	parker  spin.Parker
+	parker  *spin.Parker // the owner's
 	cluster int
 	_       numa.Pad
 }
@@ -63,7 +63,7 @@ func NewCNAStreak(topo *numa.Topology, limit int64) *CNA {
 	}
 	l := &CNA{limit: limit, nodes: make([]cnaNode, topo.MaxProcs())}
 	for i := range l.nodes {
-		l.nodes[i].parker = spin.MakeParker()
+		l.nodes[i].parker = topo.Proc(i).Parker()
 		l.nodes[i].cluster = topo.ClusterOf(i)
 	}
 	return l

@@ -18,12 +18,12 @@ const (
 // its state, padded so posters on different procs never share a line.
 // fn is written by the owning proc before the posted store and read
 // by a combiner after observing posted, so the atomic state carries
-// all the ordering.
+// all the ordering. A poster waits on its proc's parker, which the
+// combiner that ran its closure wakes.
 type combSlot struct {
-	state  atomic.Int32
-	fn     func()
-	parker spin.Parker
-	_      numa.Pad
+	state atomic.Int32
+	fn    func()
+	_     numa.Pad
 }
 
 // occSlot is one cluster's posted-request count, padded so clusters
@@ -101,22 +101,19 @@ func passes(occ int32) int {
 // lines, so no line is written by two clusters except a gate or slot
 // through the election and harvest protocols.
 type combiner struct {
-	m       Mutex
-	occ     []occSlot
-	gates   []combinerGate
-	slots   []combSlot
-	members [][]int // each cluster's proc ids, the combiner's scan order
+	m     Mutex
+	topo  *numa.Topology
+	occ   []occSlot
+	gates []combinerGate
+	slots []combSlot
 }
 
 func (c *combiner) init(topo *numa.Topology, m Mutex) {
 	c.m = m
+	c.topo = topo
 	c.occ = make([]occSlot, topo.Clusters())
 	c.gates = make([]combinerGate, topo.Clusters())
 	c.slots = make([]combSlot, topo.MaxProcs())
-	c.members = clusterMembers(topo)
-	for i := range c.slots {
-		c.slots[i].parker = spin.MakeParker()
-	}
 }
 
 // Exec runs fn inside the bracket: in hand on the solo path, or by
@@ -155,7 +152,7 @@ func (c *combiner) Exec(p *numa.Proc, fn func()) {
 		}
 		spin.Poll(i)
 	}
-	slot.parker.Wait(func() bool { return slot.state.Load() == combDone })
+	p.Parker().Wait(func() bool { return slot.state.Load() == combDone })
 	slot.state.Store(combIdle)
 	oc.n.Add(-1)
 }
@@ -212,7 +209,7 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 	// or wins the gate once the sweeper leaves; a cluster whose own
 	// combiner holds the gate is skipped — that combiner is already
 	// waiting on m and will serve it with locality.
-	for rc := range c.members {
+	for rc := range c.gates {
 		if rc == cl || c.occ[rc].n.Load() == 0 {
 			continue
 		}
@@ -235,7 +232,7 @@ func (c *combiner) combine(p *numa.Proc, own func()) {
 // harvest runs every closure cluster's procs have posted and reports
 // how many. Called inside the bracket with cluster's gate held.
 func (c *combiner) harvest(cluster int) (ran int) {
-	for _, id := range c.members[cluster] {
+	for _, id := range c.topo.Members(cluster) {
 		s := &c.slots[id]
 		if s.state.Load() != combPosted {
 			continue
@@ -244,7 +241,7 @@ func (c *combiner) harvest(cluster int) (ran int) {
 		s.fn = nil
 		fn()
 		s.state.Store(combDone)
-		s.parker.Wake()
+		c.topo.Proc(id).Parker().Wake()
 		ran++
 	}
 	return ran

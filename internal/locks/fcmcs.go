@@ -22,17 +22,6 @@ type combinerGate struct {
 	_    numa.Pad
 }
 
-// clusterMembers lists the proc ids of each cluster in id order, a
-// combiner's scan order.
-func clusterMembers(topo *numa.Topology) [][]int {
-	members := make([][]int, topo.Clusters())
-	for id := 0; id < topo.MaxProcs(); id++ {
-		cl := topo.ClusterOf(id)
-		members[cl] = append(members[cl], id)
-	}
-	return members
-}
-
 // FCMCS is the flat-combining MCS lock of Dice, Marathe and Shavit
 // (SPAA 2011), the strongest prior NUMA-aware lock in the paper's
 // comparison. Threads publish acquisition requests in a per-cluster
@@ -49,11 +38,9 @@ func clusterMembers(topo *numa.Topology) [][]int {
 // preserved.
 type FCMCS struct {
 	q     *MCS
+	topo  *numa.Topology
 	gates []combinerGate
 	slots []fcSlot
-	// members lists the proc ids of each cluster, the combiner's scan
-	// order.
-	members [][]int
 }
 
 // DefaultFCPasses is how many harvest sweeps a combiner makes over its
@@ -64,10 +51,10 @@ const DefaultFCPasses = 2
 // NewFCMCS returns an FC-MCS lock for the given topology.
 func NewFCMCS(topo *numa.Topology) *FCMCS {
 	return &FCMCS{
-		q:       NewMCS(topo),
-		gates:   make([]combinerGate, topo.Clusters()),
-		slots:   make([]fcSlot, topo.MaxProcs()),
-		members: clusterMembers(topo),
+		q:     NewMCS(topo),
+		topo:  topo,
+		gates: make([]combinerGate, topo.Clusters()),
+		slots: make([]fcSlot, topo.MaxProcs()),
 	}
 }
 
@@ -117,7 +104,7 @@ func (l *FCMCS) combine(cluster int) {
 		if pass > 0 {
 			spin.Pause(combinePassPause)
 		}
-		for _, id := range l.members[cluster] {
+		for _, id := range l.topo.Members(cluster) {
 			s := &l.slots[id]
 			if !s.posted.Load() {
 				continue

@@ -11,10 +11,11 @@ import (
 // pair owns a dedicated padded node, so nodes are reused across
 // acquisitions without allocation — safe because standard MCS
 // guarantees a node is unreferenced once its owner's Unlock returns.
+// parker is the owner's, the one its predecessor wakes.
 type mcsNode struct {
 	next   atomic.Pointer[mcsNode]
 	locked atomic.Int32 // 1 while waiting
-	parker spin.Parker
+	parker *spin.Parker
 	_      numa.Pad
 }
 
@@ -32,7 +33,7 @@ type MCS struct {
 func NewMCS(topo *numa.Topology) *MCS {
 	l := &MCS{nodes: make([]mcsNode, topo.MaxProcs())}
 	for i := range l.nodes {
-		l.nodes[i].parker = spin.MakeParker()
+		l.nodes[i].parker = topo.Proc(i).Parker()
 	}
 	return l
 }

@@ -13,45 +13,48 @@ import (
 // thread may perform the grant increment), which the paper exploits
 // when using it as a cohort global lock.
 //
-// Waiters park per-ticket: slot ticket%len(parkers) can host at most
-// one waiter because at most MaxProcs threads wait concurrently, so
-// the releaser's targeted wake is exact.
+// A waiter names its parker in slot ticket%len(waiters). A slot hosts
+// at most one waiter, because at most MaxProcs tickets are outstanding,
+// so the releaser's targeted wake is exact.
 type Ticket struct {
 	request atomic.Uint64
 	_       numa.Pad
 	grant   atomic.Uint64
 	_pad2   numa.Pad
-	parkers []parkSlot
-}
-
-type parkSlot struct {
-	p spin.Parker
-	_ numa.Pad
+	waiters []atomic.Pointer[spin.Parker]
 }
 
 // NewTicket returns an unlocked ticket lock sized for topo's
 // processors.
 func NewTicket(topo *numa.Topology) *Ticket {
-	l := &Ticket{parkers: make([]parkSlot, topo.MaxProcs())}
-	for i := range l.parkers {
-		l.parkers[i].p = spin.MakeParker()
-	}
-	return l
+	return &Ticket{waiters: make([]atomic.Pointer[spin.Parker], topo.MaxProcs())}
 }
 
-// Lock takes a ticket and waits until it is granted.
-func (l *Ticket) Lock(_ *numa.Proc) {
+// Lock takes a ticket and waits until it is granted. The waiter
+// publishes its parker before Wait re-checks grant, and the releaser
+// loads the slot after its grant.Add; both sides are sequentially
+// consistent, so either the releaser sees the parker or the waiter
+// sees the grant. The slot is cleared once the ticket is granted,
+// while the ticket is still outstanding, so no later waiter of the
+// slot has published yet.
+func (l *Ticket) Lock(p *numa.Proc) {
 	t := l.request.Add(1) - 1
 	if l.grant.Load() == t {
 		return
 	}
-	l.parkers[t%uint64(len(l.parkers))].p.Wait(func() bool { return l.grant.Load() == t })
+	w := &l.waiters[t%uint64(len(l.waiters))]
+	w.Store(p.Parker())
+	p.Parker().Wait(func() bool { return l.grant.Load() == t })
+	w.Store(nil)
 }
 
-// Unlock grants the next ticket and wakes exactly its holder.
+// Unlock grants the next ticket and wakes exactly its holder, if it
+// has parked or is about to.
 func (l *Ticket) Unlock(_ *numa.Proc) {
 	g := l.grant.Add(1)
-	l.parkers[g%uint64(len(l.parkers))].p.Wake()
+	if pk := l.waiters[g%uint64(len(l.waiters))].Load(); pk != nil {
+		pk.Wake()
+	}
 }
 
 // Alone reports whether no later ticket has been requested: the

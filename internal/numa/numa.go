@@ -8,7 +8,8 @@
 // cluster for its lifetime. Cohort locks, the cache-coherence
 // simulator, and all harnesses consult only the Proc's cluster id and
 // dense proc id, which is the full extent of hardware knowledge the
-// paper's algorithms require.
+// paper's algorithms require. A Proc also owns the one spin.Parker its
+// goroutine blocks on, whatever lock it waits for.
 package numa
 
 import (
@@ -34,6 +35,7 @@ type Topology struct {
 	clusters int
 	maxProcs int
 	procs    []*Proc
+	members  [][]int // each cluster's proc ids, in id order
 }
 
 // New returns a topology with the given cluster count and maximum
@@ -45,13 +47,20 @@ func New(clusters, maxProcs int) *Topology {
 	if clusters <= 0 || maxProcs <= 0 {
 		panic(fmt.Sprintf("numa: New(%d, %d): clusters and maxProcs must be positive", clusters, maxProcs))
 	}
-	t := &Topology{clusters: clusters, maxProcs: maxProcs, procs: make([]*Proc, maxProcs)}
+	t := &Topology{
+		clusters: clusters,
+		maxProcs: maxProcs,
+		procs:    make([]*Proc, maxProcs),
+		members:  make([][]int, clusters),
+	}
 	for i := range t.procs {
 		t.procs[i] = &Proc{
 			id:      i,
 			cluster: i % clusters,
 			rng:     spin.NewXorShift(uint64(i) + 1),
+			parker:  spin.MakeParker(),
 		}
+		t.members[i%clusters] = append(t.members[i%clusters], i)
 	}
 	// The topology's processor count is the best available estimate of
 	// worker concurrency, so it selects the spin discipline (pure
@@ -87,13 +96,20 @@ func (t *Topology) ClusterOf(id int) int {
 	return t.procs[id].cluster
 }
 
+// Members returns the ids of cluster c's procs in id order, the order
+// a combiner scans its cluster's publication slots in. The slice is
+// shared; callers must not modify it.
+func (t *Topology) Members(c int) []int { return t.members[c] }
+
 // Proc identifies one logical processor (worker thread). Exactly one
 // goroutine may use a given Proc at a time; handles carry per-thread
-// scratch state (an RNG) that is deliberately unsynchronized.
+// scratch state (an RNG) that is deliberately unsynchronized, and the
+// parker that goroutine blocks on.
 type Proc struct {
 	id      int
 	cluster int
 	rng     spin.XorShift
+	parker  spin.Parker
 	_       Pad
 }
 
@@ -102,6 +118,12 @@ func (p *Proc) ID() int { return p.id }
 
 // Cluster reports the NUMA cluster this processor belongs to.
 func (p *Proc) Cluster() int { return p.cluster }
+
+// Parker returns the parker this processor's goroutine waits on. There
+// is one per proc, shared by every lock: a goroutine waits for one
+// condition at a time, and a wake meant for an earlier wait costs a
+// later one at most a spurious re-check (see spin.Parker).
+func (p *Proc) Parker() *spin.Parker { return &p.parker }
 
 // Rand returns the next value of the processor-local RNG.
 func (p *Proc) Rand() uint64 { return p.rng.Next() }

@@ -94,3 +94,39 @@ func TestProcRandVaries(t *testing.T) {
 		t.Fatalf("RandN(10) = %d out of range", v)
 	}
 }
+
+// TestMembersPartitionProcs: Members lists each cluster's procs in id
+// order, and the clusters' lists together name every proc once.
+func TestMembersPartitionProcs(t *testing.T) {
+	topo := New(3, 10)
+	seen := 0
+	for c := 0; c < topo.Clusters(); c++ {
+		prev := -1
+		for _, id := range topo.Members(c) {
+			if topo.ClusterOf(id) != c || id <= prev {
+				t.Fatalf("Members(%d) = %v: want cluster %d's ids, ascending", c, topo.Members(c), c)
+			}
+			prev = id
+			seen++
+		}
+	}
+	if seen != topo.MaxProcs() {
+		t.Fatalf("Members lists %d procs, want %d", seen, topo.MaxProcs())
+	}
+}
+
+// TestOneParkerPerProc: a proc's parker is its own, the same on every
+// call, so every lock wakes the parker its goroutine blocks on.
+func TestOneParkerPerProc(t *testing.T) {
+	topo := New(2, 4)
+	for i := 0; i < 4; i++ {
+		if topo.Proc(i).Parker() != topo.Proc(i).Parker() {
+			t.Fatalf("Proc(%d).Parker() differs between calls", i)
+		}
+		for j := 0; j < i; j++ {
+			if topo.Proc(i).Parker() == topo.Proc(j).Parker() {
+				t.Fatalf("procs %d and %d share a parker", i, j)
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package spin
 
-// Parker augments a queue-lock node with spin-then-park waiting for
+// Parker gives a queue-lock waiter spin-then-park waiting for
 // oversubscribed deployments. The paper's machine dedicates a hardware
 // context to every thread, so queue waiters spin; under the Go
 // runtime, once goroutines outnumber GOMAXPROCS, a FIFO hand-off to a
@@ -20,12 +20,22 @@ package spin
 // absorb a needed wake, because Wake-after-condition always finds
 // either an empty buffer (send succeeds) or a stale token the waiter
 // is about to consume.
+//
+// Each numa.Proc owns one Parker, and every lock its goroutine waits
+// for wakes that one: a goroutine waits for one condition at a time,
+// so a Parker still has at most one waiter, and a token left by a wake
+// meant for an earlier wait — on this lock or on another — is a stale
+// token like any other. A waker that finds the waiter's parker through
+// a record (a queue node, a ticket slot) needs the waiter to publish
+// the parker before its condition check and itself to load it after
+// its condition store, both sequentially consistent, so that at least
+// one side sees the other.
 type Parker struct {
 	ch chan struct{}
 }
 
-// MakeParker returns a ready Parker. Lock constructors call this once
-// per queue node; the zero Parker is not usable.
+// MakeParker returns a ready Parker. numa.New calls this once per
+// proc; the zero Parker is not usable.
 func MakeParker() Parker {
 	return Parker{ch: make(chan struct{}, 1)}
 }

@@ -13,8 +13,8 @@ import (
 const DefaultCNAStreak = 64
 
 // cnaNode is one thread's record in the CNA queue. Like MCS, each
-// (lock, proc) pair owns a dedicated padded node, reused across
-// acquisitions. Beyond the MCS fields it carries the secondary-list
+// (lock, proc) pair owns a dedicated padded node, made at the proc's
+// first acquisition and reused after it. Beyond the MCS fields it carries the secondary-list
 // plumbing: sec is the head of the deferred remote-waiter list handed
 // to this node along with the lock, and secTail (meaningful only on a
 // secondary-list head) is that list's last node.
@@ -44,7 +44,7 @@ type CNA struct {
 	// grant and tail atomics.
 	streak int64
 	limit  int64
-	nodes  []cnaNode // indexed by proc id
+	nodes  []*cnaNode // indexed by proc id; nil until the proc's first Lock
 }
 
 // NewCNA returns a CNA lock sized for the topology's processors, with
@@ -61,18 +61,18 @@ func NewCNAStreak(topo *numa.Topology, limit int64) *CNA {
 	if limit == 0 {
 		limit = DefaultCNAStreak
 	}
-	l := &CNA{limit: limit, nodes: make([]cnaNode, topo.MaxProcs())}
-	for i := range l.nodes {
-		l.nodes[i].parker = topo.Proc(i).Parker()
-		l.nodes[i].cluster = topo.ClusterOf(i)
-	}
-	return l
+	return &CNA{limit: limit, nodes: make([]*cnaNode, topo.MaxProcs())}
 }
 
 // Lock enqueues the caller on the main queue and spins on its own
 // node, exactly like MCS; NUMA-awareness lives entirely in Unlock.
+// The node is made at the proc's first acquisition, as MCS's is.
 func (l *CNA) Lock(p *numa.Proc) {
-	n := &l.nodes[p.ID()]
+	n := l.nodes[p.ID()]
+	if n == nil {
+		n = &cnaNode{parker: p.Parker(), cluster: p.Cluster()}
+		l.nodes[p.ID()] = n
+	}
 	n.next.Store(nil)
 	n.sec.Store(nil)
 	n.secTail.Store(nil)
@@ -90,7 +90,7 @@ func (l *CNA) Lock(p *numa.Proc) {
 // secondary list; otherwise it serves the oldest deferred waiter (or
 // the main-queue head) and resets the streak.
 func (l *CNA) Unlock(p *numa.Proc) {
-	n := &l.nodes[p.ID()]
+	n := l.nodes[p.ID()]
 	next := n.next.Load()
 	if next == nil {
 		if sec := n.sec.Load(); sec == nil {

@@ -70,7 +70,7 @@ const electAfter = 512
 func (l *FCMCS) Lock(p *numa.Proc) {
 	id := p.ID()
 	slot := &l.slots[id]
-	node := &l.q.nodes[id]
+	node := l.q.node(p)
 	slot.posted.Store(true)
 
 	gate := &l.gates[p.Cluster()]
@@ -109,7 +109,7 @@ func (l *FCMCS) combine(cluster int) {
 			if !s.posted.Load() {
 				continue
 			}
-			nd := &l.q.nodes[id]
+			nd := l.q.nodes[id]
 			nd.next.Store(nil)
 			nd.locked.Store(1)
 			if head == nil {

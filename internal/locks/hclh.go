@@ -48,7 +48,7 @@ func NewHCLH(topo *numa.Topology) *HCLH {
 // Lock enqueues into the cluster queue; the cluster master splices the
 // batch into the global queue.
 func (l *HCLH) Lock(p *numa.Proc) {
-	n := &l.q.nodes[p.ID()]
+	n := l.q.node(p)
 	n.next.Store(nil)
 	n.locked.Store(1)
 

@@ -8,10 +8,11 @@ import (
 )
 
 // mcsNode is one thread's record in the MCS queue. Each (lock, proc)
-// pair owns a dedicated padded node, so nodes are reused across
-// acquisitions without allocation — safe because standard MCS
-// guarantees a node is unreferenced once its owner's Unlock returns.
-// parker is the owner's, the one its predecessor wakes.
+// pair owns a dedicated padded node, made at the proc's first
+// acquisition and reused after it without allocation — safe because
+// standard MCS guarantees a node is unreferenced once its owner's
+// Unlock returns. parker is the owner's, the one its predecessor
+// wakes.
 type mcsNode struct {
 	next   atomic.Pointer[mcsNode]
 	locked atomic.Int32 // 1 while waiting
@@ -26,21 +27,30 @@ type mcsNode struct {
 type MCS struct {
 	tail  atomic.Pointer[mcsNode]
 	_     numa.Pad
-	nodes []mcsNode // indexed by proc id
+	nodes []*mcsNode // indexed by proc id; nil until the proc's first Lock
 }
 
 // NewMCS returns an MCS lock sized for the topology's processors.
 func NewMCS(topo *numa.Topology) *MCS {
-	l := &MCS{nodes: make([]mcsNode, topo.MaxProcs())}
-	for i := range l.nodes {
-		l.nodes[i].parker = topo.Proc(i).Parker()
+	return &MCS{nodes: make([]*mcsNode, topo.MaxProcs())}
+}
+
+// node returns p's node, making it at p's first acquisition. Only p
+// writes its entry, and any other proc reaches the node through the
+// queue's atomics, so a cluster's local lock holds nodes only for the
+// procs that take it.
+func (l *MCS) node(p *numa.Proc) *mcsNode {
+	n := l.nodes[p.ID()]
+	if n == nil {
+		n = &mcsNode{parker: p.Parker()}
+		l.nodes[p.ID()] = n
 	}
-	return l
+	return n
 }
 
 // Lock enqueues the caller and spins on its own node.
 func (l *MCS) Lock(p *numa.Proc) {
-	n := &l.nodes[p.ID()]
+	n := l.node(p)
 	n.next.Store(nil)
 	n.locked.Store(1)
 	pred := l.tail.Swap(n)
@@ -53,7 +63,7 @@ func (l *MCS) Lock(p *numa.Proc) {
 
 // Unlock hands the lock to the successor, or empties the queue.
 func (l *MCS) Unlock(p *numa.Proc) {
-	n := &l.nodes[p.ID()]
+	n := l.nodes[p.ID()]
 	next := n.next.Load()
 	if next == nil {
 		if l.tail.CompareAndSwap(n, nil) {

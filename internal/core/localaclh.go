@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -41,43 +41,49 @@ type acNode struct {
 	_      numa.Pad
 }
 
-// Arena geometry: chunks are installed once and never move, so a node
+// Arena geometry: chunk k holds acBase<<k nodes, so the arena grows
+// with the nodes the lock hands out — a lock that a few procs take
+// holds a few nodes — and acMaxChunks chunks hold more nodes than
+// memory does. Chunks are installed once and never move, so a node
 // index remains valid for the lock's lifetime while the arena grows
 // without copying.
 const (
-	acChunkShift = 8
-	acChunkSize  = 1 << acChunkShift
-	acChunkMask  = acChunkSize - 1
-	acMaxChunks  = 1 << 12
+	acBaseShift = 2
+	acBase      = 1 << acBaseShift
+	acMaxChunks = 40
 )
-
-type acChunk [acChunkSize]acNode
 
 // acArena is a grow-only chunked node store. Racing installers of a
 // chunk agree by CAS; a loser's chunk is garbage.
 type acArena struct {
 	next   atomic.Int64
-	chunks [acMaxChunks]atomic.Pointer[acChunk]
+	chunks [acMaxChunks]atomic.Pointer[[]acNode]
+}
+
+// acChunkOf maps node index i to its chunk k, which holds indexes
+// [acBase·(2^k−1), acBase·(2^(k+1)−1)), and its offset there.
+func acChunkOf(i int64) (k int, off int64) {
+	k = bits.Len64(uint64(i>>acBaseShift)+1) - 1
+	return k, i - (acBase<<k - acBase)
 }
 
 func (a *acArena) alloc() int64 {
 	i := a.next.Add(1) - 1
-	ci := i >> acChunkShift
-	if ci >= acMaxChunks {
-		panic(fmt.Sprintf("core: A-CLH arena exhausted (%d nodes)", i))
-	}
-	if a.chunks[ci].Load() == nil {
-		a.chunks[ci].CompareAndSwap(nil, new(acChunk))
+	if k, _ := acChunkOf(i); a.chunks[k].Load() == nil {
+		c := make([]acNode, acBase<<k)
+		a.chunks[k].CompareAndSwap(nil, &c)
 	}
 	return i
 }
 
 func (a *acArena) node(i int64) *acNode {
-	return &a.chunks[i>>acChunkShift].Load()[i&acChunkMask]
+	k, off := acChunkOf(i)
+	return &(*a.chunks[k].Load())[off]
 }
 
 // acProcState is per-proc bookkeeping: the node held by the current
-// acquisition and a free-node pool. Only the owning proc touches it.
+// acquisition and a free-node pool. Only the owning proc touches it,
+// and makes it at its first acquisition.
 type acProcState struct {
 	holder int64
 	pool   []int64
@@ -101,20 +107,26 @@ type ACLHLocal struct {
 	arena acArena
 	tail  atomic.Int64
 	_     numa.Pad
-	procs []acProcState
+	procs []*acProcState // indexed by proc id; nil until the proc's first TryLock
 }
 
 // NewACLHLocal returns an abortable cohort-detecting CLH lock.
 func NewACLHLocal(topo *numa.Topology) *ACLHLocal {
-	l := &ACLHLocal{procs: make([]acProcState, topo.MaxProcs())}
+	l := &ACLHLocal{procs: make([]*acProcState, topo.MaxProcs())}
 	dummy := l.arena.alloc()
 	l.arena.node(dummy).word.Store(acRG)
 	l.tail.Store(dummy)
 	return l
 }
 
+// getNode returns a busy node for p's acquisition, from p's pool or
+// the arena, making p's state at its first acquisition.
 func (l *ACLHLocal) getNode(p *numa.Proc) int64 {
-	st := &l.procs[p.ID()]
+	st := l.procs[p.ID()]
+	if st == nil {
+		st = new(acProcState)
+		l.procs[p.ID()] = st
+	}
 	if n := len(st.pool); n > 0 {
 		idx := st.pool[n-1]
 		st.pool = st.pool[:n-1]
@@ -127,7 +139,7 @@ func (l *ACLHLocal) getNode(p *numa.Proc) int64 {
 }
 
 func (l *ACLHLocal) putNode(p *numa.Proc, idx int64) {
-	st := &l.procs[p.ID()]
+	st := l.procs[p.ID()]
 	st.pool = append(st.pool, idx)
 }
 

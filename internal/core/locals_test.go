@@ -296,11 +296,11 @@ func TestPatienceHelper(t *testing.T) {
 }
 
 func TestACLHLocalArenaConcurrentGrowth(t *testing.T) {
-	// Eight allocators race across eight chunk installs. Every index
-	// must resolve to its own node, and a node handed out during the
-	// race must stay where it was: a lost install race must not
-	// replace a chunk already in use.
-	const workers, perWorker = 8, acChunkSize
+	// Eight allocators race across eight chunk installs: 512 nodes
+	// span chunks 0-7. Every index must resolve to its own node, and a
+	// node handed out during the race must stay where it was: a lost
+	// install race must not replace a chunk already in use.
+	const workers, perWorker = 8, 64
 	var a acArena
 	idx := make([][]int64, workers)
 	got := make([][]*acNode, workers)
@@ -335,5 +335,42 @@ func TestACLHLocalArenaConcurrentGrowth(t *testing.T) {
 	}
 	if len(seen) != workers*perWorker {
 		t.Fatalf("%d distinct nodes, want %d", len(seen), workers*perWorker)
+	}
+}
+
+// TestACLHArenaGrowsFromEmpty: the arena holds no chunk until a node
+// is handed out, each chunk is made when its first index is, chunk k
+// holds acBase<<k nodes, and every index names its own node, the same
+// one on every lookup.
+func TestACLHArenaGrowsFromEmpty(t *testing.T) {
+	var a acArena
+	for k := range a.chunks {
+		if a.chunks[k].Load() != nil {
+			t.Fatalf("a fresh arena holds chunk %d", k)
+		}
+	}
+	const n = 1000
+	seen := map[*acNode]int64{}
+	for i := int64(0); i < n; i++ {
+		if got := a.alloc(); got != i {
+			t.Fatalf("alloc %d returned index %d", i, got)
+		}
+		k, off := acChunkOf(i)
+		if c := a.chunks[k].Load(); c == nil || len(*c) != acBase<<k || off < 0 || off >= int64(len(*c)) {
+			t.Fatalf("index %d: chunk %d offset %d outside a chunk of %d nodes", i, k, off, acBase<<k)
+		}
+		if k+1 < acMaxChunks && a.chunks[k+1].Load() != nil {
+			t.Fatalf("index %d: chunk %d made before its first index", i, k+1)
+		}
+		nd := a.node(i)
+		if j, dup := seen[nd]; dup {
+			t.Fatalf("indexes %d and %d share a node", j, i)
+		}
+		seen[nd] = i
+	}
+	for nd, i := range seen {
+		if a.node(i) != nd {
+			t.Fatalf("index %d names a different node on a second lookup", i)
+		}
 	}
 }

@@ -124,10 +124,10 @@ func (l *Restricted) Lock(p *numa.Proc) {
 // throttle and exclusion is the inner lock's job, so promoting first
 // is safe: the promoted proc only starts competing for an inner lock
 // the caller still holds. The order matters under oversubscription:
-// the inner release wakes the inner successor, and a promotion woken
-// after it displaced that new holder from the releaser's processor,
-// which made gcr- writers take seconds where pthread's took
-// milliseconds (TestOversubscribedWritersFinish).
+// promoting after the inner release, which wakes the inner successor,
+// made gcr- writers take seconds where pthread's took milliseconds
+// (TestOversubscribedWritersFinish); the likely cause is the second
+// wake displacing the new inner holder from the releaser's processor.
 func (l *Restricted) Unlock(p *numa.Proc) {
 	c := &l.cls[p.Cluster()]
 	e := c.exits.Add(1)

@@ -62,9 +62,13 @@ func TestRestrictedFairness(t *testing.T) {
 	locktest.CheckFairness(t, topo, l, 16, 300)
 }
 
-// gaugeMutex counts concurrent Lock..Unlock occupants per cluster and
-// records the high-water mark; Restricted only calls into the inner
-// lock after admission, so the mark must respect the admission bound.
+// gaugeMutex counts, per cluster, the procs inside its Lock — the
+// waiters competing for the inner lock — and records the high-water
+// mark; Restricted only calls into the inner lock after admission, so
+// the mark must respect the admission bound. A holder is not counted:
+// Restricted retires its admission before it releases the inner lock,
+// so a promoted waiter may enter Lock while the releaser that promoted
+// it still holds the inner lock.
 type gaugeMutex struct {
 	inner  locks.Mutex
 	in     []atomic.Int64
@@ -90,12 +94,10 @@ func (g *gaugeMutex) Lock(p *numa.Proc) {
 		}
 	}
 	g.inner.Lock(p)
-}
-
-func (g *gaugeMutex) Unlock(p *numa.Proc) {
-	g.inner.Unlock(p)
 	g.in[p.Cluster()].Add(-1)
 }
+
+func (g *gaugeMutex) Unlock(p *numa.Proc) { g.inner.Unlock(p) }
 
 func TestRestrictedBoundsActiveWaitersPerCluster(t *testing.T) {
 	const k = 2
@@ -110,7 +112,7 @@ func TestRestrictedBoundsActiveWaitersPerCluster(t *testing.T) {
 	l := core.NewRestricted(topo, g, k)
 	locktest.Check(t, topo, locks.ExecFromMutex(l), 0, 32, 300)
 	if n := g.bad.Load(); n != 0 {
-		t.Fatalf("admission bound exceeded %d times: >%d same-cluster threads inside the inner lock", n, k)
+		t.Fatalf("admission bound exceeded %d times: >%d same-cluster threads waiting for the inner lock", n, k)
 	}
 	// With 8 procs per cluster all contending, the bound should
 	// actually be reached, or the wrapper is throttling harder than

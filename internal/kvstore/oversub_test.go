@@ -82,6 +82,9 @@ func writersTime(name string, stop time.Time) (time.Duration, bool) {
 // writer time in the same run. The bound is relative, so a slow runner
 // or the race detector slows both sides alike; each writer gives up at
 // the bound, so a collapsing lock costs about the bound, not a minute.
+// The gcr- rows put admission in front of a parking queue lock, so a
+// proc's one parker serves two waits per acquisition; they took
+// seconds while GCR promoted a waiter after releasing the inner lock.
 func TestOversubscribedWritersFinish(t *testing.T) {
 	// A multiple of pthread's writer time. On a 2-CPU host the parking
 	// queue locks read 1-5× pthread, and up to 30× under -race, whose
@@ -97,7 +100,7 @@ func TestOversubscribedWritersFinish(t *testing.T) {
 	// A floor keeps a very fast pthread run from turning scheduler noise
 	// into a failure.
 	limit := max(bound*base, 500*time.Millisecond)
-	for _, name := range []string{"c-bo-clh", "c-tkt-clh", "c-bo-mcs", "c-tkt-tkt", "mcs", "cna", "pthread"} {
+	for _, name := range []string{"c-bo-clh", "c-tkt-clh", "c-bo-mcs", "c-tkt-tkt", "mcs", "cna", "gcr-mcs", "gcr-c-bo-mcs", "pthread"} {
 		got, ok := writersTime(name, time.Now().Add(limit))
 		t.Logf("%-9s writers %v (pthread %v)", name, got, base)
 		if !ok {

@@ -105,7 +105,8 @@ func NewAbortableCohortLock(topo *numa.Topology, global AbortableGlobal, newLoca
 		l.local[c] = newLocal(c)
 	}
 	for id := range l.release {
-		p, st := topo.Proc(id), &l.state[topo.ClusterOf(id)]
+		p := topo.Proc(id)
+		st := &l.state[p.Cluster()]
 		// The pass-count reset must precede the global release: once
 		// the global lock drops, a new holder may write the counter,
 		// and the global lock's acquire/release atomics are what order

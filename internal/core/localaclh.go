@@ -42,14 +42,12 @@ type acNode struct {
 }
 
 // Arena geometry: chunk k holds acBase<<k nodes, so the arena grows
-// with the nodes the lock hands out — a lock that a few procs take
-// holds a few nodes — and acMaxChunks chunks hold more nodes than
-// memory does. Chunks are installed once and never move, so a node
-// index remains valid for the lock's lifetime while the arena grows
-// without copying.
+// with the nodes the lock hands out, and acMaxChunks chunks hold more
+// than memory does. Chunks are installed once and never move, so a
+// node index remains valid for the lock's lifetime while the arena
+// grows without copying.
 const (
-	acBaseShift = 2
-	acBase      = 1 << acBaseShift
+	acBase      = 4
 	acMaxChunks = 40
 )
 
@@ -63,7 +61,7 @@ type acArena struct {
 // acChunkOf maps node index i to its chunk k, which holds indexes
 // [acBase·(2^k−1), acBase·(2^(k+1)−1)), and its offset there.
 func acChunkOf(i int64) (k int, off int64) {
-	k = bits.Len64(uint64(i>>acBaseShift)+1) - 1
+	k = bits.Len64(uint64(i)/acBase+1) - 1
 	return k, i - (acBase<<k - acBase)
 }
 
@@ -82,8 +80,8 @@ func (a *acArena) node(i int64) *acNode {
 }
 
 // acProcState is per-proc bookkeeping: the node held by the current
-// acquisition and a free-node pool. Only the owning proc touches it,
-// and makes it at its first acquisition.
+// acquisition and a free-node pool. Only the owning proc makes and
+// touches it.
 type acProcState struct {
 	holder int64
 	pool   []int64
@@ -119,39 +117,31 @@ func NewACLHLocal(topo *numa.Topology) *ACLHLocal {
 	return l
 }
 
-// getNode returns a busy node for p's acquisition, from p's pool or
-// the arena, making p's state at its first acquisition.
-func (l *ACLHLocal) getNode(p *numa.Proc) int64 {
+// getNode returns p's state, made at its first acquisition, and a busy
+// node from its pool or, if the pool is empty, from the arena.
+func (l *ACLHLocal) getNode(p *numa.Proc) (*acProcState, int64) {
 	st := l.procs[p.ID()]
 	if st == nil {
 		st = new(acProcState)
 		l.procs[p.ID()] = st
 	}
+	var idx int64
 	if n := len(st.pool); n > 0 {
-		idx := st.pool[n-1]
-		st.pool = st.pool[:n-1]
-		l.arena.node(idx).word.Store(acBusy)
-		return idx
+		idx, st.pool = st.pool[n-1], st.pool[:n-1]
+	} else {
+		idx = l.arena.alloc()
 	}
-	idx := l.arena.alloc()
 	l.arena.node(idx).word.Store(acBusy)
-	return idx
-}
-
-func (l *ACLHLocal) putNode(p *numa.Proc, idx int64) {
-	st := l.procs[p.ID()]
-	st.pool = append(st.pool, idx)
+	return st, idx
 }
 
 // TryLock enqueues and spins on the predecessor until granted, the
 // predecessor chain resolves to a release, or the deadline passes.
 // A waiter whose deadline never comes (math.MaxInt64, Blocking's)
-// parks instead, naming its parker in the predecessor's node before it
-// re-checks the node's word: under oversubscription a FIFO successor
-// that only polls is a runnable goroutine queued behind busy ones, so
-// each hand-off could cost a scheduler time slice. It clears the name
-// before it reclaims the node, so a recycled node names no stale
-// parker.
+// parks instead, naming its parker in the predecessor's node until the
+// word changes: under oversubscription a FIFO successor that only
+// polls is a runnable goroutine queued behind busy ones, so each
+// hand-off could cost a scheduler time slice.
 //
 // Abort rules (all resolved through the predecessor's single word):
 //   - predecessor busy, flag clear: CAS in the successor-aborted flag;
@@ -164,25 +154,22 @@ func (l *ACLHLocal) putNode(p *numa.Proc, idx int64) {
 //     Unlock(p, false, noRelease), which re-releases the node in
 //     global-release state without stranding anything.
 func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
-	n := l.getNode(p)
+	st, n := l.getNode(p)
 	pred := l.tail.Swap(n)
 	for i := 0; ; i++ {
 		w := l.arena.node(pred).word.Load()
-		code := w & acCodeMask
-		switch {
-		case code == acRL:
-			l.putNode(p, pred)
-			l.procs[p.ID()].holder = n
-			return ReleaseLocal, true
-		case code == acRG:
-			l.putNode(p, pred)
-			l.procs[p.ID()].holder = n
+		if code := w & acCodeMask; code != acBusy {
+			// The predecessor released or aborted: reclaim its node.
+			st.pool = append(st.pool, pred)
+			if code >= acPredBase {
+				pred = int64(code - acPredBase) // adopt its predecessor
+				continue
+			}
+			st.holder = n
+			if code == acRL {
+				return ReleaseLocal, true
+			}
 			return ReleaseGlobal, true
-		case code >= acPredBase:
-			// Predecessor aborted: adopt its predecessor, reclaim it.
-			l.putNode(p, pred)
-			pred = int64(code - acPredBase)
-			continue
 		}
 		// Predecessor is busy.
 		if deadline == math.MaxInt64 {
@@ -225,11 +212,8 @@ func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
 	nd.wake()
 }
 
-// wake wakes the successor parked on n, if one has named its parker.
-// Call it after n's word changes: the successor names its parker
-// before it re-checks the word, and both sides are sequentially
-// consistent, so either this load sees the parker or the re-check
-// sees the word.
+// wake wakes the successor parked on n, if it has named its parker.
+// Call it after n's word changes (spin.Parker: publish and wake).
 func (n *acNode) wake() {
 	if pk := n.waiter.Load(); pk != nil {
 		pk.Wake()

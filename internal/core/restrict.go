@@ -28,13 +28,11 @@ import (
 // admitted set re-arrives (re-arrivals queue behind it).
 
 // gcrWaiter is one proc's registration record for one Restricted
-// lock: the ticket it was last throttled on. It starts at 0, which no
-// exit ever admits (an exit admits e+limit-1 >= 1), so a proc that
-// never waited is never woken. A promotion wakes the proc's parker.
-// Only the owning proc ever writes ticket, which is what makes the
-// wake protocol loss-free: a registration cannot be overwritten by
-// other threads, so a releaser's scan finds it no matter how late the
-// releaser runs.
+// lock: the ticket it was last throttled on, 0 (which no exit admits)
+// until then. A promotion wakes the proc's parker. Only the owning
+// proc ever writes ticket, which is what makes the wake protocol
+// loss-free: a registration cannot be overwritten by other threads,
+// so a releaser's scan finds it no matter how late the releaser runs.
 type gcrWaiter struct {
 	ticket atomic.Int64
 	_      numa.Pad
@@ -66,11 +64,7 @@ type Restricted struct {
 // fill spin.CPUs (GOMAXPROCS in real mode) and no more, the point past
 // which the restriction paper shows extra waiters only slow it down.
 func DefaultActivePerCluster(topo *numa.Topology) int {
-	k := spin.CPUs() / topo.Clusters()
-	if k < 1 {
-		k = 1
-	}
-	return k
+	return max(spin.CPUs()/topo.Clusters(), 1)
 }
 
 // NewRestricted wraps inner with per-cluster admission control. At
@@ -122,12 +116,9 @@ func (l *Restricted) Lock(p *numa.Proc) {
 // Unlock retires the caller's ticket, promotes the newly admitted
 // waiter, if any, and then releases the inner lock. Admission is a
 // throttle and exclusion is the inner lock's job, so promoting first
-// is safe: the promoted proc only starts competing for an inner lock
-// the caller still holds. The order matters under oversubscription:
-// promoting after the inner release, which wakes the inner successor,
-// made gcr- writers take seconds where pthread's took milliseconds
-// (TestOversubscribedWritersFinish); the likely cause is the second
-// wake displacing the new inner holder from the releaser's processor.
+// is safe. Promoting after the inner release, whose wake it follows,
+// made gcr- writers take seconds under oversubscription
+// (TestOversubscribedWritersFinish).
 func (l *Restricted) Unlock(p *numa.Proc) {
 	c := &l.cls[p.Cluster()]
 	e := c.exits.Add(1)

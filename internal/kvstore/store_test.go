@@ -167,7 +167,7 @@ func TestHashModIsRequesterIndependent(t *testing.T) {
 			n, ok := s.Get(topo.Proc(id), k, dst)
 			if !ok || !bytes.Equal(dst[:n], []byte{byte(k), last}) {
 				t.Fatalf("key %d: proc %d (cluster %d) read (%q, %v), want the last write from proc %d",
-					k, id, topo.ClusterOf(id), dst[:n], ok, last)
+					k, id, topo.Proc(id).Cluster(), dst[:n], ok, last)
 			}
 		}
 	}

@@ -14,10 +14,11 @@ const DefaultCNAStreak = 64
 
 // cnaNode is one thread's record in the CNA queue. Like MCS, each
 // (lock, proc) pair owns a dedicated padded node, made at the proc's
-// first acquisition and reused after it. Beyond the MCS fields it carries the secondary-list
-// plumbing: sec is the head of the deferred remote-waiter list handed
-// to this node along with the lock, and secTail (meaningful only on a
-// secondary-list head) is that list's last node.
+// first acquisition and reused after it. Beyond the MCS fields it
+// carries the secondary-list plumbing: sec is the head of the deferred
+// remote-waiter list handed to this node along with the lock, and
+// secTail (meaningful only on a secondary-list head) is that list's
+// last node.
 type cnaNode struct {
 	next    atomic.Pointer[cnaNode]
 	granted atomic.Int32 // 1 once the lock has been passed to this node

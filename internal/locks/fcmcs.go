@@ -68,8 +68,7 @@ const electAfter = 512
 // Lock publishes a request and waits for a grant, becoming the
 // cluster's combiner only after a patience window.
 func (l *FCMCS) Lock(p *numa.Proc) {
-	id := p.ID()
-	slot := &l.slots[id]
+	slot := &l.slots[p.ID()]
 	node := l.q.node(p)
 	slot.posted.Store(true)
 

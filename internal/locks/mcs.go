@@ -11,8 +11,7 @@ import (
 // pair owns a dedicated padded node, made at the proc's first
 // acquisition and reused after it without allocation — safe because
 // standard MCS guarantees a node is unreferenced once its owner's
-// Unlock returns. parker is the owner's, the one its predecessor
-// wakes.
+// Unlock returns. parker is the owner's, which its predecessor wakes.
 type mcsNode struct {
 	next   atomic.Pointer[mcsNode]
 	locked atomic.Int32 // 1 while waiting
@@ -36,9 +35,7 @@ func NewMCS(topo *numa.Topology) *MCS {
 }
 
 // node returns p's node, making it at p's first acquisition. Only p
-// writes its entry, and any other proc reaches the node through the
-// queue's atomics, so a cluster's local lock holds nodes only for the
-// procs that take it.
+// writes its entry; other procs reach the node through the queue.
 func (l *MCS) node(p *numa.Proc) *mcsNode {
 	n := l.nodes[p.ID()]
 	if n == nil {

@@ -30,13 +30,10 @@ func NewTicket(topo *numa.Topology) *Ticket {
 	return &Ticket{waiters: make([]atomic.Pointer[spin.Parker], topo.MaxProcs())}
 }
 
-// Lock takes a ticket and waits until it is granted. The waiter
-// publishes its parker before Wait re-checks grant, and the releaser
-// loads the slot after its grant.Add; both sides are sequentially
-// consistent, so either the releaser sees the parker or the waiter
-// sees the grant. The slot is cleared once the ticket is granted,
-// while the ticket is still outstanding, so no later waiter of the
-// slot has published yet.
+// Lock takes a ticket and waits until it is granted, naming its parker
+// in its slot before Wait re-checks grant (spin.Parker: publish and
+// wake). It clears the slot while its ticket is still outstanding, so
+// before the slot's next waiter can publish.
 func (l *Ticket) Lock(p *numa.Proc) {
 	t := l.request.Add(1) - 1
 	if l.grant.Load() == t {
@@ -48,8 +45,7 @@ func (l *Ticket) Lock(p *numa.Proc) {
 	w.Store(nil)
 }
 
-// Unlock grants the next ticket and wakes exactly its holder, if it
-// has parked or is about to.
+// Unlock grants the next ticket and wakes its waiter, if one is named.
 func (l *Ticket) Unlock(_ *numa.Proc) {
 	g := l.grant.Add(1)
 	if pk := l.waiters[g%uint64(len(l.waiters))].Load(); pk != nil {

@@ -8,8 +8,7 @@
 // cluster for its lifetime. Cohort locks, the cache-coherence
 // simulator, and all harnesses consult only the Proc's cluster id and
 // dense proc id, which is the full extent of hardware knowledge the
-// paper's algorithms require. A Proc also owns the one spin.Parker its
-// goroutine blocks on, whatever lock it waits for.
+// paper's algorithms require.
 package numa
 
 import (
@@ -32,10 +31,8 @@ type Pad [2 * CacheLineBytes]byte
 // topology fixes the maximum concurrency up front, mirroring the
 // paper's fixed 256-context machine.
 type Topology struct {
-	clusters int
-	maxProcs int
-	procs    []*Proc
-	members  [][]int // each cluster's proc ids, in id order
+	procs   []*Proc
+	members [][]int // each cluster's proc ids, in id order
 }
 
 // New returns a topology with the given cluster count and maximum
@@ -47,12 +44,7 @@ func New(clusters, maxProcs int) *Topology {
 	if clusters <= 0 || maxProcs <= 0 {
 		panic(fmt.Sprintf("numa: New(%d, %d): clusters and maxProcs must be positive", clusters, maxProcs))
 	}
-	t := &Topology{
-		clusters: clusters,
-		maxProcs: maxProcs,
-		procs:    make([]*Proc, maxProcs),
-		members:  make([][]int, clusters),
-	}
+	t := &Topology{procs: make([]*Proc, maxProcs), members: make([][]int, clusters)}
 	for i := range t.procs {
 		t.procs[i] = &Proc{
 			id:      i,
@@ -72,33 +64,24 @@ func New(clusters, maxProcs int) *Topology {
 }
 
 // Clusters reports the number of NUMA clusters.
-func (t *Topology) Clusters() int { return t.clusters }
+func (t *Topology) Clusters() int { return len(t.members) }
 
 // MaxProcs reports the maximum number of logical processors; proc ids
 // are dense in [0, MaxProcs).
-func (t *Topology) MaxProcs() int { return t.maxProcs }
+func (t *Topology) MaxProcs() int { return len(t.procs) }
 
 // Proc returns the handle for logical processor id. Handles are
 // preallocated and stable; the same id always yields the same *Proc.
 // It panics if id is out of range.
 func (t *Topology) Proc(id int) *Proc {
-	if id < 0 || id >= t.maxProcs {
-		panic(fmt.Sprintf("numa: proc id %d out of range [0,%d)", id, t.maxProcs))
+	if id < 0 || id >= len(t.procs) {
+		panic(fmt.Sprintf("numa: proc id %d out of range [0,%d)", id, len(t.procs)))
 	}
 	return t.procs[id]
 }
 
-// ClusterOf reports the cluster that proc id maps to.
-func (t *Topology) ClusterOf(id int) int {
-	if id < 0 || id >= t.maxProcs {
-		panic(fmt.Sprintf("numa: proc id %d out of range [0,%d)", id, t.maxProcs))
-	}
-	return t.procs[id].cluster
-}
-
-// Members returns the ids of cluster c's procs in id order, the order
-// a combiner scans its cluster's publication slots in. The slice is
-// shared; callers must not modify it.
+// Members returns the ids of cluster c's procs in id order, a
+// combiner's scan order. The slice is shared; do not modify it.
 func (t *Topology) Members(c int) []int { return t.members[c] }
 
 // Proc identifies one logical processor (worker thread). Exactly one
@@ -119,10 +102,8 @@ func (p *Proc) ID() int { return p.id }
 // Cluster reports the NUMA cluster this processor belongs to.
 func (p *Proc) Cluster() int { return p.cluster }
 
-// Parker returns the parker this processor's goroutine waits on. There
-// is one per proc, shared by every lock: a goroutine waits for one
-// condition at a time, and a wake meant for an earlier wait costs a
-// later one at most a spurious re-check (see spin.Parker).
+// Parker returns the one parker this processor's goroutine waits on,
+// whatever lock it waits for (see spin.Parker).
 func (p *Proc) Parker() *spin.Parker { return &p.parker }
 
 // Rand returns the next value of the processor-local RNG.

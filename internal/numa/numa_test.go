@@ -21,8 +21,8 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 func TestRoundRobinPlacement(t *testing.T) {
 	topo := New(4, 16)
 	for i := 0; i < 16; i++ {
-		if got, want := topo.ClusterOf(i), i%4; got != want {
-			t.Errorf("ClusterOf(%d) = %d, want %d", i, got, want)
+		if got, want := topo.Proc(i).Cluster(), i%4; got != want {
+			t.Errorf("Proc(%d).Cluster() = %d, want %d", i, got, want)
 		}
 	}
 }
@@ -37,8 +37,8 @@ func TestProcHandlesStable(t *testing.T) {
 		if a.ID() != i {
 			t.Fatalf("Proc(%d).ID() = %d", i, a.ID())
 		}
-		if a.Cluster() != topo.ClusterOf(i) {
-			t.Fatalf("Proc(%d).Cluster() = %d, want %d", i, a.Cluster(), topo.ClusterOf(i))
+		if a.Cluster() != i%2 {
+			t.Fatalf("Proc(%d).Cluster() = %d, want %d", i, a.Cluster(), i%2)
 		}
 	}
 }
@@ -64,7 +64,7 @@ func TestPlacementCoverage(t *testing.T) {
 		topo := New(c, p)
 		seen := make([]bool, c)
 		for i := 0; i < p; i++ {
-			cl := topo.ClusterOf(i)
+			cl := topo.Proc(i).Cluster()
 			if cl < 0 || cl >= c {
 				return false
 			}
@@ -103,7 +103,7 @@ func TestMembersPartitionProcs(t *testing.T) {
 	for c := 0; c < topo.Clusters(); c++ {
 		prev := -1
 		for _, id := range topo.Members(c) {
-			if topo.ClusterOf(id) != c || id <= prev {
+			if topo.Proc(id).Cluster() != c || id <= prev {
 				t.Fatalf("Members(%d) = %v: want cluster %d's ids, ascending", c, topo.Members(c), c)
 			}
 			prev = id

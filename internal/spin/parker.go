@@ -21,15 +21,11 @@ package spin
 // either an empty buffer (send succeeds) or a stale token the waiter
 // is about to consume.
 //
-// Each numa.Proc owns one Parker, and every lock its goroutine waits
-// for wakes that one: a goroutine waits for one condition at a time,
-// so a Parker still has at most one waiter, and a token left by a wake
-// meant for an earlier wait — on this lock or on another — is a stale
-// token like any other. A waker that finds the waiter's parker through
-// a record (a queue node, a ticket slot) needs the waiter to publish
-// the parker before its condition check and itself to load it after
-// its condition store, both sequentially consistent, so that at least
-// one side sees the other.
+// Each numa.Proc owns one Parker: a goroutine waits for one condition
+// at a time, and a token meant for an earlier wait, on any lock, is
+// stale. Publish and wake: a waiter that names its parker in a record
+// does so before its condition check, and the waker loads it after its
+// condition store; both are sequentially consistent, so one sees the other.
 type Parker struct {
 	ch chan struct{}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -10,81 +9,43 @@ import (
 	"repro/internal/spin"
 )
 
-// The A-C-BO-CLH local lock (paper §3.6.2) needs a queue-node "prev"
-// field and a successor-aborted flag that are read and modified as one
-// atomic unit: the owner's local hand-off CAS and the successor's
-// abort CAS must exclude each other. Go cannot pack a pointer and a
-// flag into one word without unsafe, so nodes live in a chunked arena
-// and are addressed by index. A node's state is a single uint64:
+// The A-C-BO-CLH local lock (paper §3.6.2) decides its viable-successor
+// race on one word per queue node: the owner's local hand-off CAS and
+// the successor's abort CAS target the same word, so they exclude each
+// other. A node's word is:
 //
 //	bit 63      — successor-aborted flag
 //	bits 0..62  — code: 0 busy, 1 release-local, 2 release-global,
-//	              k+3 = explicit predecessor with node index k (the
-//	              node's owner aborted; spin on node k instead)
+//	              3 aborted (the node's owner left; its pred field
+//	              names the node to spin on instead)
 const (
 	acBusy      uint64 = 0
 	acRL        uint64 = 1
 	acRG        uint64 = 2
-	acPredBase  uint64 = 3
+	acAborted   uint64 = 3
 	acAbortFlag uint64 = 1 << 63
 	acCodeMask  uint64 = acAbortFlag - 1
 )
 
-func acEncodePred(idx int64) uint64 { return uint64(idx) + acPredBase }
-
 // acNode is one abortable-CLH queue record. waiter names the parker
 // of the successor parked on this node, nil while none is: a waiter
 // that never aborts (Blocking's) parks, one with a deadline polls.
+// pred is written by an aborting owner before it stores acAborted and
+// read by the one successor that loads acAborted, so the word's store
+// and load order it.
 type acNode struct {
 	word   atomic.Uint64
 	waiter atomic.Pointer[spin.Parker]
+	pred   *acNode
 	_      numa.Pad
-}
-
-// Arena geometry: chunk k holds acBase<<k nodes, so the arena grows
-// with the nodes the lock hands out, and acMaxChunks chunks hold more
-// than memory does. Chunks are installed once and never move, so a
-// node index remains valid for the lock's lifetime while the arena
-// grows without copying.
-const (
-	acBase      = 4
-	acMaxChunks = 40
-)
-
-// acArena is a grow-only chunked node store. Racing installers of a
-// chunk agree by CAS; a loser's chunk is garbage.
-type acArena struct {
-	next   atomic.Int64
-	chunks [acMaxChunks]atomic.Pointer[[]acNode]
-}
-
-// acChunkOf maps node index i to its chunk k, which holds indexes
-// [acBase·(2^k−1), acBase·(2^(k+1)−1)), and its offset there.
-func acChunkOf(i int64) (k int, off int64) {
-	k = bits.Len64(uint64(i)/acBase+1) - 1
-	return k, i - (acBase<<k - acBase)
-}
-
-func (a *acArena) alloc() int64 {
-	i := a.next.Add(1) - 1
-	if k, _ := acChunkOf(i); a.chunks[k].Load() == nil {
-		c := make([]acNode, acBase<<k)
-		a.chunks[k].CompareAndSwap(nil, &c)
-	}
-	return i
-}
-
-func (a *acArena) node(i int64) *acNode {
-	k, off := acChunkOf(i)
-	return &(*a.chunks[k].Load())[off]
 }
 
 // acProcState is per-proc bookkeeping: the node held by the current
 // acquisition and a free-node pool. Only the owning proc makes and
 // touches it.
 type acProcState struct {
-	holder int64
-	pool   []int64
+	holder *acNode
+	pool   []*acNode
 	_      numa.Pad
 }
 
@@ -102,8 +63,7 @@ type acProcState struct {
 // of the proc that unlinked them rather than their original owner's;
 // nodes are interchangeable, so behaviour is unchanged.
 type ACLHLocal struct {
-	arena acArena
-	tail  atomic.Int64
+	tail  atomic.Pointer[acNode]
 	_     numa.Pad
 	procs []*acProcState // indexed by proc id; nil until the proc's first TryLock
 }
@@ -111,28 +71,28 @@ type ACLHLocal struct {
 // NewACLHLocal returns an abortable cohort-detecting CLH lock.
 func NewACLHLocal(topo *numa.Topology) *ACLHLocal {
 	l := &ACLHLocal{procs: make([]*acProcState, topo.MaxProcs())}
-	dummy := l.arena.alloc()
-	l.arena.node(dummy).word.Store(acRG)
+	dummy := new(acNode)
+	dummy.word.Store(acRG)
 	l.tail.Store(dummy)
 	return l
 }
 
 // getNode returns p's state, made at its first acquisition, and a busy
-// node from its pool or, if the pool is empty, from the arena.
-func (l *ACLHLocal) getNode(p *numa.Proc) (*acProcState, int64) {
+// node from its pool or, if the pool is empty, a new one.
+func (l *ACLHLocal) getNode(p *numa.Proc) (*acProcState, *acNode) {
 	st := l.procs[p.ID()]
 	if st == nil {
 		st = new(acProcState)
 		l.procs[p.ID()] = st
 	}
-	var idx int64
-	if n := len(st.pool); n > 0 {
-		idx, st.pool = st.pool[n-1], st.pool[:n-1]
+	var n *acNode
+	if k := len(st.pool); k > 0 {
+		n, st.pool = st.pool[k-1], st.pool[:k-1]
 	} else {
-		idx = l.arena.alloc()
+		n = new(acNode)
 	}
-	l.arena.node(idx).word.Store(acBusy)
-	return st, idx
+	n.word.Store(acBusy)
+	return st, n
 }
 
 // TryLock enqueues and spins on the predecessor until granted, the
@@ -157,12 +117,12 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 	st, n := l.getNode(p)
 	pred := l.tail.Swap(n)
 	for i := 0; ; i++ {
-		w := l.arena.node(pred).word.Load()
+		w := pred.word.Load()
 		if code := w & acCodeMask; code != acBusy {
 			// The predecessor released or aborted: reclaim its node.
 			st.pool = append(st.pool, pred)
-			if code >= acPredBase {
-				pred = int64(code - acPredBase) // adopt its predecessor
+			if code == acAborted {
+				pred = pred.pred // adopt its predecessor
 				continue
 			}
 			st.holder = n
@@ -173,7 +133,7 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 		}
 		// Predecessor is busy.
 		if deadline == math.MaxInt64 {
-			pn := l.arena.node(pred)
+			pn := pred
 			pn.waiter.Store(p.Parker())
 			p.Parker().Wait(func() bool { return pn.word.Load()&acCodeMask != acBusy })
 			pn.waiter.Store(nil)
@@ -181,10 +141,10 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 		}
 		if spin.Expired(deadline) {
 			if w&acAbortFlag != 0 ||
-				l.arena.node(pred).word.CompareAndSwap(acBusy, acBusy|acAbortFlag) {
-				nd := l.arena.node(n)
-				nd.word.Store(acEncodePred(pred))
-				nd.wake()
+				pred.word.CompareAndSwap(acBusy, acBusy|acAbortFlag) {
+				n.pred = pred
+				n.word.Store(acAborted)
+				n.wake()
 				return ReleaseGlobal, false
 			}
 			// The CAS lost a race with a release or an abort
@@ -204,12 +164,11 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 // any, is woken after the word changes.
 func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
 	n := l.procs[p.ID()].holder
-	nd := l.arena.node(n)
-	if !wantLocal || !nd.word.CompareAndSwap(acBusy, acRL) {
+	if !wantLocal || !n.word.CompareAndSwap(acBusy, acRL) {
 		releaseGlobal()
-		nd.word.Store(acRG)
+		n.word.Store(acRG)
 	}
-	nd.wake()
+	n.wake()
 }
 
 // wake wakes the successor parked on n, if it has named its parker.

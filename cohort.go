@@ -130,8 +130,12 @@ type GlobalLock = core.Global
 type LocalLock = core.Local
 
 // AbortableGlobalLock and AbortableLocalLock are the strengthened
-// contracts for abortable cohort locks (paper §3.6); see
-// internal/core documentation for the exact viable-successor rules.
+// contracts for abortable cohort locks (paper §3.6). A local lock's
+// Unlock(p, wantLocal) hands off locally only to a viable successor, a
+// waiter that can no longer abort, and reports whether it did; when
+// it did not, the lock is free in global-release state and the cohort
+// releases the global lock after it. See internal/core documentation
+// for the exact rules.
 type (
 	AbortableGlobalLock = core.AbortableGlobal
 	AbortableLocalLock  = core.AbortableLocal

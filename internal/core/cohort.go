@@ -84,10 +84,7 @@ type AbortableCohortLock struct {
 	global AbortableGlobal
 	local  []AbortableLocal
 	state  []clusterState
-	// release is, per proc id, the releaseGlobal callback Unlock hands
-	// the local lock: bound once here, so a release allocates nothing.
-	release []func()
-	limit   int64
+	limit  int64
 }
 
 // NewAbortableCohortLock assembles an abortable cohort lock; see
@@ -95,26 +92,13 @@ type AbortableCohortLock struct {
 func NewAbortableCohortLock(topo *numa.Topology, global AbortableGlobal, newLocal func(cluster int) AbortableLocal, opts ...Option) *AbortableCohortLock {
 	o := buildOptions(opts)
 	l := &AbortableCohortLock{
-		global:  global,
-		local:   make([]AbortableLocal, topo.Clusters()),
-		state:   make([]clusterState, topo.Clusters()),
-		release: make([]func(), topo.MaxProcs()),
-		limit:   o.HandoffLimit,
+		global: global,
+		local:  make([]AbortableLocal, topo.Clusters()),
+		state:  make([]clusterState, topo.Clusters()),
+		limit:  o.HandoffLimit,
 	}
 	for c := range l.local {
 		l.local[c] = newLocal(c)
-	}
-	for id := range l.release {
-		p := topo.Proc(id)
-		st := &l.state[p.Cluster()]
-		// The pass-count reset must precede the global release: once
-		// the global lock drops, a new holder may write the counter,
-		// and the global lock's acquire/release atomics are what order
-		// the two accesses.
-		l.release[id] = func() {
-			st.passes = 0
-			l.global.Unlock(p)
-		}
 	}
 	return l
 }
@@ -133,7 +117,7 @@ func (l *AbortableCohortLock) TryLockFor(p *numa.Proc, patience time.Duration) b
 	}
 	if r == ReleaseGlobal {
 		if !l.global.TryLock(p, deadline) {
-			l.local[c].Unlock(p, false, noRelease)
+			l.local[c].Unlock(p, false)
 			return false
 		}
 		l.state[c].passes = 0
@@ -142,7 +126,14 @@ func (l *AbortableCohortLock) TryLockFor(p *numa.Proc, patience time.Duration) b
 }
 
 // Unlock releases the cohort lock, delegating the viable-successor
-// race to the local lock (see AbortableLocal).
+// race to the local lock (see AbortableLocal). If the local lock
+// reports no local hand-off, it is already free in global-release
+// state, and Unlock releases the global lock after it: a same-cluster
+// successor that reads global-release must take the global lock, so
+// it waits for this release. The pass-count reset precedes the global
+// release, because only a holder of the global lock touches the count
+// once the local lock is free, and the global lock's acquire/release
+// atomics order the two holders' accesses.
 func (l *AbortableCohortLock) Unlock(p *numa.Proc) {
 	c := p.Cluster()
 	st := &l.state[c]
@@ -151,7 +142,10 @@ func (l *AbortableCohortLock) Unlock(p *numa.Proc) {
 	if wantLocal {
 		st.passes++
 	}
-	s.Unlock(p, wantLocal, l.release[p.ID()])
+	if !s.Unlock(p, wantLocal) {
+		st.passes = 0
+		l.global.Unlock(p)
+	}
 }
 
 // HandoffLimit reports the configured may-pass-local bound.

@@ -232,9 +232,9 @@ func TestAbortableCohortZeroPatience(t *testing.T) {
 // per Lock+Unlock) and of every abortable lock it builds — the cohort
 // locks and the a-clh and hbo baselines, measured per
 // TryLockFor+Unlock — allocates nothing, so a critical section costs
-// no heap object. The releaseGlobal callback each release hands an
-// abortable local lock is bound per proc when the lock is built
-// (a-clh's and Blocking's is a package-level no-op), never per Unlock.
+// no heap object. An abortable local lock reports whether it handed
+// off locally, and the cohort releases the global lock itself when it
+// did not, so a release builds no callback.
 func TestCohortsAndBaselinesAllocateNothing(t *testing.T) {
 	for _, name := range registry.Names() {
 		e := registry.MustLookup(name)

@@ -16,7 +16,9 @@
 // take unmodified locks: any locks.Mutex on top, and below any lock
 // that can also answer alone?. Only the abortable transformation
 // (AbortableCohortLock, §3.6) keeps the release state in the local
-// lock word, where the viable-successor race is decided.
+// lock word, where the viable-successor race is decided: the local
+// Unlock reports whether it handed off locally, and the cohort
+// releases the global lock itself when it did not.
 //
 // The package provides both transformations, a thread-oblivious
 // global BO lock, the abortable BO and A-CLH locals, which Blocking
@@ -93,21 +95,23 @@ type AbortableGlobal interface {
 // The cohort-detection property is strengthened (paper §3.6): a local
 // release may only hand the global lock to a *viable* successor — one
 // that can no longer abort. Because closing that race is intrinsic to
-// each lock's representation, Unlock owns the whole release protocol:
+// each lock's representation, Unlock decides it and reports the
+// outcome:
 //
 //   - If wantLocal is true and a viable successor exists, Unlock
-//     releases in local-release state and returns without invoking
-//     releaseGlobal.
-//   - Otherwise Unlock invokes releaseGlobal exactly once and leaves
-//     the lock in global-release state (a no-op releaseGlobal lets a
-//     thread that never held the global lock abandon the local lock).
+//     releases in local-release state and returns true: the successor
+//     inherits the global lock.
+//   - Otherwise Unlock releases in global-release state and returns
+//     false. A caller that holds the global lock must then release it;
+//     one that never held it (a waiter abandoning the local lock after
+//     timing out on the global one) ignores the result.
 //
 // TryLock returns (state, true) on acquisition — which may occur even
 // after the deadline if a hand-off wins the race against the abort, as
 // in Scott's A-CLH — and (0, false) if the attempt was abandoned.
 type AbortableLocal interface {
 	TryLock(p *numa.Proc, deadline int64) (Release, bool)
-	Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func())
+	Unlock(p *numa.Proc, wantLocal bool) bool
 	Alone(p *numa.Proc) bool
 }
 

@@ -119,26 +119,23 @@ func TestABOLocalHandoffAbortRace(t *testing.T) {
 			_, ok := l.TryLock(p1, spin.Deadline(time.Duration(round%5)*time.Microsecond))
 			got <- ok
 		}()
-		globalReleased := false
-		l.Unlock(p0, true, func() { globalReleased = true })
+		handedOff := l.Unlock(p0, true)
 		waiterGotIt := <-got
 		if waiterGotIt {
 			// Lock is held by the waiter; it must release cleanly.
-			l.Unlock(p1, false, func() { globalReleased = true })
-		}
-		if !globalReleased {
-			// Hand-off stood but nobody holds it only if the waiter
-			// acquired; otherwise the releaser must have reclaimed.
-			if !waiterGotIt {
-				t.Fatalf("round %d: hand-off stranded: no waiter, global kept", round)
+			if l.Unlock(p1, false) {
+				t.Fatalf("round %d: Unlock(p1, false) returned true", round)
 			}
 		}
+		// A hand-off that stood with no waiter taking it would strand
+		// the global lock; otherwise the releaser must have reclaimed.
+		if handedOff && !waiterGotIt {
+			t.Fatalf("round %d: hand-off stranded: no waiter, global kept", round)
+		}
 		// Lock must be reacquirable afterwards.
-		r, ok := l.TryLock(topo.Proc(2), spin.Deadline(time.Second))
-		if !ok {
+		if _, ok := l.TryLock(topo.Proc(2), spin.Deadline(time.Second)); !ok {
 			t.Fatalf("round %d: lock unusable after race", round)
 		}
-		l.Unlock(topo.Proc(2), false, func() {})
-		_ = r
+		l.Unlock(topo.Proc(2), false)
 	}
 }

@@ -111,8 +111,8 @@ func (l *ACLHLocal) getNode(p *numa.Proc) (*acProcState, *acNode) {
 //   - release observed after the deadline: we have become the local
 //     owner and report (late) success; for release-global the caller's
 //     global acquisition will itself time out and abandon via
-//     Unlock(p, false, noRelease), which re-releases the node in
-//     global-release state without stranding anything.
+//     Unlock(p, false), which re-releases the node in global-release
+//     state without stranding anything.
 func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 	st, n := l.getNode(p)
 	pred := l.tail.Swap(n)
@@ -159,16 +159,17 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 // a CAS of the holder's word from (busy, not-aborted) to
 // release-local; the colocated flag guarantees the successor is
 // viable. If the CAS fails (successor aborted) or no local hand-off is
-// wanted, the global lock is released first and the node is then
-// marked release-global. Either way the node's parked successor, if
-// any, is woken after the word changes.
-func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool, releaseGlobal func()) {
+// wanted, the node is marked release-global instead. Either way the
+// node's parked successor, if any, is woken after the word changes.
+// Unlock reports whether it handed off locally.
+func (l *ACLHLocal) Unlock(p *numa.Proc, wantLocal bool) bool {
 	n := l.procs[p.ID()].holder
-	if !wantLocal || !n.word.CompareAndSwap(acBusy, acRL) {
-		releaseGlobal()
+	local := wantLocal && n.word.CompareAndSwap(acBusy, acRL)
+	if !local {
 		n.word.Store(acRG)
 	}
 	n.wake()
+	return local
 }
 
 // wake wakes the successor parked on n, if it has named its parker.
@@ -206,9 +207,4 @@ func (l *ACLH) TryLockFor(p *numa.Proc, patience time.Duration) bool {
 }
 
 // Unlock releases the lock to the successor, or to a future arrival.
-func (l *ACLH) Unlock(p *numa.Proc) { l.local.Unlock(p, false, noRelease) }
-
-// noRelease is the releaseGlobal of a thread that holds no global
-// lock: the lone ACLH, and an abortable cohort waiter that won its
-// local lock but timed out on the global one.
-func noRelease() {}
+func (l *ACLH) Unlock(p *numa.Proc) { l.local.Unlock(p, false) }

@@ -22,4 +22,4 @@ type blocking struct{ AbortableLocal }
 func (b blocking) Lock(p *numa.Proc) { b.TryLock(p, math.MaxInt64) }
 
 // Unlock releases the lock in global-release state.
-func (b blocking) Unlock(p *numa.Proc) { b.AbortableLocal.Unlock(p, false, noRelease) }
+func (b blocking) Unlock(p *numa.Proc) { b.AbortableLocal.Unlock(p, false) }

@@ -87,21 +87,16 @@ func (l *ABOLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 // it posts a local release, then re-reads successor-exists: if the
 // flag was cleared by an aborting waiter, it attempts to reclaim the
 // hand-off with a CAS (release-local → release-global); success means
-// no waiter took the lock, so the global lock must be released too.
-// Failure of that CAS means some thread already claimed the hand-off —
-// a viable successor after all.
-func (l *ABOLocal) Unlock(_ *numa.Proc, wantLocal bool, releaseGlobal func()) {
+// no waiter took the lock, so the global lock must be released too,
+// and Unlock reports false. Failure of that CAS means some thread
+// already claimed the hand-off — a viable successor after all.
+func (l *ABOLocal) Unlock(_ *numa.Proc, wantLocal bool) bool {
 	if wantLocal {
 		l.word.Store(boLocal)
-		if l.succ.Load() == 0 {
-			if l.word.CompareAndSwap(boLocal, boFree) {
-				releaseGlobal()
-			}
-		}
-		return
+		return l.succ.Load() != 0 || !l.word.CompareAndSwap(boLocal, boFree)
 	}
-	releaseGlobal()
 	l.word.Store(boFree)
+	return false
 }
 
 // Alone reports the complement of successor-exists.

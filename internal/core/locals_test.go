@@ -49,7 +49,7 @@ func TestBlockingLocalReleasesGlobally(t *testing.T) {
 			if r, ok := l.TryLock(p0, spin.Deadline(time.Second)); !ok || r != ReleaseGlobal {
 				t.Fatalf("TryLock after an uncontended cycle = (%v,%v), want (release-global,true)", r, ok)
 			}
-			l.Unlock(p0, false, noRelease)
+			l.Unlock(p0, false)
 
 			// p0 hands the lock to a waiting p1; p1 releases it to p2,
 			// which waits in a direct TryLock.
@@ -76,7 +76,7 @@ func TestBlockingLocalReleasesGlobally(t *testing.T) {
 			if r := <-got; !r.ok || r.r != ReleaseGlobal {
 				t.Fatalf("TryLock of a waiter handed the lock = (%v,%v), want (release-global,true)", r.r, r.ok)
 			}
-			l.Unlock(p2, false, noRelease)
+			l.Unlock(p2, false)
 		})
 	}
 }
@@ -143,17 +143,15 @@ func TestABOLocalAloneTracksAbortingWaiters(t *testing.T) {
 	}
 	// Releasing wantLocal with no viable successor must fall back to a
 	// global release.
-	released := false
-	l.Unlock(p0, true, func() { released = true })
-	if !released {
-		t.Fatal("release-local to an empty cohort did not release the global lock")
+	if l.Unlock(p0, true) {
+		t.Fatal("Unlock(p0, true) returned true with an empty cohort")
 	}
 	// Lock must be reacquirable in global-release state.
 	r, ok = l.TryLock(p1, spin.Deadline(time.Second))
 	if !ok || r != ReleaseGlobal {
 		t.Fatalf("reacquire = (%v,%v), want (release-global,true)", r, ok)
 	}
-	l.Unlock(p1, false, func() {})
+	l.Unlock(p1, false)
 }
 
 func TestACLHLocalAbortChainAndViableHandoff(t *testing.T) {
@@ -178,17 +176,15 @@ func TestACLHLocalAbortChainAndViableHandoff(t *testing.T) {
 	}
 	// wantLocal release must detect the aborted successor and release
 	// globally instead of stranding a hand-off.
-	released := false
-	l.Unlock(p0, true, func() { released = true })
-	if !released {
-		t.Fatal("release to an all-aborted cohort did not release the global lock")
+	if l.Unlock(p0, true) {
+		t.Fatal("Unlock(p0, true) returned true with an all-aborted cohort")
 	}
 	// A fresh arrival walks the aborted chain and acquires globally.
 	r, ok = l.TryLock(topo.Proc(3), spin.Deadline(time.Second))
 	if !ok || r != ReleaseGlobal {
 		t.Fatalf("post-abort acquire = (%v,%v)", r, ok)
 	}
-	l.Unlock(topo.Proc(3), false, func() {})
+	l.Unlock(topo.Proc(3), false)
 }
 
 func TestACLHLocalLiveSuccessorGetsLocalHandoff(t *testing.T) {
@@ -213,12 +209,14 @@ func TestACLHLocalLiveSuccessorGetsLocalHandoff(t *testing.T) {
 			t.Fatal("successor never enqueued")
 		}
 	}
-	l.Unlock(p0, true, func() { t.Error("global released despite viable successor") })
+	if !l.Unlock(p0, true) {
+		t.Error("Unlock(p0, true) returned false despite a viable successor")
+	}
 	r := <-got
 	if !r.ok || r.r != ReleaseLocal {
 		t.Fatalf("successor got (%v,%v), want (release-local,true)", r.r, r.ok)
 	}
-	l.Unlock(p1, false, func() {})
+	l.Unlock(p1, false)
 }
 
 // TestACLHLocalNodePoolingBounded: uncontended lock/unlock recycles
@@ -234,7 +232,7 @@ func TestACLHLocalNodePoolingBounded(t *testing.T) {
 			if _, ok := l.TryLock(p, spin.Deadline(time.Second)); !ok {
 				t.Fatal("uncontended acquire failed")
 			}
-			l.Unlock(p, false, func() {})
+			l.Unlock(p, false)
 		}
 	})
 	if allocs != 0 {
@@ -244,17 +242,13 @@ func TestACLHLocalNodePoolingBounded(t *testing.T) {
 
 func TestACLHLocalRescueWinsOrAborts(t *testing.T) {
 	// Hammer the hand-off/abort race: one holder repeatedly tries to
-	// hand off locally while a waiter with tiny patience aborts. Every
-	// outcome must keep the lock usable.
+	// hand off locally while a waiter with tiny patience aborts. A
+	// local hand-off reaches only a viable waiter, and every outcome
+	// must keep the lock usable.
 	topo := numa.New(1, 8)
 	l := NewACLHLocal(topo)
-	p0, p1 := topo.Proc(0), topo.Proc(1)
-	globalHeld := true // emulate cluster owning the global lock
+	p0, p1, p2 := topo.Proc(0), topo.Proc(1), topo.Proc(2)
 	for round := 0; round < 200; round++ {
-		if !globalHeld {
-			// reacquire: cohort framework would do this
-			globalHeld = true
-		}
 		if _, ok := l.TryLock(p0, spin.Deadline(time.Second)); !ok {
 			t.Fatal("holder failed to acquire")
 		}
@@ -263,29 +257,18 @@ func TestACLHLocalRescueWinsOrAborts(t *testing.T) {
 			_, ok := l.TryLock(p1, spin.Deadline(time.Duration(round%3)*time.Microsecond))
 			done <- ok
 		}()
-		l.Unlock(p0, true, func() { globalHeld = false })
+		handedOff := l.Unlock(p0, true)
 		if <-done {
 			// Waiter (late-)acquired: it owns the lock in some state;
 			// release it globally to reset for the next round.
-			l.Unlock(p1, false, func() { globalHeld = false })
+			l.Unlock(p1, false)
+		} else if handedOff {
+			t.Fatalf("round %d: Unlock(p0, true) returned true, but the waiter aborted", round)
 		}
-		if !globalHeld {
-			continue
-		}
-		// Hand-off succeeded but acquirer may have been the aborting
-		// waiter (success path) — handled above. If the waiter aborted
-		// after the hand-off CAS lost, the lock word holds RL with no
-		// claimant only if the rescue also failed, which cannot
-		// happen; drain defensively with a fresh proc.
-		r, ok := l.TryLock(topo.Proc(2), spin.Deadline(100*time.Millisecond))
-		if !ok {
+		if _, ok := l.TryLock(p2, spin.Deadline(100*time.Millisecond)); !ok {
 			t.Fatal("lock stranded: no thread can acquire")
 		}
-		if r == ReleaseLocal {
-			l.Unlock(topo.Proc(2), false, func() { globalHeld = false })
-		} else {
-			l.Unlock(topo.Proc(2), false, func() {})
-		}
+		l.Unlock(p2, false)
 	}
 }
 

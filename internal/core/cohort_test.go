@@ -232,11 +232,3 @@ func TestDefaultHandoffLimitApplied(t *testing.T) {
 		t.Fatalf("abortable HandoffLimit = %d, want 7", got)
 	}
 }
-
-func TestReleaseString(t *testing.T) {
-	if ReleaseGlobal.String() != "release-global" ||
-		ReleaseLocal.String() != "release-local" ||
-		Release(9).String() != "release-invalid" {
-		t.Fatal("Release.String mismatch")
-	}
-}

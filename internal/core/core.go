@@ -53,18 +53,6 @@ const (
 	ReleaseLocal
 )
 
-// String implements fmt.Stringer for diagnostics.
-func (r Release) String() string {
-	switch r {
-	case ReleaseGlobal:
-		return "release-global"
-	case ReleaseLocal:
-		return "release-local"
-	default:
-		return "release-invalid"
-	}
-}
-
 // Global is the cohort's global lock: any mutual-exclusion lock. The
 // cohort releases it on behalf of the proc that acquired it, which may
 // not be the releasing thread; a lock keyed by proc (locks.MCS) is

@@ -133,10 +133,9 @@ func (l *ACLHLocal) TryLock(p *numa.Proc, deadline int64) (Release, bool) {
 		}
 		// Predecessor is busy.
 		if deadline == math.MaxInt64 {
-			pn := pred
-			pn.waiter.Store(p.Parker())
-			p.Parker().Wait(func() bool { return pn.word.Load()&acCodeMask != acBusy })
-			pn.waiter.Store(nil)
+			pred.waiter.Store(p.Parker())
+			p.Parker().Wait(func() bool { return pred.word.Load()&acCodeMask != acBusy })
+			pred.waiter.Store(nil)
 			continue
 		}
 		if spin.Expired(deadline) {
